@@ -292,6 +292,12 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
          slot — the harnesses treat [Failure] as a recovery kill. *)
       failwith "service ledger: read of an absent slot"
   in
+  (* Every slot below [low] is [None]: [drop_below] starts its scan
+     there instead of at slot 0, which made checkpoint truncation
+     quadratic in the log length. [append] is the only place a slot
+     becomes [Some], so it lowers the mark when it refills one below
+     it (as appends after a [truncate] of the tail can). *)
+  let low = ref 0 in
   (* Null cells in [lo, hi), retiring the simulated locations of those
      actually dropped (Some -> None transitions only, so truncation
      after a crash-interrupted recovery never double-retires). *)
@@ -313,6 +319,7 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
       Array.blit !cells 0 bigger 0 n;
       cells := bigger
     end;
+    if slot < !low then low := slot;
     match !cells.(slot) with
     | Some c -> LMem.write c e
     | None -> !cells.(slot) <- Some (LMem.alloc e)
@@ -334,7 +341,11 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
         end);
     read_index = (fun () -> LMem.read index);
     truncate = (fun from -> drop from (Array.length !cells));
-    drop_below = (fun upto -> drop 0 (min upto (Array.length !cells)));
+    drop_below =
+      (fun upto ->
+        let hi = min upto (Array.length !cells) in
+        drop !low hi;
+        if hi > !low then low := hi);
     write_ckpt = (fun upto pairs dedup -> C.write ckpt ~upto ~pairs ~dedup);
     read_ckpt = (fun () -> C.read ckpt) }
 

@@ -7,7 +7,10 @@
    under the cost model. The runnable threads live in an indexed min-heap
    ({!Sched_heap}) keyed on (vtime, tid): this scheduler runs at every
    shared-memory step of every benchmark panel, so its cost is the floor
-   on simulation speed — see bench/selfperf.ml.
+   on simulation speed — see bench/selfperf.ml and the benchmark suite's
+   [machine.steps_per_s] (bench/suite). One loop, [advance_to], executes
+   every step: the thread that runs stays at the heap root, and a single
+   heap call after its step re-keys it and names the next root.
 
    Every shared mutable word is a [cell] holding both a volatile value
    (what reads and writes touch) and a persistent value (what survives a
@@ -85,10 +88,12 @@ type pending = Pending : 'a cell * 'a * int -> pending
 
 let no_pending = Pending (dummy_cell, (), 0)
 
+(* A thread keeps its [Ready]/[Suspended] state while it runs; the
+   machine's [running] tid, not the state, says which thread is
+   mid-step. *)
 type thread_state =
   | Ready of (unit -> unit)
   | Suspended of (unit, unit) Effect.Deep.continuation
-  | Running
   | Finished
   | Failed of exn * Printexc.raw_backtrace
 
@@ -159,10 +164,10 @@ type t = {
   mutable next_cid : int;
   mutable steps : int;
   mutable clock : int;  (* virtual time of the last scheduled action *)
-  mutable running : thread;
-      (* physically [dummy_thread] when no fiber is mid-step ("setup
-         mode"); a sentinel rather than an option so the hot-path tests
-         are pointer comparisons, not allocations and matches *)
+  mutable running : int;
+      (* tid of the fiber that is mid-step, -1 when none ("setup
+         mode"); an immediate int, so setting it at every step needs no
+         write barrier *)
   mutable crash_at_time : int option;
   mutable crash_at_step : int option;
   mutable scheduler : (t -> int list -> int) option;
@@ -209,7 +214,7 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       next_cid = 0;
       steps = 0;
       clock = 0;
-      running = dummy_thread;
+      running = -1;
       crash_at_time = None;
       crash_at_step = None;
       scheduler = None;
@@ -242,13 +247,9 @@ let steps m = m.steps
 let stats m = m.stats
 let makespan m = m.clock
 
-let current_tid m =
-  let th = m.running in
-  if th == dummy_thread then -1 else th.tid
+let current_tid m = m.running
 
-let now m =
-  let th = m.running in
-  if th == dummy_thread then m.clock else th.vtime
+let now m = if m.running < 0 then m.clock else m.by_tid.(m.running).vtime
 
 let set_trace m ~capacity =
   m.tracer <- Some { ring = Array.make (max 1 capacity) None; total = 0 }
@@ -303,13 +304,13 @@ let clear_crash m =
 (* ------------------------------------------------------------------ *)
 
 let charge m c =
-  let th = m.running in
-  if th != dummy_thread then begin
+  if m.running >= 0 then begin
+    let th = m.by_tid.(m.running) in
     let j = if m.jitter > 0 then Random.State.int m.rng (m.jitter + 1) else 0 in
     th.vtime <- th.vtime + c + j
   end
 
-let yield m = if m.running != dummy_thread then Effect.perform Yield
+let yield m = if m.running >= 0 then Effect.perform Yield
 
 let cell_is_clean c = match c.pst with Some p -> p == c.vol | None -> false
 
@@ -379,7 +380,7 @@ let check_corrupt c =
 (* Working-set model: with more live lines than cache capacity, a read
    hits with probability capacity/live (uniform-access approximation). *)
 let capacity_miss m =
-  m.running != dummy_thread
+  m.running >= 0
   && m.live_cells > m.cost.capacity_lines
   && Random.State.int m.rng m.live_cells >= m.cost.capacity_lines
 
@@ -449,10 +450,9 @@ let flush c =
        the invalidation above) is paid *)
     charge m m.cost.flush_clean
   else begin
-    (let th = m.running in
-     if th != dummy_thread then begin
+    (if m.running >= 0 then begin
        c.wb_seq <- c.wb_seq + 1;
-       push_pending th (Pending (c, v, c.wb_seq))
+       push_pending m.by_tid.(m.running) (Pending (c, v, c.wb_seq))
      end
      else
        (* setup mode: flushes take effect immediately *)
@@ -466,7 +466,7 @@ let flush c =
    polling backoff and batch timeouts — a spin on a real cell would pay
    a read (and a scheduling step) per unit of waiting. *)
 let sleep m n =
-  if m.running != dummy_thread && n > 0 then begin
+  if m.running >= 0 && n > 0 then begin
     charge m n;
     yield m
   end
@@ -476,8 +476,8 @@ let fence () =
   let site = Stats.take_site () in
   Stats.record_fence m.stats ~site;
   record_event m (Ev_fence { step = m.steps; tid = current_tid m; site });
-  (let th = m.running in
-   if th != dummy_thread then begin
+  (if m.running >= 0 then begin
+     let th = m.by_tid.(m.running) in
      charge m
        (m.cost.fence_base + (m.cost.fence_per_pending * th.pending_count));
      (* complete the write-backs in flush order; the slots are cleared so
@@ -523,47 +523,28 @@ let spawn m f =
   tid
 
 let runnable th =
-  match th.state with Ready _ | Suspended _ -> true | _ -> false
+  match th.state with Ready _ | Suspended _ -> true | Finished | Failed _ -> false
 
 let set_scheduler m f = m.scheduler <- Some f
 let clear_scheduler m = m.scheduler <- None
 
-(* Select the thread to run next. The heap holds exactly the runnable
-   threads, so the default path is a peek of the root — the same thread
-   the old linear scan over [m.threads] selected, in O(1). The thread
-   stays in the heap; [reschedule] grows its key in place after the
-   step. A scheduler override's choice is removed instead (it may pick
-   any runnable tid, not just the root), and [reschedule] re-adds it. *)
-let pick_runnable m =
-  match m.scheduler with
-  | Some choose -> (
-    match Sched_heap.tids_ascending m.heap with
-    | [] -> None
-    | tids ->
-      let tid = choose m tids in
-      if Sched_heap.remove m.heap ~tid then Some m.by_tid.(tid)
-      else
-        (* A buggy exploration schedule used to fall through to [None]
-           here and read as a clean completion with threads still
-           suspended; fail loudly instead. *)
-        invalid_arg
-          (Printf.sprintf
-             "Machine: scheduler override chose tid %d, which is not runnable"
-             tid))
-  | None -> (
-    match Sched_heap.min_tid m.heap with
-    | None -> None
-    | Some tid -> Some m.by_tid.(tid))
-
-(* Put [th] back in scheduling order after a step or stall. On the
-   default path it is still in the heap and its vtime only grew, so a
-   single in-place sift suffices — this is the simulator's hottest
-   line. An override's pick was removed, so it is re-added. *)
-let reschedule m th =
-  if Sched_heap.mem m.heap ~tid:th.tid then
-    if runnable th then Sched_heap.update m.heap ~vtime:th.vtime ~tid:th.tid
-    else ignore (Sched_heap.remove m.heap ~tid:th.tid)
-  else if runnable th then Sched_heap.add m.heap ~vtime:th.vtime ~tid:th.tid
+(* A scheduler override's choice of the next tid (-1: nothing is
+   runnable). The pick stays in the heap like the default root does;
+   the step loop's heap call re-keys it wherever it sits. *)
+let pick_override m choose =
+  match Sched_heap.tids_ascending m.heap with
+  | [] -> -1
+  | tids ->
+    let tid = choose m tids in
+    if Sched_heap.mem m.heap ~tid then tid
+    else
+      (* A buggy exploration schedule used to fall through to "nothing
+         runnable" here and read as a clean completion with threads
+         still suspended; fail loudly instead. *)
+      invalid_arg
+        (Printf.sprintf
+           "Machine: scheduler override chose tid %d, which is not runnable"
+           tid)
 
 let maybe_evict m =
   match m.eviction with
@@ -583,7 +564,10 @@ let maybe_evict m =
       end
     end
 
+(* Built once per thread, at its first step. The [Yield] case returns
+   the same preallocated [Some suspend] at every yield. *)
 let handler th =
+  let suspend = Some (fun k -> th.state <- Suspended k) in
   { Effect.Deep.retc = (fun () -> th.state <- Finished);
     exnc =
       (fun e ->
@@ -591,27 +575,25 @@ let handler th =
         | Crashed -> th.state <- Finished
         | _ -> th.state <- Failed (e, Printexc.get_raw_backtrace ()));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield ->
-          Some
-            (fun (k : (a, unit) Effect.Deep.continuation) ->
-              th.state <- Suspended k)
-        | _ -> None) }
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Yield -> suspend | _ -> None) }
 
 let crash m =
   (* Tear down every live fiber, then resolve the fate of flushed-but-
      unfenced write-backs by coin flip, then lose all volatile state. *)
   List.iter
     (fun th ->
-      (match th.state with
-      | Suspended k ->
-        m.running <- th;
-        (try Effect.Deep.discontinue k Crashed with Crashed -> ());
-        th.state <- Finished;
-        m.running <- dummy_thread
-      | Ready _ -> th.state <- Finished
-      | Running | Finished | Failed _ -> ());
+      (if th.tid <> m.running then
+         (* the running fiber, if any, is the caller: not torn down *)
+         match th.state with
+         | Suspended k ->
+           m.running <- th.tid;
+           (try Effect.Deep.discontinue k Crashed with Crashed -> ());
+           th.state <- Finished;
+           m.running <- -1
+         | Ready _ -> th.state <- Finished
+         | Finished | Failed _ -> ());
       for i = 0 to th.pending_count - 1 do
         if Random.State.bool m.rng then persist_pending m th.pending.(i);
         th.pending.(i) <- no_pending
@@ -668,49 +650,36 @@ let do_crash m t =
   m.crash_at_time <- None;
   m.crash_at_step <- None
 
-(* Execute exactly one scheduling action of [th] (a stall draw counts:
-   the thread lost the CPU instead of acting). The rng-draw order —
-   crash check, stall draw, step count, eviction draw, jitter in the
-   fiber's charges — must match the historical run loop exactly: the
-   golden-schedule test pins it bit for bit. *)
-let exec_one m th =
-  match m.stall with
-  | Some { probability; max_units }
-    when Random.State.float m.rng 1.0 < probability ->
-    (* the thread loses the CPU instead of acting; someone else may
-       now be scheduled first *)
-    th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units;
-    reschedule m th
-  | Some _ | None ->
-    m.steps <- m.steps + 1;
-    (match m.on_step with Some f -> f m.steps th.tid | None -> ());
-    if th.vtime > m.clock then m.clock <- th.vtime;
-    maybe_evict m;
-    m.running <- th;
-    (match th.state with
-    | Ready f ->
-      th.state <- Running;
-      Effect.Deep.match_with f () (handler th)
-    | Suspended k ->
-      th.state <- Running;
-      Effect.Deep.continue k ()
-    | Running | Finished | Failed _ -> assert false);
-    m.running <- dummy_thread;
-    reschedule m th
+(* The scheduler: every step of every run goes through this one loop.
+   [next] is the heap root as the previous step's heap call left it
+   (-1: nothing runnable); a scheduler override ignores it and picks
+   its own. The stepped thread stays in the heap throughout — at the
+   root on the default schedule — and [Sched_heap.reschedule] re-keys
+   it (or drops it when it finished) and returns the next root.
 
-(* One step of the scheduling loop, pausing (without executing) when
-   the next thread's virtual time has reached [time]. The default path
-   reads the heap root directly — no option or closure allocation at
-   any of the millions of steps per run. *)
-let step_once m ~time =
-  match m.scheduler with
-  | None ->
-    if Sched_heap.is_empty m.heap then begin
+   Per step, the rng-draw order — barrier check, crash check, stall
+   draw, step count, [on_step], clock, eviction draw, then the jitter in
+   the fiber's charges — matches the historical run loop exactly: the
+   golden-schedule tests pin it bit for bit. A stall draw is a
+   scheduling action: the thread loses the CPU instead of acting, and
+   someone else may be scheduled first. A [spawn] during a step enters
+   at (clock, higher tid), above the runner's key, so the runner stays
+   the root. *)
+let advance_to m ~time =
+  set_current m;
+  let heap = m.heap in
+  let rec loop next =
+    let tid =
+      match m.scheduler with
+      | None -> next
+      | Some choose -> pick_override m choose
+    in
+    if tid < 0 then begin
       finish m;
       `Completed
     end
     else begin
-      let th = m.by_tid.(Sched_heap.root_tid m.heap) in
+      let th = m.by_tid.(tid) in
       if th.vtime >= time then begin
         raise_any_failed m;
         `Barrier
@@ -721,48 +690,28 @@ let step_once m ~time =
         `Crashed_at t
       end
       else begin
-        exec_one m th;
-        `Progress
+        (match m.stall with
+        | Some { probability; max_units }
+          when Random.State.float m.rng 1.0 < probability ->
+          th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units
+        | Some _ | None -> (
+          m.steps <- m.steps + 1;
+          (match m.on_step with Some f -> f m.steps tid | None -> ());
+          if th.vtime > m.clock then m.clock <- th.vtime;
+          maybe_evict m;
+          m.running <- tid;
+          (match th.state with
+          | Suspended k -> Effect.Deep.continue k ()
+          | Ready f -> Effect.Deep.match_with f () (handler th)
+          | Finished | Failed _ -> assert false);
+          m.running <- -1));
+        loop
+          (Sched_heap.reschedule heap ~tid ~vtime:th.vtime
+             ~runnable:(runnable th))
       end
     end
-  | Some _ -> (
-    match pick_runnable m with
-    | None ->
-      finish m;
-      `Completed
-    | Some th ->
-      if th.vtime >= time then begin
-        (* the override's pick was removed from the heap; put it back
-           before pausing *)
-        reschedule m th;
-        raise_any_failed m;
-        `Barrier
-      end
-      else if crash_due m th then begin
-        reschedule m th;
-        let t = th.vtime in
-        do_crash m t;
-        `Crashed_at t
-      end
-      else begin
-        exec_one m th;
-        `Progress
-      end)
-
-let advance_to m ~time =
-  set_current m;
-  let rec loop () =
-    match step_once m ~time with
-    | `Progress -> loop ()
-    | (`Barrier | `Completed | `Crashed_at _) as r -> r
   in
-  loop ()
-
-let run_step m =
-  set_current m;
-  match step_once m ~time:max_int with
-  | (`Progress | `Completed | `Crashed_at _) as r -> r
-  | `Barrier -> assert false (* no thread's vtime reaches max_int *)
+  loop (Option.value (Sched_heap.min_tid heap) ~default:(-1))
 
 let run m =
   match advance_to m ~time:max_int with

@@ -104,11 +104,6 @@ val advance_to : t -> time:int -> [ `Barrier | `Completed | `Crashed_at of int ]
     than at era end, so corruption on one machine surfaces promptly.
     [advance_to ~time:max_int] is exactly {!run}. *)
 
-val run_step : t -> [ `Progress | `Completed | `Crashed_at of int ]
-(** Execute at most one scheduling action (a stall draw counts as one:
-    the thread lost the CPU instead of acting). The single-step form of
-    {!advance_to} for drivers that need finer interleaving control. *)
-
 val force_crash : t -> int
 (** Crash the machine now (tear down fibers, coin-flip pending
     write-backs, wipe volatile state), regardless of crash triggers;

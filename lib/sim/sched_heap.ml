@@ -11,15 +11,17 @@
    reuses them), so the positions array is grown by doubling and old,
    finished tids simply keep a -1 slot.
 
-   This is the simulator's hottest data structure: one {!update} per
-   scheduling step of every benchmark, so the representation is tuned.
+   This is the simulator's hottest data structure: one {!reschedule}
+   per scheduling step of every benchmark, so the representation is
+   tuned.
    Each element is a single int [(vtime lsl 20) lor tid] — unsigned
    packing keeps integer comparison identical to lexicographic
    (vtime, tid) comparison while halving the loads per sift level — and
    the sifts move a hole instead of swapping (one store per level, not
    three). The packing bounds tids below 2^20 and vtimes below 2^42;
-   [add]/[update] enforce both, and no simulation gets anywhere near
-   either (vtime grows by at most a few hundred cost units per step).
+   [add]/[reschedule] enforce both, and no simulation gets anywhere
+   near either (vtime grows by at most a few hundred cost units per
+   step).
 
    The [Array.unsafe_*] accesses in the sifts are justified by the
    structure's invariants: slot indices are bounded by [size <= length
@@ -122,13 +124,6 @@ let add t ~vtime ~tid =
   t.size <- i + 1;
   sift_up t i ((vtime lsl tid_bits) lor tid)
 
-let update t ~vtime ~tid =
-  if not (mem t ~tid) then
-    invalid_arg (Printf.sprintf "Sched_heap.update: tid %d not present" tid);
-  check_vtime "update" vtime;
-  (* keys only grow (vtime is monotone), so sifting down suffices *)
-  sift_down t t.pos.(tid) ((vtime lsl tid_bits) lor tid)
-
 (* Remove the element at heap slot [i], restoring the heap property. *)
 let remove_slot t i =
   let last = t.size - 1 in
@@ -151,9 +146,17 @@ let pop_min t =
 
 let min_tid t = if t.size = 0 then None else Some (t.keys.(0) land tid_mask)
 
-let root_tid t =
-  if t.size = 0 then invalid_arg "Sched_heap.root_tid: empty heap"
-  else t.keys.(0) land tid_mask
+(* The machine's one heap call per step. Keys only grow (vtime is
+   monotone), so sifting down from the tid's slot suffices — slot 0 on
+   the default schedule, where the thread that ran is the root. *)
+let reschedule t ~tid ~vtime ~runnable =
+  if runnable && (vtime < 0 || vtime > max_vtime) then
+    check_vtime "reschedule" vtime;
+  (if mem t ~tid then
+     if runnable then sift_down t t.pos.(tid) ((vtime lsl tid_bits) lor tid)
+     else remove_slot t t.pos.(tid)
+   else if runnable then add t ~vtime ~tid);
+  if t.size = 0 then -1 else Array.unsafe_get t.keys 0 land tid_mask
 
 let remove t ~tid =
   if not (mem t ~tid) then false

@@ -1,5 +1,7 @@
 (* The scheduler after the heap rewrite: the default schedule is pinned
-   exactly (golden trace), the heap and the dirty set are model-checked
+   exactly (golden traces: a mixed two-era scenario, the list workload's
+   shape, eviction with stalls, and both driven through a ladder of
+   [advance_to] barriers), the heap and the dirty set are model-checked
    against naive references, and the working-set estimate shrinks when
    the reclamation layer frees nodes.
 
@@ -26,6 +28,36 @@ let fnv_pair h (s, t) =
   let mix h x = (h lxor x) * 16777619 land 0x3FFFFFFFFFFF in
   mix (mix h s) t
 
+(* Spawn [threads] fibers; thread [t] makes [ops] accesses to random
+   [cells] drawn from the stream [| seed; t |]. [`Mixed] is an even mix
+   of read, write, read+CAS, flush and fence; [`Durable_writes] is
+   write+flush+fence only, for an era after a crash, whose reads could
+   hit corrupted cells. *)
+let spawn_random m cells ~seed ~threads ~ops kind =
+  let n = Array.length cells in
+  for t = 0 to threads - 1 do
+    ignore
+      (Machine.spawn m (fun () ->
+           let rng = Random.State.make [| seed; t |] in
+           for _ = 1 to ops do
+             let c = cells.(Random.State.int rng n) in
+             match kind with
+             | `Durable_writes ->
+               Sim_mem.write c t;
+               Sim_mem.flush c;
+               Sim_mem.fence ()
+             | `Mixed -> (
+               match Random.State.int rng 5 with
+               | 0 -> ignore (Sim_mem.read c)
+               | 1 -> Sim_mem.write c t
+               | 2 ->
+                 let v = Sim_mem.read c in
+                 ignore (Sim_mem.cas c ~expected:v ~desired:(v + 1))
+               | 3 -> Sim_mem.flush c
+               | _ -> Sim_mem.fence ())
+           done))
+  done
+
 (* A two-era scenario touching every scheduling path: six threads of
    mixed reads/writes/CAS/flush/fence under cost jitter, a mid-run
    crash, then a second era of write/flush/fence recovery threads. *)
@@ -35,38 +67,12 @@ let golden_scenario () =
   Machine.set_schedule_hook m (Some (fun s t -> log := (s, t) :: !log));
   let cells = Array.init 64 (fun i -> Sim_mem.alloc i) in
   Machine.persist_all m;
-  for t = 0 to 5 do
-    ignore
-      (Machine.spawn m (fun () ->
-           let rng = Random.State.make [| 7; t |] in
-           for _ = 1 to 40 do
-             let c = cells.(Random.State.int rng 64) in
-             match Random.State.int rng 5 with
-             | 0 -> ignore (Sim_mem.read c)
-             | 1 -> Sim_mem.write c t
-             | 2 ->
-               let v = Sim_mem.read c in
-               ignore (Sim_mem.cas c ~expected:v ~desired:(v + 1))
-             | 3 -> Sim_mem.flush c
-             | _ -> Sim_mem.fence ()
-           done))
-  done;
+  spawn_random m cells ~seed:7 ~threads:6 ~ops:40 `Mixed;
   Machine.set_crash_at_step m 150;
   (match Machine.run m with
   | Machine.Crashed_at _ -> ()
   | Machine.Completed -> Alcotest.fail "golden scenario: expected the crash");
-  (* second era: writes only (reads could hit corrupted cells) *)
-  for t = 0 to 3 do
-    ignore
-      (Machine.spawn m (fun () ->
-           let rng = Random.State.make [| 9; t |] in
-           for _ = 1 to 25 do
-             let c = cells.(Random.State.int rng 64) in
-             Sim_mem.write c t;
-             Sim_mem.flush c;
-             Sim_mem.fence ()
-           done))
-  done;
+  spawn_random m cells ~seed:9 ~threads:4 ~ops:25 `Durable_writes;
   (match Machine.run m with
   | Machine.Completed -> ()
   | Machine.Crashed_at _ -> Alcotest.fail "golden scenario: unexpected crash");
@@ -122,6 +128,130 @@ let replay_is_identical () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Golden schedules for the paths the scenario above misses            *)
+(* ------------------------------------------------------------------ *)
+
+(* How a test drives the machine through one era: a single [run], or
+   [advance_to] over a ladder of barriers [rung] virtual-time units
+   apart. The rung is below one flush's cost, so barriers land in the
+   middle of persistence sequences. *)
+let by_run m = Machine.run m
+
+let by_ladder ~rung m =
+  let rec go t =
+    match Machine.advance_to m ~time:t with
+    | `Barrier -> go (t + rung)
+    | `Completed -> Machine.Completed
+    | `Crashed_at c -> Machine.Crashed_at c
+  in
+  go rung
+
+(* What a golden scenario pins: the (step, tid) sequence (its length and
+   hash), the makespan, and the flush and fence counts. *)
+type golden = { steps : int; hash : int; makespan : int; flushes : int;
+                fences : int }
+
+let pp_golden g =
+  Printf.sprintf "steps %d hash %d makespan %d flushes %d fences %d" g.steps
+    g.hash g.makespan g.flushes g.fences
+
+let golden_of m log =
+  let seq = List.rev log in
+  let st = Machine.stats m in
+  { steps = List.length seq;
+    hash = List.fold_left fnv_pair 2166136261 seq;
+    makespan = Machine.makespan m;
+    flushes = st.flushes;
+    fences = st.fences }
+
+(* (a) The list-traverse workload's shape: a Harris list under the nvt
+   policy, 8 threads, jitter 2 — long runs of reads by one thread
+   between persistence instructions, so nearly every step is the
+   running thread staying at the heap root. *)
+let list_scenario drive =
+  let module S = Hl.Durable in
+  let log = ref [] in
+  let m = Machine.create ~seed:5 ~cost:Cost_model.nvram ~jitter:2 () in
+  Machine.set_schedule_hook m (Some (fun s t -> log := (s, t) :: !log));
+  let s = S.create () in
+  for k = 0 to 63 do
+    ignore (S.insert s ~key:(2 * k) ~value:k)
+  done;
+  Machine.persist_all m;
+  for t = 0 to 7 do
+    ignore
+      (Machine.spawn m (fun () ->
+           let rng = Random.State.make [| 13; t |] in
+           for _ = 1 to 30 do
+             let k = Random.State.int rng 128 in
+             match Random.State.int rng 10 with
+             | 0 -> ignore (S.insert s ~key:k ~value:t)
+             | 1 -> ignore (S.delete s k)
+             | _ -> ignore (S.member s k)
+           done))
+  done;
+  (match drive m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "list scenario: unexpected crash");
+  S.check_invariants s;
+  golden_of m !log
+
+let golden_list =
+  { steps = 18790; hash = 11852623949077; makespan = 18428; flushes = 1107;
+    fences = 703 }
+
+(* (b) Random eviction together with stalls, a crash by virtual time and
+   a second era: the stall draw (a thread rescheduled without
+   stepping), the eviction draw after every step, and crash_at_time. *)
+let evict_stall_scenario drive =
+  let log = ref [] in
+  let m =
+    Machine.create ~seed:17 ~cost:Cost_model.nvram
+      ~eviction:(Machine.Random_eviction 0.05)
+      ~stall:{ Machine.probability = 0.05; max_units = 300 }
+      ~jitter:1 ()
+  in
+  Machine.set_schedule_hook m (Some (fun s t -> log := (s, t) :: !log));
+  let cells = Array.init 48 (fun i -> Sim_mem.alloc i) in
+  Machine.persist_all m;
+  spawn_random m cells ~seed:21 ~threads:7 ~ops:60 `Mixed;
+  Machine.set_crash_at_time m 2500;
+  (match drive m with
+  | Machine.Crashed_at _ -> ()
+  | Machine.Completed ->
+    Alcotest.fail "evict/stall scenario: expected the crash");
+  spawn_random m cells ~seed:23 ~threads:3 ~ops:30 `Durable_writes;
+  (match drive m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ ->
+    Alcotest.fail "evict/stall scenario: unexpected crash");
+  golden_of m !log
+
+let golden_evict_stall =
+  { steps = 628; hash = 33794337882534; makespan = 9319; flushes = 148;
+    fences = 157 }
+
+let check_golden name expect got =
+  if got <> expect then
+    Alcotest.failf "%s diverged:\nexpected %s\ngot      %s" name
+      (pp_golden expect) (pp_golden got)
+
+let golden_list_schedule () =
+  check_golden "list scenario" golden_list (list_scenario by_run)
+
+let golden_evict_stall_schedule () =
+  check_golden "evict/stall scenario" golden_evict_stall
+    (evict_stall_scenario by_run)
+
+(* (c) Pausing at barriers must not perturb the schedule: [advance_to]
+   over a ladder executes exactly the steps one [run] does. *)
+let ladder_matches_run () =
+  check_golden "list scenario by ladder" golden_list
+    (list_scenario (by_ladder ~rung:37));
+  check_golden "evict/stall scenario by ladder" golden_evict_stall
+    (evict_stall_scenario (by_ladder ~rung:37))
+
+(* ------------------------------------------------------------------ *)
 (* Sched_heap vs. a naive reference                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -135,7 +265,7 @@ let model_min model =
 
 (* Interpret a command list against both the heap and the model. Tids
    are allocated sequentially and never reused, like the machine's;
-   [update] only ever grows a key, like virtual time. *)
+   [reschedule] only ever grows a key, like virtual time. *)
 let heap_agrees_with_model cmds =
   let h = H.create () in
   let model = ref [] in
@@ -171,13 +301,29 @@ let heap_agrees_with_model cmds =
           check (H.remove h ~tid);
           check (not (H.mem h ~tid));
           model := List.filter (fun x -> x <> e) !model)
-      | _ -> (
-        match pick param with
-        | None -> ()
-        | Some ((vtime, tid) as e) ->
-          let vtime' = vtime + (param mod 50) in
-          H.update h ~vtime:vtime' ~tid;
-          model := (vtime', tid) :: List.filter (fun x -> x <> e) !model))
+      | _ ->
+        (* reschedule: mostly the root, as on the default schedule; also
+           any present tid (an override's pick) and an absent one *)
+        let target =
+          match param mod 4 with
+          | 0 -> pick param
+          | 1 -> None
+          | _ -> model_min !model
+        in
+        let runnable = param mod 7 <> 0 in
+        let tid, vtime', rest =
+          match target with
+          | Some ((vtime, tid) as e) ->
+            (tid, vtime + (param mod 50), List.filter (fun x -> x <> e) !model)
+          | None ->
+            let tid = !next_tid in
+            incr next_tid;
+            (tid, param mod 1_000_000, !model)
+        in
+        let root = H.reschedule h ~tid ~vtime:vtime' ~runnable in
+        model := if runnable then (vtime', tid) :: rest else rest;
+        check (root = Option.value ~default:(-1)
+                        (Option.map snd (model_min !model))))
     cmds;
   check (H.size h = List.length !model);
   (* drain: the heap must yield the model in sorted (vtime, tid) order *)
@@ -217,12 +363,14 @@ let heap_rejects_misuse () =
   (match H.add h ~vtime:0 ~tid:(-1) with
   | () -> Alcotest.fail "negative tid must raise"
   | exception Invalid_argument _ -> ());
-  (match H.update h ~vtime:9 ~tid:7 with
-  | () -> Alcotest.fail "update of an absent tid must raise"
+  (match H.reschedule h ~vtime:(-1) ~tid:1 ~runnable:true with
+  | _ -> Alcotest.fail "reschedule to a negative vtime must raise"
   | exception Invalid_argument _ -> ());
-  (match H.root_tid (H.create ()) with
-  | _ -> Alcotest.fail "root_tid of an empty heap must raise"
-  | exception Invalid_argument _ -> ());
+  Alcotest.(check int)
+    "rescheduling the last tid away empties the heap" (-1)
+    (let h = H.create () in
+     H.add h ~vtime:0 ~tid:0;
+     H.reschedule h ~vtime:5 ~tid:0 ~runnable:false);
   Alcotest.(check (list int)) "ascending tids" [ 1 ] (H.tids_ascending h)
 
 (* ------------------------------------------------------------------ *)
@@ -368,6 +516,12 @@ let suite =
       golden_schedule;
     Alcotest.test_case "replay picks the same thread at every step" `Quick
       replay_is_identical;
+    Alcotest.test_case "list golden schedule is reproduced exactly" `Quick
+      golden_list_schedule;
+    Alcotest.test_case "evict+stall golden schedule is reproduced exactly"
+      `Quick golden_evict_stall_schedule;
+    Alcotest.test_case "advance_to over a barrier ladder matches run" `Quick
+      ladder_matches_run;
     QCheck_alcotest.to_alcotest heap_model_test;
     Alcotest.test_case "heap rejects misuse" `Quick heap_rejects_misuse;
     QCheck_alcotest.to_alcotest dirty_model_test;
