@@ -7,6 +7,8 @@
    bench/main.exe micro            Bechamel per-op latency (native)
    bench/main.exe native           domain throughput (native)
    bench/main.exe selfperf         simulator steps/sec (harness cost)
+   bench/main.exe experiments      service, recovery, optimizer and
+                                   contender experiments with gates
 
    Running with no command is equivalent to `panels` followed by every
    extension bench — the full regeneration of the paper's evaluation. *)
@@ -26,8 +28,8 @@ let json =
   Arg.(
     value & flag
     & info [ "json" ]
-        ~doc:"Also write machine-readable results (BENCH_panels.json / \
-              BENCH_micro.json; see EXPERIMENTS.md for the schema).")
+        ~doc:"Also write machine-readable results (BENCH_<command>.json; \
+              see EXPERIMENTS.md for the schemas).")
 
 let run_panels ids full seed json =
   let scale = if full then Nvt_harness.Panels.Full else Nvt_harness.Panels.Quick in
@@ -76,62 +78,26 @@ let selfperf_cmd =
        ~doc:"Simulated steps per wall second across thread counts")
     Term.(const run_selfperf $ quick $ seed $ json)
 
-let run_service quick seed json =
-  Service.run
-    ?json_path:(if json then Some "BENCH_service.json" else None)
-    ~quick ~seed ()
-
-let service_cmd =
-  Cmd.v
-    (Cmd.info "service"
-       ~doc:"Sharded durable service: group vs per-op acknowledgement")
-    Term.(const run_service $ quick $ seed $ json)
-
 let mutation_report =
   Arg.(
     value
     & opt string "MUTATION_report.json"
     & info [ "report" ] ~docv:"FILE"
-        ~doc:"Committed nvtraverse-mutation/2 report the optimizer's \
-              elision plans are derived from.")
+        ~doc:"Mutation report (nvtraverse-mutation/2, written by nvtsim \
+              mutate) the optimizer's elision plans are derived from.")
 
-let run_optimizer quick seed json report =
-  Optimizer_bench.run
-    ?json_path:(if json then Some "BENCH_optimizer.json" else None)
+let run_experiments quick seed json report =
+  Experiments.run
+    ?json_path:(if json then Some "BENCH_experiments.json" else None)
     ~quick ~seed ~report_path:report ()
 
-let optimizer_cmd =
+let experiments_cmd =
   Cmd.v
-    (Cmd.info "optimizer"
-       ~doc:"Persistence optimizer: flushes/fences per op before vs \
-             after coalescing, deferral and proof-gated elision, with \
-             bit-identical operation histories")
-    Term.(const run_optimizer $ quick $ seed $ json $ mutation_report)
-
-let run_contenders quick seed json report =
-  Contenders.run
-    ?json_path:(if json then Some "BENCH_contenders.json" else None)
-    ~quick ~seed ~report_path:report ()
-
-let contenders_cmd =
-  Cmd.v
-    (Cmd.info "contenders"
-       ~doc:"Head-to-head durable-set contenders: SOFT and detectable \
-             recovery vs plain and optimizer-assisted NVTraverse, \
-             flushes/fences per op and service fences per request")
-    Term.(const run_contenders $ quick $ seed $ json $ mutation_report)
-
-let run_recovery_svc quick seed json =
-  Recovery_svc.run
-    ?json_path:(if json then Some "BENCH_recovery.json" else None)
-    ~quick ~seed ()
-
-let recovery_svc_cmd =
-  Cmd.v
-    (Cmd.info "recovery-service"
-       ~doc:"Service recovery time vs log length, checkpoint interval \
-             and domain count")
-    Term.(const run_recovery_svc $ quick $ seed $ json)
+    (Cmd.info "experiments"
+       ~doc:"Service-level experiments: group commit, checkpointed \
+             recovery, the persistence optimizer and the SOFT and \
+             detectable contenders, with every gate evaluated once")
+    Term.(const run_experiments $ quick $ seed $ json $ mutation_report)
 
 let default = Term.(const run_panels $ panel_ids $ full $ seed $ json)
 
@@ -150,7 +116,4 @@ let () =
             micro_cmd;
             native_cmd;
             selfperf_cmd;
-            service_cmd;
-            recovery_svc_cmd;
-            optimizer_cmd;
-            contenders_cmd ]))
+            experiments_cmd ]))

@@ -65,6 +65,20 @@ let run ?json_path () =
   | None -> ()
   | Some path ->
     let module Json = Nvt_harness.Json in
+    (* the record exists to compare these three; refuse to write one
+       without them *)
+    List.iter
+      (fun want ->
+        if
+          not
+            (Hashtbl.fold
+               (fun name _ found -> found || String.ends_with ~suffix:want name)
+               results false)
+        then begin
+          Printf.eprintf "micro: no %s result; %s not written\n" want path;
+          exit 1
+        end)
+      [ "orig/member"; "nvt/member"; "izr/member" ];
     let rows =
       Hashtbl.fold
         (fun name ols_result acc ->

@@ -194,6 +194,31 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
   (match json_path with
   | None -> ()
   | Some path ->
+    let covers (p : panel) =
+      List.filter_map
+        (fun r -> if r.panel = p.p_name then Some r.threads else None)
+        rows
+      = thread_counts
+    in
+    let problems =
+      List.filter_map
+        (fun (bad, problem) -> if bad then Some problem else None)
+        [ ( not (List.for_all covers panels),
+            "a panel does not cover the thread sweep" );
+          ( List.exists (fun r -> r.steps <= 0 || r.seconds <= 0.) rows,
+            "a thread row ran no steps or took no time" );
+          ( List.exists
+              (fun r -> r.d_steps <= 0 || r.d_seconds <= 0.)
+              domain_rows,
+            "a domain row ran no steps or took no time" );
+          ( not (List.exists (fun r -> r.d_domains = 1) domain_rows),
+            "the domain sweep has no domains=1 baseline" ) ]
+    in
+    if problems <> [] then begin
+      List.iter (Printf.eprintf "selfperf: %s\n") problems;
+      Printf.eprintf "selfperf: %s not written\n" path;
+      exit 1
+    end;
     let json =
       Json.Obj
         [ ("schema", Json.Str "nvtraverse-selfperf/2");

@@ -13,8 +13,8 @@
      nvtsim --structure list --policy volatile --crash 300
      nvtsim run --structure bst-nm --threads 8 --updates 50 --crash 200
      nvtsim run --structure hash --policy all --crash 250
-     nvtsim serve --batch 16 --crash 2000 --crash 3000
-     nvtsim serve --policy flit --shards 8 --skew 1.2 --batch 0
+     nvtsim serve --timeout 2000 --crash 2000 --crash 3000
+     nvtsim serve --policy flit --shards 8 --skew 1.2 --timeout 0
 
    Exit status: 0 only for a fully clean run; 1 for any durability
    violation, corrupt read, failed recovery/invariant, or exactly-once
@@ -105,24 +105,18 @@ let optimize_arg =
            persistence. Only sites the report marks candidate-redundant \
            are ever elided.")
 
-(* CLI-friendly wrappers: a missing, malformed or stale-schema report
-   is a usage error (exit 2), not a crash. *)
-let load_report path =
-  match H.Json.parse_file path with
+(* A missing, malformed, stale or inconsistent report is a usage error
+   (exit 2), not a crash; it is checked before any plan is derived. *)
+let load_report ?(code = 2) path =
+  match
+    let j = H.Json.parse_file path in
+    ignore (H.Mutlab.report_candidates j);
+    j
+  with
   | j -> j
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot read report: %s\n" msg;
-    exit 2
-  | exception H.Json.Parse_error msg ->
-    Printf.eprintf "cannot parse %s: %s\n" path msg;
-    exit 2
-
-let plan_for j ~structure ~policy =
-  match H.Mutlab.plan_of_report j ~structure ~policy with
-  | p -> p
-  | exception H.Json.Parse_error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
+  | exception (Sys_error msg | H.Json.Parse_error msg) ->
+    Printf.eprintf "%s: %s\n" path msg;
+    exit code
 
 let pp_plan structure policy (p : Nvt_nvm.Optimizer.plan) =
   Printf.printf "optimizer:  plan for %s/%s: defer on%s\n" structure policy
@@ -233,7 +227,9 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
           match opt_report with
           | None -> fn ()
           | Some j ->
-            let plan = plan_for j ~structure:s_name ~policy:p_name in
+            let plan =
+              H.Mutlab.plan_of_report j ~structure:s_name ~policy:p_name
+            in
             pp_plan s_name p_name plan;
             Nvt_nvm.Optimizer.set (Some plan);
             Fun.protect
@@ -333,19 +329,7 @@ let mutate quick deep structures policies domains out optimize =
         exit 2
       end)
     policies;
-  let optimize =
-    Option.map
-      (fun path ->
-        let j = load_report path in
-        (* fail fast on a stale schema rather than mid-battery *)
-        (match Mutlab.report_candidates j with
-        | _ -> ()
-        | exception H.Json.Parse_error msg ->
-          prerr_endline msg;
-          exit 2);
-        j)
-      optimize
-  in
+  let optimize = Option.map load_report optimize in
   let r = Mutlab.run ~structures ~policies ~domains ?optimize sc in
   (* the service-site battery rides along only when no -s filter was
      given: -s selects structure batteries, and the multicore smoke
@@ -360,6 +344,8 @@ let mutate quick deep structures policies domains out optimize =
   Format.printf "%a" Mutlab.pp_report r;
   H.Json.write_file out (Mutlab.to_json r);
   Printf.printf "report:     %s\n" out;
+  (* what was written must pass the check every reader applies *)
+  ignore (load_report ~code:1 out);
   if not (Mutlab.gate_ok (Mutlab.gate_of r)) then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -401,19 +387,14 @@ let skew =
     value & opt float 0.99
     & info [ "skew" ] ~doc:"Zipf key-skew parameter; 0 = uniform keys.")
 
-let batch =
-  Arg.(
-    value & opt int 16
-    & info [ "batch" ]
-        ~doc:"Group-commit batch size; 0 or 1 = per-op acknowledgement.")
-
-let batch_timeout =
+let commit_timeout =
   Arg.(
     value & opt int 4000
     & info [ "timeout" ]
-        ~doc:"Group-commit timeout (simulated time units): a batch \
-              commits when full or when its oldest completion has \
-              waited this long.")
+        ~doc:"Group-commit interval (simulated time units): a committer \
+              thread commits every completion accumulated since the last \
+              boundary at each multiple of this interval. 0 = per-op \
+              acknowledgement (each request commits on its worker).")
 
 let svc_domains =
   Arg.(
@@ -474,7 +455,7 @@ let detect_flag =
               every acknowledgement against the status answer.")
 
 let serve s_name p_name shards clients requests gap skew updates range seed
-    batch timeout crashes eviction dram domains ckpt recovery_crashes
+    timeout crashes eviction dram domains ckpt recovery_crashes
     multi_pct multi_k rmw_pct detect optimize =
   (match I.flavour p_name with
   | Some _ -> ()
@@ -486,7 +467,8 @@ let serve s_name p_name shards clients requests gap skew updates range seed
     Option.map
       (fun path ->
         let p =
-          plan_for (load_report path) ~structure:s_name ~policy:p_name
+          Mutlab.plan_of_report (load_report path) ~structure:s_name
+            ~policy:p_name
         in
         pp_plan s_name p_name p;
         p)
@@ -504,8 +486,7 @@ let serve s_name p_name shards clients requests gap skew updates range seed
       update_pct = updates;
       key_range = range;
       mode =
-        (if batch <= 1 then Service.Per_op
-         else Service.Group { batch; timeout });
+        (if timeout <= 0 then Service.Per_op else Service.Group { timeout });
       seed;
       crash_steps = crashes;
       cost =
@@ -566,7 +547,7 @@ let () =
                injection and an exactly-once oracle")
       Term.(
         const serve $ svc_structure $ svc_policy $ shards $ clients $ requests
-        $ gap $ skew $ updates $ range $ seed $ batch $ batch_timeout
+        $ gap $ skew $ updates $ range $ seed $ commit_timeout
         $ crashes $ eviction $ dram $ svc_domains $ ckpt $ recovery_crashes
         $ multi_pct $ multi_k $ rmw_pct $ detect_flag $ optimize_arg)
   in

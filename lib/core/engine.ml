@@ -24,7 +24,7 @@
    value covers every duplicate under the single covering fence.
    Re-flushing charged the flush cost once per mention — an accounting
    bug, fixed unconditionally; the savings are counted through
-   {!Nvt_nvm.Optimizer.note_coalesced} so the optimizer bench can
+   {!Nvt_nvm.Optimizer.note_coalesced} so the optimizer experiment can
    attribute them.
 
    Instantiated with the [Volatile] persistence policy, all of the above

@@ -564,21 +564,82 @@ let mutual_cover_groups : (string * string option * string list) list =
 
 let schema_name = "nvtraverse-mutation/2"
 
+(* Policies whose minimality claims the repo publishes head-to-head;
+   see the gate below. *)
+let gated_policies = [ "nvt"; "soft"; "det" ]
+
+(* A report is read only if it agrees with itself: every verdict must
+   rest on at least one attack, [candidate_redundant] must be exactly
+   the unkilled site verdicts (with the same allowlist flags), and
+   [gate.ok] must be what the verdicts imply. A stale or hand-edited
+   report that lists an elision its verdicts do not support is rejected
+   before any plan is derived from it. *)
 let report_candidates (j : Json.t) : (string * string * string) list =
+  let bad fmt =
+    Printf.ksprintf
+      (fun s -> raise (Json.Parse_error ("mutation report: " ^ s)))
+      fmt
+  in
   let schema = Json.to_string_exn (Json.member "schema" j) in
   if schema <> schema_name then
-    raise
-      (Json.Parse_error
-         (Printf.sprintf
-            "mutation report schema %s does not carry machine-readable \
-             candidate-redundant verdicts (need %s); regenerate with nvtsim \
-             mutate"
-            schema schema_name));
-  Json.to_list (Json.member "candidate_redundant" j)
-  |> List.map (fun e ->
-         ( Json.to_string_exn (Json.member "structure" e),
-           Json.to_string_exn (Json.member "policy" e),
-           Json.to_string_exn (Json.member "site" e) ))
+    bad
+      "schema %s does not carry machine-readable candidate-redundant \
+       verdicts (need %s); regenerate with nvtsim mutate"
+      schema schema_name;
+  let str k e = Json.to_string_exn (Json.member k e) in
+  let flag k e =
+    match Json.member k e with Json.Bool b -> b | _ -> bad "%s is not a bool" k
+  in
+  let runs e = Json.(to_int_exn (member "runs" e)) in
+  let flavours = Json.to_list (Json.member "flavours" j) in
+  if flavours = [] then bad "no flavours";
+  let unkilled =
+    List.concat_map
+      (fun fr ->
+        List.filter_map
+          (fun sr ->
+            let s, p = (str "structure" fr, str "policy" fr)
+            and site = str "site" sr in
+            if runs sr < 1 || runs (Json.member "control" fr) < 1 then
+              bad "%s/%s %s: a verdict without an attack" s p site;
+            match str "verdict" sr with
+            | "unkilled" -> Some ((s, p, site), flag "expected" sr)
+            | "necessary" -> None
+            | v -> bad "unknown verdict %s" v)
+          (Json.to_list (Json.member "sites" fr)))
+      flavours
+  in
+  let listed =
+    List.map
+      (fun e ->
+        ((str "structure" e, str "policy" e, str "site" e), flag "expected" e))
+      (Json.to_list (Json.member "candidate_redundant" j))
+  in
+  let only a b = List.filter (fun x -> not (List.mem x b)) a in
+  if List.sort compare listed <> List.sort compare unkilled then
+    bad
+      "candidate_redundant and the unkilled verdicts differ on [%s]; \
+       regenerate with nvtsim mutate"
+      (String.concat "; "
+         (List.map
+            (fun ((s, p, site), _) -> Printf.sprintf "%s/%s %s" s p site)
+            (only listed unkilled @ only unkilled listed)));
+  let unexpected =
+    List.exists
+      (fun ((_, p, _), expected) -> (not expected) && List.mem p gated_policies)
+      unkilled
+  in
+  let control_failed =
+    List.exists
+      (fun fr ->
+        Json.(to_int_exn (member "violations" (member "control" fr))) > 0)
+      flavours
+  in
+  let ok = flag "ok" (Json.member "gate" j)
+  and implied = not (unexpected || control_failed) in
+  if ok <> implied then
+    bad "gate.ok is %b but the verdicts imply %b" ok implied;
+  List.map fst listed
 
 let elisions_of_report (j : Json.t) ~structure ~policy : string list =
   let sites =
@@ -804,8 +865,6 @@ let run ?(structures = []) ?(policies = []) ?(domains = 1) ?optimize
    over-flushing the paper's comparison is about. A control failure
    (the intact flavour losing its own battery) always fails: it means
    the harness, not the structure, is broken. *)
-
-let gated_policies = [ "nvt"; "soft"; "det" ]
 
 type gate = {
   unexpected_unkilled : (string * string * string) list;

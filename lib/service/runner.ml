@@ -112,7 +112,7 @@ let default_config =
     skew = 0.99;
     update_pct = 50;
     key_range = 256;
-    mode = Service.Group { batch = 16; timeout = 2000 };
+    mode = Service.Group { timeout = 2000 };
     seed = 1;
     crash_steps = [];
     cost = Nvt_nvm.Cost_model.nvram;
@@ -218,7 +218,7 @@ let run (c : config) : report =
      for every domain count. *)
   let commit_interval =
     match c.mode with
-    | Service.Group { timeout; _ } -> (max 1 timeout + epoch - 1) / epoch * epoch
+    | Service.Group { timeout } -> (max 1 timeout + epoch - 1) / epoch * epoch
     | Service.Per_op -> epoch
   in
   let is_group =
@@ -540,7 +540,7 @@ let run (c : config) : report =
   (* Parallel recovery: spawn each shard's recovery pass as a simulated
      thread on its slice's machine, then drive all machines through the
      same barrier loop as an era — recovery consumes virtual time (the
-     availability gap the recovery bench measures) and shards recover
+     availability gap the recovery experiment measures) and shards recover
      concurrently. A pending [recovery_crashes] threshold fires a crash
      *during* recovery exactly like an era crash, after which recovery
      restarts from the durable state (it is read-only plus volatile
@@ -989,47 +989,3 @@ let pp_report ppf r =
     Format.fprintf ppf "  VIOLATIONS (%d):@," (List.length vs);
     List.iter (fun v -> Format.fprintf ppf "    %s@," v) vs);
   Format.fprintf ppf "@]"
-
-let mode_json (r : report) : Nvt_harness.Json.t =
-  let open Nvt_harness.Json in
-  Obj
-    [ ("mode", Str (Service.mode_name r.config.mode));
-      ("detect", Bool r.config.detect);
-      ("acked", Int r.acked);
-      ("applies", Int r.applies);
-      ("resent", Int r.resent);
-      ("multi_puts", Int r.multi_puts);
-      ("rmws", Int r.rmws);
-      ("dedup_acks", Int r.dedup_acks);
-      ("audit_acks", Int r.audit_acks);
-      ("crashes_requested", Int r.crashes_requested);
-      ("crashes_fired", Int r.crashes_fired);
-      ("recovery_crashes_requested", Int r.recovery_crashes_requested);
-      ("recovery_crashes_fired", Int r.recovery_crashes_fired);
-      ("checkpoints", Int r.checkpoints);
-      ("truncated", Int r.truncated);
-      ("replayed", Int r.replayed);
-      ("recovery_steps", Int r.recovery_steps);
-      ("recovery_time", Int r.recovery_time);
-      ("eras", Int r.eras);
-      ("steps", Int r.steps);
-      ("makespan", Int r.makespan);
-      ("committed", Int r.committed);
-      ( "latency",
-        Obj
-          [ ("p50", Int r.latency.p50);
-            ("p95", Int r.latency.p95);
-            ("p99", Int r.latency.p99);
-            ("max", Int r.latency.lmax);
-            ("mean", Float r.latency.mean) ] );
-      ("fences_per_op", Float (fences_per_op r));
-      ("flushes_per_op", Float (flushes_per_op r));
-      ( "totals",
-        Obj
-          [ ("flushes", Int r.stats.Stats.flushes);
-            ("fences", Int r.stats.Stats.fences);
-            ("cas", Int r.stats.Stats.cas);
-            ("reads", Int r.stats.Stats.reads);
-            ("writes", Int r.stats.Stats.writes) ] );
-      ("sites", Nvt_harness.Json.sites r.stats);
-      ("violations", List (List.map (fun v -> Str v) r.violations)) ]

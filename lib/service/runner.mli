@@ -1,7 +1,7 @@
 (** Open-loop load harness and crash laboratory for {!Service}: Poisson
     arrivals over sequential client sessions, crash/recover eras with
-    client re-send, an exactly-once oracle, latency percentiles in
-    simulated time, and the [nvtraverse-service/1] JSON fragment.
+    client re-send, an exactly-once oracle, and latency percentiles in
+    simulated time.
 
     The service's shards are striped over [domains] groups, each a
     {!Service} slice on its own {!Nvt_sim.Machine} running on its own
@@ -98,7 +98,7 @@ type report = {
       (** aggregate machine steps spent inside recovery passes *)
   recovery_time : int;
       (** virtual time consumed by recovery passes — the availability
-          gap the recovery bench measures *)
+          gap the recovery experiment measures *)
   eras : int;
   makespan : int;
   steps : int;
@@ -119,6 +119,3 @@ val run : config -> report
 val fences_per_op : report -> float
 val flushes_per_op : report -> float
 val pp_report : Format.formatter -> report -> unit
-
-val mode_json : report -> Nvt_harness.Json.t
-(** The per-mode object of the [nvtraverse-service/1] schema. *)

@@ -34,8 +34,8 @@
 
    [Per_op] mode runs this protocol once per request on the worker;
    [Group] mode hands completions to a dedicated committer thread that
-   batches them (size or timeout bound) under a single pair of fences —
-   group commit, the NVRAM analogue of group-commit logging.
+   batches them (one batch per commit interval) under a single pair of
+   fences — group commit, the NVRAM analogue of group-commit logging.
 
    Checkpoints ([?checkpoint] interval on {!create}) bound recovery
    cost: at virtual-time intervals the thread that owns a shard's
@@ -105,11 +105,11 @@ let pp_result ppf = function
 
 type request = { client : int; seq : int; op : op }
 
-type mode = Per_op | Group of { batch : int; timeout : int }
+type mode = Per_op | Group of { timeout : int }
 
 let mode_name = function
   | Per_op -> "per_op"
-  | Group { batch; timeout = _ } -> Printf.sprintf "group%d" batch
+  | Group { timeout } -> Printf.sprintf "group%d" timeout
 
 (* One committed-log record. Stored whole in a single cell: key, value
    and result persist atomically with the identity, the simulator's
@@ -366,7 +366,6 @@ let shard_of t k =
   (g - t.group) / t.stride
 
 let global_of_local t i = t.group + (i * t.stride)
-let slice t = (t.group, t.stride)
 
 let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
     ?(checkpoint = 0) ?(detect = false) ~structure ~(flavour : I.flavour)
@@ -378,7 +377,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
   let commit_interval =
     match (commit_interval, mode) with
     | Some i, _ -> max 1 i
-    | None, Group { timeout; _ } -> max 1 timeout
+    | None, Group { timeout } -> max 1 timeout
     | None, Per_op -> 1
   in
   let policy = flavour.policy in
@@ -505,7 +504,6 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
 let set_on_apply t f = t.on_apply <- f
 let set_on_ack t f = t.on_ack <- f
 let set_on_commit t f = t.on_commit <- f
-let shard_count t = Array.length t.shards
 let request_stop t = t.stop <- true
 
 (* The committed-prefix model: put adds only if absent, del removes,
@@ -748,8 +746,8 @@ let worker t shard_ix () =
    time — they do not depend on batch composition — which is what lets
    slices of one service on different domains commit at the same
    global boundaries, and the parallel runner release group acks at
-   domain-count-independent times. The batch-size trigger of the
-   [Group] mode is subsumed: a larger interval is a larger batch.
+   domain-count-independent times. A larger interval is a larger
+   batch.
 
    Checkpoints ride the same thread, after the boundary commit, so the
    commit index never has two writers. A checkpoint's simulated cost

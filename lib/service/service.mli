@@ -52,17 +52,17 @@ type request = { client : int; seq : int; op : op }
 
 type mode =
   | Per_op  (** commit (2 fences) on the worker, per request *)
-  | Group of { batch : int; timeout : int }
+  | Group of { timeout : int }
       (** a committer thread commits accumulated completions under one
           pair of fences at virtual-time multiples of the commit
           interval (default: [timeout]; see [?commit_interval] on
           {!create}). Commit points are a pure function of virtual
           time, so slices of one logical service commit at the same
           global boundaries regardless of how shards are spread over
-          domains. [batch] survives in {!mode_name} as the
-          configuration label. *)
+          domains. *)
 
 val mode_name : mode -> string
+(** ["per_op"], or ["group<timeout>"]. *)
 
 type entry = { e_client : int; e_seq : int; e_op : op; e_res : result }
 (** One committed-log record. *)
@@ -172,12 +172,6 @@ val set_on_commit : t -> (request -> shard:int -> slot:int -> unit) -> unit
 
 (** {1 Introspection} (quiescent / setup-mode use only) *)
 
-val shard_count : t -> int
-(** The number of {e local} shards this slice owns. *)
-
-val slice : t -> int * int
-(** The [(group, stride)] this instance was created with. *)
-
 val global_of_local : t -> int -> int
 (** The global shard index of local shard [i]: [group + i * stride].
     Inverse of the ownership mapping; the runner uses it to merge
@@ -216,7 +210,7 @@ val op_status :
 
 val replayed_slots : t -> int
 (** Committed log entries replayed by this instance's recovery passes
-    since creation — the recovery bench's measure of recovery work:
+    since creation — the recovery experiment's measure of recovery work:
     with checkpointing on it is bounded by the delta since the last
     checkpoint, without it each pass replays the whole committed
     log. *)

@@ -15,7 +15,7 @@
    [nvt_harness]. The reports it produces are ordinary
    {!Mutlab.flavour_report}s (structure ["svc:" ^ name]), so
    [nvtsim mutate] appends them to the structure batteries' report and
-   the nvtraverse-mutation/1 schema, gate and validator apply
+   the nvtraverse-mutation/2 schema, gate and report check apply
    unchanged. *)
 
 module Mutlab = Nvt_harness.Mutlab
@@ -47,7 +47,7 @@ let config ~structure ~policy ~seed =
     skew = 0.;
     update_pct = 60;
     key_range = 32;
-    mode = Service.Group { batch = 8; timeout = 1000 };
+    mode = Service.Group { timeout = 1000 };
     checkpoint_interval = 1500;
     (* barriers every 25 virtual-time units — less than one flush (40)
        — so era-crash thresholds land *inside* commit and checkpoint

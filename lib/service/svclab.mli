@@ -10,7 +10,7 @@
     Results are ordinary {!Nvt_harness.Mutlab.flavour_report}s with
     [structure = "svc:" ^ name]: [nvtsim mutate] appends them to the
     structure batteries' report, and the nvtraverse-mutation/2 schema,
-    gate and validator apply unchanged. *)
+    gate and report check apply unchanged. *)
 
 val run :
   ?policies:string list ->

@@ -121,7 +121,7 @@ let histories (r : Runner.report) = Array.to_list r.histories
 
 let modes =
   [ ("per_op", Service.Per_op);
-    ("group", Service.Group { batch = 8; timeout = 1500 }) ]
+    ("group", Service.Group { timeout = 1500 }) ]
 
 (* The determinism contract, crash-free leg: same seed, same per-shard
    apply histories and counters for 1, 3 (even slices of 6 shards) and

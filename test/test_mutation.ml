@@ -143,6 +143,58 @@ let json_round_trip () =
        (List.sort compare unkilled))
     (List.sort compare plan.Nvt_nvm.Optimizer.elide)
 
+(* Every reader checks a report before deriving a plan from it: each
+   verdict must rest on an attack, candidate_redundant must be exactly
+   the unkilled verdicts, and gate.ok what the verdicts imply. *)
+let inconsistent_report_rejected () =
+  let j = Mutlab.to_json (Lazy.force report) in
+  let set key v = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields)
+    | _ -> Alcotest.fail "not an object"
+  in
+  let replace key v = set key v j in
+  (* the first site of every flavour claims a verdict from zero runs *)
+  let unattacked =
+    List.map
+      (fun fr ->
+        match Json.(to_list (member "sites" fr)) with
+        | [] -> fr
+        | sr :: rest ->
+          set "sites" (Json.List (set "runs" (Json.Int 0) sr :: rest)) fr)
+      Json.(to_list (member "flavours" j))
+  in
+  let candidates = Json.(to_list (member "candidate_redundant" j)) in
+  if candidates = [] then Alcotest.fail "no candidate to drop";
+  let added =
+    Json.Obj
+      [ ("structure", Json.Str "list"); ("policy", Json.Str "nvt");
+        ("site", Json.Str "nvt:crit_fence"); ("expected", Json.Bool false) ]
+  in
+  let flipped =
+    match Json.member "gate" j with
+    | Json.Obj g ->
+      Json.Obj
+        (List.map
+           (function
+             | "ok", Json.Bool ok -> ("ok", Json.Bool (not ok)) | f -> f)
+           g)
+    | _ -> Alcotest.fail "gate is not an object"
+  in
+  ignore (Mutlab.report_candidates j);
+  List.iter
+    (fun (what, bad) ->
+      match Mutlab.plan_of_report bad ~structure:"list" ~policy:"nvt" with
+      | _ -> Alcotest.failf "%s: the report was accepted" what
+      | exception Json.Parse_error _ -> ())
+    [ ( "site added",
+        replace "candidate_redundant" (Json.List (added :: candidates)) );
+      ( "site dropped",
+        replace "candidate_redundant" (Json.List (List.tl candidates)) );
+      ("gate.ok flipped", replace "gate" flipped);
+      ("verdict without an attack", replace "flavours" (Json.List unattacked)) ]
+
 let gate_passes () =
   let g = Mutlab.gate_of (Lazy.force report) in
   Alcotest.(check bool) "gate ok" true (Mutlab.gate_ok g);
@@ -158,4 +210,6 @@ let suite =
       kills_replay;
     Alcotest.test_case "report round-trips through the JSON layer" `Quick
       json_round_trip;
+    Alcotest.test_case "a report disagreeing with its verdicts is rejected"
+      `Quick inconsistent_report_rejected;
     Alcotest.test_case "quick gate passes" `Quick gate_passes ]

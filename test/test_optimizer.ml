@@ -423,7 +423,7 @@ let multi_put_crash_matrix () =
             Alcotest.(check int)
               "both crashes fired" 2 r.crashes_fired
           done)
-        [ Service.Per_op; Service.Group { batch = 8; timeout = 1500 } ])
+        [ Service.Per_op; Service.Group { timeout = 1500 } ])
     [ "hash"; "list" ]
 
 let multi_put_optimized_and_checkpointed () =

@@ -345,7 +345,7 @@ let crash_during_checkpoint_matrix () =
                      nothing checkpoint-shaped"
                     name
               done)
-            [ Svc.Per_op; Svc.Group { batch = 8; timeout = 1000 } ])
+            [ Svc.Per_op; Svc.Group { timeout = 1000 } ])
         [ "nvt"; "flit" ])
     [ "hash"; "list" ]
 

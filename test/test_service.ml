@@ -43,7 +43,7 @@ let crash_free () =
           Alcotest.(check int)
             "no resends without crashes" 0 r.resent)
         [ 0.0; 0.99 ])
-    [ Service.Per_op; Service.Group { batch = 8; timeout = 1500 } ]
+    [ Service.Per_op; Service.Group { timeout = 1500 } ]
 
 (* The acceptance matrix: >= 2 structures x >= 2 policies, seeded
    multi-crash runs in both acknowledgement modes. *)
@@ -80,7 +80,7 @@ let crash_matrix () =
                      (crashes landed outside the active window)"
                     structure flavour seed
               done)
-            [ Service.Per_op; Service.Group { batch = 8; timeout = 1500 } ])
+            [ Service.Per_op; Service.Group { timeout = 1500 } ])
         [ "nvt"; "flit" ])
     [ "hash"; "list" ]
 
@@ -95,7 +95,7 @@ let crash_point_sweep () =
     let cfg =
       { base with
         flavour = "nvt";
-        mode = Service.Group { batch = 8; timeout = 1500 };
+        mode = Service.Group { timeout = 1500 };
         crash_steps = [ !step ] }
     in
     let r = Runner.run cfg in
@@ -130,7 +130,7 @@ let crash_with_eviction () =
 let group_saves_fences () =
   let run mode = Runner.run { base with flavour = "nvt"; mode; requests = 300 } in
   let per_op = run Service.Per_op in
-  let group = run (Service.Group { batch = 16; timeout = 2000 }) in
+  let group = run (Service.Group { timeout = 2000 }) in
   check_clean "per_op" per_op;
   check_clean "group" group;
   let fences (r : Runner.report) = r.stats.Stats.fences in
@@ -158,7 +158,7 @@ let group_fence_count_scales () =
       { base with
         flavour = "nvt";
         requests = 200;
-        mode = Service.Group { batch = 32; timeout = 50_000 } }
+        mode = Service.Group { timeout = 50_000 } }
   in
   check_clean "large batch" r;
   let svc_fences =
@@ -209,7 +209,7 @@ let detect_exactly_once () =
         structure = "hash";
         flavour = "nvt";
         detect = true;
-        mode = Service.Group { batch = 8; timeout = 1500 };
+        mode = Service.Group { timeout = 1500 };
         checkpoint_interval = 1500;
         seed = seed + 1;
         crash_steps = [ 900 + (211 * seed); 800 ] }

@@ -92,7 +92,7 @@ let suppressed_insert_loses_data () =
 
 (* The headline comparison, pinned at tier-1 scale: SOFT's two pnode
    persists under-flush the generic transformation on the hash
-   workload. The contender bench quantifies this; the test only keeps
+   workload. The contenders experiment quantifies this; the test only keeps
    the direction from regressing. *)
 let soft_under_persists_nvt () =
   let module T = Nvt_harness.Throughput in

@@ -353,6 +353,33 @@ let json_emitter () =
     {|[{"site":"nvt:make_persistent","flushes":1,"fences":0,"cas":0},{"site":"nvt:return_fence","flushes":0,"fences":1,"cas":0}]|}
     (Json.sites st)
 
+(* Figure 5a is the paper's headline comparison: it must plot the
+   volatile original, NVTraverse, Izraelevitz and FliT at every scale,
+   and every series needs sweep points. *)
+let panel_5a_plots_the_comparison () =
+  List.iter
+    (fun scale ->
+      match
+        List.find_opt
+          (fun (p : Nvt_harness.Panels.panel) -> p.id = "5a")
+          (Nvt_harness.Panels.panels scale)
+      with
+      | None -> Alcotest.fail "no panel 5a"
+      | Some p ->
+        let plotted =
+          List.filter_map (fun (s : I.series) -> s.policy) p.series
+        in
+        List.iter
+          (fun want ->
+            if not (List.mem want plotted) then
+              Alcotest.failf "panel 5a has no %s series" want)
+          [ "volatile"; "nvt"; "izraelevitz"; "flit" ];
+        (match p.sweep with
+        | Threads [] | Range [] | Updates [] ->
+          Alcotest.fail "panel 5a sweeps no points"
+        | _ -> ()))
+    [ Nvt_harness.Panels.Quick; Nvt_harness.Panels.Full ]
+
 let suite =
   [ Alcotest.test_case "sites sum to aggregates (all policies)" `Quick
       sites_sum_to_aggregates;
@@ -372,4 +399,6 @@ let suite =
       corrupt_read_consumes_site_tag;
     Alcotest.test_case "throughput runs exactly total_ops" `Quick
       throughput_runs_exactly_total_ops;
-    Alcotest.test_case "json emitter" `Quick json_emitter ]
+    Alcotest.test_case "json emitter" `Quick json_emitter;
+    Alcotest.test_case "panel 5a plots the four-way comparison" `Quick
+      panel_5a_plots_the_comparison ]
