@@ -133,11 +133,12 @@ let pp_savings () =
     s.elided_fences
 
 let report s_name p_name (r : H.Crashlab.report) =
+  let ops = List.length r.history in
   Printf.printf "structure:  %s (%s)\n" s_name p_name;
-  Printf.printf "operations: %d across %d era(s)\n" r.history_length r.eras;
+  Printf.printf "operations: %d across %d era(s)\n" ops r.eras;
   Printf.printf "final size: %d keys\n" r.final_size;
   Printf.printf "makespan:   %d simulated ns (%.3f Mops/s)\n" r.makespan
-    (1e3 *. float_of_int r.history_length /. float_of_int r.makespan);
+    (1e3 *. float_of_int ops /. float_of_int r.makespan);
   Printf.printf "instructions: %s\n"
     (Format.asprintf "%a" Nvt_nvm.Stats.pp r.stats);
   (match Nvt_nvm.Stats.sites r.stats with

@@ -53,42 +53,25 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
 
   (* Attribution: each engine placement names its site so the per-site
      flush table separates the traversal/critical boundary cost from
-     Protocol 2's per-access cost. Tag only when the policy's flushes
-     are real — under [Volatile] the instruction is erased and a
-     pending tag would leak onto the next counted access.
+     Protocol 2's per-access cost. The names are interned once, here.
 
-     Each placement also consults {!Nvt_nvm.Suppress} under its site
-     name: the mutation harness disables one site at a time and drives
-     the crippled engine to a durability violation, demonstrating the
+     Each placement passes its site through {!Nvt_nvm.Guard}: the
+     mutation harness suppresses one site at a time and drives the
+     crippled engine to a durability violation, demonstrating the
      Section 4.3 necessity claim per instruction site rather than per
-     class. After suppression, {!Nvt_nvm.Optimizer} may elide the site
-     under an installed proof-gated plan; suppression is checked first
-     so the mutation lab's skip counters stay exact when a plan is
-     active. Both checks short-circuit when the policy is erased, so
-     volatile runs neither tag nor count skips. *)
-  let tag site = if P.enabled then Nvt_nvm.Stats.set_site site
+     class; an installed proof-gated {!Nvt_nvm.Optimizer} plan may
+     elide it; otherwise the guard tags it. Under [Volatile] the
+     instruction is erased before the guard, so volatile runs neither
+     tag nor count skips. *)
+  let ensure_reachable_site = Nvt_nvm.Stats.intern "nvt:ensure_reachable"
+  let make_persistent_site = Nvt_nvm.Stats.intern "nvt:make_persistent"
+  let return_fence_site = Nvt_nvm.Stats.intern "nvt:return_fence"
 
   let flush_at site l =
-    if
-      (not P.enabled)
-      || not
-           (Nvt_nvm.Suppress.flush_killed site
-           || Nvt_nvm.Optimizer.flush_elided site)
-    then begin
-      tag site;
-      P.flush_any l
-    end
+    if P.enabled && Nvt_nvm.Guard.admit Flush site then P.flush_any l
 
   let fence_at site =
-    if
-      (not P.enabled)
-      || not
-           (Nvt_nvm.Suppress.fence_killed site
-           || Nvt_nvm.Optimizer.fence_elided site)
-    then begin
-      tag site;
-      P.fence ()
-    end
+    if P.enabled && Nvt_nvm.Guard.admit Fence site then P.fence ()
 
   (* Same-line membership. Packed [M.any] wrappers are fresh
      allocations, so compare the wrapped locations; for every concrete
@@ -123,26 +106,26 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     in
     let seen =
       List.fold_left
-        (fun seen l -> flush_new seen "nvt:ensure_reachable" l)
+        (fun seen l -> flush_new seen ensure_reachable_site l)
         [] reach_locs
     in
     ignore
       (List.fold_left
-         (fun seen l -> flush_new seen "nvt:make_persistent" l)
+         (fun seen l -> flush_new seen make_persistent_site l)
          seen persist_set);
     if P.enabled then Nvt_nvm.Optimizer.note_coalesced !dropped;
     !issued
 
   let ensure_reachable reach =
     match reach with
-    | Original_parent l -> flush_at "nvt:ensure_reachable" l
+    | Original_parent l -> flush_at ensure_reachable_site l
     | Parents ls ->
       ignore
         (List.fold_left
            (fun seen l ->
              if seen_line seen l then seen
              else begin
-               flush_at "nvt:ensure_reachable" l;
+               flush_at ensure_reachable_site l;
                l :: seen
              end)
            [] ls)
@@ -153,11 +136,11 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
          (fun seen l ->
            if seen_line seen l then seen
            else begin
-             flush_at "nvt:make_persistent" l;
+             flush_at make_persistent_site l;
              l :: seen
            end)
          [] locs);
-    fence_at "nvt:make_persistent"
+    fence_at make_persistent_site
 
   (* The traversal/critical boundary of one attempt. Under a deferred
      plan, a boundary whose deduplicated drain issued no flushes skips
@@ -171,11 +154,10 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   let persist_boundary ~clean reach persist_set =
     let issued = boundary_flushes reach persist_set in
     if P.enabled && issued = 0 && clean && Nvt_nvm.Optimizer.defer_on () then
-      (* erased before the suppression check, per the Suppress contract:
-         a fence that was never going to issue must not count as a
-         suppressed skip *)
+      (* erased before the guard, per its contract: a fence that was
+         never going to issue must not count as a suppressed skip *)
       Nvt_nvm.Optimizer.note_empty_fence ()
-    else fence_at "nvt:make_persistent";
+    else fence_at make_persistent_site;
     if P.enabled && Nvt_nvm.Optimizer.defer_on () then
       Nvt_nvm.Optimizer.note_deferred issued
 
@@ -187,7 +169,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       match critical tr.nodes input with
       | Restart -> attempt ~clean:false ()
       | Finish v ->
-        fence_at "nvt:return_fence";
+        fence_at return_fence_site;
         v
     in
     attempt ~clean:true ()

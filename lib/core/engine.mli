@@ -33,8 +33,9 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) : sig
   type 'r verdict = Restart | Finish of 'r
 
   (** Section 4.3's necessity claim is tested through
-      {!Nvt_nvm.Suppress}: every injected instruction consults the
-      per-site suppression switch under its site name
+      {!Nvt_nvm.Suppress}: every injected instruction passes its
+      interned site through {!Nvt_nvm.Guard}, which honours the
+      per-site suppression switch
       ([nvt:ensure_reachable], [nvt:make_persistent],
       [nvt:return_fence], and the Protocol 2 sites inside
       {!Critical}), and the mutation harness drives each suppressed

@@ -37,7 +37,7 @@ let default_config =
     trace_capacity = 0 }
 
 type report = {
-  history_length : int;
+  history : History.event list;  (* oldest first, across every era *)
   eras : int;
   final_size : int;
   makespan : int;
@@ -122,7 +122,7 @@ let run (module S : SET) (c : config) =
   in
   eras c.crash_steps;
   S.check_invariants s;
-  { history_length = History.length h;
+  { history = History.events h;
     eras = History.era h + 1;
     final_size = S.size s;
     makespan = Machine.makespan m;

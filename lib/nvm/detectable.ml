@@ -45,6 +45,9 @@ module Desc (M : Memory.S) (P : Persist.Make(M).S) = struct
   module Pm = Persist.Make (M)
   module G = Pm.Sited (P)
 
+  let announce_site = Stats.intern "det:announce"
+  let complete_site = Stats.intern "det:complete"
+
   type dword = D_started | D_done of bool
 
   type record = {
@@ -64,12 +67,12 @@ module Desc (M : Memory.S) (P : Persist.Make(M).S) = struct
     let cell = M.alloc D_started in
     let r = { cell; op; returned = false } in
     t.records <- r :: t.records;
-    G.persist "det:announce" cell;
+    G.persist announce_site cell;
     r
 
   let complete r res =
     M.write r.cell (D_done res);
-    G.persist "det:complete" r.cell;
+    G.persist complete_site r.cell;
     (* not a simulated step: if the fence above completed, [returned]
        is set before any crash can intervene *)
     r.returned <- true

@@ -39,48 +39,46 @@ module Make (M : Memory.S) :
 
   type any = Any : 'a loc -> any
 
-  (* Every flush/fence pair honours per-site suppression (the mutation
-     harness removes one site at a time); the counter CASes never do —
-     they are the algorithm's synchronization, not persistence. *)
-  let persist site l =
-    if not (Suppress.flush_killed site || Optimizer.flush_elided site)
-    then begin
-      Stats.set_site site;
-      M.flush l
-    end;
-    if not (Suppress.fence_killed site || Optimizer.fence_elided site)
-    then begin
-      Stats.set_site site;
-      M.fence ()
-    end
+  (* Every flush/fence pair passes through the {!Guard} (the mutation
+     harness removes one site at a time); the counter CASes are only
+     tagged — they are the algorithm's synchronization, not
+     persistence. *)
+  module Pm = Persist.Make (M)
+  module G = Pm.Sited (Pm.Durable)
+
+  let alloc_site = Stats.intern "flit:alloc"
+  let racy_read_site = Stats.intern "flit:racy_read"
+  let write_back_site = Stats.intern "flit:write_back"
+  let install_site = Stats.intern "flit:install"
+  let decrement_site = Stats.intern "flit:decrement"
 
   (* Initializing stores are writes like any other: the location must be
      persistent before the algorithm can publish a pointer to it. *)
   let alloc v =
     let l = M.alloc { v; tag = 0 } in
-    persist "flit:alloc" l;
+    G.persist alloc_site l;
     l
 
   let read l =
     let c = M.read l in
-    if c.tag > 0 then persist "flit:racy_read" l;
+    if c.tag > 0 then G.persist racy_read_site l;
     c.v
 
   let rec decrement l =
     let c = M.read l in
     if c.tag > 0 then begin
-      Stats.set_site "flit:decrement";
+      Stats.tag decrement_site;
       if not (M.cas l ~expected:c ~desired:{ c with tag = c.tag - 1 }) then
         decrement l
     end
 
   let write_back l =
-    persist "flit:write_back" l;
+    G.persist write_back_site l;
     decrement l
 
   let rec write l v =
     let c = M.read l in
-    Stats.set_site "flit:install";
+    Stats.tag install_site;
     if M.cas l ~expected:c ~desired:{ v; tag = c.tag + 1 } then write_back l
     else begin
       (* the failed CAS consumed the tag; retry re-tags *)
@@ -88,7 +86,7 @@ module Make (M : Memory.S) :
     end
 
   let cas l ~expected ~desired =
-    if T.cas l ~site:"flit:install" ~retag:(fun t -> t + 1) ~expected ~desired
+    if T.cas l ~site:install_site ~retag:(fun t -> t + 1) ~expected ~desired
     then begin
       write_back l;
       true

@@ -17,24 +17,18 @@ module Make (M : Memory.S) : Memory.S with type 'a loc = 'a M.loc =
       (* Attribution sites: every flush/fence pair names the access
          class that triggered it, so the per-site table shows where the
          transformation's cost concentrates (loads, overwhelmingly).
-         Both halves of the pair honour per-site suppression so the
+         Both halves of the pair pass through the {!Guard}, so the
          mutation harness can remove an access class wholesale. *)
-      let persist site l =
-        if not (Suppress.flush_killed site || Optimizer.flush_elided site)
-        then begin
-          Stats.set_site site;
-          M.flush l
-        end;
-        if not (Suppress.fence_killed site || Optimizer.fence_elided site)
-        then begin
-          Stats.set_site site;
-          M.fence ()
-        end
+      module Pm = Persist.Make (M)
+      module G = Pm.Sited (Pm.Durable)
 
-      let after_alloc l = persist "izr:alloc" l
-      let after_read l = persist "izr:load" l
+      let alloc_site = Stats.intern "izr:alloc"
+      let load_site = Stats.intern "izr:load"
+      let update_site = Stats.intern "izr:update"
+      let after_alloc l = G.persist alloc_site l
+      let after_read l = G.persist load_site l
       let before_update () = ()
-      let after_update l = persist "izr:update" l
+      let after_update l = G.persist update_site l
       let flush = M.flush
       let fence = M.fence
     end)

@@ -33,7 +33,11 @@ module Make (M : Memory.S) :
   let write l v = M.write l { v; tag = false }
 
   let cas l ~expected ~desired =
-    T.cas l ~site:Stats.app_site ~retag:(fun _ -> false) ~expected ~desired
+    T.cas l ~site:Stats.app ~retag:(fun _ -> false) ~expected ~desired
+
+  let flush_site = Stats.intern "lp:flush"
+  let drain_site = Stats.intern "lp:drain"
+  let mark_clean_site = Stats.intern "lp:mark_clean"
 
   (* A clean-line flush issues no instruction at all, so any site tag
      the engine set for its placement must be dropped here rather than
@@ -43,24 +47,14 @@ module Make (M : Memory.S) :
     Stats.clear_site ();
     let c = M.read l in
     if not c.tag then begin
-      (* The flush and drain honour per-site suppression; the
-         mark-clean CAS always runs — suppressing it would change the
-         algorithm, and a mutated flush that still marks the word clean
-         is exactly the dangerous variant the mutation harness wants:
-         every later flush of the word is then skipped as "clean". *)
-      if
-        not (Suppress.flush_killed "lp:flush" || Optimizer.flush_elided "lp:flush")
-      then begin
-        Stats.set_site "lp:flush";
-        M.flush l
-      end;
-      if
-        not (Suppress.fence_killed "lp:drain" || Optimizer.fence_elided "lp:drain")
-      then begin
-        Stats.set_site "lp:drain";
-        M.fence ()
-      end;
-      Stats.set_site "lp:mark_clean";
+      (* The flush and drain pass through the {!Guard}; the mark-clean
+         CAS always runs — suppressing it would change the algorithm,
+         and a mutated flush that still marks the word clean is exactly
+         the dangerous variant the mutation harness wants: every later
+         flush of the word is then skipped as "clean". *)
+      if Guard.admit Flush flush_site then M.flush l;
+      if Guard.admit Fence drain_site then M.fence ();
+      Stats.tag mark_clean_site;
       ignore (M.cas l ~expected:c ~desired:{ c with tag = true })
     end
 

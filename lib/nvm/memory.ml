@@ -15,10 +15,12 @@
    location written once at initialization.
 
    Counting backends attribute each flush, fence and CAS they count to
-   the pending site tag ([Stats.set_site], consumed per instruction);
-   instrumentation layers set the tag immediately before the access so
-   that the benchmark harness can report which instrumentation point
-   pays each instruction, not just the totals. *)
+   the pending site tag ([Stats.take_site], consumed per instruction):
+   an interned site id that instrumentation layers set immediately
+   before the access — flushes and fences through the one guard
+   ([Guard.admit]), CAS through [Stats.tag] — so that the benchmark
+   harness can report which instrumentation point pays each
+   instruction, not just the totals. *)
 
 exception Corrupt_read of int
 (** Raised by backends that can detect reads of data lost in a crash

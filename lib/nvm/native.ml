@@ -7,24 +7,27 @@
    Crash testing therefore lives in the simulator backend ([Sim_nvm]); the
    native backend is the implementation a downstream user runs. *)
 
-type 'a loc = { cell : 'a Atomic.t; id : int }
+type 'a loc = 'a Atomic.t
 
 type any = Any : 'a loc -> any
 
-let next_id = Atomic.make 0
+(* Per-domain counters, registered globally so [stats] can aggregate.
+   Each domain's record also holds its pending-tag cell, so a counted
+   CAS, flush or fence takes its site with the same lookup that finds
+   its counters. *)
 
-(* Per-domain counters, registered globally so [stats] can aggregate. *)
+type local = { stats : Stats.t; pending : Stats.pending }
 
 let registry : Stats.t list ref = ref []
 let registry_lock = Mutex.create ()
 
-let local_stats : Stats.t Domain.DLS.key =
+let local : local Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let s = Stats.zero () in
       Mutex.lock registry_lock;
       registry := s :: !registry;
       Mutex.unlock registry_lock;
-      s)
+      { stats = s; pending = Stats.pending () })
 
 let stats () =
   let total = Stats.zero () in
@@ -54,34 +57,34 @@ let spin n =
   done
 
 let alloc v =
-  let s = Domain.DLS.get local_stats in
+  let s = (Domain.DLS.get local).stats in
   s.allocs <- s.allocs + 1;
-  { cell = Atomic.make v; id = Atomic.fetch_and_add next_id 1 }
+  Atomic.make v
 
 let read l =
-  let s = Domain.DLS.get local_stats in
+  let s = (Domain.DLS.get local).stats in
   s.reads <- s.reads + 1;
-  Atomic.get l.cell
+  Atomic.get l
 
 let write l v =
-  let s = Domain.DLS.get local_stats in
+  let s = (Domain.DLS.get local).stats in
   s.writes <- s.writes + 1;
-  Atomic.set l.cell v
+  Atomic.set l v
 
 let cas l ~expected ~desired =
-  let s = Domain.DLS.get local_stats in
-  let ok = Atomic.compare_and_set l.cell expected desired in
-  Stats.record_cas s ~site:(Stats.take_site ()) ~ok;
+  let d = Domain.DLS.get local in
+  let ok = Atomic.compare_and_set l expected desired in
+  Stats.record_cas d.stats ~site:(Stats.take_at d.pending) ~ok;
   ok
 
 let flush _l =
-  let s = Domain.DLS.get local_stats in
-  Stats.record_flush s ~site:(Stats.take_site ());
+  let d = Domain.DLS.get local in
+  Stats.record_flush d.stats ~site:(Stats.take_at d.pending);
   spin (Atomic.get flush_spin)
 
 let fence () =
-  let s = Domain.DLS.get local_stats in
-  Stats.record_fence s ~site:(Stats.take_site ());
+  let d = Domain.DLS.get local in
+  Stats.record_fence d.stats ~site:(Stats.take_at d.pending);
   spin (Atomic.get fence_spin)
 
 let flush_any (Any l) = flush l

@@ -7,9 +7,9 @@
    module closes the loop: a {e plan} names the sites that may be
    elided for the running structure x policy — derived from a committed
    [MUTATION_report.json], never hand-written — and turns on deferred
-   boundary persistence. Instrumentation layers consult
-   {!flush_elided}/{!fence_elided} right after the suppression check
-   and skip the instruction when its site is in the plan.
+   boundary persistence. {!Guard.admit} consults the installed plan
+   right after the suppression check and skips the instruction when its
+   site is in the plan.
 
    Three distinct savings are tracked:
 
@@ -35,12 +35,12 @@
      issued no flushes — and which provably has no earlier unfenced
      flush outstanding — skips its fence entirely.
 
-   Like {!Suppress}, the state is a small per-domain context record
-   installed by {!Nvt_sim.Machine.set_current}, so domains running
-   different machines (striped mutation batteries, sharded services)
-   never observe each other's plan or counters. *)
+   Like {!Suppress}, the state is a small context record installed in
+   the domain's {!Guard} context by {!Nvt_sim.Machine.set_current}, so
+   domains running different machines (striped mutation batteries,
+   sharded services) never observe each other's plan or counters. *)
 
-type plan = { defer : bool; elide : string list }
+type plan = Guard.plan = { defer : bool; elide : string list }
 
 let no_opt = { defer = false; elide = [] }
 
@@ -51,63 +51,39 @@ type counters = {
   elided_fences : int;
 }
 
-type t = {
-  mutable plan : plan option;
-  mutable coalesced_flushes : int;
-  mutable deferred_flushes : int;
-  mutable elided_flushes : int;
-  mutable elided_fences : int;
-}
+type t = Guard.optimizer
 
-let create () =
-  { plan = None;
-    coalesced_flushes = 0;
-    deferred_flushes = 0;
-    elided_flushes = 0;
-    elided_fences = 0 }
+let create = Guard.no_optimizer
 
-let of_plan plan = { (create ()) with plan }
+(* The guard tests membership by site id, so a plan's names are
+   interned and laid out as a flag array once, when it is installed. *)
+let elided_of = function
+  | None -> [||]
+  | Some p ->
+    let ids = List.map Stats.intern p.elide in
+    let a = Array.make (1 + List.fold_left max (-1) ids) false in
+    List.iter (fun id -> a.(id) <- true) ids;
+    a
 
-let key = Domain.DLS.new_key create
-let ambient () = Domain.DLS.get key
-let use c = Domain.DLS.set key c
+let of_plan plan : t = { (create ()) with plan; elided = elided_of plan }
 
-let reset_counters c =
-  c.coalesced_flushes <- 0;
-  c.deferred_flushes <- 0;
-  c.elided_flushes <- 0;
-  c.elided_fences <- 0
+let ambient () : t = (Guard.context ()).optimizer
+let use c = (Guard.context ()).optimizer <- c
 
 let set plan =
   let c = ambient () in
   c.plan <- plan;
-  reset_counters c
+  c.elided <- elided_of plan;
+  c.coalesced_flushes <- 0;
+  c.deferred_flushes <- 0;
+  c.elided_flushes <- 0;
+  c.elided_fences <- 0
 
 let plan () = (ambient ()).plan
 let active () = (ambient ()).plan <> None
 
 let defer_on () =
   match (ambient ()).plan with Some p -> p.defer | None -> false
-
-(* Plans are a handful of sites; linear membership beats a hash table
-   at this size and keeps the context trivially copyable. *)
-let elides p site = List.exists (String.equal site) p.elide
-
-let flush_elided site =
-  let c = ambient () in
-  match c.plan with
-  | Some p when elides p site ->
-    c.elided_flushes <- c.elided_flushes + 1;
-    true
-  | _ -> false
-
-let fence_elided site =
-  let c = ambient () in
-  match c.plan with
-  | Some p when elides p site ->
-    c.elided_fences <- c.elided_fences + 1;
-    true
-  | _ -> false
 
 (* Dedup savings are counted even with no plan installed: the engine's
    boundary coalescing is unconditional, and the counter is how the

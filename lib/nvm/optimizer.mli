@@ -3,14 +3,15 @@
     A {!plan} names the flush/fence sites that may be skipped for the
     running structure x policy (derived from a committed mutation
     report's candidate-redundant verdicts, never hand-written) and
-    switches on deferred boundary persistence. The engine and the
-    policy wrappers consult {!flush_elided}/{!fence_elided} immediately
-    after the {!Suppress} check — suppression wins, so the mutation
-    lab's skip counters stay exact under an installed plan.
+    switches on deferred boundary persistence. {!Guard.admit} consults
+    the installed plan immediately after the {!Suppress} check —
+    suppression wins, so the mutation lab's skip counters stay exact
+    under an installed plan.
 
-    State lives in a per-domain context installed by
-    {!Nvt_sim.Machine.set_current}, mirroring {!Suppress}: machines on
-    different domains never observe each other's plan or counters.
+    State lives in a context record installed in the domain's {!Guard}
+    context by {!Nvt_sim.Machine.set_current}, mirroring {!Suppress}:
+    machines on different domains never observe each other's plan or
+    counters.
 
     Elision is only sound under proof. Every shipped elision list must
     ride with a re-run optimizer-enabled mutation battery (the
@@ -19,7 +20,7 @@
     optimized configuration against the full crash/stall/eviction
     adversary suite — is the substantive durability evidence. *)
 
-type plan = {
+type plan = Guard.plan = {
   defer : bool;
       (** Route boundary flushes through a single drain point and skip
           the boundary fence when the drain is provably empty. *)
@@ -41,8 +42,9 @@ type counters = {
       (** Fences skipped: planned sites plus empty-drain boundaries. *)
 }
 
-type t
-(** One optimizer context: the installed plan plus saving counters. *)
+type t = Guard.optimizer
+(** One optimizer context: the installed plan (its elision list
+    resolved to site ids when installed) plus saving counters. *)
 
 val create : unit -> t
 (** A fresh context with no plan and zeroed counters. *)
@@ -67,15 +69,6 @@ val set : plan option -> unit
 val plan : unit -> plan option
 val active : unit -> bool
 val defer_on : unit -> bool
-
-val flush_elided : string -> bool
-(** [flush_elided site] is [true] when the plan elides [site]: the
-    caller must skip its flush (the skip is counted). Consult only
-    after {!Suppress.flush_killed} returned [false], and never for a
-    disabled (volatile) policy. *)
-
-val fence_elided : string -> bool
-(** Same, for a fence. *)
 
 val note_coalesced : int -> unit
 (** Record [n] same-line duplicate flushes dropped by boundary dedup. *)

@@ -33,27 +33,20 @@ module Make (M : Memory.S) = struct
 
   (* Site-attributed guarded persistence, for hand-tuned contenders that
      place their own flushes instead of going through the NVTraverse
-     engine (SOFT, the detectable-recovery descriptors). Each
-     [persist site l] is one flush + fence pair attributed to [site] and
-     subject to the same per-site suppression (the mutation lab's knife)
-     and plan elision (the optimizer) as the engine's own placements —
-     so the contenders' minimality claims are testable with exactly the
+     engine (SOFT, the detectable-recovery descriptors), and for the
+     whole-program wrappers (Izraelevitz, FliT) over [Durable]. Each
+     [persist site l] is one flush + fence pair attributed to the
+     interned [site] and passed through the same {!Guard} as the
+     engine's own placements (suppression, then plan elision) — so the
+     contenders' minimality claims are testable with exactly the
      machinery that tested the paper's. Routing through [P] rather than
      [M] makes the [Volatile] instantiation the negative control: the
-     whole pair erases, suppression guards and all. *)
+     whole pair erases, guard and all. *)
   module Sited (P : S) = struct
     let persist site l =
       if P.enabled then begin
-        if not (Suppress.flush_killed site || Optimizer.flush_elided site)
-        then begin
-          Stats.set_site site;
-          P.flush l
-        end;
-        if not (Suppress.fence_killed site || Optimizer.fence_elided site)
-        then begin
-          Stats.set_site site;
-          P.fence ()
-        end
+        if Guard.admit Flush site then P.flush l;
+        if Guard.admit Fence site then P.fence ()
       end
   end
 end

@@ -31,8 +31,11 @@
      CAS.
 
    Every flush, fence and CAS a wrapper issues is attributed to a named
-   site ([Stats.set_site] immediately before the access): the site
-   naming convention is [<policy>:<point>], e.g. [izr:load],
+   site, interned once when the wrapper's functor is applied
+   ([Stats.intern]). Flushes and fences go through the one guard
+   ([Guard.admit]: suppression, plan elision, then the pending tag);
+   a CAS is only tagged ([Stats.tag]) immediately before the access.
+   The site naming convention is [<policy>:<point>], e.g. [izr:load],
    [lp:mark_clean], [flit:racy_read], and the engine's own placements
    are [nvt:*] (see [Nvt_core.Traversal.nvt_sites]). *)
 
@@ -128,13 +131,13 @@ module Tagged_word (M : Memory.S) = struct
      re-examine and retry in that case. [retag] maps the tag observed to
      the tag the new value is installed with. [site] attributes every
      underlying CAS attempt (including retries) to the wrapper's
-     instrumentation point; pass [Stats.app_site] when the CAS stands in
+     instrumentation point; pass [Stats.app] when the CAS stands in
      1:1 for the algorithm's own CAS. *)
   let rec cas l ~site ~retag ~expected ~desired =
     let c = M.read l in
     if c.v != expected then false
     else begin
-      if site != Stats.app_site then Stats.set_site site;
+      if site <> Stats.app then Stats.tag site;
       if M.cas l ~expected:c ~desired:{ v = desired; tag = retag c.tag }
       then true
       else

@@ -20,37 +20,25 @@ module Make (M : Memory.S) (P : Persist.Make(M).S) :
   Policy.Instrument
     (M)
     (struct
-      (* Attribution: tag only when the policy's flushes are real —
-         under [Volatile] the instruction is erased and a pending tag
-         would leak onto the next counted access. Each placement also
-         consults the per-site suppression switch (the mutation
-         harness's knife) before executing; the guard short-circuits
-         when the policy is erased so volatile runs neither tag nor
-         count skips. *)
-      let tag site = if P.enabled then Stats.set_site site
-
+      (* Each placement passes its interned site through the {!Guard}
+         (suppression, plan elision, attribution). Under [Volatile] the
+         instruction is erased before the guard, so volatile runs
+         neither tag nor count skips. *)
       let flush_at site l =
-        if
-          (not P.enabled)
-          || not (Suppress.flush_killed site || Optimizer.flush_elided site)
-        then begin
-          tag site;
-          P.flush l
-        end
+        if P.enabled && Guard.admit Flush site then P.flush l
 
       let fence_at site =
-        if
-          (not P.enabled)
-          || not (Suppress.fence_killed site || Optimizer.fence_elided site)
-        then begin
-          tag site;
-          P.fence ()
-        end
+        if P.enabled && Guard.admit Fence site then P.fence ()
+
+      let crit_read_site = Stats.intern "nvt:crit_read"
+      let crit_update_site = Stats.intern "nvt:crit_update"
+      let crit_flush_site = Stats.intern "nvt:crit_flush"
+      let crit_fence_site = Stats.intern "nvt:crit_fence"
 
       let after_alloc _ = ()
-      let after_read l = flush_at "nvt:crit_read" l
-      let before_update () = fence_at "nvt:crit_fence"
-      let after_update l = flush_at "nvt:crit_update" l
-      let flush l = flush_at "nvt:crit_flush" l
-      let fence () = fence_at "nvt:crit_fence"
+      let after_read l = flush_at crit_read_site l
+      let before_update () = fence_at crit_fence_site
+      let after_update l = flush_at crit_update_site l
+      let flush l = flush_at crit_flush_site l
+      let fence () = fence_at crit_fence_site
     end)

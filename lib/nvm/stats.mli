@@ -5,17 +5,23 @@
     quantity the paper's analysis is built on.
 
     Flushes, fences and CAS are additionally attributed to named
-    {e sites}: an instrumentation layer tags the very next counted
-    access with {!set_site} (e.g. ["nvt:make_persistent"],
-    ["izr:load"], ["flit:racy_read"]); untagged accesses land on
-    {!app_site}. Every counted flush/fence/CAS goes to exactly one
-    site, so the site table always sums to the aggregate counters. *)
+    {e sites} (e.g. ["nvt:make_persistent"], ["izr:load"],
+    ["flit:racy_read"]). A site is an interned {!id}: an instrumentation
+    layer interns its names once ({!intern}, when its module or functor
+    is applied) and tags the very next counted access with the id —
+    flushes and fences through {!Guard.admit}, CAS through {!tag}.
+    Untagged accesses land on {!app}. Every counted flush/fence/CAS goes
+    to exactly one site, so the site table always sums to the aggregate
+    counters. *)
 
 type site = {
   mutable s_flushes : int;
   mutable s_fences : int;
   mutable s_cas : int;  (** CAS attempts, successful or not *)
 }
+
+type id = int
+(** An interned site name. *)
 
 type t = {
   mutable reads : int;
@@ -25,7 +31,8 @@ type t = {
   mutable flushes : int;
   mutable fences : int;
   mutable allocs : int;
-  site_table : (string, site) Hashtbl.t;
+  mutable by_site : site array;
+      (** per-site counters, indexed by {!id}; grown on demand *)
 }
 
 val zero : unit -> t
@@ -46,7 +53,24 @@ val diff : after:t -> before:t -> t
 val total_shared_ops : t -> int
 (** Reads + writes + CAS attempts. *)
 
-(** {1 Site attribution}
+(** {1 Site registry}
+
+    Append-only and process-wide. Any domain may intern: writers take a
+    mutex, readers see an immutable snapshot held in an [Atomic], so ids
+    agree across domains whatever order the names arrive in. *)
+
+val intern : string -> id
+(** The id of a site name, registering it on first use. Idempotent. *)
+
+val name : id -> string
+
+val app_site : string
+(** The default site, ["app"]: the algorithm's own shared accesses. *)
+
+val app : id
+(** [intern app_site]. *)
+
+(** {1 The pending tag}
 
     The pending tag is per-domain and consumed by the next counted
     flush/fence/CAS in the same synchronous call chain. A wrapper must
@@ -55,27 +79,43 @@ val total_shared_ops : t -> int
     {!clear_site} instead so the tag cannot leak onto an unrelated
     later access. *)
 
-val app_site : string
-(** The default site, ["app"]: the algorithm's own shared accesses. *)
+type pending
+(** One domain's pending-tag cell. *)
 
-val set_site : string -> unit
+val pending : unit -> pending
+(** The calling domain's cell. Per-domain state created on a domain
+    (the instrumentation context, the simulator's current-machine slot,
+    the native backend's counters) holds its domain's cell, so hot
+    paths tag and take without a second domain-local lookup. *)
+
+val tag_at : pending -> id -> unit
+val take_at : pending -> id
+
+val tag : id -> unit
 (** Tag the next counted flush/fence/CAS on this domain. *)
 
-val clear_site : unit -> unit
-(** Drop any pending tag (back to {!app_site}). *)
+val set_site : string -> unit
+(** [tag (intern name)]: the by-name entry point, for benchmarks and
+    tests. Instrumentation layers tag by id. *)
 
-val take_site : unit -> string
+val clear_site : unit -> unit
+(** Drop any pending tag (back to {!app}). *)
+
+val take_site : unit -> id
 (** Consume and return the pending tag (backends call this exactly once
     per counted flush/fence/CAS). *)
 
-val record_flush : t -> site:string -> unit
-val record_fence : t -> site:string -> unit
+(** {1 Counting} *)
 
-val record_cas : t -> site:string -> ok:bool -> unit
+val record_flush : t -> site:id -> unit
+val record_fence : t -> site:id -> unit
+
+val record_cas : t -> site:id -> ok:bool -> unit
 (** Count one CAS attempt (a failure too when [not ok]) under [site]. *)
 
 val sites : t -> (string * site) list
-(** All sites with at least one counted access, heaviest first. *)
+(** All sites with at least one counted access, heaviest first (ties by
+    name). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -2,12 +2,11 @@
 
    Every flush/fence the policies and the engine inject is attributed to
    a named site (see {!Stats}); this module lets the harness disable
-   exactly one of those sites at a time. Each instrumentation layer
-   consults [flush_killed]/[fence_killed] with its site name immediately
-   before issuing the instruction and skips it when the site is the
-   suppressed one — the program otherwise runs unchanged, which is the
-   mutation-testing notion of removing a single persistence instruction
-   from the source.
+   exactly one of those sites at a time. Every instrumentation layer
+   passes its flushes and fences through {!Guard.admit}, which skips the
+   instruction when its site is the suppressed one — the program
+   otherwise runs unchanged, which is the mutation-testing notion of
+   removing a single persistence instruction from the source.
 
    Only flushes and fences are suppressible. CAS-only sites
    (lp:mark_clean, flit:install, flit:decrement) are part of the
@@ -17,52 +16,29 @@
    The switch is a small context record rather than a global cell:
    machines running on different domains (shard-per-domain simulation,
    parallel mutation batteries) each carry their own context, installed
-   in domain-local storage by {!Nvt_sim.Machine.set_current}, so one
-   domain's suppression can never leak into another's run. Within a
-   domain the module-level API below operates on the currently installed
-   context, so existing callers are unchanged. Callers must still reset
-   with [set None] (through [Fun.protect]) so a suppression cannot leak
-   into later runs on the same context. *)
+   in the domain's {!Guard} context by {!Nvt_sim.Machine.set_current},
+   so one domain's suppression can never leak into another's run.
+   Within a domain the module-level API below operates on the currently
+   installed context. Callers must still reset with [set None] (through
+   [Fun.protect]) so a suppression cannot leak into later runs on the
+   same context. *)
 
-type t = {
-  mutable active : string option;
-  mutable flushes : int;
-  mutable fences : int;
-}
+type t = Guard.suppression
 
-let create () = { active = None; flushes = 0; fences = 0 }
-
-(* Each domain starts with its own fresh context; [use] swaps in a
-   machine's context when interleaving several machines on one domain. *)
-let key = Domain.DLS.new_key create
-
-let ambient () = Domain.DLS.get key
-let use c = Domain.DLS.set key c
+let create = Guard.no_suppression
+let ambient () = (Guard.context ()).suppression
+let use c = (Guard.context ()).suppression <- c
 
 let set site =
   let c = ambient () in
-  c.active <- site;
-  c.flushes <- 0;
-  c.fences <- 0
+  c.target <- (match site with Some name -> Stats.intern name | None -> -1);
+  c.skipped_flushes <- 0;
+  c.skipped_fences <- 0
 
-let site () = (ambient ()).active
-
-let flush_killed name =
-  let c = ambient () in
-  match c.active with
-  | Some s when String.equal s name ->
-    c.flushes <- c.flushes + 1;
-    true
-  | _ -> false
-
-let fence_killed name =
-  let c = ambient () in
-  match c.active with
-  | Some s when String.equal s name ->
-    c.fences <- c.fences + 1;
-    true
-  | _ -> false
+let site () =
+  let t = (ambient ()).target in
+  if t < 0 then None else Some (Stats.name t)
 
 let skipped () =
   let c = ambient () in
-  (c.flushes, c.fences)
+  (c.skipped_flushes, c.skipped_fences)

@@ -3,10 +3,10 @@
     The mutation harness ({!Nvt_harness.Mutlab} in the harness library)
     classifies every attributed flush/fence site as necessary or
     candidate-redundant by re-running a crash battery with exactly one
-    site disabled. This module is the switch: instrumentation layers ask
-    {!flush_killed}/{!fence_killed} with their {!Stats} site name right
-    before issuing the instruction, and skip it when that site is
-    suppressed.
+    site disabled. This module is the switch: every instrumentation
+    layer passes its flushes and fences through {!Guard.admit}, which
+    skips the instruction (and counts the skip) when its site is the
+    suppressed one.
 
     Suppression state lives in a context record, not a global: each
     domain has its own ambient context (fresh by default), and
@@ -19,9 +19,10 @@
     the concurrent algorithm, not the persistence discipline, and are
     never elided. *)
 
-type t
-(** One suppression context: the suppressed site (if any) and the skip
-    counters accumulated since the last {!set}. *)
+type t = Guard.suppression
+(** One suppression context: the suppressed site (if any, as an
+    interned id) and the skip counters accumulated since the last
+    {!set}. *)
 
 val create : unit -> t
 (** A fresh context with nothing suppressed. *)
@@ -38,20 +39,11 @@ val use : t -> unit
 (** {1 Operations on the ambient context} *)
 
 val set : string option -> unit
-(** Suppress the given site (or none). Resets the skip counters. *)
+(** Suppress the given site (or none), interning its name. Resets the
+    skip counters. *)
 
 val site : unit -> string option
 (** The currently suppressed site, if any. *)
-
-val flush_killed : string -> bool
-(** [flush_killed name] is [true] when [name] is the suppressed site:
-    the caller must skip its flush (the skip is counted). Sites whose
-    instruction may be erased for other reasons (a disabled policy)
-    must short-circuit {e before} this call so erased instructions are
-    not counted as suppressed. *)
-
-val fence_killed : string -> bool
-(** Same, for a fence. *)
 
 val skipped : unit -> int * int
 (** [(flushes, fences)] skipped since the last {!set} — the measured

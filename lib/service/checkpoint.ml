@@ -36,9 +36,14 @@
    the working-set model's live-cell estimate. *)
 
 module Stats = Nvt_nvm.Stats
-module Suppress = Nvt_nvm.Suppress
+module Guard = Nvt_nvm.Guard
 
 let chunk = 8
+
+let flush_site = Stats.intern "svc:ckpt_flush"
+let fence_site = Stats.intern "svc:ckpt_fence"
+let commit_flush_site = Stats.intern "svc:ckpt_commit_flush"
+let commit_fence_site = Stats.intern "svc:ckpt_commit_fence"
 
 module Make (M : Nvt_nvm.Memory.S) = struct
   type 'd desc = {
@@ -61,17 +66,8 @@ module Make (M : Nvt_nvm.Memory.S) = struct
      recovery that never checkpointed would read a corrupt cell. *)
   let create () = { cell = M.alloc None; live = 0; pending = 0 }
 
-  let flush_chunk loc =
-    if not (Suppress.flush_killed "svc:ckpt_flush") then begin
-      Stats.set_site "svc:ckpt_flush";
-      M.flush loc
-    end
-
-  let fence site =
-    if not (Suppress.fence_killed site) then begin
-      Stats.set_site site;
-      M.fence ()
-    end
+  let flush site loc = if Guard.admit Flush site then M.flush loc
+  let fence site = if Guard.admit Fence site then M.fence ()
 
   let write_chunks t arr =
     let n = Array.length arr in
@@ -81,7 +77,7 @@ module Make (M : Nvt_nvm.Memory.S) = struct
         let len = min chunk (n - i) in
         let c = M.alloc (Array.sub arr i len) in
         t.pending <- t.pending + 1;
-        flush_chunk c;
+        flush flush_site c;
         go (i + len) (c :: acc)
       end
     in
@@ -90,13 +86,10 @@ module Make (M : Nvt_nvm.Memory.S) = struct
   let write t ~upto ~pairs ~dedup =
     let pc = write_chunks t pairs in
     let dc = write_chunks t dedup in
-    fence "svc:ckpt_fence";
+    fence fence_site;
     M.write t.cell (Some { dk_upto = upto; dk_pairs = pc; dk_dedup = dc });
-    if not (Suppress.flush_killed "svc:ckpt_commit_flush") then begin
-      Stats.set_site "svc:ckpt_commit_flush";
-      M.flush t.cell
-    end;
-    fence "svc:ckpt_commit_fence";
+    flush commit_flush_site t.cell;
+    fence commit_fence_site;
     (* the previous generation's chunks are garbage now *)
     Nvt_nvm.Memory.reclaimed t.live;
     t.live <- t.pending;

@@ -65,7 +65,18 @@
 module Machine = Nvt_sim.Machine
 module Sim_mem = Nvt_sim.Memory
 module Stats = Nvt_nvm.Stats
+module Guard = Nvt_nvm.Guard
 module I = Nvt_harness.Instances
+
+(* The service's persistence sites, interned once. Every ledger, commit
+   and descriptor flush or fence passes through {!Guard}, so the
+   mutation lab can suppress each one. *)
+let ledger_flush_site = Stats.intern "svc:ledger_flush"
+let ledger_fence_site = Stats.intern "svc:ledger_fence"
+let commit_flush_site = Stats.intern "svc:commit_flush"
+let commit_fence_site = Stats.intern "svc:commit_fence"
+let desc_flush_site = Stats.intern "svc:desc_flush"
+let desc_fence_site = Stats.intern "svc:desc_fence"
 
 type op =
   | Put of int * int
@@ -210,7 +221,7 @@ type t = {
   mutable on_ack : request -> result -> dedup:bool -> unit;
   mutable on_commit : request -> shard:int -> slot:int -> unit;
   policy_recover : unit -> unit;
-  svc_fence : string -> unit;
+  svc_fence : Stats.id -> unit;
   poll_quantum : int;
   detect : bool;  (* descriptor-based recovery instead of log replay *)
   desc_put : int -> desc_rec -> unit;  (* client -> record; write+flush *)
@@ -327,18 +338,11 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
   { append;
     flush_entry =
       (fun slot ->
-        if not (Nvt_nvm.Suppress.flush_killed "svc:ledger_flush") then begin
-          Stats.set_site "svc:ledger_flush";
-          LMem.flush (cell slot)
-        end);
+        if Guard.admit Flush ledger_flush_site then LMem.flush (cell slot));
     read_entry = (fun slot -> LMem.read (cell slot));
     write_index = (fun i -> LMem.write index i);
     flush_index =
-      (fun () ->
-        if not (Nvt_nvm.Suppress.flush_killed "svc:commit_flush") then begin
-          Stats.set_site "svc:commit_flush";
-          LMem.flush index
-        end);
+      (fun () -> if Guard.admit Flush commit_flush_site then LMem.flush index);
     read_index = (fun () -> LMem.read index);
     truncate = (fun from -> drop from (Array.length !cells));
     drop_below =
@@ -383,12 +387,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
   let policy = flavour.policy in
   let (module Pol : I.POLICY) = policy in
   let module L = Pol.Apply (Sim_mem) in
-  let svc_fence site =
-    if not (Nvt_nvm.Suppress.fence_killed site) then begin
-      Stats.set_site site;
-      L.Mem.fence ()
-    end
-  in
+  let svc_fence site = if Guard.admit Fence site then L.Mem.fence () in
   (* Detect mode's descriptor store. The table and each pair's turn
      counter are plain OCaml — NVRAM allocator metadata, like a
      registry of roots; they carry no durability information (recovery
@@ -397,12 +396,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
   let desc_tbl : (int, desc_rec L.Mem.loc array * int ref) Hashtbl.t =
     Hashtbl.create 64
   in
-  let desc_flush c =
-    if not (Nvt_nvm.Suppress.flush_killed "svc:desc_flush") then begin
-      Stats.set_site "svc:desc_flush";
-      L.Mem.flush c
-    end
-  in
+  let desc_flush c = if Guard.admit Flush desc_flush_site then L.Mem.flush c in
   let desc_put client r =
     let cells, turn =
       match Hashtbl.find_opt desc_tbl client with
@@ -461,7 +455,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
         L.Mem.write c null_desc;
         desc_flush c)
       !stale;
-    if !stale <> [] then svc_fence "svc:desc_fence"
+    if !stale <> [] then svc_fence desc_fence_site
   in
   let local = if group >= n then 0 else (n - group + stride - 1) / stride in
   let shards =
@@ -569,7 +563,7 @@ let commit t = function
             { r_seq = it.c_req.seq; r_shard = it.c_shard;
               r_slot = it.c_slot; r_res = it.c_res })
         items;
-    t.svc_fence "svc:ledger_fence";
+    t.svc_fence ledger_fence_site;
     let touched = Hashtbl.create 8 in
     List.iter
       (fun it ->
@@ -586,7 +580,7 @@ let commit t = function
         sh.ledger.write_index idx;
         sh.ledger.flush_index ())
       touched;
-    t.svc_fence "svc:commit_fence";
+    t.svc_fence commit_fence_site;
     Hashtbl.iter (fun si idx -> t.shards.(si).committed <- idx) touched;
     List.iter
       (fun it -> t.on_commit it.c_req ~shard:it.c_shard ~slot:it.c_slot)
@@ -645,10 +639,10 @@ let checkpoint_shard t si =
           t.desc_put e.e_client
             { r_seq = e.e_seq; r_shard = si; r_slot = slot; r_res = e.e_res }
         done;
-      t.svc_fence "svc:ledger_fence";
+      t.svc_fence ledger_fence_site;
       sh.ledger.write_index upto;
       sh.ledger.flush_index ();
-      t.svc_fence "svc:commit_fence";
+      t.svc_fence commit_fence_site;
       sh.committed <- upto
     end;
     sh.ledger.write_ckpt upto pairs dedup;
@@ -973,4 +967,4 @@ let inject_committed t entries =
       merge_last t e.e_client
         { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot })
     entries;
-  t.svc_fence "svc:commit_fence"
+  t.svc_fence commit_fence_site

@@ -192,9 +192,13 @@ type _ Effect.t += Yield : unit Effect.t
 
 (* The current machine is domain-local: each domain routes its memory
    operations to its own machine, which is what lets the service runner
-   advance one machine per domain in parallel. *)
-let current_machine : t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+   advance one machine per domain in parallel. The slot also holds the
+   domain's pending-tag cell, so a counted CAS, flush or fence finds its
+   machine and its site with one lookup. *)
+type current = { mutable machine : t option; pending : Stats.pending }
+
+let current_machine : current Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { machine = None; pending = Stats.pending () })
 
 let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
     ?stall ?(jitter = 0) ?(suppress = Nvt_nvm.Suppress.ambient ())
@@ -224,20 +228,22 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       tracer = None;
       on_step = None }
   in
-  Domain.DLS.set current_machine (Some m);
+  (Domain.DLS.get current_machine).machine <- Some m;
   Nvt_nvm.Suppress.use m.suppress;
   Nvt_nvm.Optimizer.use m.optimizer;
   m
 
 let set_current m =
-  Domain.DLS.set current_machine (Some m);
+  (Domain.DLS.get current_machine).machine <- Some m;
   Nvt_nvm.Suppress.use m.suppress;
   Nvt_nvm.Optimizer.use m.optimizer
 
-let get () =
-  match Domain.DLS.get current_machine with
+let machine_of cur =
+  match cur.machine with
   | Some m -> m
   | None -> failwith "Sim: no current machine"
+
+let get () = machine_of (Domain.DLS.get current_machine)
 
 let suppress m = m.suppress
 let optimizer m = m.optimizer
@@ -255,6 +261,10 @@ let set_trace m ~capacity =
   m.tracer <- Some { ring = Array.make (max 1 capacity) None; total = 0 }
 
 let clear_trace m = m.tracer <- None
+
+(* Callers test [tracing] before building the event, so an untraced
+   run allocates no events and never resolves a site id to its name. *)
+let tracing m = m.tracer != None
 
 let record_event m e =
   match m.tracer with
@@ -370,9 +380,9 @@ let live_cells m = m.live_cells
 
 let check_corrupt c =
   if c.corrupt then begin
-    (* An instrumentation layer may have tagged this access
-       ([Stats.set_site]) just before it raised; consume the tag here or
-       it would mis-attribute the next counted access. *)
+    (* An instrumentation layer may have tagged this access just
+       before it raised; consume the tag here or it would
+       mis-attribute the next counted access. *)
     Stats.clear_site ();
     raise (Corrupt_read c.cid)
   end
@@ -407,7 +417,9 @@ let write c v =
   (* overwriting a corrupted cell redefines its contents *)
   c.corrupt <- false;
   m.stats.writes <- m.stats.writes + 1;
-  record_event m (Ev_write { step = m.steps; tid = current_tid m; cid = c.cid });
+  if tracing m then
+    record_event m
+      (Ev_write { step = m.steps; tid = current_tid m; cid = c.cid });
   let me = current_tid m in
   if c.owner <> me then charge m m.cost.read_miss;
   c.owner <- me;
@@ -418,9 +430,10 @@ let write c v =
   yield m
 
 let cas c ~expected ~desired =
-  let m = get () in
+  let cur = Domain.DLS.get current_machine in
+  let m = machine_of cur in
   check_corrupt c;
-  let site = Stats.take_site () in
+  let site = Stats.take_at cur.pending in
   let me = current_tid m in
   if c.owner <> me then charge m m.cost.read_miss;
   c.owner <- me;
@@ -431,18 +444,23 @@ let cas c ~expected ~desired =
   if ok then begin
     c.vol <- desired;
     mark_dirty m c;
-    record_event m (Ev_write { step = m.steps; tid = me; cid = c.cid })
+    if tracing m then
+      record_event m (Ev_write { step = m.steps; tid = me; cid = c.cid })
   end;
   yield m;
   ok
 
 let flush c =
-  let m = get () in
+  let cur = Domain.DLS.get current_machine in
+  let m = machine_of cur in
   check_corrupt c;
-  let site = Stats.take_site () in
+  let site = Stats.take_at cur.pending in
   Stats.record_flush m.stats ~site;
-  record_event m
-    (Ev_flush { step = m.steps; tid = current_tid m; cid = c.cid; site });
+  if tracing m then
+    record_event m
+      (Ev_flush
+         { step = m.steps; tid = current_tid m; cid = c.cid;
+           site = Stats.name site });
   let v = c.vol in
   if m.cost.flush_invalidates then c.invalid <- true;
   if cell_is_clean c then
@@ -472,10 +490,14 @@ let sleep m n =
   end
 
 let fence () =
-  let m = get () in
-  let site = Stats.take_site () in
+  let cur = Domain.DLS.get current_machine in
+  let m = machine_of cur in
+  let site = Stats.take_at cur.pending in
   Stats.record_fence m.stats ~site;
-  record_event m (Ev_fence { step = m.steps; tid = current_tid m; site });
+  if tracing m then
+    record_event m
+      (Ev_fence
+         { step = m.steps; tid = current_tid m; site = Stats.name site });
   (if m.running >= 0 then begin
      let th = m.by_tid.(m.running) in
      charge m
@@ -554,7 +576,8 @@ let maybe_evict m =
       let n = Dirty.size m.dirty in
       if n > 0 then begin
         let (Any_cell c) = Dirty.get m.dirty (Random.State.int m.rng n) in
-        record_event m (Ev_evict { step = m.steps; cid = c.cid });
+        if tracing m then
+          record_event m (Ev_evict { step = m.steps; cid = c.cid });
         persist_value m c c.vol;
         (* an eviction removes the line from the cache, so the next
            read must miss — exactly like the clwb-style flush paths,
@@ -612,7 +635,7 @@ let crash m =
 let () =
   Nvt_nvm.Memory.on_reclaim :=
     fun n ->
-      match Domain.DLS.get current_machine with
+      match (Domain.DLS.get current_machine).machine with
       | Some m -> retire m n
       | None -> ()
 

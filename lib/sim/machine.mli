@@ -39,9 +39,10 @@ type 'a cell
 type outcome = Completed | Crashed_at of int
 
 (** One entry of the bounded event trace (see {!set_trace}). Flush and
-    fence events carry the attribution site consumed by the counters
-    (see {!Nvt_nvm.Stats.set_site}); a successful CAS records a write
-    event. *)
+    fence events carry the name of the attribution site consumed by the
+    counters (see {!Nvt_nvm.Stats.take_site}), resolved from its id only
+    while a trace is installed; a successful CAS records a write event.
+    Without a trace no event is built at all. *)
 type event =
   | Ev_write of { step : int; tid : int; cid : int }
   | Ev_flush of { step : int; tid : int; cid : int; site : string }

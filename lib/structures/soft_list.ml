@@ -28,6 +28,9 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   module Pm = Nvt_nvm.Persist.Make (M)
   module G = Pm.Sited (P)
 
+  let insert_site = Nvt_nvm.Stats.intern "soft:persist_insert"
+  let delete_site = Nvt_nvm.Stats.intern "soft:persist_delete"
+
   type node = Tail | Node of inner
 
   and inner = {
@@ -69,7 +72,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     | Pinit as p ->
       ignore (M.cas n.pnode ~expected:p ~desired:(Pactive (n.key, n.value)))
     | Pactive _ | Pdeleted -> ());
-    G.persist "soft:persist_insert" n.pnode;
+    G.persist insert_site n.pnode;
     ignore (M.cas n.state ~expected:Intend_insert ~desired:Inserted)
 
   (* Set the mark bit on [n.next]; loops only while concurrent inserts
@@ -87,7 +90,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     (match M.read n.pnode with
     | Pactive _ as p -> ignore (M.cas n.pnode ~expected:p ~desired:Pdeleted)
     | Pinit | Pdeleted -> ());
-    G.persist "soft:persist_delete" n.pnode;
+    G.persist delete_site n.pnode;
     mark n
 
   (* ---------------- traversal ---------------- *)

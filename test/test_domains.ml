@@ -11,6 +11,8 @@
 
 module Machine = Nvt_sim.Machine
 module Suppress = Nvt_nvm.Suppress
+module Guard = Nvt_nvm.Guard
+module Stats = Nvt_nvm.Stats
 module Service = Nvt_service.Service
 module Runner = Nvt_service.Runner
 
@@ -25,9 +27,10 @@ let suppress_across_domains () =
         while Atomic.get ready < 2 do
           Domain.cpu_relax ()
         done;
-        let sees_mine = Suppress.flush_killed mine in
-        let sees_other = Suppress.flush_killed other in
-        let sees_other_fence = Suppress.fence_killed other in
+        let killed kind name = not (Guard.admit kind (Stats.intern name)) in
+        let sees_mine = killed Flush mine in
+        let sees_other = killed Flush other in
+        let sees_other_fence = killed Fence other in
         (sees_mine, sees_other, sees_other_fence, Suppress.skipped ()))
   in
   let d1 = spawn "site:a" "site:b" in
@@ -46,6 +49,7 @@ let suppress_across_domains () =
    machine must skip all its flushes, the other none, even though
    [advance_to] keeps switching the ambient context between them. *)
 let suppress_interleaved_machines () =
+  let t_flush = Stats.intern "t:flush" in
   let mk site =
     let m = Machine.create ~suppress:(Suppress.create ()) () in
     Machine.set_current m;
@@ -55,10 +59,7 @@ let suppress_interleaved_machines () =
       (Machine.spawn m (fun () ->
            for i = 1 to 5 do
              Machine.write c i;
-             if not (Suppress.flush_killed "t:flush") then begin
-               Nvt_nvm.Stats.set_site "t:flush";
-               Machine.flush c
-             end;
+             if Guard.admit Flush t_flush then Machine.flush c;
              Machine.fence ()
            done));
     m

@@ -16,6 +16,7 @@ module Stats = Nvt_nvm.Stats
 module Machine = Nvt_sim.Machine
 module Sim_mem = Nvt_sim.Memory
 module Workload = Nvt_workload.Workload
+module Runner = Nvt_service.Runner
 
 let run_flavour (f : I.flavour) =
   let scale = if f.key = "izraelevitz" then 0.1 else f.ops_scale in
@@ -253,6 +254,269 @@ let corrupt_read_consumes_site_tag () =
     Alcotest.fail "the fence after the raises must be attributed to [app]"
 
 (* ------------------------------------------------------------------ *)
+(* Golden per-site tables                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every site name with its exact flush, fence and CAS counts: an
+   interning, guard or attribution change that moves a single
+   instruction to another site (or drops one) fails here, where the
+   aggregate-only goldens of test_sched would not notice. *)
+type row = string * int * int * int
+
+let table st : row list =
+  List.map
+    (fun (n, (s : Stats.site)) -> (n, s.s_flushes, s.s_fences, s.s_cas))
+    (Stats.sites st)
+
+let list_structure = List.assoc "list" I.structures
+
+let nvt_set key =
+  match I.flavour "nvt" with
+  | Some f -> I.instantiate_flavour f key (List.assoc key I.structures)
+  | None -> assert false
+
+let golden_hash : row list =
+  [ ("app", 2048, 1024, 636);
+    ("nvt:make_persistent", 668, 1434, 0);
+    ("nvt:ensure_reachable", 1434, 0, 0);
+    ("nvt:return_fence", 0, 1408, 0);
+    ("nvt:crit_fence", 0, 636, 0);
+    ("nvt:crit_update", 636, 0, 0);
+    ("nvt:crit_flush", 570, 0, 0);
+    ("nvt:crit_read", 171, 0, 0) ]
+
+let golden_list : row list =
+  [ ("nvt:make_persistent", 859, 436, 0);
+    ("nvt:ensure_reachable", 436, 0, 0);
+    ("nvt:return_fence", 0, 432, 0);
+    ("app", 2, 1, 130);
+    ("nvt:crit_fence", 0, 130, 0);
+    ("nvt:crit_update", 130, 0, 0);
+    ("nvt:crit_flush", 126, 0, 0);
+    ("nvt:crit_read", 32, 0, 0) ]
+
+let golden_service : row list =
+  [ ("svc:ckpt_flush", 2315, 0, 0);
+    ("nvt:make_persistent", 763, 1500, 0);
+    ("nvt:ensure_reachable", 1500, 0, 0);
+    ("nvt:return_fence", 0, 1500, 0);
+    ("svc:ledger_flush", 1500, 0, 0);
+    ("svc:commit_flush", 598, 0, 0);
+    ("app", 0, 0, 531);
+    ("nvt:crit_fence", 0, 531, 0);
+    ("nvt:crit_update", 531, 0, 0);
+    ("svc:commit_fence", 0, 433, 0);
+    ("svc:ledger_fence", 0, 433, 0);
+    ("svc:ckpt_commit_fence", 0, 427, 0);
+    ("svc:ckpt_commit_flush", 427, 0, 0);
+    ("svc:ckpt_fence", 0, 427, 0);
+    ("nvt:crit_flush", 354, 0, 0);
+    ("nvt:crit_read", 177, 0, 0) ]
+
+(* Every registry flavour on a crashed list run: the izr, lp, flit,
+   soft and det wrappers each reach the guard through their own code. *)
+let golden_flavours : (string * row list) list =
+  [ ("volatile", [ ("app", 0, 0, 69) ]);
+    ("nvt",
+     [ ("nvt:make_persistent", 357, 183, 0);
+       ("nvt:ensure_reachable", 183, 0, 0);
+       ("nvt:return_fence", 0, 183, 0);
+       ("nvt:crit_flush", 92, 0, 0);
+       ("app", 2, 1, 66);
+       ("nvt:crit_fence", 0, 66, 0);
+       ("nvt:crit_update", 66, 0, 0);
+       ("nvt:crit_read", 10, 0, 0) ]);
+    ("izraelevitz",
+     [ ("izr:load", 6638, 6635, 0);
+       ("izr:alloc", 92, 92, 0);
+       ("izr:update", 63, 63, 0);
+       ("app", 0, 0, 63) ]);
+    ("lp",
+     [ ("nvt:make_persistent", 0, 184, 0);
+       ("nvt:return_fence", 0, 184, 0);
+       ("lp:drain", 0, 169, 0);
+       ("lp:flush", 169, 0, 0);
+       ("lp:mark_clean", 0, 0, 169);
+       ("app", 0, 1, 66);
+       ("nvt:crit_fence", 0, 66, 0) ]);
+    ("flit",
+     [ ("flit:racy_read", 219, 219, 0);
+       ("flit:alloc", 98, 98, 0);
+       ("flit:write_back", 72, 72, 0);
+       ("flit:install", 0, 0, 72);
+       ("flit:decrement", 0, 0, 71) ]);
+    ("soft",
+     [ ("app", 0, 0, 226);
+       ("soft:persist_insert", 57, 57, 0);
+       ("soft:persist_delete", 17, 17, 0) ]);
+    ("det",
+     [ ("nvt:make_persistent", 359, 184, 0);
+       ("det:announce", 95, 95, 0);
+       ("det:complete", 92, 92, 0);
+       ("nvt:ensure_reachable", 184, 0, 0);
+       ("nvt:return_fence", 0, 183, 0);
+       ("nvt:crit_flush", 92, 0, 0);
+       ("app", 2, 1, 66);
+       ("nvt:crit_fence", 0, 66, 0);
+       ("nvt:crit_update", 66, 0, 0);
+       ("nvt:crit_read", 10, 0, 0) ]) ]
+
+let pp_rows rows =
+  String.concat "; "
+    (List.map (fun (n, f, e, c) -> Printf.sprintf "%s %d/%d/%d" n f e c) rows)
+
+let check_table what expect got =
+  if got <> expect then
+    Alcotest.failf "%s site table diverged:\nexpected %s\ngot      %s" what
+      (pp_rows expect) (pp_rows got)
+
+let golden_site_tables () =
+  let hash =
+    Crashlab.run (nvt_set "hash")
+      { Crashlab.default_config with
+        threads = 64;
+        ops_per_thread = 20;
+        key_range = 256;
+        mix = Workload.updates ~pct:50;
+        eviction = Machine.Random_eviction 0.01 }
+  in
+  if hash.Crashlab.linearizable <> Ok () then Alcotest.fail "hash run failed";
+  check_table "nvt hash" golden_hash (table hash.Crashlab.stats);
+  let list =
+    Crashlab.run (nvt_set "list")
+      { Crashlab.default_config with mix = Workload.updates ~pct:30 }
+  in
+  check_table "nvt list" golden_list (table list.Crashlab.stats);
+  let svc =
+    Runner.run
+      { Runner.default_config with
+        requests = 1500;
+        checkpoint_interval = 4000;
+        plan = Some Nvt_nvm.Optimizer.no_opt }
+  in
+  if svc.Runner.violations <> [] || svc.Runner.checkpoints = 0 then
+    Alcotest.fail "service run must check out and checkpoint";
+  check_table "group-commit service" golden_service (table svc.Runner.stats);
+  List.iter
+    (fun (key, expect) ->
+      match I.flavour key with
+      | None -> Alcotest.failf "no flavour %s" key
+      | Some f ->
+        let r =
+          Crashlab.run
+            (I.instantiate_flavour f "list" list_structure)
+            { Crashlab.default_config with
+              threads = 3;
+              ops_per_thread = 40;
+              mix = Workload.updates ~pct:40;
+              crash_steps = [ 1500 ] }
+        in
+        check_table (key ^ " list") expect (table r.Crashlab.stats))
+    golden_flavours
+
+(* ------------------------------------------------------------------ *)
+(* Site registry                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let interning_is_idempotent () =
+  let a = Stats.intern "test:reg-a" in
+  Alcotest.(check int) "same name, same id" a (Stats.intern "test:reg-a");
+  Alcotest.(check string) "id names its site" "test:reg-a" (Stats.name a);
+  Alcotest.(check int) "app is pre-registered" Stats.app
+    (Stats.intern Stats.app_site);
+  if Stats.intern "test:reg-b" = a then
+    Alcotest.fail "two names share an id"
+
+(* Two domains register the same fresh names in opposite orders, both
+   released at once: each name must end up with exactly one id. *)
+let interning_across_domains () =
+  let names = List.init 32 (Printf.sprintf "test:dom-%02d") in
+  let go = Atomic.make false in
+  let spawn order =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        List.map (fun n -> (n, Stats.intern n)) order)
+  in
+  let d1 = spawn names and d2 = spawn (List.rev names) in
+  Atomic.set go true;
+  let ids1 = Domain.join d1 and ids2 = Domain.join d2 in
+  List.iter
+    (fun n ->
+      let i1 = List.assoc n ids1 and i2 = List.assoc n ids2 in
+      Alcotest.(check int) (n ^ ": one id on both domains") i1 i2;
+      Alcotest.(check string) (n ^ ": id names it") n (Stats.name i1))
+    names;
+  let ids = List.sort_uniq compare (List.map snd ids1) in
+  Alcotest.(check int) "distinct ids" (List.length names) (List.length ids)
+
+(* Site arrays grow on demand, so two records taken at different times
+   have different lengths; [diff] and [accumulate] must line them up by
+   id, in either direction. *)
+let arithmetic_across_lengths () =
+  let a = Stats.intern "test:len-a" in
+  let short = Stats.zero () in
+  Stats.record_flush short ~site:a;
+  Stats.record_flush short ~site:a;
+  let b = Stats.intern "test:len-b-fresh" in
+  let long = Stats.copy short in
+  Stats.record_fence long ~site:b;
+  Stats.record_cas long ~site:a ~ok:false;
+  if Array.length long.by_site <= Array.length short.by_site then
+    Alcotest.fail "setup: the later record must have the longer site array";
+  let d = Stats.diff ~after:long ~before:short in
+  check_table "diff, before shorter"
+    [ ("test:len-a", 0, 0, 1); ("test:len-b-fresh", 0, 1, 0) ]
+    (table d);
+  let back = Stats.copy short in
+  Stats.accumulate ~into:back d;
+  check_table "accumulate into the shorter" (table long) (table back);
+  Alcotest.(check int) "aggregates add up" long.flushes back.flushes;
+  let wide = Stats.zero () in
+  Stats.record_cas wide ~site:b ~ok:true;
+  Stats.accumulate ~into:wide short;
+  check_table "accumulate the shorter into the longer"
+    [ ("test:len-a", 2, 0, 0); ("test:len-b-fresh", 0, 0, 1) ]
+    (table wide);
+  let zeros = Stats.diff ~after:wide ~before:wide in
+  if Array.length zeros.by_site <= Array.length short.by_site then
+    Alcotest.fail "setup: the zero record must have the longer site array";
+  check_table "diff, before longer" (table short)
+    (table (Stats.diff ~after:short ~before:zeros))
+
+(* ------------------------------------------------------------------ *)
+(* Tracing must not perturb                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The machine skips building events when no tracer is installed; with
+   one installed it builds them and resolves site names. Neither may
+   change what runs: a crashed crashlab run must produce the same
+   history, site table and schedule length either way. *)
+let tracing_does_not_perturb () =
+  let run trace_capacity =
+    Crashlab.run (nvt_set "hash")
+      { Crashlab.default_config with
+        threads = 8;
+        ops_per_thread = 40;
+        mix = Workload.updates ~pct:50;
+        eviction = Machine.Random_eviction 0.01;
+        crash_steps = [ 900 ];
+        trace_capacity }
+  in
+  let plain = run 0 and traced = run 64 in
+  Alcotest.(check int) "crash fired" 1 traced.Crashlab.crashes_fired;
+  if traced.Crashlab.trace = [] || plain.Crashlab.trace <> [] then
+    Alcotest.fail "only the traced run records events";
+  if plain.Crashlab.history <> traced.Crashlab.history then
+    Alcotest.fail "tracing changed the history";
+  check_table "traced vs untraced" (table plain.Crashlab.stats)
+    (table traced.Crashlab.stats);
+  Alcotest.(check int) "same steps" plain.Crashlab.steps traced.Crashlab.steps;
+  Alcotest.(check int) "same makespan" plain.Crashlab.makespan
+    traced.Crashlab.makespan
+
+(* ------------------------------------------------------------------ *)
 (* Regression: throughput op budget                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -347,8 +611,8 @@ let json_emitter () =
          ("d", Json.List [ Json.Obj [ ("x", Json.Float 0.5) ] ]) ]);
   (* the shared site-table emitter *)
   let st = Stats.zero () in
-  Stats.record_flush st ~site:"nvt:make_persistent";
-  Stats.record_fence st ~site:"nvt:return_fence";
+  Stats.record_flush st ~site:(Stats.intern "nvt:make_persistent");
+  Stats.record_fence st ~site:(Stats.intern "nvt:return_fence");
   check "site table"
     {|[{"site":"nvt:make_persistent","flushes":1,"fences":0,"cas":0},{"site":"nvt:return_fence","flushes":0,"fences":1,"cas":0}]|}
     (Json.sites st)
@@ -397,6 +661,15 @@ let suite =
       reachable_crash_fires;
     Alcotest.test_case "corrupt read consumes the pending site tag" `Quick
       corrupt_read_consumes_site_tag;
+    Alcotest.test_case "golden per-site tables" `Quick golden_site_tables;
+    Alcotest.test_case "site interning is idempotent" `Quick
+      interning_is_idempotent;
+    Alcotest.test_case "domains intern one id per name" `Quick
+      interning_across_domains;
+    Alcotest.test_case "diff and accumulate across array lengths" `Quick
+      arithmetic_across_lengths;
+    Alcotest.test_case "tracing does not perturb a crashed run" `Quick
+      tracing_does_not_perturb;
     Alcotest.test_case "throughput runs exactly total_ops" `Quick
       throughput_runs_exactly_total_ops;
     Alcotest.test_case "json emitter" `Quick json_emitter;
