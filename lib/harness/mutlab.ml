@@ -302,8 +302,7 @@ let run_attack (module S : SET) (a : attack) : string option =
     | Window { wseed; s0; t1 } -> window_run (module S) ~wseed ~s0 ~t1
     | Svc_crash _ ->
       invalid_arg
-        "Mutlab.run_attack: service attacks replay through \
-         Nvt_service.Svclab.run_attack"
+        "Mutlab.run_attack: service attacks run in Nvt_service.Svclab"
   in
   match outcome with
   | `Violation d -> Some d

@@ -1,0 +1,86 @@
+(** The service's exactly-once oracle. Plain OCaml state, so it survives
+    simulated crashes, and no machine: every check can be fed by hand.
+
+    It checks that every request is acknowledged exactly once and never
+    applied after its acknowledgement; that at every recovered quiescent
+    point each acknowledgement lies inside its shard's recovered commit
+    extent (and, in detect mode, answers [Completed]); that the final
+    store equals a replay of the durable state in which every
+    acknowledged request committed exactly once; on crash-free runs,
+    that the replay reproduces every result and each request was applied
+    once; and, in the audit phase, that every client's last acknowledged
+    request re-sent is answered from the ledger, unchanged. *)
+
+type arrival = { a_client : int; a_seq : int; a_op : Service.op; a_time : int }
+
+type t
+
+val create : clients:int -> arrival array -> t
+(** The oracle for a run whose [clients] sessions issue exactly these
+    requests. *)
+
+val violations : t -> string list
+(** In the order recorded: the first 32, then, if there were more, one
+    ["… and N more violations"] entry. Empty iff every check held. *)
+
+(** {1 Events, in merge order} *)
+
+val apply : t -> Service.request -> unit
+val commit : t -> Service.request -> shard:int -> slot:int -> unit
+(** [shard] is the global shard. *)
+
+val ack :
+  t -> Service.request -> Service.result -> dedup:bool -> time:int -> bool
+(** [true] iff this is the request's first acknowledgement outside the
+    audit phase: its client may issue its next request. *)
+
+(** {1 Checks} *)
+
+val check_recovered :
+  t ->
+  Service.durable array ->
+  status:
+    (client:int -> seq:int -> Service.op -> Nvt_nvm.Detectable.status) option ->
+  unit
+(** At a recovered quiescent point, given each global shard's durable
+    state and, in detect mode, the status query. *)
+
+val check_final :
+  t ->
+  invariant:string option ->
+  crash_free:bool ->
+  prefill:int list ->
+  durable:Service.durable array ->
+  contents:(int * int) list ->
+  unit
+(** On the final state: the failed structural invariant (if any),
+    whether no era crash fired, the prefilled keys, each global shard's
+    durable state and the stores' contents. *)
+
+val stall : t -> in_recovery:bool -> watchdog:int -> unit
+(** The watchdog fired after [watchdog] steps. *)
+
+val stalled : t -> bool
+(** A stall outside the audit phase: the final checks and the audit do
+    not apply. *)
+
+(** {1 The audit phase} *)
+
+val start_audit : t -> Service.request list
+(** Enter the audit phase; returns the re-sends in client order. *)
+
+val auditing : t -> bool
+
+val settled : t -> bool
+(** Every request acknowledged — in the audit phase, every re-send
+    answered. *)
+
+(** {1 Counts} *)
+
+val acked : t -> int
+val applies : t -> int
+val dedup_acks : t -> int
+val audit_acks : t -> int
+
+val latencies : t -> int array
+(** Arrival-to-acknowledgement latencies, in acknowledgement order. *)

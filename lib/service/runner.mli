@@ -1,13 +1,14 @@
 (** Open-loop load harness and crash laboratory for {!Service}: Poisson
     arrivals over sequential client sessions, crash/recover eras with
-    client re-send, an exactly-once oracle, and latency percentiles in
-    simulated time.
+    client re-send, the exactly-once {!Oracle}, and latency percentiles
+    in simulated time. One barrier driver advances eras, recovery passes
+    and the audit alike.
 
     The service's shards are striped over [domains] groups, each a
     {!Service} slice on its own {!Nvt_sim.Machine} running on its own
-    OCaml domain; the main domain merges their apply/ack streams,
-    drives client sessions and fires crashes at virtual-time barriers
-    every [merge_epoch] units. Crash-free runs produce the same
+    OCaml domain; the main domain merges their event streams, drives
+    client sessions and fires crashes at virtual-time barriers every
+    [merge_epoch] units. Crash-free runs produce the same
     per-shard apply histories and oracle verdict for every domain
     count, provided each machine's working set fits the cost model's
     [capacity_lines] (above it the per-machine working-set model
@@ -33,7 +34,6 @@ type config = {
   eviction : Nvt_sim.Machine.eviction;
   watchdog : int;
       (** max aggregate steps per era before a stall is declared *)
-  audit : bool;  (** re-send every client's last acked request at end *)
   domains : int;
       (** shard groups on real OCaml domains; clamped to [shards].
           Default 1: everything on the calling domain. *)
@@ -51,8 +51,7 @@ type config = {
       (** Optimizer plan installed on every machine's own context
           (worker domains never see the main domain's ambient plan, and
           a shared context would race its counters across domains).
-          [None] (the default) inherits the calling domain's ambient
-          plan, so wrapping [run] in {!Nvt_nvm.Optimizer.set} works. *)
+          [None] (the default): no plan. *)
   multi_pct : int;
       (** percentage of requests issued as same-shard
           {!Service.Multi_put} batches (default 0: none, and the
@@ -107,7 +106,8 @@ type report = {
   stats : Nvt_nvm.Stats.t;
       (** main-run window: prefill and the audit pass excluded *)
   violations : string list;
-      (** empty iff exactly-once semantics held (and nothing stalled) *)
+      (** empty iff exactly-once semantics held (and nothing stalled);
+          see {!Oracle.violations} *)
   histories : (int * int) list array;
       (** per global shard, the (client, seq) apply order of the main
           run — the determinism tests compare these across domain

@@ -59,8 +59,8 @@
    store to recover through its own policy. Re-sent requests whose
    record is committed are answered from the table without touching
    the store — exactly-once acknowledgement. {!spawn_recovery} runs
-   the same per-shard recovery as simulated threads, so shards recover
-   in parallel and recovery consumes measurable virtual time. *)
+   each shard's recovery as a simulated thread, so shards recover in
+   parallel and recovery consumes measurable virtual time. *)
 
 module Machine = Nvt_sim.Machine
 module Sim_mem = Nvt_sim.Memory
@@ -222,7 +222,6 @@ type t = {
   mutable on_commit : request -> shard:int -> slot:int -> unit;
   policy_recover : unit -> unit;
   svc_fence : Stats.id -> unit;
-  poll_quantum : int;
   detect : bool;  (* descriptor-based recovery instead of log replay *)
   desc_put : int -> desc_rec -> unit;  (* client -> record; write+flush *)
   desc_reset : unit -> unit;  (* begin_recovery: clear the kept table *)
@@ -371,7 +370,7 @@ let shard_of t k =
 
 let global_of_local t i = t.group + (i * t.stride)
 
-let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
+let create ?(slice = (0, 1)) ?commit_interval
     ?(checkpoint = 0) ?(detect = false) ~structure ~(flavour : I.flavour)
     ~shards:n ~mode () =
   if n < 1 then invalid_arg "service: shards must be >= 1";
@@ -489,7 +488,6 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
     on_commit = (fun _ ~shard:_ ~slot:_ -> ());
     policy_recover = L.recover;
     svc_fence;
-    poll_quantum;
     detect;
     desc_put;
     desc_reset;
@@ -705,6 +703,9 @@ let process t shard_ix req =
     | Per_op -> commit t [ it ]
     | Group _ -> Queue.push it t.pending)
 
+(* The timed wait an idle worker sleeps between queue polls. *)
+let poll_quantum = 100
+
 let worker t shard_ix () =
   let m = Machine.get () in
   let sh = t.shards.(shard_ix) in
@@ -728,7 +729,7 @@ let worker t shard_ix () =
     | None ->
       maybe_ckpt ();
       if not t.stop then begin
-        Machine.sleep m t.poll_quantum;
+        Machine.sleep m poll_quantum;
         loop ()
       end
   in
@@ -860,15 +861,10 @@ let recover_shard t si =
   sh.store.st_reconcile
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.mirror [])
 
-let recover t =
-  begin_recovery t;
-  Array.iteri (fun si _ -> recover_shard t si) t.shards
-
-(* Parallel recovery: the same work as {!recover}, but each shard's
-   pass runs as a simulated thread, so shards of one slice recover
-   concurrently, slices on different domains recover in parallel, and
-   recovery's reads consume measurable virtual time. Drive the machine
-   to completion (or the next crash) afterwards. *)
+(* Recovery: each shard's pass runs as a simulated thread, so shards of
+   one slice recover concurrently, slices on different domains recover
+   in parallel, and recovery's reads consume measurable virtual time.
+   Drive the machine to completion (or the next crash) afterwards. *)
 let spawn_recovery t m =
   begin_recovery t;
   Array.iteri
@@ -887,25 +883,12 @@ let contents t =
 let check_invariants t =
   Array.iter (fun sh -> sh.store.st_check ()) t.shards
 
-(* The retained committed log of each shard — the suffix starting at
-   the shard's checkpoint base — in log order. *)
-let committed_log t =
-  Array.map
-    (fun sh ->
-      (* a suppressed commit site can leave the recovered index below a
-         committed checkpoint's base; the retained suffix is then empty
-         (everything below base is snapshot-covered), not negative *)
-      List.init (max 0 (sh.committed - sh.base)) (fun i ->
-          sh.ledger.read_entry (sh.base + i)))
-    t.shards
-
 let committed_total t =
   Array.fold_left (fun acc sh -> acc + sh.committed) 0 t.shards
 
 let checkpoints_taken t = t.ckpt_count
 let truncated_slots t = t.truncated
 let replayed_slots t = t.replayed
-let detect_enabled t = t.detect
 
 (* Status query for a (client, seq) this slice has seen — what a
    re-connecting client may conclude without re-sending. [Completed]:
@@ -931,16 +914,36 @@ let op_status t ~client ~seq : Nvt_nvm.Detectable.status * result option =
        else Nvt_nvm.Detectable.Unknown),
       None )
 
-let checkpoint_state t =
+type durable = {
+  dv_base : int;
+  dv_pairs : (int * int) list;
+  dv_covered : (int * int) list;
+  dv_log : entry list;
+}
+
+(* Each shard's durable state, read back through the ledger: the
+   committed checkpoint, then the retained committed log — the suffix
+   starting at the shard's checkpoint base — in log order. *)
+let durable_state t =
   Array.map
     (fun sh ->
-      match sh.ledger.read_ckpt () with
-      | None -> (0, [], [])
-      | Some (upto, pairs, dedup) ->
-        ( upto,
-          Array.to_list pairs,
-          Array.to_list dedup
-          |> List.map (fun kd -> (kd.k_client, kd.k_seq)) ))
+      let dv_base, dv_pairs, dv_covered =
+        match sh.ledger.read_ckpt () with
+        | None -> (0, [], [])
+        | Some (upto, pairs, dedup) ->
+          ( upto,
+            Array.to_list pairs,
+            Array.to_list dedup |> List.map (fun kd -> (kd.k_client, kd.k_seq))
+          )
+      in
+      (* a suppressed commit site can leave the recovered index below a
+         committed checkpoint's base; the retained suffix is then empty
+         (everything below base is snapshot-covered), not negative *)
+      let dv_log =
+        List.init (max 0 (sh.committed - sh.base)) (fun i ->
+            sh.ledger.read_entry (sh.base + i))
+      in
+      { dv_base; dv_pairs; dv_covered; dv_log })
     t.shards
 
 (* Test hook: forge committed ledger entries (setup mode), durably, as

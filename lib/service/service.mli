@@ -75,7 +75,6 @@ val global_shard : shards:int -> int -> int
     and by the parallel runner's request router. *)
 
 val create :
-  ?poll_quantum:int ->
   ?slice:int * int ->
   ?commit_interval:int ->
   ?checkpoint:int ->
@@ -87,8 +86,7 @@ val create :
   unit ->
   t
 (** Build the shards and their ledgers on the current machine (call in
-    setup mode). [poll_quantum] is the timed-wait length idle threads
-    sleep between queue polls (default 100).
+    setup mode).
 
     [slice] is [(group, stride)] with [0 <= group < stride]: build only
     the local instance of a service whose [shards] global shards are
@@ -139,19 +137,16 @@ val submit : t -> request -> unit
 
 val request_stop : t -> unit
 
-val recover : t -> unit
-(** After {!Nvt_sim.Machine.run} returned [Crashed_at]: run the
-    policy's and every shard store's recovery, truncate each ledger to
-    its durable commit index (retiring the dropped cells), restore the
-    checkpoint snapshot, rebuild the deduplication table from the
-    remaining committed suffix. Sequential, in setup mode. *)
-
 val spawn_recovery : t -> Nvt_sim.Machine.t -> unit
-(** The same recovery, but each shard's pass spawned as a simulated
-    thread: shards recover concurrently and the reads consume virtual
-    time. Drive the machine (e.g. {!Nvt_sim.Machine.advance_to}) until
-    it completes — or crashes, in which case calling [spawn_recovery]
-    again restarts recovery from the durable state. *)
+(** After a crash: run the policy's and every shard store's recovery,
+    truncate each ledger to its durable commit index (retiring the
+    dropped cells), restore the checkpoint snapshot, and rebuild the
+    deduplication table from the remaining committed suffix. Each
+    shard's pass is spawned as a simulated thread: shards recover
+    concurrently and the reads consume virtual time. Drive the machine
+    (e.g. {!Nvt_sim.Machine.run} or {!Nvt_sim.Machine.advance_to})
+    until it completes — or crashes, in which case calling
+    [spawn_recovery] again restarts recovery from the durable state. *)
 
 val set_on_apply : t -> (request -> result -> unit) -> unit
 (** Called on the worker after a request was applied to a shard store
@@ -180,11 +175,6 @@ val global_of_local : t -> int -> int
 val contents : t -> (int * int) list
 val check_invariants : t -> unit
 
-val committed_log : t -> entry list array
-(** Per shard, the {e retained} committed records in log order: the
-    suffix from the shard's checkpoint base (slot 0 when no checkpoint
-    committed) to its commit index. *)
-
 val committed_total : t -> int
 (** Sum of the shards' commit indices (absolute: includes slots whose
     cells a checkpoint has since truncated away). *)
@@ -194,9 +184,6 @@ val checkpoints_taken : t -> int
 
 val truncated_slots : t -> int
 (** Log slots dropped (and their cells retired) by checkpoints. *)
-
-val detect_enabled : t -> bool
-(** Whether this instance was created with [?detect:true]. *)
 
 val op_status :
   t -> client:int -> seq:int -> Nvt_nvm.Detectable.status * result option
@@ -215,12 +202,17 @@ val replayed_slots : t -> int
     checkpoint, without it each pass replays the whole committed
     log. *)
 
-val checkpoint_state : t -> (int * (int * int) list * (int * int) list) array
-(** Per local shard, the durably committed checkpoint:
-    [(base, pairs, covered)] where [base] is the first retained log
-    slot ([0] if no checkpoint committed), [pairs] the snapshot's
-    (key, value) store contents and [covered] its (client, seq) dedup
-    records. The runner's oracle seeds its replay model from this. *)
+type durable = {
+  dv_base : int;  (** the checkpoint's cut; [0] if none committed *)
+  dv_pairs : (int * int) list;  (** the snapshot's (key, value) pairs *)
+  dv_covered : (int * int) list;  (** its (client, seq) dedup records *)
+  dv_log : entry list;
+      (** the {e retained} committed records from [dv_base] on *)
+}
+
+val durable_state : t -> durable array
+(** Per local shard, the durable state read back through the ledger:
+    what recovery restores and replays, and what the oracle checks. *)
 
 val inject_committed : t -> entry list -> unit
 (** Test hook (setup mode): forge entries into the committed log —

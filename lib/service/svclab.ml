@@ -29,17 +29,19 @@ module I = Nvt_harness.Instances
    windows), and the audit pass on so lost acknowledged state surfaces
    even when the crash point lands after the last commit. The watchdog
    is tight: a mutation that wedges recovery in a resend loop is a
-   kill, not a hang. *)
-let config ~structure ~policy ~seed =
+   kill, not a hang. The combo under test and its optimizer plan travel
+   in this config; every run below overrides only the seed and the
+   crash thresholds. *)
+let config ~structure ~policy ~plan =
   { Runner.default_config with
     structure;
     flavour = policy;
+    plan;
     (* the det combo runs the service's own detectable recovery, so the
        svc:desc_ sites are exercised and the runner's op_status oracle
        is armed; the store-level det:announce/det:complete sites are
        the structure battery's targets, like every policy site *)
     detect = policy = "det";
-    seed;
     shards = 2;
     clients = 6;
     requests = 80;
@@ -56,20 +58,11 @@ let config ~structure ~policy ~seed =
     merge_epoch = 25;
     watchdog = 250_000 }
 
-(* run_attack is the public replay entry point, so the combo under test
-   travels in ambient state rather than in the (shared) attack type. *)
-let attack_structure = ref "hash"
-let attack_policy = ref "nvt"
-
-let set_combo ~structure ~policy =
-  attack_structure := structure;
-  attack_policy := policy
-
-(* Run one recorded attack under whatever suppression is active (so a
-   kill replays with [Suppress.set (Some site)] around this call, like
-   {!Mutlab.run_attack}). [Some detail] is a durability violation:
-   either the runner's oracle/watchdog reported one, or recovery died
-   on a corrupt cell or a structural failure.
+(* Run one attack against the combo [cfg] under whatever suppression
+   is active (so a kill replays with [Suppress.set (Some site)] around
+   this call, like {!Mutlab.run_attack}). [Some detail] is a durability
+   violation: either the runner's oracle/watchdog reported one, or
+   recovery died on a corrupt cell or a structural failure.
 
    A single-crash [Svc_crash] fires as a {e repeated} era threshold:
    the service crashes every [crash_step] aggregate steps, six times.
@@ -81,12 +74,13 @@ let set_combo ~structure ~policy =
    stays a single era so the recovery-pass threshold is exact. *)
 let crash_repeats = 6
 
-let run_attack (a : Mutlab.attack) : string option =
+let attack (cfg : Runner.config) (a : Mutlab.attack) : string option =
   match a with
   | Mutlab.Svc_crash { seed; crash_step; recovery_step } -> (
     let cfg =
-      { (config ~structure:!attack_structure ~policy:!attack_policy ~seed) with
-        Runner.crash_steps =
+      { cfg with
+        seed;
+        crash_steps =
           (match recovery_step with
           | Some _ -> [ crash_step ]
           | None -> List.init crash_repeats (fun _ -> crash_step));
@@ -99,11 +93,11 @@ let run_attack (a : Mutlab.attack) : string option =
       Some
         (Printf.sprintf "corrupt read of cell %d during service recovery" cid)
     | exception Failure msg -> Some ("service failure: " ^ msg))
-  | _ -> invalid_arg "Svclab.run_attack: not a service attack"
+  | _ -> invalid_arg "Svclab.attack: not a service attack"
 
 (* One crash-free run: the probe. Returns (aggregate steps, stats). *)
-let probe ~structure ~policy ~seed =
-  let r = Runner.run (config ~structure ~policy ~seed) in
+let probe (cfg : Runner.config) ~seed =
+  let r = Runner.run { cfg with seed } in
   (match r.violations with
   | [] -> ()
   | v :: _ -> failwith ("svclab probe run violated intact: " ^ v));
@@ -116,7 +110,7 @@ let probe ~structure ~policy ~seed =
    recovery pass. Deep scale's crash_points = 0 means "every step" for
    the structure battery; a service run is three orders of magnitude
    longer, so it caps at a denser stride instead. *)
-let sweep ~structure ~policy (sc : Mutlab.scale) :
+let sweep cfg (sc : Mutlab.scale) :
     (Mutlab.attack * string) option * int =
   let points = if sc.crash_points = 0 then 96 else sc.crash_points in
   let runs = ref 0 in
@@ -124,7 +118,7 @@ let sweep ~structure ~policy (sc : Mutlab.scale) :
   let try_ a =
     if !kill = None then begin
       incr runs;
-      match run_attack a with
+      match attack cfg a with
       | Some d -> kill := Some (a, d)
       | None -> ()
     end
@@ -132,7 +126,7 @@ let sweep ~structure ~policy (sc : Mutlab.scale) :
   let mid = ref 1000 in
   for seed = 0 to sc.crash_seeds - 1 do
     if !kill = None then begin
-      let steps, _ = probe ~structure ~policy ~seed in
+      let steps, _ = probe cfg ~seed in
       if seed = 0 then mid := steps / 2;
       let stride = max 1 (steps / points) in
       let step = ref (1 + (11 * seed mod stride)) in
@@ -169,7 +163,7 @@ let svc_sites (st : Stats.t) =
          else None)
   |> List.sort compare
 
-let classify_site (sc : Mutlab.scale) ~structure ~policy ~site ~flushes
+let classify_site (sc : Mutlab.scale) (cfg : Runner.config) ~site ~flushes
     ~fences : Mutlab.site_report =
   Suppress.set (Some site);
   Fun.protect
@@ -177,9 +171,9 @@ let classify_site (sc : Mutlab.scale) ~structure ~policy ~site ~flushes
     (fun () ->
       (* measured instruction delta: one crash-free run under
          suppression before the battery *)
-      ignore (probe ~structure ~policy ~seed:0);
+      ignore (probe cfg ~seed:0);
       let skipped_flushes, skipped_fences = Suppress.skipped () in
-      let kill, runs = sweep ~structure ~policy sc in
+      let kill, runs = sweep cfg sc in
       let verdict =
         match kill with
         | Some (attack, detail) ->
@@ -187,15 +181,15 @@ let classify_site (sc : Mutlab.scale) ~structure ~policy ~site ~flushes
         | None ->
           Mutlab.Unkilled
             { expected =
-                Mutlab.expectation ~policy
-                  ~structure:(svc_prefix ^ structure) ~site }
+                Mutlab.expectation ~policy:cfg.flavour
+                  ~structure:(svc_prefix ^ cfg.structure) ~site }
       in
       { Mutlab.site; flushes; fences; skipped_flushes; skipped_fences; runs;
         verdict })
 
 let run_combo (sc : Mutlab.scale) ?plan ~structure ~policy () :
     Mutlab.flavour_report =
-  set_combo ~structure ~policy;
+  let cfg = config ~structure ~policy ~plan in
   let fl =
     match I.flavour policy with
     | Some f -> f
@@ -207,51 +201,33 @@ let run_combo (sc : Mutlab.scale) ?plan ~structure ~policy () :
     | Some p when Pol.durable -> p.elide
     | _ -> []
   in
-  let with_plan fn =
-    match plan with
-    | None -> fn ()
-    | Some p ->
-      Nvt_nvm.Optimizer.set (Some p);
-      Fun.protect ~finally:(fun () -> Nvt_nvm.Optimizer.set None) fn
-  in
-  with_plan @@ fun () ->
   let probe_steps, probe_stats =
-    let steps, st = probe ~structure ~policy ~seed:0 in
+    let steps, st = probe cfg ~seed:0 in
     (steps, Stats.copy st)
   in
-  if not Pol.durable then
-    { Mutlab.structure = svc_prefix ^ structure;
-      policy;
-      durable = false;
-      probe_steps;
-      probe_stats;
-      control_runs = 0;
-      control_failure = None;
-      sites = [];
-      elided }
-  else begin
-    let control_failure, control_runs = sweep ~structure ~policy sc in
-    let site_counts = Stats.sites probe_stats in
-    let sites =
-      List.map
-        (fun site ->
-          let { Stats.s_flushes; s_fences; _ } =
-            List.assoc site site_counts
-          in
-          classify_site sc ~structure ~policy ~site ~flushes:s_flushes
-            ~fences:s_fences)
-        (svc_sites probe_stats)
-    in
-    { Mutlab.structure = svc_prefix ^ structure;
-      policy;
-      durable = true;
-      probe_steps;
-      probe_stats;
-      control_runs;
-      control_failure;
-      sites;
-      elided }
-  end
+  (* a volatile policy has no sites to prove: its row records the probe *)
+  let (control_failure, control_runs), sites =
+    if not Pol.durable then ((None, 0), [])
+    else begin
+      let control = sweep cfg sc in
+      let site_counts = Stats.sites probe_stats in
+      ( control,
+        List.map
+          (fun site ->
+            let { Stats.s_flushes; s_fences; _ } = List.assoc site site_counts in
+            classify_site sc cfg ~site ~flushes:s_flushes ~fences:s_fences)
+          (svc_sites probe_stats) )
+    end
+  in
+  { Mutlab.structure = svc_prefix ^ structure;
+    policy;
+    durable = Pol.durable;
+    probe_steps;
+    probe_stats;
+    control_runs;
+    control_failure;
+    sites;
+    elided }
 
 let run ?(policies = []) ?optimize (sc : Mutlab.scale) :
     Mutlab.flavour_report list =

@@ -24,14 +24,5 @@ val run :
     derives for its {e store}'s structure x policy — svc commit sites
     are proven necessary and never planned — so the battery doubles as
     the service-scale durability proof of the optimized configuration.
-    Raises [Failure] if an intact probe run reports a violation. *)
-
-val set_combo : structure:string -> policy:string -> unit
-(** Select the combo {!run_attack} replays against. {!run} sets it as
-    it goes; set it explicitly before standalone replays. *)
-
-val run_attack : Nvt_harness.Mutlab.attack -> string option
-(** Replay one recorded [Svc_crash] attack against the current combo,
-    under whatever suppression is active — [Some detail] is a
-    durability violation. Raises [Invalid_argument] on non-service
-    attacks. *)
+    The plan reaches the runner in its config's [plan] field. Raises
+    [Failure] if an intact probe run reports a violation. *)

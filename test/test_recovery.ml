@@ -171,6 +171,13 @@ let svc_base =
     update_pct = 60;
     watchdog = 1_000_000 }
 
+(* Run the service's recovery to completion on [m]. *)
+let svc_recover svc m =
+  Svc.spawn_recovery svc m;
+  match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "service recovery crashed"
+
 let svc_clean name (r : Runner.report) =
   match r.violations with
   | [] -> ()
@@ -237,7 +244,7 @@ let checkpoint_truncation_bounds_live_cells () =
     if cycle mod 2 = 1 then begin
       Machine.set_crash_at_step m (Machine.steps m + 400);
       match Machine.run m with
-      | Machine.Crashed_at _ -> Svc.recover svc
+      | Machine.Crashed_at _ -> svc_recover svc m
       | Machine.Completed -> Machine.clear_crash m
     end
     else begin
@@ -285,7 +292,7 @@ let dedup_rebuild_last_committed_wins () =
         [ { Svc.e_client = 5; e_seq = 3; e_op = Svc.Put (1, 1); e_res = first };
           { Svc.e_client = 5; e_seq = 3; e_op = Svc.Put (1, 1); e_res = second }
         ];
-      Svc.recover svc;
+      svc_recover svc m;
       let answer = ref None in
       Svc.set_on_ack svc (fun req res ~dedup ->
           if dedup && req.Svc.client = 5 && req.Svc.seq = 3 then

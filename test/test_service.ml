@@ -10,6 +10,7 @@
 module Machine = Nvt_sim.Machine
 module Service = Nvt_service.Service
 module Runner = Nvt_service.Runner
+module Oracle = Nvt_service.Oracle
 module Stats = Nvt_nvm.Stats
 
 let base =
@@ -242,7 +243,7 @@ let detect_exactly_once () =
    unseen, so the same query answers [Unknown]; and a durably committed
    entry answers [Completed] with its recorded result after recovery. *)
 let detect_status_query () =
-  let _m = Machine.create ~seed:1 () in
+  let m = Machine.create ~seed:1 () in
   let fl =
     match Nvt_harness.Instances.flavour "nvt" with
     | Some f -> f
@@ -254,8 +255,6 @@ let detect_status_query () =
       ~flavour:fl ~shards:1 ~mode:Service.Per_op ()
   in
   let sd = mk true and sn = mk false in
-  Alcotest.(check bool) "detect_enabled" true (Service.detect_enabled sd);
-  Alcotest.(check bool) "not detect_enabled" false (Service.detect_enabled sn);
   let name (st, _) = Nvt_nvm.Detectable.status_name st in
   Alcotest.(check string)
     "detect: unseen request is not-applied" "not-applied"
@@ -266,7 +265,10 @@ let detect_status_query () =
   Service.inject_committed sd
     [ { Service.e_client = 3; e_seq = 0; e_op = Service.Put (1, 1);
         e_res = Service.Done true } ];
-  Service.recover sd;
+  Service.spawn_recovery sd m;
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "recovery crashed");
   (match Service.op_status sd ~client:3 ~seq:0 with
   | Nvt_nvm.Detectable.Completed, Some (Service.Done true) -> ()
   | st, _ ->
@@ -291,6 +293,325 @@ let latency_sane () =
     Alcotest.failf "percentiles out of order: p50=%d p95=%d p99=%d max=%d"
       l.p50 l.p95 l.p99 l.lmax
 
+(* Golden runner reports, recorded before the runner was split into an
+   arrival schedule, an oracle and one barrier driver: the exact
+   [pp_report] text (trailing blanks and newline trimmed) and an MD5 of the
+   per-shard apply histories of four runs — group commit with
+   checkpoints, per-op commit on two domains with three era crashes and
+   a recovery crash, the det policy with detectable recovery under
+   crashes, and the volatile negative control with its violation. A
+   change to the runner that is meant to preserve behaviour must leave
+   all four byte-identical. *)
+let golden_reports =
+  [
+    ( "group-ckpt",
+      (fun () ->
+        { base with
+          mode = Service.Group { timeout = 1500 };
+          checkpoint_interval = 1500 }),
+      "5e8c8c2997aee0118cbedbb5486916d0",
+      {|service hash/nvt shards=3 domains=1 clients=8 mode=group1500 dist=zipf(0.99)
+  acked 120/120  applies 120  resent 0  dedup 0  audit 8
+  crashes 0/0  eras 1  steps 4319  makespan 93082
+  checkpoints 52  truncated 120  recovery crashes 0/0
+  latency p50 30912  p95 65289  p99 78018  max 80948  mean 31888.0
+  fences/op 4.050  flushes/op 5.767  committed 120
+  reads=399 writes=120 cas=56 cas_fail=0 flushes=692 fences=486 allocs=312
+  sites:
+    nvt:make_persistent      flushes=65     fences=120    cas=0
+    svc:ckpt_flush           flushes=156    fences=0      cas=0
+    nvt:ensure_reachable     flushes=120    fences=0      cas=0
+    nvt:return_fence         flushes=0      fences=120    cas=0
+    svc:ledger_flush         flushes=120    fences=0      cas=0
+    svc:commit_flush         flushes=68     fences=0      cas=0
+    app                      flushes=0      fences=0      cas=56
+    nvt:crit_fence           flushes=0      fences=56     cas=0
+    nvt:crit_update          flushes=56     fences=0      cas=0
+    svc:ckpt_commit_fence    flushes=0      fences=52     cas=0
+    svc:ckpt_commit_flush    flushes=52     fences=0      cas=0
+    svc:ckpt_fence           flushes=0      fences=52     cas=0
+    svc:commit_fence         flushes=0      fences=43     cas=0
+    svc:ledger_fence         flushes=0      fences=43     cas=0
+    nvt:crit_flush           flushes=36     fences=0      cas=0
+    nvt:crit_read            flushes=19     fences=0      cas=0
+  exactly-once: OK|} );
+    ( "per-op-crashes",
+      (fun () ->
+        { base with
+          mode = Service.Per_op;
+          domains = 2;
+          crash_steps = [ 900; 800; 700 ];
+          recovery_crashes = [ 40 ] }),
+      "e7b5bca424d4d7850c51213d41078226",
+      {|service hash/nvt shards=3 domains=2 clients=8 mode=per_op dist=zipf(0.99)
+  acked 120/120  applies 121  resent 16  dedup 1  audit 8
+  crashes 3/3  eras 4  steps 21864  makespan 102547
+  checkpoints 0  truncated 0  recovery crashes 1/1
+  recovery: replayed 246 entries in 19193 steps (40500 time units)
+  latency p50 53391  p95 82171  p99 89819  max 91255  mean 44284.8
+  fences/op 4.567  flushes/op 4.592  committed 120
+  reads=19830 writes=121 cas=59 cas_fail=0 flushes=551 fences=548 allocs=161
+  sites:
+    nvt:make_persistent      flushes=65     fences=124    cas=0
+    nvt:ensure_reachable     flushes=124    fences=0      cas=0
+    nvt:return_fence         flushes=0      fences=122    cas=0
+    svc:ledger_fence         flushes=0      fences=121    cas=0
+    svc:ledger_flush         flushes=121    fences=0      cas=0
+    svc:commit_fence         flushes=0      fences=120    cas=0
+    svc:commit_flush         flushes=120    fences=0      cas=0
+    app                      flushes=1      fences=1      cas=59
+    nvt:crit_fence           flushes=0      fences=60     cas=0
+    nvt:crit_update          flushes=59     fences=0      cas=0
+    nvt:crit_flush           flushes=40     fences=0      cas=0
+    nvt:crit_read            flushes=21     fences=0      cas=0
+  exactly-once: OK|} );
+    ( "det-detect",
+      (fun () ->
+        { base with flavour = "det"; detect = true; crash_steps = [ 700; 700 ] }),
+      "84b1eecc7fc48064e29554175f5c7494",
+      {|service hash/det shards=3 domains=1 clients=8 mode=group2000+detect dist=zipf(0.99)
+  acked 120/120  applies 131  resent 16  dedup 0  audit 8
+  crashes 2/2  eras 3  steps 17661  makespan 146047
+  recovery: replayed 60 entries in 12908 steps (40000 time units)
+  latency p50 73789  p95 111891  p99 129620  max 133550  mean 67311.6
+  fences/op 5.025  flushes/op 7.108  committed 120
+  reads=13335 writes=301 cas=63 cas_fail=0 flushes=853 fences=603 allocs=280
+  sites:
+    nvt:make_persistent      flushes=72     fences=138    cas=0
+    det:announce             flushes=87     fences=87     cas=0
+    det:complete             flushes=84     fences=84     cas=0
+    nvt:ensure_reachable     flushes=138    fences=0      cas=0
+    svc:desc_flush           flushes=136    fences=0      cas=0
+    nvt:return_fence         flushes=0      fences=135    cas=0
+    svc:ledger_flush         flushes=128    fences=0      cas=0
+    svc:commit_flush         flushes=81     fences=0      cas=0
+    app                      flushes=0      fences=0      cas=63
+    nvt:crit_fence           flushes=0      fences=63     cas=0
+    nvt:crit_update          flushes=63     fences=0      cas=0
+    svc:ledger_fence         flushes=0      fences=46     cas=0
+    svc:commit_fence         flushes=0      fences=44     cas=0
+    nvt:crit_flush           flushes=43     fences=0      cas=0
+    nvt:crit_read            flushes=21     fences=0      cas=0
+    svc:desc_fence           flushes=0      fences=6      cas=0
+  exactly-once: OK|} );
+    ( "volatile",
+      (fun () ->
+        { base with
+          flavour = "volatile";
+          seed = 20;
+          update_pct = 80;
+          crash_steps = [ 800 ] }),
+      "01f907c82f60c284cd038ba20035705d",
+      {|service hash/volatile shards=3 domains=1 clients=8 mode=group2000 dist=zipf(0.99)
+  acked 120/120  applies 125  resent 8  dedup 0  audit 8
+  crashes 1/1  eras 2  steps 6998  makespan 98064
+  recovery: replayed 32 entries in 3177 steps (2000 time units)
+  latency p50 26579  p95 66630  p99 81075  max 84938  mean 29757.0
+  fences/op 0.467  flushes/op 1.533  committed 120
+  reads=3614 writes=64 cas=83 cas_fail=0 flushes=184 fences=56 allocs=179
+  sites:
+    svc:ledger_flush         flushes=120    fences=0      cas=0
+    app                      flushes=0      fences=0      cas=83
+    svc:commit_flush         flushes=64     fences=0      cas=0
+    svc:commit_fence         flushes=0      fences=28     cas=0
+    svc:ledger_fence         flushes=0      fences=28     cas=0
+  VIOLATIONS (1):
+    state divergence: store has 29 pairs, committed-log replay has 27 (acknowledged work lost or uncommitted work acknowledged)|} ) ]
+
+let trim_lines s =
+  String.split_on_char '\n' s
+  |> List.map (fun l ->
+         let n = ref (String.length l) in
+         while !n > 0 && l.[!n - 1] = ' ' do decr n done;
+         String.sub l 0 !n)
+  |> String.concat "\n"
+
+let histories_digest (r : Runner.report) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun h ->
+      List.iter (fun (c, s) -> Printf.bprintf b "%d:%d," c s) h;
+      Buffer.add_char b '|')
+    r.histories;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_runner_reports () =
+  List.iter
+    (fun (name, cfg, digest, text) ->
+      let r = Runner.run (cfg ()) in
+      Alcotest.(check string)
+        (name ^ ": report") text
+        (String.trim (trim_lines (Format.asprintf "%a" Runner.pp_report r)));
+      Alcotest.(check string)
+        (name ^ ": histories digest") digest (histories_digest r))
+    golden_reports
+
+(* ---- the oracle's checks, fed by hand: no machine ---- *)
+
+(* A clean three-request stream on one shard — client 0 puts key 1 and
+   later deletes the prefilled key 2, client 1 reads key 1 between them
+   — then one seeded bug per row: each row's scenario must raise its
+   check's message, and the clean stream none at all. *)
+type step =
+  | Apply of Service.request
+  | Commit of Service.request * int  (* slot on shard 0 *)
+  | Ack of Service.request * Service.result * bool  (* dedup *)
+
+type scenario = {
+  steps : step list;  (* main phase, in merge order *)
+  log : Service.entry list;  (* shard 0's retained committed log *)
+  status : Nvt_nvm.Detectable.status;  (* every request's detect status *)
+  invariant : string option;
+  contents : (int * int) list;  (* the store's final contents *)
+  audit : Service.request -> Service.result -> step list;
+      (* the answer to one audit re-send, given the recorded result *)
+}
+
+let req client seq op = { Service.client; seq; op }
+let r0 = req 0 0 (Service.Put (1, 10))
+let r1 = req 1 0 (Service.Get 1)
+let r2 = req 0 1 (Service.Del 2)
+
+let results =
+  [ (r0, Service.Done true);
+    (r1, Service.Value (Some 10));
+    (r2, Service.Done true) ]
+
+let entry ((r : Service.request), res) =
+  { Service.e_client = r.client; e_seq = r.seq; e_op = r.op; e_res = res }
+
+let clean =
+  { steps =
+      List.concat
+        (List.mapi
+           (fun slot (r, res) ->
+             [ Apply r; Commit (r, slot); Ack (r, res, false) ])
+           results);
+    log = List.map entry results;
+    status = Nvt_nvm.Detectable.Completed;
+    invariant = None;
+    contents = [ (1, 10) ];
+    audit = (fun r res -> [ Ack (r, res, true) ]) }
+
+let play sc =
+  let o =
+    Oracle.create ~clients:2
+      (Array.of_list
+         (List.mapi
+            (fun i ((r : Service.request), _) ->
+              { Oracle.a_client = r.client; a_seq = r.seq; a_op = r.op;
+                a_time = i })
+            results))
+  in
+  let step time = function
+    | Apply r -> Oracle.apply o r
+    | Commit (r, slot) -> Oracle.commit o r ~shard:0 ~slot
+    | Ack (r, res, dedup) -> ignore (Oracle.ack o r res ~dedup ~time)
+  in
+  List.iteri (fun i s -> step (10 + i) s) sc.steps;
+  let durable =
+    [| { Service.dv_base = 0; dv_pairs = []; dv_covered = [];
+         dv_log = sc.log } |]
+  in
+  Oracle.check_recovered o durable
+    ~status:(Some (fun ~client:_ ~seq:_ _ -> sc.status));
+  Oracle.check_final o ~invariant:sc.invariant ~crash_free:true ~prefill:[ 2 ]
+    ~durable ~contents:sc.contents;
+  List.iter
+    (fun (r : Service.request) ->
+      List.iter (step 100) (sc.audit r (List.assoc r results)))
+    (Oracle.start_audit o);
+  (o, Oracle.violations o)
+
+let replace_step a b = List.map (fun s -> if s = a then b else s)
+
+let oracle_rows =
+  [ ( "unknown request",
+      { clean with steps = clean.steps @ [ Apply (req 5 0 (Service.Get 1)) ] },
+      "unknown request client=5 seq=0" );
+    ( "applied after ack",
+      { clean with steps = clean.steps @ [ Apply r0 ] },
+      "client=0 seq=0 applied after acknowledgement" );
+    ( "acked twice",
+      { clean with
+        steps = clean.steps @ [ Ack (r0, Service.Done true, true) ] },
+      "client=0 seq=0 acknowledged twice" );
+    ( "acked with no observed commit",
+      { clean with steps = List.filter (( <> ) (Commit (r0, 0))) clean.steps },
+      "recovery: client=0 seq=0 acknowledged without an observed commit" );
+    ( "ack slot past the recovered extent",
+      { clean with log = List.filteri (fun i _ -> i < 2) clean.log },
+      "recovery: client=0 seq=1 acknowledged at shard 0 slot 2 but the \
+       recovered commit extent is 2" );
+    ( "detect status not completed",
+      { clean with status = Nvt_nvm.Detectable.Unknown },
+      "detect: client=0 seq=0 acknowledged but status says unknown" );
+    ( "structural invariant",
+      { clean with invariant = Some "broken" },
+      "invariant: broken" );
+    ( "committed twice",
+      { clean with log = clean.log @ [ entry (r0, Service.Done false) ] },
+      "client=0 seq=0 committed 2 times" );
+    ( "acked but not committed",
+      { clean with
+        steps = replace_step (Commit (r2, 2)) (Commit (r2, 1)) clean.steps;
+        log = List.filteri (fun i _ -> i < 2) clean.log },
+      "client=0 seq=1 acknowledged but not committed" );
+    ( "crash-free replay mismatch",
+      { clean with
+        log =
+          List.map entry
+            [ (r0, Service.Done true); (r1, Service.Value None);
+              (r2, Service.Done true) ] },
+      "crash-free replay: client=1 seq=0 get(1) -> some 10, log says none" );
+    ( "crash-free applied not once",
+      { clean with steps = List.filter (( <> ) (Apply r1)) clean.steps },
+      "crash-free: client=1 seq=0 applied 0 times" );
+    ( "state divergence",
+      { clean with contents = [ (1, 10); (2, 2) ] },
+      "state divergence: store has 2 pairs, committed-log replay has 1" );
+    ( "audit fresh ack",
+      { clean with audit = (fun r res -> [ Ack (r, res, false) ]) },
+      "audit: client=0 seq=1 fresh ack, expected dedup" );
+    ( "audit wrong result",
+      { clean with audit = (fun r _ -> [ Ack (r, Service.Done false, true) ]) },
+      "audit: client=0 seq=1 answered false, recorded true" );
+    ( "audit re-apply",
+      { clean with audit = (fun r res -> [ Apply r; Ack (r, res, true) ]) },
+      "audit: client=0 seq=1 re-applied after final ack" ) ]
+
+let oracle_checks () =
+  let o, vs = play clean in
+  Alcotest.(check (list string)) "clean stream" [] vs;
+  Alcotest.(check (list int))
+    "clean counts" [ 3; 3; 0; 2 ]
+    [ Oracle.acked o; Oracle.applies o; Oracle.dedup_acks o;
+      Oracle.audit_acks o ];
+  Alcotest.(check bool) "audit settled" true (Oracle.settled o);
+  List.iter
+    (fun (name, sc, expect) ->
+      let _, vs = play sc in
+      if not (List.exists (String.starts_with ~prefix:expect) vs) then
+        Alcotest.failf "%s: expected %S among:@.  %s" name expect
+          (String.concat "\n  " vs))
+    oracle_rows
+
+(* The violation list keeps the first 32 messages and counts the rest
+   in one closing entry instead of dropping them silently. *)
+let oracle_violation_cap () =
+  let o = Oracle.create ~clients:1 [||] in
+  for seq = 0 to 39 do
+    Oracle.apply o (req 0 seq (Service.Get 1))
+  done;
+  let vs = Oracle.violations o in
+  Alcotest.(check int) "32 kept + 1 summary" 33 (List.length vs);
+  Alcotest.(check string)
+    "first kept" "unknown request client=0 seq=0" (List.hd vs);
+  Alcotest.(check string)
+    "last kept" "unknown request client=0 seq=31" (List.nth vs 31);
+  Alcotest.(check string)
+    "summary" "… and 8 more violations" (List.nth vs 32)
+
 let suite =
   [ Alcotest.test_case "crash-free, both modes" `Quick crash_free;
     Alcotest.test_case "exactly-once matrix (2 structures x 2 policies)"
@@ -305,4 +626,9 @@ let suite =
       `Quick detect_exactly_once;
     Alcotest.test_case "detectable recovery: status query" `Quick
       detect_status_query;
-    Alcotest.test_case "latency percentiles" `Quick latency_sane ]
+    Alcotest.test_case "latency percentiles" `Quick latency_sane;
+    Alcotest.test_case "golden runner reports" `Quick golden_runner_reports;
+    Alcotest.test_case "oracle: every check fires on its seeded bug" `Quick
+      oracle_checks;
+    Alcotest.test_case "oracle: violations past 32 are counted" `Quick
+      oracle_violation_cap ]
