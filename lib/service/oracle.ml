@@ -284,7 +284,9 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
   Hashtbl.iter (fun (cl, sq) _ -> note_max max_committed cl sq) seen;
   Array.iter
     (fun (d : Service.durable) ->
-      List.iter (fun (cl, sq) -> note_max max_committed cl sq) d.dv_covered)
+      List.iter
+        (fun (cl, (c : Service.completion)) -> note_max max_committed cl c.seq)
+        d.dv_covered)
     durable;
   Hashtbl.iter
     (fun (cl, sq) x ->

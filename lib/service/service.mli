@@ -2,53 +2,27 @@
 
     Keys are partitioned over N shards, each an instance of a registry
     structure under a registry persistence policy, driven by one worker
-    thread. Requests are acknowledged only after their record in a
-    per-shard redo log (written through the same policy's memory) is
-    committed by a flush/fence/index/flush/fence protocol — either per
-    operation, or batched under a single pair of fences by a dedicated
-    committer thread (group persistence). With [?checkpoint] set, the
-    thread owning each shard's commit index periodically snapshots the
-    shard's committed state through {!Checkpoint} (the [svc:ckpt_] sites)
-    and drops the covered log prefix, retiring its cells. Recovery
+    thread. A request is acknowledged only once its record in the
+    shard's redo log ({!Ledger}, written through the same policy's
+    memory) is covered by the ledger's one two-fence commit — run per
+    operation on the worker, or by a committer thread once per commit
+    interval for the whole batch (group persistence). What recovery
+    needs of a request is its {!completion}, kept per client: in the
+    volatile dedup table, in checkpoints, and in detect mode in durable
+    descriptors ({!Descriptors}). With [?checkpoint] set, the thread
+    owning each shard's commit index periodically snapshots the shard
+    through {!Checkpoint} and drops the covered log prefix. Recovery
     truncates each log to its durable commit index, restores the
-    checkpoint snapshot, and rebuilds the per-client deduplication
-    table from the remaining committed suffix (last committed entry
-    wins on equal (client, seq)), so re-sent acknowledged requests are
-    answered from the ledger without being re-applied; recovery cost is
-    O(delta since the last checkpoint), and {!spawn_recovery} runs it
-    as parallel simulated threads. *)
+    snapshot, replays the remaining committed suffix and rebuilds the
+    dedup table, so re-sent acknowledged requests are answered from the
+    ledger without being re-applied; recovery cost is O(delta since the
+    last checkpoint), and {!spawn_recovery} runs it as parallel
+    simulated threads. *)
 
-type op =
-  | Put of int * int  (** add-if-absent *)
-  | Del of int
-  | Get of int
-  | Multi_put of (int * int) list
-      (** k puts on {e one shard}, applied in list order and committed
-          as one ledger record under the standard two commit fences —
-          durable multi-put at a pair of fences for k keys, even in
-          per-op mode. Every key must map to the same global shard
-          ({!global_shard}); a spanning batch raises, and an empty one
-          is invalid. [Done true] iff every key was fresh. *)
-  | Rmw of int * int
-      (** [Rmw (k, d)]: read-modify-write — add [d] to [k]'s current
-          value, installing [d] when absent; answers [Value old]. One
-          request, one ledger record, one commit: the read and the
-          write cannot be separated by a crash. *)
-
-val key_of_op : op -> int
-(** The key routing the request to its shard (a multi-put routes by its
-    first key). Raises [Invalid_argument] on [Multi_put []]. *)
-
-val pp_op : Format.formatter -> op -> unit
-
-type result = Done of bool | Value of int option
-
-val pp_result : Format.formatter -> result -> unit
-
-type request = { client : int; seq : int; op : op }
-(** Clients are sequential sessions: a client submits [seq] n+1 only
-    after [seq] n was acknowledged, and may re-send its outstanding
-    request after a crash. *)
+include module type of struct
+  include Types
+end
+(** The requests, results and records ({!Types}). *)
 
 type mode =
   | Per_op  (** commit (2 fences) on the worker, per request *)
@@ -63,9 +37,6 @@ type mode =
 
 val mode_name : mode -> string
 (** ["per_op"], or ["group<timeout>"]. *)
-
-type entry = { e_client : int; e_seq : int; e_op : op; e_res : result }
-(** One committed-log record. *)
 
 type t
 
@@ -107,20 +78,16 @@ val create :
     shard after a boundary commit — in both cases on the thread that
     owns the commit index.
 
-    [detect] (default [false]) switches the per-client deduplication
-    table to detectable-recovery descriptors: each committed batch
-    writes one completion descriptor per request — a single cell
-    holding (seq, shard, slot, result), flushed under the batch's
-    existing ledger fence (site [svc:desc_flush], zero extra fences) —
-    into the client's round-robin cell pair, and recovery rebuilds the
-    table from the descriptor cells instead of replaying the committed
-    log (the replay still rebuilds each shard's store mirror). A
-    descriptor counts only if its slot is below its shard's durable
-    commit index; stale descriptors are durably nulled during recovery
-    ([svc:desc_fence]) before the service commits anything new. The
-    exactly-once guarantees are unchanged; what detect mode adds is a
-    sound {!op_status} answer of [Not_applied] for requests that never
-    committed. *)
+    [detect] (default [false]) rebuilds the dedup table from durable
+    completion descriptors instead of the checkpoint and log replay
+    (the replay still rebuilds each shard's store mirror): every commit
+    writes each request's completion into its client's round-robin cell
+    pair under the batch's existing ledger fence ([svc:desc_flush],
+    zero extra fences); recovery counts a descriptor only if its slot
+    is below its shard's durable commit index, and durably nulls stale
+    ones ([svc:desc_fence]). The exactly-once guarantees are unchanged;
+    what detect mode adds is a sound {!op_status} answer of
+    [Not_applied] for requests that never committed. *)
 
 val prefill : t -> int list -> unit
 (** Load keys (value = key) directly into the shard stores, bypassing
@@ -205,7 +172,9 @@ val replayed_slots : t -> int
 type durable = {
   dv_base : int;  (** the checkpoint's cut; [0] if none committed *)
   dv_pairs : (int * int) list;  (** the snapshot's (key, value) pairs *)
-  dv_covered : (int * int) list;  (** its (client, seq) dedup records *)
+  dv_covered : (int * completion) list;
+      (** its dedup records: each client's last completion on the
+          shard as of the cut *)
   dv_log : entry list;
       (** the {e retained} committed records from [dv_base] on *)
 }
@@ -216,5 +185,6 @@ val durable_state : t -> durable array
 
 val inject_committed : t -> entry list -> unit
 (** Test hook (setup mode): forge entries into the committed log —
-    applied to nothing, acknowledged to nobody, but durable — including
-    duplicate (client, seq) records the normal path would dedup. *)
+    applied to nothing, acknowledged to nobody, but durable, under one
+    ledger commit — including duplicate (client, seq) records the
+    normal path would dedup. *)

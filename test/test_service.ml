@@ -279,6 +279,46 @@ let detect_status_query () =
     "detect: next seq not yet applied" "not-applied"
     (name (Service.op_status sd ~client:3 ~seq:1))
 
+(* [request_stop] right after [submit] must still drain: every submitted
+   request is applied, committed and acknowledged before the threads
+   exit. The group committer once exited at the first boundary with
+   nothing pending, while the workers were still applying — the
+   requests reached the store but were never committed or acked. *)
+let stop_drains_group_commit () =
+  List.iter
+    (fun (timeout, n) ->
+      let m = Machine.create ~seed:1 () in
+      Machine.set_current m;
+      let structure = List.assoc "hash" Nvt_harness.Instances.structures in
+      let flavour =
+        match Nvt_harness.Instances.flavour "nvt" with
+        | Some f -> f
+        | None -> assert false
+      in
+      let svc =
+        Service.create ~structure ~flavour ~shards:2
+          ~mode:(Service.Group { timeout }) ()
+      in
+      Machine.persist_all m;
+      let acked = ref 0 in
+      Service.set_on_ack svc (fun _ _ ~dedup:_ -> incr acked);
+      Service.start svc m;
+      for i = 0 to n - 1 do
+        Service.submit svc
+          { Service.client = i; seq = 0; op = Service.Put (i, i) }
+      done;
+      Service.request_stop svc;
+      (match Machine.run m with
+      | Machine.Completed -> ()
+      | Machine.Crashed_at _ -> assert false);
+      let name = Printf.sprintf "group%d, %d puts" timeout n in
+      Alcotest.(check int) (name ^ ": in the store") n
+        (List.length (Service.contents svc));
+      Alcotest.(check int) (name ^ ": committed") n
+        (Service.committed_total svc);
+      Alcotest.(check int) (name ^ ": acked") n !acked)
+    [ (100, 10); (1000, 200) ]
+
 (* Latency sanity: percentiles are ordered and positive; open-loop
    latencies include queueing so p99 >= p50 > 0. *)
 let latency_sane () =
@@ -296,12 +336,18 @@ let latency_sane () =
 (* Golden runner reports, recorded before the runner was split into an
    arrival schedule, an oracle and one barrier driver: the exact
    [pp_report] text (trailing blanks and newline trimmed) and an MD5 of the
-   per-shard apply histories of four runs — group commit with
+   per-shard apply histories of six runs — group commit with
    checkpoints, per-op commit on two domains with three era crashes and
    a recovery crash, the det policy with detectable recovery under
-   crashes, and the volatile negative control with its violation. A
-   change to the runner that is meant to preserve behaviour must leave
-   all four byte-identical. *)
+   crashes, the same with checkpoint truncation (whose group
+   checkpoints force-commit entries the committer has not reached, so
+   descriptors are written outside the boundary commit), per-op commit
+   with checkpoints, multi-puts, read-modify-writes and a recovery
+   crash, and the volatile negative control with its violation. The
+   two checkpointed crash runs were recorded before the service was
+   split into a ledger, a descriptor store and a committer choice. A
+   change to the runner or the service that is meant to preserve
+   behaviour must leave all six byte-identical. *)
 let golden_reports =
   [
     ( "group-ckpt",
@@ -393,6 +439,82 @@ let golden_reports =
     nvt:crit_flush           flushes=43     fences=0      cas=0
     nvt:crit_read            flushes=21     fences=0      cas=0
     svc:desc_fence           flushes=0      fences=6      cas=0
+  exactly-once: OK|} );
+    ( "det-detect-ckpt",
+      (fun () ->
+        { base with
+          flavour = "det";
+          detect = true;
+          mode = Service.Group { timeout = 1500 };
+          checkpoint_interval = 1500;
+          crash_steps = [ 700; 900 ] }),
+      "d8ddbf7a254436644c9ecc0c9824f682",
+      {|service hash/det shards=3 domains=1 clients=8 mode=group1500+detect dist=zipf(0.99)
+  acked 120/120  applies 127  resent 16  dedup 5  audit 8
+  crashes 2/2  eras 3  steps 18722  makespan 162081
+  checkpoints 56  truncated 120  recovery crashes 0/0
+  recovery: replayed 4 entries in 12850 steps (40500 time units)
+  latency p50 86377  p95 134593  p99 147120  max 150050  mean 81596.8
+  fences/op 6.033  flushes/op 9.233  committed 120
+  reads=13274 writes=382 cas=72 cas_fail=0 flushes=1108 fences=724 allocs=444
+  sites:
+    nvt:make_persistent      flushes=71     fences=134    cas=0
+    det:announce             flushes=85     fences=85     cas=0
+    svc:ckpt_flush           flushes=168    fences=0      cas=0
+    det:complete             flushes=83     fences=83     cas=0
+    svc:desc_flush           flushes=166    fences=0      cas=0
+    nvt:ensure_reachable     flushes=134    fences=0      cas=0
+    nvt:return_fence         flushes=0      fences=133    cas=0
+    svc:ledger_flush         flushes=125    fences=0      cas=0
+    svc:commit_flush         flushes=76     fences=0      cas=0
+    app                      flushes=0      fences=0      cas=72
+    nvt:crit_fence           flushes=0      fences=72     cas=0
+    nvt:crit_update          flushes=72     fences=0      cas=0
+    svc:ckpt_commit_fence    flushes=0      fences=56     cas=0
+    svc:ckpt_commit_flush    flushes=56     fences=0      cas=0
+    svc:ckpt_fence           flushes=0      fences=56     cas=0
+    svc:ledger_fence         flushes=0      fences=52     cas=0
+    svc:commit_fence         flushes=0      fences=51     cas=0
+    nvt:crit_flush           flushes=48     fences=0      cas=0
+    nvt:crit_read            flushes=24     fences=0      cas=0
+    svc:desc_fence           flushes=0      fences=2      cas=0
+  exactly-once: OK|} );
+    ( "per-op-ckpt-mixed",
+      (fun () ->
+        { base with
+          mode = Service.Per_op;
+          checkpoint_interval = 1500;
+          crash_steps = [ 900; 800 ];
+          recovery_crashes = [ 40 ];
+          multi_pct = 10;
+          rmw_pct = 10 }),
+      "947570c96b0347d9d3807192a7837729",
+      {|service hash/nvt shards=3 domains=1 clients=8 mode=per_op dist=zipf(0.99)
+  acked 120/120  applies 121  resent 16  dedup 2  audit 8
+  mixed ops: 17 multi-put(4 keys)  13 rmw
+  crashes 2/2  eras 3  steps 17672  makespan 149056
+  checkpoints 101  truncated 120  recovery crashes 1/1
+  recovery: replayed 2 entries in 12721 steps (36500 time units)
+  latency p50 75526  p95 130637  p99 135786  max 137380  mean 70607.3
+  fences/op 7.817  flushes/op 10.017  committed 120
+  reads=13491 writes=221 cas=101 cas_fail=0 flushes=1202 fences=938 allocs=523
+  sites:
+    nvt:make_persistent      flushes=131    fences=197    cas=0
+    svc:ckpt_flush           flushes=314    fences=0      cas=0
+    nvt:ensure_reachable     flushes=197    fences=0      cas=0
+    nvt:return_fence         flushes=0      fences=196    cas=0
+    svc:ledger_fence         flushes=0      fences=121    cas=0
+    svc:ledger_flush         flushes=121    fences=0      cas=0
+    svc:commit_fence         flushes=0      fences=120    cas=0
+    svc:commit_flush         flushes=120    fences=0      cas=0
+    nvt:crit_fence           flushes=0      fences=102    cas=0
+    app                      flushes=0      fences=0      cas=101
+    nvt:crit_update          flushes=101    fences=0      cas=0
+    svc:ckpt_commit_fence    flushes=0      fences=101    cas=0
+    svc:ckpt_commit_flush    flushes=101    fences=0      cas=0
+    svc:ckpt_fence           flushes=0      fences=101    cas=0
+    nvt:crit_flush           flushes=88     fences=0      cas=0
+    nvt:crit_read            flushes=29     fences=0      cas=0
   exactly-once: OK|} );
     ( "volatile",
       (fun () ->
@@ -626,6 +748,8 @@ let suite =
       `Quick detect_exactly_once;
     Alcotest.test_case "detectable recovery: status query" `Quick
       detect_status_query;
+    Alcotest.test_case "group commit: request_stop drains applied work"
+      `Quick stop_drains_group_commit;
     Alcotest.test_case "latency percentiles" `Quick latency_sane;
     Alcotest.test_case "golden runner reports" `Quick golden_runner_reports;
     Alcotest.test_case "oracle: every check fires on its seeded bug" `Quick
