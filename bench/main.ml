@@ -2,16 +2,11 @@
 
    bench/main.exe panels [IDS...] [--full] [--seed N]
                                    figure panels (default: all, quick)
-   bench/main.exe recovery|sensitivity|mix
-                                   extension benches
-   bench/main.exe micro            Bechamel per-op latency (native)
-   bench/main.exe native           domain throughput (native)
-   bench/main.exe selfperf         simulator steps/sec (harness cost)
    bench/main.exe experiments      service, recovery, optimizer and
                                    contender experiments with gates
 
-   Running with no command is equivalent to `panels` followed by every
-   extension bench — the full regeneration of the paper's evaluation. *)
+   Running with no command is equivalent to `panels`. The benchmark
+   suite under bench/suite is a separate program (bench/suite/run.sh). *)
 
 open Cmdliner
 
@@ -38,45 +33,16 @@ let run_panels ids full seed json =
      EXPERIMENTS.md for shape comparison against the paper.\n"
     (if full then "full" else "quick");
   let json_path = if json then Some "BENCH_panels.json" else None in
-  Nvt_harness.Panels.run ~seed ?json_path ~scale ids;
-  if ids = [] then Nvt_harness.Extensions.all ()
+  Nvt_harness.Panels.run ~seed ?json_path ~scale ids
 
 let panels_cmd =
   Cmd.v (Cmd.info "panels" ~doc:"Regenerate the paper's figure panels")
     Term.(const run_panels $ panel_ids $ full $ seed $ json)
 
-let ext_cmd cmd_name doc =
-  let run () = Nvt_harness.Extensions.run cmd_name in
-  Cmd.v (Cmd.info cmd_name ~doc) Term.(const run $ const ())
-
-let run_micro json =
-  Micro.run ?json_path:(if json then Some "BENCH_micro.json" else None) ()
-
-let micro_cmd =
-  Cmd.v
-    (Cmd.info "micro" ~doc:"Bechamel per-operation latency, native backend")
-    Term.(const run_micro $ json)
-
-let native_cmd =
-  Cmd.v
-    (Cmd.info "native" ~doc:"Real-domain throughput, native backend")
-    Term.(const Native_bench.run $ const ())
-
 let quick =
   Arg.(
     value & flag
     & info [ "quick" ] ~doc:"Reduced sweep and op count (CI-sized).")
-
-let run_selfperf quick seed json =
-  Selfperf.run
-    ?json_path:(if json then Some "BENCH_selfperf.json" else None)
-    ~quick ~seed ()
-
-let selfperf_cmd =
-  Cmd.v
-    (Cmd.info "selfperf"
-       ~doc:"Simulated steps per wall second across thread counts")
-    Term.(const run_selfperf $ quick $ seed $ json)
 
 let mutation_report =
   Arg.(
@@ -109,11 +75,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ panels_cmd;
-            ext_cmd "recovery" "Recovery time vs structure size";
-            ext_cmd "sensitivity" "Throughput vs fence cost";
-            ext_cmd "mix" "Flush/fence counts per operation";
-            micro_cmd;
-            native_cmd;
-            selfperf_cmd;
-            experiments_cmd ]))
+          [ panels_cmd; experiments_cmd ]))

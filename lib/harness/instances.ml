@@ -2,7 +2,7 @@
    instantiations over the simulator backend.
 
    Policies implement {!Nvt_nvm.Policy.S}; [flavours] is the one place
-   the policy list exists. The benchmark panels, the extension benches,
+   the policy list exists. The benchmark panels, the experiments,
    the crash laboratory ([Crashlab], [bin/nvtsim.exe]), the examples and
    the crash-sweep/recovery test suites all iterate this registry, so
    adding a policy is one entry here.

@@ -1,13 +1,14 @@
-(* A minimal JSON emitter for the benchmark harness.
+(* A minimal JSON emitter and parser for the benchmark harness.
 
    The repository deliberately has no JSON dependency; the machine-
-   readable telemetry ([BENCH_panels.json], [BENCH_micro.json]) only
-   needs *emission*, and only of the handful of shapes below, so a small
-   constructor set plus a correct string escaper is the whole surface.
-   The output is stable: object fields print in the order given, floats
-   print with [%.6g], and non-finite floats (a degenerate regression,
-   a zero-op series) become [null] so every consumer can parse the file
-   with a strict JSON parser. *)
+   readable records ([BENCH_panels.json], [BENCH_experiments.json], the
+   mutation reports) need only the handful of shapes below, so a small
+   constructor set, a correct string escaper and a strict parser for
+   reading records back are the whole surface. The output is stable:
+   object fields print in the order given, floats print with [%.6g],
+   and non-finite floats (a degenerate regression, a zero-op series)
+   become [null] so every consumer can parse the file with a strict
+   JSON parser. *)
 
 type t =
   | Null

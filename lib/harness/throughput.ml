@@ -26,7 +26,7 @@ type params = {
 type result = {
   ops : int;
   makespan : int;
-  mops : float;  (* ops per 1e6 simulated time units *)
+  mops : float;  (* ops per 1e3 simulated time units: Mops/s in ns units *)
   flushes_per_op : float;
   fences_per_op : float;
   cas_failure_rate : float;

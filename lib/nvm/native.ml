@@ -1,8 +1,7 @@
 (* The native backend: locations are [Atomic.t] cells, threads are OCaml
    domains. There is no simulated persistence here — flush and fence only
-   count (and optionally burn calibrated time), which is exactly what a
-   deployment on real NVRAM hardware would compile them to ([clwb] /
-   [sfence] have no observable effect until the power fails).
+   count, which matches what a deployment on real NVRAM hardware observes
+   ([clwb] / [sfence] have no visible effect until the power fails).
 
    Crash testing therefore lives in the simulator backend ([Sim_nvm]); the
    native backend is the implementation a downstream user runs. *)
@@ -41,21 +40,6 @@ let reset_stats () =
   List.iter Stats.reset !registry;
   Mutex.unlock registry_lock
 
-(* Optional calibrated delays so that flush/fence cost something even on a
-   machine without persistent memory; off by default. *)
-
-let flush_spin = Atomic.make 0
-let fence_spin = Atomic.make 0
-
-let configure_delays ~flush_iters ~fence_iters =
-  Atomic.set flush_spin flush_iters;
-  Atomic.set fence_spin fence_iters
-
-let spin n =
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity ())
-  done
-
 let alloc v =
   let s = (Domain.DLS.get local).stats in
   s.allocs <- s.allocs + 1;
@@ -79,12 +63,10 @@ let cas l ~expected ~desired =
 
 let flush _l =
   let d = Domain.DLS.get local in
-  Stats.record_flush d.stats ~site:(Stats.take_at d.pending);
-  spin (Atomic.get flush_spin)
+  Stats.record_flush d.stats ~site:(Stats.take_at d.pending)
 
 let fence () =
   let d = Domain.DLS.get local in
-  Stats.record_fence d.stats ~site:(Stats.take_at d.pending);
-  spin (Atomic.get fence_spin)
+  Stats.record_fence d.stats ~site:(Stats.take_at d.pending)
 
 let flush_any (Any l) = flush l

@@ -1,11 +1,6 @@
 (** The native backend: [Atomic.t]-based locations usable from multiple
-    domains. Flush and fence are counted (and optionally burn calibrated
-    time) but have no semantic effect — which is also true on real
-    hardware until the power fails. Crash semantics are exercised through
-    the simulator backend instead. *)
+    domains. Flush and fence are counted but have no semantic effect —
+    which is also true on real hardware until the power fails. Crash
+    semantics are exercised through the simulator backend instead. *)
 
 include Memory.BACKEND
-
-val configure_delays : flush_iters:int -> fence_iters:int -> unit
-(** Make [flush]/[fence] busy-wait for the given number of iterations, to
-    approximate persistence costs in native benchmarks. Zero disables. *)

@@ -223,8 +223,6 @@ let diff ~after ~before =
     allocs = after.allocs - before.allocs;
     by_site }
 
-let total_shared_ops t = t.reads + t.writes + t.cas
-
 let pp ppf t =
   Fmt.pf ppf
     "reads=%d writes=%d cas=%d cas_fail=%d flushes=%d fences=%d allocs=%d"

@@ -50,9 +50,6 @@ val diff : after:t -> before:t -> t
 (** Field-wise (and site-wise) subtraction, for measuring a window of
     execution. *)
 
-val total_shared_ops : t -> int
-(** Reads + writes + CAS attempts. *)
-
 (** {1 Site registry}
 
     Append-only and process-wide. Any domain may intern: writers take a

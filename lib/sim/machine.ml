@@ -7,10 +7,10 @@
    under the cost model. The runnable threads live in an indexed min-heap
    ({!Sched_heap}) keyed on (vtime, tid): this scheduler runs at every
    shared-memory step of every benchmark panel, so its cost is the floor
-   on simulation speed — see bench/selfperf.ml and the benchmark suite's
-   [machine.steps_per_s] (bench/suite). One loop, [advance_to], executes
-   every step: the thread that runs stays at the heap root, and a single
-   heap call after its step re-keys it and names the next root.
+   on simulation speed — see the benchmark suite's [machine.steps_per_s]
+   (bench/suite). One loop, [advance_to], executes every step: the
+   thread that runs stays at the heap root, and a single heap call after
+   its step re-keys it and names the next root.
 
    Every shared mutable word is a [cell] holding both a volatile value
    (what reads and writes touch) and a persistent value (what survives a
@@ -259,8 +259,6 @@ let now m = if m.running < 0 then m.clock else m.by_tid.(m.running).vtime
 
 let set_trace m ~capacity =
   m.tracer <- Some { ring = Array.make (max 1 capacity) None; total = 0 }
-
-let clear_trace m = m.tracer <- None
 
 (* Callers test [tracing] before building the event, so an untraced
    run allocates no events and never resolves a site id to its name. *)
@@ -521,8 +519,6 @@ let persist_all m =
     let (Any_cell c) = Dirty.get m.dirty (Dirty.size m.dirty - 1) in
     persist_value m c c.vol
   done
-
-let dirty_count m = Dirty.size m.dirty
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)

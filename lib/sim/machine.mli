@@ -150,7 +150,6 @@ val makespan : t -> int
 (** Virtual time of the latest scheduled action: the parallel makespan. *)
 
 val stats : t -> Nvt_nvm.Stats.t
-val dirty_count : t -> int
 
 val retire : t -> int -> unit
 (** Tell the working-set model that [n] cells were reclaimed: the
@@ -169,8 +168,6 @@ val set_trace : t -> capacity:int -> unit
     the given capacity; only the most recent [capacity] events are
     kept. Off by default — tracing costs one array store per shared
     access. *)
-
-val clear_trace : t -> unit
 
 val trace : t -> event list
 (** The recorded events, oldest first (at most the trace capacity). *)
