@@ -564,13 +564,9 @@ let pp_run (experiment, config, run) =
 
 let run ?json_path ~quick ~seed ~report_path () =
   let mutation =
-    match
-      let j = Json.parse_file report_path in
-      ignore (Mutlab.report_candidates j);
-      j
-    with
-    | j -> j
-    | exception (Sys_error msg | Json.Parse_error msg) ->
+    match Mutlab.load_report report_path with
+    | Ok j -> j
+    | Error msg ->
       Printf.eprintf "experiments: %s: %s\n" report_path msg;
       exit 2
   in

@@ -108,13 +108,9 @@ let optimize_arg =
 (* A missing, malformed, stale or inconsistent report is a usage error
    (exit 2), not a crash; it is checked before any plan is derived. *)
 let load_report ?(code = 2) path =
-  match
-    let j = H.Json.parse_file path in
-    ignore (H.Mutlab.report_candidates j);
-    j
-  with
-  | j -> j
-  | exception (Sys_error msg | H.Json.Parse_error msg) ->
+  match H.Mutlab.load_report path with
+  | Ok j -> j
+  | Error msg ->
     Printf.eprintf "%s: %s\n" path msg;
     exit code
 
@@ -296,7 +292,7 @@ let mut_domains =
   Arg.(
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
-        ~doc:"Stripe the structure x policy batteries over $(docv) OCaml \
+        ~doc:"Stripe the mutation batteries over $(docv) OCaml \
               domains. The report is byte-identical for every value: each \
               battery is self-contained and the output is index-ordered.")
 
@@ -331,16 +327,17 @@ let mutate quick deep structures policies domains out optimize =
       end)
     policies;
   let optimize = Option.map load_report optimize in
-  let r = Mutlab.run ~structures ~policies ~domains ?optimize sc in
-  (* the service-site battery rides along only when no -s filter was
-     given: -s selects structure batteries, and the multicore smoke
-     byte-compares filtered runs across domain counts *)
+  (* the service batteries ride along only when no -s filter was
+     given: -s selects structure batteries. Both kinds stripe over the
+     same domains, and the multicore smoke job byte-compares the full
+     quick battery at --domains 1 and 2. *)
+  let service =
+    if structures = [] then Nvt_service.Svclab.batteries ~policies ?optimize sc
+    else []
+  in
   let r =
-    if structures = [] then
-      { r with
-        Mutlab.flavours =
-          r.flavours @ Nvt_service.Svclab.run ~policies ?optimize sc }
-    else r
+    Mutlab.run ~domains sc
+      (Mutlab.batteries ~structures ~policies ?optimize sc @ service)
   in
   Format.printf "%a" Mutlab.pp_report r;
   H.Json.write_file out (Mutlab.to_json r);

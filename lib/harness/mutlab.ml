@@ -5,15 +5,24 @@
    some NVTraverse data structure". PR 2 gave every injected flush/fence
    a named site ({!Nvt_nvm.Stats}); this module turns the claim into a
    mutation analysis, the same move mutation-testing tools make for
-   assertions: for every structure x policy flavour of the registry,
-   enumerate the sites that flavour reaches, re-run a crash battery with
-   exactly one site suppressed ({!Nvt_nvm.Suppress}), and demand a
-   durability violation.
+   assertions: for every battery, enumerate the sites its workload
+   reaches, re-run its crash attacks with exactly one site suppressed
+   ({!Nvt_nvm.Suppress}), and demand a durability violation.
+
+   One driver runs every battery over a {!target}: a crash-free probe,
+   a lazy sequence of attacks in kill-power order, the function that
+   runs one attack, and the probe sites that are mutation candidates.
+   This module builds the structure target (each structure x policy
+   flavour of the registry); [Nvt_service.Svclab] builds the service
+   target over the service's own svc: sites. Both become ordinary
+   {!battery} values, so {!run} stripes them over one domain pool and
+   one report, schema and gate covers both.
 
    Verdicts:
    - [Necessary]: some battery attack found a durability violation,
      corrupt read or broken invariant. The attack parameters are
-     recorded so the kill replays deterministically ({!run_attack}).
+     recorded so the kill replays deterministically through the
+     target's [attack] under the same suppression.
    - [Unkilled]: the battery found nothing — the site is
      candidate-redundant. This is NOT a proof of redundancy (the
      adversary is incomplete); the report carries the site's probe
@@ -23,8 +32,8 @@
      construction (self-covering placements); the CI gate fails on any
      NVTraverse-policy site that is unkilled and not in the list.
 
-   The battery, per suppressed site, in kill-power order with early
-   exit at the first violation:
+   The structure target's attacks, per suppressed site, in kill-power
+   order (the driver exits at the first violation):
    1. deterministic two-thread windows (the test_ablation scenario,
       generalized): T0's insert is suspended at every point [s0] of its
       execution while T1 completes an operation that depends on T0's
@@ -66,10 +75,10 @@ type scale = {
   window_seeds : int;  (* machine seeds per suspension point *)
   structures : string list;  (* default structure set *)
   service : (string * string) list;
-      (* (structure, policy) combos of the service-runner battery over
-         the svc: commit/checkpoint sites. That battery lives in
+      (* (structure, policy) combos of the service batteries over the
+         svc: commit/checkpoint sites. Their target lives in
          [Nvt_service.Svclab] — this library sits below [nvt_service]
-         and cannot run it; the scale only carries its parameters. *)
+         and cannot build it; the scale only carries its parameters. *)
 }
 
 let quick =
@@ -123,26 +132,31 @@ let stall_profile = { Machine.probability = 0.05; max_units = 30_000 }
 
 type t1_op = Insert_other | Member_target
 
-type attack =
+(* An attack on a structure workload. *)
+type structure_attack =
   | Crash of { seed : int; crash_step : int }
   | Stall of { seed : int; crash_step : int }
   | Evict of { seed : int; crash_step : int; probability : float }
   | Window of { wseed : int; s0 : int; t1 : t1_op }
-  | Svc_crash of { seed : int; crash_step : int; recovery_step : int option }
-      (* the service-runner battery ([Nvt_service.Svclab]): crash the
-         whole sharded service at an aggregate step threshold, and
-         optionally crash it again [recovery_step] aggregate steps into
-         the recovery pass (a double-crash era) *)
+
+(* An attack on the service-runner workload ([Nvt_service.Svclab]):
+   crash the whole sharded service at an aggregate step threshold, and
+   optionally crash it again [recovery_step] aggregate steps into the
+   recovery pass (a double-crash era). *)
+type svc_crash = { seed : int; crash_step : int; recovery_step : int option }
+
+(* Kill evidence, whichever target recorded it. *)
+type attack = Structure of structure_attack | Svc_crash of svc_crash
 
 let pp_attack ppf = function
-  | Crash { seed; crash_step } ->
+  | Structure (Crash { seed; crash_step }) ->
     Format.fprintf ppf "crash(seed=%d, step=%d)" seed crash_step
-  | Stall { seed; crash_step } ->
+  | Structure (Stall { seed; crash_step }) ->
     Format.fprintf ppf "stall(seed=%d, step=%d)" seed crash_step
-  | Evict { seed; crash_step; probability } ->
+  | Structure (Evict { seed; crash_step; probability }) ->
     Format.fprintf ppf "evict(seed=%d, step=%d, p=%.2f)" seed crash_step
       probability
-  | Window { wseed; s0; t1 } ->
+  | Structure (Window { wseed; s0; t1 }) ->
     Format.fprintf ppf "window(seed=%d, s0=%d, t1=%s)" wseed s0
       (match t1 with Insert_other -> "insert" | Member_target -> "member")
   | Svc_crash { seed; crash_step; recovery_step = None } ->
@@ -151,77 +165,102 @@ let pp_attack ppf = function
     Format.fprintf ppf "svc-crash(seed=%d, step=%d, recovery_step=%d)" seed
       crash_step r
 
-(* Post-crash check shared by every attack: recover, check invariants,
-   run a verification era observing every key (lost completed inserts
-   and resurrected deletes become visible to the checker), then check
-   durable linearizability of the whole history. *)
-let check_recovery m h ~prefilled ~recover ~member =
-  match
-    recover ();
-    ignore
-      (Machine.spawn m (fun () ->
-           for k = 0 to range - 1 do
-             let e =
-               History.invoke h ~tid:(Machine.current_tid m)
-                 ~time:(Machine.now m) (History.Member k)
-             in
-             History.respond e ~time:(Machine.now m) (member k)
-           done));
-    Machine.run m
-  with
-  | exception Machine.Corrupt_read cid ->
-    `Violation
-      (Printf.sprintf "corrupt read of cell %d after the crash" cid)
-  | exception Failure msg -> `Violation ("structural failure: " ^ msg)
-  | Machine.Crashed_at _ -> assert false
-  | Machine.Completed -> (
-    match Lin.check_set ~initial_keys:prefilled h with
-    | Ok () -> `Ok
-    | Error v -> `Violation (Format.asprintf "%a" Lin.pp_violation v))
+(* What a battery attacks. [attacks] is re-traversed for the control
+   and for every suppressed site, so a generator that probes per seed
+   measures each horizon under the suppression active when it is
+   forced. *)
+type 'a target = {
+  probe : seed:int -> int * Stats.t;  (* crash-free: steps, attribution *)
+  attacks : 'a Seq.t;  (* kill-power order *)
+  attack : 'a -> string option;  (* [Some detail]: a durability violation *)
+  mutable_site : string -> bool;  (* which probe sites are candidates *)
+}
+
+(* The battery with early exit; returns the first kill and the runs
+   executed (for a kill, the runs it took). *)
+let sweep (t : 'a target) : ('a * string) option * int =
+  let rec go runs attacks =
+    match attacks () with
+    | Seq.Nil -> (None, runs)
+    | Seq.Cons (a, rest) -> (
+      match t.attack a with
+      | Some d -> (Some (a, d), runs + 1)
+      | None -> go (runs + 1) rest)
+  in
+  go 0 t.attacks
+
+(* One seeded run of [S] on [m], shared by every structure attack:
+   prefill and persist [prefill], let [workload] spawn the threads —
+   each operation goes through [op], which applies it to the set and
+   records it in the history — and run. On a crash, recover, check
+   invariants, run a verification era observing every key (lost
+   completed inserts and resurrected deletes become visible to the
+   checker), then check durable linearizability of the whole history.
+   Without one the result carries the run's step count and per-site
+   attribution table. *)
+let record_and_recover (module S : SET) m ~prefill workload =
+  let s = S.create () in
+  let prefilled = List.filter (fun k -> S.insert s ~key:k ~value:k) prefill in
+  Machine.persist_all m;
+  let h = History.create () in
+  let op o =
+    let e =
+      History.invoke h ~tid:(Machine.current_tid m) ~time:(Machine.now m) o
+    in
+    let r =
+      match o with
+      | History.Insert k -> S.insert s ~key:k ~value:k
+      | History.Delete k -> S.delete s k
+      | History.Member k -> S.member s k
+    in
+    History.respond e ~time:(Machine.now m) r
+  in
+  workload op;
+  let outcome = Machine.run m in
+  Machine.clear_scheduler m;
+  match outcome with
+  | Machine.Completed -> `No_crash (Machine.steps m, Machine.stats m)
+  | Machine.Crashed_at t -> (
+    History.mark_crash h ~time:t;
+    match
+      S.recover s;
+      S.check_invariants s;
+      ignore
+        (Machine.spawn m (fun () ->
+             for k = 0 to range - 1 do
+               op (History.Member k)
+             done));
+      Machine.run m
+    with
+    | exception Machine.Corrupt_read cid ->
+      `Violation
+        (Printf.sprintf "corrupt read of cell %d after the crash" cid)
+    | exception Failure msg -> `Violation ("structural failure: " ^ msg)
+    | Machine.Crashed_at _ -> assert false
+    | Machine.Completed -> (
+      match Lin.check_set ~initial_keys:prefilled h with
+      | Ok () -> `Ok
+      | Error v -> `Violation (Format.asprintf "%a" Lin.pp_violation v)))
 
 (* The seeded multi-thread adversarial run (the test_ablation workload,
    generalized over the structure). [crash_step = None] runs to
-   completion and doubles as the probe: the result carries the total
-   step count and the machine's per-site attribution table. *)
+   completion and doubles as the probe. *)
 let adversarial (module S : SET) ~seed ~crash_step ~eviction ~stall =
   let m = Machine.create ~seed ~eviction ?stall () in
-  let s = S.create () in
-  let prefilled = List.filter (fun k -> S.insert s ~key:k ~value:k) [ 0; 9 ] in
-  Machine.persist_all m;
-  let h = History.create () in
-  for tid = 0 to threads - 1 do
-    let rng = Random.State.make [| seed; tid; 77 |] in
-    ignore
-      (Machine.spawn m (fun () ->
-           for _ = 1 to ops_per_thread do
-             let k = 1 + Random.State.int rng (range - 2) in
-             let record op f =
-               let e =
-                 History.invoke h ~tid:(Machine.current_tid m)
-                   ~time:(Machine.now m) op
-               in
-               let r = f () in
-               History.respond e ~time:(Machine.now m) r
-             in
-             match Random.State.int rng 10 with
-             | 0 | 1 | 2 | 3 ->
-               record (History.Insert k) (fun () -> S.insert s ~key:k ~value:k)
-             | 4 | 5 | 6 -> record (History.Delete k) (fun () -> S.delete s k)
-             | _ -> record (History.Member k) (fun () -> S.member s k)
-           done))
-  done;
-  (match crash_step with
-  | Some step -> Machine.set_crash_at_step m step
-  | None -> ());
-  match Machine.run m with
-  | Machine.Completed -> `No_crash (Machine.steps m, Machine.stats m)
-  | Machine.Crashed_at t ->
-    History.mark_crash h ~time:t;
-    check_recovery m h ~prefilled
-      ~recover:(fun () ->
-        S.recover s;
-        S.check_invariants s)
-      ~member:(fun k -> S.member s k)
+  record_and_recover (module S) m ~prefill:[ 0; 9 ] (fun op ->
+      for tid = 0 to threads - 1 do
+        let rng = Random.State.make [| seed; tid; 77 |] in
+        ignore
+          (Machine.spawn m (fun () ->
+               for _ = 1 to ops_per_thread do
+                 let k = 1 + Random.State.int rng (range - 2) in
+                 match Random.State.int rng 10 with
+                 | 0 | 1 | 2 | 3 -> op (History.Insert k)
+                 | 4 | 5 | 6 -> op (History.Delete k)
+                 | _ -> op (History.Member k)
+               done))
+      done;
+      Option.iter (Machine.set_crash_at_step m) crash_step)
 
 (* The deterministic window (from test_ablation, generalized): run T0's
    insert for exactly [s0] steps, let T1 complete an operation that may
@@ -230,139 +269,98 @@ let adversarial (module S : SET) ~seed ~crash_step ~eviction ~stall =
    the ones between a publishing CAS and the fence that covers it. *)
 let window_run (module S : SET) ~wseed ~s0 ~t1 =
   let m = Machine.create ~seed:wseed () in
-  let s = S.create () in
-  let prefilled = List.filter (fun k -> S.insert s ~key:k ~value:k) [ 2; 6 ] in
-  Machine.persist_all m;
-  let h = History.create () in
-  let record op f () =
-    let e =
-      History.invoke h ~tid:(Machine.current_tid m) ~time:(Machine.now m) op
-    in
-    let r = f () in
-    History.respond e ~time:(Machine.now m) r
-  in
-  let t0 =
-    Machine.spawn m
-      (record (History.Insert 3) (fun () -> S.insert s ~key:3 ~value:3))
-  in
-  let t1_tid =
-    match t1 with
-    | Insert_other ->
-      Machine.spawn m
-        (record (History.Insert 4) (fun () -> S.insert s ~key:4 ~value:4))
-    | Member_target ->
-      Machine.spawn m (record (History.Member 3) (fun () -> S.member s 3))
-  in
-  let picked0 = ref 0 in
-  Machine.set_scheduler m (fun m runnable ->
-      if List.mem t0 runnable && !picked0 < s0 then begin
-        incr picked0;
-        t0
-      end
-      else if List.mem t1_tid runnable then t1_tid
-      else begin
-        (* only T0 is left: freeze the world here *)
-        Machine.set_crash_at_step m (Machine.steps m);
-        t0
-      end);
-  match Machine.run m with
-  | Machine.Completed ->
-    Machine.clear_scheduler m;
-    `No_crash (Machine.steps m, Machine.stats m)
-  | Machine.Crashed_at t ->
-    Machine.clear_scheduler m;
-    History.mark_crash h ~time:t;
-    check_recovery m h ~prefilled
-      ~recover:(fun () ->
-        S.recover s;
-        S.check_invariants s)
-      ~member:(fun k -> S.member s k)
+  record_and_recover (module S) m ~prefill:[ 2; 6 ] (fun op ->
+      let t0 = Machine.spawn m (fun () -> op (History.Insert 3)) in
+      let t1_tid =
+        Machine.spawn m (fun () ->
+            match t1 with
+            | Insert_other -> op (History.Insert 4)
+            | Member_target -> op (History.Member 3))
+      in
+      let picked0 = ref 0 in
+      Machine.set_scheduler m (fun m runnable ->
+          if List.mem t0 runnable && !picked0 < s0 then begin
+            incr picked0;
+            t0
+          end
+          else if List.mem t1_tid runnable then t1_tid
+          else begin
+            (* only T0 is left: freeze the world here *)
+            Machine.set_crash_at_step m (Machine.steps m);
+            t0
+          end))
 
-(* Replay one attack; [Some detail] is a durability violation. Runs
-   under whatever suppression is currently active, so a recorded kill
-   replays with [Suppress.set (Some site)] around this call. *)
-let run_attack (module S : SET) (a : attack) : string option =
+(* Run one structure attack under whatever suppression is currently
+   active, so a recorded kill replays with its site suppressed around
+   this call. *)
+let run_attack (module S : SET) (a : structure_attack) : string option =
   let outcome =
     match a with
-    | Crash { seed; crash_step } ->
-      adversarial
-        (module S)
-        ~seed ~crash_step:(Some crash_step) ~eviction:Machine.No_eviction
-        ~stall:None
-    | Stall { seed; crash_step } ->
-      adversarial
-        (module S)
-        ~seed ~crash_step:(Some crash_step) ~eviction:Machine.No_eviction
-        ~stall:(Some stall_profile)
-    | Evict { seed; crash_step; probability } ->
+    | Window { wseed; s0; t1 } -> window_run (module S) ~wseed ~s0 ~t1
+    | Crash { seed; crash_step }
+    | Stall { seed; crash_step }
+    | Evict { seed; crash_step; _ } ->
       adversarial
         (module S)
         ~seed ~crash_step:(Some crash_step)
-        ~eviction:(Machine.Random_eviction probability) ~stall:None
-    | Window { wseed; s0; t1 } -> window_run (module S) ~wseed ~s0 ~t1
-    | Svc_crash _ ->
-      invalid_arg
-        "Mutlab.run_attack: service attacks run in Nvt_service.Svclab"
+        ~eviction:
+          (match a with
+          | Evict { probability; _ } -> Machine.Random_eviction probability
+          | _ -> Machine.No_eviction)
+        ~stall:(match a with Stall _ -> Some stall_profile | _ -> None)
   in
   match outcome with
   | `Violation d -> Some d
   | `Ok | `No_crash _ -> None
 
-(* The full battery with early exit; returns the first kill (with the
-   number of runs it took) and the total runs executed. *)
-let sweep (module S : SET) (sc : scale) : (attack * string) option * int =
-  let runs = ref 0 in
-  let kill = ref None in
-  let try_ a =
-    if !kill = None then begin
-      incr runs;
-      match run_attack (module S) a with
-      | Some d -> kill := Some (a, d)
-      | None -> ()
-    end
+(* Crash steps [from], [from + stride], ... below [until]. *)
+let strided ~from ~stride ~until =
+  Seq.unfold (fun s -> if s < until then Some (s, s + stride) else None) from
+
+let structure_target (module S : SET) (sc : scale) : structure_attack target =
+  let probe ~seed =
+    match
+      adversarial
+        (module S)
+        ~seed ~crash_step:None ~eviction:Machine.No_eviction ~stall:None
+    with
+    | `No_crash run -> run
+    | `Ok | `Violation _ -> assert false (* no crash was requested *)
   in
+  let each n f = Seq.concat_map f (Seq.init n Fun.id) in
   (* 1. deterministic windows *)
-  for s0 = 1 to sc.window_s0 do
-    for wseed = 0 to sc.window_seeds - 1 do
-      List.iter
-        (fun t1 -> try_ (Window { wseed; s0; t1 }))
-        [ Insert_other; Member_target ]
-    done
-  done;
+  let windows =
+    each sc.window_s0 (fun i ->
+        each sc.window_seeds (fun wseed ->
+            List.to_seq [ Insert_other; Member_target ]
+            |> Seq.map (fun t1 -> Window { wseed; s0 = i + 1; t1 })))
   (* 2. crash-step sweep: measure the run's horizon under the current
      suppression (suppressed flushes change the step count), then
      stride crash points across it — stride 1 is literally every step.
      The per-seed offset varies the residues so quick scale still
      covers every step class across seeds. *)
-  for seed = 0 to sc.crash_seeds - 1 do
-    if !kill = None then
-      match
-        adversarial
-          (module S)
-          ~seed ~crash_step:None ~eviction:Machine.No_eviction ~stall:None
-      with
-      | `Ok | `Violation _ -> assert false (* no crash was requested *)
-      | `No_crash (steps, _) ->
+  and crashes =
+    each sc.crash_seeds (fun seed ->
+        let steps, _ = probe ~seed in
         let stride =
           if sc.crash_points = 0 then 1 else max 1 (steps / sc.crash_points)
         in
-        let step = ref (1 + (7 * seed mod stride)) in
-        while !kill = None && !step < steps do
-          try_ (Crash { seed; crash_step = !step });
-          step := !step + stride
-        done
-  done;
+        strided ~from:(1 + (7 * seed mod stride)) ~stride ~until:steps
+        |> Seq.map (fun crash_step -> Crash { seed; crash_step }))
   (* 3. stall injection (the windows only OS preemption opens) *)
-  for i = 0 to sc.stall_seeds - 1 do
-    try_ (Stall { seed = i; crash_step = 60 + (23 * i) })
-  done;
+  and stalls =
+    Seq.init sc.stall_seeds (fun i ->
+        Stall { seed = i; crash_step = 60 + (23 * i) })
   (* 4. eviction adversary *)
-  for seed = 0 to sc.evict_seeds - 1 do
-    for i = 0 to sc.evict_points - 1 do
-      try_ (Evict { seed; crash_step = 50 + (37 * i); probability = 0.2 })
-    done
-  done;
-  (!kill, !runs)
+  and evictions =
+    each sc.evict_seeds (fun seed ->
+        Seq.init sc.evict_points (fun i ->
+            Evict { seed; crash_step = 50 + (37 * i); probability = 0.2 }))
+  in
+  { probe;
+    attacks = Seq.concat (List.to_seq [ windows; crashes; stalls; evictions ]);
+    attack = run_attack (module S);
+    mutable_site = (fun site -> site <> Stats.app_site) }
 
 (* ------------------------------------------------------------------ *)
 (* Verdicts                                                            *)
@@ -658,21 +656,19 @@ let elisions_of_report (j : Json.t) ~structure ~policy : string list =
 let plan_of_report (j : Json.t) ~structure ~policy : Nvt_nvm.Optimizer.plan =
   { defer = true; elide = elisions_of_report j ~structure ~policy }
 
-(* Mutable sites of a flavour: every named site of the probe's
-   attribution table that issued at least one flush or fence. CAS-only
-   sites (lp:mark_clean, flit:install, flit:decrement) belong to the
-   algorithms' synchronization and are not mutation targets; the
-   untagged [app] site covers setup/recovery persistence, which the
-   battery's crash points never exercise meaningfully. *)
-let mutable_sites (st : Stats.t) =
-  Stats.sites st
-  |> List.filter_map (fun (name, { Stats.s_flushes; s_fences; _ }) ->
-         if name <> Stats.app_site && s_flushes + s_fences > 0 then Some name
-         else None)
-  |> List.sort compare
+(* A report is read only through this check: [Error] carries the
+   reason for a missing, malformed, stale or inconsistent report. *)
+let load_report path : (Json.t, string) result =
+  match
+    let j = Json.parse_file path in
+    ignore (report_candidates j);
+    j
+  with
+  | j -> Ok j
+  | exception (Sys_error msg | Json.Parse_error msg) -> Error msg
 
-let classify_site (module S : SET) (sc : scale) ~policy ~structure ~site
-    ~flushes ~fences =
+let classify_site (t : 'a target) ~evidence ~policy ~structure
+    (site, { Stats.s_flushes = flushes; s_fences = fences; _ }) =
   Suppress.set (Some site);
   Fun.protect
     ~finally:(fun () -> Suppress.set None)
@@ -680,16 +676,13 @@ let classify_site (module S : SET) (sc : scale) ~policy ~structure ~site
       (* measured instruction delta: one uncrashed run under
          suppression, before the battery resets nothing (the counters
          run from [Suppress.set]) *)
-      ignore
-        (adversarial
-           (module S)
-           ~seed:0 ~crash_step:None ~eviction:Machine.No_eviction ~stall:None);
+      ignore (t.probe ~seed:0);
       let skipped_flushes, skipped_fences = Suppress.skipped () in
-      let kill, runs = sweep (module S) sc in
+      let kill, runs = sweep t in
       let verdict =
         match kill with
-        | Some (attack, detail) ->
-          Necessary { attack; detail; runs_to_kill = runs }
+        | Some (a, detail) ->
+          Necessary { attack = evidence a; detail; runs_to_kill = runs }
         | None -> Unkilled { expected = expectation ~policy ~structure ~site }
       in
       { site; flushes; fences; skipped_flushes; skipped_fences; runs; verdict })
@@ -722,133 +715,125 @@ type report = {
   flavours : flavour_report list;
 }
 
-let run_flavour (sc : scale) ~structure ?plan (f : I.flavour) (module S : SET)
-    : flavour_report =
-  let (module Pol : I.POLICY) = f.policy in
-  let elided =
-    match (plan : Nvt_nvm.Optimizer.plan option) with
-    | Some p when Pol.durable -> p.elide
-    | _ -> []
-  in
-  let with_plan fn =
-    match plan with
-    | None -> fn ()
-    | Some p ->
-      Nvt_nvm.Optimizer.set (Some p);
-      Fun.protect ~finally:(fun () -> Nvt_nvm.Optimizer.set None) fn
-  in
-  with_plan @@ fun () ->
+(* One battery's row: probe, the intact control, then every mutable
+   site — a probe site the target marks as a candidate that issued at
+   least one flush or fence — classified in name order. [evidence]
+   records the target's attacks as kill evidence. *)
+let flavour_report ~structure ~(flavour : I.flavour) ~plan ~evidence
+    (t : 'a target) : flavour_report =
+  let (module Pol : I.POLICY) = flavour.policy in
+  let policy = flavour.key in
   let probe_steps, probe_stats =
-    match
-      adversarial
-        (module S)
-        ~seed:0 ~crash_step:None ~eviction:Machine.No_eviction ~stall:None
-    with
-    | `No_crash (steps, st) -> (steps, Stats.copy st)
-    | `Ok | `Violation _ -> assert false
+    let steps, st = t.probe ~seed:0 in
+    (steps, Stats.copy st)
   in
-  if not Pol.durable then
-    (* negative control: nothing to mutate — a non-durable flavour must
-       enumerate no named persistence sites *)
-    { structure;
-      policy = f.key;
-      durable = false;
-      probe_steps;
-      probe_stats;
-      control_runs = 0;
-      control_failure = None;
-      sites = [];
-      elided }
-  else begin
-    let control_failure, control_runs = sweep (module S) sc in
-    let site_counts = Stats.sites probe_stats in
-    let sites =
-      List.map
-        (fun site ->
-          let { Stats.s_flushes; s_fences; _ } =
-            List.assoc site site_counts
-          in
-          classify_site
-            (module S)
-            sc ~policy:f.key ~structure ~site ~flushes:s_flushes
-            ~fences:s_fences)
-        (mutable_sites probe_stats)
-    in
-    { structure;
-      policy = f.key;
-      durable = true;
-      probe_steps;
-      probe_stats;
-      control_runs;
-      control_failure;
-      sites;
-      elided }
-  end
+  (* negative control: a non-durable flavour has nothing to mutate and
+     must enumerate no named persistence sites; its row records the
+     probe *)
+  let (control_failure, control_runs), sites =
+    if not Pol.durable then ((None, 0), [])
+    else
+      let control, runs = sweep t in
+      ( (Option.map (fun (a, d) -> (evidence a, d)) control, runs),
+        Stats.sites probe_stats
+        |> List.filter (fun (site, { Stats.s_flushes; s_fences; _ }) ->
+               t.mutable_site site && s_flushes + s_fences > 0)
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map (classify_site t ~evidence ~policy ~structure) )
+  in
+  { structure;
+    policy;
+    durable = Pol.durable;
+    probe_steps;
+    probe_stats;
+    control_runs;
+    control_failure;
+    sites;
+    elided =
+      (match (plan : Nvt_nvm.Optimizer.plan option) with
+      | Some p when Pol.durable -> p.elide
+      | _ -> []) }
 
-(* The (structure, flavour) batteries are independent — every attack
-   builds its own machine and suppression is domain-local — so they
-   stripe over a {!Nvt_sim.Domain_pool} round-robin. [I.instantiate]
-   runs inside the worker: the instantiated structure's cells must
-   belong to the worker's machines. The report (and its JSON) is
-   index-ordered and carries no domain count, so a [domains = n] run
-   is byte-identical to the sequential one. *)
-let run ?(structures = []) ?(policies = []) ?(domains = 1) ?optimize
-    (sc : scale) : report =
+(* A battery builds its target and runs it on the worker domain that
+   owns it: an instantiated structure's cells must belong to that
+   worker's machines. [plan] is the optimizer plan it runs under. *)
+type battery = {
+  plan : Nvt_nvm.Optimizer.plan option;
+  report : unit -> flavour_report;
+}
+
+(* The structure batteries: every registry flavour of [structures]
+   (default: the scale's set), restricted to [policies] when non-empty.
+   With [optimize] (a checked report) each runs under its derived plan.
+   Mutable sites are the named ones: CAS-only sites (lp:mark_clean,
+   flit:install, flit:decrement) belong to the algorithms'
+   synchronization and issue no flush or fence; the untagged [app] site
+   covers setup/recovery persistence, which the battery's crash points
+   never exercise meaningfully. *)
+let batteries ?(structures = []) ?(policies = []) ?optimize (sc : scale) :
+    battery list =
   let structures = if structures = [] then sc.structures else structures in
-  let items =
-    List.concat_map
-      (fun s_name ->
-        let str =
-          match List.assoc_opt s_name I.structures with
-          | Some str -> str
-          | None ->
-            invalid_arg (Printf.sprintf "mutlab: unknown structure %S" s_name)
-        in
-        List.filter_map
-          (fun (f : I.flavour) ->
-            if policies <> [] && not (List.mem f.key policies) then None
-            else if not (I.supports f s_name) then None
-            else Some (s_name, str, f))
-          I.flavours)
-      structures
-  in
-  let items = Array.of_list items in
-  let n = Array.length items in
+  List.concat_map
+    (fun s_name ->
+      let str =
+        match List.assoc_opt s_name I.structures with
+        | Some str -> str
+        | None ->
+          invalid_arg (Printf.sprintf "mutlab: unknown structure %S" s_name)
+      in
+      List.filter_map
+        (fun (f : I.flavour) ->
+          if policies <> [] && not (List.mem f.key policies) then None
+          else if not (I.supports f s_name) then None
+          else
+            let plan =
+              Option.map
+                (fun j -> plan_of_report j ~structure:s_name ~policy:f.key)
+                optimize
+            in
+            let report () =
+              let t =
+                structure_target (I.instantiate_flavour f s_name str) sc
+              in
+              let run () =
+                flavour_report ~structure:s_name ~flavour:f ~plan
+                  ~evidence:(fun a -> Structure a)
+                  t
+              in
+              match plan with
+              | None -> run ()
+              | Some p ->
+                Nvt_nvm.Optimizer.set (Some p);
+                Fun.protect ~finally:(fun () -> Nvt_nvm.Optimizer.set None) run
+            in
+            Some { plan; report })
+        I.flavours)
+    structures
+
+(* The batteries are independent — every attack builds its own machine
+   and suppression is domain-local — so they stripe over a
+   {!Nvt_sim.Domain_pool} round-robin (a size-1 pool is a plain call).
+   The report (and its JSON) is index-ordered and carries no domain
+   count, so a [domains = n] run is byte-identical to the sequential
+   one. *)
+let run ?(domains = 1) (sc : scale) (batteries : battery list) : report =
+  let batteries = Array.of_list batteries in
+  let n = Array.length batteries in
   let results = Array.make n None in
-  let work i =
-    let s_name, str, (f : I.flavour) = items.(i) in
-    let plan =
-      Option.map
-        (fun j -> plan_of_report j ~structure:s_name ~policy:f.key)
-        optimize
-    in
-    results.(i) <-
-      Some
-        (run_flavour sc ~structure:s_name ?plan f
-           (I.instantiate_flavour f s_name str))
-  in
   let domains = max 1 (min domains n) in
-  if domains = 1 then
-    for i = 0 to n - 1 do
-      work i
-    done
-  else begin
-    let pool = Nvt_sim.Domain_pool.create domains in
-    Fun.protect
-      ~finally:(fun () -> Nvt_sim.Domain_pool.shutdown pool)
-      (fun () ->
-        Nvt_sim.Domain_pool.run pool (fun d ->
-            let i = ref d in
-            while !i < n do
-              work !i;
-              i := !i + domains
-            done))
-  end;
-  let flavours =
-    Array.to_list results
-    |> List.map (function Some r -> r | None -> assert false)
-  in
-  { scale_name = sc.scale_name; optimized = optimize <> None; flavours }
+  let pool = Nvt_sim.Domain_pool.create domains in
+  Fun.protect
+    ~finally:(fun () -> Nvt_sim.Domain_pool.shutdown pool)
+    (fun () ->
+      Nvt_sim.Domain_pool.run pool (fun d ->
+          let i = ref d in
+          while !i < n do
+            results.(!i) <- Some (batteries.(!i).report ());
+            i := !i + domains
+          done));
+  { scale_name = sc.scale_name;
+    optimized = Array.exists (fun b -> b.plan <> None) batteries;
+    flavours = Array.to_list results |> List.map Option.get }
 
 (* ------------------------------------------------------------------ *)
 (* Gate                                                                *)
@@ -943,16 +928,16 @@ let candidate_redundant (r : report) :
 
 let attack_to_json (a : attack) : Json.t =
   match a with
-  | Crash { seed; crash_step } ->
+  | Structure (Crash { seed; crash_step }) ->
     Obj [ ("kind", Str "crash"); ("seed", Int seed);
           ("crash_step", Int crash_step) ]
-  | Stall { seed; crash_step } ->
+  | Structure (Stall { seed; crash_step }) ->
     Obj [ ("kind", Str "stall"); ("seed", Int seed);
           ("crash_step", Int crash_step) ]
-  | Evict { seed; crash_step; probability } ->
+  | Structure (Evict { seed; crash_step; probability }) ->
     Obj [ ("kind", Str "evict"); ("seed", Int seed);
           ("crash_step", Int crash_step); ("probability", Float probability) ]
-  | Window { wseed; s0; t1 } ->
+  | Structure (Window { wseed; s0; t1 }) ->
     Obj [ ("kind", Str "window"); ("seed", Int wseed); ("s0", Int s0);
           ("t1",
            Str (match t1 with

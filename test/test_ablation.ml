@@ -3,9 +3,10 @@
    them could violate the correctness of some NVTraverse data
    structure." Each test suppresses exactly one named persistence site
    ({!Nvt_nvm.Suppress}) and drives the crippled structure through the
-   mutation laboratory's attack battery ({!Nvt_harness.Mutlab.sweep})
-   to a durability violation — while the intact structure survives the
-   identical battery.
+   mutation laboratory's one driver ({!Nvt_harness.Mutlab.sweep}) over
+   the structure target's attacks
+   ({!Nvt_harness.Mutlab.structure_target}) to a durability violation —
+   while the intact structure survives the identical battery.
 
    The paper's claim is per-class ("some NVTraverse data structure"),
    so the engine's three sites are exercised on two shapes: the Harris
@@ -21,10 +22,10 @@ module Suppress = Nvt_nvm.Suppress
 
 let sc = Mutlab.quick
 
-let set_of structure =
+let target_of structure =
   let str = List.assoc structure I.structures in
   let f = Option.get (I.flavour "nvt") in
-  I.instantiate str f.policy
+  Mutlab.structure_target (I.instantiate str f.policy) sc
 
 (* The three sites the engine itself injects (Algorithm 2); the
    Protocol 2 sites inside critical methods get the same treatment in
@@ -39,8 +40,7 @@ let with_suppressed site f =
   Fun.protect ~finally:(fun () -> Suppress.set None) f
 
 let intact_survives structure () =
-  let (module S : Mutlab.SET) = set_of structure in
-  match Mutlab.sweep (module S) sc with
+  match Mutlab.sweep (target_of structure) with
   | None, runs ->
     if runs < 100 then
       Alcotest.failf "only %d battery runs on intact %s; battery too small"
@@ -50,16 +50,16 @@ let intact_survives structure () =
       "intact %s lost the battery at %s: %s — the harness, not a \
        suppressed site, is at fault"
       structure
-      (Format.asprintf "%a" Mutlab.pp_attack a)
+      (Format.asprintf "%a" Mutlab.pp_attack (Structure a))
       detail
 
 let necessity structure site () =
-  let (module S : Mutlab.SET) = set_of structure in
+  let t = target_of structure in
   let expected_unkilled =
     Mutlab.expectation ~policy:"nvt" ~structure ~site <> None
   in
   with_suppressed site (fun () ->
-      match Mutlab.sweep (module S) sc with
+      match Mutlab.sweep t with
       | Some _, _ ->
         if expected_unkilled then
           Alcotest.failf

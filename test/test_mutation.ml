@@ -1,17 +1,21 @@
 (* The mutation laboratory's own regression (quick scale, Harris list):
    the Protocol 2 sites are classified necessary with kill evidence that
-   replays, the volatile flavour is a true negative control (no named
-   persistence sites to mutate), and the report survives a round-trip
-   through the harness's JSON emitter and parser — the same files CI
-   validates as MUTATION_report.json. *)
+   replays (as does a service-site kill on svc:hash/nvt), the volatile
+   flavour is a true negative control (no named persistence sites to
+   mutate), and the report survives a round-trip through the harness's
+   JSON emitter and parser — the same files CI validates as
+   MUTATION_report.json. *)
 
 module Mutlab = Nvt_harness.Mutlab
 module Json = Nvt_harness.Json
 module Suppress = Nvt_nvm.Suppress
+module Svclab = Nvt_service.Svclab
 
 let report =
-  lazy (Mutlab.run ~structures:[ "list" ] ~policies:[ "volatile"; "nvt" ]
-          Mutlab.quick)
+  lazy
+    (Mutlab.run Mutlab.quick
+       (Mutlab.batteries ~structures:[ "list" ]
+          ~policies:[ "volatile"; "nvt" ] Mutlab.quick))
 
 let flavour policy =
   let r = Lazy.force report in
@@ -71,18 +75,50 @@ let p2_sites_killed () =
 
 (* Kill evidence must replay: re-running the recorded attack with the
    same site suppressed reproduces a violation, and running it against
-   the intact structure does not. *)
+   the intact workload does not. Each kind of evidence replays through
+   the target that recorded it: every kill on the list, and one
+   service-site kill on svc:hash/nvt. *)
 let kills_replay () =
-  let fr = flavour "nvt" in
   let str = List.assoc "list" Nvt_harness.Instances.structures in
   let f = Option.get (Nvt_harness.Instances.flavour "nvt") in
-  let (module S : Mutlab.SET) = Nvt_harness.Instances.instantiate str f.policy in
+  let list_target =
+    Mutlab.structure_target
+      (Nvt_harness.Instances.instantiate str f.policy)
+      Mutlab.quick
+  and svc_target =
+    Svclab.target
+      (Svclab.config ~structure:"hash" ~policy:"nvt" ~plan:None)
+      Mutlab.quick
+  in
+  let replay = function
+    | Mutlab.Structure a -> list_target.attack a
+    | Mutlab.Svc_crash a -> svc_target.attack a
+  in
+  let svc_kill =
+    let r =
+      Mutlab.run Mutlab.quick
+        (Svclab.batteries ~policies:[ "nvt" ] Mutlab.quick)
+    in
+    match r.flavours with
+    | [ fr ] -> (
+      match
+        List.find_opt
+          (fun (sr : Mutlab.site_report) ->
+            match sr.verdict with
+            | Mutlab.Necessary _ -> true
+            | Mutlab.Unkilled _ -> false)
+          fr.sites
+      with
+      | Some sr -> sr
+      | None -> Alcotest.fail "no necessary site on svc:hash/nvt")
+    | _ -> Alcotest.fail "expected the svc:hash/nvt row alone"
+  in
   List.iter
     (fun (sr : Mutlab.site_report) ->
       match sr.verdict with
       | Mutlab.Unkilled _ -> ()
       | Mutlab.Necessary { attack; _ } ->
-        (match Mutlab.run_attack (module S) attack with
+        (match replay attack with
         | Some _ ->
           Alcotest.failf "recorded kill for %s fires without suppression"
             sr.site
@@ -91,11 +127,11 @@ let kills_replay () =
         Fun.protect
           ~finally:(fun () -> Suppress.set None)
           (fun () ->
-            match Mutlab.run_attack (module S) attack with
+            match replay attack with
             | Some _ -> ()
             | None ->
               Alcotest.failf "recorded kill for %s does not replay" sr.site))
-    fr.sites
+    ((flavour "nvt").sites @ [ svc_kill ])
 
 let json_round_trip () =
   let j = Mutlab.to_json (Lazy.force report) in
