@@ -1,14 +1,21 @@
 (* Violation order is part of the oracle's contract: the first
    violation is the kill detail the mutation battery records, and the
    checks iterate the request table with [Hashtbl.iter], so the table's
-   creation size and insertion order (arrival order) must not change. *)
+   creation size and insertion order (arrival order) must not change.
+
+   The recovered-point checks run at every crash, and only acknowledged
+   requests can fail them. [ack] appends each newly acknowledged record
+   to an index, so the records with [r_acks > 0] are exactly its prefix
+   [0, completed): each pass first scans that prefix, O(acked) rather
+   than O(table), and emits nothing when it finds no violation. When it
+   finds one, the pass re-runs in the table's canonical [Hashtbl.iter]
+   order, so what it reports is unchanged. *)
 
 type arrival = { a_client : int; a_seq : int; a_op : Service.op; a_time : int }
 
 (* Per-request record. *)
 type rec_ = {
-  r_arrival : int;
-  r_op : Service.op;
+  r_arr : arrival;
   mutable r_acks : int;
   mutable r_ack_res : Service.result option;
   mutable r_applies : int;
@@ -23,6 +30,7 @@ type t = {
   mutable violations : string list;  (* newest first, at most [cap] *)
   mutable reported : int;  (* including those beyond [cap] *)
   mutable completed : int;
+  acked : rec_ array;  (* [0, completed): first acknowledgement order *)
   mutable applies : int;
   mutable dedup_acks : int;
   latencies : int array;
@@ -35,24 +43,25 @@ type t = {
 
 let cap = 32
 
+let fresh a =
+  { r_arr = a; r_acks = 0; r_ack_res = None; r_applies = 0; r_pos = None }
+
+(* Fills [acked] beyond [completed]; never read. *)
+let unacked =
+  fresh { a_client = -1; a_seq = -1; a_op = Service.Get 0; a_time = 0 }
+
 let create ~clients arrivals =
   let requests = Array.length arrivals in
   let recs = Hashtbl.create (2 * requests) in
   Array.iter
-    (fun a ->
-      Hashtbl.replace recs (a.a_client, a.a_seq)
-        { r_arrival = a.a_time;
-          r_op = a.a_op;
-          r_acks = 0;
-          r_ack_res = None;
-          r_applies = 0;
-          r_pos = None })
+    (fun a -> Hashtbl.replace recs (a.a_client, a.a_seq) (fresh a))
     arrivals;
   { recs;
     requests;
     violations = [];
     reported = 0;
     completed = 0;
+    acked = Array.make requests unacked;
     applies = 0;
     dedup_acks = 0;
     latencies = Array.make requests 0;
@@ -124,7 +133,8 @@ let ack t (req : Service.request) res ~dedup ~time =
     end
     else begin
       x.r_ack_res <- Some res;
-      t.latencies.(t.completed) <- time - x.r_arrival;
+      t.latencies.(t.completed) <- time - x.r_arr.a_time;
+      t.acked.(t.completed) <- x;
       t.completed <- t.completed + 1;
       if req.seq > t.last_acked.(req.client) then
         t.last_acked.(req.client) <- req.seq;
@@ -132,6 +142,11 @@ let ack t (req : Service.request) res ~dedup ~time =
     end
 
 (* ---- recovered quiescent points ---- *)
+
+(* Does [p] hold for some acknowledged request? *)
+let any_acked t p =
+  let rec go i = i < t.completed && (p t.acked.(i) || go (i + 1)) in
+  go 0
 
 (* Durable-commit audit: every request acknowledged before the crash
    committed at a recorded (shard, slot), and that slot must still be
@@ -150,39 +165,52 @@ let check_recovered t (durable : Service.durable array) ~status =
       (fun (d : Service.durable) -> d.dv_base + List.length d.dv_log)
       durable
   in
-  Hashtbl.iter
-    (fun (cl, sq) x ->
-      if x.r_acks > 0 then
-        match x.r_pos with
-        | Some (gs, slot) when slot >= extent.(gs) ->
-          violation t
-            "recovery: client=%d seq=%d acknowledged at shard %d slot %d but \
-             the recovered commit extent is %d — acknowledged work lost"
-            cl sq gs slot extent.(gs)
-        | Some _ -> ()
-        | None ->
-          violation t
-            "recovery: client=%d seq=%d acknowledged without an observed \
-             commit"
-            cl sq)
-    t.recs;
+  let lost x =
+    match x.r_pos with Some (gs, slot) -> slot >= extent.(gs) | None -> true
+  in
+  if any_acked t lost then
+    Hashtbl.iter
+      (fun (cl, sq) x ->
+        if x.r_acks > 0 then
+          match x.r_pos with
+          | Some (gs, slot) when slot >= extent.(gs) ->
+            violation t
+              "recovery: client=%d seq=%d acknowledged at shard %d slot %d \
+               but the recovered commit extent is %d — acknowledged work \
+               lost"
+              cl sq gs slot extent.(gs)
+          | Some _ -> ()
+          | None ->
+            violation t
+              "recovery: client=%d seq=%d acknowledged without an observed \
+               commit"
+              cl sq)
+      t.recs;
   (* Detect mode's own obligation: every acknowledged request must
      answer [Completed] to the status query of the slice that owns its
      key — a descriptor lost (or a stale one mistaken for valid)
      surfaces here as a liveness lie rather than waiting for a re-send
-     to double-apply. *)
+     to double-apply. The query is pure, so the fallback may repeat
+     it. *)
   Option.iter
     (fun status ->
-      Hashtbl.iter
-        (fun (cl, sq) x ->
-          if x.r_acks > 0 then
-            match status ~client:cl ~seq:sq x.r_op with
-            | Nvt_nvm.Detectable.Completed -> ()
-            | st ->
-              violation t
-                "detect: client=%d seq=%d acknowledged but status says %s" cl sq
-                (Nvt_nvm.Detectable.status_name st))
-        t.recs)
+      let unfinished { r_arr = a; _ } =
+        match status ~client:a.a_client ~seq:a.a_seq a.a_op with
+        | Nvt_nvm.Detectable.Completed -> false
+        | _ -> true
+      in
+      if any_acked t unfinished then
+        Hashtbl.iter
+          (fun (cl, sq) x ->
+            if x.r_acks > 0 then
+              match status ~client:cl ~seq:sq x.r_arr.a_op with
+              | Nvt_nvm.Detectable.Completed -> ()
+              | st ->
+                violation t
+                  "detect: client=%d seq=%d acknowledged but status says %s"
+                  cl sq
+                  (Nvt_nvm.Detectable.status_name st))
+          t.recs)
     status
 
 (* ---- final state ---- *)
@@ -303,9 +331,10 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
             x.r_applies
       end)
     t.recs;
-  let actual = List.sort compare contents in
+  let actual = List.sort Types.compare_pair contents in
   let expected =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] |> List.sort compare
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
+    |> List.sort Types.compare_pair
   in
   if actual <> expected then
     violation t
@@ -338,7 +367,8 @@ let start_audit t =
     if seq >= 0 then begin
       t.audit_expected <- t.audit_expected + 1;
       match Hashtbl.find_opt t.recs (client, seq) with
-      | Some x -> resend := { Service.client; seq; op = x.r_op } :: !resend
+      | Some x ->
+        resend := { Service.client; seq; op = x.r_arr.a_op } :: !resend
       | None -> ()
     end
   done;

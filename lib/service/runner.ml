@@ -145,7 +145,7 @@ let percentile sorted p =
   else sorted.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
 
 let summarize lat =
-  Array.sort compare lat;
+  Array.sort Int.compare lat;
   let n = Array.length lat in
   { p50 = percentile lat 0.50;
     p95 = percentile lat 0.95;
@@ -290,7 +290,17 @@ let release m ~audit ~all t_bar f =
     else List.partition (fun (eff, _, _) -> eff <= t_bar) pending
   in
   m.deferred <- later;
-  List.stable_sort (fun (e1, k1, _) (e2, k2, _) -> compare (e1, k1) (e2, k2)) ready
+  List.stable_sort
+    (fun (e1, (c1, s1, k1), _) (e2, (c2, s2, k2), _) ->
+      let c = Int.compare e1 e2 in
+      if c <> 0 then c
+      else
+        let c = Int.compare c1 c2 in
+        if c <> 0 then c
+        else
+          let c = Int.compare s1 s2 in
+          if c <> 0 then c else Int.compare k1 k2)
+    ready
   |> List.iter (fun (_, _, e) -> f e)
 
 (* ---- the barrier driver ---- *)

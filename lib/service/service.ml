@@ -307,6 +307,11 @@ let commit t items =
     items;
   List.iter (fun (r, c) -> t.on_ack r c.res ~dedup:false) items
 
+(* A checkpoint cut sorts its pairs and records on their first
+   component alone: mirror keys and dedup clients are unique
+   ([Hashtbl.replace] only), so this is [compare]'s order. *)
+let by_fst ((a : int), _) (b, _) = Int.compare a b
+
 (* Snapshot and durably checkpoint one shard, on the thread that owns
    its commit index, so no other thread races the index.
 
@@ -327,14 +332,14 @@ let checkpoint_shard t si =
   if upto > sh.log.base then begin
     let pairs =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.mirror []
-      |> List.sort compare |> Array.of_list
+      |> List.sort by_fst |> Array.of_list
     in
     let covered =
       Hashtbl.fold
         (fun client (c : completion) acc ->
           if c.shard = si && c.slot < upto then (client, c) :: acc else acc)
         t.last []
-      |> List.sort compare |> Array.of_list
+      |> List.sort by_fst |> Array.of_list
     in
     t.truncated <-
       t.truncated
@@ -555,7 +560,7 @@ let spawn_recovery t m =
 let contents t =
   Array.to_list t.shards
   |> List.concat_map (fun sh -> sh.store.st_contents ())
-  |> List.sort compare
+  |> List.sort compare_pair
 
 let check_invariants t =
   Array.iter (fun sh -> sh.store.st_check ()) t.shards

@@ -35,6 +35,11 @@ let pp_op ppf = function
          (List.map (fun (k, v) -> Printf.sprintf "%d,%d" k v) kvs))
   | Rmw (k, d) -> Format.fprintf ppf "rmw(%d,%+d)" k d
 
+(** [compare] on int pairs, without the polymorphic [compare]. *)
+let compare_pair ((a1 : int), (b1 : int)) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
+
 type result = Done of bool | Value of int option
 
 let pp_result ppf = function

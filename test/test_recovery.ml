@@ -312,6 +312,60 @@ let dedup_rebuild_last_committed_wins () =
       | None -> Alcotest.fail "re-send was not deduplicated at all")
     [ (Svc.Done true, Svc.Done false); (Svc.Done false, Svc.Done true) ]
 
+(* The checkpoint cut sorts its mirror pairs by key alone and its dedup
+   records by client alone, which is [compare]'s order only because
+   both are unique. Pin that on a per-op checkpointed service with many
+   clients over two shards, across crash/recover cycles: every shard's
+   committed checkpoint must be strictly increasing in both. *)
+let checkpoint_cuts_strictly_sorted () =
+  let m = Machine.create ~seed:5 () in
+  Machine.set_current m;
+  let structure = List.assoc "hash" I.structures in
+  let flavour =
+    match I.flavour "nvt" with Some f -> f | None -> assert false
+  in
+  let svc =
+    Svc.create ~checkpoint:600 ~structure ~flavour ~shards:2
+      ~mode:Svc.Per_op ()
+  in
+  Svc.prefill svc [ 1; 2; 3; 40; 41 ];
+  Machine.persist_all m;
+  let rec increasing = function
+    | a :: (b :: _ as tl) -> a < b && increasing tl
+    | _ -> true
+  in
+  let checked = ref 0 in
+  for cycle = 0 to 3 do
+    Svc.start svc m;
+    for i = 0 to 59 do
+      let n = (60 * cycle) + i in
+      let op =
+        if n mod 5 = 0 then Svc.Del (n mod 48) else Svc.Put (n * 7 mod 48, n)
+      in
+      Svc.submit svc { Svc.client = n mod 12; seq = n / 12; op }
+    done;
+    Svc.request_stop svc;
+    Machine.set_crash_at_step m (Machine.steps m + 900);
+    (match Machine.run m with
+    | Machine.Crashed_at _ -> svc_recover svc m
+    | Machine.Completed ->
+      Alcotest.failf "cycle %d: crash did not fire" cycle);
+    Array.iteri
+      (fun gs (d : Svc.durable) ->
+        if d.dv_base > 0 then incr checked;
+        if not (increasing (List.map fst d.dv_pairs)) then
+          Alcotest.failf
+            "cycle %d shard %d: checkpoint keys not strictly increasing"
+            cycle gs;
+        if not (increasing (List.map fst d.dv_covered)) then
+          Alcotest.failf
+            "cycle %d shard %d: checkpoint clients not strictly increasing"
+            cycle gs)
+      (Svc.durable_state svc)
+  done;
+  if !checked < 4 then
+    Alcotest.failf "only %d shard checkpoints checked" !checked
+
 (* Crashes landing inside checkpoint sequences: >= 2 structures x >= 2
    policies, checkpointing on, merge barriers every 25 time units (less
    than one flush) so era thresholds can land between the svc:ckpt_*
@@ -476,6 +530,8 @@ let suite =
         `Quick watchdog_arms_under_pending_crash;
       Alcotest.test_case "service: checkpoint truncation retires cells"
         `Quick checkpoint_truncation_bounds_live_cells;
+      Alcotest.test_case "service: checkpoint cuts are strictly sorted"
+        `Quick checkpoint_cuts_strictly_sorted;
       Alcotest.test_case "service: dedup rebuild is last-committed-wins"
         `Quick dedup_rebuild_last_committed_wins;
       Alcotest.test_case

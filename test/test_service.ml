@@ -734,6 +734,86 @@ let oracle_violation_cap () =
   Alcotest.(check string)
     "summary" "… and 8 more violations" (List.nth vs 32)
 
+(* A larger hand-fed stream for the recovered-point checks: 2 000
+   requests round-robin over 4 shards from 16 clients, each committed at
+   the next slot of its shard and acknowledged in arrival order — except
+   the last 100, which commit past their shard's recovered extent but
+   are never acknowledged, so they must not be reported. [bug] seeds
+   three lost acknowledgements (shard 1's two highest acked slots and
+   shard 3's highest fall outside the extent) and one acknowledgement
+   with no observed commit (arrival 777: client 9 seq 48). *)
+let wide_oracle ~bug =
+  let rq i =
+    req (i mod 16) (i / 16)
+      (if i mod 3 = 0 then Service.Get i else Service.Put (i, i))
+  in
+  let o =
+    Oracle.create ~clients:16
+      (Array.init 2000 (fun i ->
+           let r = rq i in
+           { Oracle.a_client = r.client; a_seq = r.seq; a_op = r.op;
+             a_time = i }))
+  in
+  for i = 0 to 1999 do
+    let r = rq i in
+    Oracle.apply o r;
+    if not (bug && i = 777) then
+      Oracle.commit o r ~shard:(i mod 4) ~slot:(i / 4);
+    if i < 1900 then
+      ignore (Oracle.ack o r (Service.Done true) ~dedup:false ~time:(i + 5))
+  done;
+  (* every shard's highest acknowledged slot is 474 *)
+  let lost gs = if bug then match gs with 1 -> 2 | 3 -> 1 | _ -> 0 else 0 in
+  let durable =
+    Array.init 4 (fun gs ->
+        { Service.dv_base = 475 - lost gs; dv_pairs = []; dv_covered = [];
+          dv_log = [] })
+  in
+  (o, durable)
+
+(* Status answers [Unknown] for [client] at seqs that [at] selects. *)
+let unknown_for client at ~client:cl ~seq _ =
+  if cl = client && at seq then Nvt_nvm.Detectable.Unknown
+  else Nvt_nvm.Detectable.Completed
+
+(* The full violation list, both passes, recorded before the recovered
+   checks learned to scan only acknowledged requests: when anything is
+   reported, it is in the request table's iteration order. *)
+let wide_golden =
+  [ "recovery: client=9 seq=118 acknowledged at shard 1 slot 474 but the \
+     recovered commit extent is 473 — acknowledged work lost";
+    "recovery: client=5 seq=118 acknowledged at shard 1 slot 473 but the \
+     recovered commit extent is 473 — acknowledged work lost";
+    "recovery: client=11 seq=118 acknowledged at shard 3 slot 474 but the \
+     recovered commit extent is 474 — acknowledged work lost";
+    "recovery: client=9 seq=48 acknowledged without an observed commit";
+    "detect: client=5 seq=80 acknowledged but status says unknown";
+    "detect: client=5 seq=40 acknowledged but status says unknown";
+    "detect: client=5 seq=0 acknowledged but status says unknown";
+    "detect: client=5 seq=60 acknowledged but status says unknown";
+    "detect: client=5 seq=20 acknowledged but status says unknown";
+    "detect: client=5 seq=100 acknowledged but status says unknown" ]
+
+let oracle_wide_order () =
+  let o, durable = wide_oracle ~bug:false in
+  Oracle.check_recovered o durable
+    ~status:(Some (unknown_for 5 (fun _ -> false)));
+  Alcotest.(check (list string)) "clean" [] (Oracle.violations o);
+  let o, durable = wide_oracle ~bug:true in
+  Oracle.check_recovered o durable
+    ~status:(Some (unknown_for 5 (fun seq -> seq mod 20 = 0)));
+  Alcotest.(check (list string))
+    "golden order" wide_golden (Oracle.violations o);
+  (* only the last-acknowledged request (arrival 1899) answers
+     [Unknown]; the unacknowledged 100 after it are never asked *)
+  let o, durable = wide_oracle ~bug:false in
+  Oracle.check_recovered o durable
+    ~status:(Some (unknown_for 11 (fun seq -> seq >= 118)));
+  Alcotest.(check (list string))
+    "detect: last ack"
+    [ "detect: client=11 seq=118 acknowledged but status says unknown" ]
+    (Oracle.violations o)
+
 let suite =
   [ Alcotest.test_case "crash-free, both modes" `Quick crash_free;
     Alcotest.test_case "exactly-once matrix (2 structures x 2 policies)"
@@ -755,4 +835,6 @@ let suite =
     Alcotest.test_case "oracle: every check fires on its seeded bug" `Quick
       oracle_checks;
     Alcotest.test_case "oracle: violations past 32 are counted" `Quick
-      oracle_violation_cap ]
+      oracle_violation_cap;
+    Alcotest.test_case "oracle: recovered-point order over 2000 requests"
+      `Quick oracle_wide_order ]
