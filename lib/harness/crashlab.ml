@@ -1,8 +1,14 @@
-(* A reusable crash-injection laboratory: run a seeded multi-thread
-   workload on any set structure over the simulator, optionally crash
-   and recover (possibly several times), record the full history, and
-   check durable linearizability. This is the engine behind
-   [bin/nvtsim.exe] and mirrors what the test suites do. *)
+(* The crash laboratory: one recorded crash run, and the seeded
+   multi-thread workload over it behind [bin/nvtsim.exe].
+
+   A recorded run is a set on a machine the caller made, pre-filled
+   and persisted, with every operation recorded in a {!History} as
+   invoke -> apply -> respond. An era runs the machine; a crash is
+   marked in the history and the set recovers. The verdict is durable
+   linearizability of the whole history against the keys the prefill
+   put in. The mutation battery, the crash tests and the
+   crash-recovery example all use this one primitive and keep only
+   their own op generators, seeds and crash placement. *)
 
 module Machine = Nvt_sim.Machine
 module History = Nvt_sim.History
@@ -53,110 +59,137 @@ type report = {
   trace_dropped : int;
 }
 
-let run (module S : SET) (c : config) =
+(* One recorded run. The set itself stays behind closures, so callers
+   of any structure share one record type. *)
+type recorded = {
+  machine : Machine.t;
+  history : History.t;
+  prefilled : int list;  (* the prefill keys that went in *)
+  op : History.op -> unit;  (* invoke -> apply -> respond *)
+  recover : unit -> unit;
+  check_invariants : unit -> unit;
+  size : unit -> int;
+  to_list : unit -> (int * int) list;
+}
+
+(* Create the set on [m], insert [prefill] (keeping the keys that went
+   in), persist everything, and open a fresh history. *)
+let start (module S : SET) m ~prefill =
+  let s = S.create () in
+  let prefilled = List.filter (fun k -> S.insert s ~key:k ~value:k) prefill in
+  Machine.persist_all m;
+  let h = History.create () in
+  let op o =
+    let e =
+      History.invoke h ~tid:(Machine.current_tid m) ~time:(Machine.now m) o
+    in
+    let r =
+      match o with
+      | History.Insert k -> S.insert s ~key:k ~value:k
+      | History.Delete k -> S.delete s k
+      | History.Member k -> S.member s k
+    in
+    History.respond e ~time:(Machine.now m) r
+  in
+  { machine = m;
+    history = h;
+    prefilled;
+    op;
+    recover = (fun () -> S.recover s);
+    check_invariants = (fun () -> S.check_invariants s);
+    size = (fun () -> S.size s);
+    to_list = (fun () -> S.to_list s) }
+
+(* Run one era to completion or to its crash; a crash is marked in the
+   history and the set recovers. Invariants are checked by the caller:
+   an invariant walk reads through the simulated caches, so checking
+   between eras where a caller did not would move the next era's
+   timing. *)
+let era r =
+  let outcome = Machine.run r.machine in
+  (match outcome with
+  | Machine.Crashed_at t ->
+    History.mark_crash r.history ~time:t;
+    r.recover ()
+  | Machine.Completed -> ());
+  outcome
+
+let verdict r = Lin.check_set ~initial_keys:r.prefilled r.history
+
+(* Spawn [threads] threads of [ops] uniform operations each: a key
+   below [range], then insert, delete or member with equal odds. Thread
+   [tid] draws from [Random.State.make (seed tid)]. *)
+let spawn_uniform r ~threads ~ops ~range ~seed =
+  for tid = 0 to threads - 1 do
+    let rng = Random.State.make (seed tid) in
+    ignore
+      (Machine.spawn r.machine (fun () ->
+           for _ = 1 to ops do
+             let k = Random.State.int rng range in
+             r.op
+               (match Random.State.int rng 3 with
+               | 0 -> History.Insert k
+               | 1 -> History.Delete k
+               | _ -> History.Member k)
+           done))
+  done
+
+let run set (c : config) =
   let m =
     Machine.create ~seed:c.seed ~cost:c.cost ~eviction:c.eviction
       ?stall:c.stall ()
   in
-  let s = S.create () in
-  let prefilled =
-    List.filter
-      (fun k -> S.insert s ~key:k ~value:k)
-      (List.filter (fun k -> k < c.key_range)
-         (Workload.prefill_keys ~range:c.key_range))
+  let r =
+    start set m
+      ~prefill:
+        (List.filter (fun k -> k < c.key_range)
+           (Workload.prefill_keys ~range:c.key_range))
   in
-  Machine.persist_all m;
   if c.trace_capacity > 0 then Machine.set_trace m ~capacity:c.trace_capacity;
-  let h = History.create () in
-  let fired = ref 0 in
   let spawn_era () =
     for tid = 0 to c.threads - 1 do
       let g =
         Workload.gen
-          ~seed:(c.seed + (31 * tid) + (977 * History.era h))
+          ~seed:(c.seed + (31 * tid) + (977 * History.era r.history))
           ~mix:c.mix ~range:c.key_range
       in
       ignore
         (Machine.spawn m (fun () ->
              for _ = 1 to c.ops_per_thread do
-               let record op f =
-                 let e =
-                   History.invoke h ~tid:(Machine.current_tid m)
-                     ~time:(Machine.now m) op
-                 in
-                 let r = f () in
-                 History.respond e ~time:(Machine.now m) r
-               in
-               match Workload.next g with
-               | Workload.Insert k ->
-                 record (History.Insert k) (fun () ->
-                     S.insert s ~key:k ~value:k)
-               | Workload.Delete k ->
-                 record (History.Delete k) (fun () -> S.delete s k)
-               | Workload.Lookup k ->
-                 record (History.Member k) (fun () -> S.member s k)
+               r.op
+                 (match Workload.next g with
+                 | Workload.Insert k -> History.Insert k
+                 | Workload.Delete k -> History.Delete k
+                 | Workload.Lookup k -> History.Member k)
              done))
     done
   in
-  let rec eras = function
-    | [] -> (
-      spawn_era ();
-      match Machine.run m with
-      | Machine.Completed -> ()
-      | Machine.Crashed_at _ -> assert false)
-    | step :: rest -> (
+  let fired = ref 0 in
+  List.iter
+    (fun step ->
       spawn_era ();
       Machine.set_crash_at_step m (Machine.steps m + step);
-      match Machine.run m with
-      | Machine.Crashed_at t ->
-        incr fired;
-        History.mark_crash h ~time:t;
-        S.recover s;
-        eras rest
+      match era r with
+      | Machine.Crashed_at _ -> incr fired
       | Machine.Completed ->
         (* The era finished before the requested step: the crash never
            fired. Clear it and carry on, but the report will show
            [crashes_fired < crashes_requested]. *)
-        Machine.clear_crash m;
-        eras rest)
-  in
-  eras c.crash_steps;
-  S.check_invariants s;
-  { history = History.events h;
-    eras = History.era h + 1;
-    final_size = S.size s;
+        Machine.clear_crash m)
+    c.crash_steps;
+  spawn_era ();
+  (match era r with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> assert false);
+  r.check_invariants ();
+  { history = History.events r.history;
+    eras = History.era r.history + 1;
+    final_size = r.size ();
     makespan = Machine.makespan m;
     steps = Machine.steps m;
     crashes_requested = List.length c.crash_steps;
     crashes_fired = !fired;
     stats = Machine.stats m;
-    linearizable = Lin.check_set ~initial_keys:prefilled h;
+    linearizable = verdict r;
     trace = Machine.trace m;
     trace_dropped = Machine.trace_dropped m }
-
-(* Registry-driven runs: the same config under every policy of
-   [Instances.flavours] for one structure. Configs that crash restrict
-   to durable policies by default — the volatile flavour legitimately
-   loses data at a crash. [key] is the structure's registry key, which
-   flavours resolve their structure variants and support against; an
-   anonymous structure (no key) skips the flavours restricted to
-   specific structures (SOFT) and applies the structure-independent
-   wrappers (detectable descriptors). *)
-let run_policies ?(durable_only = true) ?(key = "")
-    (module Str : Instances.STRUCTURE) (c : config) =
-  let fls =
-    if durable_only then Instances.durable_flavours else Instances.flavours
-  in
-  List.filter_map
-    (fun (f : Instances.flavour) ->
-      let supported =
-        if key = "" then f.only = None else Instances.supports f key
-      in
-      if not supported then None
-      else Some (f.key, run (Instances.instantiate_flavour f key (module Str)) c))
-    fls
-
-let run_structure ?durable_only name (c : config) =
-  match List.assoc_opt name Instances.structures with
-  | None -> invalid_arg (Printf.sprintf "crashlab: unknown structure %S" name)
-  | Some str -> run_policies ?durable_only ~key:name str c

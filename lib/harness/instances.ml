@@ -190,82 +190,39 @@ let table () = Lazy.force all_instances
 module A_vol = Nvm.Policy.Volatile.Apply (Sim_mem)
 module A_nvt = Nvm.Policy.Nvtraverse.Apply (Sim_mem)
 module A_izr = Nvm.Izraelevitz.Policy.Apply (Sim_mem)
-module A_lp = Nvm.Link_and_persist.Policy.Apply (Sim_mem)
 module A_flit = Nvm.Flit.Policy.Apply (Sim_mem)
 module A_soft = Nvm.Soft.Policy.Apply (Sim_mem)
 module A_det = Nvm.Detectable.Policy.Apply (Sim_mem)
 
 module Hl = struct
-  module Volatile = Nvt_structures.Harris_list.Make (A_vol.Mem) (A_vol.P)
   module Durable = Nvt_structures.Harris_list.Make (A_nvt.Mem) (A_nvt.P)
   module Izraelevitz = Nvt_structures.Harris_list.Make (A_izr.Mem) (A_izr.P)
-  module Link_persist = Nvt_structures.Harris_list.Make (A_lp.Mem) (A_lp.P)
   module Flit = Nvt_structures.Harris_list.Make (A_flit.Mem) (A_flit.P)
 end
 
 module Eb = struct
-  module Volatile = Nvt_structures.Ellen_bst.Make (A_vol.Mem) (A_vol.P)
   module Durable = Nvt_structures.Ellen_bst.Make (A_nvt.Mem) (A_nvt.P)
-  module Izraelevitz = Nvt_structures.Ellen_bst.Make (A_izr.Mem) (A_izr.P)
-  module Link_persist = Nvt_structures.Ellen_bst.Make (A_lp.Mem) (A_lp.P)
-  module Flit = Nvt_structures.Ellen_bst.Make (A_flit.Mem) (A_flit.P)
 end
 
 module Nm = struct
-  module Volatile = Nvt_structures.Natarajan_bst.Make (A_vol.Mem) (A_vol.P)
   module Durable = Nvt_structures.Natarajan_bst.Make (A_nvt.Mem) (A_nvt.P)
-  module Izraelevitz = Nvt_structures.Natarajan_bst.Make (A_izr.Mem) (A_izr.P)
-  module Link_persist = Nvt_structures.Natarajan_bst.Make (A_lp.Mem) (A_lp.P)
-  module Flit = Nvt_structures.Natarajan_bst.Make (A_flit.Mem) (A_flit.P)
 end
 
 module Sl = struct
-  module Volatile = Nvt_structures.Skiplist.Make (A_vol.Mem) (A_vol.P)
   module Durable = Nvt_structures.Skiplist.Make (A_nvt.Mem) (A_nvt.P)
-  module Izraelevitz = Nvt_structures.Skiplist.Make (A_izr.Mem) (A_izr.P)
-  module Link_persist = Nvt_structures.Skiplist.Make (A_lp.Mem) (A_lp.P)
-  module Flit = Nvt_structures.Skiplist.Make (A_flit.Mem) (A_flit.P)
 end
 
 module Ht = struct
-  module Base = Nvt_structures.Hash_table
-
-  module Volatile = struct
-    include Base.Make (A_vol.Mem) (A_vol.P)
-
-    let create () = create_sized !hash_buckets
-  end
-
   module Durable = struct
-    include Base.Make (A_nvt.Mem) (A_nvt.P)
-
-    let create () = create_sized !hash_buckets
-  end
-
-  module Izraelevitz = struct
-    include Base.Make (A_izr.Mem) (A_izr.P)
-
-    let create () = create_sized !hash_buckets
-  end
-
-  module Link_persist = struct
-    include Base.Make (A_lp.Mem) (A_lp.P)
-
-    let create () = create_sized !hash_buckets
-  end
-
-  module Flit = struct
-    include Base.Make (A_flit.Mem) (A_flit.P)
+    include Nvt_structures.Hash_table.Make (A_nvt.Mem) (A_nvt.P)
 
     let create () = create_sized !hash_buckets
   end
 end
 
-(* The SOFT contender, durable and — as the negative control the crash
-   tests pin its flush placement with — volatile. *)
+(* The SOFT contender over the list and the hash directory. *)
 module Soft_l = struct
   module Durable = Nvt_structures.Soft_list.Make (A_soft.Mem) (A_soft.P)
-  module Volatile = Nvt_structures.Soft_list.Make (A_vol.Mem) (A_vol.P)
 end
 
 module Soft_ht = struct

@@ -189,78 +189,59 @@ let sweep (t : 'a target) : ('a * string) option * int =
   in
   go 0 t.attacks
 
-(* One seeded run of [S] on [m], shared by every structure attack:
-   prefill and persist [prefill], let [workload] spawn the threads —
-   each operation goes through [op], which applies it to the set and
-   records it in the history — and run. On a crash, recover, check
-   invariants, run a verification era observing every key (lost
-   completed inserts and resurrected deletes become visible to the
-   checker), then check durable linearizability of the whole history.
-   Without one the result carries the run's step count and per-site
-   attribution table. *)
-let record_and_recover (module S : SET) m ~prefill workload =
-  let s = S.create () in
-  let prefilled = List.filter (fun k -> S.insert s ~key:k ~value:k) prefill in
-  Machine.persist_all m;
-  let h = History.create () in
-  let op o =
-    let e =
-      History.invoke h ~tid:(Machine.current_tid m) ~time:(Machine.now m) o
-    in
-    let r =
-      match o with
-      | History.Insert k -> S.insert s ~key:k ~value:k
-      | History.Delete k -> S.delete s k
-      | History.Member k -> S.member s k
-    in
-    History.respond e ~time:(Machine.now m) r
-  in
-  workload op;
-  let outcome = Machine.run m in
-  Machine.clear_scheduler m;
-  match outcome with
-  | Machine.Completed -> `No_crash (Machine.steps m, Machine.stats m)
-  | Machine.Crashed_at t -> (
-    History.mark_crash h ~time:t;
-    match
-      S.recover s;
-      S.check_invariants s;
+(* Judge one seeded run set up by [adversarial] or [window_run]: run
+   it; on a crash, recover, check invariants, run a verification era
+   observing every key (lost completed inserts and resurrected deletes
+   become visible to the checker), then check durable linearizability
+   of the whole history; a corrupt read or a structural failure is a
+   violation too. Without a crash the result carries the run's step
+   count and per-site attribution table. *)
+let judge (r : Crashlab.recorded) =
+  let m = r.machine in
+  try
+    let outcome = Crashlab.era r in
+    Machine.clear_scheduler m;
+    match outcome with
+    | Machine.Completed -> `No_crash (Machine.steps m, Machine.stats m)
+    | Machine.Crashed_at _ -> (
+      r.check_invariants ();
       ignore
         (Machine.spawn m (fun () ->
              for k = 0 to range - 1 do
-               op (History.Member k)
+               r.op (History.Member k)
              done));
-      Machine.run m
-    with
-    | exception Machine.Corrupt_read cid ->
-      `Violation
-        (Printf.sprintf "corrupt read of cell %d after the crash" cid)
-    | exception Failure msg -> `Violation ("structural failure: " ^ msg)
-    | Machine.Crashed_at _ -> assert false
-    | Machine.Completed -> (
-      match Lin.check_set ~initial_keys:prefilled h with
+      (match Crashlab.era r with
+      | Machine.Crashed_at _ -> assert false
+      | Machine.Completed -> ());
+      match Crashlab.verdict r with
       | Ok () -> `Ok
-      | Error v -> `Violation (Format.asprintf "%a" Lin.pp_violation v)))
+      | Error v -> `Violation (Format.asprintf "%a" Lin.pp_violation v))
+  with
+  | Machine.Corrupt_read cid ->
+    `Violation (Printf.sprintf "corrupt read of cell %d after the crash" cid)
+  | Failure msg -> `Violation ("structural failure: " ^ msg)
 
 (* The seeded multi-thread adversarial run (the test_ablation workload,
    generalized over the structure). [crash_step = None] runs to
    completion and doubles as the probe. *)
 let adversarial (module S : SET) ~seed ~crash_step ~eviction ~stall =
   let m = Machine.create ~seed ~eviction ?stall () in
-  record_and_recover (module S) m ~prefill:[ 0; 9 ] (fun op ->
-      for tid = 0 to threads - 1 do
-        let rng = Random.State.make [| seed; tid; 77 |] in
-        ignore
-          (Machine.spawn m (fun () ->
-               for _ = 1 to ops_per_thread do
-                 let k = 1 + Random.State.int rng (range - 2) in
-                 match Random.State.int rng 10 with
-                 | 0 | 1 | 2 | 3 -> op (History.Insert k)
-                 | 4 | 5 | 6 -> op (History.Delete k)
-                 | _ -> op (History.Member k)
-               done))
-      done;
-      Option.iter (Machine.set_crash_at_step m) crash_step)
+  let r = Crashlab.start (module S) m ~prefill:[ 0; 9 ] in
+  for tid = 0 to threads - 1 do
+    let rng = Random.State.make [| seed; tid; 77 |] in
+    ignore
+      (Machine.spawn m (fun () ->
+           for _ = 1 to ops_per_thread do
+             let k = 1 + Random.State.int rng (range - 2) in
+             r.op
+               (match Random.State.int rng 10 with
+               | 0 | 1 | 2 | 3 -> History.Insert k
+               | 4 | 5 | 6 -> History.Delete k
+               | _ -> History.Member k)
+           done))
+  done;
+  Option.iter (Machine.set_crash_at_step m) crash_step;
+  r
 
 (* The deterministic window (from test_ablation, generalized): run T0's
    insert for exactly [s0] steps, let T1 complete an operation that may
@@ -269,32 +250,33 @@ let adversarial (module S : SET) ~seed ~crash_step ~eviction ~stall =
    the ones between a publishing CAS and the fence that covers it. *)
 let window_run (module S : SET) ~wseed ~s0 ~t1 =
   let m = Machine.create ~seed:wseed () in
-  record_and_recover (module S) m ~prefill:[ 2; 6 ] (fun op ->
-      let t0 = Machine.spawn m (fun () -> op (History.Insert 3)) in
-      let t1_tid =
-        Machine.spawn m (fun () ->
-            match t1 with
-            | Insert_other -> op (History.Insert 4)
-            | Member_target -> op (History.Member 3))
-      in
-      let picked0 = ref 0 in
-      Machine.set_scheduler m (fun m runnable ->
-          if List.mem t0 runnable && !picked0 < s0 then begin
-            incr picked0;
-            t0
-          end
-          else if List.mem t1_tid runnable then t1_tid
-          else begin
-            (* only T0 is left: freeze the world here *)
-            Machine.set_crash_at_step m (Machine.steps m);
-            t0
-          end))
+  let r = Crashlab.start (module S) m ~prefill:[ 2; 6 ] in
+  let t0 = Machine.spawn m (fun () -> r.op (History.Insert 3)) in
+  let t1_tid =
+    Machine.spawn m (fun () ->
+        match t1 with
+        | Insert_other -> r.op (History.Insert 4)
+        | Member_target -> r.op (History.Member 3))
+  in
+  let picked0 = ref 0 in
+  Machine.set_scheduler m (fun m runnable ->
+      if List.mem t0 runnable && !picked0 < s0 then begin
+        incr picked0;
+        t0
+      end
+      else if List.mem t1_tid runnable then t1_tid
+      else begin
+        (* only T0 is left: freeze the world here *)
+        Machine.set_crash_at_step m (Machine.steps m);
+        t0
+      end);
+  r
 
 (* Run one structure attack under whatever suppression is currently
    active, so a recorded kill replays with its site suppressed around
    this call. *)
 let run_attack (module S : SET) (a : structure_attack) : string option =
-  let outcome =
+  let run =
     match a with
     | Window { wseed; s0; t1 } -> window_run (module S) ~wseed ~s0 ~t1
     | Crash { seed; crash_step }
@@ -309,7 +291,7 @@ let run_attack (module S : SET) (a : structure_attack) : string option =
           | _ -> Machine.No_eviction)
         ~stall:(match a with Stall _ -> Some stall_profile | _ -> None)
   in
-  match outcome with
+  match judge run with
   | `Violation d -> Some d
   | `Ok | `No_crash _ -> None
 
@@ -320,9 +302,10 @@ let strided ~from ~stride ~until =
 let structure_target (module S : SET) (sc : scale) : structure_attack target =
   let probe ~seed =
     match
-      adversarial
-        (module S)
-        ~seed ~crash_step:None ~eviction:Machine.No_eviction ~stall:None
+      judge
+        (adversarial
+           (module S)
+           ~seed ~crash_step:None ~eviction:Machine.No_eviction ~stall:None)
     with
     | `No_crash run -> run
     | `Ok | `Violation _ -> assert false (* no crash was requested *)

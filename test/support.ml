@@ -1,6 +1,7 @@
-(* Shared harness for tests: a workload runner that records histories,
-   injects crashes, recovers, and checks durable linearizability, plus a
-   structure-generic battery that iterates the persistence-policy
+(* Shared harness for tests: a seeded random workload over the crash
+   laboratory's recorded run ([Nvt_harness.Crashlab.start]/[era]/
+   [verdict]), with an optional crash and a second era after recovery,
+   plus a structure-generic battery that iterates the persistence-policy
    registry in [Nvt_harness.Instances].
 
    Named instantiations come from the registry's convenience modules —
@@ -11,6 +12,7 @@ module Machine = Nvt_sim.Machine
 module History = Nvt_sim.History
 module Lin = Nvt_sim.Linearizability
 module I = Nvt_harness.Instances
+module Crashlab = Nvt_harness.Crashlab
 
 module Sim_mem = Nvt_sim.Memory
 module P = Nvm.Persist.Make (Sim_mem)
@@ -101,34 +103,6 @@ type mix = { p_insert : int; p_delete : int }
 
 let default_mix = { p_insert = 30; p_delete = 30 }
 
-let thread_body (type a) (module S : SET with type t = a) (s : a) h m ~rng
-    ~ops ~key_range ~mix () =
-  for _ = 1 to ops do
-    let k = Random.State.int rng key_range in
-    let p = Random.State.int rng 100 in
-    if p < mix.p_insert then begin
-      let e = History.invoke h ~tid:(Machine.current_tid m)
-          ~time:(Machine.now m) (History.Insert k)
-      in
-      let r = S.insert s ~key:k ~value:k in
-      History.respond e ~time:(Machine.now m) r
-    end
-    else if p < mix.p_insert + mix.p_delete then begin
-      let e = History.invoke h ~tid:(Machine.current_tid m)
-          ~time:(Machine.now m) (History.Delete k)
-      in
-      let r = S.delete s k in
-      History.respond e ~time:(Machine.now m) r
-    end
-    else begin
-      let e = History.invoke h ~tid:(Machine.current_tid m)
-          ~time:(Machine.now m) (History.Member k)
-      in
-      let r = S.member s k in
-      History.respond e ~time:(Machine.now m) r
-    end
-  done
-
 type workload_result = {
   history : History.t;
   crashed : bool;
@@ -137,51 +111,56 @@ type workload_result = {
 }
 
 (* Run [threads] simulated threads of random operations. If
-   [crash_at_step] is set, the machine crashes there, [recover] runs,
-   and a second era of [threads] threads runs to completion. *)
-let run_workload (module S : SET) ~seed ~threads ~ops ~key_range
-    ?(mix = default_mix) ?(eviction = Machine.No_eviction)
-    ?(cost = Nvt_nvm.Cost_model.nvram) ?stall ?(prefill = key_range / 2)
-    ?crash_at_step () =
+   [crash_at_step] is set, the machine crashes there, the set recovers,
+   and a second era of [threads] threads runs to completion. The
+   prefill draws keys until [prefill] distinct ones went in (or the
+   draws run out); the draws are computed up front, repeats included,
+   so the set sees exactly the inserts an incremental draw would make. *)
+let run_workload set ~seed ~threads ~ops ~key_range ?(mix = default_mix)
+    ?(eviction = Machine.No_eviction) ?(cost = Nvt_nvm.Cost_model.nvram) ?stall
+    ?(prefill = key_range / 2) ?crash_at_step () =
   let m = Machine.create ~seed ~cost ~eviction ?stall () in
-  let s = S.create () in
   let rng = Random.State.make [| seed; 23 |] in
-  let prefilled = ref [] in
-  let tries = ref 0 in
-  while List.length !prefilled < prefill && !tries < prefill * 20 do
-    incr tries;
-    let k = Random.State.int rng key_range in
-    if S.insert s ~key:k ~value:k then prefilled := k :: !prefilled
-  done;
-  Machine.persist_all m;
-  let h = History.create () in
+  let rec draws distinct tries =
+    if List.length distinct >= prefill || tries >= prefill * 20 then []
+    else
+      let k = Random.State.int rng key_range in
+      k
+      :: draws
+           (if List.mem k distinct then distinct else k :: distinct)
+           (tries + 1)
+  in
+  let r = Crashlab.start set m ~prefill:(draws [] 0) in
   let spawn_era () =
     for i = 0 to threads - 1 do
-      let rng = Random.State.make [| seed; 31; i; History.era h |] in
+      let rng = Random.State.make [| seed; 31; i; History.era r.history |] in
       ignore
-        (Machine.spawn m
-           (thread_body (module S) s h m ~rng ~ops ~key_range ~mix))
+        (Machine.spawn m (fun () ->
+             for _ = 1 to ops do
+               let k = Random.State.int rng key_range in
+               let p = Random.State.int rng 100 in
+               r.op
+                 (if p < mix.p_insert then History.Insert k
+                  else if p < mix.p_insert + mix.p_delete then History.Delete k
+                  else History.Member k)
+             done))
     done
   in
   spawn_era ();
-  (match crash_at_step with
-  | Some n -> Machine.set_crash_at_step m n
-  | None -> ());
+  Option.iter (Machine.set_crash_at_step m) crash_at_step;
   let crashed =
-    match Machine.run m with
+    match Crashlab.era r with
     | Machine.Completed -> false
-    | Machine.Crashed_at t ->
-      History.mark_crash h ~time:t;
-      S.recover s;
+    | Machine.Crashed_at _ ->
       (* second era: the structure must be fully usable after recovery *)
       spawn_era ();
-      (match Machine.run m with
+      (match Crashlab.era r with
       | Machine.Completed -> ()
       | Machine.Crashed_at _ -> assert false);
       true
   in
-  S.check_invariants s;
-  { history = h; crashed; final = S.to_list s; prefilled = !prefilled }
+  r.check_invariants ();
+  { history = r.history; crashed; final = r.to_list (); prefilled = r.prefilled }
 
 let check_linearizable ?(what = "history") r =
   match Lin.check_set ~initial_keys:r.prefilled r.history with

@@ -7,71 +7,40 @@
 open Support
 
 let sweep name (module S : SET) ~eviction () =
-  (* measure the crash-free run length first *)
-  let total_steps =
-    let m = Machine.create ~seed:5 () in
-    let s = S.create () in
-    List.iter (fun k -> ignore (S.insert s ~key:k ~value:k)) [ 1; 3; 5 ];
-    Machine.persist_all m;
-    for tid = 0 to 1 do
-      let rng = Random.State.make [| 5; tid |] in
-      ignore
-        (Machine.spawn m (fun () ->
-             for _ = 1 to 6 do
-               let k = Random.State.int rng 8 in
-               match Random.State.int rng 3 with
-               | 0 -> ignore (S.insert s ~key:k ~value:k)
-               | 1 -> ignore (S.delete s k)
-               | _ -> ignore (S.member s k)
-             done))
-    done;
-    (match Machine.run m with
-    | Machine.Completed -> ()
-    | Machine.Crashed_at _ -> assert false);
-    Machine.steps m
-  in
-  for crash_step = 1 to total_steps do
+  let recorded () =
     let m = Machine.create ~seed:5 ~eviction () in
-    let s = S.create () in
-    let prefilled =
-      List.filter (fun k -> S.insert s ~key:k ~value:k) [ 1; 3; 5 ]
-    in
-    Machine.persist_all m;
-    let h = History.create () in
-    for tid = 0 to 1 do
-      let rng = Random.State.make [| 5; tid |] in
-      ignore
-        (Machine.spawn m (fun () ->
-             for _ = 1 to 6 do
-               let k = Random.State.int rng 8 in
-               let record op f =
-                 let e =
-                   History.invoke h ~tid:(Machine.current_tid m)
-                     ~time:(Machine.now m) op
-                 in
-                 let r = f () in
-                 History.respond e ~time:(Machine.now m) r
-               in
-               match Random.State.int rng 3 with
-               | 0 ->
-                 record (History.Insert k) (fun () ->
-                     S.insert s ~key:k ~value:k)
-               | 1 -> record (History.Delete k) (fun () -> S.delete s k)
-               | _ -> record (History.Member k) (fun () -> S.member s k)
-             done))
-    done;
-    Machine.set_crash_at_step m crash_step;
-    (match Machine.run m with
-    | Machine.Completed -> () (* eviction timing can shift step counts *)
-    | Machine.Crashed_at t ->
-      History.mark_crash h ~time:t;
-      S.recover s;
-      S.check_invariants s);
-    (match Lin.check_set ~initial_keys:prefilled h with
+    let r = Crashlab.start (module S) m ~prefill:[ 1; 3; 5 ] in
+    Crashlab.spawn_uniform r ~threads:2 ~ops:6 ~range:8 ~seed:(fun tid ->
+        [| 5; tid |]);
+    r
+  in
+  let check what (r : Crashlab.recorded) =
+    r.check_invariants ();
+    match Crashlab.verdict r with
     | Ok () -> ()
     | Error v ->
-      Alcotest.failf "%s: crash at step %d/%d violates durability:@.%a" name
-        crash_step total_steps Lin.pp_violation v)
+      Alcotest.failf "%s: %s violates durability:@.%a" name what
+        Lin.pp_violation v
+  in
+  (* The crash-free run, under the same eviction, measures the run's
+     length T. A crash trigger is only checked before a step, so the
+     last point is a crash at quiescence: every completed operation
+     must be durable. *)
+  let r = recorded () in
+  (match Crashlab.era r with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> assert false);
+  let total_steps = Machine.steps r.machine in
+  History.mark_crash r.history ~time:(Machine.force_crash r.machine);
+  r.recover ();
+  check (Printf.sprintf "crash at quiescence (step %d)" total_steps) r;
+  for crash_step = 1 to total_steps - 1 do
+    let r = recorded () in
+    Machine.set_crash_at_step r.machine crash_step;
+    let what = Printf.sprintf "crash at step %d/%d" crash_step total_steps in
+    match Crashlab.era r with
+    | Machine.Crashed_at _ -> check what r
+    | Machine.Completed -> Alcotest.failf "%s: %s never fired" name what
   done
 
 (* The list sweep runs once per durable policy in the registry: the
@@ -308,6 +277,49 @@ let stale_write_back_dropped () =
   Alcotest.(check int) "the newer persisted value survives the crash" 2
     (Sim_mem.read cell)
 
+(* ------------------------------------------------------------------ *)
+(* Golden recorded runs                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The recorded-run primitive pinned by history digest: every event
+   (thread, era, op, result, interval, crash flag) plus the step count.
+   The digests were recorded before these runs shared one primitive,
+   so a changed seed, draw order or spawn order in either one fails
+   here. *)
+let digest h ~steps =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.map (Fmt.str "%a" History.pp_event) (History.events h)
+          @ [ string_of_int steps ])))
+
+let golden_runs () =
+  let nvt_list =
+    I.instantiate_flavour (Option.get (I.flavour "nvt")) "list"
+      (module Nvt_structures.Harris_list)
+  in
+  let r =
+    run_workload nvt_list ~seed:3 ~threads:4 ~ops:40 ~key_range:8 ~prefill:4
+      ~eviction:(Machine.Random_eviction 0.05) ~crash_at_step:301 ()
+  in
+  Alcotest.(check bool) "workload crashed" true r.crashed;
+  Alcotest.(check string) "workload history" "f4e50f98aa34841c6844d1dbf94e93d4"
+    (digest r.history ~steps:(Machine.steps (Machine.get ())));
+  List.iter
+    (fun (eviction, expect) ->
+      let a =
+        Nvt_harness.Mutlab.adversarial nvt_list ~seed:2 ~crash_step:(Some 500)
+          ~eviction ~stall:None
+      in
+      (match Nvt_harness.Mutlab.judge a with
+      | `Ok -> ()
+      | `No_crash _ -> Alcotest.fail "the attack's crash did not fire"
+      | `Violation d -> Alcotest.failf "intact nvt list violated: %s" d);
+      Alcotest.(check string) "attack history" expect
+        (digest a.history ~steps:(Machine.steps a.machine)))
+    [ (Machine.No_eviction, "b545155f3b210ff13bc09243f924c84c");
+      (Machine.Random_eviction 0.05, "41fc4ff0823ed198085ee8556b91581a") ]
+
 let suite =
   (Alcotest.test_case "a stalled fence cannot resurrect a stale write-back"
      `Quick stale_write_back_dropped :: list_sweeps)
@@ -321,5 +333,6 @@ let suite =
       Alcotest.test_case "onefile set" `Quick
         (sweep "onefile"
            (module Nvt_baselines.Onefile.Set (Sim_mem))
-           ~eviction:(Machine.Random_eviction 0.1))
+           ~eviction:(Machine.Random_eviction 0.1));
+      Alcotest.test_case "golden recorded runs" `Quick golden_runs
     ]

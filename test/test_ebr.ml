@@ -97,52 +97,33 @@ let grace_period_safety () =
 let list_integration () =
   for seed = 0 to 9 do
     let m = Machine.create ~seed () in
-    let module L = Hl.Durable in
-    let s = L.create () in
     let e = Ebr.create ~max_threads:8 in
-    L.set_reclaim s
-      { L.enter = (fun () -> Ebr.enter e ~tid:(max 0 (Machine.current_tid m)));
-        exit_cs = (fun () -> Ebr.exit_cs e ~tid:(max 0 (Machine.current_tid m)));
-        retire = (fun thunk -> Ebr.retire e ~tid:(max 0 (Machine.current_tid m)) thunk) };
-    let prefilled = ref [] in
-    for k = 0 to 7 do
-      if L.insert s ~key:k ~value:k then prefilled := k :: !prefilled
-    done;
-    Machine.persist_all m;
-    let h = History.create () in
-    for tid = 0 to 5 do
-      let rng = Random.State.make [| seed; tid |] in
-      ignore
-        (Machine.spawn m (fun () ->
-             for _ = 1 to 30 do
-               let k = Random.State.int rng 8 in
-               let record op f =
-                 let ev =
-                   History.invoke h ~tid:(Machine.current_tid m)
-                     ~time:(Machine.now m) op
-                 in
-                 let r = f () in
-                 History.respond ev ~time:(Machine.now m) r
-               in
-               match Random.State.int rng 3 with
-               | 0 ->
-                 record (History.Insert k) (fun () ->
-                     L.insert s ~key:k ~value:k)
-               | 1 -> record (History.Delete k) (fun () -> L.delete s k)
-               | _ -> record (History.Member k) (fun () -> L.member s k)
-             done))
-    done;
+    let tid () = max 0 (Machine.current_tid m) in
+    let module L = struct
+      include Hl.Durable
+
+      let create () =
+        let s = create () in
+        set_reclaim s
+          { enter = (fun () -> Ebr.enter e ~tid:(tid ()));
+            exit_cs = (fun () -> Ebr.exit_cs e ~tid:(tid ()));
+            retire = (fun thunk -> Ebr.retire e ~tid:(tid ()) thunk) };
+        s
+    end in
+    let r = Crashlab.start (module L) m ~prefill:(List.init 8 Fun.id) in
+    Crashlab.spawn_uniform r ~threads:6 ~ops:30 ~range:8 ~seed:(fun tid ->
+        [| seed; tid |]);
     (* a dedicated reclaimer thread *)
     ignore
       (Machine.spawn m (fun () ->
            for _ = 1 to 60 do
              ignore (Ebr.try_advance e)
            done));
-    (match Machine.run m with
+    (match Crashlab.era r with
     | Machine.Completed -> ()
     | Machine.Crashed_at _ -> assert false);
-    L.check_invariants s;
-    (match Lin.check_set ~initial_keys:!prefilled h with
+    r.check_invariants ();
+    (match Crashlab.verdict r with
     | Ok () -> ()
     | Error v ->
       Alcotest.failf "ebr-list seed %d not linearizable:@.%a" seed

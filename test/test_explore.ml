@@ -15,31 +15,20 @@ let pp_op = function
 
 (* A scenario: prefill {2,4}, thread A runs [a], thread B runs [b],
    check linearizability of the 2-op history plus invariants. *)
-let scenario (module S : SET) a b m =
-  let s = S.create () in
-  let prefilled = List.filter (fun k -> S.insert s ~key:k ~value:k) [ 2; 4 ] in
-  Machine.persist_all m;
-  let h = History.create () in
+let scenario set a b m =
+  let r = Crashlab.start set m ~prefill:[ 2; 4 ] in
   let body op () =
-    let record o f =
-      let e =
-        History.invoke h ~tid:(Machine.current_tid m) ~time:(Machine.now m) o
-      in
-      let r = f () in
-      History.respond e ~time:(Machine.now m) r
-    in
-    match op with
-    | I k -> record (History.Insert k) (fun () -> S.insert s ~key:k ~value:k)
-    | D k -> record (History.Delete k) (fun () -> S.delete s k)
-    | M k -> record (History.Member k) (fun () -> S.member s k)
+    r.op
+      (match op with
+      | I k -> History.Insert k
+      | D k -> History.Delete k
+      | M k -> History.Member k)
   in
   ignore (Machine.spawn m (body a));
   ignore (Machine.spawn m (body b));
   fun () ->
-    S.check_invariants s;
-    match Lin.check_set ~initial_keys:prefilled h with
-    | Ok () -> true
-    | Error _ -> false
+    r.check_invariants ();
+    Result.is_ok (Crashlab.verdict r)
 
 let pairs =
   [ (I 3, I 3);  (* duplicate insert race *)
@@ -51,12 +40,12 @@ let pairs =
     (M 2, D 2);  (* read vs delete *)
     (M 3, I 3) (* read vs insert *) ]
 
-let explore_structure name (module S : SET) () =
+let explore_structure name set () =
   List.iter
     (fun (a, b) ->
       let r =
         Explore.preemption_bounded ~bound:2 ~max_runs:5000
-          (scenario (module S) a b)
+          (scenario set a b)
       in
       (match r.Explore.errors with
       | [] -> ()

@@ -6,151 +6,66 @@
 
 open Support
 
+let check_verdict name seed (r : Crashlab.recorded) =
+  r.check_invariants ();
+  match Crashlab.verdict r with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "%s seed %d: %a" name seed Lin.pp_violation v
+
 (* Crash in the middle of [recover], then recover again. *)
-let crash_during_recovery name (module S : SET) () =
+let crash_during_recovery name set () =
   for seed = 0 to 9 do
     let m =
       Machine.create ~seed ~eviction:(Machine.Random_eviction 0.05) ()
     in
-    let s = S.create () in
-    let prefilled =
-      List.filter (fun k -> S.insert s ~key:k ~value:k) [ 1; 2; 4; 5; 7 ]
-    in
-    Machine.persist_all m;
-    let h = History.create () in
+    let r = Crashlab.start set m ~prefill:[ 1; 2; 4; 5; 7 ] in
     (* era 0: update traffic, crashed mid-flight *)
-    for tid = 0 to 3 do
-      let rng = Random.State.make [| seed; tid; 3 |] in
-      ignore
-        (Machine.spawn m (fun () ->
-             for _ = 1 to 25 do
-               let k = Random.State.int rng 8 in
-               let record op f =
-                 let e =
-                   History.invoke h ~tid:(Machine.current_tid m)
-                     ~time:(Machine.now m) op
-                 in
-                 let r = f () in
-                 History.respond e ~time:(Machine.now m) r
-               in
-               match Random.State.int rng 3 with
-               | 0 ->
-                 record (History.Insert k) (fun () ->
-                     S.insert s ~key:k ~value:k)
-               | 1 -> record (History.Delete k) (fun () -> S.delete s k)
-               | _ -> record (History.Member k) (fun () -> S.member s k)
-             done))
-    done;
+    Crashlab.spawn_uniform r ~threads:4 ~ops:25 ~range:8 ~seed:(fun tid ->
+        [| seed; tid; 3 |]);
     Machine.set_crash_at_step m (150 + (41 * seed));
     (match Machine.run m with
-    | Machine.Crashed_at t -> History.mark_crash h ~time:t
+    | Machine.Crashed_at t -> History.mark_crash r.history ~time:t
     | Machine.Completed -> Alcotest.fail "expected a crash");
     (* recovery itself runs as a thread and is crashed partway... *)
-    ignore (Machine.spawn m (fun () -> S.recover s));
+    ignore (Machine.spawn m r.recover);
     Machine.set_crash_at_step m (Machine.steps m + 5 + (7 * seed));
     (match Machine.run m with
-    | Machine.Crashed_at t -> History.mark_crash h ~time:t
+    | Machine.Crashed_at t -> History.mark_crash r.history ~time:t
     | Machine.Completed ->
       (* recovery was short enough to finish; that is fine too *)
       ());
     (* ...and run to completion the second time *)
     Machine.clear_crash m;
-    S.recover s;
-    S.check_invariants s;
+    r.recover ();
+    r.check_invariants ();
     (* era: the structure must be fully functional *)
-    for tid = 0 to 1 do
-      let rng = Random.State.make [| seed; tid; 4 |] in
-      ignore
-        (Machine.spawn m (fun () ->
-             for _ = 1 to 15 do
-               let k = Random.State.int rng 8 in
-               let record op f =
-                 let e =
-                   History.invoke h ~tid:(Machine.current_tid m)
-                     ~time:(Machine.now m) op
-                 in
-                 let r = f () in
-                 History.respond e ~time:(Machine.now m) r
-               in
-               match Random.State.int rng 3 with
-               | 0 ->
-                 record (History.Insert k) (fun () ->
-                     S.insert s ~key:k ~value:k)
-               | 1 -> record (History.Delete k) (fun () -> S.delete s k)
-               | _ -> record (History.Member k) (fun () -> S.member s k)
-             done))
-    done;
-    (match Machine.run m with
+    Crashlab.spawn_uniform r ~threads:2 ~ops:15 ~range:8 ~seed:(fun tid ->
+        [| seed; tid; 4 |]);
+    (match Crashlab.era r with
     | Machine.Completed -> ()
     | Machine.Crashed_at _ -> assert false);
-    S.check_invariants s;
-    (match Lin.check_set ~initial_keys:prefilled h with
-    | Ok () -> ()
-    | Error v ->
-      Alcotest.failf "%s seed %d: %a" name seed Lin.pp_violation v)
+    check_verdict name seed r
   done
 
 (* Several crash/recover/run cycles in sequence. *)
-let multi_crash name (module S : SET) () =
+let multi_crash name set () =
   for seed = 0 to 4 do
     let m =
       Machine.create ~seed ~eviction:(Machine.Random_eviction 0.03) ()
     in
-    let s = S.create () in
-    let prefilled =
-      List.filter (fun k -> S.insert s ~key:k ~value:k) [ 1; 4; 6 ]
-    in
-    Machine.persist_all m;
-    let h = History.create () in
-    let spawn_era () =
-      for tid = 0 to 2 do
-        let rng = Random.State.make [| seed; tid; History.era h |] in
-        ignore
-          (Machine.spawn m (fun () ->
-               for _ = 1 to 20 do
-                 let k = Random.State.int rng 8 in
-                 let record op f =
-                   let e =
-                     History.invoke h ~tid:(Machine.current_tid m)
-                       ~time:(Machine.now m) op
-                   in
-                   let r = f () in
-                   History.respond e ~time:(Machine.now m) r
-                 in
-                 match Random.State.int rng 3 with
-                 | 0 ->
-                   record (History.Insert k) (fun () ->
-                       S.insert s ~key:k ~value:k)
-                 | 1 -> record (History.Delete k) (fun () -> S.delete s k)
-                 | _ -> record (History.Member k) (fun () -> S.member s k)
-               done))
-      done
-    in
-    let rec eras n =
-      spawn_era ();
-      if n > 0 then begin
-        Machine.set_crash_at_step m (Machine.steps m + 80 + (31 * n));
-        match Machine.run m with
-        | Machine.Crashed_at t ->
-          History.mark_crash h ~time:t;
-          S.recover s;
-          S.check_invariants s;
-          eras (n - 1)
-        | Machine.Completed ->
-          (* the era drained before its crash point; just continue *)
-          eras (n - 1)
-      end
-      else
-        match Machine.run m with
-        | Machine.Completed -> ()
-        | Machine.Crashed_at _ -> assert false
-    in
-    eras 3;
-    S.check_invariants s;
-    (match Lin.check_set ~initial_keys:prefilled h with
-    | Ok () -> ()
-    | Error v ->
-      Alcotest.failf "%s seed %d: %a" name seed Lin.pp_violation v)
+    let r = Crashlab.start set m ~prefill:[ 1; 4; 6 ] in
+    for n = 3 downto 0 do
+      Crashlab.spawn_uniform r ~threads:3 ~ops:20 ~range:8 ~seed:(fun tid ->
+          [| seed; tid; History.era r.history |]);
+      if n > 0 then Machine.set_crash_at_step m (Machine.steps m + 80 + (31 * n));
+      match Crashlab.era r with
+      | Machine.Crashed_at _ when n > 0 -> r.check_invariants ()
+      | Machine.Crashed_at _ -> assert false
+      | Machine.Completed ->
+        (* the era drained before its crash point; just continue *)
+        ()
+    done;
+    check_verdict name seed r
   done
 
 (* ------------------------------------------------------------------ *)
