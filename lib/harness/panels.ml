@@ -15,7 +15,7 @@ type sweep = Threads of int list | Range of int list | Updates of int list
 
 type panel = {
   id : string;
-  title : string;
+  title : string;  (* built by [with_title] from the fields below *)
   cost : Cost_model.t;
   series : series list;
   sweep : sweep;
@@ -40,12 +40,39 @@ let list_sizes scale =
 
 let big_range scale = match scale with Quick -> 8192 | Full -> 65536
 
+let sweep_label = function
+  | Threads _ -> "threads"
+  | Range _ -> "size"
+  | Updates _ -> "update%"
+
+(* "<structure>: throughput vs <sweep> (<fixed parameters>) [<cost>]".
+   The fixed thread count and key range are read from the panel's own
+   fields, so the printed title cannot disagree with what the panel
+   runs. *)
+let with_title p =
+  let lookups =
+    Printf.sprintf "%d%% lookups" (100 - Workload.update_pct p.mix)
+  in
+  let keys = Printf.sprintf "%d of %d keys" (p.range / 2) p.range in
+  let fixed =
+    match p.sweep with
+    | Threads _ -> [ lookups; keys ]
+    | Range _ -> [ Printf.sprintf "%d threads" p.threads; lookups ]
+    | Updates _ -> [ Printf.sprintf "%d threads" p.threads; keys ]
+  in
+  { p with
+    title =
+      Printf.sprintf "%s: throughput vs %s (%s) [%s]" p.title
+        (sweep_label p.sweep) (String.concat ", " fixed)
+        (String.uppercase_ascii p.cost.Cost_model.name) }
+
+(* Each [title] below names only the structure; [with_title] completes
+   it. *)
 let panels scale =
   let nvram = Cost_model.nvram and dram = Cost_model.dram in
   let big = big_range scale in
   [ { id = "5a";
-      title = "Linked list: throughput vs threads (80% lookups, 512 of 1024 \
-               keys) [NVRAM]";
+      title = "Linked list";
       cost = nvram;
       series = list_series ~with_onefile:true ~with_lp:false;
       sweep = Threads (threads_sweep scale);
@@ -55,8 +82,7 @@ let panels scale =
       base_ops = 2000;
       hash_sized = false };
     { id = "5b";
-      title = "Linked list: throughput vs size (16 threads, 80% lookups) \
-               [NVRAM]";
+      title = "Linked list";
       cost = nvram;
       series = list_series ~with_onefile:true ~with_lp:false;
       sweep = Range (list_sizes scale);
@@ -66,8 +92,7 @@ let panels scale =
       base_ops = 2000;
       hash_sized = false };
     { id = "5c";
-      title = "Linked list: throughput vs update%% (16 threads, 500 of 1000 \
-               keys) [NVRAM]";
+      title = "Linked list";
       cost = nvram;
       series = list_series ~with_onefile:true ~with_lp:false;
       sweep = Updates updates_sweep;
@@ -77,7 +102,7 @@ let panels scale =
       base_ops = 2000;
       hash_sized = false };
     { id = "5d";
-      title = "Hash table: throughput vs update%% (16 threads) [NVRAM]";
+      title = "Hash table";
       cost = nvram;
       series = hash_series ~with_lp:false;
       sweep = Updates updates_sweep;
@@ -87,7 +112,7 @@ let panels scale =
       base_ops = 20000;
       hash_sized = true };
     { id = "5e";
-      title = "BST: throughput vs update%% (16 threads) [NVRAM]";
+      title = "BST";
       cost = nvram;
       (* the O(n)-transaction PTM set is impractical on full-scale tree
          panels; its comparison lives on the list panels *)
@@ -99,7 +124,7 @@ let panels scale =
       base_ops = 10000;
       hash_sized = false };
     { id = "5f";
-      title = "Skiplist: throughput vs update%% (16 threads) [NVRAM]";
+      title = "Skiplist";
       cost = nvram;
       series = skiplist_series ~with_lp:false;
       sweep = Updates updates_sweep;
@@ -109,8 +134,7 @@ let panels scale =
       base_ops = 10000;
       hash_sized = false };
     { id = "6g";
-      title = "Linked list: throughput vs threads (80% lookups, 8192 keys) \
-               [DRAM]";
+      title = "Linked list";
       cost = dram;
       series = list_series ~with_onefile:false ~with_lp:true;
       sweep = Threads (threads_sweep scale);
@@ -120,8 +144,7 @@ let panels scale =
       base_ops = 1000;
       hash_sized = false };
     { id = "6h";
-      title = "Linked list: throughput vs update%% (64 threads, 8192 keys) \
-               [DRAM]";
+      title = "Linked list";
       cost = dram;
       series = list_series ~with_onefile:true ~with_lp:true;
       sweep = Updates updates_sweep;
@@ -131,8 +154,7 @@ let panels scale =
       base_ops = 1000;
       hash_sized = false };
     { id = "6i";
-      title = "Linked list: throughput vs size (64 threads, 80% lookups) \
-               [DRAM]";
+      title = "Linked list";
       cost = dram;
       series = list_series ~with_onefile:false ~with_lp:true;
       sweep = Range (list_sizes scale);
@@ -142,7 +164,7 @@ let panels scale =
       base_ops = 1000;
       hash_sized = false };
     { id = "6j";
-      title = "Hash table: throughput vs threads (80% lookups) [DRAM]";
+      title = "Hash table";
       cost = dram;
       series = hash_series ~with_lp:true;
       sweep = Threads (threads_sweep scale);
@@ -152,7 +174,7 @@ let panels scale =
       base_ops = 20000;
       hash_sized = true };
     { id = "6k";
-      title = "Hash table: throughput vs update%% (16 threads) [DRAM]";
+      title = "Hash table";
       cost = dram;
       series = hash_series ~with_lp:true;
       sweep = Updates updates_sweep;
@@ -162,8 +184,7 @@ let panels scale =
       base_ops = 20000;
       hash_sized = true };
     { id = "6l";
-      title = "Hash table: throughput vs size (16 threads, 80% lookups) \
-               [DRAM]";
+      title = "Hash table";
       cost = dram;
       series = hash_series ~with_lp:true;
       sweep =
@@ -177,7 +198,7 @@ let panels scale =
       base_ops = 20000;
       hash_sized = true };
     { id = "6m";
-      title = "BST: throughput vs update%% (16 threads) [DRAM]";
+      title = "BST";
       cost = dram;
       series = bst_series ~with_onefile:false ~with_lp:true;
       sweep = Updates updates_sweep;
@@ -187,8 +208,7 @@ let panels scale =
       base_ops = 10000;
       hash_sized = false };
     { id = "6n";
-      title = "Skiplist: throughput vs threads (80% lookups, 20% updates) \
-               [DRAM]";
+      title = "Skiplist";
       cost = dram;
       series = skiplist_series ~with_lp:true;
       sweep = Threads (threads_sweep scale);
@@ -198,7 +218,7 @@ let panels scale =
       base_ops = 10000;
       hash_sized = false };
     { id = "6o";
-      title = "Skiplist: throughput vs update%% (64 threads) [DRAM]";
+      title = "Skiplist";
       cost = dram;
       series = skiplist_series ~with_lp:true;
       sweep = Updates updates_sweep;
@@ -208,16 +228,12 @@ let panels scale =
       base_ops = 10000;
       hash_sized = false }
   ]
+  |> List.map with_title
 
 let sweep_points = function
   | Threads ts -> List.map (fun t -> (string_of_int t, `Threads t)) ts
   | Range rs -> List.map (fun r -> (string_of_int r, `Range r)) rs
   | Updates us -> List.map (fun u -> (string_of_int u, `Updates u)) us
-
-let sweep_label = function
-  | Threads _ -> "threads"
-  | Range _ -> "size"
-  | Updates _ -> "update%"
 
 let params_for panel point =
   let threads, range, mix =

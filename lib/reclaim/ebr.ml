@@ -91,7 +91,6 @@ module Make (M : Nvt_nvm.Memory.S) = struct
     end
     else None
 
-  let current_epoch t = M.read t.global
   let retired_count t = M.read t.retired
   let freed_count t = M.read t.freed
 

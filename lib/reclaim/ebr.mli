@@ -24,7 +24,6 @@ module Make (M : Nvt_nvm.Memory.S) : sig
       retired two epochs ago and return how many thunks ran. [None] when
       some announced epoch lags. *)
 
-  val current_epoch : t -> int
   val retired_count : t -> int
   val freed_count : t -> int
 

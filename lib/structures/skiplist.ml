@@ -347,53 +347,6 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
 
   let member t k = Option.is_some (find t k)
 
-  (* Remove and return the minimum key — the skiplist-as-priority-queue
-     operation the paper counts among traversal data structures. The
-     traversal is the bottom-level walk with a key below every real key,
-     so [right] is the first live node, i.e. the minimum. *)
-  let smallest_key = min_int + 1
-
-  let delete_min_critical head tr () =
-    match delete_marked tr with
-    | `Retry -> E.Restart
-    | `Ok cur -> (
-      match tr.right with
-      | Tail -> E.Finish None
-      | Node rn ->
-        let k, v, h = M.read rn.meta in
-        mark_towers rn h;
-        let rnext = C.read rn.next in
-        if rnext.marked then E.Restart
-        else if
-          C.cas rn.next ~expected:rnext ~desired:{ rnext with marked = true }
-        then begin
-          ignore
-            (C.cas tr.left.next ~expected:cur
-               ~desired:{ marked = false; nx = rnext.nx });
-          unlink_towers head k h;
-          E.Finish (Some (k, v))
-        end
-        else E.Restart)
-
-  let delete_min t =
-    E.operation
-      ~find_entry:(fun () -> t.head)
-      ~traverse:(fun entry () -> traversal t.head entry smallest_key)
-      ~critical:(delete_min_critical t.head)
-      ()
-
-  let peek_min t =
-    E.operation
-      ~find_entry:(fun () -> t.head)
-      ~traverse:(fun entry () -> traversal t.head entry smallest_key)
-      ~critical:(fun tr () ->
-        match tr.right with
-        | Tail -> E.Finish None
-        | Node rn ->
-          let k, v, _ = M.read rn.meta in
-          E.Finish (Some (k, v)))
-      ()
-
   (* ---------------- recovery ---------------- *)
 
   (* Trim marked bottom-level nodes (the disconnect supplement), then

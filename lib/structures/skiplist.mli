@@ -4,12 +4,5 @@
     where the NVTraverse insight (don't persist the journey) pays the
     most. Node heights are a deterministic function of the key. *)
 
-module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) : sig
-  include Nvt_core.Set_intf.SET
-
-  val delete_min : t -> (int * int) option
-  (** Remove and return the smallest key and its value — the
-      priority-queue operation ({!Priority_queue} wraps it). *)
-
-  val peek_min : t -> (int * int) option
-end
+module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) :
+  Nvt_core.Set_intf.SET

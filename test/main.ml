@@ -5,15 +5,11 @@ let () =
       ("natarajan_bst", Test_natarajan.suite);
       ("skiplist", Test_skiplist.suite);
       ("hash_table", Test_hash.suite);
-      ("ms_queue", Test_queue.suite);
-      ("treiber_stack", Test_stack.suite);
       ("ebr", Test_ebr.suite);
-      ("hazard_pointers", Test_hazard.suite);
       ("onefile", Test_onefile.suite);
       ("linearizability_checker", Test_lin.suite);
       ("explore", Test_explore.suite);
       ("sched", Test_sched.suite);
-      ("priority_queue", Test_pqueue.suite);
       ("native_domains", Test_native.suite);
       ("crash_sweep", Test_crash_sweep.suite);
       ("soft", Test_soft.suite);

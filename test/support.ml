@@ -15,7 +15,6 @@ module I = Nvt_harness.Instances
 module Crashlab = Nvt_harness.Crashlab
 
 module Sim_mem = Nvt_sim.Memory
-module P = Nvm.Persist.Make (Sim_mem)
 
 module type SET = Nvt_core.Set_intf.SET
 

@@ -43,191 +43,39 @@ let sweep name (module S : SET) ~eviction () =
     | Machine.Completed -> Alcotest.failf "%s: %s never fired" name what
   done
 
-(* The list sweep runs once per durable policy in the registry: the
-   crash-at-every-step argument must hold for each flush discipline, not
-   just the engine-placed one. *)
-let list_sweeps =
+(* A registry structure's sweeps: one per durable policy that supports
+   it, with and without eviction. The crash-at-every-step argument must
+   hold for each flush discipline, not just the engine-placed one.
+   [except] names the (flavour, eviction) pairs a hand-written case
+   already sweeps. *)
+let registry_sweeps ?(except = []) s_key name =
+  let str = List.assoc s_key I.structures in
   List.concat_map
     (fun (f : I.flavour) ->
-      let set =
-        I.instantiate_flavour f "list" (module Nvt_structures.Harris_list)
-      in
-      [ Alcotest.test_case
-          (Printf.sprintf "harris list, %s (no eviction)" f.key)
-          `Quick
-          (sweep ("harris/" ^ f.key) set ~eviction:Machine.No_eviction);
-        Alcotest.test_case
-          (Printf.sprintf "harris list, %s (random eviction)" f.key)
-          `Quick
-          (sweep ("harris/" ^ f.key) set
-             ~eviction:(Machine.Random_eviction 0.1)) ])
-    I.durable_flavours
+      let set = I.instantiate_flavour f s_key str in
+      List.filter_map
+        (fun (ev_name, eviction) ->
+          if List.mem (f.key, eviction) except then None
+          else
+            Some
+              (Alcotest.test_case
+                 (Printf.sprintf "%s, %s (%s)" name f.key ev_name)
+                 `Quick
+                 (sweep (s_key ^ "/" ^ f.key) set ~eviction)))
+        [ ("no eviction", Machine.No_eviction);
+          ("random eviction", Machine.Random_eviction 0.1) ])
+    (List.filter (fun f -> I.supports f s_key) I.durable_flavours)
 
-(* ------------------------------------------------------------------ *)
-(* Non-set structures: queue, stack, priority queue                    *)
-(* ------------------------------------------------------------------ *)
+let list_sweeps = registry_sweeps "list" "harris list"
 
-(* The service shards can sit on any registry structure, so the
-   crash-at-every-step argument must hold for the container shapes
-   too. A common closure interface erases the differing signatures;
-   the oracle is multiset-shaped: after crash+recovery no value is
-   duplicated, nothing appears from thin air, and every completed add
-   is still accounted for unless a remove was in flight at the crash
-   (which may have durably claimed it). *)
-type cont = {
-  add : int -> unit;
-  remove : unit -> int option;
-  c_recover : unit -> unit;
-  remaining : unit -> int list;
-  check : unit -> unit;
-}
-
-let queue_cont (module Pol : I.POLICY) () : cont =
-  let module A = Pol.Apply (Sim_mem) in
-  let module Q = Nvt_structures.Ms_queue.Make (A.Mem) (A.P) in
-  let q = Q.create () in
-  { add = Q.enqueue q;
-    remove = (fun () -> Q.dequeue q);
-    c_recover =
-      (fun () ->
-        A.recover ();
-        Q.recover q);
-    remaining = (fun () -> Q.to_list q);
-    check = (fun () -> Q.check_invariants q) }
-
-let stack_cont (module Pol : I.POLICY) () : cont =
-  let module A = Pol.Apply (Sim_mem) in
-  let module S = Nvt_structures.Treiber_stack.Make (A.Mem) (A.P) in
-  let s = S.create () in
-  { add = S.push s;
-    remove = (fun () -> S.pop s);
-    c_recover =
-      (fun () ->
-        A.recover ();
-        S.recover s);
-    remaining = (fun () -> S.to_list s);
-    check = (fun () -> S.check_invariants s) }
-
-let pqueue_cont (module Pol : I.POLICY) () : cont =
-  let module A = Pol.Apply (Sim_mem) in
-  let module P = Nvt_structures.Priority_queue.Make (A.Mem) (A.P) in
-  let p = P.create () in
-  { add = (fun v -> ignore (P.insert p ~priority:v ~value:v));
-    remove = (fun () -> Option.map fst (P.extract_min p));
-    c_recover =
-      (fun () ->
-        A.recover ();
-        P.recover p);
-    remaining = (fun () -> List.map fst (P.to_list p));
-    check = (fun () -> P.check_invariants p) }
-
-let cont_sweep name (mk : unit -> cont) ~eviction () =
-  let prefill = [ 9001; 9002; 9003 ] in
-  let body m c ~add_started ~add_done ~removed ~in_flight =
-    for tid = 0 to 1 do
-      let rng = Random.State.make [| 7; tid |] in
-      ignore
-        (Machine.spawn m (fun () ->
-             for i = 1 to 6 do
-               if Random.State.int rng 2 = 0 then begin
-                 let v = (tid * 100) + i in
-                 Hashtbl.replace add_started v ();
-                 c.add v;
-                 Hashtbl.replace add_done v ()
-               end
-               else begin
-                 incr in_flight;
-                 (match c.remove () with
-                 | Some v -> removed := v :: !removed
-                 | None -> ());
-                 decr in_flight
-               end
-             done))
-    done
-  in
-  let run crash_step =
-    let m = Machine.create ~seed:7 ~eviction () in
-    let c = mk () in
-    List.iter c.add prefill;
-    Machine.persist_all m;
-    let add_started = Hashtbl.create 64 in
-    let add_done = Hashtbl.create 64 in
-    let removed = ref [] in
-    let in_flight = ref 0 in
-    let stranded = ref 0 in
-    body m c ~add_started ~add_done ~removed ~in_flight;
-    (match crash_step with
-    | Some s -> Machine.set_crash_at_step m s
-    | None -> ());
-    (match Machine.run m with
-    | Machine.Completed -> ()
-    | Machine.Crashed_at _ ->
-      stranded := !in_flight;
-      c.c_recover ());
-    c.check ();
-    let remaining = c.remaining () in
-    let where =
-      match crash_step with
-      | Some s -> Printf.sprintf "%s crash@%d" name s
-      | None -> name ^ " crash-free"
-    in
-    let seen = Hashtbl.create 64 in
-    List.iter
-      (fun v ->
-        if Hashtbl.mem seen v then
-          Alcotest.failf "%s: value %d duplicated" where v;
-        Hashtbl.replace seen v ();
-        if not (List.mem v prefill || Hashtbl.mem add_started v) then
-          Alcotest.failf "%s: value %d was never added" where v)
-      (!removed @ remaining);
-    let missing = ref 0 in
-    Hashtbl.iter
-      (fun v () -> if not (Hashtbl.mem seen v) then incr missing)
-      add_done;
-    List.iter
-      (fun v -> if not (Hashtbl.mem seen v) then incr missing)
-      prefill;
-    if !missing > !stranded then
-      Alcotest.failf
-        "%s: %d completed adds lost but only %d removes in flight at the \
-         crash"
-        where !missing !stranded;
-    Machine.steps m
-  in
-  let total_steps = run None in
-  for crash_step = 1 to total_steps do
-    ignore (run (Some crash_step))
-  done
-
-(* Every container shape under every durable registry policy, plus an
-   eviction-adversary pass under the paper's own transformation. The
-   containers aren't registry structures, so the structure-specific
-   flavours (SOFT's list rewrite, the detectable set wrapper) are
-   skipped: applying their bare persist policy here would just rerun
-   nvt under another name. *)
-let cont_sweeps =
-  List.concat_map
-    (fun (shape, mk) ->
-      List.map
-        (fun (f : I.flavour) ->
-          Alcotest.test_case
-            (Printf.sprintf "%s, %s" shape f.key)
-            `Quick
-            (cont_sweep
-               (Printf.sprintf "%s/%s" shape f.key)
-               (mk f.policy) ~eviction:Machine.No_eviction))
-        (List.filter (fun (f : I.flavour) -> f.only = None) I.durable_flavours)
-      @ [ (match I.flavour "nvt" with
-          | Some f ->
-            Alcotest.test_case
-              (Printf.sprintf "%s, nvt (random eviction)" shape)
-              `Quick
-              (cont_sweep (shape ^ "/nvt+evict") (mk f.policy)
-                 ~eviction:(Machine.Random_eviction 0.1))
-          | None -> assert false) ])
-    [ ("ms_queue", queue_cont);
-      ("treiber_stack", stack_cont);
-      ("priority_queue", pqueue_cont) ]
+(* The other registry structures under every supporting durable policy;
+   the trees' nvt sweep without eviction is the named case of each. *)
+let structure_sweeps =
+  let named = [ ("nvt", Machine.No_eviction) ] in
+  registry_sweeps "hash" "hash table"
+  @ registry_sweeps ~except:named "bst-ellen" "ellen bst"
+  @ registry_sweeps ~except:named "bst-nm" "natarajan bst"
+  @ registry_sweeps ~except:named "skiplist" "skiplist"
 
 (* Write-backs of one cell must serialize as cache coherence would: if
    T0 flushes value 1 but stalls before its fence, and T1 then writes,
@@ -323,7 +171,6 @@ let golden_runs () =
 let suite =
   (Alcotest.test_case "a stalled fence cannot resurrect a stale write-back"
      `Quick stale_write_back_dropped :: list_sweeps)
-  @ cont_sweeps
   @ [ Alcotest.test_case "ellen bst" `Quick
       (sweep "ellen" (module Eb.Durable) ~eviction:Machine.No_eviction);
     Alcotest.test_case "natarajan bst" `Quick
@@ -336,3 +183,4 @@ let suite =
            ~eviction:(Machine.Random_eviction 0.1));
       Alcotest.test_case "golden recorded runs" `Quick golden_runs
     ]
+  @ structure_sweeps

@@ -1,11 +1,10 @@
-(* The native Atomic-based backend, exercised with real OCaml domains.
-   (This host is single-core, so these test atomicity under preemption
-   rather than parallel scaling.) *)
+(* The native Atomic-based backend, exercised with real OCaml domains on
+   the durable Harris list. On a single core these test atomicity under
+   preemption rather than parallel scaling. *)
 
 module Nvm = Nvt_nvm
 module P = Nvm.Persist.Make (Nvm.Native)
 module L = Nvt_structures.Harris_list.Make (Nvm.Native) (P.Durable)
-module Q = Nvt_structures.Ms_queue.Make (Nvm.Native) (P.Durable)
 
 let disjoint_inserts () =
   let s = L.create () in
@@ -55,35 +54,7 @@ let contended_mix () =
   List.iter Domain.join domains;
   L.check_invariants s
 
-let queue_multiset () =
-  let q = Q.create () in
-  let popped = Array.make 2 [] in
-  let producers =
-    List.init 2 (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to 499 do
-              Q.enqueue q ((p * 10_000) + i)
-            done))
-  in
-  let consumers =
-    List.init 2 (fun c ->
-        Domain.spawn (fun () ->
-            for _ = 0 to 399 do
-              match Q.dequeue q with
-              | Some v -> popped.(c) <- v :: popped.(c)
-              | None -> ()
-            done))
-  in
-  List.iter Domain.join producers;
-  List.iter Domain.join consumers;
-  Q.check_invariants q;
-  let all = popped.(0) @ popped.(1) @ Q.to_list q in
-  Alcotest.(check int) "nothing lost or duplicated" 1000
-    (List.length (List.sort_uniq compare all));
-  Alcotest.(check int) "total count" 1000 (List.length all)
-
 let suite =
   [ Alcotest.test_case "disjoint inserts across domains" `Quick
       disjoint_inserts;
-    Alcotest.test_case "contended mixed workload" `Quick contended_mix;
-    Alcotest.test_case "queue multiset across domains" `Quick queue_multiset ]
+    Alcotest.test_case "contended mixed workload" `Quick contended_mix ]

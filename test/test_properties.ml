@@ -134,88 +134,6 @@ let checker_rejects_corruption =
           (match Lin.check_set h with Ok () -> false | Error _ -> true)
       end)
 
-(* Queue/stack/priority-queue sequential model properties. *)
-
-type seq_op2 = Push of int | Pop
-
-let ops2_arbitrary =
-  QCheck.make
-    ~print:(fun l ->
-      String.concat "; "
-        (List.map
-           (function Push v -> Printf.sprintf "push %d" v | Pop -> "pop")
-           l))
-    QCheck.Gen.(
-      list_size (int_bound 300)
-        (frequency
-           [ (3, map (fun v -> Push v) (int_bound 1000)); (2, return Pop) ]))
-
-let queue_model =
-  QCheck.Test.make ~count:100 ~name:"ms queue = FIFO model" ops2_arbitrary
-    (fun ops ->
-      let _m = Machine.create () in
-      let module Q = Nvt_structures.Ms_queue.Make (Sim_mem) (P.Durable) in
-      let q = Q.create () in
-      let model = Queue.create () in
-      List.for_all
-        (function
-          | Push v ->
-            Q.enqueue q v;
-            Queue.add v model;
-            true
-          | Pop -> Q.dequeue q = Queue.take_opt model)
-        ops
-      && Q.to_list q = List.of_seq (Queue.to_seq model))
-
-let stack_model =
-  QCheck.Test.make ~count:100 ~name:"treiber stack = LIFO model"
-    ops2_arbitrary (fun ops ->
-      let _m = Machine.create () in
-      let module S = Nvt_structures.Treiber_stack.Make (Sim_mem) (P.Durable) in
-      let s = S.create () in
-      let model = ref [] in
-      List.for_all
-        (function
-          | Push v ->
-            S.push s v;
-            model := v :: !model;
-            true
-          | Pop -> (
-            let expected =
-              match !model with
-              | [] -> None
-              | x :: rest ->
-                model := rest;
-                Some x
-            in
-            S.pop s = expected))
-        ops
-      && S.to_list s = !model)
-
-let pqueue_model =
-  QCheck.Test.make ~count:100 ~name:"priority queue = min-map model"
-    ops2_arbitrary (fun ops ->
-      let _m = Machine.create () in
-      let module Pq = Nvt_structures.Priority_queue.Make (Sim_mem) (P.Durable)
-      in
-      let module Im = Map.Make (Int) in
-      let q = Pq.create () in
-      let model = ref Im.empty in
-      List.for_all
-        (function
-          | Push v ->
-            let expected = not (Im.mem v !model) in
-            if expected then model := Im.add v v !model;
-            Pq.insert q ~priority:v ~value:v = expected
-          | Pop -> (
-            let expected = Im.min_binding_opt !model in
-            (match expected with
-            | Some (p, _) -> model := Im.remove p !model
-            | None -> ());
-            Pq.extract_min q = expected))
-        ops
-      && Pq.to_list q = Im.bindings !model)
-
 (* Recovery on a quiescent, fully persistent structure is a no-op. *)
 let recover_noop name set =
   QCheck.Test.make ~count:50
@@ -385,9 +303,6 @@ let suite =
       model_prop "hash table (nvt) = model" (module Ht.Durable : SET);
       model_prop "onefile set = model"
         (module Nvt_baselines.Onefile.Set (Sim_mem) : SET);
-      queue_model;
-      stack_model;
-      pqueue_model;
       recover_noop "harris list" (module Hl.Durable : SET);
       recover_noop "ellen bst" (module Eb.Durable : SET);
       recover_noop "natarajan bst" (module Nm.Durable : SET);

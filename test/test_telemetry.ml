@@ -644,6 +644,38 @@ let panel_5a_plots_the_comparison () =
         | _ -> ()))
     [ Nvt_harness.Panels.Quick; Nvt_harness.Panels.Full ]
 
+(* A panel's title must describe what the panel runs: it is printed
+   through [%s], so a literal "%%" would show; every fixed parameter it
+   states must be the one in the panel's fields, at either scale. *)
+let panel_titles_match_their_runs () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (p : Nvt_harness.Panels.panel) ->
+          let names what =
+            if not (contains p.title what) then
+              Alcotest.failf "panel %s title %S does not name %S" p.id p.title
+                what
+          in
+          if contains p.title "%%" then
+            Alcotest.failf "panel %s title %S prints %%%%" p.id p.title;
+          (match p.sweep with
+          | Threads _ -> ()
+          | Range _ | Updates _ ->
+            names (Printf.sprintf "%d threads" p.threads));
+          match p.sweep with
+          | Updates _ -> names (Printf.sprintf "%d keys" p.range)
+          | Threads _ | Range _ -> ())
+        (Nvt_harness.Panels.panels scale))
+    [ Nvt_harness.Panels.Quick; Nvt_harness.Panels.Full ]
+
 let suite =
   [ Alcotest.test_case "sites sum to aggregates (all policies)" `Quick
       sites_sum_to_aggregates;
@@ -674,4 +706,6 @@ let suite =
       throughput_runs_exactly_total_ops;
     Alcotest.test_case "json emitter" `Quick json_emitter;
     Alcotest.test_case "panel 5a plots the four-way comparison" `Quick
-      panel_5a_plots_the_comparison ]
+      panel_5a_plots_the_comparison;
+    Alcotest.test_case "panel titles name what the panels run" `Quick
+      panel_titles_match_their_runs ]
