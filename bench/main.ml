@@ -33,7 +33,11 @@ let run_panels ids full seed json =
      EXPERIMENTS.md for shape comparison against the paper.\n"
     (if full then "full" else "quick");
   let json_path = if json then Some "BENCH_panels.json" else None in
-  Nvt_harness.Panels.run ~seed ?json_path ~scale ids
+  match Nvt_harness.Panels.run ~seed ?json_path ~scale ids with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
 
 let panels_cmd =
   Cmd.v (Cmd.info "panels" ~doc:"Regenerate the paper's figure panels")

@@ -18,8 +18,10 @@
 
    Exit status: 0 only for a fully clean run; 1 for any durability
    violation, corrupt read, failed recovery/invariant, or exactly-once
-   violation; 2 for CLI errors (unknown structure/policy). CI relies
-   on this to distinguish a clean run from a printed violation. *)
+   violation; 2 for usage errors (an unknown policy, a count below 1);
+   124 for an unknown --structure, which Cmdliner's enum rejects. CI
+   relies on this to distinguish a clean run from a printed
+   violation. *)
 
 open Cmdliner
 module H = Nvt_harness
@@ -128,6 +130,18 @@ let pp_savings () =
     s.Nvt_nvm.Optimizer.coalesced_flushes s.deferred_flushes s.elided_flushes
     s.elided_fences
 
+(* A count below 1 is a usage error, caught before anything runs: zero
+   threads, ops or requests would pass vacuously, and a zero range,
+   shard or client count would fail mid-run. *)
+let require_positive counts =
+  List.iter
+    (fun (flag, n) ->
+      if n < 1 then begin
+        Printf.eprintf "--%s must be at least 1 (got %d)\n" flag n;
+        exit 2
+      end)
+    counts
+
 let report s_name p_name (r : H.Crashlab.report) =
   let ops = List.length r.history in
   Printf.printf "structure:  %s (%s)\n" s_name p_name;
@@ -172,6 +186,7 @@ let report s_name p_name (r : H.Crashlab.report) =
 
 let run s_name p_name threads ops range seed updates eviction stall crashes
     dram trace_cap optimize =
+  require_positive [ ("threads", threads); ("ops", ops); ("range", range) ];
   let variants = List.assoc s_name structures in
   let chosen =
     if p_name = "all" then
@@ -455,6 +470,9 @@ let detect_flag =
 let serve s_name p_name shards clients requests gap skew updates range seed
     timeout crashes eviction dram domains ckpt recovery_crashes
     multi_pct multi_k rmw_pct detect optimize =
+  require_positive
+    [ ("shards", shards); ("clients", clients); ("requests", requests);
+      ("range", range) ];
   (match I.flavour p_name with
   | Some _ -> ()
   | None ->

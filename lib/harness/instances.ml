@@ -61,7 +61,7 @@ end
 (* SOFT's structure variants: the list, and the generic bucket
    directory over SOFT lists (the directory is volatile auxiliary
    state, so it composes with SOFT exactly as with Harris lists). *)
-module Soft_hash_sized : STRUCTURE = struct
+module Soft_hash : STRUCTURE = struct
   module Make (M : Nvm.Memory.S) (P : Nvm.Persist.Make(M).S) = struct
     include
       Nvt_structures.Hash_table.Make_generic (Nvt_structures.Soft_list.Make (M) (P))
@@ -108,7 +108,7 @@ let flavours : flavour list =
       ~only:[ "list"; "hash" ]
       ~special:
         [ ("list", (module Nvt_structures.Soft_list : STRUCTURE));
-          ("hash", (module Soft_hash_sized : STRUCTURE)) ];
+          ("hash", (module Soft_hash : STRUCTURE)) ];
     fl "det" "det" (module Nvm.Detectable.Policy)
       ~only:[ "list"; "hash" ] ~wrap:det_wrap ]
 

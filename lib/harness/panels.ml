@@ -23,7 +23,6 @@ type panel = {
   range : int;  (* fixed range when sweeping threads/updates *)
   mix : Workload.mix;  (* fixed mix when sweeping threads/range *)
   base_ops : int;  (* measured ops per sweep point at scale=Quick *)
-  hash_sized : bool;  (* size the hash directory to the key range *)
 }
 
 let threads_sweep scale =
@@ -79,8 +78,7 @@ let panels scale =
       threads = 16;
       range = 1024;
       mix = Workload.default;
-      base_ops = 2000;
-      hash_sized = false };
+      base_ops = 2000 };
     { id = "5b";
       title = "Linked list";
       cost = nvram;
@@ -89,8 +87,7 @@ let panels scale =
       threads = 16;
       range = 1024;
       mix = Workload.default;
-      base_ops = 2000;
-      hash_sized = false };
+      base_ops = 2000 };
     { id = "5c";
       title = "Linked list";
       cost = nvram;
@@ -99,8 +96,7 @@ let panels scale =
       threads = 16;
       range = 1000;
       mix = Workload.default;
-      base_ops = 2000;
-      hash_sized = false };
+      base_ops = 2000 };
     { id = "5d";
       title = "Hash table";
       cost = nvram;
@@ -109,8 +105,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.default;
-      base_ops = 20000;
-      hash_sized = true };
+      base_ops = 20000 };
     { id = "5e";
       title = "BST";
       cost = nvram;
@@ -121,8 +116,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.default;
-      base_ops = 10000;
-      hash_sized = false };
+      base_ops = 10000 };
     { id = "5f";
       title = "Skiplist";
       cost = nvram;
@@ -131,8 +125,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.default;
-      base_ops = 10000;
-      hash_sized = false };
+      base_ops = 10000 };
     { id = "6g";
       title = "Linked list";
       cost = dram;
@@ -141,8 +134,7 @@ let panels scale =
       threads = 16;
       range = (match scale with Quick -> 2048 | Full -> 16384);
       mix = Workload.default;
-      base_ops = 1000;
-      hash_sized = false };
+      base_ops = 1000 };
     { id = "6h";
       title = "Linked list";
       cost = dram;
@@ -151,8 +143,7 @@ let panels scale =
       threads = (match scale with Quick -> 16 | Full -> 64);
       range = (match scale with Quick -> 2048 | Full -> 16384);
       mix = Workload.default;
-      base_ops = 1000;
-      hash_sized = false };
+      base_ops = 1000 };
     { id = "6i";
       title = "Linked list";
       cost = dram;
@@ -161,8 +152,7 @@ let panels scale =
       threads = (match scale with Quick -> 16 | Full -> 64);
       range = 1024;
       mix = Workload.default;
-      base_ops = 1000;
-      hash_sized = false };
+      base_ops = 1000 };
     { id = "6j";
       title = "Hash table";
       cost = dram;
@@ -171,8 +161,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.default;
-      base_ops = 20000;
-      hash_sized = true };
+      base_ops = 20000 };
     { id = "6k";
       title = "Hash table";
       cost = dram;
@@ -181,8 +170,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.default;
-      base_ops = 20000;
-      hash_sized = true };
+      base_ops = 20000 };
     { id = "6l";
       title = "Hash table";
       cost = dram;
@@ -195,8 +183,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.default;
-      base_ops = 20000;
-      hash_sized = true };
+      base_ops = 20000 };
     { id = "6m";
       title = "BST";
       cost = dram;
@@ -205,8 +192,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.default;
-      base_ops = 10000;
-      hash_sized = false };
+      base_ops = 10000 };
     { id = "6n";
       title = "Skiplist";
       cost = dram;
@@ -215,8 +201,7 @@ let panels scale =
       threads = 16;
       range = big;
       mix = Workload.updates ~pct:20;
-      base_ops = 10000;
-      hash_sized = false };
+      base_ops = 10000 };
     { id = "6o";
       title = "Skiplist";
       cost = dram;
@@ -225,8 +210,7 @@ let panels scale =
       threads = (match scale with Quick -> 16 | Full -> 64);
       range = big;
       mix = Workload.default;
-      base_ops = 10000;
-      hash_sized = false }
+      base_ops = 10000 }
   ]
   |> List.map with_title
 
@@ -251,8 +235,13 @@ let point_value = function `Threads n | `Range n | `Updates n -> n
    points (throughput plus the flush/fence mix at every point, not just
    the last), the series' aggregate counters, and the per-site
    attribution table that explains where the flushes and fences come
-   from. *)
+   from. Every sweep point sizes the hash directory to about one key per
+   bucket (only hash series read it); the caller's size is restored on
+   return. *)
 let run_panel ?(seed = 1) (panel : panel) =
+  let buckets = !Instances.hash_buckets in
+  Fun.protect ~finally:(fun () -> Instances.hash_buckets := buckets)
+  @@ fun () ->
   Printf.printf "\n# Fig %s — %s\n" panel.id panel.title;
   Printf.printf "%-8s" (sweep_label panel.sweep);
   List.iter (fun s -> Printf.printf " %12s" s.label) panel.series;
@@ -267,8 +256,7 @@ let run_panel ?(seed = 1) (panel : panel) =
       List.iter
         (fun series ->
           let p = params_for panel point in
-          if panel.hash_sized then
-            Instances.hash_buckets := max 16 (p.range / 2);
+          Instances.hash_buckets := max 16 (p.range / 2);
           let p =
             { p with
               Throughput.total_ops =
@@ -355,20 +343,19 @@ let run_panel ?(seed = 1) (panel : panel) =
 
 let all_ids scale = List.map (fun p -> p.id) (panels scale)
 
+(* Every id is resolved before any panel runs, so a typo fails fast
+   instead of running (and writing JSON for) a partial selection. *)
 let run ?seed ?json_path ~scale ids =
   let available = panels scale in
-  let chosen =
-    if ids = [] then available
-    else
-      List.filter_map
-        (fun id ->
-          match List.find_opt (fun p -> p.id = id) available with
-          | Some p -> Some p
-          | None ->
-            Printf.eprintf "unknown panel %s\n" id;
-            None)
-        ids
+  let find id =
+    match List.find_opt (fun p -> p.id = id) available with
+    | Some p -> p
+    | None ->
+      invalid_arg
+        (Printf.sprintf "unknown panel %s (available: %s)" id
+           (String.concat " " (all_ids scale)))
   in
+  let chosen = if ids = [] then available else List.map find ids in
   let panel_objs = List.map (run_panel ?seed) chosen in
   match json_path with
   | None -> ()

@@ -61,12 +61,12 @@ module type S = sig
   val flush_any : any -> unit
 end
 
-(* Reclamation feedback: the memory-reclamation layer reports how many
-   nodes it physically freed, and a backend with a working-set model
+(* Reclamation feedback: code that frees cells (the service ledger and
+   checkpoint) reports how many, and a backend with a working-set model
    (the simulator's capacity-miss probability) subscribes to shrink its
-   live-line estimate accordingly. Without this, cells ever allocated
-   would count as cache pressure forever, monotonically inflating the
-   read-miss probability of delete-heavy workloads. The native backend
+   live-line estimate accordingly. Without this, freed cells would
+   count as cache pressure forever, monotonically inflating the
+   read-miss probability of long service runs. The native backend
    leaves the hook at its no-op default. *)
 let on_reclaim : (int -> unit) ref = ref (fun _ -> ())
 

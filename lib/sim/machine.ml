@@ -368,10 +368,9 @@ let alloc v =
   c
 
 (* The working-set model counts a cell as live until [retire] is told
-   otherwise; the reclamation layer ({!Nvt_reclaim}) reports frees
-   through {!Nvt_nvm.Memory.reclaimed}. Without this, delete-heavy
-   workloads would inflate the miss probability with dead cells
-   forever. *)
+   otherwise; the service ledger and checkpoint report frees through
+   {!Nvt_nvm.Memory.reclaimed}. Without this, freed cells would
+   inflate the miss probability forever. *)
 let retire m n = if n > 0 then m.live_cells <- max 0 (m.live_cells - n)
 
 let live_cells m = m.live_cells
@@ -624,8 +623,8 @@ let crash m =
   Dirty.iter (fun (Any_cell c) -> wipe_cell c) m.dirty;
   Dirty.clear m.dirty
 
-(* Reclamation layers report frees through [Nvt_nvm.Memory.reclaimed];
-   route them to the calling domain's current machine's working-set
+(* Frees are reported through [Nvt_nvm.Memory.reclaimed]; route them
+   to the calling domain's current machine's working-set
    estimate. The hook is installed once per process; the DLS lookup at
    call time keeps it correct on every domain. *)
 let () =

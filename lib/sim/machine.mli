@@ -154,9 +154,10 @@ val stats : t -> Nvt_nvm.Stats.t
 val retire : t -> int -> unit
 (** Tell the working-set model that [n] cells were reclaimed: the
     capacity-miss probability is [1 - capacity/live] and [live] is
-    allocations minus retirements. The reclamation layer reports its
-    frees automatically through {!Nvt_nvm.Memory.reclaimed}; call this
-    directly when modelling reclamation by other means. *)
+    allocations minus retirements. The service ledger and checkpoint
+    report their frees through {!Nvt_nvm.Memory.reclaimed}, which
+    reaches this on the calling domain's machine; call this directly to
+    report frees to a specific machine. *)
 
 val live_cells : t -> int
 (** The working-set model's current live-cell estimate. *)

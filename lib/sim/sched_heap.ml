@@ -41,9 +41,6 @@ type t = {
 let create () =
   { keys = Array.make 8 0; pos = Array.make 8 (-1); size = 0 }
 
-let size t = t.size
-let is_empty t = t.size = 0
-
 let mem t ~tid = tid >= 0 && tid < Array.length t.pos && t.pos.(tid) >= 0
 
 (* The tree is 4-ary: children of [i] are [4i+1 .. 4i+4]. Half the
@@ -136,14 +133,6 @@ let remove_slot t i =
     sift_down t t.pos.(key land tid_mask) key
   end
 
-let pop_min t =
-  if t.size = 0 then None
-  else begin
-    let tid = t.keys.(0) land tid_mask in
-    remove_slot t 0;
-    Some tid
-  end
-
 let min_tid t = if t.size = 0 then None else Some (t.keys.(0) land tid_mask)
 
 (* The machine's one heap call per step. Keys only grow (vtime is
@@ -157,13 +146,6 @@ let reschedule t ~tid ~vtime ~runnable =
      else remove_slot t t.pos.(tid)
    else if runnable then add t ~vtime ~tid);
   if t.size = 0 then -1 else Array.unsafe_get t.keys 0 land tid_mask
-
-let remove t ~tid =
-  if not (mem t ~tid) then false
-  else begin
-    remove_slot t t.pos.(tid);
-    true
-  end
 
 let clear t =
   for i = 0 to t.size - 1 do

@@ -5,17 +5,15 @@
     {!reschedule} re-keys it, O(log n) per scheduling step where the
     old implementation scanned every thread.
 
-    A positions array indexed by tid gives O(1) membership and O(log n)
-    removal of an arbitrary tid (what the explorer's scheduler override
-    needs). Tids must be small non-negative integers; the machine's
+    A positions array indexed by tid gives O(1) membership (what the
+    explorer's scheduler override checks its pick against) and lets
+    {!reschedule} re-key or remove any tid in O(log n), not only the
+    root. Tids must be small non-negative integers; the machine's
     sequentially allocated, never-reused tids qualify. *)
 
 type t
 
 val create : unit -> t
-
-val size : t -> int
-val is_empty : t -> bool
 
 val mem : t -> tid:int -> bool
 
@@ -24,11 +22,8 @@ val add : t -> vtime:int -> tid:int -> unit
     negative or already present (each runnable thread is in the heap
     exactly once). *)
 
-val pop_min : t -> int option
-(** Remove and return the tid with the least [(vtime, tid)]. *)
-
 val min_tid : t -> int option
-(** The tid that {!pop_min} would return, without removing it. *)
+(** The tid with the least [(vtime, tid)], without removing it. *)
 
 val reschedule : t -> tid:int -> vtime:int -> runnable:bool -> int
 (** Put [tid], which just ran (or stalled), back in order and return
@@ -39,9 +34,6 @@ val reschedule : t -> tid:int -> vtime:int -> runnable:bool -> int
     a smaller key silently misorders the heap. When [tid] is the root,
     as it is on the default schedule, this is a single sift down from
     slot 0. Raises [Invalid_argument] if [vtime] is out of range. *)
-
-val remove : t -> tid:int -> bool
-(** Remove a specific tid; [false] if it was not present. *)
 
 val clear : t -> unit
 

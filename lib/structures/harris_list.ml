@@ -31,39 +31,9 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   and inner = { kv : (int * int) M.loc; next : succ M.loc }
   and succ = { marked : bool; nx : node }
 
-  type t = { head : inner; mutable reclaim : reclaim option }
-
-  and reclaim = {
-    enter : unit -> unit;  (* begin a reclamation critical section *)
-    exit_cs : unit -> unit;
-    retire : (unit -> unit) -> unit;  (* node unlinked; free after grace *)
-  }
-  (* Optional epoch-based reclamation (the paper reclaims with ssmem):
-     operations run inside a critical section, and the thread that
-     physically unlinks a node retires it. The hooks are injected by the
-     caller (see Nvt_reclaim.Ebr) so that the structure stays agnostic
-     of the reclamation scheme. *)
+  type t = { head : inner }
 
   let key_of n = fst (M.read n.kv)
-
-  let set_reclaim t r = t.reclaim <- Some r
-
-  (* "Freeing" poisons the node's payload; under correct grace periods
-     no traversal can observe it, and the invariant checker would fail
-     loudly if one did. *)
-  let retire_node t (n : inner) =
-    match t.reclaim with
-    | Some r -> r.retire (fun () -> M.write n.kv (min_int, min_int))
-    | None -> ()
-
-  let with_cs t f =
-    match t.reclaim with
-    | None -> f ()
-    | Some r ->
-      r.enter ();
-      let result = f () in
-      r.exit_cs ();
-      result
 
   let create () =
     let kv = M.alloc (min_int, 0) in
@@ -71,7 +41,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     P.flush kv;
     P.flush next;
     P.fence ();
-    { head = { kv; next }; reclaim = None }
+    { head = { kv; next } }
 
   (* ---------------- traverse ---------------- *)
 
@@ -122,13 +92,12 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   (* Physically remove the marked nodes between left and right
      (deleteMarkedNodes, Algorithm 4). Returns the contents of
      [left.next] known to point at [right], or [`Retry]. *)
-  let delete_marked t tr =
+  let delete_marked tr =
     match tr.mids with
     | [] -> `Ok tr.left_succ
     | _ :: _ ->
       let desired = { marked = false; nx = tr.right } in
       if C.cas tr.left.next ~expected:tr.left_succ ~desired then begin
-        List.iter (retire_node t) tr.mids;
         match tr.right with
         | Tail -> `Ok desired
         | Node rn ->
@@ -137,8 +106,8 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       end
       else `Retry
 
-  let insert_critical t tr (k, v) =
-    match delete_marked t tr with
+  let insert_critical tr (k, v) =
+    match delete_marked tr with
     | `Retry -> E.Restart
     | `Ok cur -> (
       match tr.right with
@@ -159,8 +128,8 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
         then E.Finish true
         else E.Restart)
 
-  let delete_critical t tr k =
-    match delete_marked t tr with
+  let delete_critical tr k =
+    match delete_marked tr with
     | `Retry -> E.Restart
     | `Ok cur -> (
       match tr.right with
@@ -176,10 +145,9 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
           then begin
             (* physical delete; a failure here is benign — a later
                traversal or the recovery will trim the node *)
-            if
-              C.cas tr.left.next ~expected:cur
-                ~desired:{ marked = false; nx = rnext.nx }
-            then retire_node t rn;
+            ignore
+              (C.cas tr.left.next ~expected:cur
+                 ~desired:{ marked = false; nx = rnext.nx });
             E.Finish true
           end
           else E.Restart)
@@ -194,23 +162,20 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   (* ---------------- operations ---------------- *)
 
   let insert t ~key ~value =
-    with_cs t (fun () ->
-        E.operation
-          ~find_entry:(fun _ -> t.head)
-          ~traverse:(fun entry (k, _) -> traversal entry k)
-          ~critical:(insert_critical t) (key, value))
+    E.operation
+      ~find_entry:(fun _ -> t.head)
+      ~traverse:(fun entry (k, _) -> traversal entry k)
+      ~critical:insert_critical (key, value)
 
   let delete t k =
-    with_cs t (fun () ->
-        E.operation
-          ~find_entry:(fun _ -> t.head)
-          ~traverse:traversal ~critical:(delete_critical t) k)
+    E.operation
+      ~find_entry:(fun _ -> t.head)
+      ~traverse:traversal ~critical:delete_critical k
 
   let find t k =
-    with_cs t (fun () ->
-        E.operation
-          ~find_entry:(fun _ -> t.head)
-          ~traverse:traversal ~critical:find_critical k)
+    E.operation
+      ~find_entry:(fun _ -> t.head)
+      ~traverse:traversal ~critical:find_critical k
 
   let member t k = Option.is_some (find t k)
 

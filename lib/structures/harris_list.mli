@@ -13,16 +13,4 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) : sig
   module E : module type of Nvt_core.Engine.Make (M) (P)
   (** The engine instance driving this structure's operations; exposed
       for the ablation (flush-necessity) tests. *)
-
-  type reclaim = {
-    enter : unit -> unit;  (** begin a reclamation critical section *)
-    exit_cs : unit -> unit;
-    retire : (unit -> unit) -> unit;
-        (** a node was physically unlinked; run the thunk once no
-            concurrent operation can still hold it *)
-  }
-
-  val set_reclaim : t -> reclaim -> unit
-  (** Wire in a reclamation scheme (see {!Nvt_reclaim.Ebr}): operations
-      run inside [enter]/[exit_cs], and the unlinking thread retires. *)
 end

@@ -5,7 +5,6 @@ let () =
       ("natarajan_bst", Test_natarajan.suite);
       ("skiplist", Test_skiplist.suite);
       ("hash_table", Test_hash.suite);
-      ("ebr", Test_ebr.suite);
       ("onefile", Test_onefile.suite);
       ("linearizability_checker", Test_lin.suite);
       ("explore", Test_explore.suite);

@@ -3,7 +3,7 @@
    shape, eviction with stalls, and both driven through a ladder of
    [advance_to] barriers), the heap and the dirty set are model-checked
    against naive references, and the working-set estimate shrinks when
-   the reclamation layer frees nodes.
+   frees are reported to it.
 
    The golden trace is deliberately brittle: the heap rewrite's contract
    was "same thread at every step", so any change to the default
@@ -16,7 +16,6 @@
 open Support
 module H = Nvt_sim.Sched_heap
 module Cost_model = Nvt_nvm.Cost_model
-module Ebr = Nvt_reclaim.Ebr.Make (Sim_mem)
 
 (* ------------------------------------------------------------------ *)
 (* Golden schedule                                                     *)
@@ -272,6 +271,10 @@ let heap_agrees_with_model cmds =
   let next_tid = ref 0 in
   let ok = ref true in
   let check b = if not b then ok := false in
+  (* the root [reschedule] must return: the model's min, -1 if empty *)
+  let root () =
+    Option.value ~default:(-1) (Option.map snd (model_min !model))
+  in
   let pick param =
     match !model with
     | [] -> None
@@ -286,21 +289,26 @@ let heap_agrees_with_model cmds =
         let vtime = param mod 1_000_000 in
         H.add h ~vtime ~tid;
         model := (vtime, tid) :: !model
-      | 1 ->
+      | 1 -> (
+        (* the root finishes, as a thread does on the default schedule *)
         let expect = model_min !model in
         check (H.min_tid h = Option.map snd expect);
-        check (H.pop_min h = Option.map snd expect);
-        (match expect with
+        match expect with
         | None -> ()
-        | Some e -> model := List.filter (fun x -> x <> e) !model)
-      | 2 -> (
-        (* remove a present tid, or probe an absent one *)
-        match pick param with
-        | None -> check (not (H.remove h ~tid:!next_tid))
         | Some ((_, tid) as e) ->
-          check (H.remove h ~tid);
-          check (not (H.mem h ~tid));
-          model := List.filter (fun x -> x <> e) !model)
+          model := List.filter (fun x -> x <> e) !model;
+          check (H.reschedule h ~tid ~vtime:0 ~runnable:false = root ()))
+      | 2 -> (
+        (* a present tid finishes, or an absent one leaves the root *)
+        match pick param with
+        | None ->
+          let tid = !next_tid in
+          check (H.reschedule h ~tid ~vtime:0 ~runnable:false = root ());
+          check (not (H.mem h ~tid))
+        | Some ((_, tid) as e) ->
+          model := List.filter (fun x -> x <> e) !model;
+          check (H.reschedule h ~tid ~vtime:0 ~runnable:false = root ());
+          check (not (H.mem h ~tid)))
       | _ ->
         (* reschedule: mostly the root, as on the default schedule; also
            any present tid (an override's pick) and an absent one *)
@@ -320,25 +328,26 @@ let heap_agrees_with_model cmds =
             incr next_tid;
             (tid, param mod 1_000_000, !model)
         in
-        let root = H.reschedule h ~tid ~vtime:vtime' ~runnable in
+        let r = H.reschedule h ~tid ~vtime:vtime' ~runnable in
         model := if runnable then (vtime', tid) :: rest else rest;
-        check (root = Option.value ~default:(-1)
-                        (Option.map snd (model_min !model))))
+        check (r = root ()))
     cmds;
-  check (H.size h = List.length !model);
-  (* drain: the heap must yield the model in sorted (vtime, tid) order *)
+  (* drain: finishing the root each time must yield exactly the model's
+     tids, in sorted (vtime, tid) order; the budget stops a heap that
+     never empties *)
   let drained = ref [] in
-  let rec drain () =
-    match H.pop_min h with
-    | None -> ()
-    | Some tid ->
+  let rec drain budget =
+    match H.min_tid h with
+    | Some tid when budget > 0 ->
       drained := tid :: !drained;
-      drain ()
+      ignore (H.reschedule h ~tid ~vtime:0 ~runnable:false);
+      drain (budget - 1)
+    | _ -> ()
   in
-  drain ();
+  drain (List.length !model + 1);
   let expected = List.map snd (List.sort compare !model) in
+  check (List.length !drained = List.length !model);
   check (List.rev !drained = expected);
-  check (H.is_empty h);
   !ok
 
 let heap_cmds =
@@ -441,26 +450,20 @@ let dirty_model_test =
 (* Regression: the capacity-miss probability used to divide by
    [next_cid] — every cell ever allocated, never decremented — so any
    allocate/free churn inflated the read-miss rate forever. The live
-   estimate must be allocations minus retirements, and the reclamation
-   layer's frees must reach it through [Nvt_nvm.Memory.reclaimed]. *)
+   estimate must be allocations minus retirements, and frees (the
+   service ledger's and checkpoint's) must reach it through
+   [Nvt_nvm.Memory.reclaimed]. *)
 let reclaim_shrinks_working_set () =
   let m = Machine.create () in
-  let e = Ebr.create ~max_threads:1 in
   let live0 = Machine.live_cells m in
   let cells = Array.init 20 (fun i -> Sim_mem.alloc i) in
   ignore cells;
   Alcotest.(check int)
     "allocations grow the estimate" (live0 + 20) (Machine.live_cells m);
-  Ebr.enter e ~tid:0;
-  for _ = 1 to 5 do
-    Ebr.retire e ~tid:0 (fun () -> ())
-  done;
-  Ebr.exit_cs e ~tid:0;
   let before = Machine.live_cells m in
-  ignore (Ebr.try_advance e);
-  ignore (Ebr.try_advance e);
+  Nvt_nvm.Memory.reclaimed 5;
   Alcotest.(check int)
-    "EBR frees shrink the estimate" (before - 5) (Machine.live_cells m);
+    "reported frees shrink the estimate" (before - 5) (Machine.live_cells m);
   Machine.retire m 10_000;
   Alcotest.(check int) "retire clamps at zero" 0 (Machine.live_cells m)
 

@@ -676,6 +676,13 @@ let panel_titles_match_their_runs () =
         (Nvt_harness.Panels.panels scale))
     [ Nvt_harness.Panels.Quick; Nvt_harness.Panels.Full ]
 
+(* An unknown panel id is an error raised before any panel runs, so a
+   typo cannot pass as an empty run. *)
+let unknown_panel_id_is_rejected () =
+  match Nvt_harness.Panels.run ~scale:Nvt_harness.Panels.Quick [ "5z" ] with
+  | () -> Alcotest.fail "panel 5z ran"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [ Alcotest.test_case "sites sum to aggregates (all policies)" `Quick
       sites_sum_to_aggregates;
@@ -708,4 +715,6 @@ let suite =
     Alcotest.test_case "panel 5a plots the four-way comparison" `Quick
       panel_5a_plots_the_comparison;
     Alcotest.test_case "panel titles name what the panels run" `Quick
-      panel_titles_match_their_runs ]
+      panel_titles_match_their_runs;
+    Alcotest.test_case "unknown panel id is rejected" `Quick
+      unknown_panel_id_is_rejected ]
