@@ -382,6 +382,43 @@ let heap_rejects_misuse () =
      H.reschedule h ~vtime:5 ~tid:0 ~runnable:false);
   Alcotest.(check (list int)) "ascending tids" [ 1 ] (H.tids_ascending h)
 
+(* Finishing a thread that is not the root — an override's pick, or a
+   tid already gone — must leave the root alone, and the remaining
+   tids must still come out in (vtime, tid) order. *)
+let heap_finishing_keeps_the_order () =
+  let h = H.create () in
+  List.iteri (fun tid vtime -> H.add h ~vtime ~tid) [ 5; 3; 9; 3; 7 ];
+  Alcotest.(check (option int)) "least vtime, lowest tid" (Some 1)
+    (H.min_tid h);
+  Alcotest.(check int) "a non-root tid finishes" 1
+    (H.reschedule h ~tid:2 ~vtime:0 ~runnable:false);
+  Alcotest.(check (list int)) "it leaves the runnable list" [ 0; 1; 3; 4 ]
+    (H.tids_ascending h);
+  Alcotest.(check int) "an absent tid finishes" 1
+    (H.reschedule h ~tid:9 ~vtime:0 ~runnable:false);
+  Alcotest.(check bool) "and is not added" false (H.mem h ~tid:9);
+  let order =
+    List.map (fun tid -> H.reschedule h ~tid ~vtime:0 ~runnable:false)
+      [ 1; 3; 0; 4 ]
+  in
+  Alcotest.(check (list int)) "roots as each root finishes" [ 3; 0; 4; -1 ]
+    order;
+  Alcotest.(check (option int)) "drained" None (H.min_tid h)
+
+(* [clear] forgets every tid: none is a member afterwards, and each may
+   be added again, directly or by rescheduling it as runnable. *)
+let heap_clear_forgets_every_tid () =
+  let h = H.create () in
+  List.iter (fun tid -> H.add h ~vtime:tid ~tid) [ 0; 1; 2; 40 ];
+  H.clear h;
+  Alcotest.(check (option int)) "no root" None (H.min_tid h);
+  Alcotest.(check (list int)) "no tids" [] (H.tids_ascending h);
+  Alcotest.(check bool) "not a member" false (H.mem h ~tid:40);
+  H.add h ~vtime:8 ~tid:40;
+  Alcotest.(check int) "a runnable reschedule adds" 2
+    (H.reschedule h ~tid:2 ~vtime:4 ~runnable:true);
+  Alcotest.(check (list int)) "both present" [ 2; 40 ] (H.tids_ascending h)
+
 (* ------------------------------------------------------------------ *)
 (* Dirty_set vs. a list model                                          *)
 (* ------------------------------------------------------------------ *)
@@ -527,6 +564,10 @@ let suite =
       ladder_matches_run;
     QCheck_alcotest.to_alcotest heap_model_test;
     Alcotest.test_case "heap rejects misuse" `Quick heap_rejects_misuse;
+    Alcotest.test_case "finishing a non-root tid keeps the heap order"
+      `Quick heap_finishing_keeps_the_order;
+    Alcotest.test_case "clear forgets every tid" `Quick
+      heap_clear_forgets_every_tid;
     QCheck_alcotest.to_alcotest dirty_model_test;
     Alcotest.test_case "reclamation shrinks the working-set estimate" `Quick
       reclaim_shrinks_working_set;

@@ -683,6 +683,52 @@ let unknown_panel_id_is_rejected () =
   | () -> Alcotest.fail "panel 5z ran"
   | exception Invalid_argument _ -> ()
 
+(* Every id is checked before any panel runs, and the error lists the
+   ids that do exist, so a typo late in a selection is caught up front
+   and can be corrected from the message alone. *)
+let panel_id_error_names_the_available_ids () =
+  let scale = Nvt_harness.Panels.Quick in
+  match Nvt_harness.Panels.run ~scale [ "5a"; "5z" ] with
+  | () -> Alcotest.fail "a selection with panel 5z ran"
+  | exception Invalid_argument msg ->
+    let contains sub =
+      let n = String.length sub in
+      let rec at i =
+        i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+      in
+      at 0
+    in
+    if not (contains "5z") then
+      Alcotest.failf "error does not name the unknown id: %s" msg;
+    List.iter
+      (fun id ->
+        if not (contains id) then
+          Alcotest.failf "error does not list panel %s: %s" id msg)
+      (Nvt_harness.Panels.all_ids scale)
+
+(* A panel sizes the hash directory at each sweep point, but must hand
+   the caller's size back: the crash laboratory and the service read
+   the same setting. *)
+let panel_restores_the_hash_directory_size () =
+  match
+    List.find_opt
+      (fun (p : Nvt_harness.Panels.panel) -> p.id = "5d")
+      (Nvt_harness.Panels.panels Nvt_harness.Panels.Quick)
+  with
+  | None -> Alcotest.fail "no panel 5d"
+  | Some p ->
+    let tiny =
+      { p with
+        Nvt_harness.Panels.sweep = Range [ 64 ];
+        series = [ List.hd p.series ];
+        base_ops = 200 }
+    in
+    let saved = !I.hash_buckets in
+    Fun.protect ~finally:(fun () -> I.hash_buckets := saved) @@ fun () ->
+    I.hash_buckets := 77;
+    ignore (Nvt_harness.Panels.run_panel tiny);
+    Alcotest.(check int) "directory size after the panel" 77 !I.hash_buckets
+
 let suite =
   [ Alcotest.test_case "sites sum to aggregates (all policies)" `Quick
       sites_sum_to_aggregates;
@@ -717,4 +763,8 @@ let suite =
     Alcotest.test_case "panel titles name what the panels run" `Quick
       panel_titles_match_their_runs;
     Alcotest.test_case "unknown panel id is rejected" `Quick
-      unknown_panel_id_is_rejected ]
+      unknown_panel_id_is_rejected;
+    Alcotest.test_case "panel id error names the available ids" `Quick
+      panel_id_error_names_the_available_ids;
+    Alcotest.test_case "panel restores the hash directory size" `Quick
+      panel_restores_the_hash_directory_size ]
