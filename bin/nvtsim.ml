@@ -70,12 +70,14 @@ let updates =
 let eviction =
   Arg.(
     value & opt float 0.0
-    & info [ "eviction" ] ~doc:"Random-eviction probability per step.")
+    & info [ "eviction" ]
+        ~doc:"Random-eviction probability per step, in [0, 1].")
 
 let stall =
   Arg.(
     value & opt float 0.0
-    & info [ "stall" ] ~doc:"Thread-stall probability per step.")
+    & info [ "stall" ]
+        ~doc:"Thread-stall probability per step, in [0, 1).")
 
 let crashes =
   Arg.(
@@ -142,6 +144,18 @@ let require_positive counts =
       end)
     counts
 
+(* A probability flag outside its range is a usage error too: at a
+   stall probability of 1 or more every step stalls, so the run never
+   finishes (or overflows the scheduler's clock), and an eviction
+   probability outside [0, 1] silently means never or always. *)
+let require_probability ?(below_one = false) (flag, p) =
+  if not (p >= 0.0 && if below_one then p < 1.0 else p <= 1.0) then begin
+    Printf.eprintf "--%s must be in [0, 1%s (got %g)\n" flag
+      (if below_one then ")" else "]")
+      p;
+    exit 2
+  end
+
 let report s_name p_name (r : H.Crashlab.report) =
   let ops = List.length r.history in
   Printf.printf "structure:  %s (%s)\n" s_name p_name;
@@ -187,6 +201,8 @@ let report s_name p_name (r : H.Crashlab.report) =
 let run s_name p_name threads ops range seed updates eviction stall crashes
     dram trace_cap optimize =
   require_positive [ ("threads", threads); ("ops", ops); ("range", range) ];
+  require_probability ("eviction", eviction);
+  require_probability ~below_one:true ("stall", stall);
   let variants = List.assoc s_name structures in
   let chosen =
     if p_name = "all" then
@@ -472,7 +488,8 @@ let serve s_name p_name shards clients requests gap skew updates range seed
     multi_pct multi_k rmw_pct detect optimize =
   require_positive
     [ ("shards", shards); ("clients", clients); ("requests", requests);
-      ("range", range) ];
+      ("range", range); ("domains", domains) ];
+  require_probability ("eviction", eviction);
   (match I.flavour p_name with
   | Some _ -> ()
   | None ->

@@ -377,9 +377,13 @@ let resolve (c : config) =
      detectable wrapper) before the slices instantiate stores *)
   (I.structure_for flavour c.structure structure, flavour)
 
+(* The number of machines a run uses: [domains] clamped to the shard
+   count, and at least one. *)
+let effective_domains c = max 1 (min c.domains c.shards)
+
 let run (c : config) : report =
   let structure, flavour = resolve c in
-  let domains = max 1 (min c.domains c.shards) in
+  let domains = effective_domains c in
   let epoch = max 1 c.merge_epoch in
   (* The group commit interval and the checkpoint interval, rounded up
      to whole epochs: commit and checkpoint boundaries fall on barriers,
@@ -652,7 +656,7 @@ let pp_report ppf r =
   let c = r.config in
   Format.fprintf ppf
     "@[<v>service %s/%s shards=%d domains=%d clients=%d mode=%s%s dist=%s\n"
-    c.structure c.flavour c.shards c.domains c.clients
+    c.structure c.flavour c.shards (effective_domains c) c.clients
     (Service.mode_name c.mode)
     (if c.detect then "+detect" else "")
     (if c.skew <= 0.0 then "uniform" else Printf.sprintf "zipf(%.2f)" c.skew);

@@ -350,18 +350,26 @@ let checkpoint_shard t si =
 
 let next_boundary now interval = ((now / interval) + 1) * interval
 
-(* A checkpoint cadence from now: the returned tick runs [f] at the
-   first call at or past each multiple of [interval]; never when the
-   interval is 0 (checkpointing disabled). *)
+(* A checkpoint cadence from now: [due ()] holds at or past the next
+   multiple of [interval], and [tick ()] runs [f] when it is due; never
+   due when the interval is 0 (checkpointing disabled). An idle worker
+   waits on [due] without running [tick]. *)
+type cadence = { due : unit -> bool; tick : unit -> unit }
+
+let never = { due = (fun () -> false); tick = ignore }
+
 let every m interval f =
-  if interval = 0 then ignore
+  if interval = 0 then never
   else begin
     let next = ref (next_boundary (Machine.now m) interval) in
-    fun () ->
-      if Machine.now m >= !next then begin
-        f ();
-        next := next_boundary (Machine.now m) interval
-      end
+    let due () = Machine.now m >= !next in
+    { due;
+      tick =
+        (fun () ->
+          if due () then begin
+            f ();
+            next := next_boundary (Machine.now m) interval
+          end) }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -413,20 +421,27 @@ let process t ~complete si req =
 (* The timed wait an idle worker sleeps between queue polls. *)
 let poll_quantum = 100
 
-let worker t si ~complete ~tick () =
+(* An idle worker sleeps whole quanta until a wake would find work: a
+   request queued, a stop requested or a checkpoint due. The scheduler
+   evaluates that test at every quantum, so the worker resumes in
+   exactly the step where a poll would first have found something. *)
+let worker t si ~complete ~(cadence : cadence) () =
   let m = Machine.get () in
   let sh = t.shards.(si) in
+  let wake () =
+    t.stop || (not (Queue.is_empty sh.queue)) || cadence.due ()
+  in
   let rec loop () =
     match Queue.peek_opt sh.queue with
     | Some req ->
       process t ~complete si req;
       ignore (Queue.pop sh.queue);
-      tick ();
+      cadence.tick ();
       loop ()
     | None ->
-      tick ();
+      cadence.tick ();
       if not t.stop then begin
-        Machine.sleep m poll_quantum;
+        Machine.sleep m poll_quantum ~until:wake;
         loop ()
       end
   in
@@ -475,10 +490,11 @@ let committer t ~tick () =
 let start t m =
   t.stop <- false;
   let every = every m t.ckpt_interval in
-  let spawn_workers ~complete tick =
+  let spawn_workers ~complete cadence =
     Array.iteri
       (fun si _ ->
-        ignore (Machine.spawn m (worker t si ~complete ~tick:(tick si))))
+        ignore
+          (Machine.spawn m (worker t si ~complete ~cadence:(cadence si))))
       t.shards
   in
   match t.mode with
@@ -488,11 +504,11 @@ let start t m =
       (fun si -> every (fun () -> checkpoint_shard t si))
   | Group _ ->
     let enqueue it = Queue.push it t.pending in
-    spawn_workers ~complete:enqueue (fun _ -> ignore);
+    spawn_workers ~complete:enqueue (fun _ -> never);
     let ckpt_all () =
       Array.iteri (fun si _ -> checkpoint_shard t si) t.shards
     in
-    ignore (Machine.spawn m (committer t ~tick:(every ckpt_all)))
+    ignore (Machine.spawn m (committer t ~tick:(every ckpt_all).tick))
 
 let submit t req =
   Queue.push req t.shards.(shard_of t (key_of_op req.op)).queue

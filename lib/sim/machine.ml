@@ -88,12 +88,15 @@ type pending = Pending : 'a cell * 'a * int -> pending
 
 let no_pending = Pending (dummy_cell, (), 0)
 
-(* A thread keeps its [Ready]/[Suspended] state while it runs; the
-   machine's [running] tid, not the state, says which thread is
-   mid-step. *)
+(* A thread keeps its [Ready]/[Suspended]/[Waiting] state while it
+   runs; the machine's [running] tid, not the state, says which thread
+   is mid-step. A [Waiting] thread is suspended in [sleep ~until]: the
+   step loop re-arms its quantum without resuming it until the
+   predicate holds. *)
 type thread_state =
   | Ready of (unit -> unit)
   | Suspended of (unit, unit) Effect.Deep.continuation
+  | Waiting of (unit, unit) Effect.Deep.continuation * int * (unit -> bool)
   | Finished
   | Failed of exn * Printexc.raw_backtrace
 
@@ -188,7 +191,9 @@ type t = {
          determinism tests use it to record the exact schedule. *)
 }
 
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Wait : int * (unit -> bool) -> unit Effect.t
 
 (* The current machine is domain-local: each domain routes its memory
    operations to its own machine, which is what lets the service runner
@@ -479,11 +484,16 @@ let flush c =
 (* A timed wait: the thread gives up [n] units of virtual time and
    yields, without touching memory. This is how service threads model
    polling backoff and batch timeouts — a spin on a real cell would pay
-   a read (and a scheduling step) per unit of waiting. *)
-let sleep m n =
+   a read (and a scheduling step) per unit of waiting. With [~until]
+   the thread keeps sleeping [n]-unit quanta until the predicate holds
+   at a wake; the step loop re-arms each quantum itself (see
+   [advance_to]), so an idle poll costs no switch into the fiber. *)
+let sleep ?until m n =
   if m.running >= 0 && n > 0 then begin
     charge m n;
-    yield m
+    match until with
+    | None -> Effect.perform Yield
+    | Some until -> Effect.perform (Wait (n, until))
   end
 
 let fence () =
@@ -540,7 +550,9 @@ let spawn m f =
   tid
 
 let runnable th =
-  match th.state with Ready _ | Suspended _ -> true | Finished | Failed _ -> false
+  match th.state with
+  | Ready _ | Suspended _ | Waiting _ -> true
+  | Finished | Failed _ -> false
 
 let set_scheduler m f = m.scheduler <- Some f
 let clear_scheduler m = m.scheduler <- None
@@ -583,7 +595,8 @@ let maybe_evict m =
     end
 
 (* Built once per thread, at its first step. The [Yield] case returns
-   the same preallocated [Some suspend] at every yield. *)
+   the same preallocated [Some suspend] at every yield; a [Wait] (one
+   per idle period, not per step) allocates its own. *)
 let handler th =
   let suspend = Some (fun k -> th.state <- Suspended k) in
   { Effect.Deep.retc = (fun () -> th.state <- Finished);
@@ -595,7 +608,10 @@ let handler th =
     effc =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
-        match eff with Yield -> suspend | _ -> None) }
+        match eff with
+        | Yield -> suspend
+        | Wait (n, until) -> Some (fun k -> th.state <- Waiting (k, n, until))
+        | _ -> None) }
 
 let crash m =
   (* Tear down every live fiber, then resolve the fate of flushed-but-
@@ -605,7 +621,7 @@ let crash m =
       (if th.tid <> m.running then
          (* the running fiber, if any, is the caller: not torn down *)
          match th.state with
-         | Suspended k ->
+         | Suspended k | Waiting (k, _, _) ->
            m.running <- th.tid;
            (try Effect.Deep.discontinue k Crashed with Crashed -> ());
            th.state <- Finished;
@@ -682,7 +698,13 @@ let do_crash m t =
    scheduling action: the thread loses the CPU instead of acting, and
    someone else may be scheduled first. A [spawn] during a step enters
    at (clock, higher tid), above the runner's key, so the runner stays
-   the root. *)
+   the root.
+
+   A [Waiting] thread's step evaluates its predicate where the fiber
+   would have resumed; while it is false the loop charges the next
+   quantum itself, drawing the jitter exactly as the fiber's [sleep]
+   would, so the step is indistinguishable from a poll that found
+   nothing to do. *)
 let advance_to m ~time =
   set_current m;
   let heap = m.heap in
@@ -720,6 +742,8 @@ let advance_to m ~time =
           m.running <- tid;
           (match th.state with
           | Suspended k -> Effect.Deep.continue k ()
+          | Waiting (k, n, until) ->
+            if until () then Effect.Deep.continue k () else charge m n
           | Ready f -> Effect.Deep.match_with f () (handler th)
           | Finished | Failed _ -> assert false);
           m.running <- -1));

@@ -182,11 +182,30 @@ val persist_all : t -> unit
 (** Persist every dirty cell immediately; call after pre-filling so runs
     start from a fully persistent state. *)
 
-val sleep : t -> int -> unit
+val sleep : ?until:(unit -> bool) -> t -> int -> unit
 (** Advance the calling thread's virtual time by [n] units and yield: a
     timed wait that touches no memory. Service threads use it for
     polling backoff and batch timeouts. No-op outside {!run} (setup
-    mode) or when [n <= 0]. *)
+    mode) or when [n <= 0].
+
+    With [~until], the thread sleeps [n]-unit quanta until [until ()]
+    holds, exactly like [sleep m n; while not (until ()) do sleep m n
+    done] with the loop in the fiber:
+    - each quantum is one scheduling step, with its step count,
+      schedule hook, clock update, stall, eviction and jitter draws and
+      crash and barrier checks, so histories and rng streams match the
+      hand-written loop bit for bit;
+    - the predicate is evaluated at every wake, including the first, in
+      the step where the thread would have resumed, and {!now} returns
+      the waking thread's virtual time;
+    - while it is false the scheduler re-arms the next quantum without
+      resuming the fiber, which is what makes an idle wait cheap.
+
+    The predicate runs outside the fiber: it may read plain OCaml
+    state (a queue, a flag, {!now}) but must not perform a simulated
+    memory access, which would raise [Effect.Unhandled], and must not
+    raise. A crash tears a waiting thread down like any suspended one,
+    and a {!set_scheduler} override that picks it runs the same wake. *)
 
 (** {1 Memory operations}
 

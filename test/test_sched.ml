@@ -251,6 +251,170 @@ let ladder_matches_run () =
     (evict_stall_scenario (by_ladder ~rung:37))
 
 (* ------------------------------------------------------------------ *)
+(* Waiting in the step loop                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [Machine.sleep ~until] must be exactly the loop it replaces, with
+   the loop in the fiber: the same wakes, in the same steps, drawing the
+   same stall, eviction and jitter bits. *)
+let wait_until m q until = Machine.sleep m q ~until
+
+let wait_by_hand m q until =
+  let rec go () =
+    Machine.sleep m q;
+    if not (until ()) then go ()
+  in
+  go ()
+
+(* Per era: a producer fiber persists a cell and then hands out a token
+   (an OCaml ref, no simulated memory); three waiters sleep 150-unit
+   quanta until a token is there or their deadline (read through
+   [Machine.now]) has passed, and persist a cell per token; three mixed
+   threads run alongside. The first era crashes by virtual time with
+   waiters mid-wait, the second runs to completion. Jitter, eviction,
+   stalls and the schedule hook are all on, so a skipped or reordered
+   draw in a waiting step re-rolls everything after it. Returns the
+   golden, the whole [Stats], the token wakes and the predicate's
+   false evaluations (idle quanta). *)
+let wait_scenario ~wait drive =
+  let log = ref [] in
+  let m =
+    Machine.create ~seed:29 ~cost:Cost_model.nvram
+      ~eviction:(Machine.Random_eviction 0.05)
+      ~stall:{ Machine.probability = 0.05; max_units = 300 }
+      ~jitter:2 ()
+  in
+  Machine.set_schedule_hook m (Some (fun s t -> log := (s, t) :: !log));
+  let cells = Array.init 48 (fun i -> Sim_mem.alloc i) in
+  Machine.persist_all m;
+  let wakes = ref 0 and idle = ref 0 in
+  let persist c v =
+    Sim_mem.write c v;
+    Sim_mem.flush c;
+    Sim_mem.fence ()
+  in
+  let era ~seed ~deadline =
+    let tokens = ref 0 in
+    ignore
+      (Machine.spawn m (fun () ->
+           for i = 1 to 12 do
+             persist cells.(8 + i) i;
+             incr tokens
+           done));
+    for w = 0 to 2 do
+      ignore
+        (Machine.spawn m (fun () ->
+             let until () =
+               let ready = !tokens > 0 || Machine.now m >= deadline in
+               if not ready then incr idle;
+               ready
+             in
+             let rec serve () =
+               wait m 150 until;
+               if !tokens > 0 then begin
+                 decr tokens;
+                 incr wakes;
+                 persist cells.(w) w;
+                 serve ()
+               end
+             in
+             serve ()))
+    done;
+    spawn_random m cells ~seed ~threads:3 ~ops:40 `Mixed
+  in
+  era ~seed:31 ~deadline:6000;
+  Machine.set_crash_at_time m 2500;
+  (match drive m with
+  | Machine.Crashed_at _ -> ()
+  | Machine.Completed -> Alcotest.fail "wait scenario: expected the crash");
+  era ~seed:33 ~deadline:(Machine.clock m + 4000);
+  (match drive m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "wait scenario: unexpected crash");
+  (golden_of m !log, Nvt_nvm.Stats.copy (Machine.stats m), !wakes, !idle)
+
+let sleep_until_matches_the_loop () =
+  let g, stats, wakes, idle = wait_scenario ~wait:wait_by_hand by_run in
+  if wakes = 0 || idle = 0 then
+    Alcotest.failf "wait scenario is vacuous: %d wakes, %d idle quanta" wakes
+      idle;
+  List.iter
+    (fun (name, (g', stats', wakes', idle')) ->
+      check_golden name g g';
+      Alcotest.(check int) (name ^ ": wakes") wakes wakes';
+      Alcotest.(check int) (name ^ ": idle quanta") idle idle';
+      if stats' <> stats then Alcotest.failf "%s: Stats differ" name)
+    [ ("until by run", wait_scenario ~wait:wait_until by_run);
+      ("until by ladder", wait_scenario ~wait:wait_until (by_ladder ~rung:37));
+      ("loop by ladder", wait_scenario ~wait:wait_by_hand (by_ladder ~rung:37))
+    ]
+
+(* A crash tears a waiting thread down like a suspended one: its
+   continuation is discontinued, its predicate is never asked again and
+   the next era completes without it. *)
+let crash_tears_down_a_waiter () =
+  let m = Machine.create () in
+  let asks = ref 0 and torn = ref false and resumed = ref false in
+  ignore
+    (Machine.spawn m (fun () ->
+         Fun.protect
+           ~finally:(fun () -> torn := true)
+           (fun () ->
+             Machine.sleep m 10 ~until:(fun () ->
+                 incr asks;
+                 false);
+             resumed := true)));
+  Machine.set_crash_at_time m 55;
+  (match Machine.run m with
+  | Machine.Crashed_at 60 -> ()
+  | Machine.Crashed_at t -> Alcotest.failf "crashed at %d, expected 60" t
+  | Machine.Completed -> Alcotest.fail "the waiter completed");
+  Alcotest.(check bool) "waiter torn down" true !torn;
+  Alcotest.(check bool) "waiter never resumed" false !resumed;
+  Alcotest.(check int) "asked at each wake before the crash" 5 !asks;
+  ignore (Machine.spawn m ignore);
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "second era crashed");
+  Alcotest.(check int) "not asked after the crash" 5 !asks
+
+(* A scheduler override that picks a waiting thread runs its wake: the
+   predicate is asked at the thread's own time, and while it is false
+   the quantum is re-armed without resuming the fiber. *)
+let override_rearms_a_waiter () =
+  let m = Machine.create () in
+  let c = Sim_mem.alloc 0 in
+  let seen = ref [] and resumed_at = ref (-1) and log = ref [] in
+  let waiter =
+    Machine.spawn m (fun () ->
+        Machine.sleep m 10 ~until:(fun () ->
+            seen := Machine.now m :: !seen;
+            List.length !seen >= 4);
+        resumed_at := Machine.steps m)
+  in
+  let other =
+    Machine.spawn m (fun () ->
+        for _ = 1 to 5 do
+          ignore (Sim_mem.read c)
+        done)
+  in
+  Machine.set_schedule_hook m (Some (fun s t -> log := (s, t) :: !log));
+  Machine.set_scheduler m (fun _ tids ->
+      if List.mem waiter tids then waiter else List.hd tids);
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "unexpected crash");
+  Alcotest.(check (list int))
+    "asked once per quantum, at the waiter's time" [ 10; 20; 30; 40 ]
+    (List.rev !seen);
+  Alcotest.(check int) "resumed in the wake that held" 5 !resumed_at;
+  Alcotest.(check (list int))
+    "the waiter's wakes are scheduling steps"
+    ([ waiter; waiter; waiter; waiter; waiter ]
+    @ List.init 6 (fun _ -> other))
+    (List.rev_map snd !log)
+
+(* ------------------------------------------------------------------ *)
 (* Sched_heap vs. a naive reference                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -562,6 +726,12 @@ let suite =
       `Quick golden_evict_stall_schedule;
     Alcotest.test_case "advance_to over a barrier ladder matches run" `Quick
       ladder_matches_run;
+    Alcotest.test_case "sleep ~until matches the hand-written wait loop"
+      `Quick sleep_until_matches_the_loop;
+    Alcotest.test_case "a crash tears down a waiting thread" `Quick
+      crash_tears_down_a_waiter;
+    Alcotest.test_case "a scheduler override re-arms a waiting thread"
+      `Quick override_rearms_a_waiter;
     QCheck_alcotest.to_alcotest heap_model_test;
     Alcotest.test_case "heap rejects misuse" `Quick heap_rejects_misuse;
     Alcotest.test_case "finishing a non-root tid keeps the heap order"

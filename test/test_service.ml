@@ -568,6 +568,19 @@ let golden_runner_reports () =
         (name ^ ": histories digest") digest (histories_digest r))
     golden_reports
 
+(* The report's header names the machines the run used: more domains
+   than shards clamp to the shard count, and the header must say so. *)
+let report_prints_effective_domains () =
+  let r = Runner.run { base with requests = 24; domains = 8 } in
+  check_clean "domains=8 over 3 shards" r;
+  let header =
+    List.hd (String.split_on_char '\n' (Format.asprintf "%a" Runner.pp_report r))
+  in
+  Alcotest.(check string)
+    "header" "service hash/nvt shards=3 domains=3 clients=8 mode=group2000 \
+              dist=zipf(0.99)"
+    header
+
 (* ---- the oracle's checks, fed by hand: no machine ---- *)
 
 (* A clean three-request stream on one shard — client 0 puts key 1 and
@@ -832,6 +845,8 @@ let suite =
       `Quick stop_drains_group_commit;
     Alcotest.test_case "latency percentiles" `Quick latency_sane;
     Alcotest.test_case "golden runner reports" `Quick golden_runner_reports;
+    Alcotest.test_case "the report prints the effective domain count" `Quick
+      report_prints_effective_domains;
     Alcotest.test_case "oracle: every check fires on its seeded bug" `Quick
       oracle_checks;
     Alcotest.test_case "oracle: violations past 32 are counted" `Quick
