@@ -132,17 +132,27 @@ let pp_savings () =
     s.Nvt_nvm.Optimizer.coalesced_flushes s.deferred_flushes s.elided_flushes
     s.elided_fences
 
-(* A count below 1 is a usage error, caught before anything runs: zero
-   threads, ops or requests would pass vacuously, and a zero range,
-   shard or client count would fail mid-run. *)
-let require_positive counts =
+(* A count below its least value is a usage error, caught before
+   anything runs: zero threads, ops or requests would pass vacuously, a
+   zero range, shard or client count would fail mid-run, a gap below 1
+   is a negative arrival rate, and a negative checkpoint interval would
+   silently disable checkpoints. *)
+let require_at_least least counts =
   List.iter
     (fun (flag, n) ->
-      if n < 1 then begin
-        Printf.eprintf "--%s must be at least 1 (got %d)\n" flag n;
+      if n < least then begin
+        Printf.eprintf "--%s must be at least %d (got %d)\n" flag least n;
         exit 2
       end)
     counts
+
+(* So is a percentage outside [0, 100], which the op mix would silently
+   saturate. *)
+let require_percent (flag, pct) =
+  if pct < 0 || pct > 100 then begin
+    Printf.eprintf "--%s must be in [0, 100] (got %d)\n" flag pct;
+    exit 2
+  end
 
 (* A probability flag outside its range is a usage error too: at a
    stall probability of 1 or more every step stalls, so the run never
@@ -200,7 +210,9 @@ let report s_name p_name (r : H.Crashlab.report) =
 
 let run s_name p_name threads ops range seed updates eviction stall crashes
     dram trace_cap optimize =
-  require_positive [ ("threads", threads); ("ops", ops); ("range", range) ];
+  require_at_least 1
+    [ ("threads", threads); ("ops", ops); ("range", range) ];
+  require_percent ("updates", updates);
   require_probability ("eviction", eviction);
   require_probability ~below_one:true ("stall", stall);
   let variants = List.assoc s_name structures in
@@ -486,9 +498,18 @@ let detect_flag =
 let serve s_name p_name shards clients requests gap skew updates range seed
     timeout crashes eviction dram domains ckpt recovery_crashes
     multi_pct multi_k rmw_pct detect optimize =
-  require_positive
+  require_at_least 1
     [ ("shards", shards); ("clients", clients); ("requests", requests);
-      ("range", range); ("domains", domains) ];
+      ("range", range); ("domains", domains); ("gap", gap);
+      ("multi-k", multi_k) ];
+  require_at_least 0 [ ("ckpt", ckpt) ];
+  List.iter require_percent
+    [ ("updates", updates); ("multi", multi_pct); ("rmw", rmw_pct) ];
+  if multi_pct + rmw_pct > 100 then begin
+    Printf.eprintf "--multi plus --rmw must be at most 100 (got %d + %d)\n"
+      multi_pct rmw_pct;
+    exit 2
+  end;
   require_probability ("eviction", eviction);
   (match I.flavour p_name with
   | Some _ -> ()

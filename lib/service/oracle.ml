@@ -1,15 +1,19 @@
 (* Violation order is part of the oracle's contract: the first
    violation is the kill detail the mutation battery records, and the
-   checks iterate the request table with [Hashtbl.iter], so the table's
-   creation size and insertion order (arrival order) must not change.
+   request passes report in the canonical order of a [(client, seq)]
+   [Hashtbl] created at twice the request count and filled in arrival
+   order, so that creation size and insertion order must not change.
 
-   The recovered-point checks run at every crash, and only acknowledged
-   requests can fail them. [ack] appends each newly acknowledged record
-   to an index, so the records with [r_acks > 0] are exactly its prefix
-   [0, completed): each pass first scans that prefix, O(acked) rather
-   than O(table), and emits nothing when it finds no violation. When it
-   finds one, the pass re-runs in the table's canonical [Hashtbl.iter]
-   order, so what it reports is unchanged. *)
+   Events find their record through a dense index, one array per client
+   indexed by seq, so no event hashes a tuple. The canonical table is
+   built only on the violation path. Only acknowledged requests can
+   fail a request pass, and [ack] appends each newly acknowledged
+   record to an index, so the records with [r_acks > 0] are exactly its
+   prefix [0, completed): each pass (at every recovered point, and the
+   final one) first scans that prefix, O(acked) rather than O(table),
+   and emits nothing when it finds no violation. When it finds one, the
+   pass re-runs over the canonical table, built then from the same
+   records in the same order, so what it reports is unchanged. *)
 
 type arrival = { a_client : int; a_seq : int; a_op : Service.op; a_time : int }
 
@@ -25,7 +29,8 @@ type rec_ = {
 }
 
 type t = {
-  recs : (int * int, rec_) Hashtbl.t;
+  index : rec_ array array;  (* [client].(seq); [absent] in the gaps *)
+  table : (int * int, rec_) Hashtbl.t Lazy.t;  (* the canonical order *)
   requests : int;
   mutable violations : string list;  (* newest first, at most [cap] *)
   mutable reported : int;  (* including those beyond [cap] *)
@@ -46,22 +51,47 @@ let cap = 32
 let fresh a =
   { r_arr = a; r_acks = 0; r_ack_res = None; r_applies = 0; r_pos = None }
 
-(* Fills [acked] beyond [completed]; never read. *)
-let unacked =
+(* Fills [acked] beyond [completed] and the index's gaps, the seqs no
+   arrival has; never read. *)
+let absent =
   fresh { a_client = -1; a_seq = -1; a_op = Service.Get 0; a_time = 0 }
 
 let create ~clients arrivals =
   let requests = Array.length arrivals in
-  let recs = Hashtbl.create (2 * requests) in
+  let len = Array.make clients 0 in
   Array.iter
-    (fun a -> Hashtbl.replace recs (a.a_client, a.a_seq) (fresh a))
+    (fun a ->
+      let reject why =
+        invalid_arg
+          (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s"
+             a.a_client a.a_seq why)
+      in
+      if a.a_client < 0 || a.a_client >= clients then
+        reject (Printf.sprintf "has a client outside [0, %d)" clients)
+      else if a.a_seq < 0 then reject "has a negative seq";
+      len.(a.a_client) <- max len.(a.a_client) (a.a_seq + 1))
     arrivals;
-  { recs;
+  let index = Array.map (fun n -> Array.make n absent) len in
+  (* a repeated (client, seq) keeps its last arrival, as the table's
+     [replace] does *)
+  Array.iter (fun a -> index.(a.a_client).(a.a_seq) <- fresh a) arrivals;
+  let table =
+    lazy
+      (let recs = Hashtbl.create (2 * requests) in
+       Array.iter
+         (fun a ->
+           Hashtbl.replace recs (a.a_client, a.a_seq)
+             index.(a.a_client).(a.a_seq))
+         arrivals;
+       recs)
+  in
+  { index;
+    table;
     requests;
     violations = [];
     reported = 0;
     completed = 0;
-    acked = Array.make requests unacked;
+    acked = Array.make requests absent;
     applies = 0;
     dedup_acks = 0;
     latencies = Array.make requests 0;
@@ -83,8 +113,15 @@ let violations t =
   if t.reported <= cap then vs
   else vs @ [ Printf.sprintf "… and %d more violations" (t.reported - cap) ]
 
+let lookup t client seq =
+  if client < 0 || client >= Array.length t.index then None
+  else
+    let a = t.index.(client) in
+    if seq < 0 || seq >= Array.length a || a.(seq) == absent then None
+    else Some a.(seq)
+
 let find t (r : Service.request) =
-  match Hashtbl.find_opt t.recs (r.client, r.seq) with
+  match lookup t r.client r.seq with
   | Some x -> Some x
   | None ->
     violation t "unknown request client=%d seq=%d" r.client r.seq;
@@ -185,7 +222,7 @@ let check_recovered t (durable : Service.durable array) ~status =
               "recovery: client=%d seq=%d acknowledged without an observed \
                commit"
               cl sq)
-      t.recs;
+      (Lazy.force t.table);
   (* Detect mode's own obligation: every acknowledged request must
      answer [Completed] to the status query of the slice that owns its
      key — a descriptor lost (or a stale one mistaken for valid)
@@ -210,7 +247,7 @@ let check_recovered t (durable : Service.durable array) ~status =
                   "detect: client=%d seq=%d acknowledged but status says %s"
                   cl sq
                   (Nvt_nvm.Detectable.status_name st))
-          t.recs)
+          (Lazy.force t.table))
     status
 
 (* ---- final state ---- *)
@@ -316,21 +353,27 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
         (fun (cl, (c : Service.completion)) -> note_max max_committed cl c.seq)
         d.dv_covered)
     durable;
-  Hashtbl.iter
-    (fun (cl, sq) x ->
-      if x.r_acks > 0 then begin
-        let vouched =
-          match Hashtbl.find_opt max_committed cl with
-          | Some s -> sq <= s
-          | None -> false
-        in
-        if not vouched then
-          violation t "client=%d seq=%d acknowledged but not committed" cl sq;
-        if crash_free && x.r_applies <> 1 then
-          violation t "crash-free: client=%d seq=%d applied %d times" cl sq
-            x.r_applies
-      end)
-    t.recs;
+  let vouched cl sq =
+    match Hashtbl.find_opt max_committed cl with
+    | Some s -> sq <= s
+    | None -> false
+  in
+  let applied_not_once x = crash_free && x.r_applies <> 1 in
+  if
+    any_acked t (fun x ->
+        (not (vouched x.r_arr.a_client x.r_arr.a_seq)) || applied_not_once x)
+  then
+    Hashtbl.iter
+      (fun (cl, sq) x ->
+        if x.r_acks > 0 then begin
+          if not (vouched cl sq) then
+            violation t "client=%d seq=%d acknowledged but not committed" cl
+              sq;
+          if applied_not_once x then
+            violation t "crash-free: client=%d seq=%d applied %d times" cl sq
+              x.r_applies
+        end)
+      (Lazy.force t.table);
   let actual = List.sort Types.compare_pair contents in
   let expected =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
@@ -366,7 +409,7 @@ let start_audit t =
     let seq = t.last_acked.(client) in
     if seq >= 0 then begin
       t.audit_expected <- t.audit_expected + 1;
-      match Hashtbl.find_opt t.recs (client, seq) with
+      match lookup t client seq with
       | Some x ->
         resend := { Service.client; seq; op = x.r_arr.a_op } :: !resend
       | None -> ()

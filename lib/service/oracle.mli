@@ -17,7 +17,10 @@ type t
 
 val create : clients:int -> arrival array -> t
 (** The oracle for a run whose [clients] sessions issue exactly these
-    requests. *)
+    requests. Raises [Invalid_argument] naming an arrival whose client
+    lies outside [\[0, clients)] or whose seq is negative. Events are
+    looked up per client by seq, so the index holds one word for every
+    seq up to each client's highest. *)
 
 val violations : t -> string list
 (** In the order recorded: the first 32, then, if there were more, one

@@ -139,21 +139,48 @@ type report = {
 
 (* ------------------------------------------------------------------ *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else sorted.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
+(* The element of rank [k] of [a], by in-place quickselect over
+   [lo, length a): it leaves every element below [k] no greater than
+   [a.(k)] and every one above no less, so a later call for a higher
+   rank may start at [k]. *)
+let select a lo k =
+  let lo = ref lo and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done;
+  a.(k)
 
+(* Nearest-rank p50/p95/p99, max and mean; reorders [lat]. *)
 let summarize lat =
-  Array.sort Int.compare lat;
   let n = Array.length lat in
-  { p50 = percentile lat 0.50;
-    p95 = percentile lat 0.95;
-    p99 = percentile lat 0.99;
-    lmax = (if n = 0 then 0 else lat.(n - 1));
-    mean =
-      (if n = 0 then 0.0
-       else float_of_int (Array.fold_left ( + ) 0 lat) /. float_of_int n) }
+  if n = 0 then { p50 = 0; p95 = 0; p99 = 0; lmax = 0; mean = 0.0 }
+  else begin
+    let rank p =
+      max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
+    in
+    let r50 = rank 0.50 and r95 = rank 0.95 and r99 = rank 0.99 in
+    let p50 = select lat 0 r50 in
+    let p95 = select lat r50 r95 in
+    let p99 = select lat r95 r99 in
+    { p50;
+      p95;
+      p99;
+      lmax = Array.fold_left max min_int lat;
+      mean = float_of_int (Array.fold_left ( + ) 0 lat) /. float_of_int n }
+  end
 
 let exponential rng mean =
   let u = 1.0 -. Random.State.float rng 1.0 (* (0, 1] *) in
@@ -226,82 +253,156 @@ let schedule (c : config) : Oracle.arrival array =
 
 (* ---- the merge loop ---- *)
 
-(* One entry of a group's event buffer: the worker-side hooks record
-   what happened and at which virtual time; the main domain merges and
-   interprets the streams at the next barrier. *)
-type ev =
-  | E_apply of Service.request * int  (* apply virtual time *)
-  | E_commit of Service.request * int (* global shard *) * int (* slot *) * int
-  | E_ack of Service.request * Service.result * bool (* dedup *) * int
+module Merge = struct
+  (* One entry of a group's event buffer: the worker-side hooks record
+     what happened and at which virtual time; the main domain merges
+     and interprets the streams at the next barrier. *)
+  type ev =
+    | E_apply of Service.request * int  (* apply virtual time *)
+    | E_commit of
+        Service.request * int (* global shard *) * int (* slot *) * int
+    | E_ack of Service.request * Service.result * bool (* dedup *) * int
 
-type merge = {
-  evq : ev Queue.t array;  (* per group, filled by the hooks *)
-  mutable deferred : (int * (int * int * int) * ev) list;
-      (* collected, but released only at a later barrier *)
-  histories : (int * int) list array;  (* per global shard, newest first *)
-  shards : int;
-  ack_interval : int option;
-      (* group mode: the commit interval fresh acks are released at *)
-}
+  (* An event and its effective release time. *)
+  type item = { eff : int; ev : ev }
 
-(* A group ack's effective release time is the commit-interval boundary
-   its commit fired at, rounded up from the true ack time (which
-   includes the batch's slice-dependent fence cost); per-op and dedup
-   acks are worker-local and release at their true time. *)
-let effective m = function
-  | E_apply (_, v) | E_commit (_, _, _, v) -> v
-  | E_ack (_, _, dedup, v) -> (
-    match m.ack_interval with
-    | Some i when not dedup -> ((v / i) + 1) * i
-    | _ -> v)
+  (* A growable array; [n] entries are live. *)
+  type buf = { mutable items : item array; mutable n : int }
 
-(* Drain every buffered event, recording applies in the histories unless
-   [audit], and hand [f] those released by barrier [t_bar] (or all of
-   them, with [all]) in (effective time, client, seq,
-   apply < commit < ack) order; the rest stays deferred for a later
-   barrier. *)
-let release m ~audit ~all t_bar f =
-  let acc = ref [] in
-  Array.iter
-    (fun q ->
-      Queue.iter
-        (fun e ->
-          let key =
-            match e with
-            | E_apply (req, _) ->
-              if not audit then begin
+  type t = {
+    evq : ev Queue.t array;  (* per group, filled by the hooks *)
+    deferred : buf;  (* collected, released at a later barrier *)
+    mutable deferred_min : int;  (* least [eff] in [deferred], or max_int *)
+    ready : buf;  (* reused by every release *)
+    histories : (int * int) list array;  (* per global shard, newest first *)
+    shards : int;
+    ack_interval : int option;
+        (* group mode: the commit interval fresh acks are released at *)
+  }
+
+  let none =
+    { eff = 0; ev = E_apply ({ Service.client = 0; seq = 0; op = Get 0 }, 0) }
+
+  let buf () = { items = Array.make 64 none; n = 0 }
+
+  let push_item b x =
+    if b.n = Array.length b.items then begin
+      let a = Array.make (2 * b.n) none in
+      Array.blit b.items 0 a 0 b.n;
+      b.items <- a
+    end;
+    b.items.(b.n) <- x;
+    b.n <- b.n + 1
+
+  let create ~groups ~shards ~ack_interval =
+    { evq = Array.init groups (fun _ -> Queue.create ());
+      deferred = buf ();
+      deferred_min = max_int;
+      ready = buf ();
+      histories = Array.make shards [];
+      shards;
+      ack_interval }
+
+  let push m g e = Queue.push e m.evq.(g)
+  let histories m = Array.map List.rev m.histories
+
+  (* A group ack's effective release time is the commit-interval
+     boundary its commit fired at, rounded up from the true ack time
+     (which includes the batch's slice-dependent fence cost); per-op and
+     dedup acks are worker-local and release at their true time. *)
+  let effective m = function
+    | E_apply (_, v) | E_commit (_, _, _, v) -> v
+    | E_ack (_, _, dedup, v) -> (
+      match m.ack_interval with
+      | Some i when not dedup -> ((v / i) + 1) * i
+      | _ -> v)
+
+  let request = function
+    | E_apply (r, _) | E_commit (r, _, _, _) | E_ack (r, _, _, _) -> r
+
+  let rank = function E_apply _ -> 0 | E_commit _ -> 1 | E_ack _ -> 2
+
+  (* The release order: effective time, client, seq, then
+     apply < commit < ack. *)
+  let compare a b =
+    let c = Int.compare a.eff b.eff in
+    if c <> 0 then c
+    else
+      let ra = request a.ev and rb = request b.ev in
+      let c = Int.compare ra.client rb.client in
+      if c <> 0 then c
+      else
+        let c = Int.compare ra.seq rb.seq in
+        if c <> 0 then c else Int.compare (rank a.ev) (rank b.ev)
+
+  (* Stable sort of [b]'s live entries: insertion for the few a barrier
+     usually holds, merge sort above that. *)
+  let sort b =
+    if b.n <= 16 then
+      for i = 1 to b.n - 1 do
+        let x = b.items.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && compare b.items.(!j) x > 0 do
+          b.items.(!j + 1) <- b.items.(!j);
+          decr j
+        done;
+        b.items.(!j + 1) <- x
+      done
+    else begin
+      let a = Array.sub b.items 0 b.n in
+      Array.stable_sort compare a;
+      Array.blit a 0 b.items 0 b.n
+    end
+
+  (* Route one collected item: released by this barrier, or deferred. *)
+  let route m ~all t_bar x =
+    if all || x.eff <= t_bar then push_item m.ready x
+    else begin
+      push_item m.deferred x;
+      if x.eff < m.deferred_min then m.deferred_min <- x.eff
+    end
+
+  (* Drain every buffered event, recording applies in the histories
+     unless [audit], and hand [f] those released by barrier [t_bar] (or
+     all of them, with [all]) in release order, ties kept in collection
+     order: the deferred events first, then each group's buffer in
+     turn; the rest stays deferred, in that order, for a later
+     barrier. *)
+  let release m ~audit ~all t_bar f =
+    let due = m.deferred.n > 0 && (all || m.deferred_min <= t_bar) in
+    if due || Array.exists (fun q -> not (Queue.is_empty q)) m.evq then begin
+      let d = m.deferred in
+      let kept = d.n in
+      d.n <- 0;
+      m.deferred_min <- max_int;
+      for i = 0 to kept - 1 do
+        route m ~all t_bar d.items.(i)
+      done;
+      Array.iter
+        (fun q ->
+          Queue.iter
+            (fun e ->
+              (match e with
+              | E_apply (req, _) when not audit ->
                 let gs =
                   Service.global_shard ~shards:m.shards
                     (Service.key_of_op req.op)
                 in
                 m.histories.(gs) <- (req.client, req.seq) :: m.histories.(gs)
-              end;
-              (req.Service.client, req.seq, 0)
-            | E_commit (req, _, _, _) -> (req.Service.client, req.seq, 1)
-            | E_ack (req, _, _, _) -> (req.Service.client, req.seq, 2)
-          in
-          acc := (effective m e, key, e) :: !acc)
-        q;
-      Queue.clear q)
-    m.evq;
-  let pending = m.deferred @ List.rev !acc in
-  let ready, later =
-    if all then (pending, [])
-    else List.partition (fun (eff, _, _) -> eff <= t_bar) pending
-  in
-  m.deferred <- later;
-  List.stable_sort
-    (fun (e1, (c1, s1, k1), _) (e2, (c2, s2, k2), _) ->
-      let c = Int.compare e1 e2 in
-      if c <> 0 then c
-      else
-        let c = Int.compare c1 c2 in
-        if c <> 0 then c
-        else
-          let c = Int.compare s1 s2 in
-          if c <> 0 then c else Int.compare k1 k2)
-    ready
-  |> List.iter (fun (_, _, e) -> f e)
+              | _ -> ());
+              route m ~all t_bar { eff = effective m e; ev = e })
+            q;
+          Queue.clear q)
+        m.evq;
+      let r = m.ready in
+      sort r;
+      let n = r.n in
+      r.n <- 0;
+      for i = 0 to n - 1 do
+        f r.items.(i).ev
+      done
+    end
+end
 
 (* ---- the barrier driver ---- *)
 
@@ -456,28 +557,25 @@ let run (c : config) : report =
 
   (* ---- event merging ---- *)
   let merge =
-    { evq = Array.init domains (fun _ -> Queue.create ());
-      deferred = [];
-      histories = Array.make c.shards [];
-      shards = c.shards;
-      ack_interval =
+    Merge.create ~groups:domains ~shards:c.shards
+      ~ack_interval:
         (match c.mode with
         | Service.Group _ -> Some commit_interval
-        | Service.Per_op -> None) }
+        | Service.Per_op -> None)
   in
   Array.iteri
     (fun g svc ->
-      let mg = machines.(g) and q = merge.evq.(g) in
+      let mg = machines.(g) in
       Service.set_on_apply svc (fun req _res ->
-          Queue.push (E_apply (req, Machine.now mg)) q);
+          Merge.push merge g (E_apply (req, Machine.now mg)));
       Service.set_on_commit svc (fun req ~shard ~slot ->
           let gs = Service.global_of_local svc shard in
-          Queue.push (E_commit (req, gs, slot, Machine.now mg)) q);
+          Merge.push merge g (E_commit (req, gs, slot, Machine.now mg)));
       Service.set_on_ack svc (fun req res ~dedup ->
-          Queue.push (E_ack (req, res, dedup, Machine.now mg)) q))
+          Merge.push merge g (E_ack (req, res, dedup, Machine.now mg))))
     services;
   let process_ready ~all t_bar =
-    release merge ~audit:(Oracle.auditing oracle) ~all t_bar (function
+    Merge.release merge ~audit:(Oracle.auditing oracle) ~all t_bar (function
       | E_apply (req, _) -> Oracle.apply oracle req
       | E_commit (req, shard, slot, _) -> Oracle.commit oracle req ~shard ~slot
       | E_ack (req, res, dedup, time) ->
@@ -638,7 +736,7 @@ let run (c : config) : report =
     latency = summarize (Oracle.latencies oracle);
     stats;
     violations = Oracle.violations oracle;
-    histories = Array.map List.rev merge.histories }
+    histories = Merge.histories merge }
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -13,9 +13,18 @@
     count, provided each machine's working set fits the cost model's
     [capacity_lines] (above it the per-machine working-set model
     converts read hits to misses probabilistically, and one machine
-    holding all shards has a larger set than several holding slices);
-    crashed runs stay verdict-stable (each machine coin-flips its own
-    pending write-backs at a crash). *)
+    holding all shards has a larger set than several holding slices)
+    and checkpointing is off; crashed runs stay verdict-stable (each
+    machine coin-flips its own pending write-backs at a crash).
+
+    With [checkpoint_interval > 0] crash-free histories can differ
+    across domain counts, with a clean verdict: a checkpoint's cost
+    depends on its slice. Its dedup records keep each client's latest
+    completion in the whole slice, and in group mode the committer
+    checkpoints the slice's shards one after another. On the
+    determinism test's configuration, per-op runs differ at some
+    intervals (3000) and group runs at every interval from 500 to
+    20000. *)
 
 type config = {
   structure : string;  (** registry key, e.g. ["hash"] *)
@@ -115,6 +124,43 @@ type report = {
 }
 
 val run : config -> report
+
+val summarize : int array -> latency
+(** Nearest-rank p50/p95/p99 (the element of rank [ceil (p n)]), max
+    and mean of the latencies, all 0 when there are none. Reorders the
+    array. *)
+
+(** The merge barrier's event buffers, exposed for testing. *)
+module Merge : sig
+  type ev =
+    | E_apply of Service.request * int  (** apply virtual time *)
+    | E_commit of Service.request * int * int * int
+        (** global shard, slot, commit virtual time *)
+    | E_ack of Service.request * Service.result * bool * int
+        (** result, dedup, ack virtual time *)
+
+  type t
+
+  val create : groups:int -> shards:int -> ack_interval:int option -> t
+  (** [ack_interval]: group mode's commit interval, the boundary a
+      fresh (non-dedup) ack is released at; [None] in per-op mode. *)
+
+  val push : t -> int -> ev -> unit
+  (** Append to a group's buffer; only that group's domain calls it. *)
+
+  val release : t -> audit:bool -> all:bool -> int -> (ev -> unit) -> unit
+  (** [release m ~audit ~all t_bar f] drains every group's buffer,
+      recording applies in the histories unless [audit], and calls [f]
+      on each event due by barrier [t_bar] (every event, with [all]),
+      ordered by (effective time, client, seq, apply < commit < ack),
+      ties in collection order: events deferred earlier first, then
+      group 0's buffer, group 1's, and so on. The rest stays deferred,
+      in that order. *)
+
+  val histories : t -> (int * int) list array
+  (** Per global shard, the (client, seq) of each recorded apply,
+      oldest first. *)
+end
 
 val fences_per_op : report -> float
 val flushes_per_op : report -> float

@@ -93,7 +93,7 @@ let suppress_interleaved_machines () =
    working-set model converts read hits to misses probabilistically,
    which is genuine cache physics, not a merge bug — the determinism
    contract only covers workloads that fit each machine's cache. *)
-let cfg ~domains ~mode ~crash_steps =
+let cfg ~mixed ~domains ~mode ~crash_steps =
   { Runner.default_config with
     structure = "list";
     flavour = "nvt";
@@ -108,7 +108,9 @@ let cfg ~domains ~mode ~crash_steps =
     seed = 7;
     domains;
     mode;
-    crash_steps }
+    crash_steps;
+    multi_pct = mixed;
+    rmw_pct = mixed }
 
 let check_clean name (r : Runner.report) =
   (match r.violations with
@@ -126,15 +128,20 @@ let modes =
 
 (* The determinism contract, crash-free leg: same seed, same per-shard
    apply histories and counters for 1, 3 (even slices of 6 shards) and
-   4 (ragged slices) domains, in both acknowledgement modes. *)
-let crash_free_histories_domain_independent () =
+   4 (ragged slices) domains, in both acknowledgement modes — with
+   plain puts, deletes and gets, and with [mixed]% each of multi-puts
+   and read-modify-writes. *)
+let crash_free_histories ~mixed () =
   List.iter
     (fun (mname, mode) ->
-      let r1 = Runner.run (cfg ~domains:1 ~mode ~crash_steps:[]) in
+      let r1 = Runner.run (cfg ~mixed ~domains:1 ~mode ~crash_steps:[]) in
       check_clean (mname ^ " domains=1") r1;
+      if mixed > 0 && (r1.multi_puts = 0 || r1.rmws = 0) then
+        Alcotest.failf "%s: %d multi-puts and %d rmws issued" mname
+          r1.multi_puts r1.rmws;
       List.iter
         (fun domains ->
-          let rn = Runner.run (cfg ~domains ~mode ~crash_steps:[]) in
+          let rn = Runner.run (cfg ~mixed ~domains ~mode ~crash_steps:[]) in
           check_clean (Printf.sprintf "%s domains=%d" mname domains) rn;
           Alcotest.(check (list (list (pair int int))))
             (Printf.sprintf "%s: per-shard apply histories, domains 1 = %d"
@@ -157,7 +164,9 @@ let crashed_verdict_domain_independent () =
     (fun (mname, mode) ->
       List.iter
         (fun domains ->
-          let r = Runner.run (cfg ~domains ~mode ~crash_steps:[ 900; 800 ]) in
+          let r =
+            Runner.run (cfg ~mixed:0 ~domains ~mode ~crash_steps:[ 900; 800 ])
+          in
           check_clean (Printf.sprintf "%s domains=%d crashed" mname domains) r;
           Alcotest.(check int)
             (Printf.sprintf "%s domains=%d: crashes fired" mname domains)
@@ -174,6 +183,10 @@ let suite =
     Alcotest.test_case "suppression follows interleaved machines" `Quick
       suppress_interleaved_machines;
     Alcotest.test_case "crash-free histories are domain-count independent"
-      `Quick crash_free_histories_domain_independent;
+      `Quick (crash_free_histories ~mixed:0);
+    Alcotest.test_case
+      "crash-free histories with multi-puts and rmws are domain-count \
+       independent"
+      `Quick (crash_free_histories ~mixed:10);
     Alcotest.test_case "crashed runs stay verdict-stable across domains"
       `Quick crashed_verdict_domain_independent ]

@@ -827,6 +827,277 @@ let oracle_wide_order () =
     [ "detect: client=11 seq=118 acknowledged but status says unknown" ]
     (Oracle.violations o)
 
+(* A hand-fed stream for the final check's request pass: 2 000
+   requests round-robin over 4 shards from 16 clients, each applied,
+   committed at the next slot of its shard and acknowledged in arrival
+   order, every commit retained in its shard's log. Puts write fresh
+   keys and gets read absent ones, so the replay reproduces every
+   result. [bug] drops the last three commits of clients 3 and 12 from
+   the logs (acknowledged, and no later seq of theirs vouches for
+   them), applies client 6 seq 40 and client 12 seq 124 twice, and never
+   applies client 1 seq 7. *)
+let final_oracle ~bug =
+  let rq i =
+    req (i mod 16) (i / 16)
+      (if i mod 3 = 0 then Service.Get (10_000 + i) else Service.Put (i, i))
+  in
+  let res i = if i mod 3 = 0 then Service.Value None else Service.Done true in
+  let o =
+    Oracle.create ~clients:16
+      (Array.init 2000 (fun i ->
+           let r = rq i in
+           { Oracle.a_client = r.client; a_seq = r.seq; a_op = r.op;
+             a_time = i }))
+  in
+  let dropped (r : Service.request) =
+    bug && (r.client = 3 || r.client = 12) && r.seq >= 122
+  in
+  let twice (r : Service.request) =
+    bug && ((r.client = 6 && r.seq = 40) || (r.client = 12 && r.seq = 124))
+  in
+  let logs = Array.make 4 [] in
+  for i = 0 to 1999 do
+    let r = rq i in
+    if not (bug && r.client = 1 && r.seq = 7) then Oracle.apply o r;
+    if twice r then Oracle.apply o r;
+    Oracle.commit o r ~shard:(i mod 4) ~slot:(i / 4);
+    if not (dropped r) then
+      logs.(i mod 4) <-
+        { Service.e_client = r.client; e_seq = r.seq; e_op = r.op;
+          e_res = res i }
+        :: logs.(i mod 4);
+    ignore (Oracle.ack o r (res i) ~dedup:false ~time:(i + 5))
+  done;
+  let durable =
+    Array.map
+      (fun log ->
+        { Service.dv_base = 0; dv_pairs = []; dv_covered = [];
+          dv_log = List.rev log })
+      logs
+  in
+  let contents =
+    Array.to_list logs |> List.concat
+    |> List.filter_map (fun (e : Service.entry) ->
+           match e.e_op with Service.Put (k, v) -> Some (k, v) | _ -> None)
+  in
+  Oracle.check_final o ~invariant:None ~crash_free:true ~prefill:[] ~durable
+    ~contents;
+  Oracle.violations o
+
+(* Recorded before the final check learned to scan only acknowledged
+   requests: the request table's iteration order. *)
+let final_golden =
+  [ "client=12 seq=124 acknowledged but not committed";
+    "crash-free: client=12 seq=124 applied 2 times";
+    "client=3 seq=124 acknowledged but not committed";
+    "crash-free: client=6 seq=40 applied 2 times";
+    "client=12 seq=123 acknowledged but not committed";
+    "client=3 seq=122 acknowledged but not committed";
+    "client=3 seq=123 acknowledged but not committed";
+    "client=12 seq=122 acknowledged but not committed";
+    "crash-free: client=1 seq=7 applied 0 times" ]
+
+let oracle_final_order () =
+  Alcotest.(check (list string)) "clean" [] (final_oracle ~bug:false);
+  Alcotest.(check (list string))
+    "golden order" final_golden (final_oracle ~bug:true)
+
+(* [create] rejects an arrival it could not index: the run would
+   otherwise die at that request's first acknowledgement. *)
+let oracle_rejects_bad_arrivals () =
+  let arrival a_client a_seq =
+    { Oracle.a_client; a_seq; a_op = Service.Get 1; a_time = 0 }
+  in
+  List.iter
+    (fun (c, sq, why) ->
+      Alcotest.check_raises
+        (Printf.sprintf "client=%d seq=%d" c sq)
+        (Invalid_argument
+           (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s" c sq
+              why))
+        (fun () ->
+          ignore (Oracle.create ~clients:2 [| arrival 0 0; arrival c sq |])))
+    [ (5, 0, "has a client outside [0, 2)");
+      (2, 3, "has a client outside [0, 2)");
+      (-1, 0, "has a client outside [0, 2)");
+      (1, -4, "has a negative seq") ];
+  (* in range but never scheduled: still an unknown request *)
+  let o = Oracle.create ~clients:2 [| arrival 0 0; arrival 1 3 |] in
+  Oracle.apply o (req 1 1 (Service.Get 1));
+  Oracle.apply o (req 1 4 (Service.Get 1));
+  Oracle.apply o (req 2 0 (Service.Get 1));
+  Oracle.apply o (req 1 3 (Service.Get 1));
+  Alcotest.(check (list string))
+    "unknown requests"
+    [ "unknown request client=1 seq=1"; "unknown request client=1 seq=4";
+      "unknown request client=2 seq=0" ]
+    (Oracle.violations o)
+
+(* ---- the merge barrier and the latency summary, against models ---- *)
+
+module Merge = Runner.Merge
+
+(* The release as it was written on lists: drain into (effective time,
+   key, event) triples, append them to the deferred list, partition on
+   the barrier, then [List.stable_sort]. *)
+module Merge_model = struct
+  type t = {
+    evq : Merge.ev Queue.t array;
+    mutable deferred : (int * (int * int * int) * Merge.ev) list;
+    histories : (int * int) list array;
+    shards : int;
+    ack_interval : int option;
+  }
+
+  let create ~groups ~shards ~ack_interval =
+    { evq = Array.init groups (fun _ -> Queue.create ());
+      deferred = [];
+      histories = Array.make shards [];
+      shards;
+      ack_interval }
+
+  let effective m = function
+    | Merge.E_apply (_, v) | E_commit (_, _, _, v) -> v
+    | E_ack (_, _, dedup, v) -> (
+      match m.ack_interval with
+      | Some i when not dedup -> ((v / i) + 1) * i
+      | _ -> v)
+
+  let release m ~audit ~all t_bar f =
+    let acc = ref [] in
+    Array.iter
+      (fun q ->
+        Queue.iter
+          (fun e ->
+            let key =
+              match e with
+              | Merge.E_apply (req, _) ->
+                if not audit then begin
+                  let gs =
+                    Service.global_shard ~shards:m.shards
+                      (Service.key_of_op req.op)
+                  in
+                  m.histories.(gs) <- (req.client, req.seq) :: m.histories.(gs)
+                end;
+                (req.Service.client, req.seq, 0)
+              | E_commit (req, _, _, _) -> (req.Service.client, req.seq, 1)
+              | E_ack (req, _, _, _) -> (req.Service.client, req.seq, 2)
+            in
+            acc := (effective m e, key, e) :: !acc)
+          q;
+        Queue.clear q)
+      m.evq;
+    let pending = m.deferred @ List.rev !acc in
+    let ready, later =
+      if all then (pending, [])
+      else List.partition (fun (eff, _, _) -> eff <= t_bar) pending
+    in
+    m.deferred <- later;
+    List.stable_sort
+      (fun (e1, (c1, s1, k1), _) (e2, (c2, s2, k2), _) ->
+        let c = Int.compare e1 e2 in
+        if c <> 0 then c
+        else
+          let c = Int.compare c1 c2 in
+          if c <> 0 then c
+          else
+            let c = Int.compare s1 s2 in
+            if c <> 0 then c else Int.compare k1 k2)
+      ready
+    |> List.iter (fun (_, _, e) -> f e)
+end
+
+(* Random barrier sequences over both: few clients and seqs, and times
+   on a coarse grid, so that equal keys are common; group acks
+   (deferred to their interval boundary) and dedup acks; results that
+   tell equal-key events apart; bursts above the insertion-sort size;
+   audit barriers, and [~all] drains mid-run and at the end. Each
+   barrier must release the same events in the same order, and the
+   histories must agree. *)
+let merge_matches_model () =
+  for seed = 0 to 199 do
+    let rng = Random.State.make [| seed; 0x3e6 |] in
+    let int n = Random.State.int rng n in
+    let groups = 1 + int 3 and shards = 1 + int 4 in
+    let ack_interval = if int 2 = 0 then None else Some 1000 in
+    let m = Merge.create ~groups ~shards ~ack_interval in
+    let model = Merge_model.create ~groups ~shards ~ack_interval in
+    let t_bar = ref 0 in
+    for barrier = 1 to 40 do
+      t_bar := !t_bar + 500;
+      for _ = 1 to (if int 8 = 0 then 20 + int 40 else int 6) do
+        let r = req (int 3) (int 3) (Service.Put (int 16, 0)) in
+        let v = max 0 (!t_bar - 1000 + (100 * int 25)) in
+        let e =
+          match int 3 with
+          | 0 -> Merge.E_apply (r, v)
+          | 1 -> E_commit (r, int shards, int 9, v)
+          | _ -> E_ack (r, Service.Done (int 2 = 0), int 3 = 0, v)
+        in
+        let g = int groups in
+        Merge.push m g e;
+        Queue.push e model.evq.(g)
+      done;
+      let audit = int 6 = 0 and all = barrier = 40 || int 10 = 0 in
+      let got = ref [] and want = ref [] in
+      Merge.release m ~audit ~all !t_bar (fun e -> got := e :: !got);
+      Merge_model.release model ~audit ~all !t_bar (fun e ->
+          want := e :: !want);
+      if !got <> !want then
+        Alcotest.failf "seed %d barrier %d: released %d events, model %d%s"
+          seed barrier (List.length !got) (List.length !want)
+          (if List.length !got = List.length !want then " (order differs)"
+           else "")
+    done;
+    if
+      Merge.histories m <> Array.map List.rev model.Merge_model.histories
+    then Alcotest.failf "seed %d: histories differ" seed
+  done
+
+(* The latency summary as it was: sort, then index. *)
+let summarize_by_sort lat =
+  let lat = Array.copy lat in
+  Array.sort Int.compare lat;
+  let n = Array.length lat in
+  let percentile p =
+    if n = 0 then 0
+    else
+      lat.(min (n - 1)
+             (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
+  in
+  { Runner.p50 = percentile 0.50;
+    p95 = percentile 0.95;
+    p99 = percentile 0.99;
+    lmax = (if n = 0 then 0 else lat.(n - 1));
+    mean =
+      (if n = 0 then 0.0
+       else float_of_int (Array.fold_left ( + ) 0 lat) /. float_of_int n) }
+
+let summary_matches_sort () =
+  let rng = Random.State.make [| 0x1a7 |] in
+  let random n range = Array.init n (fun _ -> Random.State.int rng range) in
+  let cases =
+    [ [||]; [| 7 |]; [| 9; 3 |]; [| 3; 9 |]; [| 4; 4 |]; Array.make 1000 42;
+      Array.init 300 (fun i -> i); Array.init 300 (fun i -> 300 - i) ]
+    (* small ranges for duplicates; n past 100, so the maximum is not
+       the 99th percentile *)
+    @ List.init 200 (fun i ->
+          random (1 + i) (if i mod 2 = 0 then 5 else 100_000))
+    @ List.init 6 (fun i ->
+          random 5000 (if i mod 2 = 0 then 50 else 1_000_000))
+  in
+  List.iteri
+    (fun i lat ->
+      let want = summarize_by_sort lat in
+      let got = Runner.summarize (Array.copy lat) in
+      if got <> want then
+        Alcotest.failf
+          "case %d (n=%d): p50 %d/%d p95 %d/%d p99 %d/%d max %d/%d mean \
+           %g/%g"
+          i (Array.length lat) got.p50 want.p50 got.p95 want.p95 got.p99
+          want.p99 got.lmax want.lmax got.mean want.mean)
+    cases
+
 let suite =
   [ Alcotest.test_case "crash-free, both modes" `Quick crash_free;
     Alcotest.test_case "exactly-once matrix (2 structures x 2 policies)"
@@ -852,4 +1123,12 @@ let suite =
     Alcotest.test_case "oracle: violations past 32 are counted" `Quick
       oracle_violation_cap;
     Alcotest.test_case "oracle: recovered-point order over 2000 requests"
-      `Quick oracle_wide_order ]
+      `Quick oracle_wide_order;
+    Alcotest.test_case "oracle: final request-pass order over 2000 requests"
+      `Quick oracle_final_order;
+    Alcotest.test_case "oracle: create rejects an unindexable arrival" `Quick
+      oracle_rejects_bad_arrivals;
+    Alcotest.test_case "merge release = the list-and-sort model" `Quick
+      merge_matches_model;
+    Alcotest.test_case "latency summary by selection = by sort" `Quick
+      summary_matches_sort ]
