@@ -17,8 +17,11 @@
      nvtsim serve --policy flit --shards 8 --skew 1.2 --timeout 0
 
    Exit status: 0 only for a fully clean run; 1 for any durability
-   violation, corrupt read, failed recovery/invariant, or exactly-once
-   violation; 2 for usage errors (an unknown policy, a count below 1);
+   violation, corrupt read, failed recovery/invariant, exactly-once
+   violation, or a requested crash that never fired (the run checked
+   less than it was asked to); 2 for usage errors (an unknown policy, a
+   count below its least value, a crash step below 0, a percentage or
+   probability out of range, a skew that is negative or not finite);
    124 for an unknown --structure, which Cmdliner's enum rejects. CI
    relies on this to distinguish a clean run from a printed
    violation. *)
@@ -166,7 +169,21 @@ let require_probability ?(below_one = false) (flag, p) =
     exit 2
   end
 
-let report s_name p_name (r : H.Crashlab.report) =
+(* So is a Zipf skew that is negative or not finite: a negative skew
+   silently means uniform keys, and at nan or infinity every weight but
+   one key's collapses, so the run draws a single key. *)
+let require_skew skew =
+  if not (Float.is_finite skew && skew >= 0.0) then begin
+    Printf.eprintf "--skew must be a finite number >= 0 (got %g)\n" skew;
+    exit 2
+  end
+
+let crash_flags flag steps = List.map (fun s -> (flag, s)) steps
+
+let pp_steps steps = String.concat ", " (List.map string_of_int steps)
+
+(* The run's verdict, printed last: true iff clean. *)
+let report s_name p_name crash_steps (r : H.Crashlab.report) =
   let ops = List.length r.history in
   Printf.printf "structure:  %s (%s)\n" s_name p_name;
   Printf.printf "operations: %d across %d era(s)\n" ops r.eras;
@@ -186,11 +203,15 @@ let report s_name p_name (r : H.Crashlab.report) =
       sites);
   Printf.printf "crashes:    %d fired of %d requested, %d steps covered\n"
     r.crashes_fired r.crashes_requested r.steps;
-  if r.crashes_fired < r.crashes_requested then
+  let unfired = r.crashes_requested - r.crashes_fired in
+  if unfired > 0 then
+    (* an era that finishes before its crash step clears the crash and
+       the next era takes the next step, so the report knows how many
+       never fired, not which *)
     Printf.printf
-      "            WARNING: %d crash(es) requested beyond the end of their \
-       era never fired\n"
-      (r.crashes_requested - r.crashes_fired);
+      "            UNFIRED: %d of the crashes requested (steps %s) came \
+       after the end of their era and never fired\n"
+      unfired (pp_steps crash_steps);
   if r.trace <> [] then begin
     Printf.printf "trace:      last %d event(s), %d older dropped\n"
       (List.length r.trace) r.trace_dropped;
@@ -202,7 +223,7 @@ let report s_name p_name (r : H.Crashlab.report) =
   match r.linearizable with
   | Ok () ->
     print_endline "verdict:    durably linearizable";
-    true
+    unfired = 0
   | Error v ->
     Format.printf "verdict:    VIOLATION@.%a@."
       Nvt_sim.Linearizability.pp_violation v;
@@ -212,6 +233,7 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
     dram trace_cap optimize =
   require_at_least 1
     [ ("threads", threads); ("ops", ops); ("range", range) ];
+  require_at_least 0 (crash_flags "crash" crashes);
   require_percent ("updates", updates);
   require_probability ("eviction", eviction);
   require_probability ~below_one:true ("stall", stall);
@@ -281,7 +303,7 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
         in
         with_plan @@ fun () ->
         match H.Crashlab.run set c with
-        | r -> report s_name p_name r
+        | r -> report s_name p_name crashes r
         | exception Nvt_sim.Machine.Corrupt_read cid ->
           Printf.printf
             "structure:  %s (%s)\n\
@@ -502,7 +524,10 @@ let serve s_name p_name shards clients requests gap skew updates range seed
     [ ("shards", shards); ("clients", clients); ("requests", requests);
       ("range", range); ("domains", domains); ("gap", gap);
       ("multi-k", multi_k) ];
-  require_at_least 0 [ ("ckpt", ckpt) ];
+  require_at_least 0
+    (("ckpt", ckpt)
+     :: crash_flags "crash" crashes
+     @ crash_flags "recovery-crash" recovery_crashes);
   List.iter require_percent
     [ ("updates", updates); ("multi", multi_pct); ("rmw", rmw_pct) ];
   if multi_pct + rmw_pct > 100 then begin
@@ -511,6 +536,7 @@ let serve s_name p_name shards clients requests gap skew updates range seed
     exit 2
   end;
   require_probability ("eviction", eviction);
+  require_skew skew;
   (match I.flavour p_name with
   | Some _ -> ()
   | None ->
@@ -560,7 +586,20 @@ let serve s_name p_name shards clients requests gap skew updates range seed
   match Runner.run cfg with
   | r ->
     Format.printf "%a@." Runner.pp_report r;
-    if r.violations <> [] then exit 1
+    (* crashes are consumed in order and a run that finishes leaves the
+       rest unconsumed, so the unfired ones are the tails of the lists *)
+    let all_fired what steps fired =
+      let left = List.filteri (fun i _ -> i >= fired) steps in
+      if left <> [] then
+        Printf.printf "unfired:    %s at step(s) %s never fired\n" what
+          (pp_steps left);
+      left = []
+    in
+    let eras_ok = all_fired "era crash(es)" crashes r.crashes_fired in
+    let recoveries_ok =
+      all_fired "recovery crash(es)" recovery_crashes r.recovery_crashes_fired
+    in
+    if r.violations <> [] || not (eras_ok && recoveries_ok) then exit 1
   | exception Nvt_sim.Machine.Corrupt_read cid ->
     Printf.printf
       "verdict:    CORRUPT MEMORY (cell %d read after crash without a \

@@ -18,11 +18,14 @@
    {!Descriptors}, which every commit persists under its ledger fence).
 
    A checkpoint snapshots a shard's committed state — a plain-OCaml
-   model mirror of the store plus the shard's dedup records, captured
+   model mirror of the store, kept as a key-sorted int vector so the
+   cut is a sequential copy, plus the shard's dedup records, captured
    in one non-preemptible stretch so the cut is consistent — on the
    thread that owns the shard's commit index, so recovery replays only
-   the delta since it. {!spawn_recovery} runs each shard's recovery as
-   a simulated thread: shards recover in parallel, in virtual time. *)
+   the delta since it. Recovery replays into a hash table first, whose
+   order it reconciles the store in, then loads the sorted mirror from
+   it. {!spawn_recovery} runs each shard's recovery as a simulated
+   thread: shards recover in parallel, in virtual time. *)
 
 module Machine = Nvt_sim.Machine
 module Sim_mem = Nvt_sim.Memory
@@ -36,6 +39,117 @@ let mode_name = function
   | Per_op -> "per_op"
   | Group { timeout } -> Printf.sprintf "group%d" timeout
 
+(* ------------------------------------------------------------------ *)
+(* The committed-prefix model                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An int-keyed container the committed-prefix model replays into: the
+   shard's sorted mirror, or recovery's replay table. *)
+type 'm container = {
+  find : 'm -> int -> int option;
+  set : 'm -> int -> int -> unit;
+  remove : 'm -> int -> unit;
+}
+
+(* The committed-prefix model: put adds only if absent, del removes,
+   get reads, a multi-put is a put per key in list order, an rmw adds
+   its delta (or sets it, if absent) — the exact semantics the runner's
+   oracle replays, so a checkpoint snapshot equals a model replay of
+   the covered prefix. *)
+let replay c m op =
+  match op with
+  | Put (k, v) -> if Option.is_none (c.find m k) then c.set m k v
+  | Del k -> c.remove m k
+  | Get _ -> ()
+  | Multi_put kvs ->
+    List.iter
+      (fun (k, v) -> if Option.is_none (c.find m k) then c.set m k v)
+      kvs
+  | Rmw (k, d) ->
+    c.set m k (match c.find m k with Some v -> v + d | None -> d)
+
+let hashtbl : (int, int) Hashtbl.t container =
+  { find = Hashtbl.find_opt; set = Hashtbl.replace; remove = Hashtbl.remove }
+
+(* A checkpoint cut orders its pairs and records on their first
+   component alone: mirror keys and dedup clients are unique, so this
+   is [compare]'s order. *)
+let by_fst ((a : int), _) (b, _) = Int.compare a b
+
+(* A shard's mirror: the [live] pairs in [keys.(0 .. live - 1)] and
+   [values], strictly increasing by key. Lookups binary-search; an
+   insert or a remove blits the tail. *)
+module Mirror = struct
+  type t = {
+    mutable keys : int array;
+    mutable values : int array;
+    mutable live : int;
+  }
+
+  let create () = { keys = Array.make 64 0; values = Array.make 64 0; live = 0 }
+
+  (* The index of [k], or [-(i + 1)] where [i] is the index it would be
+     inserted at. *)
+  let search t (k : int) =
+    let lo = ref 0 and hi = ref t.live and found = ref (-1) in
+    while !found < 0 && !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let km = t.keys.(mid) in
+      if km = k then found := mid
+      else if km < k then lo := mid + 1
+      else hi := mid
+    done;
+    if !found >= 0 then !found else -(!lo + 1)
+
+  let find t k =
+    let i = search t k in
+    if i >= 0 then Some t.values.(i) else None
+
+  let set t k v =
+    let i = search t k in
+    if i >= 0 then t.values.(i) <- v
+    else begin
+      let i = -(i + 1) in
+      if t.live = Array.length t.keys then begin
+        let cap = max 64 (2 * t.live) in
+        let grow a = Array.append a (Array.make (cap - t.live) 0) in
+        t.keys <- grow t.keys;
+        t.values <- grow t.values
+      end;
+      Array.blit t.keys i t.keys (i + 1) (t.live - i);
+      Array.blit t.values i t.values (i + 1) (t.live - i);
+      t.keys.(i) <- k;
+      t.values.(i) <- v;
+      t.live <- t.live + 1
+    end
+
+  let remove t k =
+    let i = search t k in
+    if i >= 0 then begin
+      Array.blit t.keys (i + 1) t.keys i (t.live - i - 1);
+      Array.blit t.values (i + 1) t.values i (t.live - i - 1);
+      t.live <- t.live - 1
+    end
+
+  let apply = replay { find; set; remove }
+  let length t = t.live
+
+  (* The cut: the live pairs in key order. *)
+  let pairs t = Array.init t.live (fun i -> (t.keys.(i), t.values.(i)))
+
+  (* Replace the contents with a table's, sorted once. *)
+  let load t tbl =
+    let a = Array.of_seq (Hashtbl.to_seq tbl) in
+    Array.sort by_fst a;
+    t.keys <- Array.map fst a;
+    t.values <- Array.map snd a;
+    t.live <- Array.length a
+end
+
+(* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+(* ------------------------------------------------------------------ *)
+
 (* The structure module is existential; close over its operations. *)
 type store = {
   apply : op -> result;
@@ -43,7 +157,7 @@ type store = {
   st_contents : unit -> (int * int) list;
   st_reconcile : (int * int) list -> unit;
       (* make the structure's contents equal the given pairs — recovery
-         calls this with the rebuilt committed-prefix mirror to undo
+         calls this with the rebuilt committed-prefix replay to undo
          persisted effects of applies that never committed *)
   st_check : unit -> unit;
 }
@@ -54,10 +168,10 @@ type shard = {
   queue : request Queue.t;
       (* volatile inbox, lost at a crash; a request leaves it only once
          completed, so an empty inbox means an idle shard *)
-  mirror : (int, int) Hashtbl.t;
-      (* plain-OCaml model of the committed-prefix replay (put = add if
-         absent, del = remove), maintained in the same non-preemptible
-         stretch as the log append; the checkpoint snapshots it *)
+  mirror : Mirror.t;
+      (* plain-OCaml model of the committed-prefix replay ({!replay}),
+         maintained in the same non-preemptible stretch as the log
+         append; sorted by key, so the checkpoint's cut is a copy *)
   mutable preseed : (int * int) list;
       (* the prefill pairs — the mirror's base state, needed to re-seed
          it when a recovery finds no committed checkpoint (a checkpoint
@@ -98,10 +212,6 @@ type t = {
   mutable on_commit : request -> shard:int -> slot:int -> unit;
   policy_recover : unit -> unit;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
-(* ------------------------------------------------------------------ *)
 
 let mk_store (structure : (module I.STRUCTURE)) (policy : I.policy) : store =
   let module S = (val I.instantiate structure policy) in
@@ -207,7 +317,7 @@ let create ?(slice = (0, 1)) ?commit_interval
         { store = mk_store structure policy;
           log;
           queue = Queue.create ();
-          mirror = Hashtbl.create 64;
+          mirror = Mirror.create ();
           preseed = [] })
   in
   let last = Hashtbl.create 64 in
@@ -256,39 +366,36 @@ let set_on_ack t f = t.on_ack <- f
 let set_on_commit t f = t.on_commit <- f
 let request_stop t = t.stop <- true
 
-(* The committed-prefix model: put adds only if absent, del removes,
-   get reads — the exact semantics the runner's oracle replays, so a
-   checkpoint snapshot equals a model replay of the covered prefix. *)
-let mirror_apply sh op =
-  match op with
-  | Put (k, v) -> if not (Hashtbl.mem sh.mirror k) then Hashtbl.replace sh.mirror k v
-  | Del k -> Hashtbl.remove sh.mirror k
-  | Get _ -> ()
-  | Multi_put kvs ->
-    List.iter
-      (fun (k, v) ->
-        if not (Hashtbl.mem sh.mirror k) then Hashtbl.replace sh.mirror k v)
-      kvs
-  | Rmw (k, d) ->
-    Hashtbl.replace sh.mirror k
-      (match Hashtbl.find_opt sh.mirror k with Some v -> v + d | None -> d)
-
 (* Direct store access for prefill (bypasses the ledger and hooks; use
    in setup mode, then [Machine.persist_all]). Keys owned by another
    slice are skipped, so every slice can be prefilled from the same
    global key list. *)
 let prefill t keys =
+  (* the new keys gather in a table per shard and sort into the mirror
+     once, rather than blitting it per key *)
+  let tables =
+    Array.map
+      (fun sh ->
+        let tbl = Hashtbl.create 64 in
+        Array.iter
+          (fun (k, v) -> Hashtbl.replace tbl k v)
+          (Mirror.pairs sh.mirror);
+        tbl)
+      t.shards
+  in
   List.iter
     (fun k ->
       if global_shard ~shards:t.total k mod t.stride = t.group then begin
-        let sh = t.shards.(shard_of t k) in
+        let si = shard_of t k in
+        let sh = t.shards.(si) in
         ignore (sh.store.apply (Put (k, k)));
-        if not (Hashtbl.mem sh.mirror k) then begin
-          Hashtbl.replace sh.mirror k k;
+        if not (Hashtbl.mem tables.(si) k) then begin
+          Hashtbl.replace tables.(si) k k;
           sh.preseed <- (k, k) :: sh.preseed
         end
       end)
-    keys
+    keys;
+  Array.iteri (fun si sh -> Mirror.load sh.mirror tables.(si)) t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Commit and checkpoint                                               *)
@@ -306,11 +413,6 @@ let commit t items =
       t.on_commit r ~shard:c.shard ~slot:c.slot)
     items;
   List.iter (fun (r, c) -> t.on_ack r c.res ~dedup:false) items
-
-(* A checkpoint cut sorts its pairs and records on their first
-   component alone: mirror keys and dedup clients are unique
-   ([Hashtbl.replace] only), so this is [compare]'s order. *)
-let by_fst ((a : int), _) (b, _) = Int.compare a b
 
 (* Snapshot and durably checkpoint one shard, on the thread that owns
    its commit index, so no other thread races the index.
@@ -330,17 +432,15 @@ let checkpoint_shard t si =
   let sh = t.shards.(si) in
   let upto = sh.log.next_slot in
   if upto > sh.log.base then begin
-    let pairs =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.mirror []
-      |> List.sort by_fst |> Array.of_list
-    in
+    let pairs = Mirror.pairs sh.mirror in
     let covered =
       Hashtbl.fold
         (fun client (c : completion) acc ->
           if c.shard = si && c.slot < upto then (client, c) :: acc else acc)
         t.last []
-      |> List.sort by_fst |> Array.of_list
+      |> Array.of_list
     in
+    Array.sort by_fst covered;
     t.truncated <-
       t.truncated
       + Ledger.checkpoint t.ledger si ~persist:(t.src.persist_slot si)
@@ -413,7 +513,7 @@ let process t ~complete si req =
       Ledger.append sh.log
         { e_client = req.client; e_seq = req.seq; e_op = req.op; e_res = res }
     in
-    mirror_apply sh req.op;
+    Mirror.apply sh.mirror req.op;
     let c = { seq = req.seq; shard = si; slot; res } in
     Hashtbl.replace t.last req.client c;
     complete (req, c)
@@ -518,22 +618,29 @@ let submit t req =
 (* ------------------------------------------------------------------ *)
 
 (* Recover one shard: reopen the log at its durable index -> restore the
-   checkpoint snapshot -> replay the remaining committed suffix into the
-   mirror -> rebuild the dedup table from the completion source ->
-   reconcile the store. *)
+   checkpoint snapshot into a replay table -> replay the remaining
+   committed suffix into it -> rebuild the dedup table from the
+   completion source -> reconcile the store -> load the mirror.
+
+   The store is reconciled in the replay table's fold order, and that
+   order reaches the simulation: it is the order reconcile reinserts
+   keys in. So the table is always built in one sequence — a fresh
+   64-bucket table, then the checkpoint's pairs in key order (or the
+   prefill pairs in list order), then the replayed suffix — and the
+   pinned recovery histories depend on it. *)
 let recover_shard t si =
   let sh = t.shards.(si) in
   sh.store.st_recover ();
   Queue.clear sh.queue;
   let idx, ck = Ledger.reopen sh.log in
-  Hashtbl.reset sh.mirror;
+  let table = Hashtbl.create 64 in
   let covered =
     match ck with
     | None ->
-      List.iter (fun (k, v) -> Hashtbl.replace sh.mirror k v) sh.preseed;
+      List.iter (fun (k, v) -> Hashtbl.replace table k v) sh.preseed;
       []
     | Some (_, pairs, covered) ->
-      Array.iter (fun (k, v) -> Hashtbl.replace sh.mirror k v) pairs;
+      Array.iter (fun (k, v) -> Hashtbl.replace table k v) pairs;
       Array.to_list covered
   in
   let base = sh.log.base in
@@ -542,7 +649,7 @@ let recover_shard t si =
     List.init (max 0 (idx - base)) (fun i ->
         let slot = base + i in
         let e = sh.log.read slot in
-        mirror_apply sh e.e_op;
+        replay hashtbl table e.e_op;
         (e.e_client, { seq = e.e_seq; shard = si; slot; res = e.e_res }))
   in
   t.src.rebuild si idx (covered @ replayed);
@@ -552,7 +659,8 @@ let recover_shard t si =
      re-sent put converges on its own — but a non-idempotent RMW (or a
      multi-put the crash split) double-applies without it. *)
   sh.store.st_reconcile
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.mirror [])
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []);
+  Mirror.load sh.mirror table
 
 (* Recovery: reset the slice's volatile state, then run each shard's
    pass as a simulated thread, so shards of one slice recover
@@ -649,7 +757,7 @@ let inject_committed t entries =
       let si = shard_of t (key_of_op e.e_op) in
       let sh = t.shards.(si) in
       let slot = Ledger.append sh.log e in
-      mirror_apply sh e.e_op;
+      Mirror.apply sh.mirror e.e_op;
       let c = { seq = e.e_seq; shard = si; slot; res = e.e_res } in
       merge_last t.last e.e_client c;
       (e.e_client, c))

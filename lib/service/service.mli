@@ -89,6 +89,28 @@ val create :
     what detect mode adds is a sound {!op_status} answer of
     [Not_applied] for requests that never committed. *)
 
+(** A shard's mirror: the plain-OCaml model of its committed-prefix
+    replay, kept sorted by key so a checkpoint's cut is a copy. Exposed
+    for tests. *)
+module Mirror : sig
+  type t
+
+  val create : unit -> t
+  (** An empty mirror. Any int is a key. *)
+
+  val apply : t -> op -> unit
+  (** Replay one committed operation: a put adds its pair only if the
+      key is absent, a del removes it, a get changes nothing, a
+      multi-put is a put per pair in list order, and an rmw adds its
+      delta to the value (or sets the delta, if the key is absent). *)
+
+  val find : t -> int -> int option
+  val length : t -> int
+
+  val pairs : t -> (int * int) array
+  (** The contents in increasing key order: the checkpoint's cut. *)
+end
+
 val prefill : t -> int list -> unit
 (** Load keys (value = key) directly into the shard stores, bypassing
     ledger and hooks; setup mode, follow with

@@ -281,6 +281,134 @@ let checkpoint_cuts_strictly_sorted () =
   if !checked < 4 then
     Alcotest.failf "only %d shard checkpoints checked" !checked
 
+(* Recovery must leave each shard's mirror at the committed replay, not
+   at what the crashed era applied. Crash a group-commit service before
+   its first commit boundary, with puts, dels and read-modify-writes
+   applied but uncommitted; recover; then let gets, which change
+   nothing, drive one checkpoint per shard. Every checkpoint must hold
+   exactly the recovered store's contents. *)
+let recovery_reloads_mirror () =
+  let m = Machine.create ~seed:4 () in
+  Machine.set_current m;
+  let structure = List.assoc "hash" I.structures in
+  let flavour =
+    match I.flavour "nvt" with Some f -> f | None -> assert false
+  in
+  let svc =
+    Svc.create ~checkpoint:100_000 ~structure ~flavour ~shards:2
+      ~mode:(Svc.Group { timeout = 100_000 }) ()
+  in
+  Svc.prefill svc (List.init 12 (fun i -> 2 * i));
+  Machine.persist_all m;
+  Svc.start svc m;
+  for n = 0 to 39 do
+    let k = n * 7 mod 24 in
+    let op =
+      match n mod 3 with
+      | 0 -> Svc.Rmw (k, n + 1)
+      | 1 -> Svc.Put (k, n)
+      | _ -> Svc.Del k
+    in
+    Svc.submit svc { Svc.client = n mod 8; seq = n / 8; op }
+  done;
+  Machine.set_crash_at_step m (Machine.steps m + 1500);
+  (match Machine.run m with
+  | Machine.Crashed_at _ -> svc_recover svc m
+  | Machine.Completed -> Alcotest.fail "the crash did not fire");
+  Alcotest.(check int) "nothing committed before the crash" 0
+    (Svc.committed_total svc);
+  Svc.start svc m;
+  for n = 0 to 7 do
+    Svc.submit svc { Svc.client = n; seq = 10; op = Svc.Get n }
+  done;
+  Svc.request_stop svc;
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> assert false);
+  let durable = Svc.durable_state svc in
+  Array.iteri
+    (fun si (d : Svc.durable) ->
+      if d.dv_base = 0 then Alcotest.failf "shard %d took no checkpoint" si)
+    durable;
+  let pairs =
+    Array.to_list durable
+    |> List.concat_map (fun (d : Svc.durable) -> d.dv_pairs)
+    |> List.sort compare
+  in
+  let show l =
+    String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) l)
+  in
+  Alcotest.(check string) "checkpoints = recovered store"
+    (show (Svc.contents svc)) (show pairs)
+
+(* Golden durable checkpoint contents, recorded before the shard mirror
+   became a sorted vector: an MD5 over every shard's committed
+   checkpoint (cut, pairs, dedup records) after each of four
+   crash/recover cycles of a per-op checkpointed service fed puts, dels
+   of absent and present keys, multi-puts with a duplicate key and
+   read-modify-writes. A change to how the cut is taken must leave it
+   byte-identical. *)
+let checkpoint_contents_golden () =
+  let m = Machine.create ~seed:11 () in
+  Machine.set_current m;
+  let structure = List.assoc "hash" I.structures in
+  let flavour =
+    match I.flavour "nvt" with Some f -> f | None -> assert false
+  in
+  let svc =
+    Svc.create ~checkpoint:500 ~structure ~flavour ~shards:2
+      ~mode:Svc.Per_op ()
+  in
+  Svc.prefill svc (List.init 20 (fun i -> 3 * i));
+  Machine.persist_all m;
+  let shard_of k = Svc.global_shard ~shards:2 k in
+  let partner k =
+    (* the next key on [k]'s shard, so a multi-put stays on one shard *)
+    let rec go j = if shard_of j = shard_of k then j else go (j + 1) in
+    go (k + 1)
+  in
+  let b = Buffer.create 4096 in
+  let checkpointed = ref 0 in
+  for cycle = 0 to 3 do
+    Svc.start svc m;
+    for i = 0 to 79 do
+      let n = (80 * cycle) + i in
+      let k = n * 13 mod 64 in
+      let op =
+        match n mod 6 with
+        | 0 -> Svc.Del k
+        | 1 -> Svc.Rmw (k, n)
+        | 2 -> Svc.Multi_put [ (k, n); (partner k, n + 1); (k, n + 2) ]
+        | _ -> Svc.Put (k, n)
+      in
+      Svc.submit svc { Svc.client = n mod 10; seq = n / 10; op }
+    done;
+    Svc.request_stop svc;
+    Machine.set_crash_at_step m (Machine.steps m + 1100);
+    (match Machine.run m with
+    | Machine.Crashed_at _ -> svc_recover svc m
+    | Machine.Completed ->
+      Alcotest.failf "cycle %d: crash did not fire" cycle);
+    Array.iteri
+      (fun si (d : Svc.durable) ->
+        if d.dv_base > 0 then incr checkpointed;
+        Printf.bprintf b "c%d s%d base %d:" cycle si d.dv_base;
+        List.iter (fun (k, v) -> Printf.bprintf b " %d=%d" k v) d.dv_pairs;
+        Buffer.add_string b " |";
+        List.iter
+          (fun (client, (c : Svc.completion)) ->
+            Printf.bprintf b " %d:%d@%d.%d=%s" client c.seq c.shard c.slot
+              (Format.asprintf "%a" Svc.pp_result c.res))
+          d.dv_covered;
+        Buffer.add_char b '\n')
+      (Svc.durable_state svc)
+  done;
+  if !checkpointed < 6 then
+    Alcotest.failf "only %d shard checkpoints pinned" !checkpointed;
+  Alcotest.(check string)
+    "checkpoint contents digest" "f66e9fb994f08eb1b5cddc8ecf743bde"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* Crashes landing inside checkpoint sequences: >= 2 structures x >= 2
    policies, checkpointing on, merge barriers every 25 time units (less
    than one flush) so era thresholds can land between the svc:ckpt_*
@@ -447,6 +575,10 @@ let suite =
         `Quick checkpoint_truncation_bounds_live_cells;
       Alcotest.test_case "service: checkpoint cuts are strictly sorted"
         `Quick checkpoint_cuts_strictly_sorted;
+      Alcotest.test_case "service: checkpoint contents golden" `Quick
+        checkpoint_contents_golden;
+      Alcotest.test_case "service: recovery reloads the shard mirror" `Quick
+        recovery_reloads_mirror;
       Alcotest.test_case "service: dedup rebuild is last-committed-wins"
         `Quick dedup_rebuild_last_committed_wins;
       Alcotest.test_case

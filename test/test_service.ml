@@ -568,6 +568,54 @@ let golden_runner_reports () =
         (name ^ ": histories digest") digest (histories_digest r))
     golden_reports
 
+(* A seventh golden, recorded before the shard mirror became a sorted
+   vector: group commit with checkpoints and two era crashes on the
+   Natarajan BST, one of whose recoveries reinserts two keys into one
+   shard. Recovery reconciles the store in the order of its replay
+   table, and this run's report and histories change if those keys go
+   back in another order (key order, or the table's order reversed). *)
+let reconcile_order_golden () =
+  let r =
+    Runner.run
+      { base with
+        structure = "bst-nm";
+        seed = 29;
+        mode = Service.Group { timeout = 1500 };
+        checkpoint_interval = 1500;
+        crash_steps = [ 700; 900 ] }
+  in
+  Alcotest.(check string)
+    "report"
+    {|service bst-nm/nvt shards=3 domains=1 clients=8 mode=group1500 dist=zipf(0.99)
+  acked 120/120  applies 126  resent 15  dedup 2  audit 8
+  crashes 2/2  eras 3  steps 7691  makespan 118568
+  checkpoints 66  truncated 120  recovery crashes 0/0
+  recovery: replayed 2 entries in 1011 steps (6500 time units)
+  latency p50 44037  p95 93686  p99 102457  max 104987  mean 47502.7
+  fences/op 4.808  flushes/op 10.017  committed 120
+  reads=2709 writes=151 cas=66 cas_fail=0 flushes=1202 fences=577 allocs=411
+  sites:
+    nvt:make_persistent      flushes=268    fences=134    cas=0
+    nvt:ensure_reachable     flushes=268    fences=0      cas=0
+    svc:ckpt_flush           flushes=196    fences=0      cas=0
+    nvt:return_fence         flushes=0      fences=131    cas=0
+    svc:ledger_flush         flushes=120    fences=0      cas=0
+    nvt:crit_flush           flushes=86     fences=0      cas=0
+    svc:commit_flush         flushes=83     fences=0      cas=0
+    app                      flushes=2      fences=2      cas=66
+    nvt:crit_fence           flushes=0      fences=68     cas=0
+    nvt:crit_update          flushes=66     fences=0      cas=0
+    svc:ckpt_commit_fence    flushes=0      fences=66     cas=0
+    svc:ckpt_commit_flush    flushes=66     fences=0      cas=0
+    svc:ckpt_fence           flushes=0      fences=66     cas=0
+    svc:commit_fence         flushes=0      fences=55     cas=0
+    svc:ledger_fence         flushes=0      fences=55     cas=0
+    nvt:crit_read            flushes=47     fences=0      cas=0
+  exactly-once: OK|}
+    (String.trim (trim_lines (Format.asprintf "%a" Runner.pp_report r)));
+  Alcotest.(check string) "histories digest"
+    "02831fe178294479ba41fab8cb016f3a" (histories_digest r)
+
 (* The report's header names the machines the run used: more domains
    than shards clamp to the shard count, and the header must say so. *)
 let report_prints_effective_domains () =
@@ -1098,6 +1146,93 @@ let summary_matches_sort () =
           want.p99 got.lmax want.lmax got.mean want.mean)
     cases
 
+(* Model check of the shard mirror: seeded random sequences of puts,
+   dels (of absent keys too), multi-puts (duplicate keys too), rmws and
+   gets over keys that include negative and very large ones, with enough
+   distinct keys to outgrow the initial capacity. After every operation
+   the mirror must agree with a hash-table model written here,
+   independently of the service's own replay: on the probed keys'
+   values, on the size, and on the cut, which must be the model's pairs
+   sorted by key. *)
+let mirror_matches_table_model () =
+  let module M = Service.Mirror in
+  let by_fst ((a : int), _) (b, _) = Int.compare a b in
+  let model_cut model =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
+    |> List.sort by_fst |> Array.of_list
+  in
+  let model_apply model (op : Service.op) =
+    let put (k, v) =
+      if not (Hashtbl.mem model k) then Hashtbl.replace model k v
+    in
+    match op with
+    | Service.Put (k, v) -> put (k, v)
+    | Service.Del k -> Hashtbl.remove model k
+    | Service.Get _ -> ()
+    | Service.Multi_put kvs -> List.iter put kvs
+    | Service.Rmw (k, d) ->
+      Hashtbl.replace model k
+        (match Hashtbl.find_opt model k with Some v -> v + d | None -> d)
+  in
+  let check_cut what mirror model =
+    if M.pairs mirror <> model_cut model then
+      Alcotest.failf "%s: the cut differs from the sorted model" what
+  in
+  let mirror = M.create () and model = Hashtbl.create 16 in
+  check_cut "empty" mirror model;
+  M.apply mirror (Service.Put (-7, 3));
+  model_apply model (Service.Put (-7, 3));
+  check_cut "one pair" mirror model;
+  let specials = [| min_int; max_int; 1 lsl 40; -(1 lsl 40); 0 |] in
+  let grew = ref false in
+  for seed = 0 to 99 do
+    let rng = Random.State.make [| seed; 0x6d17 |] in
+    let key () =
+      if Random.State.int rng 20 = 0 then
+        specials.(Random.State.int rng (Array.length specials))
+      else Random.State.int rng 300 - 100
+    in
+    let value () = Random.State.int rng 2001 - 1000 in
+    let mirror = M.create () and model = Hashtbl.create 16 in
+    for i = 1 to 300 do
+      let op =
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 -> Service.Put (key (), value ())
+        | 4 | 5 -> Service.Del (key ())
+        | 6 ->
+          let kvs =
+            List.init (1 + Random.State.int rng 4) (fun _ -> (key (), value ()))
+          in
+          (* a repeated key: the later pair must lose *)
+          Service.Multi_put
+            (if Random.State.bool rng then
+               kvs @ [ (fst (List.hd kvs), value ()) ]
+             else kvs)
+        | 7 | 8 -> Service.Rmw (key (), value ())
+        | _ -> Service.Get (key ())
+      in
+      M.apply mirror op;
+      model_apply model op;
+      let what = Printf.sprintf "seed %d op %d" seed i in
+      let probes =
+        key () :: key ()
+        :: (match op with
+           | Service.Multi_put kvs -> List.map fst kvs
+           | op -> [ Service.key_of_op op ])
+      in
+      List.iter
+        (fun k ->
+          if M.find mirror k <> Hashtbl.find_opt model k then
+            Alcotest.failf "%s: key %d differs from the model" what k)
+        probes;
+      Alcotest.(check int) (what ^ ": size") (Hashtbl.length model)
+        (M.length mirror);
+      check_cut what mirror model
+    done;
+    if M.length mirror > 64 then grew := true
+  done;
+  if not !grew then Alcotest.fail "no sequence outgrew the initial capacity"
+
 let suite =
   [ Alcotest.test_case "crash-free, both modes" `Quick crash_free;
     Alcotest.test_case "exactly-once matrix (2 structures x 2 policies)"
@@ -1116,6 +1251,8 @@ let suite =
       `Quick stop_drains_group_commit;
     Alcotest.test_case "latency percentiles" `Quick latency_sane;
     Alcotest.test_case "golden runner reports" `Quick golden_runner_reports;
+    Alcotest.test_case "golden recovery reconcile order" `Quick
+      reconcile_order_golden;
     Alcotest.test_case "the report prints the effective domain count" `Quick
       report_prints_effective_domains;
     Alcotest.test_case "oracle: every check fires on its seeded bug" `Quick
@@ -1130,5 +1267,7 @@ let suite =
       oracle_rejects_bad_arrivals;
     Alcotest.test_case "merge release = the list-and-sort model" `Quick
       merge_matches_model;
+    Alcotest.test_case "shard mirror = a hash-table model" `Quick
+      mirror_matches_table_model;
     Alcotest.test_case "latency summary by selection = by sort" `Quick
       summary_matches_sort ]
