@@ -280,10 +280,10 @@ let set_metrics (r : set_run) =
         ("flush_reduction", reduction (fun s -> s.Stats.flushes), "ratio");
         ("fence_reduction", reduction (fun s -> s.Stats.fences), "ratio") ]
 
-(* Written keys: one per request plus the extra k-1 of each multi-put,
-   the denominator under which batched commits amortize. *)
+(* Written keys: one per request plus the extra keys each multi-put
+   carries, the denominator under which batched commits amortize. *)
 let fences_per_key (r : Runner.report) =
-  per r.stats.Stats.fences (r.acked + (r.multi_puts * (r.config.multi_k - 1)))
+  per r.stats.Stats.fences (r.acked + r.multi_keys - r.multi_puts)
 
 let report_metrics (r : Runner.report) =
   let c = r.config and st = r.stats in

@@ -76,7 +76,10 @@ let () =
     Cmd.info "nvtraverse-bench"
       ~doc:"Regenerate the NVTraverse paper's evaluation"
   in
+  let cmd = Cmd.group ~default info [ panels_cmd; experiments_cmd ] in
+  (* a parse error is a usage error, exit 2 like an unknown panel id *)
   exit
-    (Cmd.eval
-       (Cmd.group ~default info
-          [ panels_cmd; experiments_cmd ]))
+    (match Cmd.eval_value cmd with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

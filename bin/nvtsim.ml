@@ -19,18 +19,62 @@
    Exit status: 0 only for a fully clean run; 1 for any durability
    violation, corrupt read, failed recovery/invariant, exactly-once
    violation, or a requested crash that never fired (the run checked
-   less than it was asked to); 2 for usage errors (an unknown policy, a
-   count below its least value, a crash step below 0, a percentage or
-   probability out of range, a skew that is negative or not finite);
-   124 for an unknown --structure, which Cmdliner's enum rejects. CI
-   relies on this to distinguish a clean run from a printed
-   violation. *)
+   less than it was asked to); 2 for any usage error, before anything
+   runs. Each flag's range is part of its converter, so an unknown
+   name, a malformed number and a value out of range are all parse
+   errors that name the flag and the value; the few checks that span
+   flags are [usage] calls. CI relies on this to distinguish a clean
+   run from a printed violation. *)
 
 open Cmdliner
 module H = Nvt_harness
 module I = Nvt_harness.Instances
+module Machine = Nvt_sim.Machine
+module Cost_model = Nvt_nvm.Cost_model
 
 module type SET = Nvt_core.Set_intf.SET
+
+(* A usage error that spans flags: reported, then exit 2. *)
+let usage fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+(* [base] restricted to the values [ok] accepts, [expected] naming them.
+   Each range is the one the run needs: a zero thread, op or request
+   count passes vacuously, a negative checkpoint interval or commit
+   timeout silently disables it, a percentage out of range saturates
+   the op mix, a stall probability of 1 never lets the run finish, and
+   a negative or non-finite skew silently draws uniform or single keys. *)
+let bounded expected ok base =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let at_least n =
+  bounded (Printf.sprintf "an integer >= %d" n) (fun v -> v >= n) Arg.int
+
+let percent =
+  bounded "an integer in [0, 100]" (fun v -> v >= 0 && v <= 100) Arg.int
+
+let probability =
+  bounded "a number in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0) Arg.float
+
+let below_one =
+  bounded "a number in [0, 1)" (fun p -> p >= 0.0 && p < 1.0) Arg.float
+
+let finite_nonneg =
+  bounded "a finite number >= 0" (fun x -> Float.is_finite x && x >= 0.0)
+    Arg.float
+
+(* An integer option whose least value is [least]. *)
+let count ?(least = 1) ?docv names default doc =
+  Arg.(value & opt (at_least least) default & info names ?docv ~doc)
+
+let keyed l = Arg.enum (List.map (fun n -> (n, n)) l)
+let structure_names = List.map fst I.structures
+let flavour_keys = List.map (fun (f : I.flavour) -> f.key) I.flavours
 
 let structures : (string * (string * (module SET)) list) list =
   I.table () @ [ ("onefile", [ ("nvt", (module I.Onefile_set)) ]) ]
@@ -39,7 +83,7 @@ let structure =
   let names = List.map fst structures in
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) names)) "list"
+    & opt (keyed names) "list"
     & info [ "structure"; "s" ]
         ~doc:(Printf.sprintf "Structure: %s." (String.concat ", " names)))
 
@@ -54,7 +98,7 @@ let policy_doc =
 let policy =
   Arg.(
     value
-    & opt string "nvt"
+    & opt (keyed (flavour_keys @ [ "all" ])) "nvt"
     & info [ "policy"; "p" ]
         ~doc:
           (Printf.sprintf
@@ -62,42 +106,46 @@ let policy =
               structure supports."
              policy_doc))
 
-let threads = Arg.(value & opt int 4 & info [ "threads"; "t" ] ~doc:"Threads.")
-let ops = Arg.(value & opt int 100 & info [ "ops" ] ~doc:"Ops per thread.")
-let range = Arg.(value & opt int 64 & info [ "range" ] ~doc:"Key range.")
+let threads = count [ "threads"; "t" ] 4 "Threads."
+let ops = count [ "ops" ] 100 "Ops per thread."
+let range = count [ "range" ] 64 "Key range."
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed.")
 
 let updates =
-  Arg.(value & opt int 20 & info [ "updates"; "u" ] ~doc:"Update percentage.")
+  Arg.(
+    value & opt percent 20 & info [ "updates"; "u" ] ~doc:"Update percentage.")
 
 let eviction =
   Arg.(
-    value & opt float 0.0
+    value & opt probability 0.0
     & info [ "eviction" ]
         ~doc:"Random-eviction probability per step, in [0, 1].")
+  |> Term.map (fun p ->
+         if p > 0.0 then Machine.Random_eviction p else Machine.No_eviction)
 
 let stall =
   Arg.(
-    value & opt float 0.0
-    & info [ "stall" ]
-        ~doc:"Thread-stall probability per step, in [0, 1).")
+    value & opt below_one 0.0
+    & info [ "stall" ] ~doc:"Thread-stall probability per step, in [0, 1).")
+  |> Term.map (fun p ->
+         if p > 0.0 then Some { Machine.probability = p; max_units = 20_000 }
+         else None)
 
 let crashes =
   Arg.(
-    value & opt_all int []
+    value & opt_all (at_least 0) []
     & info [ "crash" ] ~docv:"STEPS"
         ~doc:"Crash this many steps into an era (repeatable; each crash \
               is followed by recovery and a fresh era).")
 
-let dram =
-  Arg.(value & flag & info [ "dram" ] ~doc:"Use the DRAM cost profile.")
+let cost =
+  let dram = Arg.info [ "dram" ] ~doc:"Use the DRAM cost profile." in
+  Arg.(value & vflag Cost_model.nvram [ (Cost_model.dram, dram) ])
 
 let trace_cap =
-  Arg.(
-    value & opt int 0
-    & info [ "trace" ] ~docv:"N"
-        ~doc:"Record the last $(docv) machine events (writes, flushes, \
-              fences, evictions, crashes) and print them in the report.")
+  count ~least:0 [ "trace" ] 0 ~docv:"N"
+    "Record the last $(docv) machine events (writes, flushes, fences, \
+     evictions, crashes) and print them in the report."
 
 let optimize_arg =
   Arg.(
@@ -134,51 +182,6 @@ let pp_savings () =
      elided\n"
     s.Nvt_nvm.Optimizer.coalesced_flushes s.deferred_flushes s.elided_flushes
     s.elided_fences
-
-(* A count below its least value is a usage error, caught before
-   anything runs: zero threads, ops or requests would pass vacuously, a
-   zero range, shard or client count would fail mid-run, a gap below 1
-   is a negative arrival rate, and a negative checkpoint interval would
-   silently disable checkpoints. *)
-let require_at_least least counts =
-  List.iter
-    (fun (flag, n) ->
-      if n < least then begin
-        Printf.eprintf "--%s must be at least %d (got %d)\n" flag least n;
-        exit 2
-      end)
-    counts
-
-(* So is a percentage outside [0, 100], which the op mix would silently
-   saturate. *)
-let require_percent (flag, pct) =
-  if pct < 0 || pct > 100 then begin
-    Printf.eprintf "--%s must be in [0, 100] (got %d)\n" flag pct;
-    exit 2
-  end
-
-(* A probability flag outside its range is a usage error too: at a
-   stall probability of 1 or more every step stalls, so the run never
-   finishes (or overflows the scheduler's clock), and an eviction
-   probability outside [0, 1] silently means never or always. *)
-let require_probability ?(below_one = false) (flag, p) =
-  if not (p >= 0.0 && if below_one then p < 1.0 else p <= 1.0) then begin
-    Printf.eprintf "--%s must be in [0, 1%s (got %g)\n" flag
-      (if below_one then ")" else "]")
-      p;
-    exit 2
-  end
-
-(* So is a Zipf skew that is negative or not finite: a negative skew
-   silently means uniform keys, and at nan or infinity every weight but
-   one key's collapses, so the run draws a single key. *)
-let require_skew skew =
-  if not (Float.is_finite skew && skew >= 0.0) then begin
-    Printf.eprintf "--skew must be a finite number >= 0 (got %g)\n" skew;
-    exit 2
-  end
-
-let crash_flags flag steps = List.map (fun s -> (flag, s)) steps
 
 let pp_steps steps = String.concat ", " (List.map string_of_int steps)
 
@@ -230,13 +233,7 @@ let report s_name p_name crash_steps (r : H.Crashlab.report) =
     false
 
 let run s_name p_name threads ops range seed updates eviction stall crashes
-    dram trace_cap optimize =
-  require_at_least 1
-    [ ("threads", threads); ("ops", ops); ("range", range) ];
-  require_at_least 0 (crash_flags "crash" crashes);
-  require_percent ("updates", updates);
-  require_probability ("eviction", eviction);
-  require_probability ~below_one:true ("stall", stall);
+    cost trace_cap optimize =
   let variants = List.assoc s_name structures in
   let chosen =
     if p_name = "all" then
@@ -256,9 +253,8 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
       match List.assoc_opt p_name variants with
       | Some set -> [ (p_name, set) ]
       | None ->
-        Printf.eprintf "no policy %s for %s (available: %s)\n" p_name s_name
-          (String.concat ", " (List.map fst variants @ [ "all" ]));
-        exit 2
+        usage "no policy %s for %s (available: %s)" p_name s_name
+          (String.concat ", " (List.map fst variants @ [ "all" ]))
   in
   let c =
     { H.Crashlab.seed;
@@ -266,15 +262,9 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
       ops_per_thread = ops;
       key_range = range;
       mix = Nvt_workload.Workload.updates ~pct:updates;
-      cost =
-        (if dram then Nvt_nvm.Cost_model.dram else Nvt_nvm.Cost_model.nvram);
-      eviction =
-        (if eviction > 0.0 then Nvt_sim.Machine.Random_eviction eviction
-         else Nvt_sim.Machine.No_eviction);
-      stall =
-        (if stall > 0.0 then
-           Some { Nvt_sim.Machine.probability = stall; max_units = 20_000 }
-         else None);
+      cost;
+      eviction;
+      stall;
       crash_steps = crashes;
       trace_capacity = trace_cap }
   in
@@ -341,25 +331,25 @@ let deep_flag =
 
 let mut_structures =
   Arg.(
-    value & opt_all string []
+    value
+    & opt_all (keyed structure_names) []
     & info [ "structure"; "s" ] ~docv:"NAME"
         ~doc:"Structure to mutate (repeatable; default: the scale's \
               structure set).")
 
 let mut_policies =
   Arg.(
-    value & opt_all string []
+    value
+    & opt_all (keyed flavour_keys) []
     & info [ "policy"; "p" ] ~docv:"NAME"
         ~doc:"Restrict to this policy (repeatable; default: every \
               registry flavour).")
 
 let mut_domains =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Stripe the mutation batteries over $(docv) OCaml \
-              domains. The report is byte-identical for every value: each \
-              battery is self-contained and the output is index-ordered.")
+  count [ "domains" ] 1 ~docv:"N"
+    "Stripe the mutation batteries over $(docv) OCaml domains. The report \
+     is byte-identical for every value: each battery is self-contained and \
+     the output is index-ordered."
 
 let mut_out =
   Arg.(
@@ -369,28 +359,8 @@ let mut_out =
         ~doc:"Where to write the nvtraverse-mutation/2 report.")
 
 let mutate quick deep structures policies domains out optimize =
-  if quick && deep then begin
-    prerr_endline "--quick and --deep are mutually exclusive";
-    exit 2
-  end;
+  if quick && deep then usage "--quick and --deep are mutually exclusive";
   let sc = if deep then Mutlab.deep else Mutlab.quick in
-  List.iter
-    (fun s ->
-      if not (List.mem_assoc s I.structures) then begin
-        Printf.eprintf "unknown structure %s (available: %s)\n" s
-          (String.concat ", " (List.map fst I.structures));
-        exit 2
-      end)
-    structures;
-  List.iter
-    (fun p ->
-      if I.flavour p = None then begin
-        Printf.eprintf "unknown policy %s (available: %s)\n" p
-          (String.concat ", "
-             (List.map (fun (f : I.flavour) -> f.key) I.flavours));
-        exit 2
-      end)
-    policies;
   let optimize = Option.map load_report optimize in
   (* the service batteries ride along only when no -s filter was
      given: -s selects structure batteries. Both kinds stripe over the
@@ -400,10 +370,13 @@ let mutate quick deep structures policies domains out optimize =
     if structures = [] then Nvt_service.Svclab.batteries ~policies ?optimize sc
     else []
   in
-  let r =
-    Mutlab.run ~domains sc
-      (Mutlab.batteries ~structures ~policies ?optimize sc @ service)
+  let batteries =
+    Mutlab.batteries ~structures ~policies ?optimize sc @ service
   in
+  if batteries = [] then
+    usage "no mutation battery: no -s %s structure supports a -p %s policy"
+      (String.concat ", " structures) (String.concat ", " policies);
+  let r = Mutlab.run ~domains sc batteries in
   Format.printf "%a" Mutlab.pp_report r;
   H.Json.write_file out (Mutlab.to_json r);
   Printf.printf "report:     %s\n" out;
@@ -419,81 +392,69 @@ module Service = Nvt_service.Service
 module Runner = Nvt_service.Runner
 
 let svc_structure =
-  let names = List.map fst I.structures in
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) names)) "hash"
+    & opt (keyed structure_names) "hash"
     & info [ "structure"; "s" ]
-        ~doc:(Printf.sprintf "Shard structure: %s." (String.concat ", " names)))
+        ~doc:
+          (Printf.sprintf "Shard structure: %s."
+             (String.concat ", " structure_names)))
 
 let svc_policy =
   Arg.(
-    value & opt string "nvt"
+    value
+    & opt (keyed flavour_keys) "nvt"
     & info [ "policy"; "p" ] ~doc:("Persistence policy: " ^ policy_doc))
 
-let shards = Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard count.")
-
-let clients =
-  Arg.(value & opt int 16 & info [ "clients" ] ~doc:"Client sessions.")
-
-let requests =
-  Arg.(value & opt int 1000 & info [ "requests"; "n" ] ~doc:"Total requests.")
+let shards = count [ "shards" ] 4 "Shard count."
+let clients = count [ "clients" ] 16 "Client sessions."
+let requests = count [ "requests"; "n" ] 1000 "Total requests."
 
 let gap =
-  Arg.(
-    value & opt int 600
-    & info [ "gap" ]
-        ~doc:"Mean Poisson inter-arrival gap in simulated time units.")
+  count [ "gap" ] 600 "Mean Poisson inter-arrival gap in simulated time units."
 
 let skew =
   Arg.(
-    value & opt float 0.99
+    value & opt finite_nonneg 0.99
     & info [ "skew" ] ~doc:"Zipf key-skew parameter; 0 = uniform keys.")
 
-let commit_timeout =
-  Arg.(
-    value & opt int 4000
-    & info [ "timeout" ]
-        ~doc:"Group-commit interval (simulated time units): a committer \
-              thread commits every completion accumulated since the last \
-              boundary at each multiple of this interval. 0 = per-op \
-              acknowledgement (each request commits on its worker).")
+let mode =
+  count ~least:0 [ "timeout" ] 4000
+    "Group-commit interval (simulated time units): a committer thread \
+     commits every completion accumulated since the last boundary at each \
+     multiple of this interval. 0 = per-op acknowledgement (each request \
+     commits on its worker)."
+  |> Term.map (fun timeout ->
+         if timeout = 0 then Service.Per_op else Service.Group { timeout })
 
 let svc_domains =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Stripe the shards over $(docv) OCaml domains (clamped to the \
-              shard count), one simulated machine per domain, merged at \
-              virtual-time barriers. Crash-free runs keep the same apply \
-              histories and verdict for every value.")
+  count [ "domains" ] 1 ~docv:"N"
+    "Stripe the shards over $(docv) OCaml domains (clamped to the shard \
+     count), one simulated machine per domain, merged at virtual-time \
+     barriers. Crash-free runs keep the same apply histories and verdict \
+     for every value."
 
 let ckpt =
-  Arg.(
-    value & opt int 0
-    & info [ "ckpt" ] ~docv:"INTERVAL"
-        ~doc:"Checkpoint each shard every $(docv) simulated time units \
-              (snapshot + committed-prefix log truncation); 0 disables \
-              checkpointing. Recovery then replays only the delta since \
-              the last checkpoint.")
+  count ~least:0 [ "ckpt" ] 0 ~docv:"INTERVAL"
+    "Checkpoint each shard every $(docv) simulated time units (snapshot + \
+     committed-prefix log truncation); 0 disables checkpointing. Recovery \
+     then replays only the delta since the last checkpoint."
 
 let multi_pct =
   Arg.(
-    value & opt int 0
+    value & opt percent 0
     & info [ "multi" ] ~docv:"PCT"
         ~doc:"Issue $(docv)% of requests as durable multi-puts: $(b,k) \
               same-shard keys applied and acknowledged atomically as one \
               ledger record under a single pair of commit fences.")
 
 let multi_k =
-  Arg.(
-    value & opt int 4
-    & info [ "multi-k" ] ~docv:"K"
-        ~doc:"Keys per multi-put (capped at the shard's key pool).")
+  count [ "multi-k" ] 4 ~docv:"K"
+    "Keys per multi-put (capped at the shard's key pool)."
 
 let rmw_pct =
   Arg.(
-    value & opt int 0
+    value & opt percent 0
     & info [ "rmw" ] ~docv:"PCT"
         ~doc:"Issue $(docv)% of requests as read-modify-writes (add a \
               delta to the key's current value, returning the old one) — \
@@ -501,7 +462,7 @@ let rmw_pct =
 
 let recovery_crashes =
   Arg.(
-    value & opt_all int []
+    value & opt_all (at_least 0) []
     & info [ "recovery-crash" ] ~docv:"STEPS"
         ~doc:"Crash again this many steps into a recovery pass \
               (repeatable; each threshold is consumed by one recovery, \
@@ -518,31 +479,13 @@ let detect_flag =
               every acknowledgement against the status answer.")
 
 let serve s_name p_name shards clients requests gap skew updates range seed
-    timeout crashes eviction dram domains ckpt recovery_crashes
+    mode crashes eviction cost domains ckpt recovery_crashes
     multi_pct multi_k rmw_pct detect optimize =
-  require_at_least 1
-    [ ("shards", shards); ("clients", clients); ("requests", requests);
-      ("range", range); ("domains", domains); ("gap", gap);
-      ("multi-k", multi_k) ];
-  require_at_least 0
-    (("ckpt", ckpt)
-     :: crash_flags "crash" crashes
-     @ crash_flags "recovery-crash" recovery_crashes);
-  List.iter require_percent
-    [ ("updates", updates); ("multi", multi_pct); ("rmw", rmw_pct) ];
-  if multi_pct + rmw_pct > 100 then begin
-    Printf.eprintf "--multi plus --rmw must be at most 100 (got %d + %d)\n"
-      multi_pct rmw_pct;
-    exit 2
-  end;
-  require_probability ("eviction", eviction);
-  require_skew skew;
-  (match I.flavour p_name with
-  | Some _ -> ()
-  | None ->
-    Printf.eprintf "unknown policy %s (available: %s)\n" p_name
-      (String.concat ", " (List.map (fun (f : I.flavour) -> f.key) I.flavours));
-    exit 2);
+  if multi_pct + rmw_pct > 100 then
+    usage "--multi plus --rmw must be at most 100 (got %d + %d)" multi_pct
+      rmw_pct;
+  if not (I.supports (Option.get (I.flavour p_name)) s_name) then
+    usage "no policy %s for %s" p_name s_name;
   let plan =
     Option.map
       (fun path ->
@@ -565,15 +508,11 @@ let serve s_name p_name shards clients requests gap skew updates range seed
       skew;
       update_pct = updates;
       key_range = range;
-      mode =
-        (if timeout <= 0 then Service.Per_op else Service.Group { timeout });
+      mode;
       seed;
       crash_steps = crashes;
-      cost =
-        (if dram then Nvt_nvm.Cost_model.dram else Nvt_nvm.Cost_model.nvram);
-      eviction =
-        (if eviction > 0.0 then Nvt_sim.Machine.Random_eviction eviction
-         else Nvt_sim.Machine.No_eviction);
+      cost;
+      eviction;
       domains;
       checkpoint_interval = ckpt;
       recovery_crashes;
@@ -614,7 +553,7 @@ let () =
   let run_term =
     Term.(
       const run $ structure $ policy $ threads $ ops $ range $ seed $ updates
-      $ eviction $ stall $ crashes $ dram $ trace_cap $ optimize_arg)
+      $ eviction $ stall $ crashes $ cost $ trace_cap $ optimize_arg)
   in
   let run_cmd =
     Cmd.v
@@ -640,13 +579,19 @@ let () =
                injection and an exactly-once oracle")
       Term.(
         const serve $ svc_structure $ svc_policy $ shards $ clients $ requests
-        $ gap $ skew $ updates $ range $ seed $ commit_timeout
-        $ crashes $ eviction $ dram $ svc_domains $ ckpt $ recovery_crashes
+        $ gap $ skew $ updates $ range $ seed $ mode
+        $ crashes $ eviction $ cost $ svc_domains $ ckpt $ recovery_crashes
         $ multi_pct $ multi_k $ rmw_pct $ detect_flag $ optimize_arg)
   in
+  let cmd =
+    Cmd.group ~default:run_term
+      (Cmd.info "nvtsim"
+         ~doc:"Crash laboratory for durable lock-free data structures")
+      [ run_cmd; mutate_cmd; serve_cmd ]
+  in
+  (* a parse error is a usage error, exit 2 like every other one *)
   exit
-    (Cmd.eval
-       (Cmd.group ~default:run_term
-          (Cmd.info "nvtsim"
-             ~doc:"Crash laboratory for durable lock-free data structures")
-          [ run_cmd; mutate_cmd; serve_cmd ]))
+    (match Cmd.eval_value cmd with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

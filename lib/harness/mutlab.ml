@@ -880,6 +880,8 @@ let gate_of (r : report) : gate =
           | _ -> ())
         fr.sites)
     r.flavours;
+  (* a battery that ran no flavour checked nothing, and must not pass *)
+  if r.flavours = [] then control := [ ("*", "*", "no flavour battery ran") ];
   { unexpected_unkilled = List.rev !unexpected;
     stale_expectations = List.rev !stale;
     control_failures = List.rev !control }

@@ -114,6 +114,7 @@ type report = {
   applies : int;  (* store applications, including crash re-sends *)
   resent : int;
   multi_puts : int;  (* requests issued as same-shard multi-puts *)
+  multi_keys : int;  (* keys those multi-puts carry, summed *)
   rmws : int;  (* requests issued as read-modify-writes *)
   dedup_acks : int;  (* re-sends answered from the ledger *)
   audit_acks : int;
@@ -707,17 +708,17 @@ let run (c : config) : report =
        era None);
 
   let sum f = Array.fold_left (fun n svc -> n + f svc) 0 services in
-  let count p =
-    Array.fold_left
-      (fun n (a : Oracle.arrival) -> if p a.a_op then n + 1 else n)
-      0 arrivals
+  let count f =
+    Array.fold_left (fun n (a : Oracle.arrival) -> n + f a.a_op) 0 arrivals
   in
   { config = c;
     acked = Oracle.acked oracle;
     applies = Oracle.applies oracle;
     resent = !resent;
-    multi_puts = count (function Service.Multi_put _ -> true | _ -> false);
-    rmws = count (function Service.Rmw _ -> true | _ -> false);
+    multi_puts = count (function Service.Multi_put _ -> 1 | _ -> 0);
+    multi_keys =
+      count (function Service.Multi_put kvs -> List.length kvs | _ -> 0);
+    rmws = count (function Service.Rmw _ -> 1 | _ -> 0);
     dedup_acks = Oracle.dedup_acks oracle;
     audit_acks = Oracle.audit_acks oracle;
     crashes_requested = List.length c.crash_steps;
@@ -762,8 +763,10 @@ let pp_report ppf r =
     "  acked %d/%d  applies %d  resent %d  dedup %d  audit %d@,"
     r.acked c.requests r.applies r.resent r.dedup_acks r.audit_acks;
   if r.multi_puts > 0 || r.rmws > 0 then
-    Format.fprintf ppf "  mixed ops: %d multi-put(%d keys)  %d rmw@,"
-      r.multi_puts c.multi_k r.rmws;
+    Format.fprintf ppf "  mixed ops: %d multi-put(%g keys)  %d rmw@,"
+      r.multi_puts
+      (float_of_int r.multi_keys /. float_of_int (max 1 r.multi_puts))
+      r.rmws;
   Format.fprintf ppf "  crashes %d/%d  eras %d  steps %d  makespan %d@,"
     r.crashes_fired r.crashes_requested r.eras r.steps r.makespan;
   if c.checkpoint_interval > 0 || r.recovery_crashes_requested > 0 then

@@ -89,6 +89,9 @@ type report = {
   applies : int;
   resent : int;
   multi_puts : int;  (** requests issued as same-shard multi-puts *)
+  multi_keys : int;
+      (** keys those multi-puts carry, summed: [multi_k] per batch
+          unless the shard's key pool is smaller *)
   rmws : int;  (** requests issued as read-modify-writes *)
   dedup_acks : int;
   audit_acks : int;

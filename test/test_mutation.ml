@@ -237,6 +237,13 @@ let gate_passes () =
   Alcotest.(check int) "no control failures" 0
     (List.length g.control_failures)
 
+(* A report that ran no flavour checked nothing: its gate fails. *)
+let empty_gate_fails () =
+  let g =
+    Mutlab.gate_of { scale_name = "quick"; optimized = false; flavours = [] }
+  in
+  Alcotest.(check bool) "gate ok" false (Mutlab.gate_ok g)
+
 let suite =
   [ Alcotest.test_case "volatile flavour is a negative control" `Quick
       volatile_control;
@@ -248,4 +255,6 @@ let suite =
       json_round_trip;
     Alcotest.test_case "a report disagreeing with its verdicts is rejected"
       `Quick inconsistent_report_rejected;
-    Alcotest.test_case "quick gate passes" `Quick gate_passes ]
+    Alcotest.test_case "quick gate passes" `Quick gate_passes;
+    Alcotest.test_case "a report with no flavours fails the gate" `Quick
+      empty_gate_fails ]

@@ -629,6 +629,32 @@ let report_prints_effective_domains () =
               dist=zipf(0.99)"
     header
 
+(* A multi-put carries at most its shard's key pool: over one shard of
+   eight keys every batch of twenty is cut to those eight, and the
+   report counts and prints the keys the batches carried, not
+   [multi_k]. *)
+let multi_put_keys_capped () =
+  let r =
+    Runner.run
+      { base with
+        shards = 1;
+        key_range = 8;
+        multi_k = 20;
+        multi_pct = 50;
+        requests = 40 }
+  in
+  check_clean "multi_k=20 over 8 keys" r;
+  if r.multi_puts = 0 then Alcotest.fail "no multi-puts issued";
+  Alcotest.(check int) "keys carried" (8 * r.multi_puts) r.multi_keys;
+  let mixed =
+    String.split_on_char '\n' (Format.asprintf "%a" Runner.pp_report r)
+    |> List.filter (String.starts_with ~prefix:"  mixed ops:")
+  in
+  Alcotest.(check (list string))
+    "mixed-ops line"
+    [ Printf.sprintf "  mixed ops: %d multi-put(8 keys)  0 rmw" r.multi_puts ]
+    mixed
+
 (* ---- the oracle's checks, fed by hand: no machine ---- *)
 
 (* A clean three-request stream on one shard — client 0 puts key 1 and
@@ -1255,6 +1281,8 @@ let suite =
       reconcile_order_golden;
     Alcotest.test_case "the report prints the effective domain count" `Quick
       report_prints_effective_domains;
+    Alcotest.test_case "multi-puts report the keys they carry" `Quick
+      multi_put_keys_capped;
     Alcotest.test_case "oracle: every check fires on its seeded bug" `Quick
       oracle_checks;
     Alcotest.test_case "oracle: violations past 32 are counted" `Quick
