@@ -4,13 +4,15 @@
    shared-memory access; the scheduler always resumes the runnable thread
    with the least accumulated virtual time (ties to the lowest tid), so
    execution is a faithful discrete-event simulation of parallel threads
-   under the cost model. The runnable threads live in an indexed min-heap
+   under the cost model. The runnable threads live in a winner tree
    ({!Sched_heap}) keyed on (vtime, tid): this scheduler runs at every
    shared-memory step of every benchmark panel, so its cost is the floor
    on simulation speed — see the benchmark suite's [machine.steps_per_s]
    (bench/suite). One loop, [advance_to], executes every step: the
-   thread that runs stays at the heap root, and a single heap call after
-   its step re-keys it and names the next root.
+   thread that runs stays in the tree, and a single tree call after its
+   step re-keys it and names the next root. A thread that yields parks
+   its continuation in the [Suspended] block it already has, so a yield
+   allocates nothing beyond the continuation the runtime makes.
 
    Every shared mutable word is a [cell] holding both a volatile value
    (what reads and writes touch) and a persistent value (what survives a
@@ -95,7 +97,7 @@ let no_pending = Pending (dummy_cell, (), 0)
    predicate holds. *)
 type thread_state =
   | Ready of (unit -> unit)
-  | Suspended of (unit, unit) Effect.Deep.continuation
+  | Suspended of { mutable k : (unit, unit) Effect.Deep.continuation }
   | Waiting of (unit, unit) Effect.Deep.continuation * int * (unit -> bool)
   | Finished
   | Failed of exn * Printexc.raw_backtrace
@@ -558,8 +560,8 @@ let set_scheduler m f = m.scheduler <- Some f
 let clear_scheduler m = m.scheduler <- None
 
 (* A scheduler override's choice of the next tid (-1: nothing is
-   runnable). The pick stays in the heap like the default root does;
-   the step loop's heap call re-keys it wherever it sits. *)
+   runnable). The pick stays in the tree like the default root does;
+   the step loop's tree call re-keys it wherever it sits. *)
 let pick_override m choose =
   match Sched_heap.tids_ascending m.heap with
   | [] -> -1
@@ -595,10 +597,18 @@ let maybe_evict m =
     end
 
 (* Built once per thread, at its first step. The [Yield] case returns
-   the same preallocated [Some suspend] at every yield; a [Wait] (one
-   per idle period, not per step) allocates its own. *)
+   the same preallocated [Some suspend] at every yield, and a thread
+   that yields again from [Suspended] parks the new continuation in
+   the block it already has; a [Wait] (one per idle period, not per
+   step) allocates its own. *)
 let handler th =
-  let suspend = Some (fun k -> th.state <- Suspended k) in
+  let suspend =
+    Some
+      (fun k ->
+        match th.state with
+        | Suspended s -> s.k <- k
+        | _ -> th.state <- Suspended { k })
+  in
   { Effect.Deep.retc = (fun () -> th.state <- Finished);
     exnc =
       (fun e ->
@@ -621,7 +631,7 @@ let crash m =
       (if th.tid <> m.running then
          (* the running fiber, if any, is the caller: not torn down *)
          match th.state with
-         | Suspended k | Waiting (k, _, _) ->
+         | Suspended { k } | Waiting (k, _, _) ->
            m.running <- th.tid;
            (try Effect.Deep.discontinue k Crashed with Crashed -> ());
            th.state <- Finished;
@@ -685,9 +695,9 @@ let do_crash m t =
   m.crash_at_step <- None
 
 (* The scheduler: every step of every run goes through this one loop.
-   [next] is the heap root as the previous step's heap call left it
+   [next] is the tree's root as the previous step's tree call left it
    (-1: nothing runnable); a scheduler override ignores it and picks
-   its own. The stepped thread stays in the heap throughout — at the
+   its own. The stepped thread stays in the tree throughout — at the
    root on the default schedule — and [Sched_heap.reschedule] re-keys
    it (or drops it when it finished) and returns the next root.
 
@@ -741,7 +751,7 @@ let advance_to m ~time =
           maybe_evict m;
           m.running <- tid;
           (match th.state with
-          | Suspended k -> Effect.Deep.continue k ()
+          | Suspended { k } -> Effect.Deep.continue k ()
           | Waiting (k, n, until) ->
             if until () then Effect.Deep.continue k () else charge m n
           | Ready f -> Effect.Deep.match_with f () (handler th)

@@ -1,164 +1,143 @@
-(* An indexed min-heap of runnable thread ids keyed by
-   (vtime, tid), lexicographically — exactly the scheduler's
-   least-virtual-time / lowest-tid tie-break, so the root is the same
-   thread the old linear scan over the thread list selected, found in
-   O(1) and rescheduled in O(log n) instead of O(n) per step.
-
-   "Indexed" means a positions array mapping tid -> heap slot, giving
-   O(1) membership tests and O(log n) removal of an arbitrary tid — the
-   operation the explorer's scheduler override needs. Tids are small
-   dense integers (the machine allocates them sequentially and never
-   reuses them), so the positions array is grown by doubling and old,
-   finished tids simply keep a -1 slot.
+(* The runnable thread ids keyed by (vtime, tid), lexicographically —
+   exactly the scheduler's least-virtual-time / lowest-tid tie-break.
 
    This is the simulator's hottest data structure: one {!reschedule}
-   per scheduling step of every benchmark, so the representation is
-   tuned.
-   Each element is a single int [(vtime lsl 20) lor tid] — unsigned
-   packing keeps integer comparison identical to lexicographic
-   (vtime, tid) comparison while halving the loads per sift level — and
-   the sifts move a hole instead of swapping (one store per level, not
-   three). The packing bounds tids below 2^20 and vtimes below 2^42;
-   [add]/[reschedule] enforce both, and no simulation gets anywhere
-   near either (vtime grows by at most a few hundred cost units per
-   step).
+   per scheduling step of every benchmark. It is a winner (tournament)
+   tree over thread slots:
+   - a key is one int [(vtime lsl 20) lor tid]: integer order is
+     lexicographic (vtime, tid) order, and keys are unique, so the root
+     is the same tid for any tree shape;
+   - leaves are slots, taken from a free list and given back when their
+     thread finishes, so the tree is as wide as the most threads ever
+     live at once, not the highest tid; an empty slot holds [empty];
+   - an internal node holds the least of its two children, computed
+     without a branch, so a re-key writes a leaf and recomputes its
+     fixed-length path to the root: log2(width) steps and no
+     data-dependent branch for the CPU to mispredict;
+   - [slot] maps a tid to its slot (-1 when absent), grown by doubling.
 
-   The [Array.unsafe_*] accesses in the sifts are justified by the
-   structure's invariants: slot indices are bounded by [size <= length
-   keys], and every tid unpacked from a stored key had [pos] grown to
-   cover it when it was added. *)
+   The packing bounds tids below 2^20 and vtimes below 2^42 - 1, which
+   keeps every key strictly below [empty]; [add] and [reschedule]
+   enforce both. The [Array.unsafe_*] accesses are in bounds by the
+   tree's shape: a leaf index is below [2 * width = length tree] and
+   its path to the root only shrinks it. *)
 
 let tid_bits = 20
 let tid_mask = (1 lsl tid_bits) - 1
-let max_vtime = max_int lsr tid_bits
+let max_vtime = (max_int lsr tid_bits) - 1
+let empty = max_int
+let sign_shift = Sys.int_size - 1
 
 type t = {
-  mutable keys : int array;  (* (vtime lsl tid_bits) lor tid per slot *)
-  mutable pos : int array;  (* tid -> heap slot; -1 when absent *)
-  mutable size : int;
+  mutable width : int;  (* leaves; a power of two *)
+  mutable tree : int array;
+      (* the root at 1, node [i]'s children at [2i] and [2i + 1], slot
+         [s]'s leaf at [width + s] *)
+  mutable slot : int array;  (* tid -> slot; -1 when absent *)
+  mutable free : int array;  (* free slots, the next one on top *)
+  mutable nfree : int;
 }
 
+(* Put the [nfree] highest slots on the free list, the lowest of them
+   on top. *)
+let refill t nfree =
+  t.free <- Array.init t.width (fun i -> t.width - 1 - i);
+  t.nfree <- nfree
+
 let create () =
-  { keys = Array.make 8 0; pos = Array.make 8 (-1); size = 0 }
+  let t =
+    { width = 8; tree = Array.make 16 empty; slot = Array.make 8 (-1);
+      free = [||]; nfree = 0 }
+  in
+  refill t 8;
+  t
 
-let mem t ~tid = tid >= 0 && tid < Array.length t.pos && t.pos.(tid) >= 0
+let slot_of t tid =
+  if tid >= 0 && tid < Array.length t.slot then Array.unsafe_get t.slot tid
+  else -1
 
-(* The tree is 4-ary: children of [i] are [4i+1 .. 4i+4]. Half the
-   levels of a binary heap at the 32–64-thread sizes the benchmarks
-   sweep, and the min-child scan reads adjacent words — measurably
-   faster than binary for this workload. Packed keys are unique (the
-   tid is in the low bits), so which element pops is the same for any
-   heap arity; only the internal layout differs. *)
+let mem t ~tid = slot_of t tid >= 0
 
-(* Move the hole at [i] up until [key] fits, then fill it. *)
-let sift_up t i key =
-  let keys = t.keys and pos = t.pos in
-  let i = ref i in
-  let stop = ref false in
-  while (not !stop) && !i > 0 do
-    let p = (!i - 1) lsr 2 in
-    let pk = Array.unsafe_get keys p in
-    if pk > key then begin
-      Array.unsafe_set keys !i pk;
-      Array.unsafe_set pos (pk land tid_mask) !i;
-      i := p
-    end
-    else stop := true
+(* Write [key] at slot [s]'s leaf and recompute its path to the root:
+   the parent of [k] and its sibling [b] is [b + min (k - b) 0]. Keys
+   lie in [0, empty], so the difference never overflows. *)
+let set t s key =
+  let tree = t.tree in
+  let i = ref (t.width + s) and k = ref key in
+  Array.unsafe_set tree !i key;
+  while !i > 1 do
+    let b = Array.unsafe_get tree (!i lxor 1) in
+    let d = !k - b in
+    k := b + (d land (d asr sign_shift));
+    i := !i lsr 1;
+    Array.unsafe_set tree !i !k
+  done
+
+(* Double the width: the leaves keep their slots and the new slots are
+   free. *)
+let grow_tree t =
+  let w = 2 * t.width in
+  let tree = Array.make (2 * w) empty in
+  Array.blit t.tree t.width tree w t.width;
+  for i = w - 1 downto 1 do
+    tree.(i) <- min tree.(2 * i) tree.(2 * i + 1)
   done;
-  Array.unsafe_set keys !i key;
-  Array.unsafe_set pos (key land tid_mask) !i
+  t.tree <- tree;
+  t.width <- w;
+  refill t (w / 2)
 
-(* Move the hole at [i] down until [key] fits, then fill it. *)
-let sift_down t i key =
-  let keys = t.keys and pos = t.pos in
-  let n = t.size in
-  let i = ref i in
-  let stop = ref false in
-  while (not !stop) && (!i lsl 2) + 1 < n do
-    let base = (!i lsl 2) + 1 in
-    let last = if base + 3 < n then base + 3 else n - 1 in
-    let c = ref base in
-    let ck = ref (Array.unsafe_get keys base) in
-    for j = base + 1 to last do
-      let kj = Array.unsafe_get keys j in
-      if kj < !ck then begin
-        c := j;
-        ck := kj
-      end
-    done;
-    if !ck < key then begin
-      Array.unsafe_set keys !i !ck;
-      Array.unsafe_set pos (!ck land tid_mask) !i;
-      i := !c
-    end
-    else stop := true
-  done;
-  Array.unsafe_set keys !i key;
-  Array.unsafe_set pos (key land tid_mask) !i
-
-let grow a fresh n =
-  let len = ref (max 8 (Array.length a)) in
-  while !len <= n do
-    len := 2 * !len
-  done;
-  let b = Array.make !len fresh in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let check_vtime fn vtime =
-  if vtime < 0 || vtime > max_vtime then
-    invalid_arg (Printf.sprintf "Sched_heap.%s: vtime %d out of range" fn vtime)
+let bad_vtime fn vtime =
+  invalid_arg (Printf.sprintf "Sched_heap.%s: vtime %d out of range" fn vtime)
 
 let add t ~vtime ~tid =
   if tid < 0 || tid > tid_mask then
     invalid_arg (Printf.sprintf "Sched_heap.add: tid %d out of range" tid);
-  check_vtime "add" vtime;
+  if vtime < 0 || vtime > max_vtime then bad_vtime "add" vtime;
   if mem t ~tid then
     invalid_arg (Printf.sprintf "Sched_heap.add: tid %d already present" tid);
-  if tid >= Array.length t.pos then t.pos <- grow t.pos (-1) tid;
-  if t.size >= Array.length t.keys then t.keys <- grow t.keys 0 t.size;
-  let i = t.size in
-  t.size <- i + 1;
-  sift_up t i ((vtime lsl tid_bits) lor tid)
+  if tid >= Array.length t.slot then begin
+    let b = Array.make (max (tid + 1) (2 * Array.length t.slot)) (-1) in
+    Array.blit t.slot 0 b 0 (Array.length t.slot);
+    t.slot <- b
+  end;
+  if t.nfree = 0 then grow_tree t;
+  t.nfree <- t.nfree - 1;
+  let s = t.free.(t.nfree) in
+  t.slot.(tid) <- s;
+  set t s ((vtime lsl tid_bits) lor tid)
 
-(* Remove the element at heap slot [i], restoring the heap property. *)
-let remove_slot t i =
-  let last = t.size - 1 in
-  t.pos.(t.keys.(i) land tid_mask) <- -1;
-  t.size <- last;
-  if i < last then begin
-    let key = t.keys.(last) in
-    (* the displaced last element may belong above or below slot [i] *)
-    sift_up t i key;
-    sift_down t t.pos.(key land tid_mask) key
-  end
+let root t =
+  let k = Array.unsafe_get t.tree 1 in
+  if k = empty then -1 else k land tid_mask
 
-let min_tid t = if t.size = 0 then None else Some (t.keys.(0) land tid_mask)
+let min_tid t = match root t with -1 -> None | tid -> Some tid
 
-(* The machine's one heap call per step. Keys only grow (vtime is
-   monotone), so sifting down from the tid's slot suffices — slot 0 on
-   the default schedule, where the thread that ran is the root. *)
+(* The machine's one call per step: a runnable tid is re-keyed in place
+   (or added), a finished one gives its slot back. *)
 let reschedule t ~tid ~vtime ~runnable =
-  if runnable && (vtime < 0 || vtime > max_vtime) then
-    check_vtime "reschedule" vtime;
-  (if mem t ~tid then
-     if runnable then sift_down t t.pos.(tid) ((vtime lsl tid_bits) lor tid)
-     else remove_slot t t.pos.(tid)
-   else if runnable then add t ~vtime ~tid);
-  if t.size = 0 then -1 else Array.unsafe_get t.keys 0 land tid_mask
+  let s = slot_of t tid in
+  if runnable then begin
+    if vtime < 0 || vtime > max_vtime then bad_vtime "reschedule" vtime;
+    if s >= 0 then set t s ((vtime lsl tid_bits) lor tid)
+    else add t ~vtime ~tid
+  end
+  else if s >= 0 then begin
+    set t s empty;
+    t.slot.(tid) <- -1;
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+  end;
+  root t
+
+(* The occupied leaves' tids, in no particular order. *)
+let live t =
+  List.filter_map
+    (fun k -> if k = empty then None else Some (k land tid_mask))
+    (Array.to_list (Array.sub t.tree t.width t.width))
 
 let clear t =
-  for i = 0 to t.size - 1 do
-    t.pos.(t.keys.(i) land tid_mask) <- -1
-  done;
-  t.size <- 0
+  List.iter (fun tid -> t.slot.(tid) <- -1) (live t);
+  Array.fill t.tree 0 (Array.length t.tree) empty;
+  refill t t.width
 
-(* Ascending tid order, as the explorer's scheduler override expects.
-   O(max_tid): a scan of the positions array, which is exactly as large
-   as the highest tid ever seen. *)
-let tids_ascending t =
-  let acc = ref [] in
-  for tid = Array.length t.pos - 1 downto 0 do
-    if t.pos.(tid) >= 0 then acc := tid :: !acc
-  done;
-  !acc
+let tids_ascending t = List.sort compare (live t)

@@ -165,8 +165,11 @@ let golden_of m log =
 
 (* (a) The list-traverse workload's shape: a Harris list under the nvt
    policy, 8 threads, jitter 2 — long runs of reads by one thread
-   between persistence instructions, so nearly every step is the
-   running thread staying at the heap root. *)
+   between persistence instructions. Even so, the thread that ran is
+   the next root in only 3 197 of the 18 790 steps here (17%), and in
+   170 457 of 10 306 596 on the list-traverse benchmark (1.7%): a
+   step's cost usually carries the runner's key past another
+   thread's. *)
 let list_scenario drive =
   let module S = Hl.Durable in
   let log = ref [] in
@@ -230,6 +233,55 @@ let golden_evict_stall =
   { steps = 628; hash = 33794337882534; makespan = 9319; flushes = 148;
     fences = 157 }
 
+(* (c) The hash-update workload's shape at the scheduler's full depth:
+   a hash table under the nvt policy, 64 threads at 50% updates, jitter
+   2 and random eviction, crashed by step, recovered, and a second era
+   of 64 threads that reuses the first era's slots. *)
+let hash_scenario drive =
+  let module S = Ht.Durable in
+  let log = ref [] in
+  let m =
+    Machine.create ~seed:37 ~cost:Cost_model.nvram
+      ~eviction:(Machine.Random_eviction 0.01) ~jitter:2 ()
+  in
+  Machine.set_schedule_hook m (Some (fun s t -> log := (s, t) :: !log));
+  let s = S.create_sized 64 in
+  for k = 0 to 127 do
+    ignore (S.insert s ~key:(2 * k) ~value:k)
+  done;
+  Machine.persist_all m;
+  let era ~seed =
+    for t = 0 to 63 do
+      ignore
+        (Machine.spawn m (fun () ->
+             let rng = Random.State.make [| seed; t |] in
+             for _ = 1 to 20 do
+               let k = Random.State.int rng 256 in
+               match Random.State.int rng 4 with
+               | 0 -> ignore (S.insert s ~key:k ~value:t)
+               | 1 -> ignore (S.delete s k)
+               | _ -> ignore (S.member s k)
+             done))
+    done
+  in
+  era ~seed:41;
+  Machine.set_crash_at_step m 6000;
+  (match drive m with
+  | Machine.Crashed_at _ -> ()
+  | Machine.Completed -> Alcotest.fail "hash scenario: expected the crash");
+  S.recover s;
+  era ~seed:43;
+  (match drive m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "hash scenario: unexpected crash");
+  S.check_invariants s;
+  golden_of m !log
+
+(* Recorded from the 4-ary heap scheduler the winner tree replaced. *)
+let golden_hash_64 =
+  { steps = 22456; hash = 15092890951901; makespan = 17474; flushes = 6734;
+    fences = 4968 }
+
 let check_golden name expect got =
   if got <> expect then
     Alcotest.failf "%s diverged:\nexpected %s\ngot      %s" name
@@ -242,7 +294,10 @@ let golden_evict_stall_schedule () =
   check_golden "evict/stall scenario" golden_evict_stall
     (evict_stall_scenario by_run)
 
-(* (c) Pausing at barriers must not perturb the schedule: [advance_to]
+let golden_hash_64_schedule () =
+  check_golden "64-thread hash scenario" golden_hash_64 (hash_scenario by_run)
+
+(* (d) Pausing at barriers must not perturb the schedule: [advance_to]
    over a ladder executes exactly the steps one [run] does. *)
 let ladder_matches_run () =
   check_golden "list scenario by ladder" golden_list
@@ -426,9 +481,18 @@ let model_min model =
   | hd :: tl ->
     Some (List.fold_left (fun a b -> if b < a then b else a) hd tl)
 
+(* The key packing's limits (sched_heap.ml): tids below 2^20, vtimes
+   below 2^42 - 1, so the largest key sits just under the tree's empty
+   sentinel. *)
+let max_tid = (1 lsl 20) - 1
+let max_vtime = (max_int lsr 20) - 1
+
 (* Interpret a command list against both the heap and the model. Tids
-   are allocated sequentially and never reused, like the machine's;
-   [reschedule] only ever grows a key, like virtual time. *)
+   are allocated sequentially and never reused, like the machine's, but
+   may jump ahead past 10 000 while only a few are live, so the tree
+   reuses freed slots under ever larger tids. A re-key may also
+   shrink a key, which the machine never asks for. One tid, [max_tid],
+   comes and goes with the largest key [reschedule] accepts. *)
 let heap_agrees_with_model cmds =
   let h = H.create () in
   let model = ref [] in
@@ -473,7 +537,7 @@ let heap_agrees_with_model cmds =
           model := List.filter (fun x -> x <> e) !model;
           check (H.reschedule h ~tid ~vtime:0 ~runnable:false = root ());
           check (not (H.mem h ~tid)))
-      | _ ->
+      | 3 ->
         (* reschedule: mostly the root, as on the default schedule; also
            any present tid (an override's pick) and an absent one *)
         let target =
@@ -486,7 +550,9 @@ let heap_agrees_with_model cmds =
         let tid, vtime', rest =
           match target with
           | Some ((vtime, tid) as e) ->
-            (tid, vtime + (param mod 50), List.filter (fun x -> x <> e) !model)
+            ( tid,
+              max 0 (min max_vtime (vtime + (param mod 50) - 20)),
+              List.filter (fun x -> x <> e) !model )
           | None ->
             let tid = !next_tid in
             incr next_tid;
@@ -494,8 +560,21 @@ let heap_agrees_with_model cmds =
         in
         let r = H.reschedule h ~tid ~vtime:vtime' ~runnable in
         model := if runnable then (vtime', tid) :: rest else rest;
-        check (r = root ()))
+        check (r = root ())
+      | 4 -> next_tid := !next_tid + (param mod 1000)
+      | _ ->
+        (* the largest key comes, or goes *)
+        let present = List.exists (fun (_, t) -> t = max_tid) !model in
+        model :=
+          if present then List.filter (fun (_, t) -> t <> max_tid) !model
+          else (max_vtime, max_tid) :: !model;
+        check
+          (H.reschedule h ~tid:max_tid ~vtime:max_vtime ~runnable:(not present)
+          = root ());
+        check (H.mem h ~tid:max_tid = not present))
     cmds;
+  check
+    (H.tids_ascending h = List.sort compare (List.map snd !model));
   (* drain: finishing the root each time must yield exactly the model's
      tids, in sorted (vtime, tid) order; the budget stops a heap that
      never empties *)
@@ -520,7 +599,7 @@ let heap_cmds =
       String.concat "; "
         (List.map (fun (c, p) -> Printf.sprintf "(%d,%d)" c p) l))
     QCheck.Gen.(
-      list_size (int_bound 300) (pair (int_bound 3) (int_bound 1_000_000)))
+      list_size (int_bound 300) (pair (int_bound 5) (int_bound 1_000_000)))
 
 let heap_model_test =
   QCheck.Test.make ~count:200 ~name:"sched heap = sorted-list model"
@@ -538,6 +617,12 @@ let heap_rejects_misuse () =
   | exception Invalid_argument _ -> ());
   (match H.reschedule h ~vtime:(-1) ~tid:1 ~runnable:true with
   | _ -> Alcotest.fail "reschedule to a negative vtime must raise"
+  | exception Invalid_argument _ -> ());
+  (match H.reschedule h ~vtime:(max_vtime + 1) ~tid:1 ~runnable:true with
+  | _ -> Alcotest.fail "reschedule past the largest vtime must raise"
+  | exception Invalid_argument _ -> ());
+  (match H.add h ~vtime:0 ~tid:(max_tid + 1) with
+  | () -> Alcotest.fail "a tid past the packing must raise"
   | exception Invalid_argument _ -> ());
   Alcotest.(check int)
     "rescheduling the last tid away empties the heap" (-1)
@@ -724,6 +809,8 @@ let suite =
       golden_list_schedule;
     Alcotest.test_case "evict+stall golden schedule is reproduced exactly"
       `Quick golden_evict_stall_schedule;
+    Alcotest.test_case "64-thread hash golden schedule is reproduced exactly"
+      `Quick golden_hash_64_schedule;
     Alcotest.test_case "advance_to over a barrier ladder matches run" `Quick
       ladder_matches_run;
     Alcotest.test_case "sleep ~until matches the hand-written wait loop"
