@@ -60,12 +60,18 @@ type log = {
 type t = { logs : log array; fence : Stats.id -> unit }
 
 let create_log (module M : Nvt_nvm.Memory.S) =
+  (* Slot [s] lives at [cells.(s - off)]; every slot below [off] is
+     [None]. A checkpoint's [drop_below] empties the front of the array
+     and moves [off] past it, so the array spans the live window between
+     checkpoints rather than every slot the shard ever logged. *)
   let cells = ref (Array.make 64 (None : entry M.loc option)) in
+  let off = ref 0 in
   let index = M.alloc 0 in
   let module C = Checkpoint.Make (M) in
   let ckpt : (int * completion) C.t = C.create () in
   let cell slot =
-    match !cells.(slot) with
+    let i = slot - !off in
+    match if i < 0 || i >= Array.length !cells then None else !cells.(i) with
     | Some c -> c
     | None ->
       (* [failwith], not [invalid_arg]: with a suppressed svc:ckpt_ site
@@ -74,18 +80,13 @@ let create_log (module M : Nvt_nvm.Memory.S) =
          slot — the harnesses treat [Failure] as a recovery kill. *)
       failwith "service ledger: read of an absent slot"
   in
-  (* Every slot below [low] is [None]: [drop_below] starts its scan
-     there instead of at slot 0, which made checkpoint truncation
-     quadratic in the log length. [append_at] is the only place a slot
-     becomes [Some], so it lowers the mark when it refills one below
-     it (as appends after a [truncate] of the tail can). *)
-  let low = ref 0 in
-  (* Null cells in [lo, hi), retiring the simulated locations of those
-     actually dropped (Some -> None transitions only, so truncation
-     after a crash-interrupted recovery never double-retires). *)
+  (* Null cells at slots in [lo, hi), retiring the simulated locations
+     of those actually dropped (Some -> None transitions only, so
+     truncation after a crash-interrupted recovery never
+     double-retires). *)
   let drop lo hi =
     let dropped = ref 0 in
-    for i = lo to hi - 1 do
+    for i = max 0 (lo - !off) to min (Array.length !cells) (hi - !off) - 1 do
       match !cells.(i) with
       | Some _ ->
         !cells.(i) <- None;
@@ -94,17 +95,43 @@ let create_log (module M : Nvt_nvm.Memory.S) =
     done;
     Nvt_nvm.Memory.reclaimed !dropped
   in
-  let append_at slot e =
+  (* Widen the window to cover [slot], and return its index. *)
+  let place slot =
     let n = Array.length !cells in
-    if slot >= n then begin
-      let bigger = Array.make (max (2 * n) (slot + 1)) None in
+    if slot < !off then begin
+      (* below the window, as appends after a crash lost the commit
+         that a checkpoint's drop had passed can be: widen it down *)
+      let lower = Array.make (n + !off - slot) None in
+      Array.blit !cells 0 lower (!off - slot) n;
+      cells := lower;
+      off := slot
+    end
+    else if slot - !off >= n then begin
+      let bigger = Array.make (max (2 * n) (slot - !off + 1)) None in
       Array.blit !cells 0 bigger 0 n;
       cells := bigger
     end;
-    if slot < !low then low := slot;
-    match !cells.(slot) with
+    slot - !off
+  in
+  let append_at slot e =
+    match !cells.(place slot) with
     | Some c -> M.write c e
-    | None -> !cells.(slot) <- Some (M.alloc e)
+    | None ->
+      let c = M.alloc e in
+      (* the allocation is a machine step, in which a checkpoint may
+         move the window: place the slot again *)
+      !cells.(place slot) <- Some c
+  in
+  (* Every slot below [upto] is [None] now: shift the rest to the
+     front. *)
+  let rebase upto =
+    let a = !cells and k = upto - !off in
+    let n = Array.length a in
+    if k < n then begin
+      Array.blit a k a 0 (n - k);
+      Array.fill a (n - k) k None
+    end;
+    off := upto
   in
   { append_at;
     flush =
@@ -115,12 +142,11 @@ let create_log (module M : Nvt_nvm.Memory.S) =
         M.write index i;
         if Guard.admit Flush commit_flush_site then M.flush index);
     read_index = (fun () -> M.read index);
-    truncate = (fun from -> drop from (Array.length !cells));
+    truncate = (fun from -> drop from (!off + Array.length !cells));
     drop_below =
       (fun upto ->
-        let hi = min upto (Array.length !cells) in
-        drop !low hi;
-        if hi > !low then low := hi);
+        drop !off upto;
+        if upto > !off then rebase upto);
     write_ckpt = (fun (upto, pairs, dedup) -> C.write ckpt ~upto ~pairs ~dedup);
     read_ckpt = (fun () -> C.read ckpt);
     next_slot = 0;

@@ -4,38 +4,45 @@
    [Hashtbl] created at twice the request count and filled in arrival
    order, so that creation size and insertion order must not change.
 
-   Events find their record through a dense index, one array per client
-   indexed by seq, so no event hashes a tuple. The canonical table is
+   Per-request state is flat: a request is its arrival number, the
+   position of its arrival in the schedule, and each field is an int
+   array (or a byte string) indexed by it, so the oracle holds no block
+   per request. Events find the arrival number through a dense index,
+   one int array per client indexed by seq, so no event hashes a tuple.
+   The canonical table maps each pair to its arrival number and is
    built only on the violation path. Only acknowledged requests can
-   fail a request pass, and [ack] appends each newly acknowledged
-   record to an index, so the records with [r_acks > 0] are exactly its
-   prefix [0, completed): each pass (at every recovered point, and the
-   final one) first scans that prefix, O(acked) rather than O(table),
-   and emits nothing when it finds no violation. When it finds one, the
-   pass re-runs over the canonical table, built then from the same
-   records in the same order, so what it reports is unchanged. *)
+   fail a request pass, so each pass (at every recovered point, and the
+   final one) first scans the acknowledgement counts in arrival order,
+   a flat array rather than the table, and emits nothing when it finds
+   no violation. When it finds one, the pass re-runs over the canonical
+   table, so what it reports is unchanged. *)
 
-type arrival = { a_client : int; a_seq : int; a_op : Service.op; a_time : int }
-
-(* Per-request record. *)
-type rec_ = {
-  r_arr : arrival;
-  mutable r_acks : int;
-  mutable r_ack_res : Service.result option;
-  mutable r_applies : int;
-  mutable r_pos : (int * int) option;
-      (* (global shard, slot) of the service's commit claim — where the
-         durable-commit audit holds the ledger against the ack *)
+type arrivals = {
+  a_client : int array;
+  a_seq : int array;
+  a_op : Service.op array;
+  a_time : int array;
 }
 
 type t = {
-  index : rec_ array array;  (* [client].(seq); [absent] in the gaps *)
-  table : (int * int, rec_) Hashtbl.t Lazy.t;  (* the canonical order *)
+  arr : arrivals;
+  index : int array array;  (* [client].(seq): arrival number, -1 in gaps *)
+  table : (int * int, int) Hashtbl.t Lazy.t;  (* the canonical order *)
   requests : int;
+  acks : int array;  (* this and the next four: per arrival number *)
+  applied : int array;
+  res_tag : Bytes.t;
+  res_val : int array;
+      (* the first acknowledgement's result: byte [i] of [res_tag] is 0
+         for [Done false], 1 [Done true], 2 [Value None] and 3 [Value
+         (Some res_val.(i))]; recorded iff [acks.(i) > 0] *)
+  pos : int array;
+      (* the (global shard, slot) of the service's commit claim, packed
+         (see [shard_bits]); -1: none observed. It is where the
+         durable-commit audit holds the ledger against the ack. *)
   mutable violations : string list;  (* newest first, at most [cap] *)
   mutable reported : int;  (* including those beyond [cap] *)
   mutable completed : int;
-  acked : rec_ array;  (* [0, completed): first acknowledgement order *)
   mutable applies : int;
   mutable dedup_acks : int;
   latencies : int array;
@@ -48,50 +55,57 @@ type t = {
 
 let cap = 32
 
-let fresh a =
-  { r_arr = a; r_acks = 0; r_ack_res = None; r_applies = 0; r_pos = None }
+(* A commit position keeps the global shard in its low [shard_bits]
+   bits and the slot above them. *)
+let shard_bits = 16
+let shard_mask = (1 lsl shard_bits) - 1
 
-(* Fills [acked] beyond [completed] and the index's gaps, the seqs no
-   arrival has; never read. *)
-let absent =
-  fresh { a_client = -1; a_seq = -1; a_op = Service.Get 0; a_time = 0 }
-
-let create ~clients arrivals =
-  let requests = Array.length arrivals in
+let create ~clients (arr : arrivals) =
+  let requests = Array.length arr.a_client in
+  if
+    Array.length arr.a_seq <> requests
+    || Array.length arr.a_op <> requests
+    || Array.length arr.a_time <> requests
+  then invalid_arg "Oracle.create: arrival arrays of different lengths";
   let len = Array.make clients 0 in
-  Array.iter
-    (fun a ->
-      let reject why =
-        invalid_arg
-          (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s"
-             a.a_client a.a_seq why)
-      in
-      if a.a_client < 0 || a.a_client >= clients then
-        reject (Printf.sprintf "has a client outside [0, %d)" clients)
-      else if a.a_seq < 0 then reject "has a negative seq";
-      len.(a.a_client) <- max len.(a.a_client) (a.a_seq + 1))
-    arrivals;
-  let index = Array.map (fun n -> Array.make n absent) len in
+  for i = 0 to requests - 1 do
+    let c = arr.a_client.(i) and s = arr.a_seq.(i) in
+    let reject why =
+      invalid_arg
+        (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s" c s why)
+    in
+    if c < 0 || c >= clients then
+      reject (Printf.sprintf "has a client outside [0, %d)" clients)
+    else if s < 0 then reject "has a negative seq";
+    len.(c) <- max len.(c) (s + 1)
+  done;
+  let index = Array.map (fun n -> Array.make n (-1)) len in
   (* a repeated (client, seq) keeps its last arrival, as the table's
      [replace] does *)
-  Array.iter (fun a -> index.(a.a_client).(a.a_seq) <- fresh a) arrivals;
+  for i = 0 to requests - 1 do
+    index.(arr.a_client.(i)).(arr.a_seq.(i)) <- i
+  done;
   let table =
     lazy
       (let recs = Hashtbl.create (2 * requests) in
-       Array.iter
-         (fun a ->
-           Hashtbl.replace recs (a.a_client, a.a_seq)
-             index.(a.a_client).(a.a_seq))
-         arrivals;
+       for i = 0 to requests - 1 do
+         let c = arr.a_client.(i) and s = arr.a_seq.(i) in
+         Hashtbl.replace recs (c, s) index.(c).(s)
+       done;
        recs)
   in
-  { index;
+  { arr;
+    index;
     table;
     requests;
+    acks = Array.make requests 0;
+    applied = Array.make requests 0;
+    res_tag = Bytes.make requests '\000';
+    res_val = Array.make requests 0;
+    pos = Array.make requests (-1);
     violations = [];
     reported = 0;
     completed = 0;
-    acked = Array.make requests absent;
     applies = 0;
     dedup_acks = 0;
     latencies = Array.make requests 0;
@@ -113,76 +127,102 @@ let violations t =
   if t.reported <= cap then vs
   else vs @ [ Printf.sprintf "… and %d more violations" (t.reported - cap) ]
 
+(* The arrival number of [(client, seq)], or -1. *)
 let lookup t client seq =
-  if client < 0 || client >= Array.length t.index then None
+  if client < 0 || client >= Array.length t.index then -1
   else
     let a = t.index.(client) in
-    if seq < 0 || seq >= Array.length a || a.(seq) == absent then None
-    else Some a.(seq)
+    if seq < 0 || seq >= Array.length a then -1 else a.(seq)
 
 let find t (r : Service.request) =
-  match lookup t r.client r.seq with
-  | Some x -> Some x
-  | None ->
+  let i = lookup t r.client r.seq in
+  if i < 0 then
     violation t "unknown request client=%d seq=%d" r.client r.seq;
-    None
+  i
+
+let record_result t i (res : Service.result) =
+  Bytes.set_uint8 t.res_tag i
+    (match res with
+    | Done false -> 0
+    | Done true -> 1
+    | Value None -> 2
+    | Value (Some v) ->
+      t.res_val.(i) <- v;
+      3)
+
+let recorded_result t i : Service.result option =
+  if t.acks.(i) = 0 then None
+  else
+    Some
+      (match Bytes.get_uint8 t.res_tag i with
+      | 0 -> Done false
+      | 1 -> Done true
+      | 2 -> Value None
+      | _ -> Value (Some t.res_val.(i)))
 
 (* ---- events ---- *)
 
 let apply t (req : Service.request) =
   t.applies <- t.applies + 1;
-  match find t req with
-  | None -> ()
-  | Some x ->
-    x.r_applies <- x.r_applies + 1;
+  let i = find t req in
+  if i >= 0 then begin
+    t.applied.(i) <- t.applied.(i) + 1;
     if t.audit then
       violation t "audit: client=%d seq=%d re-applied after final ack"
         req.client req.seq
-    else if x.r_acks > 0 then
+    else if t.acks.(i) > 0 then
       violation t "client=%d seq=%d applied after acknowledgement" req.client
         req.seq
+  end
 
-let commit t req ~shard ~slot =
-  match find t req with None -> () | Some x -> x.r_pos <- Some (shard, slot)
+let commit t (req : Service.request) ~shard ~slot =
+  if shard < 0 || shard > shard_mask || slot < 0 then
+    invalid_arg
+      (Printf.sprintf "Oracle.commit: client=%d seq=%d at shard %d slot %d"
+         req.client req.seq shard slot);
+  let i = find t req in
+  if i >= 0 then t.pos.(i) <- (slot lsl shard_bits) lor shard
 
 let pp_result_opt = function
   | Some r -> Format.asprintf "%a" Service.pp_result r
   | None -> "nothing"
 
 let ack t (req : Service.request) res ~dedup ~time =
-  match find t req with
-  | None -> false
-  | Some x when t.audit ->
+  let i = find t req in
+  if i < 0 then false
+  else if t.audit then begin
     if not dedup then
       violation t "audit: client=%d seq=%d fresh ack, expected dedup"
         req.client req.seq;
-    if x.r_ack_res <> Some res then
+    let recorded = recorded_result t i in
+    if recorded <> Some res then
       violation t "audit: client=%d seq=%d answered %s, recorded %s" req.client
-        req.seq (pp_result_opt (Some res)) (pp_result_opt x.r_ack_res);
+        req.seq (pp_result_opt (Some res)) (pp_result_opt recorded);
     t.audit_acks <- t.audit_acks + 1;
     false
-  | Some x ->
+  end
+  else begin
     if dedup then t.dedup_acks <- t.dedup_acks + 1;
-    x.r_acks <- x.r_acks + 1;
-    if x.r_acks > 1 then begin
+    t.acks.(i) <- t.acks.(i) + 1;
+    if t.acks.(i) > 1 then begin
       violation t "client=%d seq=%d acknowledged twice" req.client req.seq;
       false
     end
     else begin
-      x.r_ack_res <- Some res;
-      t.latencies.(t.completed) <- time - x.r_arr.a_time;
-      t.acked.(t.completed) <- x;
+      record_result t i res;
+      t.latencies.(t.completed) <- time - t.arr.a_time.(i);
       t.completed <- t.completed + 1;
       if req.seq > t.last_acked.(req.client) then
         t.last_acked.(req.client) <- req.seq;
       true
     end
+  end
 
 (* ---- recovered quiescent points ---- *)
 
 (* Does [p] hold for some acknowledged request? *)
 let any_acked t p =
-  let rec go i = i < t.completed && (p t.acked.(i) || go (i + 1)) in
+  let rec go i = i < t.requests && ((t.acks.(i) > 0 && p i) || go (i + 1)) in
   go 0
 
 (* Durable-commit audit: every request acknowledged before the crash
@@ -202,26 +242,27 @@ let check_recovered t (durable : Service.durable array) ~status =
       (fun (d : Service.durable) -> d.dv_base + List.length d.dv_log)
       durable
   in
-  let lost x =
-    match x.r_pos with Some (gs, slot) -> slot >= extent.(gs) | None -> true
+  let lost i =
+    let p = t.pos.(i) in
+    p < 0 || p lsr shard_bits >= extent.(p land shard_mask)
   in
   if any_acked t lost then
     Hashtbl.iter
-      (fun (cl, sq) x ->
-        if x.r_acks > 0 then
-          match x.r_pos with
-          | Some (gs, slot) when slot >= extent.(gs) ->
+      (fun (cl, sq) i ->
+        if t.acks.(i) > 0 then
+          let p = t.pos.(i) in
+          let gs = p land shard_mask and slot = p lsr shard_bits in
+          if p < 0 then
+            violation t
+              "recovery: client=%d seq=%d acknowledged without an observed \
+               commit"
+              cl sq
+          else if slot >= extent.(gs) then
             violation t
               "recovery: client=%d seq=%d acknowledged at shard %d slot %d \
                but the recovered commit extent is %d — acknowledged work \
                lost"
-              cl sq gs slot extent.(gs)
-          | Some _ -> ()
-          | None ->
-            violation t
-              "recovery: client=%d seq=%d acknowledged without an observed \
-               commit"
-              cl sq)
+              cl sq gs slot extent.(gs))
       (Lazy.force t.table);
   (* Detect mode's own obligation: every acknowledged request must
      answer [Completed] to the status query of the slice that owns its
@@ -231,16 +272,17 @@ let check_recovered t (durable : Service.durable array) ~status =
      it. *)
   Option.iter
     (fun status ->
-      let unfinished { r_arr = a; _ } =
-        match status ~client:a.a_client ~seq:a.a_seq a.a_op with
+      let a = t.arr in
+      let unfinished i =
+        match status ~client:a.a_client.(i) ~seq:a.a_seq.(i) a.a_op.(i) with
         | Nvt_nvm.Detectable.Completed -> false
         | _ -> true
       in
       if any_acked t unfinished then
         Hashtbl.iter
-          (fun (cl, sq) x ->
-            if x.r_acks > 0 then
-              match status ~client:cl ~seq:sq x.r_arr.a_op with
+          (fun (cl, sq) i ->
+            if t.acks.(i) > 0 then
+              match status ~client:cl ~seq:sq a.a_op.(i) with
               | Nvt_nvm.Detectable.Completed -> ()
               | st ->
                 violation t
@@ -358,20 +400,21 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
     | Some s -> sq <= s
     | None -> false
   in
-  let applied_not_once x = crash_free && x.r_applies <> 1 in
+  let applied_not_once i = crash_free && t.applied.(i) <> 1 in
   if
-    any_acked t (fun x ->
-        (not (vouched x.r_arr.a_client x.r_arr.a_seq)) || applied_not_once x)
+    any_acked t (fun i ->
+        (not (vouched t.arr.a_client.(i) t.arr.a_seq.(i)))
+        || applied_not_once i)
   then
     Hashtbl.iter
-      (fun (cl, sq) x ->
-        if x.r_acks > 0 then begin
+      (fun (cl, sq) i ->
+        if t.acks.(i) > 0 then begin
           if not (vouched cl sq) then
             violation t "client=%d seq=%d acknowledged but not committed" cl
               sq;
-          if applied_not_once x then
+          if applied_not_once i then
             violation t "crash-free: client=%d seq=%d applied %d times" cl sq
-              x.r_applies
+              t.applied.(i)
         end)
       (Lazy.force t.table);
   let actual = List.sort Types.compare_pair contents in
@@ -409,10 +452,9 @@ let start_audit t =
     let seq = t.last_acked.(client) in
     if seq >= 0 then begin
       t.audit_expected <- t.audit_expected + 1;
-      match lookup t client seq with
-      | Some x ->
-        resend := { Service.client; seq; op = x.r_arr.a_op } :: !resend
-      | None -> ()
+      let i = lookup t client seq in
+      if i >= 0 then
+        resend := { Service.client; seq; op = t.arr.a_op.(i) } :: !resend
     end
   done;
   !resend

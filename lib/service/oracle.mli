@@ -11,16 +11,29 @@
     once; and, in the audit phase, that every client's last acknowledged
     request re-sent is answered from the ledger, unchanged. *)
 
-type arrival = { a_client : int; a_seq : int; a_op : Service.op; a_time : int }
+type arrivals = {
+  a_client : int array;
+  a_seq : int array;
+  a_op : Service.op array;
+  a_time : int array;  (** scheduled arrival time *)
+}
+(** A run's arrival schedule, one column per field: arrival [i] is
+    client [a_client.(i)]'s request [a_seq.(i)], scheduled at
+    [a_time.(i)]. The index [i] is the request's {e arrival number}. *)
 
 type t
 
-val create : clients:int -> arrival array -> t
+val create : clients:int -> arrivals -> t
 (** The oracle for a run whose [clients] sessions issue exactly these
-    requests. Raises [Invalid_argument] naming an arrival whose client
-    lies outside [\[0, clients)] or whose seq is negative. Events are
-    looked up per client by seq, so the index holds one word for every
-    seq up to each client's highest. *)
+    requests. It keeps the schedule (shared, not copied) and its own
+    per-request state in flat arrays indexed by arrival number, about
+    eight words per request besides the schedule. Raises
+    [Invalid_argument] if the columns differ in length, or naming an
+    arrival whose client lies outside [\[0, clients)] or whose seq is
+    negative. Events find their arrival number per client by seq, so
+    the index holds one word for every seq up to each client's
+    highest; a repeated [(client, seq)] resolves to its last
+    arrival. *)
 
 val violations : t -> string list
 (** In the order recorded: the first 32, then, if there were more, one
@@ -30,7 +43,8 @@ val violations : t -> string list
 
 val apply : t -> Service.request -> unit
 val commit : t -> Service.request -> shard:int -> slot:int -> unit
-(** [shard] is the global shard. *)
+(** [shard] is the global shard. Raises [Invalid_argument] for a shard
+    outside [\[0, 65536)] or a negative slot. *)
 
 val ack :
   t -> Service.request -> Service.result -> dedup:bool -> time:int -> bool

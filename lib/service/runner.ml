@@ -134,8 +134,8 @@ type report = {
   latency : latency;
   stats : Stats.t;  (* main-run window (prefill and audit excluded) *)
   violations : string list;
-  histories : (int * int) list array;
-      (* per global shard, the (client, seq) apply order *)
+  histories : int array array;
+      (* per global shard, the apply order: (client, seq) at [2i], [2i+1] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -190,8 +190,9 @@ let exponential rng mean =
 (* The arrival schedule: a pure function of the configuration. Poisson
    arrival times, a uniformly drawn client per request with per-client
    sequence numbers, and the workload's op stream, optionally remixed
-   into multi-puts and read-modify-writes. *)
-let schedule (c : config) : Oracle.arrival array =
+   into multi-puts and read-modify-writes; written column by column,
+   arrival number [i] at index [i]. *)
+let schedule (c : config) : Oracle.arrivals =
   let dist =
     if c.skew <= 0.0 then Workload.Uniform else Workload.Zipf c.skew
   in
@@ -213,44 +214,75 @@ let schedule (c : config) : Oracle.arrival array =
        done;
        Array.map Array.of_list a)
   in
+  (* Each op is a function of its kind and one key: the schedule builds
+     each distinct op once and shares it, instead of holding a block per
+     request. [code] numbers them: [kind] is 0-2 for put, del and get, 3
+     for the multi-put starting at key [k], 4-10 for [Rmw (k, 1..7)]. *)
+  let ops = Hashtbl.create 64 in
+  let intern kind k make =
+    let code = (11 * k) + kind in
+    match Hashtbl.find_opt ops code with
+    | Some op -> op
+    | None ->
+      let op = make () in
+      Hashtbl.add ops code op;
+      op
+  in
   let seq_ctr = Array.make c.clients 0 in
+  let column x = Array.make c.requests x in
+  let a =
+    { Oracle.a_client = column 0;
+      a_seq = column 0;
+      a_op = column (Service.Get 0);
+      a_time = column 0 }
+  in
   let clock = ref 0 in
-  Array.init c.requests (fun _ ->
-      clock := !clock + exponential arr_rng c.mean_gap;
-      let client = Random.State.int cli_rng c.clients in
-      let seq = seq_ctr.(client) in
-      seq_ctr.(client) <- seq + 1;
-      let op =
-        match Workload.next wl with
-        | Workload.Insert k -> Service.Put (k, k + 1)
-        | Workload.Delete k -> Service.Del k
-        | Workload.Lookup k -> Service.Get k
-      in
-      let op =
-        (* [op_rng] is consumed only when the mixed ops are enabled, so
-           default configurations keep their exact histories *)
-        if c.multi_pct + c.rmw_pct <= 0 then op
-        else begin
-          let roll = Random.State.int op_rng 100 in
-          let k = Service.key_of_op op in
-          if roll < c.multi_pct then begin
-            let pool =
-              (Lazy.force by_shard).(Service.global_shard ~shards:c.shards k)
-            in
-            let n = Array.length pool in
-            let kk = max 1 (min c.multi_k n) in
-            let start = Random.State.int op_rng n in
-            Service.Multi_put
-              (List.init kk (fun i ->
-                   let k' = pool.((start + i) mod n) in
-                   (k', k' + 1)))
-          end
-          else if roll < c.multi_pct + c.rmw_pct then
-            Service.Rmw (k, 1 + Random.State.int op_rng 7)
-          else op
+  for i = 0 to c.requests - 1 do
+    clock := !clock + exponential arr_rng c.mean_gap;
+    let client = Random.State.int cli_rng c.clients in
+    let seq = seq_ctr.(client) in
+    seq_ctr.(client) <- seq + 1;
+    let op =
+      match Workload.next wl with
+      | Workload.Insert k -> intern 0 k (fun () -> Service.Put (k, k + 1))
+      | Workload.Delete k -> intern 1 k (fun () -> Service.Del k)
+      | Workload.Lookup k -> intern 2 k (fun () -> Service.Get k)
+    in
+    let op =
+      (* [op_rng] is consumed only when the mixed ops are enabled, so
+         default configurations keep their exact histories *)
+      if c.multi_pct + c.rmw_pct <= 0 then op
+      else begin
+        let roll = Random.State.int op_rng 100 in
+        let k = Service.key_of_op op in
+        if roll < c.multi_pct then begin
+          let pool =
+            (Lazy.force by_shard).(Service.global_shard ~shards:c.shards k)
+          in
+          let n = Array.length pool in
+          let kk = max 1 (min c.multi_k n) in
+          let start = Random.State.int op_rng n in
+          (* the pools partition the keys, so the first key names the
+             batch *)
+          intern 3 pool.(start) (fun () ->
+              Service.Multi_put
+                (List.init kk (fun j ->
+                     let k' = pool.((start + j) mod n) in
+                     (k', k' + 1))))
         end
-      in
-      { Oracle.a_client = client; a_seq = seq; a_op = op; a_time = !clock })
+        else if roll < c.multi_pct + c.rmw_pct then begin
+          let d = 1 + Random.State.int op_rng 7 in
+          intern (3 + d) k (fun () -> Service.Rmw (k, d))
+        end
+        else op
+      end
+    in
+    a.a_client.(i) <- client;
+    a.a_seq.(i) <- seq;
+    a.a_op.(i) <- op;
+    a.a_time.(i) <- !clock
+  done;
+  a
 
 (* ---- the merge loop ---- *)
 
@@ -270,12 +302,15 @@ module Merge = struct
   (* A growable array; [n] entries are live. *)
   type buf = { mutable items : item array; mutable n : int }
 
+  (* One shard's apply history, (client, seq) at [2i] and [2i + 1]. *)
+  type history = { mutable pairs : int array; mutable len : int }
+
   type t = {
     evq : ev Queue.t array;  (* per group, filled by the hooks *)
     deferred : buf;  (* collected, released at a later barrier *)
     mutable deferred_min : int;  (* least [eff] in [deferred], or max_int *)
     ready : buf;  (* reused by every release *)
-    histories : (int * int) list array;  (* per global shard, newest first *)
+    histories : history array;  (* per global shard *)
     shards : int;
     ack_interval : int option;
         (* group mode: the commit interval fresh acks are released at *)
@@ -300,12 +335,23 @@ module Merge = struct
       deferred = buf ();
       deferred_min = max_int;
       ready = buf ();
-      histories = Array.make shards [];
+      histories = Array.init shards (fun _ -> { pairs = [||]; len = 0 });
       shards;
       ack_interval }
 
   let push m g e = Queue.push e m.evq.(g)
-  let histories m = Array.map List.rev m.histories
+
+  let record h (req : Service.request) =
+    if h.len = Array.length h.pairs then begin
+      let a = Array.make (max 64 (2 * h.len)) 0 in
+      Array.blit h.pairs 0 a 0 h.len;
+      h.pairs <- a
+    end;
+    h.pairs.(h.len) <- req.client;
+    h.pairs.(h.len + 1) <- req.seq;
+    h.len <- h.len + 2
+
+  let histories m = Array.map (fun h -> Array.sub h.pairs 0 h.len) m.histories
 
   (* A group ack's effective release time is the commit-interval
      boundary its commit fired at, rounded up from the true ack time
@@ -389,7 +435,7 @@ module Merge = struct
                   Service.global_shard ~shards:m.shards
                     (Service.key_of_op req.op)
                 in
-                m.histories.(gs) <- (req.client, req.seq) :: m.histories.(gs)
+                record m.histories.(gs) req
               | _ -> ());
               route m ~all t_bar { eff = effective m e; ev = e })
             q;
@@ -440,7 +486,8 @@ let drive cl ~threshold ~at_barrier =
     | Some s when steps >= s -> `Crash
     | _ ->
       at_barrier cl.vtime;
-      if Array.for_all (fun r -> r = `Completed) cl.results then `Completed
+      if Array.for_all (function `Completed -> true | _ -> false) cl.results
+      then `Completed
       else if steps >= cl.watchdog then `Stalled
       else loop ()
   in
@@ -536,23 +583,27 @@ let run (c : config) : report =
     Service.submit services.(group_of_key (Service.key_of_op r.op)) r
   in
   let issued : Service.request option array = Array.make c.clients None in
-  let backlog : Service.request Queue.t array =
+  (* each client's released but not yet issued arrival numbers *)
+  let backlog : int Queue.t array =
     Array.init c.clients (fun _ -> Queue.create ())
   in
-  let issue (r : Service.request) =
+  let issue i =
+    let r =
+      { Service.client = arrivals.a_client.(i);
+        seq = arrivals.a_seq.(i);
+        op = arrivals.a_op.(i) }
+    in
     issued.(r.client) <- Some r;
     submit_route r
   in
   let cursor = ref 0 in
   let release_arrivals t_bar =
-    while
-      !cursor < Array.length arrivals && arrivals.(!cursor).a_time <= t_bar
-    do
-      let a = arrivals.(!cursor) in
+    while !cursor < c.requests && arrivals.a_time.(!cursor) <= t_bar do
+      let i = !cursor in
       incr cursor;
-      let r = { Service.client = a.a_client; seq = a.a_seq; op = a.a_op } in
-      if issued.(a.a_client) <> None then Queue.push r backlog.(a.a_client)
-      else issue r
+      match issued.(arrivals.a_client.(i)) with
+      | Some _ -> Queue.push i backlog.(arrivals.a_client.(i))
+      | None -> issue i
     done
   in
 
@@ -582,7 +633,8 @@ let run (c : config) : report =
       | E_ack (req, res, dedup, time) ->
         if Oracle.ack oracle req res ~dedup ~time then begin
           issued.(req.client) <- None;
-          Option.iter issue (Queue.take_opt backlog.(req.client))
+          let q = backlog.(req.client) in
+          if not (Queue.is_empty q) then issue (Queue.pop q)
         end)
   in
 
@@ -708,9 +760,7 @@ let run (c : config) : report =
        era None);
 
   let sum f = Array.fold_left (fun n svc -> n + f svc) 0 services in
-  let count f =
-    Array.fold_left (fun n (a : Oracle.arrival) -> n + f a.a_op) 0 arrivals
-  in
+  let count f = Array.fold_left (fun n op -> n + f op) 0 arrivals.a_op in
   { config = c;
     acked = Oracle.acked oracle;
     applies = Oracle.applies oracle;

@@ -2,7 +2,10 @@
     arrivals over sequential client sessions, crash/recover eras with
     client re-send, the exactly-once {!Oracle}, and latency percentiles
     in simulated time. One barrier driver advances eras, recovery passes
-    and the audit alike.
+    and the audit alike. The per-request state is flat: the schedule is
+    {!Oracle.arrivals}' four columns, each distinct op built once and
+    shared; a client's backlog holds arrival numbers; and each shard's
+    apply history is one growable int array.
 
     The service's shards are striped over [domains] groups, each a
     {!Service} slice on its own {!Nvt_sim.Machine} running on its own
@@ -120,10 +123,10 @@ type report = {
   violations : string list;
       (** empty iff exactly-once semantics held (and nothing stalled);
           see {!Oracle.violations} *)
-  histories : (int * int) list array;
-      (** per global shard, the (client, seq) apply order of the main
-          run — the determinism tests compare these across domain
-          counts *)
+  histories : int array array;
+      (** per global shard, the apply order of the main run, flat: the
+          [i]th apply is client [h.(2 * i)]'s request [h.(2 * i + 1)].
+          The determinism tests compare these across domain counts. *)
 }
 
 val run : config -> report
@@ -160,9 +163,9 @@ module Merge : sig
       group 0's buffer, group 1's, and so on. The rest stays deferred,
       in that order. *)
 
-  val histories : t -> (int * int) list array
+  val histories : t -> int array array
   (** Per global shard, the (client, seq) of each recorded apply,
-      oldest first. *)
+      oldest first, flat as in [report.histories]. *)
 end
 
 val fences_per_op : report -> float

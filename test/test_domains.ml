@@ -143,7 +143,7 @@ let crash_free_histories ~mixed () =
         (fun domains ->
           let rn = Runner.run (cfg ~mixed ~domains ~mode ~crash_steps:[]) in
           check_clean (Printf.sprintf "%s domains=%d" mname domains) rn;
-          Alcotest.(check (list (list (pair int int))))
+          Alcotest.(check (list (array int)))
             (Printf.sprintf "%s: per-shard apply histories, domains 1 = %d"
                mname domains)
             (histories r1) (histories rn);

@@ -525,7 +525,7 @@ let checkpointed_histories_domain_independent () =
     (fun domains ->
       let rn = Runner.run (cfg domains) in
       svc_clean (Printf.sprintf "ckpt domains=%d" domains) rn;
-      Alcotest.(check (list (list (pair int int))))
+      Alcotest.(check (list (array int)))
         (Printf.sprintf "per-shard histories, domains 1 = %d" domains)
         (Array.to_list r1.histories)
         (Array.to_list rn.histories);

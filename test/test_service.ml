@@ -552,7 +552,9 @@ let histories_digest (r : Runner.report) =
   let b = Buffer.create 4096 in
   Array.iter
     (fun h ->
-      List.iter (fun (c, s) -> Printf.bprintf b "%d:%d," c s) h;
+      for i = 0 to (Array.length h / 2) - 1 do
+        Printf.bprintf b "%d:%d," h.(2 * i) h.((2 * i) + 1)
+      done;
       Buffer.add_char b '|')
     r.histories;
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -677,6 +679,13 @@ type scenario = {
 }
 
 let req client seq op = { Service.client; seq; op }
+
+(* The arrival schedule of [reqs], request [i] arriving at time [i]. *)
+let arrivals (reqs : Service.request array) =
+  { Oracle.a_client = Array.map (fun (r : Service.request) -> r.client) reqs;
+    a_seq = Array.map (fun (r : Service.request) -> r.seq) reqs;
+    a_op = Array.map (fun (r : Service.request) -> r.op) reqs;
+    a_time = Array.init (Array.length reqs) Fun.id }
 let r0 = req 0 0 (Service.Put (1, 10))
 let r1 = req 1 0 (Service.Get 1)
 let r2 = req 0 1 (Service.Del 2)
@@ -704,13 +713,7 @@ let clean =
 
 let play sc =
   let o =
-    Oracle.create ~clients:2
-      (Array.of_list
-         (List.mapi
-            (fun i ((r : Service.request), _) ->
-              { Oracle.a_client = r.client; a_seq = r.seq; a_op = r.op;
-                a_time = i })
-            results))
+    Oracle.create ~clients:2 (arrivals (Array.of_list (List.map fst results)))
   in
   let step time = function
     | Apply r -> Oracle.apply o r
@@ -808,7 +811,7 @@ let oracle_checks () =
 (* The violation list keeps the first 32 messages and counts the rest
    in one closing entry instead of dropping them silently. *)
 let oracle_violation_cap () =
-  let o = Oracle.create ~clients:1 [||] in
+  let o = Oracle.create ~clients:1 (arrivals [||]) in
   for seq = 0 to 39 do
     Oracle.apply o (req 0 seq (Service.Get 1))
   done;
@@ -835,11 +838,7 @@ let wide_oracle ~bug =
       (if i mod 3 = 0 then Service.Get i else Service.Put (i, i))
   in
   let o =
-    Oracle.create ~clients:16
-      (Array.init 2000 (fun i ->
-           let r = rq i in
-           { Oracle.a_client = r.client; a_seq = r.seq; a_op = r.op;
-             a_time = i }))
+    Oracle.create ~clients:16 (arrivals (Array.init 2000 rq))
   in
   for i = 0 to 1999 do
     let r = rq i in
@@ -917,11 +916,7 @@ let final_oracle ~bug =
   in
   let res i = if i mod 3 = 0 then Service.Value None else Service.Done true in
   let o =
-    Oracle.create ~clients:16
-      (Array.init 2000 (fun i ->
-           let r = rq i in
-           { Oracle.a_client = r.client; a_seq = r.seq; a_op = r.op;
-             a_time = i }))
+    Oracle.create ~clients:16 (arrivals (Array.init 2000 rq))
   in
   let dropped (r : Service.request) =
     bug && (r.client = 3 || r.client = 12) && r.seq >= 122
@@ -979,9 +974,7 @@ let oracle_final_order () =
 (* [create] rejects an arrival it could not index: the run would
    otherwise die at that request's first acknowledgement. *)
 let oracle_rejects_bad_arrivals () =
-  let arrival a_client a_seq =
-    { Oracle.a_client; a_seq; a_op = Service.Get 1; a_time = 0 }
-  in
+  let arrival client seq = req client seq (Service.Get 1) in
   List.iter
     (fun (c, sq, why) ->
       Alcotest.check_raises
@@ -990,13 +983,20 @@ let oracle_rejects_bad_arrivals () =
            (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s" c sq
               why))
         (fun () ->
-          ignore (Oracle.create ~clients:2 [| arrival 0 0; arrival c sq |])))
+          ignore
+            (Oracle.create ~clients:2
+               (arrivals [| arrival 0 0; arrival c sq |]))))
     [ (5, 0, "has a client outside [0, 2)");
       (2, 3, "has a client outside [0, 2)");
       (-1, 0, "has a client outside [0, 2)");
       (1, -4, "has a negative seq") ];
+  Alcotest.check_raises "columns of different lengths"
+    (Invalid_argument "Oracle.create: arrival arrays of different lengths")
+    (fun () ->
+      let a = arrivals [| arrival 0 0; arrival 0 1 |] in
+      ignore (Oracle.create ~clients:2 { a with a_time = [| 0 |] }));
   (* in range but never scheduled: still an unknown request *)
-  let o = Oracle.create ~clients:2 [| arrival 0 0; arrival 1 3 |] in
+  let o = Oracle.create ~clients:2 (arrivals [| arrival 0 0; arrival 1 3 |]) in
   Oracle.apply o (req 1 1 (Service.Get 1));
   Oracle.apply o (req 1 4 (Service.Get 1));
   Oracle.apply o (req 2 0 (Service.Get 1));
@@ -1006,6 +1006,144 @@ let oracle_rejects_bad_arrivals () =
     [ "unknown request client=1 seq=1"; "unknown request client=1 seq=4";
       "unknown request client=2 seq=0" ]
     (Oracle.violations o)
+
+(* The oracle's per-request footprint: 4 000 hand-made arrivals, each
+   applied, committed and acknowledged, leave the oracle holding its
+   schedule and its per-request state in flat arrays. [Obj.reachable_words]
+   is deterministic, so the bound is exact: the schedule's four columns
+   and the op each arrival carries (2-3 words, built here one per
+   request), plus about six words of oracle state: 12.8 in all, where a
+   record per arrival and one per request, with a boxed result and
+   commit position, took 27.4. *)
+let footprint_words = 16
+
+let oracle_footprint () =
+  let n = 4000 in
+  let rq i =
+    req (i mod 16) (i / 16)
+      (if i mod 3 = 0 then Service.Get i else Service.Put (i, i))
+  in
+  let o = Oracle.create ~clients:16 (arrivals (Array.init n rq)) in
+  for i = 0 to n - 1 do
+    let r = rq i in
+    Oracle.apply o r;
+    Oracle.commit o r ~shard:(i mod 4) ~slot:(i / 4);
+    let res =
+      if i mod 3 = 0 then Service.Value (Some i) else Service.Done (i land 1 = 0)
+    in
+    ignore (Oracle.ack o r res ~dedup:false ~time:(i + 5))
+  done;
+  Alcotest.(check int) "all acknowledged" n (Oracle.acked o);
+  Alcotest.(check (list string)) "clean" [] (Oracle.violations o);
+  (* the packed commit position rejects what it cannot hold *)
+  List.iter
+    (fun (shard, slot) ->
+      Alcotest.check_raises
+        (Printf.sprintf "shard %d slot %d" shard slot)
+        (Invalid_argument
+           (Printf.sprintf "Oracle.commit: client=0 seq=0 at shard %d slot %d"
+              shard slot))
+        (fun () -> Oracle.commit o (rq 0) ~shard ~slot))
+    [ (65536, 0); (-1, 0); (0, -1) ];
+  let words = Obj.reachable_words (Obj.repr o) in
+  if words > footprint_words * n then
+    Alcotest.failf "%d words for %d requests: %.2f per request, bound %d"
+      words n
+      (float_of_int words /. float_of_int n)
+      footprint_words
+
+(* ---- the ledger's slot window, against a model ---- *)
+
+module Ledger = Nvt_service.Ledger
+
+(* Random appends (at the next slot, and sometimes below the dropped
+   front, as after a crash that lost a commit a checkpoint had passed),
+   tail truncations and front drops over one native-memory log: every
+   read answers as a table of absolute slots says, an absent slot
+   raises [Failure], and every drop and truncation reports the cells
+   it retired, the count the working-set model reads. *)
+let ledger_window_matches_model () =
+  let reclaimed = ref 0 in
+  let saved = !Nvt_nvm.Memory.on_reclaim in
+  Nvt_nvm.Memory.on_reclaim := (fun n -> reclaimed := !reclaimed + n);
+  Fun.protect ~finally:(fun () -> Nvt_nvm.Memory.on_reclaim := saved)
+  @@ fun () ->
+  for seed = 0 to 49 do
+    let rng = Random.State.make [| seed; 0x1ed |] in
+    let int n = Random.State.int rng n in
+    let l = Ledger.create_log (module Nvt_nvm.Native) in
+    let model = Hashtbl.create 64 in
+    let next = ref 0 and stamp = ref 0 in
+    let entry () =
+      incr stamp;
+      { Service.e_client = 0; e_seq = !stamp; e_op = Service.Get 0;
+        e_res = Service.Done true }
+    in
+    (* drop the model's slots that [keep] rejects; their count *)
+    let drop_model keep =
+      let gone =
+        Hashtbl.fold (fun s _ acc -> if keep s then acc else s :: acc) model []
+      in
+      List.iter (Hashtbl.remove model) gone;
+      List.length gone
+    in
+    for step = 1 to 400 do
+      let want = ref 0 in
+      reclaimed := 0;
+      (match int 10 with
+      | 0 ->
+        let from = max 0 (!next - int 8) in
+        want := drop_model (fun s -> s < from);
+        l.truncate from;
+        next := from
+      | 1 | 2 ->
+        let upto = !next - int 100 + int 8 in
+        want := drop_model (fun s -> s >= upto);
+        l.drop_below upto
+      | 3 ->
+        let slot = max 0 (!next - 1 - int 6) in
+        let e = entry () in
+        Hashtbl.replace model slot e.e_seq;
+        l.append_at slot e
+      | _ ->
+        let e = entry () in
+        Hashtbl.replace model !next e.e_seq;
+        l.append_at !next e;
+        incr next);
+      if !reclaimed <> !want then
+        Alcotest.failf "seed %d step %d: %d cells reclaimed, model %d" seed
+          step !reclaimed !want;
+      for slot = 0 to !next + 2 do
+        let got =
+          match l.read slot with
+          | e -> Some e.e_seq
+          | exception Failure _ -> None
+        in
+        if got <> Hashtbl.find_opt model slot then
+          Alcotest.failf "seed %d step %d: slot %d reads %s, model %s" seed
+            step slot
+            (match got with Some s -> string_of_int s | None -> "absent")
+            (match Hashtbl.find_opt model slot with
+            | Some s -> string_of_int s
+            | None -> "absent")
+      done
+    done
+  done
+
+(* A checkpointed log keeps an array the size of its live window: 20 000
+   appends, the front dropped every 100, leave a log of a few hundred
+   words, not one word per slot ever logged. *)
+let ledger_window_bounded () =
+  let l = Ledger.create_log (module Nvt_nvm.Native) in
+  for slot = 0 to 19_999 do
+    l.append_at slot
+      { Service.e_client = 0; e_seq = slot; e_op = Service.Get 0;
+        e_res = Service.Done true };
+    if slot mod 100 = 99 then l.drop_below (slot - 10)
+  done;
+  let words = Obj.reachable_words (Obj.repr l) in
+  if words > 2000 then
+    Alcotest.failf "a log with 20 000 slots, 11 live, holds %d words" words
 
 (* ---- the merge barrier and the latency summary, against models ---- *)
 
@@ -1123,9 +1261,11 @@ let merge_matches_model () =
           (if List.length !got = List.length !want then " (order differs)"
            else "")
     done;
-    if
-      Merge.histories m <> Array.map List.rev model.Merge_model.histories
-    then Alcotest.failf "seed %d: histories differ" seed
+    let flat h =
+      Array.of_list (List.concat_map (fun (c, s) -> [ c; s ]) (List.rev h))
+    in
+    if Merge.histories m <> Array.map flat model.Merge_model.histories then
+      Alcotest.failf "seed %d: histories differ" seed
   done
 
 (* The latency summary as it was: sort, then index. *)
@@ -1293,6 +1433,12 @@ let suite =
       `Quick oracle_final_order;
     Alcotest.test_case "oracle: create rejects an unindexable arrival" `Quick
       oracle_rejects_bad_arrivals;
+    Alcotest.test_case "oracle: per-request footprint in flat arrays" `Quick
+      oracle_footprint;
+    Alcotest.test_case "ledger window = an absolute-slot model" `Quick
+      ledger_window_matches_model;
+    Alcotest.test_case "ledger window spans the live slots" `Quick
+      ledger_window_bounded;
     Alcotest.test_case "merge release = the list-and-sort model" `Quick
       merge_matches_model;
     Alcotest.test_case "shard mirror = a hash-table model" `Quick
