@@ -78,69 +78,51 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
      memory a location is a heap value (the simulator's cell record, a
      native ref), so physical equality of the representations is
      exactly same-cache-line identity. Boundary sets are a handful of
-     entries, so the quadratic scan beats building a table. *)
+     entries, so a quadratic scan of the lists beats building a table. *)
   let same_line (M.Any a) (M.Any b) = Obj.repr a == Obj.repr b
-  let seen_line seen l = List.exists (same_line l) seen
+
+  (* Some entry of [ls] in front of its suffix [stop] names [l]'s line. *)
+  let rec named_before l ls stop =
+    ls != stop
+    &&
+    match ls with
+    | [] -> false
+    | x :: tl -> same_line x l || named_before l tl stop
+
+  let in_reach l = function
+    | Original_parent p -> same_line p l
+    | Parents ps -> named_before l ps []
+
+  (* Flush each entry of [rest], a suffix of [set], unless [reach] or an
+     earlier entry of [set] names its line; returns [issued] plus the
+     flushes handed to the policy. *)
+  let rec drain site reach set rest issued =
+    match rest with
+    | [] -> issued
+    | l :: tl ->
+      if in_reach l reach || named_before l set rest then
+        drain site reach set tl issued
+      else begin
+        flush_at site l;
+        drain site reach set tl (issued + 1)
+      end
 
   (* Issue the boundary's flush set — reach parents first (they are the
      structurally distinguished flushes), then the persist set — with
-     same-line duplicates dropped. Returns the number of flushes
-     actually handed to the policy, so the caller can apply the
-     empty-drain fence rule. *)
-  let boundary_flushes reach persist_set =
-    let reach_locs =
-      match reach with Original_parent l -> [ l ] | Parents ls -> ls
+     same-line duplicates dropped. Returns the flushes issued, so the
+     caller can apply the empty-drain fence rule. *)
+  let boundary_flushes reach set =
+    let issued, parents =
+      match reach with
+      | Original_parent l ->
+        flush_at ensure_reachable_site l;
+        (1, 1)
+      | Parents ps ->
+        (drain ensure_reachable_site (Parents []) ps ps 0, List.length ps)
     in
-    let issued = ref 0 in
-    let dropped = ref 0 in
-    let flush_new seen site l =
-      if seen_line seen l then begin
-        incr dropped;
-        seen
-      end
-      else begin
-        flush_at site l;
-        incr issued;
-        l :: seen
-      end
-    in
-    let seen =
-      List.fold_left
-        (fun seen l -> flush_new seen ensure_reachable_site l)
-        [] reach_locs
-    in
-    ignore
-      (List.fold_left
-         (fun seen l -> flush_new seen make_persistent_site l)
-         seen persist_set);
-    if P.enabled then Nvt_nvm.Optimizer.note_coalesced !dropped;
-    !issued
-
-  let ensure_reachable reach =
-    match reach with
-    | Original_parent l -> flush_at ensure_reachable_site l
-    | Parents ls ->
-      ignore
-        (List.fold_left
-           (fun seen l ->
-             if seen_line seen l then seen
-             else begin
-               flush_at ensure_reachable_site l;
-               l :: seen
-             end)
-           [] ls)
-
-  let make_persistent locs =
-    ignore
-      (List.fold_left
-         (fun seen l ->
-           if seen_line seen l then seen
-           else begin
-             flush_at make_persistent_site l;
-             l :: seen
-           end)
-         [] locs);
-    fence_at make_persistent_site
+    let issued = drain make_persistent_site reach set set issued in
+    Nvt_nvm.Optimizer.note_coalesced (parents + List.length set - issued);
+    issued
 
   (* The traversal/critical boundary of one attempt. Under a deferred
      plan, a boundary whose deduplicated drain issued no flushes skips
@@ -152,25 +134,28 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
      Protocol 2 flushes outstanding from the aborted critical section,
      so [clean] withholds the rule there. *)
   let persist_boundary ~clean reach persist_set =
-    let issued = boundary_flushes reach persist_set in
-    if P.enabled && issued = 0 && clean && Nvt_nvm.Optimizer.defer_on () then
-      (* erased before the guard, per its contract: a fence that was
-         never going to issue must not count as a suppressed skip *)
-      Nvt_nvm.Optimizer.note_empty_fence ()
-    else fence_at make_persistent_site;
-    if P.enabled && Nvt_nvm.Optimizer.defer_on () then
-      Nvt_nvm.Optimizer.note_deferred issued
+    if P.enabled then begin
+      let issued = boundary_flushes reach persist_set in
+      if issued = 0 && clean && Nvt_nvm.Optimizer.defer_on () then
+        (* erased before the guard, per its contract: a fence that was
+           never going to issue must not count as a suppressed skip *)
+        Nvt_nvm.Optimizer.note_empty_fence ()
+      else fence_at make_persistent_site;
+      if Nvt_nvm.Optimizer.defer_on () then
+        Nvt_nvm.Optimizer.note_deferred issued
+    end
+
+  (* The attempt loop passes its arguments down instead of closing
+     over them, so an attempt allocates nothing of its own. *)
+  let rec attempt ~find_entry ~traverse ~critical input ~clean =
+    let tr = traverse (find_entry input) input in
+    persist_boundary ~clean tr.reach tr.persist_set;
+    match critical tr.nodes input with
+    | Restart -> attempt ~find_entry ~traverse ~critical input ~clean:false
+    | Finish v ->
+      fence_at return_fence_site;
+      v
 
   let operation ~find_entry ~traverse ~critical input =
-    let rec attempt ~clean () =
-      let entry = find_entry input in
-      let tr = traverse entry input in
-      persist_boundary ~clean tr.reach tr.persist_set;
-      match critical tr.nodes input with
-      | Restart -> attempt ~clean:false ()
-      | Finish v ->
-        fence_at return_fence_site;
-        v
-    in
-    attempt ~clean:true ()
+    attempt ~find_entry ~traverse ~critical input ~clean:true
 end

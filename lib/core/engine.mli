@@ -32,18 +32,6 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) : sig
 
   type 'r verdict = Restart | Finish of 'r
 
-  (** Section 4.3's necessity claim is tested through
-      {!Nvt_nvm.Suppress}: every injected instruction passes its
-      interned site through {!Nvt_nvm.Guard}, which honours the
-      per-site suppression switch
-      ([nvt:ensure_reachable], [nvt:make_persistent],
-      [nvt:return_fence], and the Protocol 2 sites inside
-      {!Critical}), and the mutation harness drives each suppressed
-      variant to a durability violation. *)
-
-  val ensure_reachable : reachability -> unit
-  val make_persistent : M.any list -> unit
-
   val operation :
     find_entry:('i -> 'entry) ->
     traverse:('entry -> 'i -> 'nodes traversal) ->
@@ -52,5 +40,16 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) : sig
     'r
   (** One operation of an NVTraverse data structure (Algorithm 2):
       repeat findEntry, traverse, ensureReachable, makePersistent,
-      critical until the critical method finishes; fence; return. *)
+      critical until the critical method finishes; fence; return.
+
+      Section 4.3's necessity claim is tested through
+      {!Nvt_nvm.Suppress}: every injected instruction passes its
+      interned site through {!Nvt_nvm.Guard}, which honours the
+      per-site suppression switch ([nvt:ensure_reachable],
+      [nvt:make_persistent], [nvt:return_fence], and the Protocol 2
+      sites inside {!Critical}), and the mutation harness drives each
+      suppressed variant to a durability violation.
+
+      Under a policy whose [P.enabled] is false the reach and persist
+      sets are not read, so a structure may pass empty ones. *)
 end

@@ -29,7 +29,11 @@
    completes with probability 1/2, everything else volatile is lost, and
    a cell whose content was never persisted becomes *corrupt*: reading it
    afterwards raises. This is the mechanism by which missing flushes in a
-   supposedly durable algorithm are detected. *)
+   supposedly durable algorithm are detected.
+
+   A step allocates nothing but the continuation made at a yield (see
+   DESIGN.md §3): no boxed values, coins or pending write-backs, and no
+   scratch outside a machine or thread, which domains never share. *)
 
 module Stats = Nvt_nvm.Stats
 module Cost_model = Nvt_nvm.Cost_model
@@ -51,19 +55,19 @@ type eviction =
 type 'a cell = {
   cid : int;
   mutable vol : 'a;
-  mutable pst : 'a option;  (* None: never persisted *)
+  mutable pst : 'a;  (* the persisted value, if [pst_seq > 0] *)
   mutable corrupt : bool;
   mutable owner : int;  (* last writer's tid; -1 when shared *)
   mutable invalid : bool;  (* flushed out of the cache; next read misses *)
   mutable dirty_ix : int;  (* slot in the machine's dirty set; -1 if clean *)
   mutable wb_seq : int;  (* sequence of the last initiated write-back *)
-  mutable pst_seq : int;  (* [wb_seq] of the currently persisted value *)
+  mutable pst_seq : int;  (* [wb_seq] of [pst]; 0: never persisted *)
 }
 
-type any_cell = Any_cell : 'a cell -> any_cell
+type any_cell = Any_cell : 'a cell -> any_cell [@@unboxed]
 
 let dummy_cell =
-  { cid = -1; vol = (); pst = None; corrupt = false; owner = -1;
+  { cid = -1; vol = (); pst = (); corrupt = false; owner = -1;
     invalid = false; dirty_ix = -1; wb_seq = 0; pst_seq = 0 }
 
 (* The dirty table: an intrusive swap-remove array over type-erased
@@ -78,7 +82,11 @@ module Dirty = Dirty_set.Make (struct
   let dummy = Any_cell dummy_cell
 end)
 
-type pending = Pending : 'a cell * 'a * int -> pending
+type pending = {
+  mutable p_cell : any_cell;
+  mutable p_val : Obj.t;
+  mutable p_seq : int;
+}
 (* One flushed-but-unfenced write-back: the cell, the value captured at
    flush time, and the cell's write-back sequence number drawn when the
    flush was issued. Write-backs of one line serialize through cache
@@ -86,9 +94,9 @@ type pending = Pending : 'a cell * 'a * int -> pending
    already persisted must be a no-op — without the sequence check, a
    thread that stalls between flush and fence could overwrite another
    thread's newer flushed-and-fenced value with its stale snapshot
-   (observed as lost acknowledged inserts under the stall adversary). *)
-
-let no_pending = Pending (dummy_cell, (), 0)
+   (observed as lost acknowledged inserts under the stall adversary).
+   Slots are reused, so the value is type-erased; it is only ever
+   written back into [p_cell], whose type it has. *)
 
 (* A thread keeps its [Ready]/[Suspended]/[Waiting] state while it
    runs; the machine's [running] tid, not the state, says which thread
@@ -115,14 +123,17 @@ type thread = {
 let dummy_thread =
   { tid = -1; vtime = 0; state = Finished; pending = [||]; pending_count = 0 }
 
-let push_pending th p =
+let push_pending th c v seq =
   let n = Array.length th.pending in
-  if th.pending_count >= n then begin
-    let b = Array.make (max 8 (2 * n)) no_pending in
-    Array.blit th.pending 0 b 0 n;
-    th.pending <- b
-  end;
-  th.pending.(th.pending_count) <- p;
+  if th.pending_count >= n then
+    th.pending <-
+      Array.init (max 8 (2 * n)) (fun i ->
+          if i < n then th.pending.(i)
+          else { p_cell = Any_cell dummy_cell; p_val = Obj.repr 0; p_seq = 0 });
+  let p = th.pending.(th.pending_count) in
+  p.p_cell <- Any_cell c;
+  p.p_val <- Obj.repr v;
+  p.p_seq <- seq;
   th.pending_count <- th.pending_count + 1
 
 type outcome = Completed | Crashed_at of int
@@ -207,6 +218,11 @@ type current = { mutable machine : t option; pending : Stats.pending }
 let current_machine : current Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { machine = None; pending = Stats.pending () })
 
+let set_current m =
+  (Domain.DLS.get current_machine).machine <- Some m;
+  Nvt_nvm.Suppress.use m.suppress;
+  Nvt_nvm.Optimizer.use m.optimizer
+
 let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
     ?stall ?(jitter = 0) ?(suppress = Nvt_nvm.Suppress.ambient ())
     ?(optimizer = Nvt_nvm.Optimizer.ambient ()) () =
@@ -235,15 +251,8 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       tracer = None;
       on_step = None }
   in
-  (Domain.DLS.get current_machine).machine <- Some m;
-  Nvt_nvm.Suppress.use m.suppress;
-  Nvt_nvm.Optimizer.use m.optimizer;
+  set_current m;
   m
-
-let set_current m =
-  (Domain.DLS.get current_machine).machine <- Some m;
-  Nvt_nvm.Suppress.use m.suppress;
-  Nvt_nvm.Optimizer.use m.optimizer
 
 let machine_of cur =
   match cur.machine with
@@ -327,32 +336,39 @@ let charge m c =
 
 let yield m = if m.running >= 0 then Effect.perform Yield
 
-let cell_is_clean c = match c.pst with Some p -> p == c.vol | None -> false
+let cell_is_clean c = c.pst_seq > 0 && c.pst == c.vol
+
+(* [Random.State.float rng 1.0 < p] without boxing the float: the same
+   53-bit draw and retry on zero, so the same decision and rng state.
+   [Random.State.bits64] inlines to the unboxed primitive. *)
+let rec coin rng p =
+  let n = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
+  if n <> 0L then Int64.to_float n *. 0x1.p-53 < p else coin rng p
+
+let set_pst m c v seq =
+  c.pst_seq <- seq;
+  c.pst <- v;
+  if c.dirty_ix >= 0 && cell_is_clean c then Dirty.remove m.dirty (Any_cell c)
 
 (* Direct persistence of the current value (setup flushes, [persist_all],
    eviction): initiate and complete a write-back in one step, so it is
    by construction the newest for its cell. *)
 let persist_value m c v =
   c.wb_seq <- c.wb_seq + 1;
-  c.pst_seq <- c.wb_seq;
-  c.pst <- Some v;
-  if c.dirty_ix >= 0 && cell_is_clean c then Dirty.remove m.dirty (Any_cell c)
+  set_pst m c v c.wb_seq
 
-(* Complete a flush-time write-back — unless a newer write-back of the
-   same cell already persisted, in which case the stale one is dropped
-   (same-line write-backs serialize; see [pending]). *)
-let persist_pending m (Pending (c, v, seq)) =
-  if seq > c.pst_seq then begin
-    c.pst_seq <- seq;
-    c.pst <- Some v;
-    if c.dirty_ix >= 0 && cell_is_clean c then
-      Dirty.remove m.dirty (Any_cell c)
-  end
+(* Complete a pending slot's write-back if [persist] — unless a newer
+   write-back of the same cell already persisted, in which case the
+   stale one is dropped (same-line write-backs serialize; see
+   [pending]) — and clear the slot so it does not retain a dead cell. *)
+let settle_pending m p ~persist =
+  let (Any_cell c) = p.p_cell in
+  if persist && p.p_seq > c.pst_seq then set_pst m c (Obj.obj p.p_val) p.p_seq;
+  p.p_cell <- Any_cell dummy_cell;
+  p.p_val <- Obj.repr 0
 
 let wipe_cell c =
-  (match c.pst with
-  | Some v -> c.vol <- v
-  | None -> c.corrupt <- true);
+  if c.pst_seq > 0 then c.vol <- c.pst else c.corrupt <- true;
   c.owner <- -1;
   c.invalid <- false
 
@@ -365,7 +381,7 @@ let alloc v =
   m.next_cid <- cid + 1;
   m.live_cells <- m.live_cells + 1;
   let c =
-    { cid; vol = v; pst = None; corrupt = false; owner = current_tid m;
+    { cid; vol = v; pst = v; corrupt = false; owner = current_tid m;
       invalid = false; dirty_ix = -1; wb_seq = 0; pst_seq = 0 }
   in
   mark_dirty m c;
@@ -474,7 +490,7 @@ let flush c =
   else begin
     (if m.running >= 0 then begin
        c.wb_seq <- c.wb_seq + 1;
-       push_pending m.by_tid.(m.running) (Pending (c, v, c.wb_seq))
+       push_pending m.by_tid.(m.running) c v c.wb_seq
      end
      else
        (* setup mode: flushes take effect immediately *)
@@ -511,11 +527,9 @@ let fence () =
      let th = m.by_tid.(m.running) in
      charge m
        (m.cost.fence_base + (m.cost.fence_per_pending * th.pending_count));
-     (* complete the write-backs in flush order; the slots are cleared so
-        the reusable buffer does not retain dead cells *)
+     (* complete the write-backs in flush order *)
      for i = 0 to th.pending_count - 1 do
-       persist_pending m th.pending.(i);
-       th.pending.(i) <- no_pending
+       settle_pending m th.pending.(i) ~persist:true
      done;
      th.pending_count <- 0
    end);
@@ -581,7 +595,7 @@ let maybe_evict m =
   match m.eviction with
   | No_eviction -> ()
   | Random_eviction p ->
-    if Random.State.float m.rng 1.0 < p then begin
+    if coin m.rng p then begin
       let n = Dirty.size m.dirty in
       if n > 0 then begin
         let (Any_cell c) = Dirty.get m.dirty (Random.State.int m.rng n) in
@@ -639,8 +653,7 @@ let crash m =
          | Ready _ -> th.state <- Finished
          | Finished | Failed _ -> ());
       for i = 0 to th.pending_count - 1 do
-        if Random.State.bool m.rng then persist_pending m th.pending.(i);
-        th.pending.(i) <- no_pending
+        settle_pending m th.pending.(i) ~persist:(Random.State.bool m.rng)
       done;
       th.pending_count <- 0)
     m.threads;
@@ -664,21 +677,10 @@ let crash_due m th =
   (match m.crash_at_step with Some n -> m.steps >= n | None -> false)
   || match m.crash_at_time with Some t -> th.vtime >= t | None -> false
 
-(* Fail loudly if a fiber died on an unexpected exception, then close
-   the era: a clean completion leaves no threads behind. *)
-let finish m =
-  List.iter
-    (fun th ->
-      match th.state with
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | _ -> ())
-    m.threads;
-  m.threads <- []
-
-(* Raise a failed fiber's exception without waiting for the era to end;
-   used when pausing at a barrier so an external driver interleaving
-   machines surfaces a [Corrupt_read] (or any bug) promptly instead of
-   spinning other machines forever. *)
+(* Raise a failed fiber's exception. At a barrier this does not wait
+   for the era to end, so an external driver interleaving machines
+   surfaces a [Corrupt_read] (or any bug) promptly instead of spinning
+   other machines forever. *)
 let raise_any_failed m =
   List.iter
     (fun th ->
@@ -686,6 +688,12 @@ let raise_any_failed m =
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
       | _ -> ())
     m.threads
+
+(* Fail loudly if a fiber died on an unexpected exception, then close
+   the era: a clean completion leaves no threads behind. *)
+let finish m =
+  raise_any_failed m;
+  m.threads <- []
 
 let do_crash m t =
   if t > m.clock then m.clock <- t;
@@ -741,8 +749,7 @@ let advance_to m ~time =
       end
       else begin
         (match m.stall with
-        | Some { probability; max_units }
-          when Random.State.float m.rng 1.0 < probability ->
+        | Some { probability; max_units } when coin m.rng probability ->
           th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units
         | Some _ | None -> (
           m.steps <- m.steps + 1;

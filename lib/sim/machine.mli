@@ -11,7 +11,8 @@
 
     The memory operations below are normally reached through
     {!module:Memory}, the backend with the same interface as
-    {!Nvt_nvm.Native}. *)
+    {!Nvt_nvm.Native}. A step allocates nothing but the continuation
+    the runtime makes when a fiber yields. *)
 
 exception Corrupt_read of int
 (** Reading a cell whose contents were lost in a crash. The payload is
@@ -181,6 +182,10 @@ val pp_event : Format.formatter -> event -> unit
 val persist_all : t -> unit
 (** Persist every dirty cell immediately; call after pre-filling so runs
     start from a fully persistent state. *)
+
+val coin : Random.State.t -> float -> bool
+(** [Random.State.float rng 1.0 < p], same rng state after, unboxed: the
+    eviction and stall adversaries' per-step draw. *)
 
 val sleep : ?until:(unit -> bool) -> t -> int -> unit
 (** Advance the calling thread's virtual time by [n] units and yield: a

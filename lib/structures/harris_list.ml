@@ -49,43 +49,46 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     parent : inner;  (* current parent of [left] (Lemma 4.1, k = 1) *)
     left : inner;  (* last unmarked node with key < k *)
     left_succ : succ;  (* contents of left.next as read *)
-    mids : inner list;  (* marked nodes strictly between left and right *)
+    mids_rev : inner list;  (* marked nodes between left and right, reversed *)
     right : node;  (* first unmarked node with key >= k, or Tail *)
   }
 
-  let rec traverse_from (head : inner) k =
-    let rec walk pred parent left left_succ mids curr =
-      match curr with
-      | Tail ->
-        { parent; left; left_succ; mids = List.rev mids; right = Tail }
-      | Node n ->
-        let succ = M.read n.next in
-        if succ.marked then
-          walk n parent left left_succ (n :: mids) succ.nx
-        else if key_of n < k then walk n pred n succ [] succ.nx
-        else begin
-          (* right found; restart if it has been marked since (the
-             traversal's own restart in Algorithm 4, lines 31-32) *)
-          let succ2 = M.read n.next in
-          if succ2.marked then traverse_from head k
-          else
-            { parent; left; left_succ; mids = List.rev mids; right = Node n }
-        end
-    in
+  (* Top-level, so a traversal allocates no closure over [head] and [k]. *)
+  let rec walk head k pred parent left left_succ mids_rev curr =
+    match curr with
+    | Tail -> { parent; left; left_succ; mids_rev; right = Tail }
+    | Node n ->
+      let succ = M.read n.next in
+      if succ.marked then
+        walk head k n parent left left_succ (n :: mids_rev) succ.nx
+      else if key_of n < k then walk head k n pred n succ [] succ.nx
+      else begin
+        (* right found; restart if it has been marked since (the
+           traversal's own restart in Algorithm 4, lines 31-32) *)
+        let succ2 = M.read n.next in
+        if succ2.marked then traverse_from head k
+        else { parent; left; left_succ; mids_rev; right = curr }
+      end
+
+  and traverse_from (head : inner) k =
     let s0 = M.read head.next in
-    walk head head head s0 [] s0.nx
+    walk head k head head head s0 [] s0.nx
 
+  (* [left.next], the marked run's from left to right, [right.next]: built
+     back to front in one pass *)
   let persist_set tr =
-    let base = M.Any tr.left.next :: List.map (fun n -> M.Any n.next) tr.mids in
-    match tr.right with
-    | Tail -> base
-    | Node rn -> base @ [ M.Any rn.next ]
+    let right = match tr.right with Tail -> [] | Node rn -> [ M.Any rn.next ] in
+    M.Any tr.left.next
+    :: List.fold_left (fun acc n -> M.Any n.next :: acc) right tr.mids_rev
 
+  (* a policy that persists nothing gets no reach or persist set *)
   let traversal entry k =
     let tr = traverse_from entry k in
-    { E.nodes = tr;
-      reach = E.Parents [ M.Any tr.parent.next ];
-      persist_set = persist_set tr }
+    if P.enabled then
+      { E.nodes = tr;
+        reach = E.Parents [ M.Any tr.parent.next ];
+        persist_set = persist_set tr }
+    else { E.nodes = tr; reach = E.Parents []; persist_set = [] }
 
   (* ---------------- critical ---------------- *)
 
@@ -93,7 +96,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
      (deleteMarkedNodes, Algorithm 4). Returns the contents of
      [left.next] known to point at [right], or [`Retry]. *)
   let delete_marked tr =
-    match tr.mids with
+    match tr.mids_rev with
     | [] -> `Ok tr.left_succ
     | _ :: _ ->
       let desired = { marked = false; nx = tr.right } in
@@ -159,6 +162,12 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       E.Finish (if k' = k then Some v else None)
     | Tail -> E.Finish None
 
+  (* [find_critical] without the option; both verdicts are constants *)
+  let member_critical tr k =
+    match tr.right with
+    | Node rn when key_of rn = k -> E.Finish true
+    | Node _ | Tail -> E.Finish false
+
   (* ---------------- operations ---------------- *)
 
   let insert t ~key ~value =
@@ -167,17 +176,12 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       ~traverse:(fun entry (k, _) -> traversal entry k)
       ~critical:insert_critical (key, value)
 
-  let delete t k =
-    E.operation
-      ~find_entry:(fun _ -> t.head)
-      ~traverse:traversal ~critical:delete_critical k
+  let keyed critical t k =
+    E.operation ~find_entry:(fun _ -> t.head) ~traverse:traversal ~critical k
 
-  let find t k =
-    E.operation
-      ~find_entry:(fun _ -> t.head)
-      ~traverse:traversal ~critical:find_critical k
-
-  let member t k = Option.is_some (find t k)
+  let delete t k = keyed delete_critical t k
+  let find t k = keyed find_critical t k
+  let member t k = keyed member_critical t k
 
   (* ---------------- recovery (Supplement 1) ---------------- *)
 

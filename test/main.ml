@@ -20,4 +20,5 @@ let () =
       ("mutation", Test_mutation.suite);
       ("optimizer", Test_optimizer.suite);
       ("recovery", Test_recovery.suite);
-      ("properties", Test_properties.suite) ]
+      ("properties", Test_properties.suite);
+      ("alloc", Test_alloc.suite) ]
