@@ -407,7 +407,19 @@ let svc_policy =
     & info [ "policy"; "p" ] ~doc:("Persistence policy: " ^ policy_doc))
 
 let shards = count [ "shards" ] 4 "Shard count."
-let clients = count [ "clients" ] 16 "Client sessions."
+(* an arrival id holds the client in 16 bits *)
+let clients =
+  let max = Nvt_service.Oracle.max_clients in
+  Arg.(
+    value
+    & opt
+        (bounded
+           (Printf.sprintf "an integer in [1, %d]" max)
+           (fun v -> v >= 1 && v <= max)
+           Arg.int)
+        16
+    & info [ "clients" ]
+        ~doc:(Printf.sprintf "Client sessions, at most %d." max))
 let requests = count [ "requests"; "n" ] 1000 "Total requests."
 
 let gap =

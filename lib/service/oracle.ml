@@ -6,46 +6,96 @@
 
    Per-request state is flat: a request is its arrival number, the
    position of its arrival in the schedule, and each field is an int
-   array (or a byte string) indexed by it, so the oracle holds no block
-   per request. Events find the arrival number through a dense index,
-   one int array per client indexed by seq, so no event hashes a tuple.
-   The canonical table maps each pair to its arrival number and is
-   built only on the violation path. Only acknowledged requests can
-   fail a request pass, so each pass (at every recovered point, and the
-   final one) first scans the acknowledgement counts in arrival order,
-   a flat array rather than the table, and emits nothing when it finds
-   no violation. When it finds one, the pass re-runs over the canonical
-   table, so what it reports is unchanged. *)
+   array indexed by it, so the oracle holds no block per request: one
+   state word (acknowledgements, applies and the recorded result), the
+   commit position and the latency. Events find the arrival number
+   through a dense index, one int array per client indexed by seq, so
+   no event hashes a tuple. The canonical table maps each pair to its
+   arrival number and is built only on the violation path. Only
+   acknowledged requests can fail a request pass, so each pass (at
+   every recovered point, and the final one) first scans the state
+   words in arrival order, a flat array rather than the table, and
+   emits nothing when it finds no violation. When it finds one, the
+   pass re-runs over the canonical table, so what it reports is
+   unchanged. *)
 
 type arrivals = {
-  a_client : int array;
-  a_seq : int array;
+  a_id : int array;
   a_op : Service.op array;
   a_time : int array;
 }
+
+(* An arrival id keeps the client in its low [client_bits] bits and the
+   seq above them. *)
+let client_bits = 16
+let client_mask = (1 lsl client_bits) - 1
+let max_clients = 1 lsl client_bits
+let seq_limit = 1 lsl (Sys.int_size - 1 - client_bits)
+
+let pack ~client ~seq =
+  let reject why =
+    invalid_arg
+      (Printf.sprintf "Oracle.pack: client=%d seq=%d %s" client seq why)
+  in
+  if client < 0 || client >= max_clients then
+    reject (Printf.sprintf "has a client outside [0, %d)" max_clients)
+  else if seq < 0 || seq >= seq_limit then
+    reject
+      (Printf.sprintf "has a seq outside [0, 2^%d)"
+         (Sys.int_size - 1 - client_bits))
+  else (seq lsl client_bits) lor client
+
+let client_of id = id land client_mask
+let seq_of id = id asr client_bits
+
+(* A request's state word. Bit 0 says whether it was acknowledged: the
+   checks ask nothing more of its acknowledgements. Bits 1-2 count its
+   applies, saturating: a request is applied 3 times only when re-sends
+   re-apply it twice, so from 3 on the exact count lives in [spill].
+   Bits 3-4 tag the first acknowledgement's result (0 [Done false], 1
+   [Done true], 2 [Value None], 3 [Value (Some v)]) and the bits above
+   hold [v]; both are recorded iff the request was acknowledged. *)
+let acked_bit = 1
+let applies_of s = (s lsr 1) land 3
+let one_apply = 2
+let tag_of s = (s lsr 3) land 3
+let value_shift = 5
+let value_bits = Sys.int_size - value_shift
+
+(* The state bits of a first acknowledgement's result. *)
+let result_bits (req : Service.request) (res : Service.result) =
+  match res with
+  | Done false -> 0
+  | Done true -> 1 lsl 3
+  | Value None -> 2 lsl 3
+  | Value (Some v) ->
+    if (v lsl value_shift) asr value_shift <> v then
+      invalid_arg
+        (Printf.sprintf
+           "Oracle.ack: client=%d seq=%d result value %d outside [-2^%d, \
+            2^%d)"
+           req.client req.seq v (value_bits - 1) (value_bits - 1));
+    (v lsl value_shift) lor (3 lsl 3)
 
 type t = {
   arr : arrivals;
   index : int array array;  (* [client].(seq): arrival number, -1 in gaps *)
   table : (int * int, int) Hashtbl.t Lazy.t;  (* the canonical order *)
   requests : int;
-  acks : int array;  (* this and the next four: per arrival number *)
-  applied : int array;
-  res_tag : Bytes.t;
-  res_val : int array;
-      (* the first acknowledgement's result: byte [i] of [res_tag] is 0
-         for [Done false], 1 [Done true], 2 [Value None] and 3 [Value
-         (Some res_val.(i))]; recorded iff [acks.(i) > 0] *)
+  state : int array;  (* this and [pos]: per arrival number *)
   pos : int array;
       (* the (global shard, slot) of the service's commit claim, packed
          (see [shard_bits]); -1: none observed. It is where the
          durable-commit audit holds the ledger against the ack. *)
+  latencies : int array;
+      (* arrival to first acknowledgement, in acknowledgement order:
+         [completed] are filled *)
+  spill : (int, int) Hashtbl.t;  (* arrival number -> applies, from 3 *)
   mutable violations : string list;  (* newest first, at most [cap] *)
   mutable reported : int;  (* including those beyond [cap] *)
   mutable completed : int;
   mutable applies : int;
   mutable dedup_acks : int;
-  latencies : int array;
   last_acked : int array;  (* per client, highest acknowledged seq *)
   mutable stalled : bool;
   mutable audit : bool;
@@ -61,20 +111,21 @@ let shard_bits = 16
 let shard_mask = (1 lsl shard_bits) - 1
 
 let create ~clients (arr : arrivals) =
-  let requests = Array.length arr.a_client in
-  if
-    Array.length arr.a_seq <> requests
-    || Array.length arr.a_op <> requests
-    || Array.length arr.a_time <> requests
+  let requests = Array.length arr.a_id in
+  if Array.length arr.a_op <> requests || Array.length arr.a_time <> requests
   then invalid_arg "Oracle.create: arrival arrays of different lengths";
+  if clients > max_clients then
+    invalid_arg
+      (Printf.sprintf "Oracle.create: %d clients, at most %d" clients
+         max_clients);
   let len = Array.make clients 0 in
   for i = 0 to requests - 1 do
-    let c = arr.a_client.(i) and s = arr.a_seq.(i) in
+    let c = client_of arr.a_id.(i) and s = seq_of arr.a_id.(i) in
     let reject why =
       invalid_arg
         (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s" c s why)
     in
-    if c < 0 || c >= clients then
+    if c >= clients then
       reject (Printf.sprintf "has a client outside [0, %d)" clients)
     else if s < 0 then reject "has a negative seq";
     len.(c) <- max len.(c) (s + 1)
@@ -83,13 +134,14 @@ let create ~clients (arr : arrivals) =
   (* a repeated (client, seq) keeps its last arrival, as the table's
      [replace] does *)
   for i = 0 to requests - 1 do
-    index.(arr.a_client.(i)).(arr.a_seq.(i)) <- i
+    let id = arr.a_id.(i) in
+    index.(client_of id).(seq_of id) <- i
   done;
   let table =
     lazy
       (let recs = Hashtbl.create (2 * requests) in
        for i = 0 to requests - 1 do
-         let c = arr.a_client.(i) and s = arr.a_seq.(i) in
+         let c = client_of arr.a_id.(i) and s = seq_of arr.a_id.(i) in
          Hashtbl.replace recs (c, s) index.(c).(s)
        done;
        recs)
@@ -98,17 +150,15 @@ let create ~clients (arr : arrivals) =
     index;
     table;
     requests;
-    acks = Array.make requests 0;
-    applied = Array.make requests 0;
-    res_tag = Bytes.make requests '\000';
-    res_val = Array.make requests 0;
+    state = Array.make requests 0;
     pos = Array.make requests (-1);
+    latencies = Array.make requests 0;
+    spill = Hashtbl.create 16;
     violations = [];
     reported = 0;
     completed = 0;
     applies = 0;
     dedup_acks = 0;
-    latencies = Array.make requests 0;
     last_acked = Array.make clients (-1);
     stalled = false;
     audit = false;
@@ -140,25 +190,22 @@ let find t (r : Service.request) =
     violation t "unknown request client=%d seq=%d" r.client r.seq;
   i
 
-let record_result t i (res : Service.result) =
-  Bytes.set_uint8 t.res_tag i
-    (match res with
-    | Done false -> 0
-    | Done true -> 1
-    | Value None -> 2
-    | Value (Some v) ->
-      t.res_val.(i) <- v;
-      3)
+let acked_at t i = t.state.(i) land acked_bit <> 0
+
+let applied t i =
+  let n = applies_of t.state.(i) in
+  if n < 3 then n else Hashtbl.find t.spill i
 
 let recorded_result t i : Service.result option =
-  if t.acks.(i) = 0 then None
+  let s = t.state.(i) in
+  if s land acked_bit = 0 then None
   else
     Some
-      (match Bytes.get_uint8 t.res_tag i with
+      (match tag_of s with
       | 0 -> Done false
       | 1 -> Done true
       | 2 -> Value None
-      | _ -> Value (Some t.res_val.(i)))
+      | _ -> Value (Some (s asr value_shift)))
 
 (* ---- events ---- *)
 
@@ -166,11 +213,16 @@ let apply t (req : Service.request) =
   t.applies <- t.applies + 1;
   let i = find t req in
   if i >= 0 then begin
-    t.applied.(i) <- t.applied.(i) + 1;
+    let s = t.state.(i) in
+    (match applies_of s with
+    | 3 -> Hashtbl.replace t.spill i (Hashtbl.find t.spill i + 1)
+    | n ->
+      if n = 2 then Hashtbl.replace t.spill i 3;
+      t.state.(i) <- s + one_apply);
     if t.audit then
       violation t "audit: client=%d seq=%d re-applied after final ack"
         req.client req.seq
-    else if t.acks.(i) > 0 then
+    else if s land acked_bit <> 0 then
       violation t "client=%d seq=%d applied after acknowledgement" req.client
         req.seq
   end
@@ -203,13 +255,15 @@ let ack t (req : Service.request) res ~dedup ~time =
   end
   else begin
     if dedup then t.dedup_acks <- t.dedup_acks + 1;
-    t.acks.(i) <- t.acks.(i) + 1;
-    if t.acks.(i) > 1 then begin
+    let s = t.state.(i) in
+    if s land acked_bit <> 0 then begin
       violation t "client=%d seq=%d acknowledged twice" req.client req.seq;
       false
     end
     else begin
-      record_result t i res;
+      (* keep the applies, record the result *)
+      t.state.(i) <-
+        result_bits req res lor (s land (3 * one_apply)) lor acked_bit;
       t.latencies.(t.completed) <- time - t.arr.a_time.(i);
       t.completed <- t.completed + 1;
       if req.seq > t.last_acked.(req.client) then
@@ -222,7 +276,7 @@ let ack t (req : Service.request) res ~dedup ~time =
 
 (* Does [p] hold for some acknowledged request? *)
 let any_acked t p =
-  let rec go i = i < t.requests && ((t.acks.(i) > 0 && p i) || go (i + 1)) in
+  let rec go i = i < t.requests && ((acked_at t i && p i) || go (i + 1)) in
   go 0
 
 (* Durable-commit audit: every request acknowledged before the crash
@@ -249,7 +303,7 @@ let check_recovered t (durable : Service.durable array) ~status =
   if any_acked t lost then
     Hashtbl.iter
       (fun (cl, sq) i ->
-        if t.acks.(i) > 0 then
+        if acked_at t i then
           let p = t.pos.(i) in
           let gs = p land shard_mask and slot = p lsr shard_bits in
           if p < 0 then
@@ -274,14 +328,15 @@ let check_recovered t (durable : Service.durable array) ~status =
     (fun status ->
       let a = t.arr in
       let unfinished i =
-        match status ~client:a.a_client.(i) ~seq:a.a_seq.(i) a.a_op.(i) with
+        let id = a.a_id.(i) in
+        match status ~client:(client_of id) ~seq:(seq_of id) a.a_op.(i) with
         | Nvt_nvm.Detectable.Completed -> false
         | _ -> true
       in
       if any_acked t unfinished then
         Hashtbl.iter
           (fun (cl, sq) i ->
-            if t.acks.(i) > 0 then
+            if acked_at t i then
               match status ~client:cl ~seq:sq a.a_op.(i) with
               | Nvt_nvm.Detectable.Completed -> ()
               | st ->
@@ -400,21 +455,21 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
     | Some s -> sq <= s
     | None -> false
   in
-  let applied_not_once i = crash_free && t.applied.(i) <> 1 in
+  let applied_not_once i = crash_free && applied t i <> 1 in
   if
     any_acked t (fun i ->
-        (not (vouched t.arr.a_client.(i) t.arr.a_seq.(i)))
+        (not (vouched (client_of t.arr.a_id.(i)) (seq_of t.arr.a_id.(i))))
         || applied_not_once i)
   then
     Hashtbl.iter
       (fun (cl, sq) i ->
-        if t.acks.(i) > 0 then begin
+        if acked_at t i then begin
           if not (vouched cl sq) then
             violation t "client=%d seq=%d acknowledged but not committed" cl
               sq;
           if applied_not_once i then
             violation t "crash-free: client=%d seq=%d applied %d times" cl sq
-              t.applied.(i)
+              (applied t i)
         end)
       (Lazy.force t.table);
   let actual = List.sort Types.compare_pair contents in
@@ -469,4 +524,4 @@ let acked t = t.completed
 let applies t = t.applies
 let dedup_acks t = t.dedup_acks
 let audit_acks t = t.audit_acks
-let latencies t = Array.sub t.latencies 0 t.completed
+let latencies t = t.latencies

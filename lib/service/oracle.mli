@@ -12,28 +12,41 @@
     request re-sent is answered from the ledger, unchanged. *)
 
 type arrivals = {
-  a_client : int array;
-  a_seq : int array;
+  a_id : int array;  (** client and seq, packed by {!pack} *)
   a_op : Service.op array;
   a_time : int array;  (** scheduled arrival time *)
 }
 (** A run's arrival schedule, one column per field: arrival [i] is
-    client [a_client.(i)]'s request [a_seq.(i)], scheduled at
-    [a_time.(i)]. The index [i] is the request's {e arrival number}. *)
+    client [client_of a_id.(i)]'s request [seq_of a_id.(i)], scheduled
+    at [a_time.(i)]. The index [i] is the request's {e arrival
+    number}. *)
+
+val max_clients : int
+(** [2^16]: a client's number must fit the low bits of an arrival id. *)
+
+val pack : client:int -> seq:int -> int
+(** The arrival id of client [client]'s request [seq]. Raises
+    [Invalid_argument] naming both unless [client] lies in
+    [\[0, max_clients)] and [seq] in [\[0, 2^46)] (on 64-bit hosts). *)
+
+val client_of : int -> int
+val seq_of : int -> int
 
 type t
 
 val create : clients:int -> arrivals -> t
 (** The oracle for a run whose [clients] sessions issue exactly these
     requests. It keeps the schedule (shared, not copied) and its own
-    per-request state in flat arrays indexed by arrival number, about
-    eight words per request besides the schedule. Raises
-    [Invalid_argument] if the columns differ in length, or naming an
-    arrival whose client lies outside [\[0, clients)] or whose seq is
-    negative. Events find their arrival number per client by seq, so
-    the index holds one word for every seq up to each client's
-    highest; a repeated [(client, seq)] resolves to its last
-    arrival. *)
+    per-request state in flat int arrays indexed by arrival number, four
+    words per request besides the schedule: the index below, one word
+    packing the acknowledgement, the apply count and the recorded
+    result, the commit position and the latency. Raises
+    [Invalid_argument] if the columns differ in length, if [clients]
+    exceeds {!max_clients}, or naming an arrival whose client lies
+    outside [\[0, clients)] or whose seq is negative. Events find their
+    arrival number per client by seq, so the index holds one word for
+    every seq up to each client's highest; a repeated [(client, seq)]
+    resolves to its last arrival. *)
 
 val violations : t -> string list
 (** In the order recorded: the first 32, then, if there were more, one
@@ -49,7 +62,10 @@ val commit : t -> Service.request -> shard:int -> slot:int -> unit
 val ack :
   t -> Service.request -> Service.result -> dedup:bool -> time:int -> bool
 (** [true] iff this is the request's first acknowledgement outside the
-    audit phase: its client may issue its next request. *)
+    audit phase: its client may issue its next request. Raises
+    [Invalid_argument] for a first acknowledgement answering
+    [Value (Some v)] with [v] outside [\[-2^57, 2^57)] (on 64-bit
+    hosts), which its state word cannot record. *)
 
 (** {1 Checks} *)
 
@@ -100,4 +116,6 @@ val dedup_acks : t -> int
 val audit_acks : t -> int
 
 val latencies : t -> int array
-(** Arrival-to-acknowledgement latencies, in acknowledgement order. *)
+(** Arrival-to-acknowledgement latencies, in acknowledgement order: the
+    first {!acked} entries of the oracle's own array, not a copy, so a
+    summary may reorder them in place. *)

@@ -108,6 +108,28 @@ let default_config =
 
 type latency = { p50 : int; p95 : int; p99 : int; lmax : int; mean : float }
 
+(* One shard's apply history, digested: the applies counted and their
+   (client, seq) pairs folded, oldest first, into a 63-bit digest. *)
+type history = { count : int; digest : int }
+
+(* A 63-bit finalizer in the style of splitmix64's: every input bit
+   reaches every output bit, so a reordered or changed pair moves the
+   digest. *)
+let mix x =
+  let x = (x lxor (x lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 29)) * 0x14c9a5b6e2df3f47 in
+  x lxor (x lsr 32)
+
+let digest_seed = 0x2545f4914f6cdd1d
+let digest_step d ~client ~seq = mix (mix (d lxor client) + seq)
+
+let history_of pairs =
+  List.fold_left
+    (fun h (client, seq) ->
+      { count = h.count + 1; digest = digest_step h.digest ~client ~seq })
+    { count = 0; digest = digest_seed }
+    pairs
+
 type report = {
   config : config;
   acked : int;
@@ -134,18 +156,17 @@ type report = {
   latency : latency;
   stats : Stats.t;  (* main-run window (prefill and audit excluded) *)
   violations : string list;
-  histories : int array array;
-      (* per global shard, the apply order: (client, seq) at [2i], [2i+1] *)
+  histories : history array;  (* per global shard *)
 }
 
 (* ------------------------------------------------------------------ *)
 
-(* The element of rank [k] of [a], by in-place quickselect over
-   [lo, length a): it leaves every element below [k] no greater than
+(* The element of rank [k] of [a]'s first [n], by in-place quickselect
+   over [lo, n): it leaves every element below [k] no greater than
    [a.(k)] and every one above no less, so a later call for a higher
    rank may start at [k]. *)
-let select a lo k =
-  let lo = ref lo and hi = ref (Array.length a - 1) in
+let select a n lo k =
+  let lo = ref lo and hi = ref (n - 1) in
   while !lo < !hi do
     let pivot = a.((!lo + !hi) / 2) in
     let i = ref !lo and j = ref !hi in
@@ -164,23 +185,29 @@ let select a lo k =
   done;
   a.(k)
 
-(* Nearest-rank p50/p95/p99, max and mean; reorders [lat]. *)
-let summarize lat =
-  let n = Array.length lat in
+(* Nearest-rank p50/p95/p99, max and mean of the first [len]
+   latencies; reorders them. *)
+let summarize ?len lat =
+  let n = Option.value len ~default:(Array.length lat) in
   if n = 0 then { p50 = 0; p95 = 0; p99 = 0; lmax = 0; mean = 0.0 }
   else begin
     let rank p =
       max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
     in
     let r50 = rank 0.50 and r95 = rank 0.95 and r99 = rank 0.99 in
-    let p50 = select lat 0 r50 in
-    let p95 = select lat r50 r95 in
-    let p99 = select lat r95 r99 in
+    let p50 = select lat n 0 r50 in
+    let p95 = select lat n r50 r95 in
+    let p99 = select lat n r95 r99 in
+    let lmax = ref min_int and sum = ref 0 in
+    for i = 0 to n - 1 do
+      lmax := max !lmax lat.(i);
+      sum := !sum + lat.(i)
+    done;
     { p50;
       p95;
       p99;
-      lmax = Array.fold_left max min_int lat;
-      mean = float_of_int (Array.fold_left ( + ) 0 lat) /. float_of_int n }
+      lmax = !lmax;
+      mean = float_of_int !sum /. float_of_int n }
   end
 
 let exponential rng mean =
@@ -231,8 +258,7 @@ let schedule (c : config) : Oracle.arrivals =
   let seq_ctr = Array.make c.clients 0 in
   let column x = Array.make c.requests x in
   let a =
-    { Oracle.a_client = column 0;
-      a_seq = column 0;
+    { Oracle.a_id = column 0;
       a_op = column (Service.Get 0);
       a_time = column 0 }
   in
@@ -277,8 +303,7 @@ let schedule (c : config) : Oracle.arrivals =
         else op
       end
     in
-    a.a_client.(i) <- client;
-    a.a_seq.(i) <- seq;
+    a.a_id.(i) <- Oracle.pack ~client ~seq;
     a.a_op.(i) <- op;
     a.a_time.(i) <- !clock
   done;
@@ -302,15 +327,13 @@ module Merge = struct
   (* A growable array; [n] entries are live. *)
   type buf = { mutable items : item array; mutable n : int }
 
-  (* One shard's apply history, (client, seq) at [2i] and [2i + 1]. *)
-  type history = { mutable pairs : int array; mutable len : int }
-
   type t = {
     evq : ev Queue.t array;  (* per group, filled by the hooks *)
     deferred : buf;  (* collected, released at a later barrier *)
     mutable deferred_min : int;  (* least [eff] in [deferred], or max_int *)
     ready : buf;  (* reused by every release *)
-    histories : history array;  (* per global shard *)
+    counts : int array;  (* per global shard: [history.count] *)
+    digests : int array;  (* and [history.digest] *)
     shards : int;
     ack_interval : int option;
         (* group mode: the commit interval fresh acks are released at *)
@@ -335,23 +358,21 @@ module Merge = struct
       deferred = buf ();
       deferred_min = max_int;
       ready = buf ();
-      histories = Array.init shards (fun _ -> { pairs = [||]; len = 0 });
+      counts = Array.make shards 0;
+      digests = Array.make shards digest_seed;
       shards;
       ack_interval }
 
   let push m g e = Queue.push e m.evq.(g)
 
-  let record h (req : Service.request) =
-    if h.len = Array.length h.pairs then begin
-      let a = Array.make (max 64 (2 * h.len)) 0 in
-      Array.blit h.pairs 0 a 0 h.len;
-      h.pairs <- a
-    end;
-    h.pairs.(h.len) <- req.client;
-    h.pairs.(h.len + 1) <- req.seq;
-    h.len <- h.len + 2
+  let record m gs (req : Service.request) =
+    m.counts.(gs) <- m.counts.(gs) + 1;
+    m.digests.(gs) <-
+      digest_step m.digests.(gs) ~client:req.client ~seq:req.seq
 
-  let histories m = Array.map (fun h -> Array.sub h.pairs 0 h.len) m.histories
+  let histories m =
+    Array.init m.shards (fun gs ->
+        { count = m.counts.(gs); digest = m.digests.(gs) })
 
   (* A group ack's effective release time is the commit-interval
      boundary its commit fired at, rounded up from the true ack time
@@ -435,7 +456,7 @@ module Merge = struct
                   Service.global_shard ~shards:m.shards
                     (Service.key_of_op req.op)
                 in
-                record m.histories.(gs) req
+                record m gs req
               | _ -> ());
               route m ~all t_bar { eff = effective m e; ev = e })
             q;
@@ -588,9 +609,10 @@ let run (c : config) : report =
     Array.init c.clients (fun _ -> Queue.create ())
   in
   let issue i =
+    let id = arrivals.a_id.(i) in
     let r =
-      { Service.client = arrivals.a_client.(i);
-        seq = arrivals.a_seq.(i);
+      { Service.client = Oracle.client_of id;
+        seq = Oracle.seq_of id;
         op = arrivals.a_op.(i) }
     in
     issued.(r.client) <- Some r;
@@ -601,8 +623,9 @@ let run (c : config) : report =
     while !cursor < c.requests && arrivals.a_time.(!cursor) <= t_bar do
       let i = !cursor in
       incr cursor;
-      match issued.(arrivals.a_client.(i)) with
-      | Some _ -> Queue.push i backlog.(arrivals.a_client.(i))
+      let client = Oracle.client_of arrivals.a_id.(i) in
+      match issued.(client) with
+      | Some _ -> Queue.push i backlog.(client)
       | None -> issue i
     done
   in
@@ -784,7 +807,7 @@ let run (c : config) : report =
     makespan;
     steps;
     committed = sum Service.committed_total;
-    latency = summarize (Oracle.latencies oracle);
+    latency = summarize ~len:(Oracle.acked oracle) (Oracle.latencies oracle);
     stats;
     violations = Oracle.violations oracle;
     histories = Merge.histories merge }

@@ -33,7 +33,7 @@ type config = {
   structure : string;  (** registry key, e.g. ["hash"] *)
   flavour : string;  (** registry key, e.g. ["nvt"] *)
   shards : int;
-  clients : int;
+  clients : int;  (** at most {!Oracle.max_clients} *)
   requests : int;
   mean_gap : int;  (** mean Poisson inter-arrival gap, time units *)
   skew : float;  (** [0.] = uniform keys, else Zipf skew *)
@@ -86,6 +86,16 @@ val default_config : config
 
 type latency = { p50 : int; p95 : int; p99 : int; lmax : int; mean : float }
 
+type history = { count : int; digest : int }
+(** One shard's apply history, digested: the number of applies and a
+    rolling 63-bit digest of their [(client, seq)] pairs, oldest first.
+    Two runs with equal histories applied the same requests in the same
+    order on that shard, up to a digest collision. *)
+
+val history_of : (int * int) list -> history
+(** The history of these [(client, seq)] applies, oldest first: what
+    the merge barrier records for them. *)
+
 type report = {
   config : config;
   acked : int;
@@ -123,18 +133,19 @@ type report = {
   violations : string list;
       (** empty iff exactly-once semantics held (and nothing stalled);
           see {!Oracle.violations} *)
-  histories : int array array;
-      (** per global shard, the apply order of the main run, flat: the
-          [i]th apply is client [h.(2 * i)]'s request [h.(2 * i + 1)].
-          The determinism tests compare these across domain counts. *)
+  histories : history array;
+      (** per global shard, the applies of the main run, in the order
+          the merge barrier collected them (see {!Merge.release}). The
+          determinism tests compare these across domain counts. *)
 }
 
 val run : config -> report
 
-val summarize : int array -> latency
+val summarize : ?len:int -> int array -> latency
 (** Nearest-rank p50/p95/p99 (the element of rank [ceil (p n)]), max
-    and mean of the latencies, all 0 when there are none. Reorders the
-    array. *)
+    and mean of the first [len] latencies (default: all), all 0 when
+    there are none. Selects in place: reorders those [len], and copies
+    nothing. *)
 
 (** The merge barrier's event buffers, exposed for testing. *)
 module Merge : sig
@@ -156,16 +167,19 @@ module Merge : sig
 
   val release : t -> audit:bool -> all:bool -> int -> (ev -> unit) -> unit
   (** [release m ~audit ~all t_bar f] drains every group's buffer,
-      recording applies in the histories unless [audit], and calls [f]
+      recording applies in the shards' histories unless [audit], in
+      collection order (for one shard, the order its group pushed
+      them), and calls [f]
       on each event due by barrier [t_bar] (every event, with [all]),
       ordered by (effective time, client, seq, apply < commit < ack),
       ties in collection order: events deferred earlier first, then
       group 0's buffer, group 1's, and so on. The rest stays deferred,
       in that order. *)
 
-  val histories : t -> int array array
-  (** Per global shard, the (client, seq) of each recorded apply,
-      oldest first, flat as in [report.histories]. *)
+  val histories : t -> history array
+  (** Per global shard, the applies recorded so far, as in
+      [report.histories]: a count and a digest, kept as two ints per
+      shard, so recording an apply allocates nothing. *)
 end
 
 val fences_per_op : report -> float

@@ -107,44 +107,47 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     l : node;  (* always a leaf; kept as [node] for physical CAS *)
     edge_p : node M.loc;  (* the child word of p holding l *)
     edge_gp : node M.loc option;  (* the child word of gp holding p *)
-    above : M.any list;  (* up to 2 parent edges above gp (Lemma 4.1) *)
+    above : M.any list;
+        (* up to 2 parent edges above gp (Lemma 4.1); none under a
+           policy that persists nothing *)
   }
 
+  (* The [gpupdate] of a traversal that stopped below the root, where
+     there is no gp: clean, so no critical method helps or CASes it. *)
+  let no_update = Clean (ref ())
+
   let traverse_from (root : internal) k =
-    (* Descend; [edges] accumulates the child words followed, newest
-       first, so [edges] = [into_l; into_p; into_gp; into_ggp; ...]. *)
-    let rec descend gp gpupdate p pupdate edges l =
+    (* Descend, keeping the last four child words followed, newest
+       first: [e0] into l, [e1] into p, [e2] into gp, [e3] into gp's
+       parent. The first [depth] are real, the rest placeholders, so
+       the walk allocates nothing until it returns. *)
+    let rec descend gp gpupdate p pupdate e0 e1 e2 e3 depth l =
       match l with
       | Leaf _ ->
-        let edge_p, edge_gp, above =
-          match edges with
-          | e0 :: rest ->
-            let edge_gp, above =
-              match rest with
-              | e1 :: rest' ->
-                let above =
-                  match rest' with
-                  | e2 :: e3 :: _ -> [ M.Any e2; M.Any e3 ]
-                  | [ e2 ] -> [ M.Any e2 ]
-                  | [] -> []
-                in
-                (Some e1, above)
-              | [] -> (None, [])
-            in
-            (e0, edge_gp, above)
-          | [] -> assert false
+        (* a policy that persists nothing gets no reach set *)
+        let above =
+          if not P.enabled || depth < 3 then []
+          else if depth = 3 then [ M.Any e2 ]
+          else [ M.Any e2; M.Any e3 ]
         in
-        { gp; gpupdate; p; pupdate; l; edge_p; edge_gp; above }
+        { gp = (if depth >= 2 then Some gp else None);
+          gpupdate;
+          p;
+          pupdate;
+          l;
+          edge_p = e0;
+          edge_gp = (if depth >= 2 then Some e1 else None);
+          above }
       | Internal i ->
         let u = M.read i.update in
         let edge = if k < M.read i.ikey then i.left else i.right in
         let child = M.read edge in
-        descend (Some p) pupdate i u (edge :: edges) child
+        descend p pupdate i u edge e0 e1 e2 (depth + 1) child
     in
     let u0 = M.read root.update in
     let edge0 = if k < M.read root.ikey then root.left else root.right in
     let child0 = M.read edge0 in
-    descend None (Clean (ref ())) root u0 [ edge0 ] child0
+    descend root no_update root u0 edge0 edge0 edge0 edge0 1 child0
 
   let persist_set tr =
     let base = [ M.Any tr.p.update; M.Any tr.edge_p ] in
@@ -155,9 +158,12 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     in
     match tr.edge_gp with Some e -> M.Any e :: base | None -> base
 
+  (* a policy that persists nothing gets no persist set *)
   let traversal entry k =
     let tr = traverse_from entry k in
-    { E.nodes = tr; reach = E.Parents tr.above; persist_set = persist_set tr }
+    { E.nodes = tr;
+      reach = E.Parents tr.above;
+      persist_set = (if P.enabled then persist_set tr else []) }
 
   (* ---------------- helping (shared by critical and recovery) ------- *)
 

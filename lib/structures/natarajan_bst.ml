@@ -92,44 +92,51 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     par_edge : word M.loc;  (* parent's child word holding the leaf *)
     leaf_word : word;  (* its contents when read *)
     leaf : leaf;
-    above : M.any list;  (* up to two edges above the ancestor *)
+    above : M.any list;
+        (* up to two edges above the ancestor; none under a policy that
+           persists nothing *)
   }
 
   let seek t k =
-    (* [trail] holds the edge locations above [pe], newest first, so the
-       two edges above a freshly promoted ancestor are its prefix. *)
-    let rec descend anc anc_edge succ_word above parent (pe, pw) trail =
+    (* [t0] and [t1] are the edge locations above [pe], newest first
+       ([nt] of them real, the rest placeholders), so the two edges
+       above a freshly promoted ancestor are [t0] and [t1]; [a0] and
+       [a1] ([na] real) keep those of the current ancestor. The walk
+       allocates nothing until it returns. *)
+    let rec descend anc anc_edge succ_word a0 a1 na parent pe pw t0 t1 nt =
       match pw.node with
       | Leaf lf ->
+        (* a policy that persists nothing gets no reach set *)
+        let above =
+          if not P.enabled || na = 0 then []
+          else if na = 1 then [ M.Any a0 ]
+          else [ M.Any a0; M.Any a1 ]
+        in
         { ancestor = anc; anc_edge; succ_word; parent; par_edge = pe;
           leaf_word = pw; leaf = lf; above }
       | Internal i ->
-        let anc, anc_edge, succ_word, above =
-          if not pw.tag then
-            let above' =
-              match trail with
-              | e0 :: e1 :: _ -> [ M.Any e0; M.Any e1 ]
-              | [ e0 ] -> [ M.Any e0 ]
-              | [] -> []
-            in
-            (parent, pe, pw, above')
-          else (anc, anc_edge, succ_word, above)
-        in
         let ce = if k < M.read i.ikey then i.left else i.right in
         let cw = M.read ce in
-        descend anc anc_edge succ_word above i (ce, cw) (pe :: trail)
+        let nt' = min 2 (nt + 1) in
+        if not pw.tag then
+          descend parent pe pw t0 t1 nt i ce cw pe t0 nt'
+        else descend anc anc_edge succ_word a0 a1 na i ce cw pe t0 nt'
     in
     let rw = M.read t.r.left in
     let sw = M.read t.s.left in
-    descend t.r t.r.left rw [] t.s (t.s.left, sw) [ t.r.left ]
+    descend t.r t.r.left rw t.r.left t.r.left 0 t.s t.s.left sw t.r.left
+      t.r.left 1
 
   let persist_set sr =
     if sr.anc_edge == sr.par_edge then [ M.Any sr.par_edge ]
     else [ M.Any sr.anc_edge; M.Any sr.par_edge ]
 
+  (* a policy that persists nothing gets no persist set *)
   let traversal entry k =
     let sr = seek entry k in
-    { E.nodes = sr; reach = E.Parents sr.above; persist_set = persist_set sr }
+    { E.nodes = sr;
+      reach = E.Parents sr.above;
+      persist_set = (if P.enabled then persist_set sr else []) }
 
   (* ---------------- cleanup (shared by critical and recovery) ------- *)
 

@@ -74,21 +74,19 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
 
   (* ---------------- findEntry: descend the towers ---------------- *)
 
-  (* Walk level [i] (>= 1) from [from], returning the last node whose key
-     is < k. Read-only: marked nodes still route correctly by key. *)
-  let walk_level i from k =
-    let rec go curr =
-      match (M.read curr.tower.(i - 1)).nx with
-      | Tail -> curr
-      | Node n -> if key_of n < k then go n else curr
-    in
-    go from
+  (* Walk level [i] (>= 1) from [curr], returning the last node whose
+     key is < k. Read-only: marked nodes still route correctly by key.
+     Top-level recursion, not a closure, so a descent allocates
+     nothing. *)
+  let rec walk_level i k curr =
+    match (M.read curr.tower.(i - 1)).nx with
+    | Tail -> curr
+    | Node n -> if key_of n < k then walk_level i k n else curr
 
-  let find_entry head k =
-    let rec down i curr =
-      if i = 0 then curr else down (i - 1) (walk_level i curr k)
-    in
-    down (max_level - 1) head
+  let rec descend i k curr =
+    if i = 0 then curr else descend (i - 1) k (walk_level i k curr)
+
+  let find_entry head k = descend (max_level - 1) k head
 
   (* ---------------- traverse: bottom-level Harris walk ------------- *)
 
@@ -100,24 +98,24 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   }
 
   let rec traverse_from (head : inner) (entry : inner) k =
-    let rec walk left left_succ mids curr =
-      match curr with
-      | Tail -> { left; left_succ; mids = List.rev mids; right = Tail }
-      | Node n ->
-        let succ = M.read n.next in
-        if succ.marked then walk left left_succ (n :: mids) succ.nx
-        else if key_of n < k then walk n succ [] succ.nx
-        else
-          let succ2 = M.read n.next in
-          if succ2.marked then traverse_from head head k
-          else { left; left_succ; mids = List.rev mids; right = Node n }
-    in
     let s0 = M.read entry.next in
     if s0.marked then
       (* the entry point was deleted under us; the head sentinel is
          always a valid unmarked starting left *)
       traverse_from head head k
-    else walk entry s0 [] s0.nx
+    else walk head k entry s0 [] s0.nx
+
+  and walk head k left left_succ mids curr =
+    match curr with
+    | Tail -> { left; left_succ; mids = List.rev mids; right = Tail }
+    | Node n ->
+      let succ = M.read n.next in
+      if succ.marked then walk head k left left_succ (n :: mids) succ.nx
+      else if key_of n < k then walk head k n succ [] succ.nx
+      else
+        let succ2 = M.read n.next in
+        if succ2.marked then traverse_from head head k
+        else { left; left_succ; mids = List.rev mids; right = Node n }
 
   let persist_set tr =
     let base = M.Any tr.left.next :: List.map (fun n -> M.Any n.next) tr.mids in
@@ -125,11 +123,14 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     | Tail -> base
     | Node rn -> base @ [ M.Any rn.next ]
 
+  (* a policy that persists nothing gets no reach or persist set *)
   let traversal head entry k =
     let tr = traverse_from head entry k in
-    { E.nodes = tr;
-      reach = E.Original_parent (M.Any tr.left.origin);
-      persist_set = persist_set tr }
+    if P.enabled then
+      { E.nodes = tr;
+        reach = E.Original_parent (M.Any tr.left.origin);
+        persist_set = persist_set tr }
+    else { E.nodes = tr; reach = E.Parents []; persist_set = [] }
 
   (* ---------------- tower maintenance (auxiliary, unflushed) ------- *)
 

@@ -35,36 +35,65 @@ let update_pct mix = mix.insert_pct + mix.delete_pct
    clustering at 0, 1, 2, ... *)
 type dist = Uniform | Zipf of float
 
-type zipf = {
-  cum : float array;  (* normalized cumulative weights, cum.(range-1) = 1 *)
-  perm : int array;  (* rank -> key *)
-}
+(* Zipf ranks by inversion of the cumulative weights, through a guide
+   table (Chen and Asau's method): [guide.(j)] is the least rank whose
+   cumulative weight falls in bucket [j] or above, where [bucket x =
+   truncate (x *. range)]. A draw [u] starts its scan at [guide.(bucket
+   u)] and steps up to the least rank with [cum.(r) >= u]: with one
+   bucket per rank, at most two comparisons on average. [bucket] is
+   monotone, so every rank below the start has [cum.(r) < u]: the scan
+   finds the rank a binary search over [cum] finds, for every [u]. *)
+module Zipf_table = struct
+  type t = {
+    cum : float array;  (* normalized cumulative weights, cum.(range-1) = 1 *)
+    guide : int array;  (* range + 1 buckets: [bucket 1.] = range *)
+    perm : int array;  (* rank -> key *)
+  }
+
+  let bucket t x = int_of_float (x *. float_of_int (Array.length t.cum))
+
+  let make ~seed ~range ~s =
+    let cum = Array.make range 0.0 in
+    let acc = ref 0.0 in
+    for r = 0 to range - 1 do
+      acc := !acc +. (1.0 /. Float.pow (float_of_int (r + 1)) s);
+      cum.(r) <- !acc
+    done;
+    let total = !acc in
+    Array.iteri (fun r c -> cum.(r) <- c /. total) cum;
+    let perm = Array.init range Fun.id in
+    let rng = Random.State.make [| seed; range; 0x21f |] in
+    for i = range - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+    let t = { cum; guide = Array.make (range + 1) 0; perm } in
+    let r = ref 0 in
+    for j = 0 to range do
+      while !r < range - 1 && bucket t cum.(!r) < j do incr r done;
+      t.guide.(j) <- !r
+    done;
+    t
+
+  let cum t = t.cum
+
+  (* the least rank with [cum.(r) >= u], or the last *)
+  let rank t u =
+    let r = ref t.guide.(bucket t u) and last = Array.length t.cum - 1 in
+    while !r < last && t.cum.(!r) < u do incr r done;
+    !r
+
+  let key t u = t.perm.(rank t u)
+end
 
 type gen = {
   rng : Random.State.t;
   mix : mix;
   range : int;
-  zipf : zipf option;
+  zipf : Zipf_table.t option;
 }
-
-let zipf_tables ~seed ~range ~s =
-  let cum = Array.make range 0.0 in
-  let acc = ref 0.0 in
-  for r = 0 to range - 1 do
-    acc := !acc +. (1.0 /. Float.pow (float_of_int (r + 1)) s);
-    cum.(r) <- !acc
-  done;
-  let total = !acc in
-  Array.iteri (fun r c -> cum.(r) <- c /. total) cum;
-  let perm = Array.init range Fun.id in
-  let rng = Random.State.make [| seed; range; 0x21f |] in
-  for i = range - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- t
-  done;
-  { cum; perm }
 
 let gen_dist ~dist ~seed ~mix ~range =
   { rng = Random.State.make [| seed; 0xf00d |];
@@ -73,7 +102,7 @@ let gen_dist ~dist ~seed ~mix ~range =
     zipf =
       (match dist with
       | Uniform -> None
-      | Zipf s -> Some (zipf_tables ~seed ~range ~s)) }
+      | Zipf s -> Some (Zipf_table.make ~seed ~range ~s)) }
 
 let gen ~seed ~mix ~range = gen_dist ~dist:Uniform ~seed ~mix ~range
 
@@ -84,15 +113,7 @@ let gen ~seed ~mix ~range = gen_dist ~dist:Uniform ~seed ~mix ~range
 let next_key g =
   match g.zipf with
   | None -> Random.State.int g.rng g.range
-  | Some z ->
-    let u = Random.State.float g.rng 1.0 in
-    (* smallest rank r with cum.(r) >= u, by binary search *)
-    let lo = ref 0 and hi = ref (g.range - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if z.cum.(mid) >= u then hi := mid else lo := mid + 1
-    done;
-    z.perm.(!lo)
+  | Some z -> Zipf_table.key z (Random.State.float g.rng 1.0)
 
 let next g =
   let k = next_key g in

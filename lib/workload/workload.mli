@@ -28,6 +28,28 @@ type dist =
           rank->key map is a seeded shuffle of the range, so the hot
           keys scatter across the key space. *)
 
+(** The inversion behind [Zipf s] draws, exposed for testing. *)
+module Zipf_table : sig
+  type t
+
+  val make : seed:int -> range:int -> s:float -> t
+  (** The tables of [Zipf s] over [range] keys, whose rank->key shuffle
+      [seed] selects. *)
+
+  val cum : t -> float array
+  (** The normalized cumulative weights: [(cum t).(r)] is the chance of
+      a rank [<= r]; the last is [1.]. *)
+
+  val rank : t -> float -> int
+  (** [rank t u] for [u] in [\[0, 1)]: the least rank [r] with
+      [(cum t).(r) >= u], found from a guide table in at most two
+      comparisons on average (the last rank if there is none). A binary search over
+      {!cum} finds the same rank. *)
+
+  val key : t -> float -> int
+  (** The key of [rank t u]. *)
+end
+
 type gen
 
 val gen : seed:int -> mix:mix -> range:int -> gen

@@ -5,7 +5,9 @@
    thread's pending write-backs in reusable slots; the engine runs its
    attempt loop and boundary drain without closures, refs or tuples;
    the Harris list walks without a closure and builds its persist set
-   in one pass, and none at all under a policy that persists nothing.
+   in one pass, and none at all under a policy that persists nothing;
+   the skiplist and both BSTs descend without a closure, a list or an
+   option per level, and likewise build no set under such a policy.
    These tests pin the decisions those rewrites must not change and
    the allocation they reached, so that a dropped box cannot creep
    back unnoticed. *)
@@ -166,7 +168,15 @@ let budgets =
     b "hash lookup, nvt" "hash" "nvt" 2048 0 32. 28.5 94.7;
     b "hash lookup, volatile" "hash" "volatile" 2048 0 16. 14.0 94.7;
     b "hash 50% updates, nvt" "hash" "nvt" 2048 50 41. 37.3 107.3;
-    b "hash 50% updates, volatile" "hash" "volatile" 2048 50 25. 22.4 104.0 ]
+    b "hash 50% updates, volatile" "hash" "volatile" 2048 50 25. 22.4 104.0;
+    b "skiplist lookup, nvt" "skiplist" "nvt" 2048 0 46. 42.0 162.0;
+    b "skiplist lookup, volatile" "skiplist" "volatile" 2048 0 28. 25.0 162.0;
+    b "ellen bst lookup, nvt" "bst-ellen" "nvt" 2048 0 69. 63.0 139.8;
+    b "ellen bst lookup, volatile" "bst-ellen" "volatile" 2048 0 36. 33.0
+      139.8;
+    b "natarajan bst lookup, nvt" "bst-nm" "nvt" 2048 0 54. 49.0 272.1;
+    b "natarajan bst lookup, volatile" "bst-nm" "volatile" 2048 0 32. 29.0
+      272.1 ]
 
 let setup_budgets () =
   let over =

@@ -120,7 +120,11 @@ let check_clean name (r : Runner.report) =
       (String.concat "\n  " vs));
   Alcotest.(check int) (name ^ ": all acked") r.config.requests r.acked
 
-let histories (r : Runner.report) = Array.to_list r.histories
+(* Per global shard, the apply count and the digest of the apply
+   order. *)
+let histories (r : Runner.report) =
+  Array.to_list
+    (Array.map (fun (h : Runner.history) -> (h.count, h.digest)) r.histories)
 
 let modes =
   [ ("per_op", Service.Per_op);
@@ -143,7 +147,7 @@ let crash_free_histories ~mixed () =
         (fun domains ->
           let rn = Runner.run (cfg ~mixed ~domains ~mode ~crash_steps:[]) in
           check_clean (Printf.sprintf "%s domains=%d" mname domains) rn;
-          Alcotest.(check (list (array int)))
+          Alcotest.(check (list (pair int int)))
             (Printf.sprintf "%s: per-shard apply histories, domains 1 = %d"
                mname domains)
             (histories r1) (histories rn);

@@ -282,6 +282,43 @@ let zipf_deterministic =
       in
       draw () = draw ())
 
+(* The guide table finds the rank the binary search it replaced
+   finds: over random seeds, skews in (0, 2] and ranges 1-4096, for
+   draws on both sides of every bucket edge ([j / range]) and of every
+   cumulative weight, and for random draws. *)
+let zipf_guide_matches_search =
+  QCheck.Test.make ~count:60
+    ~name:"zipf guide-table rank = binary-search rank"
+    QCheck.(
+      triple (int_bound 1000)
+        (map (fun x -> float_of_int (x + 1) /. 1000.0) (int_bound 1999))
+        (map (fun x -> 1 + x) (int_bound 4095)))
+    (fun (seed, s, range) ->
+      let module Z = Nvt_workload.Workload.Zipf_table in
+      let t = Z.make ~seed ~range ~s in
+      let cum = Z.cum t in
+      (* the search [next_key] used: the least rank with cum >= u *)
+      let search u =
+        let lo = ref 0 and hi = ref (range - 1) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if cum.(mid) >= u then hi := mid else lo := mid + 1
+        done;
+        !lo
+      in
+      let ok u = u < 0. || u >= 1. || Z.rank t u = search u in
+      let around x = ok (Float.pred x) && ok x && ok (Float.succ x) in
+      let rng = Random.State.make [| seed |] in
+      let rec edges j =
+        j > range
+        || (around (float_of_int j /. float_of_int range) && edges (j + 1))
+      in
+      let rec weights r = r >= range || (around cum.(r) && weights (r + 1)) in
+      let rec random n =
+        n = 0 || (ok (Random.State.float rng 1.0) && random (n - 1))
+      in
+      ok 0. && edges 0 && weights 0 && random 1000)
+
 let prefill_contract =
   QCheck.Test.make ~count:50 ~name:"prefill keys are distinct and in range"
     QCheck.(map (fun n -> 2 + (2 * n)) (int_bound 2000))
@@ -315,6 +352,7 @@ let suite =
       zipf_rank_follows_skew;
       zipf_steeper_is_hotter;
       zipf_deterministic;
+      zipf_guide_matches_search;
       prefill_contract ]
   @ [ Alcotest.test_case "flit lookups flush less than izraelevitz" `Quick
         flit_flushes_below_izraelevitz ]

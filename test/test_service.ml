@@ -355,7 +355,7 @@ let golden_reports =
         { base with
           mode = Service.Group { timeout = 1500 };
           checkpoint_interval = 1500 }),
-      "5e8c8c2997aee0118cbedbb5486916d0",
+      "48744c66eb886a6177f71e9efb6ea8b4",
       {|service hash/nvt shards=3 domains=1 clients=8 mode=group1500 dist=zipf(0.99)
   acked 120/120  applies 120  resent 0  dedup 0  audit 8
   crashes 0/0  eras 1  steps 4319  makespan 93082
@@ -388,7 +388,7 @@ let golden_reports =
           domains = 2;
           crash_steps = [ 900; 800; 700 ];
           recovery_crashes = [ 40 ] }),
-      "e7b5bca424d4d7850c51213d41078226",
+      "54ea7cb4cda6f55c6ae1b6be9c4234ec",
       {|service hash/nvt shards=3 domains=2 clients=8 mode=per_op dist=zipf(0.99)
   acked 120/120  applies 121  resent 16  dedup 1  audit 8
   crashes 3/3  eras 4  steps 21864  makespan 102547
@@ -414,7 +414,7 @@ let golden_reports =
     ( "det-detect",
       (fun () ->
         { base with flavour = "det"; detect = true; crash_steps = [ 700; 700 ] }),
-      "84b1eecc7fc48064e29554175f5c7494",
+      "fa4cceeac62ccc115f31ea664e4a902b",
       {|service hash/det shards=3 domains=1 clients=8 mode=group2000+detect dist=zipf(0.99)
   acked 120/120  applies 131  resent 16  dedup 0  audit 8
   crashes 2/2  eras 3  steps 17661  makespan 146047
@@ -448,7 +448,7 @@ let golden_reports =
           mode = Service.Group { timeout = 1500 };
           checkpoint_interval = 1500;
           crash_steps = [ 700; 900 ] }),
-      "d8ddbf7a254436644c9ecc0c9824f682",
+      "9fb4eeb87d55bac0f0cf66fe7d308227",
       {|service hash/det shards=3 domains=1 clients=8 mode=group1500+detect dist=zipf(0.99)
   acked 120/120  applies 127  resent 16  dedup 5  audit 8
   crashes 2/2  eras 3  steps 18722  makespan 162081
@@ -488,7 +488,7 @@ let golden_reports =
           recovery_crashes = [ 40 ];
           multi_pct = 10;
           rmw_pct = 10 }),
-      "947570c96b0347d9d3807192a7837729",
+      "4bdf6d6fc1994fb03731d53725e39cff",
       {|service hash/nvt shards=3 domains=1 clients=8 mode=per_op dist=zipf(0.99)
   acked 120/120  applies 121  resent 16  dedup 2  audit 8
   mixed ops: 17 multi-put(4 keys)  13 rmw
@@ -523,7 +523,7 @@ let golden_reports =
           seed = 20;
           update_pct = 80;
           crash_steps = [ 800 ] }),
-      "01f907c82f60c284cd038ba20035705d",
+      "59495f2ae9512c3adc86fb1523d495a7",
       {|service hash/volatile shards=3 domains=1 clients=8 mode=group2000 dist=zipf(0.99)
   acked 120/120  applies 125  resent 8  dedup 0  audit 8
   crashes 1/1  eras 2  steps 6998  makespan 98064
@@ -549,13 +549,9 @@ let trim_lines s =
   |> String.concat "\n"
 
 let histories_digest (r : Runner.report) =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create 256 in
   Array.iter
-    (fun h ->
-      for i = 0 to (Array.length h / 2) - 1 do
-        Printf.bprintf b "%d:%d," h.(2 * i) h.((2 * i) + 1)
-      done;
-      Buffer.add_char b '|')
+    (fun (h : Runner.history) -> Printf.bprintf b "%d:%x|" h.count h.digest)
     r.histories;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -616,7 +612,7 @@ let reconcile_order_golden () =
   exactly-once: OK|}
     (String.trim (trim_lines (Format.asprintf "%a" Runner.pp_report r)));
   Alcotest.(check string) "histories digest"
-    "02831fe178294479ba41fab8cb016f3a" (histories_digest r)
+    "a746ef12579d14cf9001ab5d2f50b189" (histories_digest r)
 
 (* The report's header names the machines the run used: more domains
    than shards clamp to the shard count, and the header must say so. *)
@@ -682,8 +678,10 @@ let req client seq op = { Service.client; seq; op }
 
 (* The arrival schedule of [reqs], request [i] arriving at time [i]. *)
 let arrivals (reqs : Service.request array) =
-  { Oracle.a_client = Array.map (fun (r : Service.request) -> r.client) reqs;
-    a_seq = Array.map (fun (r : Service.request) -> r.seq) reqs;
+  { Oracle.a_id =
+      Array.map
+        (fun (r : Service.request) -> Oracle.pack ~client:r.client ~seq:r.seq)
+        reqs;
     a_op = Array.map (fun (r : Service.request) -> r.op) reqs;
     a_time = Array.init (Array.length reqs) Fun.id }
 let r0 = req 0 0 (Service.Put (1, 10))
@@ -972,11 +970,19 @@ let oracle_final_order () =
     "golden order" final_golden (final_oracle ~bug:true)
 
 (* [create] rejects an arrival it could not index: the run would
-   otherwise die at that request's first acknowledgement. *)
+   otherwise die at that request's first acknowledgement. An id holds a
+   client in [0, 2^16) and a non-negative seq: [pack] rejects anything
+   else, and [create] more clients than an id can name. A negative seq
+   can still reach [create] through an id made by hand. *)
 let oracle_rejects_bad_arrivals () =
   let arrival client seq = req client seq (Service.Get 1) in
+  let raw_arrivals ids =
+    { Oracle.a_id = ids;
+      a_op = Array.map (fun _ -> Service.Get 1) ids;
+      a_time = Array.map (fun _ -> 0) ids }
+  in
   List.iter
-    (fun (c, sq, why) ->
+    (fun (c, sq, id, why) ->
       Alcotest.check_raises
         (Printf.sprintf "client=%d seq=%d" c sq)
         (Invalid_argument
@@ -985,11 +991,33 @@ let oracle_rejects_bad_arrivals () =
         (fun () ->
           ignore
             (Oracle.create ~clients:2
-               (arrivals [| arrival 0 0; arrival c sq |]))))
-    [ (5, 0, "has a client outside [0, 2)");
-      (2, 3, "has a client outside [0, 2)");
-      (-1, 0, "has a client outside [0, 2)");
-      (1, -4, "has a negative seq") ];
+               (raw_arrivals [| Oracle.pack ~client:0 ~seq:0; id |]))))
+    [ (5, 0, Oracle.pack ~client:5 ~seq:0, "has a client outside [0, 2)");
+      (2, 3, Oracle.pack ~client:2 ~seq:3, "has a client outside [0, 2)");
+      (1, -4, (-4 lsl 16) lor 1, "has a negative seq") ];
+  List.iter
+    (fun (c, sq, why) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pack client=%d seq=%d" c sq)
+        (Invalid_argument
+           (Printf.sprintf "Oracle.pack: client=%d seq=%d %s" c sq why))
+        (fun () -> ignore (Oracle.pack ~client:c ~seq:sq)))
+    [ (-1, 0, "has a client outside [0, 65536)");
+      (65536, 0, "has a client outside [0, 65536)");
+      (0, -1, "has a seq outside [0, 2^46)");
+      (0, 1 lsl 46, "has a seq outside [0, 2^46)") ];
+  (* the extremes an id holds come back out *)
+  List.iter
+    (fun (c, sq) ->
+      let id = Oracle.pack ~client:c ~seq:sq in
+      Alcotest.(check (pair int int))
+        "unpacked" (c, sq)
+        (Oracle.client_of id, Oracle.seq_of id))
+    [ (0, 0); (65535, 0); (0, (1 lsl 46) - 1); (65535, (1 lsl 46) - 1) ];
+  Alcotest.check_raises "a client at 2^16"
+    (Invalid_argument "Oracle.create: 65537 clients, at most 65536")
+    (fun () -> ignore (Oracle.create ~clients:65537 (raw_arrivals [||])));
+  ignore (Oracle.create ~clients:65536 (raw_arrivals [||]));
   Alcotest.check_raises "columns of different lengths"
     (Invalid_argument "Oracle.create: arrival arrays of different lengths")
     (fun () ->
@@ -1010,12 +1038,13 @@ let oracle_rejects_bad_arrivals () =
 (* The oracle's per-request footprint: 4 000 hand-made arrivals, each
    applied, committed and acknowledged, leave the oracle holding its
    schedule and its per-request state in flat arrays. [Obj.reachable_words]
-   is deterministic, so the bound is exact: the schedule's four columns
+   is deterministic, so the bound is exact: the schedule's three columns
    and the op each arrival carries (2-3 words, built here one per
-   request), plus about six words of oracle state: 12.8 in all, where a
+   request), plus four words of oracle state: 9.7 in all, where six
+   words of oracle state and a fourth schedule column took 12.8, and a
    record per arrival and one per request, with a boxed result and
-   commit position, took 27.4. *)
-let footprint_words = 16
+   commit position, 27.4. *)
+let footprint_words = 10.7
 
 let oracle_footprint () =
   let n = 4000 in
@@ -1046,11 +1075,85 @@ let oracle_footprint () =
         (fun () -> Oracle.commit o (rq 0) ~shard ~slot))
     [ (65536, 0); (-1, 0); (0, -1) ];
   let words = Obj.reachable_words (Obj.repr o) in
-  if words > footprint_words * n then
-    Alcotest.failf "%d words for %d requests: %.2f per request, bound %d"
+  if float_of_int words > footprint_words *. float_of_int n then
+    Alcotest.failf "%d words for %d requests: %.2f per request, bound %.1f"
       words n
       (float_of_int words /. float_of_int n)
       footprint_words
+
+(* The state word, at its edges: eight clients send one get each of an
+   absent key; client [i]'s is applied [i] times (from 3 on, the count
+   lives outside the word) and acknowledged with the [i]th result
+   below, the values at both ends of the word's range among them. The
+   crash-free final check must report every count but 1 exactly, and
+   the audit, answered [false] throughout, every recorded result but
+   [false]. A value the word cannot hold is refused. *)
+let oracle_state_word () =
+  let top = (1 lsl 57) - 1 and bottom = -(1 lsl 57) in
+  let results =
+    Service.
+      [| Done false; Done true; Value None; Value (Some 0); Value (Some (-1));
+         Value (Some top); Value (Some bottom); Value (Some 12345) |]
+  in
+  let rq i = req i 0 (Service.Get (100 + i)) in
+  let n = Array.length results in
+  let o = Oracle.create ~clients:n (arrivals (Array.init n rq)) in
+  let log = ref [] in
+  for i = 0 to n - 1 do
+    for _ = 1 to i do
+      Oracle.apply o (rq i)
+    done;
+    Oracle.commit o (rq i) ~shard:0 ~slot:i;
+    log :=
+      { Service.e_client = i; e_seq = 0; e_op = (rq i).op;
+        e_res = Service.Value None }
+      :: !log;
+    ignore (Oracle.ack o (rq i) results.(i) ~dedup:false ~time:i)
+  done;
+  Oracle.check_final o ~invariant:None ~crash_free:true ~prefill:[]
+    ~durable:
+      [| { Service.dv_base = 0; dv_pairs = []; dv_covered = [];
+           dv_log = List.rev !log } |]
+    ~contents:[];
+  List.iter
+    (fun r -> ignore (Oracle.ack o r (Service.Done false) ~dedup:true ~time:0))
+    (Oracle.start_audit o);
+  let pp r = Format.asprintf "%a" Service.pp_result r in
+  let expected =
+    List.filter_map
+      (fun i ->
+        if i = 1 then None
+        else
+          Some
+            (Printf.sprintf "crash-free: client=%d seq=0 applied %d times" i i))
+      (List.init n Fun.id)
+    @ List.filter_map
+        (fun i ->
+          if i = 0 then None
+          else
+            Some
+              (Printf.sprintf
+                 "audit: client=%d seq=0 answered false, recorded %s" i
+                 (pp results.(i))))
+        (List.init n Fun.id)
+  in
+  Alcotest.(check (list string))
+    "counts and results, exactly" (List.sort compare expected)
+    (List.sort compare (Oracle.violations o));
+  Alcotest.(check int) "applies" (n * (n - 1) / 2) (Oracle.applies o);
+  List.iter
+    (fun v ->
+      let o = Oracle.create ~clients:1 (arrivals [| rq 0 |]) in
+      Alcotest.check_raises (Printf.sprintf "value %d" v)
+        (Invalid_argument
+           (Printf.sprintf
+              "Oracle.ack: client=0 seq=0 result value %d outside [-2^57, \
+               2^57)"
+              v))
+        (fun () ->
+          ignore
+            (Oracle.ack o (rq 0) (Service.Value (Some v)) ~dedup:false ~time:0)))
+    [ top + 1; bottom - 1; max_int; min_int ]
 
 (* ---- the ledger's slot window, against a model ---- *)
 
@@ -1261,12 +1364,28 @@ let merge_matches_model () =
           (if List.length !got = List.length !want then " (order differs)"
            else "")
     done;
-    let flat h =
-      Array.of_list (List.concat_map (fun (c, s) -> [ c; s ]) (List.rev h))
+    (* the merge keeps only a count and a digest per shard; the model
+       keeps every apply, so fold its lists the same way *)
+    let want =
+      Array.map
+        (fun h -> Runner.history_of (List.rev h))
+        model.Merge_model.histories
     in
-    if Merge.histories m <> Array.map flat model.Merge_model.histories then
+    if Merge.histories m <> want then
       Alcotest.failf "seed %d: histories differ" seed
-  done
+  done;
+  (* the digest sees order and which field a number is in *)
+  let distinct l =
+    List.length (List.sort_uniq compare (List.map Runner.history_of l))
+    = List.length l
+  in
+  if
+    not
+      (distinct
+         [ []; [ (0, 0) ]; [ (0, 1) ]; [ (1, 0) ]; [ (0, 0); (0, 0) ];
+           [ (0, 1); (1, 0) ]; [ (1, 0); (0, 1) ]; [ (0, 1); (0, 2) ];
+           [ (0, 2); (0, 1) ] ])
+  then Alcotest.fail "history digests collide on small histories"
 
 (* The latency summary as it was: sort, then index. *)
 let summarize_by_sort lat =
@@ -1435,6 +1554,8 @@ let suite =
       oracle_rejects_bad_arrivals;
     Alcotest.test_case "oracle: per-request footprint in flat arrays" `Quick
       oracle_footprint;
+    Alcotest.test_case "oracle: the state word keeps counts and results"
+      `Quick oracle_state_word;
     Alcotest.test_case "ledger window = an absolute-slot model" `Quick
       ledger_window_matches_model;
     Alcotest.test_case "ledger window spans the live slots" `Quick
