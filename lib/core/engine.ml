@@ -1,8 +1,9 @@
 (* The NVTraverse transformation (Section 4, Algorithm 2).
 
    Given the three methods of a traversal data structure — findEntry,
-   traverse, critical — this engine runs the operation loop and injects
-   every flush and fence the transformation prescribes:
+   traverse, critical — plus the structure's boundary, this engine runs
+   the operation loop and injects every flush and fence the
+   transformation prescribes:
 
      - nothing is persisted during findEntry or traverse;
      - ensureReachable persists the pointer that connects the returned
@@ -17,37 +18,28 @@
        CAS — see {!Nvt_nvm.Protocol2});
      - a fence executes before the operation returns.
 
+   Which cells ensureReachable and makePersistent name is a property of
+   the structure's returned nodes, so the structure supplies the
+   boundary: a function over its own traversal record that passes each
+   cell, typed, to {!reach} or {!persist} and then calls
+   {!end_boundary}. Nothing is collected into a set on the way.
+
    The boundary flush set is deduplicated per fence epoch: the
    ensure-reachable parents and the persist set can name the same cell
-   several times (a field read twice in a traversal, a parent that is
-   also a returned node's field), and one flush of the line's current
-   value covers every duplicate under the single covering fence.
-   Re-flushing charged the flush cost once per mention — an accounting
-   bug, fixed unconditionally; the savings are counted through
-   {!Nvt_nvm.Optimizer.note_coalesced} so the optimizer experiment can
-   attribute them.
+   several times (a left node that is also the reach parent, a field
+   read twice in a traversal), and one flush of the line's current
+   value covers every duplicate under the single covering fence. The
+   structure's boundary passes [~dup:true] for an entry whose line an
+   earlier entry already names; the engine skips its flush and counts
+   the saving through {!Nvt_nvm.Optimizer.note_coalesced} so the
+   optimizer experiment can attribute it.
 
    Instantiated with the [Volatile] persistence policy, all of the above
-   erases and the engine runs the original lock-free algorithm. *)
+   erases — the boundary is never called — and the engine runs the
+   original lock-free algorithm. *)
 
 module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   module Critical = Nvt_nvm.Protocol2.Make (M) (P)
-
-  type reachability =
-    | Original_parent of M.any
-        (** Supplement 2: the location of the pointer that first linked
-            the topmost returned node into the structure. *)
-    | Parents of M.any list
-        (** Lemma 4.1: the parent pointers on the last [k] steps of the
-            traversal, where [k] bounds the depth of any atomically
-            inserted subtree. *)
-
-  type 'nodes traversal = {
-    nodes : 'nodes;  (** what the critical method operates on *)
-    reach : reachability;
-    persist_set : M.any list;
-        (** the mutable fields the traversal read in the returned nodes *)
-  }
 
   type 'r verdict = Restart | Finish of 'r
 
@@ -67,95 +59,54 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   let make_persistent_site = Nvt_nvm.Stats.intern "nvt:make_persistent"
   let return_fence_site = Nvt_nvm.Stats.intern "nvt:return_fence"
 
-  let flush_at site l =
-    if P.enabled && Nvt_nvm.Guard.admit Flush site then P.flush_any l
-
   let fence_at site =
     if P.enabled && Nvt_nvm.Guard.admit Fence site then P.fence ()
 
-  (* Same-line membership. Packed [M.any] wrappers are fresh
-     allocations, so compare the wrapped locations; for every concrete
-     memory a location is a heap value (the simulator's cell record, a
-     native ref), so physical equality of the representations is
-     exactly same-cache-line identity. Boundary sets are a handful of
-     entries, so a quadratic scan of the lists beats building a table. *)
-  let same_line (M.Any a) (M.Any b) = Obj.repr a == Obj.repr b
-
-  (* Some entry of [ls] in front of its suffix [stop] names [l]'s line. *)
-  let rec named_before l ls stop =
-    ls != stop
-    &&
-    match ls with
-    | [] -> false
-    | x :: tl -> same_line x l || named_before l tl stop
-
-  let in_reach l = function
-    | Original_parent p -> same_line p l
-    | Parents ps -> named_before l ps []
-
-  (* Flush each entry of [rest], a suffix of [set], unless [reach] or an
-     earlier entry of [set] names its line; returns [issued] plus the
-     flushes handed to the policy. *)
-  let rec drain site reach set rest issued =
-    match rest with
-    | [] -> issued
-    | l :: tl ->
-      if in_reach l reach || named_before l set rest then
-        drain site reach set tl issued
-      else begin
-        flush_at site l;
-        drain site reach set tl (issued + 1)
-      end
-
-  (* Issue the boundary's flush set — reach parents first (they are the
-     structurally distinguished flushes), then the persist set — with
-     same-line duplicates dropped. Returns the flushes issued, so the
-     caller can apply the empty-drain fence rule. *)
-  let boundary_flushes reach set =
-    let issued, parents =
-      match reach with
-      | Original_parent l ->
-        flush_at ensure_reachable_site l;
-        (1, 1)
-      | Parents ps ->
-        (drain ensure_reachable_site (Parents []) ps ps 0, List.length ps)
-    in
-    let issued = drain make_persistent_site reach set set issued in
-    Nvt_nvm.Optimizer.note_coalesced (parents + List.length set - issued);
-    issued
-
-  (* The traversal/critical boundary of one attempt. Under a deferred
-     plan, a boundary whose deduplicated drain issued no flushes skips
-     its fence: a fence only completes the calling thread's pending
-     write-backs, and on a first attempt the thread has fenced all its
-     flushes (the previous operation ended in a return fence and
-     findEntry/traverse persist nothing), so an empty drain makes the
-     fence a semantic no-op. A restarted attempt may have unfenced
-     Protocol 2 flushes outstanding from the aborted critical section,
-     so [clean] withholds the rule there. *)
-  let persist_boundary ~clean reach persist_set =
-    if P.enabled then begin
-      let issued = boundary_flushes reach persist_set in
-      if issued = 0 && clean && Nvt_nvm.Optimizer.defer_on () then
-        (* erased before the guard, per its contract: a fence that was
-           never going to issue must not count as a suppressed skip *)
-        Nvt_nvm.Optimizer.note_empty_fence ()
-      else fence_at make_persistent_site;
-      if Nvt_nvm.Optimizer.defer_on () then
-        Nvt_nvm.Optimizer.note_deferred issued
+  (* One boundary entry: the flush is issued (handed to the guard)
+     unless [dup]; the result is the flushes issued, for the
+     empty-drain rule. *)
+  let entry site ~dup l =
+    if dup then 0
+    else begin
+      if P.enabled && Nvt_nvm.Guard.admit Flush site then P.flush l;
+      1
     end
+
+  let reach ~dup l = entry ensure_reachable_site ~dup l
+  let persist ~dup l = entry make_persistent_site ~dup l
+
+  (* The rest of the traversal/critical boundary, once its [mentions]
+     entries have been passed and [issued] of them flushed. Under a
+     deferred plan, a boundary whose deduplicated drain issued no
+     flushes skips its fence: a fence only completes the calling
+     thread's pending write-backs, and on a first attempt the thread
+     has fenced all its flushes (the previous operation ended in a
+     return fence and findEntry/traverse persist nothing), so an empty
+     drain makes the fence a semantic no-op. A restarted attempt may
+     have unfenced Protocol 2 flushes outstanding from the aborted
+     critical section, so [clean] withholds the rule there. *)
+  let end_boundary ~clean ~mentions ~issued =
+    Nvt_nvm.Optimizer.note_coalesced (mentions - issued);
+    let defer = Nvt_nvm.Optimizer.defer_on () in
+    if issued = 0 && clean && defer then
+      (* erased before the guard, per its contract: a fence that was
+         never going to issue must not count as a suppressed skip *)
+      Nvt_nvm.Optimizer.note_empty_fence ()
+    else fence_at make_persistent_site;
+    if defer then Nvt_nvm.Optimizer.note_deferred issued
 
   (* The attempt loop passes its arguments down instead of closing
      over them, so an attempt allocates nothing of its own. *)
-  let rec attempt ~find_entry ~traverse ~critical input ~clean =
-    let tr = traverse (find_entry input) input in
-    persist_boundary ~clean tr.reach tr.persist_set;
-    match critical tr.nodes input with
-    | Restart -> attempt ~find_entry ~traverse ~critical input ~clean:false
+  let rec attempt ~find_entry ~traverse ~boundary ~critical input ~clean =
+    let nodes = traverse (find_entry input) input in
+    if P.enabled then boundary nodes ~clean;
+    match critical nodes input with
+    | Restart ->
+      attempt ~find_entry ~traverse ~boundary ~critical input ~clean:false
     | Finish v ->
       fence_at return_fence_site;
       v
 
-  let operation ~find_entry ~traverse ~critical input =
-    attempt ~find_entry ~traverse ~critical input ~clean:true
+  let operation ~find_entry ~traverse ~boundary ~critical input =
+    attempt ~find_entry ~traverse ~boundary ~critical input ~clean:true
 end

@@ -37,8 +37,6 @@ module Make (M : Memory.S) :
 
   type 'a loc = ('a, int) tagged M.loc
 
-  type any = Any : 'a loc -> any
-
   (* Every flush/fence pair passes through the {!Guard} (the mutation
      harness removes one site at a time); the counter CASes are only
      tagged — they are the algorithm's synchronization, not
@@ -95,7 +93,6 @@ module Make (M : Memory.S) :
 
   let flush = M.flush
   let fence = M.fence
-  let flush_any (Any l) = flush l
 end
 
 module Policy : Policy.S = struct

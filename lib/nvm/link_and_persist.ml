@@ -26,8 +26,6 @@ module Make (M : Memory.S) :
 
   type 'a loc = ('a, bool) tagged M.loc
 
-  type any = Any : 'a loc -> any
-
   let alloc v = M.alloc { v; tag = false }
   let read = T.read
   let write l v = M.write l { v; tag = false }
@@ -59,7 +57,6 @@ module Make (M : Memory.S) :
     end
 
   let fence = M.fence
-  let flush_any (Any l) = flush l
 end
 
 module Policy : Policy.S = struct

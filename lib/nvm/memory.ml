@@ -33,10 +33,6 @@ exception Corrupt_read of int
 module type S = sig
   type 'a loc
 
-  type any = Any : 'a loc -> any
-  (** A location with its content type erased, for heterogeneous flush
-      sets ([makePersistent] must flush locations of different types). *)
-
   val alloc : 'a -> 'a loc
   (** A fresh location holding the given value. The value is *not*
       persistent until flushed: after a crash, an unflushed fresh location
@@ -57,8 +53,6 @@ module type S = sig
   val fence : unit -> unit
   (** Wait until every write-back this thread initiated has reached
       persistent memory. *)
-
-  val flush_any : any -> unit
 end
 
 (* Reclamation feedback: code that frees cells (the service ledger and

@@ -8,8 +8,6 @@
 
 type 'a loc = 'a Atomic.t
 
-type any = Any : 'a loc -> any
-
 (* Per-domain counters, registered globally so [stats] can aggregate.
    Each domain's record also holds its pending-tag cell, so a counted
    CAS, flush or fence takes its site with the same lookup that finds
@@ -68,5 +66,3 @@ let flush _l =
 let fence () =
   let d = Domain.DLS.get local in
   Stats.record_fence d.stats ~site:(Stats.take_at d.pending)
-
-let flush_any (Any l) = flush l

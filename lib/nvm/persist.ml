@@ -13,21 +13,18 @@ module Make (M : Memory.S) = struct
         only exists to feed [flush]. *)
 
     val flush : 'a M.loc -> unit
-    val flush_any : M.any -> unit
     val fence : unit -> unit
   end
 
   module Volatile : S = struct
     let enabled = false
     let flush _ = ()
-    let flush_any _ = ()
     let fence () = ()
   end
 
   module Durable : S = struct
     let enabled = true
     let flush = M.flush
-    let flush_any = M.flush_any
     let fence = M.fence
   end
 

@@ -86,8 +86,6 @@ module Instrument
     end) : Memory.S with type 'a loc = 'a M.loc = struct
   type 'a loc = 'a M.loc
 
-  type any = Any : 'a loc -> any
-
   let alloc v =
     let l = M.alloc v in
     D.after_alloc l;
@@ -111,7 +109,6 @@ module Instrument
 
   let flush = D.flush
   let fence = D.fence
-  let flush_any (Any l) = flush l
 end
 
 (* ------------------------------------------------------------------ *)

@@ -12,15 +12,12 @@ module Stats = Nvt_nvm.Stats
 
 type 'a loc = 'a Machine.cell
 
-type any = Any : 'a loc -> any
-
 let alloc = Machine.alloc
 let read = Machine.read
 let write = Machine.write
 let cas = Machine.cas
 let flush = Machine.flush
 let fence = Machine.fence
-let flush_any (Any l) = flush l
 
 let stats () = Stats.copy (Machine.stats (Machine.get ()))
 

@@ -100,16 +100,16 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   (* ---------------- traverse ---------------- *)
 
   type tr = {
-    gp : internal option;
+    gp : internal;  (* [p] itself when l hangs off the root ([depth] 1) *)
     gpupdate : update;
     p : internal;
     pupdate : update;
     l : node;  (* always a leaf; kept as [node] for physical CAS *)
     edge_p : node M.loc;  (* the child word of p holding l *)
-    edge_gp : node M.loc option;  (* the child word of gp holding p *)
-    above : M.any list;
-        (* up to 2 parent edges above gp (Lemma 4.1); none under a
-           policy that persists nothing *)
+    edge_gp : node M.loc;  (* the child word of gp holding p, if [depth] >= 2 *)
+    above1 : node M.loc;  (* the parent edges above gp (Lemma 4.1): *)
+    above2 : node M.loc;  (* real if [depth] >= 3, resp. >= 4 *)
+    depth : int;  (* child words followed from the root to l *)
   }
 
   (* The [gpupdate] of a traversal that stopped below the root, where
@@ -124,20 +124,8 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     let rec descend gp gpupdate p pupdate e0 e1 e2 e3 depth l =
       match l with
       | Leaf _ ->
-        (* a policy that persists nothing gets no reach set *)
-        let above =
-          if not P.enabled || depth < 3 then []
-          else if depth = 3 then [ M.Any e2 ]
-          else [ M.Any e2; M.Any e3 ]
-        in
-        { gp = (if depth >= 2 then Some gp else None);
-          gpupdate;
-          p;
-          pupdate;
-          l;
-          edge_p = e0;
-          edge_gp = (if depth >= 2 then Some e1 else None);
-          above }
+        { gp; gpupdate; p; pupdate; l; edge_p = e0; edge_gp = e1;
+          above1 = e2; above2 = e3; depth }
       | Internal i ->
         let u = M.read i.update in
         let edge = if k < M.read i.ikey then i.left else i.right in
@@ -149,21 +137,41 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     let child0 = M.read edge0 in
     descend root no_update root u0 edge0 edge0 edge0 edge0 1 child0
 
-  let persist_set tr =
-    let base = [ M.Any tr.p.update; M.Any tr.edge_p ] in
-    let base =
-      match tr.gp with
-      | Some gp -> M.Any gp.update :: base
-      | None -> base
-    in
-    match tr.edge_gp with Some e -> M.Any e :: base | None -> base
+  (* ---------------- boundary ---------------- *)
 
-  (* a policy that persists nothing gets no persist set *)
-  let traversal entry k =
-    let tr = traverse_from entry k in
-    { E.nodes = tr;
-      reach = E.Parents tr.above;
-      persist_set = (if P.enabled then persist_set tr else []) }
+  (* One of the [n] real reach edges is [e]. *)
+  let named_above tr n e =
+    (n >= 1 && e == tr.above1) || (n >= 2 && e == tr.above2)
+
+  (* ensureReachable: up to two edges above gp (k = 2); makePersistent:
+     gp's edge into p and gp's [update] when there is a gp, then p's
+     [update] and its edge into l. *)
+  let boundary tr ~clean =
+    let n = min 2 (max 0 (tr.depth - 2)) in
+    let issued = if n >= 1 then E.reach ~dup:false tr.above1 else 0 in
+    let issued =
+      if n >= 2 then issued + E.reach ~dup:(tr.above2 == tr.above1) tr.above2
+      else issued
+    in
+    let has_gp = tr.depth >= 2 in
+    let issued =
+      if has_gp then
+        let issued =
+          issued + E.persist ~dup:(named_above tr n tr.edge_gp) tr.edge_gp
+        in
+        issued + E.persist ~dup:false tr.gp.update
+      else issued
+    in
+    let issued =
+      issued + E.persist ~dup:(has_gp && tr.p.update == tr.gp.update)
+        tr.p.update
+    in
+    let dup_p =
+      named_above tr n tr.edge_p || (has_gp && tr.edge_p == tr.edge_gp)
+    in
+    E.end_boundary ~clean
+      ~mentions:(n + if has_gp then 4 else 2)
+      ~issued:(issued + E.persist ~dup:dup_p tr.edge_p)
 
   (* ---------------- helping (shared by critical and recovery) ------- *)
 
@@ -280,7 +288,8 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       E.Restart
     end
     else begin
-      let gp = match tr.gp with Some gp -> gp | None -> assert false in
+      assert (tr.depth >= 2);
+      let gp = tr.gp in
       let op = { dgp = gp; dp = tr.p; dl = tr.l; dpupdate = tr.pupdate } in
       let dflag = DFlag op in
       if C.cas gp.update ~expected:tr.gpupdate ~desired:dflag then
@@ -298,6 +307,12 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       E.Finish (if k' = k then Some v else None)
     | Internal _ -> assert false
 
+  (* [find_critical] without the option; both verdicts are constants *)
+  let member_critical tr k =
+    match tr.l with
+    | Leaf lf -> if leaf_key lf = k then E.Finish true else E.Finish false
+    | Internal _ -> assert false
+
   (* ---------------- operations ---------------- *)
 
   let valid_key k = k < infinity1
@@ -306,22 +321,18 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     assert (valid_key key);
     E.operation
       ~find_entry:(fun _ -> t.root)
-      ~traverse:(fun entry (k, _) -> traversal entry k)
-      ~critical:insert_critical (key, value)
+      ~traverse:(fun entry (k, _) -> traverse_from entry k)
+      ~boundary ~critical:insert_critical (key, value)
 
-  let delete t k =
+  let keyed critical t k =
     assert (valid_key k);
     E.operation
       ~find_entry:(fun _ -> t.root)
-      ~traverse:traversal ~critical:delete_critical k
+      ~traverse:traverse_from ~boundary ~critical k
 
-  let find t k =
-    assert (valid_key k);
-    E.operation
-      ~find_entry:(fun _ -> t.root)
-      ~traverse:traversal ~critical:find_critical k
-
-  let member t k = Option.is_some (find t k)
+  let delete t k = keyed delete_critical t k
+  let find t k = keyed find_critical t k
+  let member t k = keyed member_critical t k
 
   (* ---------------- recovery (Supplement 1) ---------------- *)
 

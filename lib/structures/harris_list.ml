@@ -74,21 +74,36 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     let s0 = M.read head.next in
     walk head k head head head s0 [] s0.nx
 
-  (* [left.next], the marked run's from left to right, [right.next]: built
-     back to front in one pass *)
-  let persist_set tr =
-    let right = match tr.right with Tail -> [] | Node rn -> [ M.Any rn.next ] in
-    M.Any tr.left.next
-    :: List.fold_left (fun acc n -> M.Any n.next :: acc) right tr.mids_rev
+  (* ---------------- boundary ---------------- *)
 
-  (* a policy that persists nothing gets no reach or persist set *)
-  let traversal entry k =
-    let tr = traverse_from entry k in
-    if P.enabled then
-      { E.nodes = tr;
-        reach = E.Parents [ M.Any tr.parent.next ];
-        persist_set = persist_set tr }
-    else { E.nodes = tr; reach = E.Parents []; persist_set = [] }
+  (* Some node of [run] has [c] as its [next] cell. *)
+  let rec names c = function [] -> false | n :: tl -> n.next == c || names c tl
+
+  (* The marked run's [next] cells in path order — the run is kept
+     reversed, so a node's tail precedes it — each a duplicate when the
+     reach parent [p], [left.next] ([l]) or an earlier node names it. *)
+  let rec persist_run p l issued = function
+    | [] -> issued
+    | n :: earlier ->
+      let issued = persist_run p l issued earlier in
+      let c = n.next in
+      issued + E.persist ~dup:(c == p || c == l || names c earlier) c
+
+  (* ensureReachable: [parent.next]; makePersistent: [left.next], the
+     marked run, [right.next]. [parent == left] when left is the head. *)
+  let boundary tr ~clean =
+    let p = tr.parent.next and l = tr.left.next in
+    let issued = E.reach ~dup:false p in
+    let issued = issued + E.persist ~dup:(l == p) l in
+    let issued = persist_run p l issued tr.mids_rev in
+    let run = List.length tr.mids_rev in
+    match tr.right with
+    | Tail -> E.end_boundary ~clean ~mentions:(2 + run) ~issued
+    | Node rn ->
+      let r = rn.next in
+      let dup = r == p || r == l || names r tr.mids_rev in
+      E.end_boundary ~clean ~mentions:(3 + run)
+        ~issued:(issued + E.persist ~dup r)
 
   (* ---------------- critical ---------------- *)
 
@@ -173,11 +188,12 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   let insert t ~key ~value =
     E.operation
       ~find_entry:(fun _ -> t.head)
-      ~traverse:(fun entry (k, _) -> traversal entry k)
-      ~critical:insert_critical (key, value)
+      ~traverse:(fun entry (k, _) -> traverse_from entry k)
+      ~boundary ~critical:insert_critical (key, value)
 
   let keyed critical t k =
-    E.operation ~find_entry:(fun _ -> t.head) ~traverse:traversal ~critical k
+    E.operation ~find_entry:(fun _ -> t.head) ~traverse:traverse_from
+      ~boundary ~critical k
 
   let delete t k = keyed delete_critical t k
   let find t k = keyed find_critical t k

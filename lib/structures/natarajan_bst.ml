@@ -85,17 +85,18 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   (* ---------------- traverse (seek) ---------------- *)
 
   type seekrec = {
-    ancestor : internal;
-    anc_edge : word M.loc;  (* ancestor's child word on the path *)
+    anc_edge : word M.loc;  (* the ancestor's child word on the path *)
     succ_word : word;  (* its contents when read (untagged) *)
     parent : internal;
     par_edge : word M.loc;  (* parent's child word holding the leaf *)
-    leaf_word : word;  (* its contents when read *)
-    leaf : leaf;
-    above : M.any list;
-        (* up to two edges above the ancestor; none under a policy that
-           persists nothing *)
+    leaf_word : word;  (* its contents when read; its node is the leaf *)
+    above0 : word M.loc;  (* the edges above the ancestor (Lemma 4.1), *)
+    above1 : word M.loc;  (* newest first; [above] of them are real *)
+    above : int;
   }
+
+  let leaf sr =
+    match sr.leaf_word.node with Leaf lf -> lf | Internal _ -> assert false
 
   let seek t k =
     (* [t0] and [t1] are the edge locations above [pe], newest first
@@ -103,40 +104,48 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
        above a freshly promoted ancestor are [t0] and [t1]; [a0] and
        [a1] ([na] real) keep those of the current ancestor. The walk
        allocates nothing until it returns. *)
-    let rec descend anc anc_edge succ_word a0 a1 na parent pe pw t0 t1 nt =
+    let rec descend anc_edge succ_word a0 a1 na parent pe pw t0 t1 nt =
       match pw.node with
-      | Leaf lf ->
-        (* a policy that persists nothing gets no reach set *)
-        let above =
-          if not P.enabled || na = 0 then []
-          else if na = 1 then [ M.Any a0 ]
-          else [ M.Any a0; M.Any a1 ]
-        in
-        { ancestor = anc; anc_edge; succ_word; parent; par_edge = pe;
-          leaf_word = pw; leaf = lf; above }
+      | Leaf _ ->
+        { anc_edge; succ_word; parent; par_edge = pe; leaf_word = pw;
+          above0 = a0; above1 = a1; above = na }
       | Internal i ->
         let ce = if k < M.read i.ikey then i.left else i.right in
         let cw = M.read ce in
         let nt' = min 2 (nt + 1) in
-        if not pw.tag then
-          descend parent pe pw t0 t1 nt i ce cw pe t0 nt'
-        else descend anc anc_edge succ_word a0 a1 na i ce cw pe t0 nt'
+        if not pw.tag then descend pe pw t0 t1 nt i ce cw pe t0 nt'
+        else descend anc_edge succ_word a0 a1 na i ce cw pe t0 nt'
     in
     let rw = M.read t.r.left in
     let sw = M.read t.s.left in
-    descend t.r t.r.left rw t.r.left t.r.left 0 t.s t.s.left sw t.r.left
-      t.r.left 1
+    descend t.r.left rw t.r.left t.r.left 0 t.s t.s.left sw t.r.left t.r.left 1
 
-  let persist_set sr =
-    if sr.anc_edge == sr.par_edge then [ M.Any sr.par_edge ]
-    else [ M.Any sr.anc_edge; M.Any sr.par_edge ]
+  (* ---------------- boundary ---------------- *)
 
-  (* a policy that persists nothing gets no persist set *)
-  let traversal entry k =
-    let sr = seek entry k in
-    { E.nodes = sr;
-      reach = E.Parents sr.above;
-      persist_set = (if P.enabled then persist_set sr else []) }
+  (* One of the real reach edges is [e]. *)
+  let named_above sr e =
+    (sr.above >= 1 && e == sr.above0) || (sr.above >= 2 && e == sr.above1)
+
+  (* ensureReachable: up to two edges above the ancestor (k = 2);
+     makePersistent: the ancestor's edge and the parent's edge, which
+     are one entry when the parent is the ancestor. *)
+  let boundary sr ~clean =
+    let na = sr.above in
+    let issued = if na >= 1 then E.reach ~dup:false sr.above0 else 0 in
+    let issued =
+      if na >= 2 then issued + E.reach ~dup:(sr.above1 == sr.above0) sr.above1
+      else issued
+    in
+    let pe = sr.par_edge in
+    if sr.anc_edge == pe then
+      E.end_boundary ~clean ~mentions:(na + 1)
+        ~issued:(issued + E.persist ~dup:(named_above sr pe) pe)
+    else
+      let issued =
+        issued + E.persist ~dup:(named_above sr sr.anc_edge) sr.anc_edge
+      in
+      E.end_boundary ~clean ~mentions:(na + 2)
+        ~issued:(issued + E.persist ~dup:(named_above sr pe) pe)
 
   (* ---------------- cleanup (shared by critical and recovery) ------- *)
 
@@ -169,13 +178,13 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   (* ---------------- critical ---------------- *)
 
   let insert_critical sr (k, v) =
-    if leaf_key sr.leaf = k then E.Finish false
+    if leaf_key (leaf sr) = k then E.Finish false
     else if sr.leaf_word.flag || sr.leaf_word.tag then begin
       ignore (cleanup sr k);
       E.Restart
     end
     else begin
-      let lkey = leaf_key sr.leaf in
+      let lkey = leaf_key (leaf sr) in
       let nl = Leaf (new_leaf ~key:k ~value:v) in
       let old_leaf = sr.leaf_word.node in
       let small, big = if k < lkey then (nl, old_leaf) else (old_leaf, nl) in
@@ -189,7 +198,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       else begin
         let w = C.read sr.par_edge in
         (match w.node with
-        | Leaf lf2 when lf2 == sr.leaf && (w.flag || w.tag) ->
+        | Leaf lf2 when lf2 == leaf sr && (w.flag || w.tag) ->
           ignore (cleanup sr k)
         | Leaf _ | Internal _ -> ());
         E.Restart
@@ -201,7 +210,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   let delete_critical mode sr k =
     match !mode with
     | Injection ->
-      if leaf_key sr.leaf <> k then E.Finish false
+      if leaf_key (leaf sr) <> k then E.Finish false
       else if sr.leaf_word.flag || sr.leaf_word.tag then begin
         ignore (cleanup sr k);
         E.Restart
@@ -210,25 +219,29 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
         C.cas sr.par_edge ~expected:sr.leaf_word
           ~desired:{ sr.leaf_word with flag = true }
       then begin
-        mode := Cleanup sr.leaf;
+        mode := Cleanup (leaf sr);
         if cleanup sr k then E.Finish true else E.Restart
       end
       else begin
         let w = C.read sr.par_edge in
         (match w.node with
-        | Leaf lf2 when lf2 == sr.leaf && (w.flag || w.tag) ->
+        | Leaf lf2 when lf2 == leaf sr && (w.flag || w.tag) ->
           ignore (cleanup sr k)
         | Leaf _ | Internal _ -> ());
         E.Restart
       end
     | Cleanup target ->
-      if sr.leaf != target then E.Finish true
+      if leaf sr != target then E.Finish true
       else if cleanup sr k then E.Finish true
       else E.Restart
 
   let find_critical sr k =
-    let k', v = M.read sr.leaf.lkv in
+    let k', v = M.read (leaf sr).lkv in
     E.Finish (if k' = k then Some v else None)
+
+  (* [find_critical] without the option; both verdicts are constants *)
+  let member_critical sr k =
+    if leaf_key (leaf sr) = k then E.Finish true else E.Finish false
 
   (* ---------------- operations ---------------- *)
 
@@ -238,25 +251,16 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
     assert (valid_key key);
     E.operation
       ~find_entry:(fun _ -> t)
-      ~traverse:(fun entry (k, _) -> traversal entry k)
-      ~critical:insert_critical (key, value)
+      ~traverse:(fun entry (k, _) -> seek entry k)
+      ~boundary ~critical:insert_critical (key, value)
 
-  let delete t k =
+  let keyed critical t k =
     assert (valid_key k);
-    let mode = ref Injection in
-    E.operation
-      ~find_entry:(fun _ -> t)
-      ~traverse:traversal
-      ~critical:(delete_critical mode)
-      k
+    E.operation ~find_entry:(fun _ -> t) ~traverse:seek ~boundary ~critical k
 
-  let find t k =
-    assert (valid_key k);
-    E.operation
-      ~find_entry:(fun _ -> t)
-      ~traverse:traversal ~critical:find_critical k
-
-  let member t k = Option.is_some (find t k)
+  let delete t k = keyed (delete_critical (ref Injection)) t k
+  let find t k = keyed find_critical t k
+  let member t k = keyed member_critical t k
 
   (* ---------------- recovery (Supplement 1) ---------------- *)
 

@@ -93,7 +93,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   type tr = {
     left : inner;
     left_succ : succ;
-    mids : inner list;
+    mids_rev : inner list;  (* marked nodes between left and right, reversed *)
     right : node;
   }
 
@@ -105,32 +105,49 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       traverse_from head head k
     else walk head k entry s0 [] s0.nx
 
-  and walk head k left left_succ mids curr =
+  and walk head k left left_succ mids_rev curr =
     match curr with
-    | Tail -> { left; left_succ; mids = List.rev mids; right = Tail }
+    | Tail -> { left; left_succ; mids_rev; right = Tail }
     | Node n ->
       let succ = M.read n.next in
-      if succ.marked then walk head k left left_succ (n :: mids) succ.nx
+      if succ.marked then walk head k left left_succ (n :: mids_rev) succ.nx
       else if key_of n < k then walk head k n succ [] succ.nx
       else
         let succ2 = M.read n.next in
         if succ2.marked then traverse_from head head k
-        else { left; left_succ; mids = List.rev mids; right = Node n }
+        else { left; left_succ; mids_rev; right = Node n }
 
-  let persist_set tr =
-    let base = M.Any tr.left.next :: List.map (fun n -> M.Any n.next) tr.mids in
+  (* ---------------- boundary ---------------- *)
+
+  (* Some node of [run] has [c] as its [next] cell. *)
+  let rec names c = function [] -> false | n :: tl -> n.next == c || names c tl
+
+  (* The marked run's [next] cells in path order (the run is kept
+     reversed), each a duplicate when the reach cell [p], [left.next]
+     ([l]) or an earlier node names it. *)
+  let rec persist_run p l issued = function
+    | [] -> issued
+    | n :: earlier ->
+      let issued = persist_run p l issued earlier in
+      let c = n.next in
+      issued + E.persist ~dup:(c == p || c == l || names c earlier) c
+
+  (* ensureReachable: [left.origin] (Supplement 2); makePersistent:
+     [left.next], the marked run, [right.next]. The head is its own
+     origin. *)
+  let boundary tr ~clean =
+    let p = tr.left.origin and l = tr.left.next in
+    let issued = E.reach ~dup:false p in
+    let issued = issued + E.persist ~dup:(l == p) l in
+    let issued = persist_run p l issued tr.mids_rev in
+    let run = List.length tr.mids_rev in
     match tr.right with
-    | Tail -> base
-    | Node rn -> base @ [ M.Any rn.next ]
-
-  (* a policy that persists nothing gets no reach or persist set *)
-  let traversal head entry k =
-    let tr = traverse_from head entry k in
-    if P.enabled then
-      { E.nodes = tr;
-        reach = E.Original_parent (M.Any tr.left.origin);
-        persist_set = persist_set tr }
-    else { E.nodes = tr; reach = E.Parents []; persist_set = [] }
+    | Tail -> E.end_boundary ~clean ~mentions:(2 + run) ~issued
+    | Node rn ->
+      let r = rn.next in
+      let dup = r == p || r == l || names r tr.mids_rev in
+      E.end_boundary ~clean ~mentions:(3 + run)
+        ~issued:(issued + E.persist ~dup r)
 
   (* ---------------- tower maintenance (auxiliary, unflushed) ------- *)
 
@@ -252,7 +269,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
   (* ---------------- critical ---------------- *)
 
   let delete_marked tr =
-    match tr.mids with
+    match tr.mids_rev with
     | [] -> `Ok tr.left_succ
     | _ :: _ ->
       let desired = { marked = false; nx = tr.right } in
@@ -324,29 +341,31 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       E.Finish (if k' = k then Some v else None)
     | Tail -> E.Finish None
 
+  (* [find_critical] without the option; both verdicts are constants *)
+  let member_critical tr k =
+    match tr.right with
+    | Node rn when key_of rn = k -> E.Finish true
+    | Node _ | Tail -> E.Finish false
+
   (* ---------------- operations ---------------- *)
 
   let insert t ~key ~value =
     E.operation
       ~find_entry:(fun (k, _) -> find_entry t.head k)
-      ~traverse:(fun entry (k, _) -> traversal t.head entry k)
+      ~traverse:(fun entry (k, _) -> traverse_from t.head entry k)
+      ~boundary
       ~critical:(insert_critical t.head)
       (key, value)
 
-  let delete t k =
+  let keyed critical t k =
     E.operation
       ~find_entry:(find_entry t.head)
-      ~traverse:(traversal t.head)
-      ~critical:(delete_critical t.head)
-      k
+      ~traverse:(traverse_from t.head)
+      ~boundary ~critical k
 
-  let find t k =
-    E.operation
-      ~find_entry:(find_entry t.head)
-      ~traverse:(traversal t.head)
-      ~critical:find_critical k
-
-  let member t k = Option.is_some (find t k)
+  let delete t k = keyed (delete_critical t.head) t k
+  let find t k = keyed find_critical t k
+  let member t k = keyed member_critical t k
 
   (* ---------------- recovery ---------------- *)
 

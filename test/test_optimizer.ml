@@ -47,11 +47,13 @@ let plan_for policy =
 (* ------------------------------------------------------------------ *)
 
 (* A toy operation driven straight through the engine functor: the
-   traversal names the same cell as both reach parents and twice in the
+   boundary names the same cell as both reach parents and twice in the
    persist set — the shape a node-revisiting traversal (e.g. a parent
-   that is also a returned node's field) produces. One flush per
-   distinct line must be issued; before the dedup fix this charged five
-   flushes instead of two. *)
+   that is also a returned node's field) produces — and marks each
+   entry a duplicate by physical equality with the earlier ones, as the
+   structures' boundaries do. One flush per distinct line must be
+   issued; before the dedup fix this charged five flushes instead of
+   two. *)
 let boundary_dedup () =
   (* dedup is counted even with no plan installed; reset the ambient
      counters so earlier suites' coalescing doesn't leak in *)
@@ -65,10 +67,19 @@ let boundary_dedup () =
   let v =
     E.operation
       ~find_entry:(fun () -> ())
-      ~traverse:(fun () () ->
-        { E.nodes = ();
-          reach = E.Parents [ A.Mem.Any c; A.Mem.Any c ];
-          persist_set = [ A.Mem.Any c; A.Mem.Any d; A.Mem.Any c ] })
+      ~traverse:(fun () () -> ())
+      ~boundary:(fun () ~clean ->
+        (* reach [r1; r2], then persist [p1; p2; p3] *)
+        let r1 = c and r2 = c and p1 = c and p2 = d and p3 = c in
+        let issued = E.reach ~dup:false r1 in
+        let issued = issued + E.reach ~dup:(r2 == r1) r2 in
+        let reached l = l == r1 || l == r2 in
+        let issued = issued + E.persist ~dup:(reached p1) p1 in
+        let issued = issued + E.persist ~dup:(reached p2 || p2 == p1) p2 in
+        let issued =
+          issued + E.persist ~dup:(reached p3 || p3 == p1 || p3 == p2) p3
+        in
+        E.end_boundary ~clean ~mentions:5 ~issued)
       ~critical:(fun () () -> E.Finish 7)
       ()
   in
@@ -96,8 +107,9 @@ let empty_drain_fence () =
     ignore
       (E.operation
          ~find_entry:(fun () -> ())
-         ~traverse:(fun () () ->
-           { E.nodes = (); reach = E.Parents []; persist_set = [] })
+         ~traverse:(fun () () -> ())
+         ~boundary:(fun () ~clean ->
+           E.end_boundary ~clean ~mentions:0 ~issued:0)
          ~critical:(fun () () ->
            if !left > 0 then begin
              decr left;
