@@ -243,16 +243,17 @@ let schedule (c : config) : Oracle.arrivals =
   in
   (* Each op is a function of its kind and one key: the schedule builds
      each distinct op once and shares it, instead of holding a block per
-     request. [code] numbers them: [kind] is 0-2 for put, del and get, 3
-     for the multi-put starting at key [k], 4-10 for [Rmw (k, 1..7)]. *)
-  let ops = Hashtbl.create 64 in
+     request. [code] numbers them, and indexes the table of ops built so
+     far: [kind] is 0-2 for put, del and get, 3 for the multi-put
+     starting at key [k], 4-10 for [Rmw (k, 1..7)]. *)
+  let ops = Array.make (11 * c.key_range) None in
   let intern kind k make =
     let code = (11 * k) + kind in
-    match Hashtbl.find_opt ops code with
+    match ops.(code) with
     | Some op -> op
     | None ->
       let op = make () in
-      Hashtbl.add ops code op;
+      ops.(code) <- Some op;
       op
   in
   let seq_ctr = Array.make c.clients 0 in
@@ -551,7 +552,7 @@ let resolve (c : config) =
    count, and at least one. *)
 let effective_domains c = max 1 (min c.domains c.shards)
 
-let run (c : config) : report =
+let run_with ~on_machine (c : config) : report =
   let structure, flavour = resolve c in
   let domains = effective_domains c in
   let epoch = max 1 c.merge_epoch in
@@ -577,6 +578,7 @@ let run (c : config) : report =
           ~eviction:c.eviction
           ~optimizer:(Nvt_nvm.Optimizer.of_plan c.plan) ())
   in
+  Array.iter on_machine machines;
   (* Building a slice allocates its ledger cells on the calling
      domain's current machine; group g's slice must live on machine g. *)
   let services =
@@ -811,6 +813,8 @@ let run (c : config) : report =
     stats;
     violations = Oracle.violations oracle;
     histories = Merge.histories merge }
+
+let run c = run_with ~on_machine:ignore c
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

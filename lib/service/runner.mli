@@ -141,6 +141,12 @@ type report = {
 
 val run : config -> report
 
+val run_with : on_machine:(Nvt_sim.Machine.t -> unit) -> config -> report
+(** {!run}, calling [on_machine] on each machine as soon as it is
+    created, before anything runs on it. Tests use it to install a
+    schedule hook, or to keep the machines and read their counters
+    after the run. *)
+
 val summarize : ?len:int -> int array -> latency
 (** Nearest-rank p50/p95/p99 (the element of rank [ceil (p n)]), max
     and mean of the first [len] latencies (default: all), all 0 when

@@ -179,7 +179,12 @@ type t = {
   mutable next_tid : int;
   mutable next_cid : int;
   mutable steps : int;
+  mutable quanta_settled : int;  (* steps [settle_idle] counted *)
   mutable clock : int;  (* virtual time of the last scheduled action *)
+  mutable settled : int;
+      (* the latest idle quantum settled in place (see [settle_idle]);
+         folded into [clock] at a barrier or completion (a crash
+         trigger keeps the machine from settling any) *)
   mutable running : int;
       (* tid of the fiber that is mid-step, -1 when none ("setup
          mode"); an immediate int, so setting it at every step needs no
@@ -240,7 +245,9 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       next_tid = 0;
       next_cid = 0;
       steps = 0;
+      quanta_settled = 0;
       clock = 0;
+      settled = 0;
       running = -1;
       crash_at_time = None;
       crash_at_step = None;
@@ -266,6 +273,7 @@ let optimizer m = m.optimizer
 
 let clock m = m.clock
 let steps m = m.steps
+let visits m = m.steps - m.quanta_settled
 let stats m = m.stats
 let makespan m = m.clock
 
@@ -505,7 +513,8 @@ let flush c =
    a read (and a scheduling step) per unit of waiting. With [~until]
    the thread keeps sleeping [n]-unit quanta until the predicate holds
    at a wake; the step loop re-arms each quantum itself (see
-   [advance_to]), so an idle poll costs no switch into the fiber. *)
+   [advance_to]), so an idle poll costs no switch into the fiber, and a
+   quiet machine settles a run of them in one visit ([settle_idle]). *)
 let sleep ?until m n =
   if m.running >= 0 && n > 0 then begin
     charge m n;
@@ -702,6 +711,43 @@ let do_crash m t =
   m.crash_at_time <- None;
   m.crash_at_step <- None
 
+(* Nothing but the threads' own code acts on a quiet machine's steps:
+   no jitter, eviction or stall draw, no schedule hook, scheduler
+   override, crash trigger or event trace. Its idle quanta draw no rng
+   and nothing observes their step numbers, so where they are counted
+   relative to other threads' steps cannot show. *)
+let quiet m =
+  m.jitter = 0
+  && (match m.eviction with No_eviction -> true | Random_eviction _ -> false)
+  && Option.is_none m.stall && Option.is_none m.on_step
+  && Option.is_none m.scheduler && Option.is_none m.crash_at_time
+  && Option.is_none m.crash_at_step && Option.is_none m.tracer
+
+(* A waiting thread [th] on a quiet machine whose wake just found
+   nothing, re-armed at [th.vtime]: settle its following quanta in
+   place, one step each, asking [until] once per quantum at the
+   quantum's time, up to the advance's horizon [time]. A wake that finds
+   work leaves the thread [Suspended] at that quantum, so the loop's
+   next visit to it resumes the fiber without asking again. Exact under
+   the contract [sleep] states: [until] reads only the thread's own
+   {!now} and state the driver changes between advances, so other
+   threads' steps below [time] cannot change its answers. *)
+let rec settle_idle m th ~time k n until =
+  let v = th.vtime in
+  if v < time then
+    if until () then th.state <- Suspended { k }
+    else begin
+      m.steps <- m.steps + 1;
+      m.quanta_settled <- m.quanta_settled + 1;
+      if v > m.settled then m.settled <- v;
+      th.vtime <- v + n;
+      settle_idle m th ~time k n until
+    end
+
+(* The clock the settled quanta would have set, had each been a visit
+   of its own. *)
+let fold_settled m = if m.settled > m.clock then m.clock <- m.settled
+
 (* The scheduler: every step of every run goes through this one loop.
    [next] is the tree's root as the previous step's tree call left it
    (-1: nothing runnable); a scheduler override ignores it and picks
@@ -722,7 +768,12 @@ let do_crash m t =
    would have resumed; while it is false the loop charges the next
    quantum itself, drawing the jitter exactly as the fiber's [sleep]
    would, so the step is indistinguishable from a poll that found
-   nothing to do. *)
+   nothing to do. On a quiet machine the loop then settles the
+   thread's following quanta in the same visit ([settle_idle]) and
+   re-keys it once; their clock updates are folded in before the
+   advance returns. The dispatched steps keep their clocks; their step
+   numbers shift by the quanta settled ahead of them, which only a
+   hook, a trace or a step trigger could see, and none is installed. *)
 let advance_to m ~time =
   set_current m;
   let heap = m.heap in
@@ -733,12 +784,14 @@ let advance_to m ~time =
       | Some choose -> pick_override m choose
     in
     if tid < 0 then begin
+      fold_settled m;
       finish m;
       `Completed
     end
     else begin
       let th = m.by_tid.(tid) in
       if th.vtime >= time then begin
+        fold_settled m;
         raise_any_failed m;
         `Barrier
       end
@@ -760,7 +813,11 @@ let advance_to m ~time =
           (match th.state with
           | Suspended { k } -> Effect.Deep.continue k ()
           | Waiting (k, n, until) ->
-            if until () then Effect.Deep.continue k () else charge m n
+            if until () then Effect.Deep.continue k ()
+            else begin
+              charge m n;
+              if quiet m then settle_idle m th ~time k n until
+            end
           | Ready f -> Effect.Deep.match_with f () (handler th)
           | Finished | Failed _ -> assert false);
           m.running <- -1));

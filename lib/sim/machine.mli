@@ -147,6 +147,12 @@ val current_tid : t -> int
 
 val clock : t -> int
 val steps : t -> int
+
+val visits : t -> int
+(** How many times the step loop dispatched a step: {!steps} minus the
+    idle quanta a quiet machine settled in place (see {!sleep}). Equal
+    to {!steps} on a machine that never settled one. *)
+
 val makespan : t -> int
 (** Virtual time of the latest scheduled action: the parallel makespan. *)
 
@@ -196,13 +202,12 @@ val sleep : ?until:(unit -> bool) -> t -> int -> unit
     With [~until], the thread sleeps [n]-unit quanta until [until ()]
     holds, exactly like [sleep m n; while not (until ()) do sleep m n
     done] with the loop in the fiber:
-    - each quantum is one scheduling step, with its step count,
-      schedule hook, clock update, stall, eviction and jitter draws and
-      crash and barrier checks, so histories and rng streams match the
-      hand-written loop bit for bit;
-    - the predicate is evaluated at every wake, including the first, in
-      the step where the thread would have resumed, and {!now} returns
-      the waking thread's virtual time;
+    - each quantum is one scheduling step: it adds one to {!steps},
+      and the run's histories, step count, clock and rng streams match
+      the hand-written loop bit for bit;
+    - the predicate is evaluated once per quantum, including the first,
+      in the step where the thread would have resumed, and {!now}
+      returns that quantum's virtual time;
     - while it is false the scheduler re-arms the next quantum without
       resuming the fiber, which is what makes an idle wait cheap.
 
@@ -210,7 +215,28 @@ val sleep : ?until:(unit -> bool) -> t -> int -> unit
     state (a queue, a flag, {!now}) but must not perform a simulated
     memory access, which would raise [Effect.Unhandled], and must not
     raise. A crash tears a waiting thread down like any suspended one,
-    and a {!set_scheduler} override that picks it runs the same wake. *)
+    and a {!set_scheduler} override that picks it runs the same wake.
+
+    {b Contract.} [until] reads only the waiting thread's own {!now}
+    and state that the code driving the machine changes between calls
+    to {!advance_to} (or before {!run}) — never state another thread on
+    the machine writes. Under it, a wake's answer does not depend on
+    what other threads did in between, and the machine takes a fast
+    path when it is quiet: no [jitter], no eviction adversary, no
+    [stall], no {!set_schedule_hook} hook, no {!set_scheduler}
+    override, no crash trigger and no {!set_trace}. There, a wake that
+    finds nothing keeps settling the thread's following quanta in the
+    same scheduler visit, asking [until] at each quantum's time, until
+    a wake finds work or the next quantum reaches the advance's
+    [time]; the thread is then re-keyed once. Each settled quantum
+    still counts as a step in {!steps} (not in {!visits}), and its
+    clock update is folded into {!clock} before {!advance_to} returns.
+    What such a quantum does not do is run at its place in the global
+    step order, which only the quiet machine's absent observers (a
+    hook, a trace, a step trigger) could see. A machine that is not
+    quiet runs every quantum as its own step, in order: its schedule
+    hook call, clock update, stall, eviction and jitter draws and its
+    crash and barrier checks. *)
 
 (** {1 Memory operations}
 

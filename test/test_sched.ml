@@ -31,8 +31,8 @@ let fnv_pair h (s, t) =
    [cells] drawn from the stream [| seed; t |]. [`Mixed] is an even mix
    of read, write, read+CAS, flush and fence; [`Durable_writes] is
    write+flush+fence only, for an era after a crash, whose reads could
-   hit corrupted cells. *)
-let spawn_random m cells ~seed ~threads ~ops kind =
+   hit corrupted cells. [note] runs before each access. *)
+let spawn_random ?(note = ignore) m cells ~seed ~threads ~ops kind =
   let n = Array.length cells in
   for t = 0 to threads - 1 do
     ignore
@@ -40,6 +40,7 @@ let spawn_random m cells ~seed ~threads ~ops kind =
            let rng = Random.State.make [| seed; t |] in
            for _ = 1 to ops do
              let c = cells.(Random.State.int rng n) in
+             note ();
              match kind with
              | `Durable_writes ->
                Sim_mem.write c t;
@@ -403,6 +404,147 @@ let sleep_until_matches_the_loop () =
       ("until by ladder", wait_scenario ~wait:wait_until (by_ladder ~rung:37));
       ("loop by ladder", wait_scenario ~wait:wait_by_hand (by_ladder ~rung:37))
     ]
+
+(* On a quiet machine — no jitter, eviction, stalls, hook or crash
+   trigger — a wake that finds nothing settles the waiter's following
+   quanta in the same scheduler visit. That is exact under [sleep]'s
+   contract, which this scenario obeys: each of three waiters sleeps
+   150-unit quanta until its own token counter, filled only by the
+   driver, is non-zero or its deadline, read through [Machine.now], has
+   passed, and persists a cell per token; three mixed threads run
+   alongside. By [run] the driver hands out every token before the
+   run; by ladder it hands one out before each of the first twelve
+   rungs. With no hook to record it, the schedule is what each thread
+   notes before each of its accesses: its tid and virtual time, in
+   execution order, together with the step count. Returns the golden,
+   the whole [Stats], the token wakes, the predicate's false
+   evaluations (idle quanta) and the scheduler visits. [machine]
+   builds the machine, quiet by default. *)
+let quiet_machine () = Machine.create ~seed:29 ~cost:Cost_model.nvram ()
+
+let contract_scenario ?(machine = quiet_machine) ~wait drive =
+  let m = machine () in
+  let cells = Array.init 48 (fun i -> Sim_mem.alloc i) in
+  Machine.persist_all m;
+  let log = ref [] in
+  let note () = log := (Machine.current_tid m, Machine.now m) :: !log in
+  let wakes = ref 0 and idle = ref 0 in
+  let tokens = Array.make 3 0 in
+  let release i = if i < 12 then tokens.(i mod 3) <- tokens.(i mod 3) + 1 in
+  for w = 0 to 2 do
+    ignore
+      (Machine.spawn m (fun () ->
+           let until () =
+             let ready = tokens.(w) > 0 || Machine.now m >= 6000 in
+             if not ready then incr idle;
+             ready
+           in
+           let rec serve () =
+             wait m 150 until;
+             if tokens.(w) > 0 then begin
+               tokens.(w) <- tokens.(w) - 1;
+               incr wakes;
+               note ();
+               Sim_mem.write cells.(w) w;
+               Sim_mem.flush cells.(w);
+               Sim_mem.fence ();
+               serve ()
+             end
+           in
+           serve ()))
+  done;
+  spawn_random ~note m cells ~seed:31 ~threads:3 ~ops:40 `Mixed;
+  (match drive ~release m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ ->
+    Alcotest.fail "contract scenario: unexpected crash");
+  let st = Machine.stats m in
+  ( { steps = Machine.steps m;
+      hash = List.fold_left fnv_pair 2166136261 (List.rev !log);
+      makespan = Machine.makespan m;
+      flushes = st.flushes;
+      fences = st.fences },
+    Nvt_nvm.Stats.copy st,
+    !wakes,
+    !idle,
+    Machine.visits m )
+
+let release_then_run ~release m =
+  for i = 0 to 11 do release i done;
+  Machine.run m
+
+let release_by_ladder ~rung ~release m =
+  let rec go i t =
+    release i;
+    match Machine.advance_to m ~time:t with
+    | `Barrier -> go (i + 1) (t + rung)
+    | `Completed -> Machine.Completed
+    | `Crashed_at c -> Machine.Crashed_at c
+  in
+  go 0 rung
+
+let sleep_until_settles_exactly () =
+  List.iter
+    (fun (name, drive) ->
+      let g, stats, wakes, idle, visits =
+        contract_scenario ~wait:wait_by_hand drive
+      in
+      if wakes = 0 || idle = 0 then
+        Alcotest.failf "%s: contract scenario is vacuous: %d wakes, %d idle"
+          name wakes idle;
+      Alcotest.(check int) (name ^ ": the loop visits every step") g.steps
+        visits;
+      let g', stats', wakes', idle', visits' =
+        contract_scenario ~wait:wait_until drive
+      in
+      check_golden (name ^ ": until") g g';
+      Alcotest.(check int) (name ^ ": wakes") wakes wakes';
+      Alcotest.(check int) (name ^ ": idle quanta") idle idle';
+      if stats' <> stats then Alcotest.failf "%s: Stats differ" name;
+      if visits' >= g'.steps then
+        Alcotest.failf "%s: %d visits for %d steps: no quantum settled" name
+          visits' g'.steps)
+    [ ("by run", release_then_run);
+      ("by ladder", release_by_ladder ~rung:400) ]
+
+(* Each thing that makes a machine not quiet turns settling off on its
+   own: every idle quantum is then a visit of its own, and the run still
+   equals the hand-written loop's. *)
+let not_quiet_settles_nothing () =
+  let nvram = Cost_model.nvram in
+  let with_ f () =
+    let m = quiet_machine () in
+    f m;
+    m
+  in
+  List.iter
+    (fun (name, machine) ->
+      let run wait =
+        contract_scenario ~machine ~wait (release_by_ladder ~rung:400)
+      in
+      let g, stats, wakes, idle, _ = run wait_by_hand in
+      let g', stats', wakes', idle', visits' = run wait_until in
+      Alcotest.(check int) (name ^ ": visits = steps") g'.steps visits';
+      check_golden name g g';
+      Alcotest.(check int) (name ^ ": wakes") wakes wakes';
+      Alcotest.(check int) (name ^ ": idle quanta") idle idle';
+      if stats' <> stats then Alcotest.failf "%s: Stats differ" name)
+    [ ("jitter", fun () -> Machine.create ~seed:29 ~cost:nvram ~jitter:2 ());
+      ( "eviction",
+        fun () ->
+          Machine.create ~seed:29 ~cost:nvram
+            ~eviction:(Machine.Random_eviction 0.05) () );
+      ( "stall",
+        fun () ->
+          Machine.create ~seed:29 ~cost:nvram
+            ~stall:{ Machine.probability = 0.05; max_units = 300 }
+            () );
+      ( "hook",
+        with_ (fun m -> Machine.set_schedule_hook m (Some (fun _ _ -> ()))) );
+      ( "override",
+        with_ (fun m -> Machine.set_scheduler m (fun _ tids -> List.hd tids)) );
+      ("crash trigger", with_ (fun m -> Machine.set_crash_at_time m max_int));
+      ("trace", with_ (fun m -> Machine.set_trace m ~capacity:16)) ]
 
 (* A crash tears a waiting thread down like a suspended one: its
    continuation is discontinued, its predicate is never asked again and
@@ -815,6 +957,10 @@ let suite =
       ladder_matches_run;
     Alcotest.test_case "sleep ~until matches the hand-written wait loop"
       `Quick sleep_until_matches_the_loop;
+    Alcotest.test_case "sleep ~until settles idle quanta exactly when quiet"
+      `Quick sleep_until_settles_exactly;
+    Alcotest.test_case "a machine that is not quiet settles no quantum" `Quick
+      not_quiet_settles_nothing;
     Alcotest.test_case "a crash tears down a waiting thread" `Quick
       crash_tears_down_a_waiter;
     Alcotest.test_case "a scheduler override re-arms a waiting thread"

@@ -627,6 +627,72 @@ let report_prints_effective_domains () =
               dist=zipf(0.99)"
     header
 
+(* ---- idle quanta settled in place ---- *)
+
+(* A run, with its machines' scheduler visits and steps summed. With
+   [~hooked] every machine carries a no-op schedule hook, which makes
+   it not quiet: each idle quantum is then its own scheduler visit, in
+   the global step order, as before quiet machines settled them in
+   place. *)
+let run_counted ~hooked cfg =
+  let machines = ref [] in
+  let r =
+    Runner.run_with cfg ~on_machine:(fun m ->
+        if hooked then Machine.set_schedule_hook m (Some (fun _ _ -> ()));
+        machines := m :: !machines)
+  in
+  let sum f = List.fold_left (fun n m -> n + f m) 0 !machines in
+  (r, sum Machine.visits, sum Machine.steps)
+
+(* Settling idle quanta in place must not move anything a run reports:
+   the quiet run's report text and history digests equal the hooked
+   run's, and the quiet run took fewer visits than steps. *)
+let check_settled_exact name cfg =
+  let r, visits, steps = run_counted ~hooked:false cfg in
+  let r', visits', steps' = run_counted ~hooked:true cfg in
+  check_clean name r;
+  Alcotest.(check int) (name ^ ": steps") steps' steps;
+  Alcotest.(check string)
+    (name ^ ": report")
+    (Format.asprintf "%a" Runner.pp_report r')
+    (Format.asprintf "%a" Runner.pp_report r);
+  Alcotest.(check string)
+    (name ^ ": histories digest") (histories_digest r') (histories_digest r);
+  Alcotest.(check int) (name ^ ": hooked visits = steps") steps' visits';
+  if visits >= steps then
+    Alcotest.failf "%s: %d visits for %d steps: no idle quantum settled" name
+      visits steps;
+  visits
+
+(* The exact regression gate: an idle-heavy quiet run (gaps of 1500 vt
+   against a 100 vt poll quantum) visits the scheduler 4 745 times for
+   its 10 912 steps; the ceiling is about 10% above that. Before idle
+   quanta were settled in place, visits equalled steps. *)
+let idle_quanta_settle_in_place () =
+  let visits =
+    check_settled_exact "idle-heavy"
+      { base with mean_gap = 1500; requests = 200 }
+  in
+  if visits > 5_220 then
+    Alcotest.failf "idle-heavy: %d scheduler visits, ceiling 5220" visits
+
+(* The same equivalence across the runner's paths: group commit,
+   per-op commit with checkpoints, detectable recovery, multi-puts and
+   read-modify-writes, era crashes with crashes during recovery, and
+   one and three domains. *)
+let settled_runs_match_hooked_runs () =
+  List.iter
+    (fun (name, cfg) -> ignore (check_settled_exact name cfg))
+    [ ("group", base);
+      ( "per-op+ckpt",
+        { base with mode = Service.Per_op; checkpoint_interval = 1200 } );
+      ("detect", { base with detect = true; crash_steps = [ 700 ] });
+      ("multi+rmw", { base with multi_pct = 20; rmw_pct = 20 });
+      ( "crashes+recovery-crashes",
+        { base with crash_steps = [ 900; 800 ]; recovery_crashes = [ 40 ] } );
+      ("domains=1", { base with shards = 6; domains = 1 });
+      ("domains=3", { base with shards = 6; domains = 3 }) ]
+
 (* A multi-put carries at most its shard's key pool: over one shard of
    eight keys every batch of twenty is cut to those eight, and the
    report counts and prints the keys the batches carried, not
@@ -1540,6 +1606,10 @@ let suite =
       reconcile_order_golden;
     Alcotest.test_case "the report prints the effective domain count" `Quick
       report_prints_effective_domains;
+    Alcotest.test_case "idle quanta settle in place, exactly" `Quick
+      idle_quanta_settle_in_place;
+    Alcotest.test_case "settled runs = hooked runs across the runner's paths"
+      `Quick settled_runs_match_hooked_runs;
     Alcotest.test_case "multi-puts report the keys they carry" `Quick
       multi_put_keys_capped;
     Alcotest.test_case "oracle: every check fires on its seeded bug" `Quick
