@@ -5,7 +5,8 @@
     and the audit alike. The per-request state is flat: the schedule is
     {!Oracle.arrivals}' four columns, each distinct op built once and
     shared; a client's backlog holds arrival numbers; and each shard's
-    apply history is one growable int array.
+    apply history is two ints, a count and a rolling digest
+    ({!type:history}).
 
     The service's shards are striped over [domains] groups, each a
     {!Service} slice on its own {!Nvt_sim.Machine} running on its own

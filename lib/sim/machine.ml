@@ -8,10 +8,13 @@
    ({!Sched_heap}) keyed on (vtime, tid): this scheduler runs at every
    shared-memory step of every benchmark panel, so its cost is the floor
    on simulation speed — see the benchmark suite's [machine.steps_per_s]
-   (bench/suite). One loop, [advance_to], executes every step: the
+   (bench/suite). One loop, [advance_to], dispatches every step: the
    thread that runs stays in the tree, and a single tree call after its
-   step re-keys it and names the next root. A thread that yields parks
-   its continuation in the [Suspended] block it already has, so a yield
+   step re-keys it and names the next root. That call is made where the
+   step ends, in [yield]: when the thread is still the root, it runs on
+   into its next step without leaving its fiber, and only a change of
+   root switches fibers. A thread that does switch parks its
+   continuation in the [Suspended] block it already has, so a switch
    allocates nothing beyond the continuation the runtime makes.
 
    Every shared mutable word is a [cell] holding both a volatile value
@@ -31,9 +34,10 @@
    afterwards raises. This is the mechanism by which missing flushes in a
    supposedly durable algorithm are detected.
 
-   A step allocates nothing but the continuation made at a yield (see
-   DESIGN.md §3): no boxed values, coins or pending write-backs, and no
-   scratch outside a machine or thread, which domains never share. *)
+   A step allocates nothing but the continuation made at a fiber switch,
+   and a run-on step makes none (see DESIGN.md §3): no boxed values,
+   coins or pending write-backs, and no scratch outside a machine or
+   thread, which domains never share. *)
 
 module Stats = Nvt_nvm.Stats
 module Cost_model = Nvt_nvm.Cost_model
@@ -180,6 +184,7 @@ type t = {
   mutable next_cid : int;
   mutable steps : int;
   mutable quanta_settled : int;  (* steps [settle_idle] counted *)
+  mutable switches : int;  (* steps that resumed a fiber *)
   mutable clock : int;  (* virtual time of the last scheduled action *)
   mutable settled : int;
       (* the latest idle quantum settled in place (see [settle_idle]);
@@ -189,6 +194,14 @@ type t = {
       (* tid of the fiber that is mid-step, -1 when none ("setup
          mode"); an immediate int, so setting it at every step needs no
          write barrier *)
+  mutable horizon : int;
+      (* the [time] of the advance in progress, which lets a step run on
+         ([yield]); [min_int] while [crash] tears fibers down. Read only
+         while a fiber runs, which is inside [advance_to] or [crash]. *)
+  mutable handed : int;
+      (* the root a [yield] computed before it switched out, for the
+         step loop to dispatch without re-keying again; -1 when the
+         loop must re-key the stepped thread itself *)
   mutable crash_at_time : int option;
   mutable crash_at_step : int option;
   mutable scheduler : (t -> int list -> int) option;
@@ -246,9 +259,12 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       next_cid = 0;
       steps = 0;
       quanta_settled = 0;
+      switches = 0;
       clock = 0;
       settled = 0;
       running = -1;
+      horizon = min_int;
+      handed = -1;
       crash_at_time = None;
       crash_at_step = None;
       scheduler = None;
@@ -274,6 +290,7 @@ let optimizer m = m.optimizer
 let clock m = m.clock
 let steps m = m.steps
 let visits m = m.steps - m.quanta_settled
+let switches m = m.switches
 let stats m = m.stats
 let makespan m = m.clock
 
@@ -342,8 +359,6 @@ let charge m c =
     th.vtime <- th.vtime + c + j
   end
 
-let yield m = if m.running >= 0 then Effect.perform Yield
-
 let cell_is_clean c = c.pst_seq > 0 && c.pst == c.vol
 
 (* [Random.State.float rng 1.0 < p] without boxing the float: the same
@@ -364,6 +379,69 @@ let set_pst m c v seq =
 let persist_value m c v =
   c.wb_seq <- c.wb_seq + 1;
   set_pst m c v c.wb_seq
+
+let maybe_evict m =
+  match m.eviction with
+  | No_eviction -> ()
+  | Random_eviction p ->
+    if coin m.rng p then begin
+      let n = Dirty.size m.dirty in
+      if n > 0 then begin
+        let (Any_cell c) = Dirty.get m.dirty (Random.State.int m.rng n) in
+        if tracing m then
+          record_event m (Ev_evict { step = m.steps; cid = c.cid });
+        persist_value m c c.vol;
+        (* an eviction removes the line from the cache, so the next
+           read must miss — exactly like the clwb-style flush paths,
+           and gated on the same cost-model switch so the free/uniform
+           profiles (which model no cache at all) are unaffected *)
+        if m.cost.flush_invalidates then c.invalid <- true
+      end
+    end
+
+let crash_due m th =
+  (match m.crash_at_step with Some n -> m.steps >= n | None -> false)
+  || match m.crash_at_time with Some t -> th.vtime >= t | None -> false
+
+(* The step prologue, the one definition the step loop and a run-on
+   [yield] share: count the step, report it to the hook, advance the
+   clock to the thread's time, then draw the eviction coin, before the
+   jitter the step's own charges draw. *)
+let begin_step m th =
+  m.steps <- m.steps + 1;
+  (match m.on_step with Some f -> f m.steps th.tid | None -> ());
+  if th.vtime > m.clock then m.clock <- th.vtime;
+  maybe_evict m
+
+(* The end of the running thread [tid]'s step. It re-keys the thread —
+   the tree call the step loop would make next — and when the thread is
+   still the root, below the advance's horizon and not due to crash, it
+   runs on: the next step's prologue runs here and the fiber carries on
+   without a switch. Otherwise the root goes to the loop in [handed] and
+   the fiber switches out, so a barrier or a crash is met in the loop as
+   before. A scheduler override or a stall adversary decides each step
+   in the loop, so under either the fiber switches at every step. *)
+let end_step m tid =
+  if m.horizon = min_int || Option.is_some m.scheduler
+     || Option.is_some m.stall
+  then Effect.perform Yield
+  else begin
+    let th = m.by_tid.(tid) in
+    let next =
+      Sched_heap.reschedule m.heap ~tid ~vtime:th.vtime ~runnable:true
+    in
+    if next = tid && th.vtime < m.horizon && not (crash_due m th) then
+      begin_step m th
+    else begin
+      m.handed <- next;
+      Effect.perform Yield
+    end
+  end
+
+(* Small enough to inline, so a setup-mode access pays one test. *)
+let yield m =
+  let tid = m.running in
+  if tid >= 0 then end_step m tid
 
 (* Complete a pending slot's write-back if [persist] — unless a newer
    write-back of the same cell already persisted, in which case the
@@ -600,25 +678,6 @@ let pick_override m choose =
            "Machine: scheduler override chose tid %d, which is not runnable"
            tid)
 
-let maybe_evict m =
-  match m.eviction with
-  | No_eviction -> ()
-  | Random_eviction p ->
-    if coin m.rng p then begin
-      let n = Dirty.size m.dirty in
-      if n > 0 then begin
-        let (Any_cell c) = Dirty.get m.dirty (Random.State.int m.rng n) in
-        if tracing m then
-          record_event m (Ev_evict { step = m.steps; cid = c.cid });
-        persist_value m c c.vol;
-        (* an eviction removes the line from the cache, so the next
-           read must miss — exactly like the clwb-style flush paths,
-           and gated on the same cost-model switch so the free/uniform
-           profiles (which model no cache at all) are unaffected *)
-        if m.cost.flush_invalidates then c.invalid <- true
-      end
-    end
-
 (* Built once per thread, at its first step. The [Yield] case returns
    the same preallocated [Some suspend] at every yield, and a thread
    that yields again from [Suspended] parks the new continuation in
@@ -648,7 +707,9 @@ let handler th =
 
 let crash m =
   (* Tear down every live fiber, then resolve the fate of flushed-but-
-     unfenced write-backs by coin flip, then lose all volatile state. *)
+     unfenced write-backs by coin flip, then lose all volatile state.
+     A fiber that yields while it unwinds switches straight out. *)
+  m.horizon <- min_int;
   List.iter
     (fun th ->
       (if th.tid <> m.running then
@@ -681,10 +742,6 @@ let () =
       match (Domain.DLS.get current_machine).machine with
       | Some m -> retire m n
       | None -> ()
-
-let crash_due m th =
-  (match m.crash_at_step with Some n -> m.steps >= n | None -> false)
-  || match m.crash_at_time with Some t -> th.vtime >= t | None -> false
 
 (* Raise a failed fiber's exception. At a barrier this does not wait
    for the era to end, so an external driver interleaving machines
@@ -744,16 +801,23 @@ let rec settle_idle m th ~time k n until =
       settle_idle m th ~time k n until
     end
 
+let resume m k =
+  m.switches <- m.switches + 1;
+  Effect.Deep.continue k ()
+
 (* The clock the settled quanta would have set, had each been a visit
    of its own. *)
 let fold_settled m = if m.settled > m.clock then m.clock <- m.settled
 
-(* The scheduler: every step of every run goes through this one loop.
-   [next] is the tree's root as the previous step's tree call left it
-   (-1: nothing runnable); a scheduler override ignores it and picks
-   its own. The stepped thread stays in the tree throughout — at the
-   root on the default schedule — and [Sched_heap.reschedule] re-keys
-   it (or drops it when it finished) and returns the next root.
+(* The scheduler: every run goes through this one loop. [next] is the
+   tree's root as the previous step's tree call left it (-1: nothing
+   runnable); a scheduler override ignores it and picks its own. The
+   stepped thread stays in the tree throughout — at the root on the
+   default schedule — and [Sched_heap.reschedule] re-keys it (or drops
+   it when it finished) and returns the next root. A fiber that ended
+   its step in [yield] made that call already: it either ran on into
+   its next steps, each the same checks and prologue as a dispatch, or
+   switched out and [handed] the root it computed.
 
    Per step, the rng-draw order — barrier check, crash check, stall
    draw, step count, [on_step], clock, eviction draw, then the jitter in
@@ -776,6 +840,7 @@ let fold_settled m = if m.settled > m.clock then m.clock <- m.settled
    hook, a trace or a step trigger could see, and none is installed. *)
 let advance_to m ~time =
   set_current m;
+  m.horizon <- time;
   let heap = m.heap in
   let rec loop next =
     let tid =
@@ -805,25 +870,30 @@ let advance_to m ~time =
         | Some { probability; max_units } when coin m.rng probability ->
           th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units
         | Some _ | None -> (
-          m.steps <- m.steps + 1;
-          (match m.on_step with Some f -> f m.steps tid | None -> ());
-          if th.vtime > m.clock then m.clock <- th.vtime;
-          maybe_evict m;
+          begin_step m th;
           m.running <- tid;
           (match th.state with
-          | Suspended { k } -> Effect.Deep.continue k ()
+          | Suspended { k } -> resume m k
           | Waiting (k, n, until) ->
-            if until () then Effect.Deep.continue k ()
+            if until () then resume m k
             else begin
               charge m n;
               if quiet m then settle_idle m th ~time k n until
             end
-          | Ready f -> Effect.Deep.match_with f () (handler th)
+          | Ready f ->
+            m.switches <- m.switches + 1;
+            Effect.Deep.match_with f () (handler th)
           | Finished | Failed _ -> assert false);
           m.running <- -1));
-        loop
-          (Sched_heap.reschedule heap ~tid ~vtime:th.vtime
-             ~runnable:(runnable th))
+        let handed = m.handed in
+        if handed >= 0 then begin
+          m.handed <- -1;
+          loop handed
+        end
+        else
+          loop
+            (Sched_heap.reschedule heap ~tid ~vtime:th.vtime
+               ~runnable:(runnable th))
       end
     end
   in

@@ -11,8 +11,10 @@
 
     The memory operations below are normally reached through
     {!module:Memory}, the backend with the same interface as
-    {!Nvt_nvm.Native}. A step allocates nothing but the continuation
-    the runtime makes when a fiber yields. *)
+    {!Nvt_nvm.Native}. A thread that stays the one to run next takes
+    its next step without leaving its fiber; only a change of thread
+    switches fibers (see {!switches}). A step allocates nothing but the
+    continuation the runtime makes at such a switch. *)
 
 exception Corrupt_read of int
 (** Reading a cell whose contents were lost in a crash. The payload is
@@ -134,7 +136,9 @@ val set_schedule_hook : t -> (int -> int -> unit) option -> unit
 (** Install (or clear) a callback invoked with [(step, tid)] at every
     executed scheduling step, before the step's memory access runs. The
     determinism tests use it to record the exact schedule; it does not
-    perturb the simulation. *)
+    perturb the simulation. On a step that runs on ({!switches}) it is
+    called from inside the stepping thread's fiber, so it must not
+    perform a simulated memory access or raise. *)
 
 (** {1 Introspection} *)
 
@@ -149,9 +153,18 @@ val clock : t -> int
 val steps : t -> int
 
 val visits : t -> int
-(** How many times the step loop dispatched a step: {!steps} minus the
-    idle quanta a quiet machine settled in place (see {!sleep}). Equal
-    to {!steps} on a machine that never settled one. *)
+(** How many steps were not settled in place: {!steps} minus the idle
+    quanta a quiet machine settled (see {!sleep}). Equal to {!steps} on
+    a machine that never settled one. *)
+
+val switches : t -> int
+(** How many steps switched into a fiber. A step whose thread is still
+    the next to run — the least-virtual-time runnable thread, below the
+    advance's [time] and not due to crash — runs on in the same fiber:
+    it counts in {!steps} and {!visits} but not here. A one-thread
+    {!run} makes one switch, its first step. Under a {!set_scheduler}
+    override or a [stall] adversary every step that resumes a thread
+    switches; a wake that finds nothing (see {!sleep}) resumes none. *)
 
 val makespan : t -> int
 (** Virtual time of the latest scheduled action: the parallel makespan. *)

@@ -8,7 +8,9 @@
    one, typed, instead of building a set; the Harris list walks without
    a closure; the skiplist and both BSTs descend without a closure, a
    list or an option per level; every structure answers a lookup with
-   a constant verdict. These tests pin the decisions those rewrites
+   a constant verdict; and a thread that stays first in the schedule
+   takes its next step without a fiber switch, so without a
+   continuation. These tests pin the decisions those rewrites
    must not change and the allocation they reached, so that a dropped
    box cannot creep back unnoticed. *)
 
@@ -117,32 +119,42 @@ let setup_words ~structure ~policy ~range ~update_pct ~n =
   Array.iter (apply (module S) t) ops;
   (Gc.minor_words () -. w0) /. float_of_int n
 
-(* The same, inside [Machine.run]: hash at 50% updates, 64 threads,
-   eviction 0.01 — the flush, fence, pending write-back and eviction
-   paths that setup mode skips. Each step also pays the continuation the
-   runtime makes when the fiber yields. *)
-let run_words ~n =
-  let (module S : I.SET) = set "hash" "nvt" in
+(* The same, inside [Machine.run]: [structure] under the nvt policy at
+   50% updates over 2048 keys, [threads] threads, eviction 0.01 and
+   jitter 2 — the flush, fence, pending write-back and eviction paths
+   that setup mode skips. A step that switches fibers also pays the
+   continuation the runtime makes at the switch; a step that runs on in
+   its fiber pays none. With [~setup:true] the same prefill and op
+   streams are applied in setup mode instead, one stream after another:
+   the run's setup-mode twin. Returns the words per op and the
+   machine. *)
+let run_words ?(setup = false) ~structure ~threads ~n () =
+  let (module S : I.SET) = set structure "nvt" in
   let m =
     Machine.create ~seed:1 ~eviction:(Machine.Random_eviction 0.01) ~jitter:2
       ()
   in
   let t = S.create () in
-  let range = 2048 and threads = 64 in
+  let range = 2048 in
   List.iter
     (fun k -> ignore (S.insert t ~key:k ~value:k))
     (W.prefill_keys ~range);
   Machine.persist_all m;
-  for th = 0 to threads - 1 do
-    let g = W.gen ~seed:(977 + th) ~mix:(W.updates ~pct:50) ~range in
-    let ops = Array.init (n / threads) (fun _ -> W.next g) in
-    ignore (Machine.spawn m (fun () -> Array.iter (apply (module S) t) ops))
-  done;
+  let streams =
+    Array.init threads (fun th ->
+        let g = W.gen ~seed:(977 + th) ~mix:(W.updates ~pct:50) ~range in
+        Array.init (n / threads) (fun _ -> W.next g))
+  in
+  let apply_all ops () = Array.iter (apply (module S) t) ops in
+  if not setup then
+    Array.iter (fun ops -> ignore (Machine.spawn m (apply_all ops))) streams;
   let w0 = Gc.minor_words () in
-  (match Machine.run m with
-  | Machine.Completed -> ()
-  | Machine.Crashed_at _ -> Alcotest.fail "unrequested crash");
-  (Gc.minor_words () -. w0) /. float_of_int (n / threads * threads)
+  (if setup then Array.iter (fun ops -> apply_all ops ()) streams
+   else
+     match Machine.run m with
+     | Machine.Completed -> ()
+     | Machine.Crashed_at _ -> Alcotest.fail "unrequested crash");
+  ((Gc.minor_words () -. w0) /. float_of_int (n / threads * threads), m)
 
 (* [reached] is the figure the allocation-lean path reached on OCaml
    5.1 and [before] what the same stream allocated before the typed
@@ -224,14 +236,36 @@ let nvt_near_volatile () =
     (List.length (List.filter (fun b -> b.policy = "nvt") budgets));
   if wide <> [] then Alcotest.fail (String.concat "; " wide)
 
-(* 38.3 words per op on OCaml 5.1, down from 57.3 before the typed
-   boundary and 148.4 before the allocation-lean path (9.5 steps per
-   op); the ceiling leaves room for most of one more word per step,
-   should a runtime make its continuations larger. *)
+(* 37.8 words per op on OCaml 5.1, down from 38.3 before a step could
+   run on in its fiber (64 threads rarely leave one first twice in a
+   row), 57.3 before the typed boundary and 148.4 before the
+   allocation-lean path (9.5 steps per op); the ceiling leaves room for
+   most of one more word per step, should a runtime make its
+   continuations larger. *)
 let run_budget () =
-  let w = run_words ~n:6400 in
+  let w, _ = run_words ~structure:"hash" ~threads:64 ~n:6400 () in
   if w > 46. then
     Alcotest.failf "hash updates under Machine.run: %.1f words/op, ceiling 46" w
+
+(* A lone thread is always the next to run, so every step after its
+   first runs on in its fiber and the run makes one fiber switch: a
+   simulated op allocates what its setup-mode twin does, within 1 word.
+   When every step switched, the hash stream took 38.2 words/op here
+   and the list stream (about 990 steps per op) 1 997, against about
+   18.5 in setup mode. *)
+let one_thread_run_near_setup () =
+  let wide =
+    List.filter_map
+      (fun (structure, n) ->
+        let w, m = run_words ~structure ~threads:1 ~n () in
+        let s, _ = run_words ~setup:true ~structure ~threads:1 ~n () in
+        Alcotest.(check int) (structure ^ ": one switch") 1 (Machine.switches m);
+        if Float.abs (w -. s) > 1. then
+          Some (Printf.sprintf "%s: %.1f words/op, setup mode %.1f" structure w s)
+        else None)
+      [ ("hash", 6400); ("list", 400) ]
+  in
+  if wide <> [] then Alcotest.fail (String.concat "; " wide)
 
 let suite =
   [ QCheck_alcotest.to_alcotest coin_matches_stdlib;
@@ -243,5 +277,7 @@ let suite =
       `Quick setup_budgets;
     Alcotest.test_case "simulated hash updates stay within their budget"
       `Quick run_budget;
+    Alcotest.test_case "a one-thread run allocates what setup mode does"
+      `Quick one_thread_run_near_setup;
     Alcotest.test_case "nvt setup-mode ops allocate what volatile ones do"
       `Quick nvt_near_volatile ]

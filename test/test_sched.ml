@@ -1,7 +1,8 @@
 (* The scheduler after the heap rewrite: the default schedule is pinned
    exactly (golden traces: a mixed two-era scenario, the list workload's
    shape, eviction with stalls, and both driven through a ladder of
-   [advance_to] barriers), the heap and the dirty set are model-checked
+   [advance_to] barriers; crash triggers met while a thread runs on in
+   its fiber), the heap and the dirty set are model-checked
    against naive references, and the working-set estimate shrinks when
    frees are reported to it.
 
@@ -76,7 +77,7 @@ let golden_scenario () =
   (match Machine.run m with
   | Machine.Completed -> ()
   | Machine.Crashed_at _ -> Alcotest.fail "golden scenario: unexpected crash");
-  List.rev !log
+  (List.rev !log, m)
 
 (* Recorded from the pre-rewrite linear-scan scheduler; the heap
    scheduler must reproduce it bit for bit. *)
@@ -99,8 +100,17 @@ let rec take n = function
   | x :: tl when n > 0 -> x :: take (n - 1) tl
   | _ -> []
 
+(* A pinned schedule that also crosses run-on steps: some step's thread
+   was still the next to run and took that step without a fiber switch,
+   so the pin covers the run-on path's checks and prologue. *)
+let runs_on name m =
+  if Machine.switches m >= Machine.steps m then
+    Alcotest.failf "%s: %d switches for %d steps: no step ran on" name
+      (Machine.switches m) (Machine.steps m)
+
 let golden_schedule () =
-  let seq = golden_scenario () in
+  let seq, m = golden_scenario () in
+  runs_on "golden scenario" m;
   Alcotest.(check int) "step count" golden_steps (List.length seq);
   let prefix = take (List.length golden_prefix) seq in
   if prefix <> golden_prefix then
@@ -112,8 +122,8 @@ let golden_schedule () =
 
 (* Same seed, same program => the same thread at every step. *)
 let replay_is_identical () =
-  let a = golden_scenario () in
-  let b = golden_scenario () in
+  let a = fst (golden_scenario ()) in
+  let b = fst (golden_scenario ()) in
   if a <> b then begin
     let rec first_diff i = function
       | x :: xs, y :: ys ->
@@ -170,7 +180,8 @@ let golden_of m log =
    the next root in only 3 197 of the 18 790 steps here (17%), and in
    170 457 of 10 306 596 on the list-traverse benchmark (1.7%): a
    step's cost usually carries the runner's key past another
-   thread's. *)
+   thread's. Those 3 197 steps run on in their fiber; the other 15 593
+   switch. *)
 let list_scenario drive =
   let module S = Hl.Durable in
   let log = ref [] in
@@ -197,7 +208,7 @@ let list_scenario drive =
   | Machine.Completed -> ()
   | Machine.Crashed_at _ -> Alcotest.fail "list scenario: unexpected crash");
   S.check_invariants s;
-  golden_of m !log
+  (golden_of m !log, m)
 
 let golden_list =
   { steps = 18790; hash = 11852623949077; makespan = 18428; flushes = 1107;
@@ -228,7 +239,7 @@ let evict_stall_scenario drive =
   | Machine.Completed -> ()
   | Machine.Crashed_at _ ->
     Alcotest.fail "evict/stall scenario: unexpected crash");
-  golden_of m !log
+  (golden_of m !log, m)
 
 let golden_evict_stall =
   { steps = 628; hash = 33794337882534; makespan = 9319; flushes = 148;
@@ -276,7 +287,7 @@ let hash_scenario drive =
   | Machine.Completed -> ()
   | Machine.Crashed_at _ -> Alcotest.fail "hash scenario: unexpected crash");
   S.check_invariants s;
-  golden_of m !log
+  (golden_of m !log, m)
 
 (* Recorded from the 4-ary heap scheduler the winner tree replaced. *)
 let golden_hash_64 =
@@ -289,22 +300,114 @@ let check_golden name expect got =
       (pp_golden expect) (pp_golden got)
 
 let golden_list_schedule () =
-  check_golden "list scenario" golden_list (list_scenario by_run)
+  let g, m = list_scenario by_run in
+  check_golden "list scenario" golden_list g;
+  Alcotest.(check int) "every step whose thread stays the root runs on"
+    15_593 (Machine.switches m)
 
+(* The stall adversary decides each step in the step loop, so every
+   step of this scenario switches fibers: the fallback is pinned too. *)
 let golden_evict_stall_schedule () =
-  check_golden "evict/stall scenario" golden_evict_stall
-    (evict_stall_scenario by_run)
+  let g, m = evict_stall_scenario by_run in
+  check_golden "evict/stall scenario" golden_evict_stall g;
+  Alcotest.(check int) "a stall adversary switches at every step"
+    (Machine.steps m) (Machine.switches m)
 
 let golden_hash_64_schedule () =
-  check_golden "64-thread hash scenario" golden_hash_64 (hash_scenario by_run)
+  let g, m = hash_scenario by_run in
+  check_golden "64-thread hash scenario" golden_hash_64 g;
+  runs_on "64-thread hash scenario" m
 
 (* (d) Pausing at barriers must not perturb the schedule: [advance_to]
    over a ladder executes exactly the steps one [run] does. *)
 let ladder_matches_run () =
   check_golden "list scenario by ladder" golden_list
-    (list_scenario (by_ladder ~rung:37));
+    (fst (list_scenario (by_ladder ~rung:37)));
   check_golden "evict/stall scenario by ladder" golden_evict_stall
-    (evict_stall_scenario (by_ladder ~rung:37))
+    (fst (evict_stall_scenario (by_ladder ~rung:37)))
+
+(* (e) Crash triggers that land inside a run-on stretch: one thread
+   writes, flushes, fences, reads and CASes under jitter and eviction
+   while a second sleeps far ahead, so after the first three steps
+   every step runs on in the busy thread's fiber, and the trigger is
+   met by [yield]'s inline crash check. The crash must fire at the
+   step and time the per-step switch fired it, with the same counters,
+   makespan and surviving values: all recorded when every step
+   switched fibers. *)
+type crash_pin = {
+  at : int;
+  crash_steps : int;
+  crash_makespan : int;
+  counters : int list;  (* reads, writes, cas, cas failures, flushes,
+                           fences, allocs *)
+  survivors : int list;  (* each cell's value read after the crash *)
+}
+
+let run_on_crash_scenario trigger =
+  let m =
+    Machine.create ~seed:53 ~cost:Cost_model.nvram
+      ~eviction:(Machine.Random_eviction 0.05) ~jitter:2 ()
+  in
+  let cells = Array.init 16 (fun i -> Sim_mem.alloc i) in
+  Machine.persist_all m;
+  ignore
+    (Machine.spawn m (fun () ->
+         let rng = Random.State.make [| 55 |] in
+         for i = 1 to 200 do
+           let c = cells.(Random.State.int rng 16) in
+           Sim_mem.write c (100 + i);
+           if i mod 3 = 0 then Sim_mem.flush c;
+           if i mod 5 = 0 then Sim_mem.fence ();
+           let v = Sim_mem.read cells.(i mod 16) in
+           if i mod 7 = 0 then
+             ignore (Sim_mem.cas cells.(i mod 16) ~expected:v ~desired:(-i))
+         done));
+  ignore
+    (Machine.spawn m (fun () ->
+         Machine.sleep m 1_000_000;
+         Sim_mem.write cells.(0) (-1)));
+  trigger m;
+  let at =
+    match Machine.run m with
+    | Machine.Crashed_at t -> t
+    | Machine.Completed -> Alcotest.fail "run-on crash: expected the crash"
+  in
+  Alcotest.(check int) "the busy thread ran on until the crash" 3
+    (Machine.switches m);
+  let st = Machine.stats m in
+  { at;
+    crash_steps = Machine.steps m;
+    crash_makespan = Machine.makespan m;
+    counters =
+      [ st.reads; st.writes; st.cas; st.cas_failures; st.flushes; st.fences;
+        st.allocs ];
+    survivors = Array.to_list (Array.map Sim_mem.read cells) }
+
+let crash_inside_a_run_on_stretch () =
+  let check name expect got =
+    let pp p =
+      Printf.sprintf "at %d, %d steps, makespan %d, counters [%s], cells [%s]"
+        p.at p.crash_steps p.crash_makespan
+        (String.concat "; " (List.map string_of_int p.counters))
+        (String.concat "; " (List.map string_of_int p.survivors))
+    in
+    if got <> expect then
+      Alcotest.failf "%s:\nexpected %s\ngot      %s" name (pp expect) (pp got)
+  in
+  check "crash at step 300"
+    { at = 8876; crash_steps = 300; crash_makespan = 8876;
+      counters = [ 128; 112; 16; 0; 37; 22; 16 ];
+      survivors =
+        [ 169; 199; 129; -35; 142; 164; 205; 208; 121; 109; 10; 178; 193;
+          195; 211; 181 ] }
+    (run_on_crash_scenario (fun m -> Machine.set_crash_at_step m 300));
+  check "crash at time 6000"
+    { at = 6018; crash_steps = 186; crash_makespan = 6018;
+      counters = [ 85; 70; 9; 0; 23; 14; 16 ];
+      survivors =
+        [ 169; 156; 129; -35; 142; 164; 163; 166; 121; 109; 10; 155; 131;
+          133; 136; 154 ] }
+    (run_on_crash_scenario (fun m -> Machine.set_crash_at_time m 6000))
 
 (* ------------------------------------------------------------------ *)
 (* Waiting in the step loop                                            *)
@@ -955,6 +1058,8 @@ let suite =
       `Quick golden_hash_64_schedule;
     Alcotest.test_case "advance_to over a barrier ladder matches run" `Quick
       ladder_matches_run;
+    Alcotest.test_case "a crash inside a run-on stretch fires as before"
+      `Quick crash_inside_a_run_on_stretch;
     Alcotest.test_case "sleep ~until matches the hand-written wait loop"
       `Quick sleep_until_matches_the_loop;
     Alcotest.test_case "sleep ~until settles idle quanta exactly when quiet"
