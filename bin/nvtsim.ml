@@ -18,8 +18,9 @@
 
    Exit status: 0 only for a fully clean run; 1 for any durability
    violation, corrupt read, failed recovery/invariant, exactly-once
-   violation, or a requested crash that never fired (the run checked
-   less than it was asked to); 2 for any usage error, before anything
+   violation, a requested crash that never fired or a history too
+   long for the linearizability checker (the run checked less than it
+   was asked to); 2 for any usage error, before anything
    runs. Each flag's range is part of its converter, so an unknown
    name, a malformed number and a value out of range are all parse
    errors that name the flag and the value; the few checks that span
@@ -300,6 +301,14 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
              verdict:    CORRUPT MEMORY (cell %d read after crash without \
              a persistent value)\n"
             s_name p_name cid;
+          false
+        | exception Nvt_sim.Linearizability.Too_many_events key ->
+          (* the checker gave up: checked less than it was asked to *)
+          Printf.printf
+            "structure:  %s (%s)\n\
+             verdict:    UNCHECKED (key %d has more than %d events, the \
+             linearizability checker's cap)\n"
+            s_name p_name key Nvt_sim.Linearizability.max_events_per_key;
           false
         | exception Failure msg ->
           (* a structural invariant broke, or recovery failed *)

@@ -1,8 +1,9 @@
 (* Violation order is part of the oracle's contract: the first
-   violation is the kill detail the mutation battery records, and the
-   request passes report in the canonical order of a [(client, seq)]
-   [Hashtbl] created at twice the request count and filled in arrival
-   order, so that creation size and insertion order must not change.
+   violation is the kill detail the mutation battery records. Events
+   report as they arrive; each request pass (at every recovered point,
+   and the final one) is one loop over arrival numbers that skips
+   unacknowledged requests, so within a pass violations come in
+   ascending arrival number.
 
    Per-request state is flat: a request is its arrival number, the
    position of its arrival in the schedule, and each field is an int
@@ -10,14 +11,7 @@
    state word (acknowledgements, applies and the recorded result), the
    commit position and the latency. Events find the arrival number
    through a dense index, one int array per client indexed by seq, so
-   no event hashes a tuple. The canonical table maps each pair to its
-   arrival number and is built only on the violation path. Only
-   acknowledged requests can fail a request pass, so each pass (at
-   every recovered point, and the final one) first scans the state
-   words in arrival order, a flat array rather than the table, and
-   emits nothing when it finds no violation. When it finds one, the
-   pass re-runs over the canonical table, so what it reports is
-   unchanged. *)
+   no event hashes a tuple. *)
 
 type arrivals = {
   a_id : int array;
@@ -80,7 +74,6 @@ let result_bits (req : Service.request) (res : Service.result) =
 type t = {
   arr : arrivals;
   index : int array array;  (* [client].(seq): arrival number, -1 in gaps *)
-  table : (int * int, int) Hashtbl.t Lazy.t;  (* the canonical order *)
   requests : int;
   state : int array;  (* this and [pos]: per arrival number *)
   pos : int array;
@@ -131,24 +124,13 @@ let create ~clients (arr : arrivals) =
     len.(c) <- max len.(c) (s + 1)
   done;
   let index = Array.map (fun n -> Array.make n (-1)) len in
-  (* a repeated (client, seq) keeps its last arrival, as the table's
-     [replace] does *)
+  (* a repeated (client, seq) keeps its last arrival *)
   for i = 0 to requests - 1 do
     let id = arr.a_id.(i) in
     index.(client_of id).(seq_of id) <- i
   done;
-  let table =
-    lazy
-      (let recs = Hashtbl.create (2 * requests) in
-       for i = 0 to requests - 1 do
-         let c = client_of arr.a_id.(i) and s = seq_of arr.a_id.(i) in
-         Hashtbl.replace recs (c, s) index.(c).(s)
-       done;
-       recs)
-  in
   { arr;
     index;
-    table;
     requests;
     state = Array.make requests 0;
     pos = Array.make requests (-1);
@@ -274,11 +256,6 @@ let ack t (req : Service.request) res ~dedup ~time =
 
 (* ---- recovered quiescent points ---- *)
 
-(* Does [p] hold for some acknowledged request? *)
-let any_acked t p =
-  let rec go i = i < t.requests && ((acked_at t i && p i) || go (i + 1)) in
-  go 0
-
 (* Durable-commit audit: every request acknowledged before the crash
    committed at a recorded (shard, slot), and that slot must still be
    below the shard's recovered commit extent (checkpoint base +
@@ -296,55 +273,39 @@ let check_recovered t (durable : Service.durable array) ~status =
       (fun (d : Service.durable) -> d.dv_base + List.length d.dv_log)
       durable
   in
-  let lost i =
-    let p = t.pos.(i) in
-    p < 0 || p lsr shard_bits >= extent.(p land shard_mask)
-  in
-  if any_acked t lost then
-    Hashtbl.iter
-      (fun (cl, sq) i ->
-        if acked_at t i then
-          let p = t.pos.(i) in
-          let gs = p land shard_mask and slot = p lsr shard_bits in
-          if p < 0 then
-            violation t
-              "recovery: client=%d seq=%d acknowledged without an observed \
-               commit"
-              cl sq
-          else if slot >= extent.(gs) then
-            violation t
-              "recovery: client=%d seq=%d acknowledged at shard %d slot %d \
-               but the recovered commit extent is %d — acknowledged work \
-               lost"
-              cl sq gs slot extent.(gs))
-      (Lazy.force t.table);
+  for i = 0 to t.requests - 1 do
+    if acked_at t i then
+      let id = t.arr.a_id.(i) and p = t.pos.(i) in
+      let gs = p land shard_mask and slot = p lsr shard_bits in
+      if p < 0 then
+        violation t
+          "recovery: client=%d seq=%d acknowledged without an observed \
+           commit"
+          (client_of id) (seq_of id)
+      else if slot >= extent.(gs) then
+        violation t
+          "recovery: client=%d seq=%d acknowledged at shard %d slot %d but \
+           the recovered commit extent is %d — acknowledged work lost"
+          (client_of id) (seq_of id) gs slot extent.(gs)
+  done;
   (* Detect mode's own obligation: every acknowledged request must
      answer [Completed] to the status query of the slice that owns its
      key — a descriptor lost (or a stale one mistaken for valid)
      surfaces here as a liveness lie rather than waiting for a re-send
-     to double-apply. The query is pure, so the fallback may repeat
-     it. *)
+     to double-apply. *)
   Option.iter
     (fun status ->
-      let a = t.arr in
-      let unfinished i =
-        let id = a.a_id.(i) in
-        match status ~client:(client_of id) ~seq:(seq_of id) a.a_op.(i) with
-        | Nvt_nvm.Detectable.Completed -> false
-        | _ -> true
-      in
-      if any_acked t unfinished then
-        Hashtbl.iter
-          (fun (cl, sq) i ->
-            if acked_at t i then
-              match status ~client:cl ~seq:sq a.a_op.(i) with
-              | Nvt_nvm.Detectable.Completed -> ()
-              | st ->
-                violation t
-                  "detect: client=%d seq=%d acknowledged but status says %s"
-                  cl sq
-                  (Nvt_nvm.Detectable.status_name st))
-          (Lazy.force t.table))
+      for i = 0 to t.requests - 1 do
+        if acked_at t i then
+          let id = t.arr.a_id.(i) in
+          let cl = client_of id and sq = seq_of id in
+          match status ~client:cl ~seq:sq t.arr.a_op.(i) with
+          | Nvt_nvm.Detectable.Completed -> ()
+          | st ->
+            violation t
+              "detect: client=%d seq=%d acknowledged but status says %s" cl sq
+              (Nvt_nvm.Detectable.status_name st)
+      done)
     status
 
 (* ---- final state ---- *)
@@ -386,12 +347,6 @@ let apply_model model (op : Service.op) : Service.result =
       Hashtbl.replace model k d;
       Service.Value None)
 
-(* Raise [client -> seq] in [tbl] to at least [sq]. *)
-let note_max tbl cl sq =
-  match Hashtbl.find_opt tbl cl with
-  | Some s when s >= sq -> ()
-  | _ -> Hashtbl.replace tbl cl sq
-
 let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
   Option.iter (violation t "invariant: %s") invariant;
   let shards = Array.length durable in
@@ -411,14 +366,36 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
     (fun (d : Service.durable) ->
       List.iter (fun (k, v) -> Hashtbl.replace model k v) d.dv_pairs)
     durable;
-  let seen : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* per client, the highest committed seq visible anywhere: retained
+     suffix records, or checkpoint coverage for records truncated away.
+     A sequential client submits seq n+1 only after seq n was
+     acknowledged — and an ack happens only after commit — so a later
+     committed seq vouches for every earlier acked one even when both
+     its log record and its dedup-snapshot entry are gone: the dedup
+     table keeps only each client's latest record, so a shard's next
+     checkpoint drops a client whose newer traffic moved to another
+     shard. *)
+  let max_committed = Array.make (Array.length t.index) (-1) in
+  let note cl sq = if sq > max_committed.(cl) then max_committed.(cl) <- sq in
+  Array.iter
+    (fun (d : Service.durable) ->
+      List.iter
+        (fun (cl, (c : Service.completion)) -> note cl c.seq)
+        d.dv_covered)
+    durable;
+  (* the arrival numbers of the durable log's pairs *)
+  let committed = ref [] in
   Array.iter
     (fun (d : Service.durable) ->
       List.iter
         (fun (e : Service.entry) ->
-          let k = (e.e_client, e.e_seq) in
-          Hashtbl.replace seen k
-            (1 + Option.value (Hashtbl.find_opt seen k) ~default:0);
+          let i = lookup t e.e_client e.e_seq in
+          if i < 0 then
+            violation t "unknown request client=%d seq=%d" e.e_client e.e_seq
+          else begin
+            committed := i :: !committed;
+            note e.e_client e.e_seq
+          end;
           let r = apply_model model e.e_op in
           if crash_free && r <> e.e_res then
             violation t
@@ -429,49 +406,33 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
               (Format.asprintf "%a" Service.pp_result e.e_res))
         d.dv_log)
     durable;
-  Hashtbl.iter
-    (fun (cl, sq) n ->
-      if n > 1 then violation t "client=%d seq=%d committed %d times" cl sq n)
-    seen;
-  (* client -> highest committed seq visible anywhere: retained suffix
-     records, or checkpoint coverage for records truncated away. A
-     sequential client submits seq
-     n+1 only after seq n was acknowledged — and an ack happens only
-     after commit — so a later committed seq vouches for every earlier
-     acked one even when both its log record and its dedup-snapshot
-     entry are gone: the dedup table keeps only each client's latest
-     record, so a shard's next checkpoint drops a client whose newer
-     traffic moved to another shard. *)
-  let max_committed : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter (fun (cl, sq) _ -> note_max max_committed cl sq) seen;
-  Array.iter
-    (fun (d : Service.durable) ->
-      List.iter
-        (fun (cl, (c : Service.completion)) -> note_max max_committed cl c.seq)
-        d.dv_covered)
-    durable;
-  let vouched cl sq =
-    match Hashtbl.find_opt max_committed cl with
-    | Some s -> sq <= s
-    | None -> false
-  in
-  let applied_not_once i = crash_free && applied t i <> 1 in
-  if
-    any_acked t (fun i ->
-        (not (vouched (client_of t.arr.a_id.(i)) (seq_of t.arr.a_id.(i))))
-        || applied_not_once i)
-  then
-    Hashtbl.iter
-      (fun (cl, sq) i ->
-        if acked_at t i then begin
-          if not (vouched cl sq) then
-            violation t "client=%d seq=%d acknowledged but not committed" cl
-              sq;
-          if applied_not_once i then
-            violation t "crash-free: client=%d seq=%d applied %d times" cl sq
-              (applied t i)
-        end)
-      (Lazy.force t.table);
+  (* sorted, a pair committed n times is a run of n *)
+  let committed = Array.of_list !committed in
+  Array.sort Int.compare committed;
+  let n = Array.length committed and j = ref 0 in
+  while !j < n do
+    let i = committed.(!j) and k = ref (!j + 1) in
+    while !k < n && committed.(!k) = i do
+      incr k
+    done;
+    if !k - !j > 1 then begin
+      let id = t.arr.a_id.(i) in
+      violation t "client=%d seq=%d committed %d times" (client_of id)
+        (seq_of id) (!k - !j)
+    end;
+    j := !k
+  done;
+  for i = 0 to t.requests - 1 do
+    if acked_at t i then begin
+      let id = t.arr.a_id.(i) in
+      let cl = client_of id and sq = seq_of id in
+      if sq > max_committed.(cl) then
+        violation t "client=%d seq=%d acknowledged but not committed" cl sq;
+      if crash_free && applied t i <> 1 then
+        violation t "crash-free: client=%d seq=%d applied %d times" cl sq
+          (applied t i)
+    end
+  done;
   let actual = List.sort Types.compare_pair contents in
   let expected =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []

@@ -50,7 +50,10 @@ val create : clients:int -> arrivals -> t
 
 val violations : t -> string list
 (** In the order recorded: the first 32, then, if there were more, one
-    ["… and N more violations"] entry. Empty iff every check held. *)
+    ["… and N more violations"] entry. Empty iff every check held.
+    Events report as they arrive, and each check in the order of the
+    passes its documentation names; a pass over requests reports them
+    in ascending arrival number. *)
 
 (** {1 Events, in merge order} *)
 
@@ -76,7 +79,8 @@ val check_recovered :
     (client:int -> seq:int -> Service.op -> Nvt_nvm.Detectable.status) option ->
   unit
 (** At a recovered quiescent point, given each global shard's durable
-    state and, in detect mode, the status query. *)
+    state and, in detect mode, the status query. Two passes over the
+    acknowledged requests: the commit extent, then the status. *)
 
 val check_final :
   t ->
@@ -88,7 +92,11 @@ val check_final :
   unit
 (** On the final state: the failed structural invariant (if any),
     whether no era crash fired, the prefilled keys, each global shard's
-    durable state and the stores' contents. *)
+    durable state and the stores' contents. In order: the invariant;
+    the durable log entry by entry (an unknown request; on crash-free
+    runs, a replay result mismatch); requests committed more than once;
+    acknowledged requests no commit vouches for or, crash-free, applied
+    other than once; state divergence. *)
 
 val stall : t -> in_recovery:bool -> watchdog:int -> unit
 (** The watchdog fired after [watchdog] steps. *)

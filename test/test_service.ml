@@ -724,7 +724,8 @@ let multi_put_keys_capped () =
 (* A clean three-request stream on one shard — client 0 puts key 1 and
    later deletes the prefilled key 2, client 1 reads key 1 between them
    — then one seeded bug per row: each row's scenario must raise its
-   check's message, and the clean stream none at all. *)
+   check's messages, in the row's order, and the clean stream none at
+   all. *)
 type step =
   | Apply of Service.request
   | Commit of Service.request * int  (* slot on shard 0 *)
@@ -804,57 +805,71 @@ let replace_step a b = List.map (fun s -> if s = a then b else s)
 let oracle_rows =
   [ ( "unknown request",
       { clean with steps = clean.steps @ [ Apply (req 5 0 (Service.Get 1)) ] },
-      "unknown request client=5 seq=0" );
+      [ "unknown request client=5 seq=0" ] );
     ( "applied after ack",
       { clean with steps = clean.steps @ [ Apply r0 ] },
-      "client=0 seq=0 applied after acknowledgement" );
+      [ "client=0 seq=0 applied after acknowledgement" ] );
     ( "acked twice",
       { clean with
         steps = clean.steps @ [ Ack (r0, Service.Done true, true) ] },
-      "client=0 seq=0 acknowledged twice" );
+      [ "client=0 seq=0 acknowledged twice" ] );
     ( "acked with no observed commit",
       { clean with steps = List.filter (( <> ) (Commit (r0, 0))) clean.steps },
-      "recovery: client=0 seq=0 acknowledged without an observed commit" );
+      [ "recovery: client=0 seq=0 acknowledged without an observed commit" ] );
     ( "ack slot past the recovered extent",
       { clean with log = List.filteri (fun i _ -> i < 2) clean.log },
-      "recovery: client=0 seq=1 acknowledged at shard 0 slot 2 but the \
-       recovered commit extent is 2" );
+      [ "recovery: client=0 seq=1 acknowledged at shard 0 slot 2 but the \
+         recovered commit extent is 2" ] );
     ( "detect status not completed",
       { clean with status = Nvt_nvm.Detectable.Unknown },
-      "detect: client=0 seq=0 acknowledged but status says unknown" );
+      [ "detect: client=0 seq=0 acknowledged but status says unknown" ] );
     ( "structural invariant",
       { clean with invariant = Some "broken" },
-      "invariant: broken" );
+      [ "invariant: broken" ] );
     ( "committed twice",
       { clean with log = clean.log @ [ entry (r0, Service.Done false) ] },
-      "client=0 seq=0 committed 2 times" );
+      [ "client=0 seq=0 committed 2 times" ] );
+    ( "two pairs committed twice, in arrival order",
+      { clean with
+        log =
+          clean.log
+          @ [ entry (r2, Service.Done false);
+              entry (r1, Service.Value (Some 10)) ] },
+      [ "client=1 seq=0 committed 2 times"; "client=0 seq=1 committed 2 times" ]
+    );
+    ( "durable-log pair outside the schedule",
+      { clean with
+        log = clean.log @ [ entry (req 1 5 (Service.Get 1), Service.Value None) ]
+      },
+      [ "unknown request client=1 seq=5" ] );
     ( "acked but not committed",
       { clean with
         steps = replace_step (Commit (r2, 2)) (Commit (r2, 1)) clean.steps;
         log = List.filteri (fun i _ -> i < 2) clean.log },
-      "client=0 seq=1 acknowledged but not committed" );
+      [ "client=0 seq=1 acknowledged but not committed" ] );
     ( "crash-free replay mismatch",
       { clean with
         log =
           List.map entry
             [ (r0, Service.Done true); (r1, Service.Value None);
               (r2, Service.Done true) ] },
-      "crash-free replay: client=1 seq=0 get(1) -> some 10, log says none" );
+      [ "crash-free replay: client=1 seq=0 get(1) -> some 10, log says \
+         none" ] );
     ( "crash-free applied not once",
       { clean with steps = List.filter (( <> ) (Apply r1)) clean.steps },
-      "crash-free: client=1 seq=0 applied 0 times" );
+      [ "crash-free: client=1 seq=0 applied 0 times" ] );
     ( "state divergence",
       { clean with contents = [ (1, 10); (2, 2) ] },
-      "state divergence: store has 2 pairs, committed-log replay has 1" );
+      [ "state divergence: store has 2 pairs, committed-log replay has 1" ] );
     ( "audit fresh ack",
       { clean with audit = (fun r res -> [ Ack (r, res, false) ]) },
-      "audit: client=0 seq=1 fresh ack, expected dedup" );
+      [ "audit: client=0 seq=1 fresh ack, expected dedup" ] );
     ( "audit wrong result",
       { clean with audit = (fun r _ -> [ Ack (r, Service.Done false, true) ]) },
-      "audit: client=0 seq=1 answered false, recorded true" );
+      [ "audit: client=0 seq=1 answered false, recorded true" ] );
     ( "audit re-apply",
       { clean with audit = (fun r res -> [ Apply r; Ack (r, res, true) ]) },
-      "audit: client=0 seq=1 re-applied after final ack" ) ]
+      [ "audit: client=0 seq=1 re-applied after final ack" ] ) ]
 
 let oracle_checks () =
   let o, vs = play clean in
@@ -864,11 +879,20 @@ let oracle_checks () =
     [ Oracle.acked o; Oracle.applies o; Oracle.dedup_acks o;
       Oracle.audit_acks o ];
   Alcotest.(check bool) "audit settled" true (Oracle.settled o);
+  (* each expected message prefixes a violation, later ones later *)
+  let rec in_order expect vs =
+    match (expect, vs) with
+    | [], _ -> true
+    | _, [] -> false
+    | e :: es, v :: vs ->
+      in_order (if String.starts_with ~prefix:e v then es else expect) vs
+  in
   List.iter
     (fun (name, sc, expect) ->
       let _, vs = play sc in
-      if not (List.exists (String.starts_with ~prefix:expect) vs) then
-        Alcotest.failf "%s: expected %S among:@.  %s" name expect
+      if not (in_order expect vs) then
+        Alcotest.failf "%s: expected, in order:@.  %s@.among:@.  %s" name
+          (String.concat "\n  " expect)
           (String.concat "\n  " vs))
     oracle_rows
 
@@ -926,22 +950,22 @@ let unknown_for client at ~client:cl ~seq _ =
   if cl = client && at seq then Nvt_nvm.Detectable.Unknown
   else Nvt_nvm.Detectable.Completed
 
-(* The full violation list, both passes, recorded before the recovered
-   checks learned to scan only acknowledged requests: when anything is
-   reported, it is in the request table's iteration order. *)
+(* The full violation list, both passes: within each pass, in ascending
+   arrival number (client 9 seq 48 is arrival 777, client 5 seq 118
+   arrival 1893). *)
 let wide_golden =
-  [ "recovery: client=9 seq=118 acknowledged at shard 1 slot 474 but the \
-     recovered commit extent is 473 — acknowledged work lost";
+  [ "recovery: client=9 seq=48 acknowledged without an observed commit";
     "recovery: client=5 seq=118 acknowledged at shard 1 slot 473 but the \
+     recovered commit extent is 473 — acknowledged work lost";
+    "recovery: client=9 seq=118 acknowledged at shard 1 slot 474 but the \
      recovered commit extent is 473 — acknowledged work lost";
     "recovery: client=11 seq=118 acknowledged at shard 3 slot 474 but the \
      recovered commit extent is 474 — acknowledged work lost";
-    "recovery: client=9 seq=48 acknowledged without an observed commit";
-    "detect: client=5 seq=80 acknowledged but status says unknown";
-    "detect: client=5 seq=40 acknowledged but status says unknown";
     "detect: client=5 seq=0 acknowledged but status says unknown";
-    "detect: client=5 seq=60 acknowledged but status says unknown";
     "detect: client=5 seq=20 acknowledged but status says unknown";
+    "detect: client=5 seq=40 acknowledged but status says unknown";
+    "detect: client=5 seq=60 acknowledged but status says unknown";
+    "detect: client=5 seq=80 acknowledged but status says unknown";
     "detect: client=5 seq=100 acknowledged but status says unknown" ]
 
 let oracle_wide_order () =
@@ -1017,18 +1041,18 @@ let final_oracle ~bug =
     ~contents;
   Oracle.violations o
 
-(* Recorded before the final check learned to scan only acknowledged
-   requests: the request table's iteration order. *)
+(* In ascending arrival number (client c's seq s is arrival 16s + c),
+   a request's unvouched acknowledgement before its apply count. *)
 let final_golden =
-  [ "client=12 seq=124 acknowledged but not committed";
-    "crash-free: client=12 seq=124 applied 2 times";
-    "client=3 seq=124 acknowledged but not committed";
+  [ "crash-free: client=1 seq=7 applied 0 times";
     "crash-free: client=6 seq=40 applied 2 times";
-    "client=12 seq=123 acknowledged but not committed";
     "client=3 seq=122 acknowledged but not committed";
-    "client=3 seq=123 acknowledged but not committed";
     "client=12 seq=122 acknowledged but not committed";
-    "crash-free: client=1 seq=7 applied 0 times" ]
+    "client=3 seq=123 acknowledged but not committed";
+    "client=12 seq=123 acknowledged but not committed";
+    "client=3 seq=124 acknowledged but not committed";
+    "client=12 seq=124 acknowledged but not committed";
+    "crash-free: client=12 seq=124 applied 2 times" ]
 
 let oracle_final_order () =
   Alcotest.(check (list string)) "clean" [] (final_oracle ~bug:false);
