@@ -18,9 +18,10 @@
 
    Exit status: 0 only for a fully clean run; 1 for any durability
    violation, corrupt read, failed recovery/invariant, exactly-once
-   violation, a requested crash that never fired or a history too
-   long for the linearizability checker (the run checked less than it
-   was asked to); 2 for any usage error, before anything
+   violation, a requested crash that never fired or a history with
+   more than 62 events overlapping one completed operation on a key,
+   past the linearizability checker's window (the run checked less
+   than it was asked to); 2 for any usage error, before anything
    runs. Each flag's range is part of its converter, so an unknown
    name, a malformed number and a value out of range are all parse
    errors that name the flag and the value; the few checks that span
@@ -306,9 +307,9 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
           (* the checker gave up: checked less than it was asked to *)
           Printf.printf
             "structure:  %s (%s)\n\
-             verdict:    UNCHECKED (key %d has more than %d events, the \
-             linearizability checker's cap)\n"
-            s_name p_name key Nvt_sim.Linearizability.max_events_per_key;
+             verdict:    UNCHECKED (key %d has more than %d overlapping \
+             events, past the linearizability checker's window)\n"
+            s_name p_name key Nvt_sim.Linearizability.window;
           false
         | exception Failure msg ->
           (* a structural invariant broke, or recovery failed *)

@@ -30,7 +30,11 @@
    Snapshots are chunked (several pairs per cell) to keep the cell
    count — and hence the flush count mutlab attributes to
    svc:ckpt_flush — proportional to the snapshot, not one cell per
-   pair. Chunk cells of a superseded generation, and of a generation
+   pair. A pair chunk is a flat int array, [chunk] pairs interleaved
+   ([k0; v0; k1; v1; ...]), which the caller cuts from the shard
+   mirror's key and value arrays; a dedup chunk is a slice of the
+   record array. Both kinds of chunk location live in arrays in the
+   descriptor. Chunk cells of a superseded generation, and of a generation
    interrupted by a crash, are retired through
    {!Nvt_nvm.Memory.reclaimed} so repeated checkpoints do not inflate
    the working-set model's live-cell estimate. *)
@@ -48,8 +52,8 @@ let commit_fence_site = Stats.intern "svc:ckpt_commit_fence"
 module Make (M : Nvt_nvm.Memory.S) = struct
   type 'd desc = {
     dk_upto : int;  (* the checkpoint covers log slots [0, upto) *)
-    dk_pairs : (int * int) array M.loc list;
-    dk_dedup : 'd array M.loc list;
+    dk_pairs : int array M.loc array;
+    dk_dedup : 'd array M.loc array;
   }
 
   type 'd t = {
@@ -69,23 +73,23 @@ module Make (M : Nvt_nvm.Memory.S) = struct
   let flush site loc = if Guard.admit Flush site then M.flush loc
   let fence site = if Guard.admit Fence site then M.fence ()
 
-  let write_chunks t arr =
-    let n = Array.length arr in
-    let rec go i acc =
-      if i >= n then List.rev acc
-      else begin
-        let len = min chunk (n - i) in
-        let c = M.alloc (Array.sub arr i len) in
-        t.pending <- t.pending + 1;
-        flush flush_site c;
-        go (i + len) (c :: acc)
-      end
-    in
-    go 0 []
+  (* Allocate, write and flush one chunk cell. *)
+  let write_chunk t v =
+    let c = M.alloc v in
+    t.pending <- t.pending + 1;
+    flush flush_site c;
+    c
 
   let write t ~upto ~pairs ~dedup =
-    let pc = write_chunks t pairs in
-    let dc = write_chunks t dedup in
+    let pc = Array.map (write_chunk t) pairs in
+    let n = Array.length dedup in
+    let dc =
+      Array.init
+        ((n + chunk - 1) / chunk)
+        (fun j ->
+          let i = j * chunk in
+          write_chunk t (Array.sub dedup i (min chunk (n - i))))
+    in
     fence fence_site;
     M.write t.cell (Some { dk_upto = upto; dk_pairs = pc; dk_dedup = dc });
     flush commit_flush_site t.cell;
@@ -108,13 +112,15 @@ module Make (M : Nvt_nvm.Memory.S) = struct
       t.pending <- 0;
       None
     | Some d ->
-      let n_ref = List.length d.dk_pairs + List.length d.dk_dedup in
+      let n_ref = Array.length d.dk_pairs + Array.length d.dk_dedup in
       Nvt_nvm.Memory.reclaimed (t.live + t.pending - n_ref);
       t.live <- n_ref;
       t.pending <- 0;
-      let gather = function
-        | [] -> [||]
-        | chunks -> Array.concat (List.map M.read chunks)
+      (* each read is a machine step: the dedup chunks are read first,
+         then the pairs, each kind in chunk order *)
+      let gather chunks =
+        Array.concat (Array.to_list (Array.map M.read chunks))
       in
-      Some (d.dk_upto, gather d.dk_pairs, gather d.dk_dedup)
+      let dedup = gather d.dk_dedup in
+      Some (d.dk_upto, gather d.dk_pairs, dedup)
 end

@@ -28,13 +28,19 @@ module Make (M : Nvt_nvm.Memory.S) : sig
   (** Allocate the descriptor cell (setup mode; persist it — e.g. via
       [Machine.persist_all] — before the first crash). *)
 
-  val write : 'd t -> upto:int -> pairs:(int * int) array -> dedup:'d array -> unit
+  val write :
+    'd t -> upto:int -> pairs:int array array -> dedup:'d array -> unit
   (** Write and durably commit a checkpoint covering log slots
-      [\[0, upto)]. Must run on the thread that owns the shard's
-      commit index, after slots [\[0, upto)] are committed. *)
+      [\[0, upto)]. [pairs] is the snapshot already cut into chunks,
+      each a flat int array of at most {!chunk} pairs
+      ([\[|k0; v0; k1; v1; ...|\]]), one cell each; [dedup] is cut
+      here, {!chunk} records per cell. Must run on the thread that
+      owns the shard's commit index, after slots [\[0, upto)] are
+      committed. *)
 
-  val read : 'd t -> (int * (int * int) array * 'd array) option
-  (** The committed checkpoint, if any: [(upto, pairs, dedup)]. Also
+  val read : 'd t -> (int * int array * 'd array) option
+  (** The committed checkpoint, if any: [(upto, pairs, dedup)], the
+      pairs flat and concatenated in chunk order. Also
       reconciles chunk accounting after a crash (retiring whichever
       generation lost the coin flip); idempotent, and safe to call for
       introspection on a quiescent machine. *)

@@ -26,7 +26,7 @@ open Types
 let flush_site = Stats.intern "svc:desc_flush"
 let fence_site = Stats.intern "svc:desc_fence"
 
-let null = { seq = -1; shard = -1; slot = -1; res = Done false }
+let null = no_completion
 
 module Make (M : Nvt_nvm.Memory.S) = struct
   (* client -> its cell pair and the pair's turn *)
@@ -51,14 +51,15 @@ module Make (M : Nvt_nvm.Memory.S) = struct
     M.write c r;
     flush c
 
-  (* Merge the shard's valid descriptors into the dedup table [last] and
-     durably null its stale ones. Recovery rebuilds [last] from
-     descriptors alone, so it holds each client's best merged seq so far
-     across the per-shard passes (plain OCaml between simulated
-     accesses, hence atomic under the fiber scheduler): the turn ends up
-     aimed away from the overall winner even when a client's two cells
-     live on different shards. *)
-  let recover (t : t) ~shard ~index last =
+  (* Merge the shard's valid descriptors into the dedup table, read
+     through [find] (a client it has not seen: {!Types.no_completion})
+     and written through [replace], and durably null its stale ones.
+     Recovery rebuilds the table from descriptors alone, so it holds
+     each client's best merged seq so far across the per-shard passes
+     (plain OCaml between simulated accesses, hence atomic under the
+     fiber scheduler): the turn ends up aimed away from the overall
+     winner even when a client's two cells live on different shards. *)
+  let recover (t : t) ~shard ~index ~find ~replace =
     let stale = ref [] in
     Hashtbl.iter
       (fun client (pair, turn) ->
@@ -71,12 +72,8 @@ module Make (M : Nvt_nvm.Memory.S) = struct
             | r ->
               if r.shard = shard then
                 if r.seq >= 0 && r.slot < index then begin
-                  let best =
-                    match Hashtbl.find_opt last client with
-                    | Some (b : completion) -> b.seq
-                    | None -> -1
-                  in
-                  if r.seq >= best then Hashtbl.replace last client r;
+                  let best = (find client : completion).seq in
+                  if r.seq >= best then replace client r;
                   if r.seq > best then turn := 1 - ci
                 end
                 else

@@ -11,7 +11,9 @@
    state word (acknowledgements, applies and the recorded result), the
    commit position and the latency. Events find the arrival number
    through a dense index, one int array per client indexed by seq, so
-   no event hashes a tuple. *)
+   no event hashes a tuple; they arrive as ints (client, seq, and a
+   result as a tag and a value), so no event needs a request or a
+   result built for it. *)
 
 type arrivals = {
   a_id : int array;
@@ -42,13 +44,32 @@ let pack ~client ~seq =
 let client_of id = id land client_mask
 let seq_of id = id asr client_bits
 
+(* A result as two ints: a tag (0 [Done false], 1 [Done true], 2
+   [Value None], 3 [Value (Some v)]) and [v] (0 for the other tags). *)
+let result_tag : Service.result -> int = function
+  | Done false -> 0
+  | Done true -> 1
+  | Value None -> 2
+  | Value (Some _) -> 3
+
+let result_value : Service.result -> int = function
+  | Value (Some v) -> v
+  | Done _ | Value None -> 0
+
+let result_of ~tag ~value : Service.result =
+  match tag with
+  | 0 -> Done false
+  | 1 -> Done true
+  | 2 -> Value None
+  | _ -> Value (Some value)
+
 (* A request's state word. Bit 0 says whether it was acknowledged: the
    checks ask nothing more of its acknowledgements. Bits 1-2 count its
    applies, saturating: a request is applied 3 times only when re-sends
    re-apply it twice, so from 3 on the exact count lives in [spill].
-   Bits 3-4 tag the first acknowledgement's result (0 [Done false], 1
-   [Done true], 2 [Value None], 3 [Value (Some v)]) and the bits above
-   hold [v]; both are recorded iff the request was acknowledged. *)
+   Bits 3-4 hold the first acknowledgement's result tag and the bits
+   above its value; both are recorded iff the request was
+   acknowledged. *)
 let acked_bit = 1
 let applies_of s = (s lsr 1) land 3
 let one_apply = 2
@@ -57,19 +78,17 @@ let value_shift = 5
 let value_bits = Sys.int_size - value_shift
 
 (* The state bits of a first acknowledgement's result. *)
-let result_bits (req : Service.request) (res : Service.result) =
-  match res with
-  | Done false -> 0
-  | Done true -> 1 lsl 3
-  | Value None -> 2 lsl 3
-  | Value (Some v) ->
-    if (v lsl value_shift) asr value_shift <> v then
+let result_bits ~client ~seq ~tag ~value =
+  if tag < 3 then tag lsl 3
+  else begin
+    if (value lsl value_shift) asr value_shift <> value then
       invalid_arg
         (Printf.sprintf
            "Oracle.ack: client=%d seq=%d result value %d outside [-2^%d, \
             2^%d)"
-           req.client req.seq v (value_bits - 1) (value_bits - 1));
-    (v lsl value_shift) lor (3 lsl 3)
+           client seq value (value_bits - 1) (value_bits - 1));
+    (value lsl value_shift) lor (3 lsl 3)
+  end
 
 type t = {
   arr : arrivals;
@@ -166,10 +185,9 @@ let lookup t client seq =
     let a = t.index.(client) in
     if seq < 0 || seq >= Array.length a then -1 else a.(seq)
 
-let find t (r : Service.request) =
-  let i = lookup t r.client r.seq in
-  if i < 0 then
-    violation t "unknown request client=%d seq=%d" r.client r.seq;
+let find t client seq =
+  let i = lookup t client seq in
+  if i < 0 then violation t "unknown request client=%d seq=%d" client seq;
   i
 
 let acked_at t i = t.state.(i) land acked_bit <> 0
@@ -191,9 +209,9 @@ let recorded_result t i : Service.result option =
 
 (* ---- events ---- *)
 
-let apply t (req : Service.request) =
+let note_apply t ~client ~seq =
   t.applies <- t.applies + 1;
-  let i = find t req in
+  let i = find t client seq in
   if i >= 0 then begin
     let s = t.state.(i) in
     (match applies_of s with
@@ -202,36 +220,41 @@ let apply t (req : Service.request) =
       if n = 2 then Hashtbl.replace t.spill i 3;
       t.state.(i) <- s + one_apply);
     if t.audit then
-      violation t "audit: client=%d seq=%d re-applied after final ack"
-        req.client req.seq
+      violation t "audit: client=%d seq=%d re-applied after final ack" client
+        seq
     else if s land acked_bit <> 0 then
-      violation t "client=%d seq=%d applied after acknowledgement" req.client
-        req.seq
+      violation t "client=%d seq=%d applied after acknowledgement" client seq
   end
 
-let commit t (req : Service.request) ~shard ~slot =
+let note_commit t ~client ~seq ~shard ~slot =
   if shard < 0 || shard > shard_mask || slot < 0 then
     invalid_arg
       (Printf.sprintf "Oracle.commit: client=%d seq=%d at shard %d slot %d"
-         req.client req.seq shard slot);
-  let i = find t req in
+         client seq shard slot);
+  let i = find t client seq in
   if i >= 0 then t.pos.(i) <- (slot lsl shard_bits) lor shard
 
 let pp_result_opt = function
   | Some r -> Format.asprintf "%a" Service.pp_result r
   | None -> "nothing"
 
-let ack t (req : Service.request) res ~dedup ~time =
-  let i = find t req in
+let note_ack t ~client ~seq ~tag ~value ~dedup ~time =
+  let i = find t client seq in
   if i < 0 then false
   else if t.audit then begin
     if not dedup then
-      violation t "audit: client=%d seq=%d fresh ack, expected dedup"
-        req.client req.seq;
-    let recorded = recorded_result t i in
-    if recorded <> Some res then
-      violation t "audit: client=%d seq=%d answered %s, recorded %s" req.client
-        req.seq (pp_result_opt (Some res)) (pp_result_opt recorded);
+      violation t "audit: client=%d seq=%d fresh ack, expected dedup" client
+        seq;
+    let s = t.state.(i) in
+    if
+      s land acked_bit = 0
+      || tag_of s <> tag
+      || (tag = 3 && s asr value_shift <> value)
+    then
+      violation t "audit: client=%d seq=%d answered %s, recorded %s" client
+        seq
+        (pp_result_opt (Some (result_of ~tag ~value)))
+        (pp_result_opt (recorded_result t i));
     t.audit_acks <- t.audit_acks + 1;
     false
   end
@@ -239,20 +262,30 @@ let ack t (req : Service.request) res ~dedup ~time =
     if dedup then t.dedup_acks <- t.dedup_acks + 1;
     let s = t.state.(i) in
     if s land acked_bit <> 0 then begin
-      violation t "client=%d seq=%d acknowledged twice" req.client req.seq;
+      violation t "client=%d seq=%d acknowledged twice" client seq;
       false
     end
     else begin
       (* keep the applies, record the result *)
       t.state.(i) <-
-        result_bits req res lor (s land (3 * one_apply)) lor acked_bit;
+        result_bits ~client ~seq ~tag ~value
+        lor (s land (3 * one_apply))
+        lor acked_bit;
       t.latencies.(t.completed) <- time - t.arr.a_time.(i);
       t.completed <- t.completed + 1;
-      if req.seq > t.last_acked.(req.client) then
-        t.last_acked.(req.client) <- req.seq;
+      if seq > t.last_acked.(client) then t.last_acked.(client) <- seq;
       true
     end
   end
+
+let apply t (r : Service.request) = note_apply t ~client:r.client ~seq:r.seq
+
+let commit t (r : Service.request) ~shard ~slot =
+  note_commit t ~client:r.client ~seq:r.seq ~shard ~slot
+
+let ack t (r : Service.request) res ~dedup ~time =
+  note_ack t ~client:r.client ~seq:r.seq ~tag:(result_tag res)
+    ~value:(result_value res) ~dedup ~time
 
 (* ---- recovered quiescent points ---- *)
 

@@ -55,20 +55,49 @@ val violations : t -> string list
     passes its documentation names; a pass over requests reports them
     in ascending arrival number. *)
 
-(** {1 Events, in merge order} *)
+(** {1 Events, in merge order}
 
-val apply : t -> Service.request -> unit
-val commit : t -> Service.request -> shard:int -> slot:int -> unit
+    Each event names its request by [~client] and [~seq], and an
+    acknowledgement its result by {!result_tag} and {!result_value}:
+    the merge barrier keeps its events as int columns and calls these
+    without building a request or a result. *)
+
+val note_apply : t -> client:int -> seq:int -> unit
+
+val note_commit : t -> client:int -> seq:int -> shard:int -> slot:int -> unit
 (** [shard] is the global shard. Raises [Invalid_argument] for a shard
     outside [\[0, 65536)] or a negative slot. *)
 
-val ack :
-  t -> Service.request -> Service.result -> dedup:bool -> time:int -> bool
+val note_ack :
+  t ->
+  client:int ->
+  seq:int ->
+  tag:int ->
+  value:int ->
+  dedup:bool ->
+  time:int ->
+  bool
 (** [true] iff this is the request's first acknowledgement outside the
     audit phase: its client may issue its next request. Raises
     [Invalid_argument] for a first acknowledgement answering
     [Value (Some v)] with [v] outside [\[-2^57, 2^57)] (on 64-bit
     hosts), which its state word cannot record. *)
+
+val result_tag : Service.result -> int
+(** 0 [Done false], 1 [Done true], 2 [Value None], 3 [Value (Some _)]. *)
+
+val result_value : Service.result -> int
+(** [v] for [Value (Some v)], else 0. *)
+
+val result_of : tag:int -> value:int -> Service.result
+(** The inverse of the two above. *)
+
+val apply : t -> Service.request -> unit
+val commit : t -> Service.request -> shard:int -> slot:int -> unit
+
+val ack :
+  t -> Service.request -> Service.result -> dedup:bool -> time:int -> bool
+(** The three events above, given a request and a result. *)
 
 (** {1 Checks} *)
 

@@ -313,26 +313,31 @@ let schedule (c : config) : Oracle.arrivals =
 (* ---- the merge loop ---- *)
 
 module Merge = struct
-  (* One entry of a group's event buffer: the worker-side hooks record
-     what happened and at which virtual time; the main domain merges
-     and interprets the streams at the next barrier. *)
-  type ev =
-    | E_apply of Service.request * int  (* apply virtual time *)
-    | E_commit of
-        Service.request * int (* global shard *) * int (* slot *) * int
-    | E_ack of Service.request * Service.result * bool (* dedup *) * int
-
-  (* An event and its effective release time. *)
-  type item = { eff : int; ev : ev }
-
-  (* A growable array; [n] entries are live. *)
-  type buf = { mutable items : item array; mutable n : int }
+  (* A group's event buffer, as int columns with [n] live rows: the
+     worker-side hooks append what happened and at which virtual time;
+     the main domain merges and interprets the rows at the next
+     barrier. [kind] is 0 for an apply, 1 for a commit, 2 for an ack;
+     [a] is the global shard of an apply or a commit and the result
+     value of an ack; [b] is the slot of a commit and, for an ack, the
+     result tag times 2 plus the dedup bit; [eff] is the effective
+     release time. *)
+  type cols = {
+    mutable kind : int array;
+    mutable client : int array;
+    mutable seq : int array;
+    mutable a : int array;
+    mutable b : int array;
+    mutable time : int array;
+    mutable eff : int array;
+    mutable n : int;
+  }
 
   type t = {
-    evq : ev Queue.t array;  (* per group, filled by the hooks *)
-    deferred : buf;  (* collected, released at a later barrier *)
+    groups : cols array;  (* per group, filled by the hooks *)
+    deferred : cols;  (* collected, released at a later barrier *)
     mutable deferred_min : int;  (* least [eff] in [deferred], or max_int *)
-    ready : buf;  (* reused by every release *)
+    ready : cols;  (* reused by every release *)
+    mutable order : int array;  (* the release order of [ready]'s rows *)
     counts : int array;  (* per global shard: [history.count] *)
     digests : int array;  (* and [history.digest] *)
     shards : int;
@@ -340,135 +345,201 @@ module Merge = struct
         (* group mode: the commit interval fresh acks are released at *)
   }
 
-  let none =
-    { eff = 0; ev = E_apply ({ Service.client = 0; seq = 0; op = Get 0 }, 0) }
+  type handler = {
+    on_apply : client:int -> seq:int -> unit;
+    on_commit : client:int -> seq:int -> shard:int -> slot:int -> unit;
+    on_ack :
+      client:int ->
+      seq:int ->
+      tag:int ->
+      value:int ->
+      dedup:bool ->
+      time:int ->
+      unit;
+  }
 
-  let buf () = { items = Array.make 64 none; n = 0 }
+  let cols () =
+    let z () = Array.make 64 0 in
+    { kind = z (); client = z (); seq = z (); a = z (); b = z ();
+      time = z (); eff = z (); n = 0 }
 
-  let push_item b x =
-    if b.n = Array.length b.items then begin
-      let a = Array.make (2 * b.n) none in
-      Array.blit b.items 0 a 0 b.n;
-      b.items <- a
+  let add c ~kind ~client ~seq ~a ~b ~time ~eff =
+    let n = c.n in
+    if n = Array.length c.kind then begin
+      let grow x =
+        let y = Array.make (2 * n) 0 in
+        Array.blit x 0 y 0 n;
+        y
+      in
+      c.kind <- grow c.kind;
+      c.client <- grow c.client;
+      c.seq <- grow c.seq;
+      c.a <- grow c.a;
+      c.b <- grow c.b;
+      c.time <- grow c.time;
+      c.eff <- grow c.eff
     end;
-    b.items.(b.n) <- x;
-    b.n <- b.n + 1
+    c.kind.(n) <- kind;
+    c.client.(n) <- client;
+    c.seq.(n) <- seq;
+    c.a.(n) <- a;
+    c.b.(n) <- b;
+    c.time.(n) <- time;
+    c.eff.(n) <- eff;
+    c.n <- n + 1
 
   let create ~groups ~shards ~ack_interval =
-    { evq = Array.init groups (fun _ -> Queue.create ());
-      deferred = buf ();
+    { groups = Array.init groups (fun _ -> cols ());
+      deferred = cols ();
       deferred_min = max_int;
-      ready = buf ();
+      ready = cols ();
+      order = Array.make 64 0;
       counts = Array.make shards 0;
       digests = Array.make shards digest_seed;
       shards;
       ack_interval }
 
-  let push m g e = Queue.push e m.evq.(g)
+  (* The hooks: append one row to group [g]'s buffer. *)
 
-  let record m gs (req : Service.request) =
-    m.counts.(gs) <- m.counts.(gs) + 1;
-    m.digests.(gs) <-
-      digest_step m.digests.(gs) ~client:req.client ~seq:req.seq
+  let apply m g (req : Service.request) ~time =
+    let gs = Service.global_shard ~shards:m.shards (Service.key_of_op req.op) in
+    add m.groups.(g) ~kind:0 ~client:req.client ~seq:req.seq ~a:gs ~b:0 ~time
+      ~eff:time
 
-  let histories m =
-    Array.init m.shards (fun gs ->
-        { count = m.counts.(gs); digest = m.digests.(gs) })
+  let commit m g (req : Service.request) ~shard ~slot ~time =
+    add m.groups.(g) ~kind:1 ~client:req.client ~seq:req.seq ~a:shard ~b:slot
+      ~time ~eff:time
 
   (* A group ack's effective release time is the commit-interval
      boundary its commit fired at, rounded up from the true ack time
      (which includes the batch's slice-dependent fence cost); per-op and
      dedup acks are worker-local and release at their true time. *)
-  let effective m = function
-    | E_apply (_, v) | E_commit (_, _, _, v) -> v
-    | E_ack (_, _, dedup, v) -> (
+  let ack m g (req : Service.request) res ~dedup ~time =
+    let eff =
       match m.ack_interval with
-      | Some i when not dedup -> ((v / i) + 1) * i
-      | _ -> v)
+      | Some i when not dedup -> ((time / i) + 1) * i
+      | _ -> time
+    in
+    add m.groups.(g) ~kind:2 ~client:req.client ~seq:req.seq
+      ~a:(Oracle.result_value res)
+      ~b:((Oracle.result_tag res lsl 1) lor Bool.to_int dedup)
+      ~time ~eff
 
-  let request = function
-    | E_apply (r, _) | E_commit (r, _, _, _) | E_ack (r, _, _, _) -> r
+  let copy src i dst =
+    add dst ~kind:src.kind.(i) ~client:src.client.(i) ~seq:src.seq.(i)
+      ~a:src.a.(i) ~b:src.b.(i) ~time:src.time.(i) ~eff:src.eff.(i)
 
-  let rank = function E_apply _ -> 0 | E_commit _ -> 1 | E_ack _ -> 2
+  let histories m =
+    Array.init m.shards (fun gs ->
+        { count = m.counts.(gs); digest = m.digests.(gs) })
 
-  (* The release order: effective time, client, seq, then
-     apply < commit < ack. *)
-  let compare a b =
-    let c = Int.compare a.eff b.eff in
-    if c <> 0 then c
+  (* Whether row [i] of [r] is released before row [j]: effective time,
+     client, seq, then apply < commit < ack, then collection order. *)
+  let before r i j =
+    let c = Int.compare r.eff.(i) r.eff.(j) in
+    if c <> 0 then c < 0
     else
-      let ra = request a.ev and rb = request b.ev in
-      let c = Int.compare ra.client rb.client in
-      if c <> 0 then c
+      let c = Int.compare r.client.(i) r.client.(j) in
+      if c <> 0 then c < 0
       else
-        let c = Int.compare ra.seq rb.seq in
-        if c <> 0 then c else Int.compare (rank a.ev) (rank b.ev)
+        let c = Int.compare r.seq.(i) r.seq.(j) in
+        if c <> 0 then c < 0
+        else
+          let c = Int.compare r.kind.(i) r.kind.(j) in
+          if c <> 0 then c < 0 else i < j
 
-  (* Stable sort of [b]'s live entries: insertion for the few a barrier
-     usually holds, merge sort above that. *)
-  let sort b =
-    if b.n <= 16 then
-      for i = 1 to b.n - 1 do
-        let x = b.items.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && compare b.items.(!j) x > 0 do
-          b.items.(!j + 1) <- b.items.(!j);
-          decr j
-        done;
-        b.items.(!j + 1) <- x
-      done
-    else begin
-      let a = Array.sub b.items 0 b.n in
-      Array.stable_sort compare a;
-      Array.blit a 0 b.items 0 b.n
+  let swap (p : int array) i j =
+    let x = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- x
+
+  (* Sift position [i] of the max-heap [p.(0 .. n - 1)] down. *)
+  let rec sift r p i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && before r p.(l) p.(l + 1) then l + 1 else l in
+      if before r p.(i) p.(c) then begin
+        swap p i c;
+        sift r p c n
+      end
     end
 
-  (* Route one collected item: released by this barrier, or deferred. *)
-  let route m ~all t_bar x =
-    if all || x.eff <= t_bar then push_item m.ready x
+  (* Heapsort of [p]'s first [n] row numbers by [before], a total
+     order, in place. *)
+  let sort r p n =
+    for i = (n / 2) - 1 downto 0 do
+      sift r p i n
+    done;
+    for e = n - 1 downto 1 do
+      swap p 0 e;
+      sift r p 0 e
+    done
+
+  (* Route row [i] of [src]: released by this barrier, or deferred. *)
+  let route m ~all t_bar src i =
+    let eff = src.eff.(i) in
+    if all || eff <= t_bar then copy src i m.ready
     else begin
-      push_item m.deferred x;
-      if x.eff < m.deferred_min then m.deferred_min <- x.eff
+      copy src i m.deferred;
+      if eff < m.deferred_min then m.deferred_min <- eff
     end
 
   (* Drain every buffered event, recording applies in the histories
-     unless [audit], and hand [f] those released by barrier [t_bar] (or
+     unless [audit], and hand [h] those released by barrier [t_bar] (or
      all of them, with [all]) in release order, ties kept in collection
      order: the deferred events first, then each group's buffer in
      turn; the rest stays deferred, in that order, for a later
      barrier. *)
-  let release m ~audit ~all t_bar f =
-    let due = m.deferred.n > 0 && (all || m.deferred_min <= t_bar) in
-    if due || Array.exists (fun q -> not (Queue.is_empty q)) m.evq then begin
+  let release m ~audit ~all t_bar h =
+    let collected =
+      ref (m.deferred.n > 0 && (all || m.deferred_min <= t_bar))
+    in
+    for k = 0 to Array.length m.groups - 1 do
+      if m.groups.(k).n > 0 then collected := true
+    done;
+    if !collected then begin
+      (* the kept rows move down in place: row [i] goes to a row at
+         most [i] *)
       let d = m.deferred in
       let kept = d.n in
       d.n <- 0;
       m.deferred_min <- max_int;
       for i = 0 to kept - 1 do
-        route m ~all t_bar d.items.(i)
+        route m ~all t_bar d i
       done;
-      Array.iter
-        (fun q ->
-          Queue.iter
-            (fun e ->
-              (match e with
-              | E_apply (req, _) when not audit ->
-                let gs =
-                  Service.global_shard ~shards:m.shards
-                    (Service.key_of_op req.op)
-                in
-                record m gs req
-              | _ -> ());
-              route m ~all t_bar { eff = effective m e; ev = e })
-            q;
-          Queue.clear q)
-        m.evq;
+      for k = 0 to Array.length m.groups - 1 do
+        let g = m.groups.(k) in
+        for i = 0 to g.n - 1 do
+          if g.kind.(i) = 0 && not audit then begin
+            let gs = g.a.(i) in
+            m.counts.(gs) <- m.counts.(gs) + 1;
+            m.digests.(gs) <-
+              digest_step m.digests.(gs) ~client:g.client.(i) ~seq:g.seq.(i)
+          end;
+          route m ~all t_bar g i
+        done;
+        g.n <- 0
+      done;
       let r = m.ready in
-      sort r;
       let n = r.n in
-      r.n <- 0;
+      if Array.length m.order < n then
+        m.order <- Array.make (max n (2 * Array.length m.order)) 0;
+      let p = m.order in
       for i = 0 to n - 1 do
-        f r.items.(i).ev
+        p.(i) <- i
+      done;
+      sort r p n;
+      r.n <- 0;
+      for k = 0 to n - 1 do
+        let i = p.(k) in
+        let client = r.client.(i) and seq = r.seq.(i) in
+        match r.kind.(i) with
+        | 0 -> h.on_apply ~client ~seq
+        | 1 -> h.on_commit ~client ~seq ~shard:r.a.(i) ~slot:r.b.(i)
+        | _ ->
+          let b = r.b.(i) in
+          h.on_ack ~client ~seq ~tag:(b lsr 1) ~value:r.a.(i)
+            ~dedup:(b land 1 = 1) ~time:r.time.(i)
       done
     end
 end
@@ -499,17 +570,22 @@ let crash_all cl =
    before its crash fires still surfaces as a stall. *)
 let drive cl ~threshold ~at_barrier =
   let base = total_steps cl in
+  let advance g =
+    cl.results.(g) <- Machine.advance_to cl.machines.(g) ~time:cl.vtime
+  in
   let rec loop () =
     cl.vtime <- cl.vtime + cl.epoch;
-    Nvt_sim.Domain_pool.run cl.pool (fun g ->
-        cl.results.(g) <- Machine.advance_to cl.machines.(g) ~time:cl.vtime);
+    Nvt_sim.Domain_pool.run cl.pool advance;
     let steps = total_steps cl - base in
     match threshold with
     | Some s when steps >= s -> `Crash
     | _ ->
       at_barrier cl.vtime;
-      if Array.for_all (function `Completed -> true | _ -> false) cl.results
-      then `Completed
+      let completed = ref true in
+      for g = 0 to Array.length cl.results - 1 do
+        if cl.results.(g) <> `Completed then completed := false
+      done;
+      if !completed then `Completed
       else if steps >= cl.watchdog then `Stalled
       else loop ()
   in
@@ -605,7 +681,9 @@ let run_with ~on_machine (c : config) : report =
   let submit_route (r : Service.request) =
     Service.submit services.(group_of_key (Service.key_of_op r.op)) r
   in
-  let issued : Service.request option array = Array.make c.clients None in
+  (* each client's outstanding request, or [idle] *)
+  let idle = { Service.client = -1; seq = -1; op = Service.Get 0 } in
+  let issued = Array.make c.clients idle in
   (* each client's released but not yet issued arrival numbers *)
   let backlog : int Queue.t array =
     Array.init c.clients (fun _ -> Queue.create ())
@@ -617,7 +695,7 @@ let run_with ~on_machine (c : config) : report =
         seq = Oracle.seq_of id;
         op = arrivals.a_op.(i) }
     in
-    issued.(r.client) <- Some r;
+    issued.(r.client) <- r;
     submit_route r
   in
   let cursor = ref 0 in
@@ -626,9 +704,8 @@ let run_with ~on_machine (c : config) : report =
       let i = !cursor in
       incr cursor;
       let client = Oracle.client_of arrivals.a_id.(i) in
-      match issued.(client) with
-      | Some _ -> Queue.push i backlog.(client)
-      | None -> issue i
+      if issued.(client) != idle then Queue.push i backlog.(client)
+      else issue i
     done
   in
 
@@ -644,23 +721,31 @@ let run_with ~on_machine (c : config) : report =
     (fun g svc ->
       let mg = machines.(g) in
       Service.set_on_apply svc (fun req _res ->
-          Merge.push merge g (E_apply (req, Machine.now mg)));
+          Merge.apply merge g req ~time:(Machine.now mg));
       Service.set_on_commit svc (fun req ~shard ~slot ->
-          let gs = Service.global_of_local svc shard in
-          Merge.push merge g (E_commit (req, gs, slot, Machine.now mg)));
+          Merge.commit merge g req
+            ~shard:(Service.global_of_local svc shard)
+            ~slot ~time:(Machine.now mg));
       Service.set_on_ack svc (fun req res ~dedup ->
-          Merge.push merge g (E_ack (req, res, dedup, Machine.now mg))))
+          Merge.ack merge g req res ~dedup ~time:(Machine.now mg)))
     services;
+  let handler =
+    { Merge.on_apply =
+        (fun ~client ~seq -> Oracle.note_apply oracle ~client ~seq);
+      on_commit =
+        (fun ~client ~seq ~shard ~slot ->
+          Oracle.note_commit oracle ~client ~seq ~shard ~slot);
+      on_ack =
+        (fun ~client ~seq ~tag ~value ~dedup ~time ->
+          if Oracle.note_ack oracle ~client ~seq ~tag ~value ~dedup ~time
+          then begin
+            issued.(client) <- idle;
+            let q = backlog.(client) in
+            if not (Queue.is_empty q) then issue (Queue.pop q)
+          end) }
+  in
   let process_ready ~all t_bar =
-    Merge.release merge ~audit:(Oracle.auditing oracle) ~all t_bar (function
-      | E_apply (req, _) -> Oracle.apply oracle req
-      | E_commit (req, shard, slot, _) -> Oracle.commit oracle req ~shard ~slot
-      | E_ack (req, res, dedup, time) ->
-        if Oracle.ack oracle req res ~dedup ~time then begin
-          issued.(req.client) <- None;
-          let q = backlog.(req.client) in
-          if not (Queue.is_empty q) then issue (Queue.pop q)
-        end)
+    Merge.release merge ~audit:(Oracle.auditing oracle) ~all t_bar handler
   in
 
   (* ---- eras and recovery ---- *)
@@ -712,9 +797,11 @@ let run_with ~on_machine (c : config) : report =
   let era threshold =
     Array.iteri (fun g svc -> Service.start svc machines.(g)) services;
     Array.iter
-      (Option.iter (fun r ->
-           incr resent;
-           submit_route r))
+      (fun r ->
+        if r != idle then begin
+          incr resent;
+          submit_route r
+        end)
       issued;
     let at_barrier t_bar =
       process_ready ~all:false t_bar;

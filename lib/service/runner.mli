@@ -154,34 +154,61 @@ val summarize : ?len:int -> int array -> latency
     there are none. Selects in place: reorders those [len], and copies
     nothing. *)
 
-(** The merge barrier's event buffers, exposed for testing. *)
+(** The merge barrier's event buffers, exposed for testing. Each group's
+    buffer is a set of int columns, so recording an event allocates
+    nothing (beyond doubling a column when it fills). *)
 module Merge : sig
-  type ev =
-    | E_apply of Service.request * int  (** apply virtual time *)
-    | E_commit of Service.request * int * int * int
-        (** global shard, slot, commit virtual time *)
-    | E_ack of Service.request * Service.result * bool * int
-        (** result, dedup, ack virtual time *)
-
   type t
 
   val create : groups:int -> shards:int -> ack_interval:int option -> t
   (** [ack_interval]: group mode's commit interval, the boundary a
       fresh (non-dedup) ack is released at; [None] in per-op mode. *)
 
-  val push : t -> int -> ev -> unit
-  (** Append to a group's buffer; only that group's domain calls it. *)
+  (** The hooks: each appends one event to group [g]'s buffer; only
+      that group's domain calls them. *)
 
-  val release : t -> audit:bool -> all:bool -> int -> (ev -> unit) -> unit
-  (** [release m ~audit ~all t_bar f] drains every group's buffer,
+  val apply : t -> int -> Service.request -> time:int -> unit
+  (** [apply m g req ~time]: [req] was applied at virtual time [time]. *)
+
+  val commit :
+    t -> int -> Service.request -> shard:int -> slot:int -> time:int -> unit
+  (** ... committed at global [shard], [slot]. *)
+
+  val ack :
+    t ->
+    int ->
+    Service.request ->
+    Service.result ->
+    dedup:bool ->
+    time:int ->
+    unit
+  (** ... acknowledged with this result. *)
+
+  type handler = {
+    on_apply : client:int -> seq:int -> unit;
+    on_commit : client:int -> seq:int -> shard:int -> slot:int -> unit;
+    on_ack :
+      client:int ->
+      seq:int ->
+      tag:int ->
+      value:int ->
+      dedup:bool ->
+      time:int ->
+      unit;
+        (** the result as {!Oracle.result_tag} and {!Oracle.result_value};
+            [time] is the true ack time *)
+  }
+  (** What a release hands each event to, as ints. *)
+
+  val release : t -> audit:bool -> all:bool -> int -> handler -> unit
+  (** [release m ~audit ~all t_bar h] drains every group's buffer,
       recording applies in the shards' histories unless [audit], in
-      collection order (for one shard, the order its group pushed
-      them), and calls [f]
-      on each event due by barrier [t_bar] (every event, with [all]),
-      ordered by (effective time, client, seq, apply < commit < ack),
-      ties in collection order: events deferred earlier first, then
-      group 0's buffer, group 1's, and so on. The rest stays deferred,
-      in that order. *)
+      collection order (for one shard, the order its group recorded
+      them), and hands [h] each event due by barrier [t_bar] (every
+      event, with [all]), ordered by (effective time, client, seq,
+      apply < commit < ack), ties in collection order: events deferred
+      earlier first, then group 0's buffer, group 1's, and so on. The
+      rest stays deferred, in that order. *)
 
   val histories : t -> history array
   (** Per global shard, the applies recorded so far, as in

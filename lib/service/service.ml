@@ -17,12 +17,19 @@
    checkpoint's records plus the replayed log suffix, or detect mode's
    {!Descriptors}, which every commit persists under its ledger fence).
 
+   The dedup table is an array indexed by client, grown on demand, so
+   a request's lookup and record are two array accesses. A batch is a
+   pair of arrays (requests, completions) reused from commit to
+   commit: a request allocates no table, list or tuple on its way to
+   its acknowledgement.
+
    A checkpoint snapshots a shard's committed state — a plain-OCaml
    model mirror of the store, kept as a key-sorted int vector so the
-   cut is a sequential copy, plus the shard's dedup records, captured
-   in one non-preemptible stretch so the cut is consistent — on the
-   thread that owns the shard's commit index, so recovery replays only
-   the delta since it. Recovery replays into a hash table first, whose
+   cut is a sequential copy into flat chunks, plus the shard's dedup
+   records, scanned in client order — captured in one non-preemptible
+   stretch so the cut is consistent, on the thread that owns the
+   shard's commit index, so recovery replays only the delta since
+   it. Recovery replays into a hash table first, whose
    order it reconciles the store in, then loads the sorted mirror from
    it. {!spawn_recovery} runs each shard's recovery as a simulated
    thread: shards recover in parallel, in virtual time. *)
@@ -71,9 +78,8 @@ let replay c m op =
 let hashtbl : (int, int) Hashtbl.t container =
   { find = Hashtbl.find_opt; set = Hashtbl.replace; remove = Hashtbl.remove }
 
-(* A checkpoint cut orders its pairs and records on their first
-   component alone: mirror keys and dedup clients are unique, so this
-   is [compare]'s order. *)
+(* Mirror keys are unique, so ordering pairs on their first component
+   alone is [compare]'s order. *)
 let by_fst ((a : int), _) (b, _) = Int.compare a b
 
 (* A shard's mirror: the [live] pairs in [keys.(0 .. live - 1)] and
@@ -134,8 +140,24 @@ module Mirror = struct
   let apply = replay { find; set; remove }
   let length t = t.live
 
-  (* The cut: the live pairs in key order. *)
+  (* The live pairs in key order. *)
   let pairs t = Array.init t.live (fun i -> (t.keys.(i), t.values.(i)))
+
+  (* The checkpoint's cut: the same pairs, flat ([k0; v0; k1; ...]) in
+     chunks of {!Checkpoint.chunk} pairs, one array per chunk cell. *)
+  let chunks t =
+    let per = Checkpoint.chunk in
+    Array.init
+      ((t.live + per - 1) / per)
+      (fun j ->
+        let lo = j * per in
+        let len = min per (t.live - lo) in
+        let a = Array.make (2 * len) 0 in
+        for i = 0 to len - 1 do
+          a.(2 * i) <- t.keys.(lo + i);
+          a.((2 * i) + 1) <- t.values.(lo + i)
+        done;
+        a)
 
   (* Replace the contents with a table's, sorted once. *)
   let load t tbl =
@@ -144,6 +166,60 @@ module Mirror = struct
     t.keys <- Array.map fst a;
     t.values <- Array.map snd a;
     t.live <- Array.length a
+end
+
+(* The dedup table: each client's last completion, in an array
+   indexed by client that grows on demand; a client not seen holds
+   {!no_completion}. *)
+module Dedup = struct
+  type t = { mutable last : completion array }
+
+  let create () = { last = Array.make 64 no_completion }
+
+  let find t client =
+    if client >= 0 && client < Array.length t.last then t.last.(client)
+    else no_completion
+
+  let replace t client c =
+    if client < 0 then
+      invalid_arg (Printf.sprintf "service: negative client %d" client);
+    let n = Array.length t.last in
+    if client >= n then begin
+      let a = Array.make (max (2 * n) (client + 1)) no_completion in
+      Array.blit t.last 0 a 0 n;
+      t.last <- a
+    end;
+    t.last.(client) <- c
+
+  (* Merge a client's completion. Later completions win on equal
+     [seq]: a re-send can legitimately commit twice (once per era), and
+     the last committed slot is the one whose result a post-crash
+     re-send must be answered from. *)
+  let merge t client (c : completion) =
+    let c0 = find t client in
+    if c0 == no_completion || c0.seq <= c.seq then replace t client c
+
+  let reset t = Array.fill t.last 0 (Array.length t.last) no_completion
+
+  (* A checkpoint's records: each client whose last completion lies on
+     [shard] below slot [upto], in ascending client order. *)
+  let cut t ~shard ~upto =
+    let covers (c : completion) = c.shard = shard && c.slot < upto in
+    let a = t.last in
+    let n = ref 0 in
+    for client = 0 to Array.length a - 1 do
+      if covers a.(client) then incr n
+    done;
+    let cut = Array.make !n (0, no_completion) in
+    let j = ref 0 in
+    for client = 0 to Array.length a - 1 do
+      let c = a.(client) in
+      if covers c then begin
+        cut.(!j) <- (client, c);
+        incr j
+      end
+    done;
+    cut
 end
 
 (* ------------------------------------------------------------------ *)
@@ -176,14 +252,26 @@ type shard = {
       (* the prefill pairs — the mirror's base state, needed to re-seed
          it when a recovery finds no committed checkpoint (a checkpoint
          snapshot already contains them) *)
+  own : batch;  (* per-op mode: the worker's one-request batch *)
+}
+
+(* A commit batch: [n] requests and their completions, in arrays
+   reused from commit to commit; [persist i] hands item [i] to the
+   completion source. *)
+and batch = {
+  mutable reqs : request array;
+  mutable comps : completion array;
+  mutable n : int;
+  persist : int -> unit;
 }
 
 (* The completion source: where recovery finds each client's last
    completion. *)
 type source = {
   persist : int -> completion -> unit;  (* client; before the ledger fence *)
-  persist_slot : int -> int -> unit;
-      (* the same for the entry at (shard, slot), read back from the log *)
+  persist_slot : Ledger.log -> int -> int -> unit;
+      (* the same for the entry at (shard, slot), read back from the
+         shard's log *)
   rebuild : int -> int -> (int * completion) list -> unit;
       (* shard -> durable index -> the checkpoint's and the replayed
          log's records, in commit order: refill the dedup table *)
@@ -203,9 +291,9 @@ type t = {
   mutable ckpt_count : int;
   mutable truncated : int;  (* log slots dropped by checkpoints *)
   mutable replayed : int;  (* log entries replayed by recovery passes *)
-  last : (int, completion) Hashtbl.t;  (* volatile; rebuilt in recovery *)
-  pending : (request * completion) Queue.t;
-      (* group mode: awaiting the boundary commit *)
+  last : Dedup.t;  (* volatile; rebuilt in recovery *)
+  mutable pending : batch;  (* group mode: awaiting the boundary commit *)
+  mutable spare : batch;  (* group mode: the batch being committed *)
   mutable stop : bool;
   mutable on_apply : request -> result -> unit;
   mutable on_ack : request -> result -> dedup:bool -> unit;
@@ -213,14 +301,43 @@ type t = {
   policy_recover : unit -> unit;
 }
 
+let no_request = { client = -1; seq = -1; op = Get 0 }
+
+let batch persist =
+  let rec b =
+    { reqs = Array.make 16 no_request;
+      comps = Array.make 16 no_completion;
+      n = 0;
+      persist = (fun i -> persist b.reqs.(i).client b.comps.(i)) }
+  in
+  b
+
+let push b req c =
+  let n = b.n in
+  if n = Array.length b.reqs then begin
+    let grow a x =
+      let g = Array.make (2 * n) x in
+      Array.blit a 0 g 0 n;
+      g
+    in
+    b.reqs <- grow b.reqs no_request;
+    b.comps <- grow b.comps no_completion
+  end;
+  b.reqs.(n) <- req;
+  b.comps.(n) <- c;
+  b.n <- n + 1
+
 let mk_store (structure : (module I.STRUCTURE)) (policy : I.policy) : store =
   let module S = (val I.instantiate structure policy) in
   let s = S.create () in
   { apply =
       (fun op ->
+        (* [Done true] and [Done false] are constants; [Done b] would
+           allocate *)
         match op with
-        | Put (k, v) -> Done (S.insert s ~key:k ~value:v)
-        | Del k -> Done (S.delete s k)
+        | Put (k, v) ->
+          if S.insert s ~key:k ~value:v then Done true else Done false
+        | Del k -> if S.delete s k then Done true else Done false
         | Get k -> Value (S.find s k)
         | Multi_put kvs ->
           (* add-if-absent per key, in list order (a duplicate key later
@@ -284,15 +401,6 @@ let shard_of t k =
 
 let global_of_local t i = t.group + (i * t.stride)
 
-(* Merge a client's completion into the dedup table. Later completions
-   win on equal [seq]: a re-send can legitimately commit twice (once per
-   era), and the last committed slot is the one whose result a
-   post-crash re-send must be answered from. *)
-let merge_last last client (c : completion) =
-  match Hashtbl.find_opt last client with
-  | Some (c0 : completion) when c0.seq > c.seq -> ()
-  | _ -> Hashtbl.replace last client c
-
 let create ?(slice = (0, 1)) ?commit_interval
     ?(checkpoint = 0) ?(detect = false) ~structure ~(flavour : I.flavour)
     ~shards:n ~mode () =
@@ -310,6 +418,30 @@ let create ?(slice = (0, 1)) ?commit_interval
   let (module Pol : I.POLICY) = policy in
   let module L = Pol.Apply (Sim_mem) in
   let local = if group >= n then 0 else (n - group + stride - 1) / stride in
+  let last = Dedup.create () in
+  let src =
+    if detect then
+      let module D = Descriptors.Make (L.Mem) in
+      let d = D.create () in
+      { persist = D.put d;
+        persist_slot =
+          (fun log si slot ->
+            let e = log.Ledger.read slot in
+            D.put d e.e_client
+              { seq = e.e_seq; shard = si; slot; res = e.e_res });
+        rebuild =
+          (fun si index _ ->
+            D.recover d ~shard:si ~index ~find:(Dedup.find last)
+              ~replace:(Dedup.replace last));
+        unseen = Detectable.Not_applied }
+    else
+      { persist = (fun _ _ -> ());
+        persist_slot = (fun _ _ _ -> ());
+        rebuild =
+          (fun _ _ records ->
+            List.iter (fun (client, c) -> Dedup.merge last client c) records);
+        unseen = Detectable.Unknown }
+  in
   let shards =
     Array.init local (fun _ ->
         (* the log's cells are allocated before the store's *)
@@ -318,28 +450,8 @@ let create ?(slice = (0, 1)) ?commit_interval
           log;
           queue = Queue.create ();
           mirror = Mirror.create ();
-          preseed = [] })
-  in
-  let last = Hashtbl.create 64 in
-  let src =
-    if detect then
-      let module D = Descriptors.Make (L.Mem) in
-      let d = D.create () in
-      { persist = D.put d;
-        persist_slot =
-          (fun si slot ->
-            let e = shards.(si).log.read slot in
-            D.put d e.e_client
-              { seq = e.e_seq; shard = si; slot; res = e.e_res });
-        rebuild = (fun si index _ -> D.recover d ~shard:si ~index last);
-        unseen = Detectable.Not_applied }
-    else
-      { persist = (fun _ _ -> ());
-        persist_slot = (fun _ _ -> ());
-        rebuild =
-          (fun _ _ records ->
-            List.iter (fun (client, c) -> merge_last last client c) records);
-        unseen = Detectable.Unknown }
+          preseed = [];
+          own = batch src.persist })
   in
   { mode;
     shards;
@@ -354,7 +466,8 @@ let create ?(slice = (0, 1)) ?commit_interval
     truncated = 0;
     replayed = 0;
     last;
-    pending = Queue.create ();
+    pending = batch src.persist;
+    spare = batch src.persist;
     stop = false;
     on_apply = (fun _ _ -> ());
     on_ack = (fun _ _ ~dedup:_ -> ());
@@ -401,18 +514,17 @@ let prefill t keys =
 (* Commit and checkpoint                                               *)
 (* ------------------------------------------------------------------ *)
 
-let position (_, (c : completion)) = (c.shard, c.slot)
-
 (* Commit a batch, persisting each completion to the source, then
    acknowledge it. *)
-let commit t items =
-  Ledger.commit t.ledger items ~at:position
-    ~persist:(fun ((r : request), c) -> t.src.persist r.client c);
-  List.iter
-    (fun ((r : request), (c : completion)) ->
-      t.on_commit r ~shard:c.shard ~slot:c.slot)
-    items;
-  List.iter (fun (r, c) -> t.on_ack r c.res ~dedup:false) items
+let commit t b =
+  Ledger.commit t.ledger b.comps b.n ~persist:b.persist;
+  for i = 0 to b.n - 1 do
+    let c = b.comps.(i) in
+    t.on_commit b.reqs.(i) ~shard:c.shard ~slot:c.slot
+  done;
+  for i = 0 to b.n - 1 do
+    t.on_ack b.reqs.(i) b.comps.(i).res ~dedup:false
+  done
 
 (* Snapshot and durably checkpoint one shard, on the thread that owns
    its commit index, so no other thread races the index.
@@ -432,19 +544,13 @@ let checkpoint_shard t si =
   let sh = t.shards.(si) in
   let upto = sh.log.next_slot in
   if upto > sh.log.base then begin
-    let pairs = Mirror.pairs sh.mirror in
-    let covered =
-      Hashtbl.fold
-        (fun client (c : completion) acc ->
-          if c.shard = si && c.slot < upto then (client, c) :: acc else acc)
-        t.last []
-      |> Array.of_list
-    in
-    Array.sort by_fst covered;
+    let pairs = Mirror.chunks sh.mirror in
+    let dedup = Dedup.cut t.last ~shard:si ~upto in
     t.truncated <-
       t.truncated
-      + Ledger.checkpoint t.ledger si ~persist:(t.src.persist_slot si)
-          (upto, pairs, covered);
+      + Ledger.checkpoint t.ledger si
+          ~persist:(t.src.persist_slot sh.log si)
+          ~upto ~pairs ~dedup;
     t.ckpt_count <- t.ckpt_count + 1
   end
 
@@ -488,12 +594,12 @@ let process t ~complete si req =
           invalid_arg "service: multi-put keys span shards")
       kvs
   | _ -> ());
-  match Hashtbl.find_opt t.last req.client with
-  | Some c when c.seq > req.seq ->
+  let c = Dedup.find t.last req.client in
+  if c != no_completion && c.seq > req.seq then
     (* duplicate of a request already superseded by a later one from
        the same (sequential) client: it was acknowledged long ago *)
     ()
-  | Some c when c.seq = req.seq ->
+  else if c != no_completion && c.seq = req.seq then begin
     (* re-sent request: answer from the ledger iff its record is
        committed; if it is still in flight the original completion
        will acknowledge it, and acknowledging here would ack an
@@ -505,7 +611,8 @@ let process t ~complete si req =
       t.on_commit req ~shard:c.shard ~slot:c.slot;
       t.on_ack req c.res ~dedup:true
     end
-  | _ ->
+  end
+  else begin
     let sh = t.shards.(si) in
     let res = sh.store.apply req.op in
     t.on_apply req res;
@@ -515,8 +622,9 @@ let process t ~complete si req =
     in
     Mirror.apply sh.mirror req.op;
     let c = { seq = req.seq; shard = si; slot; res } in
-    Hashtbl.replace t.last req.client c;
-    complete (req, c)
+    Dedup.replace t.last req.client c;
+    complete si req c
+  end
 
 (* The timed wait an idle worker sleeps between queue polls. *)
 let poll_quantum = 100
@@ -572,13 +680,16 @@ let committer t ~tick () =
   let rec loop () =
     let now = Machine.now m in
     Machine.sleep m (next_boundary now interval - now);
-    let items = List.of_seq (Queue.to_seq t.pending) in
-    Queue.clear t.pending;
-    commit t items;
+    (* the workers fill the other batch while this one commits *)
+    let b = t.pending in
+    t.pending <- t.spare;
+    t.spare <- b;
+    commit t b;
+    b.n <- 0;
     tick ();
     if
       not
-        (t.stop && Queue.is_empty t.pending
+        (t.stop && t.pending.n = 0
         && Array.for_all (fun sh -> Queue.is_empty sh.queue) t.shards)
     then loop ()
   in
@@ -599,11 +710,16 @@ let start t m =
   in
   match t.mode with
   | Per_op ->
-    spawn_workers
-      ~complete:(fun it -> commit t [ it ])
+    let commit_one si req c =
+      let b = t.shards.(si).own in
+      b.n <- 0;
+      push b req c;
+      commit t b
+    in
+    spawn_workers ~complete:commit_one
       (fun si -> every (fun () -> checkpoint_shard t si))
   | Group _ ->
-    let enqueue it = Queue.push it t.pending in
+    let enqueue _ req c = push t.pending req c in
     spawn_workers ~complete:enqueue (fun _ -> never);
     let ckpt_all () =
       Array.iteri (fun si _ -> checkpoint_shard t si) t.shards
@@ -640,7 +756,9 @@ let recover_shard t si =
       List.iter (fun (k, v) -> Hashtbl.replace table k v) sh.preseed;
       []
     | Some (_, pairs, covered) ->
-      Array.iter (fun (k, v) -> Hashtbl.replace table k v) pairs;
+      for i = 0 to (Array.length pairs / 2) - 1 do
+        Hashtbl.replace table pairs.(2 * i) pairs.((2 * i) + 1)
+      done;
       Array.to_list covered
   in
   let base = sh.log.base in
@@ -671,8 +789,11 @@ let recover_shard t si =
 let spawn_recovery t m =
   t.policy_recover ();
   t.stop <- false;
-  Queue.clear t.pending;
-  Hashtbl.reset t.last;
+  (* a crash can cut a commit short: neither batch is in flight now *)
+  t.pending.n <- 0;
+  t.spare.n <- 0;
+  Ledger.abandon t.ledger;
+  Dedup.reset t.last;
   Array.iteri
     (fun si _ -> ignore (Machine.spawn m (fun () -> recover_shard t si)))
     t.shards
@@ -706,16 +827,16 @@ let replayed_slots t = t.replayed
    descriptors the table is rebuilt from the checkpoint's records plus
    the retained log suffix, so absence proves nothing: [Unknown]. *)
 let op_status t ~client ~seq : Detectable.status * result option =
-  match Hashtbl.find_opt t.last client with
-  | Some c when c.seq = seq ->
+  let c = Dedup.find t.last client in
+  if c == no_completion || c.seq < seq then (t.src.unseen, None)
+  else if c.seq = seq then
     if t.shards.(c.shard).log.committed > c.slot then
       (Detectable.Completed, Some c.res)
     else (Detectable.Unknown, None)
-  | Some c when c.seq > seq ->
+  else
     (* a sequential client submits seq n+1 only after seq n was
        acknowledged, so a later committed request vouches for this one *)
     (Detectable.Completed, None)
-  | Some _ | None -> (t.src.unseen, None)
 
 type durable = {
   dv_base : int;
@@ -735,7 +856,11 @@ let durable_state t =
         match l.read_ckpt () with
         | None -> (0, [], [])
         | Some (upto, pairs, covered) ->
-          (upto, Array.to_list pairs, Array.to_list covered)
+          ( upto,
+            List.init
+              (Array.length pairs / 2)
+              (fun i -> (pairs.(2 * i), pairs.((2 * i) + 1))),
+            Array.to_list covered )
       in
       (* a suppressed commit site can leave the recovered index below a
          committed checkpoint's base; the retained suffix is then empty
@@ -752,15 +877,15 @@ let durable_state t =
    acknowledgement hooks are bypassed; the mirror tracks the forged
    entries so later checkpoints stay consistent. *)
 let inject_committed t entries =
-  List.map
+  let b = batch t.src.persist in
+  List.iter
     (fun e ->
       let si = shard_of t (key_of_op e.e_op) in
       let sh = t.shards.(si) in
       let slot = Ledger.append sh.log e in
       Mirror.apply sh.mirror e.e_op;
       let c = { seq = e.e_seq; shard = si; slot; res = e.e_res } in
-      merge_last t.last e.e_client c;
-      (e.e_client, c))
-    entries
-  |> Ledger.commit t.ledger ~at:position ~persist:(fun (client, c) ->
-         t.src.persist client c)
+      Dedup.merge t.last e.e_client c;
+      push b { client = e.e_client; seq = e.e_seq; op = e.e_op } c)
+    entries;
+  Ledger.commit t.ledger b.comps b.n ~persist:b.persist

@@ -108,7 +108,38 @@ module Mirror : sig
   val length : t -> int
 
   val pairs : t -> (int * int) array
-  (** The contents in increasing key order: the checkpoint's cut. *)
+  (** The contents in increasing key order. *)
+
+  val chunks : t -> int array array
+  (** The checkpoint's cut: the same pairs flat ([\[|k0; v0; k1; v1;
+      ...|\]]), {!Checkpoint.chunk} pairs per array. *)
+end
+
+(** The dedup table: each client's last completion, in an array indexed
+    by client, grown on demand. Exposed for tests. *)
+module Dedup : sig
+  type t
+
+  val create : unit -> t
+
+  val find : t -> int -> completion
+  (** The client's last completion, or {!no_completion} (compared
+      physically) if it has none — a negative client has none. *)
+
+  val replace : t -> int -> completion -> unit
+  (** Record the client's completion, as a freshly applied request does.
+      Raises [Invalid_argument] for a negative client. *)
+
+  val merge : t -> int -> completion -> unit
+  (** Record it unless the client's recorded seq is higher: on equal
+      seqs the later completion wins, as recovery's rebuild needs. *)
+
+  val reset : t -> unit
+  (** Forget every client. *)
+
+  val cut : t -> shard:int -> upto:int -> (int * completion) array
+  (** A checkpoint's records: each client whose completion lies on local
+      [shard] below slot [upto], in ascending client order. *)
 end
 
 val prefill : t -> int list -> unit

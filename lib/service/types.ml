@@ -56,6 +56,10 @@ type completion = { seq : int; shard : int; slot : int; res : result }
     table, the checkpoints and detect mode's descriptors keep, per
     client. *)
 
+(** No completion: what the dedup table holds for a client it has not
+    seen, and a nulled descriptor cell. *)
+let no_completion = { seq = -1; shard = -1; slot = -1; res = Done false }
+
 type request = { client : int; seq : int; op : op }
 (** Clients are sequential sessions: a client submits [seq] n+1 only
     after [seq] n was acknowledged, and may re-send its outstanding

@@ -5,7 +5,10 @@
    linearizable as a single boolean object (absent/present) — operations
    on distinct keys are independent objects. We therefore check each key
    with a DFS over linearization prefixes, memoizing on (chosen-set,
-   current state).
+   current state). The chosen set is the first event not chosen plus a
+   window of 62 events after it, so a key's subhistory may be as long
+   as it likes; only more than 62 events overlapping one another is
+   beyond the checker.
 
    Durability enters through crashed operations: an operation in flight
    at a crash may have taken effect before the crash (its effect is then
@@ -30,64 +33,91 @@ let apply op state =
 
 exception Too_many_events of int
 
-let max_events_per_key = 62
+let window = 62
 
+(* The DFS state: [first] is the first completed event not yet taken
+   (linearized), and every event below it is taken or discarded except
+   the crashed ones listed in [opened] (descending), which may still
+   take effect; bit [b] of [mask] says whether event [first + 1 + b] is
+   taken or discarded; [state] is the object's value. Events are sorted
+   by invocation, so a prefix can only reach past [first + window]
+   across that many events overlapping a completed one. *)
 let check_key ~key ~initial (evs : History.event array) =
   let n = Array.length evs in
-  if n > max_events_per_key then raise (Too_many_events key);
-  let full = (1 lsl n) - 1 in
+  let taken (first, mask, opened) j =
+    if j < first then not (List.mem j opened)
+    else
+      j > first
+      && j - first <= window
+      && mask land (1 lsl (j - first - 1)) <> 0
+  in
+  (* Move [first] to the next completed event not taken, opening the
+     crashed ones it passes; bit 0 of [mask] is event [f]'s. *)
+  let rec settle f mask opened =
+    if f < n && (mask land 1 <> 0 || evs.(f).crashed) then
+      settle (f + 1) (mask lsr 1)
+        (if mask land 1 = 0 then f :: opened else opened)
+    else (f, mask lsr 1, opened)
+  in
+  (* Mark event [j], not taken, taken. *)
+  let take (first, mask, opened) j =
+    if j < first then (first, mask, List.filter (( <> ) j) opened)
+    else if j > first then (first, mask lor (1 lsl (j - first - 1)), opened)
+    else settle (first + 1) mask opened
+  in
   let visited = Hashtbl.create 97 in
-  (* [mask] = events already linearized or permanently discarded. *)
-  let rec dfs mask state =
-    if mask = full then true
-    else if Hashtbl.mem visited (mask, state) then false
+  let rec dfs ((first, _, opened) as at) state =
+    (* every completed event is taken; the crashed ones left can all be
+       discarded *)
+    if first >= n then true
+    else if Hashtbl.mem visited (at, state) then false
     else begin
-      Hashtbl.add visited (mask, state) true;
-      (* Success also if every remaining event is an optional crashed op:
-         they can all be discarded. *)
-      let remaining_all_optional = ref true in
-      for i = 0 to n - 1 do
-        if mask land (1 lsl i) = 0 && not evs.(i).crashed then
-          remaining_all_optional := false
+      Hashtbl.add visited (at, state) ();
+      (* the earliest response of a completed event not yet taken: an
+         event invoked after it cannot be next. Responses are no
+         earlier than invocations, so the scan stops at the first event
+         invoked after the least response so far. *)
+      let horizon = ref max_int and j = ref first in
+      while !j < n && evs.(!j).invoke <= !horizon do
+        let f = evs.(!j) in
+        if (not f.crashed) && (not (taken at !j)) && f.response < !horizon then
+          horizon := f.response;
+        incr j
       done;
-      if !remaining_all_optional then true
-      else begin
-        let ok = ref false in
-        let i = ref 0 in
-        while (not !ok) && !i < n do
-          let e = evs.(!i) in
-          if mask land (1 lsl !i) = 0 then begin
-            (* Events that must precede [e] but are still unchosen: if any
-               is a completed op, [e] cannot be next; crashed ones are
-               discarded alongside choosing [e]. *)
-            let blocked = ref false in
-            let discard = ref 0 in
-            for j = 0 to n - 1 do
-              if j <> !i && mask land (1 lsl j) = 0 then begin
-                let f = evs.(j) in
-                if f.response < e.invoke then
-                  if f.crashed then discard := !discard lor (1 lsl j)
-                  else blocked := true
-              end
-            done;
-            if not !blocked then begin
-              let expected, state' = apply e.op state in
-              let result_ok =
-                match e.result with None -> true | Some r -> r = expected
-              in
-              if result_ok then begin
-                let mask' = mask lor (1 lsl !i) lor !discard in
-                if dfs mask' state' then ok := true
-              end
-            end
-          end;
-          incr i
-        done;
-        !ok
-      end
+      let try_next i =
+        let e = evs.(i) in
+        e.invoke <= !horizon
+        &&
+        let expected, state' = apply e.op state in
+        (match e.result with None -> true | Some r -> r = expected)
+        && begin
+          if i - first > window then raise (Too_many_events key);
+          (* crashed events that must precede [e] but were never taken
+             are discarded alongside it; they were invoked before it *)
+          let after = ref (take at i) in
+          List.iter
+            (fun j ->
+              if evs.(j).response < e.invoke then after := take !after j)
+            opened;
+          for j = first to i - 1 do
+            let f = evs.(j) in
+            if f.crashed && f.response < e.invoke && not (taken at j) then
+              after := take !after j
+          done;
+          dfs !after state'
+        end
+      in
+      List.exists try_next opened
+      ||
+      let ok = ref false and i = ref first in
+      while (not !ok) && !i < n && evs.(!i).invoke <= !horizon do
+        if (not (taken at !i)) && try_next !i then ok := true;
+        incr i
+      done;
+      !ok
     end
   in
-  dfs 0 initial
+  dfs (settle 0 0 []) initial
 
 let check_set ?(initial_keys = []) (h : History.t) =
   let by_key : (int, History.event list) Hashtbl.t = Hashtbl.create 64 in

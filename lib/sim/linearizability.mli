@@ -17,10 +17,13 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 
 exception Too_many_events of int
-(** A key's subhistory exceeded {!max_events_per_key} (the DFS uses a
-    bitmask); raised with the offending key. *)
+(** A linearization prefix of a key's subhistory reached more than
+    {!window} events past the first event it had not taken (the DFS
+    keeps a window bitmask there); raised with the offending key. Only
+    a history with more than {!window} events overlapping one another
+    can get there. *)
 
-val max_events_per_key : int
+val window : int
 
 val check_set : ?initial_keys:int list -> History.t -> (unit, violation) result
 (** [initial_keys] are present before the history begins (pre-filled and

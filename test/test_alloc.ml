@@ -267,6 +267,139 @@ let one_thread_run_near_setup () =
   in
   if wide <> [] then Alcotest.fail (String.concat "; " wide)
 
+(* ------------------------------------------------------------------ *)
+(* Service requests                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Runner = Nvt_service.Runner
+module Service = Nvt_service.Service
+
+(* A whole crash-free [Runner.run] in the shapes of the benchmark
+   suite's service workloads: per-op commit with checkpoints every
+   20 000 units over uniform keys (svc-crash without its crashes), and
+   group commit with checkpoints every 50 000 (svc-group), both with 5%
+   multi-puts and 5% read-modify-writes over 512 keys. Words per
+   request count everything the run allocates, setup and the oracle
+   included. [reached] is the figure on OCaml 5.1 once the ledger
+   commit kept its touched shards in a reused buffer, the dedup table
+   became an array, the merge barrier int columns with no closure per
+   barrier, batches reused arrays and checkpoint chunks flat int
+   arrays; [before] is what the same run allocated with a table per
+   commit and a block per event. Each ceiling sits about 10% above
+   [reached]. *)
+type svc_budget = {
+  row : string;
+  config : Runner.config;
+  svc_ceiling : float;
+  svc_reached : float;
+  svc_before : float;
+}
+
+let svc_budgets =
+  let group =
+    { Runner.default_config with
+      requests = 200_000;
+      key_range = 512;
+      checkpoint_interval = 50_000;
+      multi_pct = 5;
+      rmw_pct = 5;
+      watchdog = 100_000_000 }
+  in
+  [ { row = "per-op, checkpointed (svc-crash, crash-free)";
+      config =
+        { group with
+          mode = Service.Per_op;
+          skew = 0.;
+          requests = 100_000;
+          checkpoint_interval = 20_000 };
+      svc_ceiling = 191.;
+      svc_reached = 173.6;
+      svc_before = 378.4 };
+    { row = "group commit (svc-group)";
+      config = group;
+      svc_ceiling = 160.;
+      svc_reached = 145.5;
+      svc_before = 285.8 } ]
+
+let service_budgets () =
+  let over =
+    List.filter_map
+      (fun b ->
+        assert (b.svc_reached <= b.svc_ceiling && b.svc_ceiling < b.svc_before);
+        let w0 = Gc.minor_words () in
+        let r = Runner.run b.config in
+        let w =
+          (Gc.minor_words () -. w0) /. float_of_int b.config.requests
+        in
+        Alcotest.(check int) (b.row ^ ": all acked") b.config.requests r.acked;
+        Alcotest.(check (list string)) (b.row ^ ": exactly once") []
+          r.violations;
+        if w > b.svc_ceiling then
+          Some
+            (Printf.sprintf
+               "%s: %.1f words/request, ceiling %.0f (reached %.1f)" b.row w
+               b.svc_ceiling b.svc_reached)
+        else None)
+      svc_budgets
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
+(* The ledger commits a batch, one shard or spanning them all, and the
+   merge barrier records and releases its events, without allocating:
+   measured on a second round, once the columns have grown. *)
+let commit_and_merge_allocate_nothing () =
+  let module Ledger = Nvt_service.Ledger in
+  let logs =
+    Array.init 8 (fun _ -> Ledger.create_log (module Nvt_nvm.Native))
+  in
+  let t = Ledger.create (module Nvt_nvm.Native) logs in
+  let entry =
+    { Service.e_client = 0; e_seq = 0; e_op = Service.Get 0;
+      e_res = Service.Done true }
+  in
+  let batch shards =
+    Array.map
+      (fun si ->
+        { Service.seq = 0; shard = si; slot = Ledger.append logs.(si) entry;
+          res = Service.Done true })
+      shards
+  in
+  let spanning = batch [| 6; 2; 5; 4; 0; 2; 6; 1; 3; 7 |] in
+  let single = batch [| 3; 3; 3 |] in
+  let persist = ignore in
+  let w0 = Gc.minor_words () in
+  Ledger.commit t spanning (Array.length spanning) ~persist;
+  Ledger.commit t single (Array.length single) ~persist;
+  let w = Gc.minor_words () -. w0 in
+  if w > 0. then Alcotest.failf "%.0f minor words for two ledger commits" w;
+  let m = Runner.Merge.create ~groups:2 ~shards:4 ~ack_interval:(Some 1000) in
+  let req = { Service.client = 1; seq = 2; op = Service.Put (5, 6) } in
+  let released = ref 0 in
+  let h =
+    { Runner.Merge.on_apply = (fun ~client:_ ~seq:_ -> incr released);
+      on_commit = (fun ~client:_ ~seq:_ ~shard:_ ~slot:_ -> incr released);
+      on_ack =
+        (fun ~client:_ ~seq:_ ~tag:_ ~value:_ ~dedup:_ ~time:_ ->
+          incr released) }
+  in
+  let res = Service.Value (Some 9) in
+  let round () =
+    for i = 1 to 500 do
+      let g = i land 1 in
+      Runner.Merge.apply m g req ~time:i;
+      Runner.Merge.commit m g req ~shard:1 ~slot:i ~time:i;
+      Runner.Merge.ack m g req res ~dedup:(i mod 3 = 0) ~time:i
+    done;
+    Runner.Merge.release m ~audit:false ~all:false 700 h;
+    Runner.Merge.release m ~audit:false ~all:true 700 h
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every event released" 3000 !released;
+  if w > 0. then Alcotest.failf "%.0f minor words for 1500 merged events" w
+
 let suite =
   [ QCheck_alcotest.to_alcotest coin_matches_stdlib;
     Alcotest.test_case "the coin allocates nothing" `Quick
@@ -280,4 +413,8 @@ let suite =
     Alcotest.test_case "a one-thread run allocates what setup mode does"
       `Quick one_thread_run_near_setup;
     Alcotest.test_case "nvt setup-mode ops allocate what volatile ones do"
-      `Quick nvt_near_volatile ]
+      `Quick nvt_near_volatile;
+    Alcotest.test_case "service requests stay within their budget" `Quick
+      service_budgets;
+    Alcotest.test_case "ledger commits and merged events allocate nothing"
+      `Quick commit_and_merge_allocate_nothing ]

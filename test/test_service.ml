@@ -8,6 +8,7 @@
    its verdict across structures x policies x crash placements. *)
 
 module Machine = Nvt_sim.Machine
+module Sim_mem = Nvt_sim.Memory
 module Service = Nvt_service.Service
 module Runner = Nvt_service.Runner
 module Oracle = Nvt_service.Oracle
@@ -1338,17 +1339,209 @@ let ledger_window_bounded () =
   if words > 2000 then
     Alcotest.failf "a log with 20 000 slots, 11 live, holds %d words" words
 
+(* ---- the commit order, recorded before the touched buffer ---- *)
+
+(* The cell id of the one cell [f] writes or flushes. *)
+let cid_of m f =
+  Machine.set_trace m ~capacity:16;
+  f ();
+  match Machine.trace m with
+  | (Machine.Ev_write { cid; _ } | Machine.Ev_flush { cid; _ }) :: _ -> cid
+  | _ -> Alcotest.fail "no write or flush traced"
+
+(* The trace since [Machine.set_trace], cells named by [names] (others
+   n1, n2, ... in order of appearance). *)
+let render m names =
+  let fresh = ref 0 in
+  let name cid =
+    match Hashtbl.find_opt names cid with
+    | Some s -> s
+    | None ->
+      incr fresh;
+      let s = Printf.sprintf "n%d" !fresh in
+      Hashtbl.replace names cid s;
+      s
+  in
+  Machine.trace m
+  |> List.map (function
+       | Machine.Ev_write { cid; _ } -> "W " ^ name cid
+       | Machine.Ev_flush { cid; site; _ } ->
+         Printf.sprintf "F %s %s" (name cid) site
+       | Machine.Ev_fence { site; _ } -> "fence " ^ site
+       | Machine.Ev_evict _ | Machine.Ev_crash _ -> "?")
+  |> String.concat "; "
+
+let golden_entry =
+  { Service.e_client = 0; e_seq = 0; e_op = Service.Get 0;
+    e_res = Service.Done true }
+
+let completion_at (si, slot) =
+  { Service.seq = 0; shard = si; slot; res = Service.Done true }
+
+(* A ledger over 8 logs, in setup mode. One batch touches shards 6, 2,
+   5, 4 and 0 ([Hashtbl.hash] puts 2 and 6 in bucket 0 and 4 and 5 in
+   bucket 7): its entries flush in batch order, each item persists
+   (here: writes its marker cell p<i>), and the indexes go out in the
+   order the per-batch [Hashtbl] iterated — bucket ascending, later
+   touched first. Then a one-shard batch, a batch led by an item
+   already committed, and a checkpoint's force-commit. Every line was
+   recorded with the per-batch table; the last rows do the same on 70
+   logs, past the table's first and second resize. *)
+let commit_order_golden () =
+  let m = Machine.create () in
+  let logs = Array.init 8 (fun _ -> Ledger.create_log (module Sim_mem)) in
+  let t = Ledger.create (module Sim_mem) logs in
+  let markers = Array.init 16 (fun _ -> Sim_mem.alloc 0) in
+  let names = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (l : Ledger.log) ->
+      Hashtbl.replace names
+        (cid_of m (fun () -> l.write_index 0))
+        (Printf.sprintf "i%d" i))
+    logs;
+  Array.iteri
+    (fun i c ->
+      Hashtbl.replace names
+        (cid_of m (fun () -> Sim_mem.write c 0))
+        (Printf.sprintf "p%d" i))
+    markers;
+  let append si =
+    let l = logs.(si) in
+    let slot = Ledger.append l golden_entry in
+    Hashtbl.replace names
+      (cid_of m (fun () -> l.flush slot))
+      (Printf.sprintf "e%d.%d" si slot);
+    (si, slot)
+  in
+  let commit items =
+    let batch = Array.of_list (List.map completion_at items) in
+    Machine.set_trace m ~capacity:256;
+    Ledger.commit t batch (Array.length batch) ~persist:(fun i ->
+        Sim_mem.write markers.(i) 1);
+    render m names
+  in
+  let committed () =
+    Array.to_list logs
+    |> List.mapi (fun i (l : Ledger.log) ->
+           Printf.sprintf "%d:%d" i l.committed)
+    |> String.concat " "
+  in
+  let check what want got = Alcotest.(check string) what want got in
+  check "spanning batch"
+    "F e6.0 svc:ledger_flush; F e2.0 svc:ledger_flush; F e5.0 \
+     svc:ledger_flush; F e4.0 svc:ledger_flush; F e0.0 svc:ledger_flush; F \
+     e2.1 svc:ledger_flush; F e6.1 svc:ledger_flush; W p0; W p1; W p2; W \
+     p3; W p4; W p5; W p6; fence svc:ledger_fence; W i2; F i2 \
+     svc:commit_flush; W i6; F i6 svc:commit_flush; W i4; F i4 \
+     svc:commit_flush; W i5; F i5 svc:commit_flush; W i0; F i0 \
+     svc:commit_flush; fence svc:commit_fence"
+    (commit (List.map append [ 6; 2; 5; 4; 0; 2; 6 ]));
+  check "indexes after it" "0:1 1:0 2:2 3:0 4:1 5:1 6:2 7:0" (committed ());
+  check "one-shard batch"
+    "F e3.0 svc:ledger_flush; F e3.1 svc:ledger_flush; F e3.2 \
+     svc:ledger_flush; W p0; W p1; W p2; fence svc:ledger_fence; W i3; F i3 \
+     svc:commit_flush; fence svc:commit_fence"
+    (commit (List.map append [ 3; 3; 3 ]));
+  check "a committed item first"
+    "F e6.0 svc:ledger_flush; F e1.0 svc:ledger_flush; F e7.0 \
+     svc:ledger_flush; W p0; W p1; W p2; fence svc:ledger_fence; W i7; F i7 \
+     svc:commit_flush; W i1; F i1 svc:commit_flush; fence svc:commit_fence"
+    (commit ((6, 0) :: List.map append [ 1; 7 ]));
+  ignore (List.map append [ 5; 5 ]);
+  Machine.set_trace m ~capacity:256;
+  let dropped =
+    Ledger.checkpoint t 5
+      ~persist:(fun slot -> Sim_mem.write markers.(8 + slot) 1)
+      ~upto:logs.(5).next_slot ~pairs:[| [| 1; 2; 3; 4 |] |] ~dedup:[||]
+  in
+  check "checkpoint force-commit"
+    "F e5.1 svc:ledger_flush; F e5.2 svc:ledger_flush; W p9; W p10; fence \
+     svc:ledger_fence; W i5; F i5 svc:commit_flush; fence svc:commit_fence; \
+     F n1 svc:ckpt_flush; fence svc:ckpt_fence; W n2; F n2 \
+     svc:ckpt_commit_flush; fence svc:ckpt_commit_fence"
+    (render m names);
+  Alcotest.(check (list int)) "dropped, committed, base" [ 3; 3; 3 ]
+    [ dropped; logs.(5).committed; logs.(5).base ];
+  check "indexes at the end" "0:1 1:1 2:2 3:3 4:1 5:3 6:2 7:1" (committed ());
+  (* 70 logs: batches touching 32, 33 and 65 of them, in the order
+     (11 i + 3) mod 70; the index writes, by log *)
+  let m = Machine.create () in
+  let n = 70 in
+  let logs = Array.init n (fun _ -> Ledger.create_log (module Sim_mem)) in
+  let t = Ledger.create (module Sim_mem) logs in
+  let names = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (l : Ledger.log) ->
+      Hashtbl.replace names (cid_of m (fun () -> l.write_index 0)) i)
+    logs;
+  List.iter
+    (fun (k, want) ->
+      let batch =
+        Array.init k (fun i ->
+            let si = ((11 * i) + 3) mod n in
+            completion_at (si, Ledger.append logs.(si) golden_entry))
+      in
+      Machine.set_trace m ~capacity:1024;
+      Ledger.commit t batch k ~persist:ignore;
+      let got =
+        List.filter_map
+          (function
+            | Machine.Ev_write { cid; _ } -> Some (Hashtbl.find names cid)
+            | _ -> None)
+          (Machine.trace m)
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "%d shards" k) want got)
+    [ ( 32,
+        [ 20; 2; 6; 43; 36; 64; 21; 14; 35; 24; 69; 3; 13; 39; 46; 58; 31; 9;
+          47; 65; 25; 53; 42; 61; 28; 10; 50; 17; 32; 54; 68; 57 ] );
+      ( 33,
+        [ 20; 2; 43; 35; 69; 13; 39; 46; 58; 31; 9; 42; 61; 10; 68; 57; 6; 36;
+          64; 21; 14; 24; 3; 5; 47; 65; 25; 53; 28; 50; 17; 32; 54 ] );
+      ( 65,
+        [ 20; 2; 43; 35; 7; 66; 63; 13; 39; 46; 9; 11; 0; 26; 42; 10; 41; 68;
+          57; 36; 33; 37; 64; 21; 16; 24; 3; 5; 44; 47; 23; 65; 1; 53; 28; 45;
+          54; 22; 48; 8; 34; 69; 12; 58; 31; 56; 38; 61; 27; 15; 6; 59; 14; 60;
+          30; 55; 4; 52; 67; 49; 25; 50; 17; 19; 32 ] ) ]
+
 (* ---- the merge barrier and the latency summary, against models ---- *)
 
 module Merge = Runner.Merge
 
-(* The release as it was written on lists: drain into (effective time,
-   key, event) triples, append them to the deferred list, partition on
-   the barrier, then [List.stable_sort]. *)
+(* The release as it was written on lists and event blocks: drain into
+   (effective time, key, event) triples, append them to the deferred
+   list, partition on the barrier, then [List.stable_sort]. *)
 module Merge_model = struct
+  type ev =
+    | E_apply of Service.request * int  (* apply virtual time *)
+    | E_commit of Service.request * int * int * int
+        (* global shard, slot, commit virtual time *)
+    | E_ack of Service.request * Service.result * bool * int
+        (* result, dedup, ack virtual time *)
+
+  (* What a release hands on of an event. *)
+  type seen =
+    | Applied of int * int
+    | Committed of int * int * int * int
+    | Acked of int * int * Service.result * bool * int
+
+  let seen = function
+    | E_apply (r, _) -> Applied (r.Service.client, r.seq)
+    | E_commit (r, gs, slot, _) -> Committed (r.Service.client, r.seq, gs, slot)
+    | E_ack (r, res, dedup, v) -> Acked (r.Service.client, r.seq, res, dedup, v)
+
+  let handler f =
+    { Merge.on_apply = (fun ~client ~seq -> f (Applied (client, seq)));
+      on_commit =
+        (fun ~client ~seq ~shard ~slot ->
+          f (Committed (client, seq, shard, slot)));
+      on_ack =
+        (fun ~client ~seq ~tag ~value ~dedup ~time ->
+          f (Acked (client, seq, Oracle.result_of ~tag ~value, dedup, time)))
+    }
+
   type t = {
-    evq : Merge.ev Queue.t array;
-    mutable deferred : (int * (int * int * int) * Merge.ev) list;
+    evq : ev Queue.t array;
+    mutable deferred : (int * (int * int * int) * ev) list;
     histories : (int * int) list array;
     shards : int;
     ack_interval : int option;
@@ -1362,7 +1555,7 @@ module Merge_model = struct
       ack_interval }
 
   let effective m = function
-    | Merge.E_apply (_, v) | E_commit (_, _, _, v) -> v
+    | E_apply (_, v) | E_commit (_, _, _, v) -> v
     | E_ack (_, _, dedup, v) -> (
       match m.ack_interval with
       | Some i when not dedup -> ((v / i) + 1) * i
@@ -1376,7 +1569,7 @@ module Merge_model = struct
           (fun e ->
             let key =
               match e with
-              | Merge.E_apply (req, _) ->
+              | E_apply (req, _) ->
                 if not audit then begin
                   let gs =
                     Service.global_shard ~shards:m.shards
@@ -1409,16 +1602,16 @@ module Merge_model = struct
             let c = Int.compare s1 s2 in
             if c <> 0 then c else Int.compare k1 k2)
       ready
-    |> List.iter (fun (_, _, e) -> f e)
+    |> List.iter (fun (_, _, e) -> f (seen e))
 end
 
 (* Random barrier sequences over both: few clients and seqs, and times
    on a coarse grid, so that equal keys are common; group acks
-   (deferred to their interval boundary) and dedup acks; results that
-   tell equal-key events apart; bursts above the insertion-sort size;
-   audit barriers, and [~all] drains mid-run and at the end. Each
-   barrier must release the same events in the same order, and the
-   histories must agree. *)
+   (deferred to their interval boundary) and dedup acks; results of
+   every tag, values that tell equal-key events apart; bursts that
+   outgrow the columns' first 64 rows; audit barriers, and [~all]
+   drains mid-run and at the end. Each barrier must release the same
+   events in the same order, and the histories must agree. *)
 let merge_matches_model () =
   for seed = 0 to 199 do
     let rng = Random.State.make [| seed; 0x3e6 |] in
@@ -1430,22 +1623,39 @@ let merge_matches_model () =
     let t_bar = ref 0 in
     for barrier = 1 to 40 do
       t_bar := !t_bar + 500;
-      for _ = 1 to (if int 8 = 0 then 20 + int 40 else int 6) do
+      for _ = 1 to (if int 8 = 0 then 20 + int 100 else int 6) do
         let r = req (int 3) (int 3) (Service.Put (int 16, 0)) in
         let v = max 0 (!t_bar - 1000 + (100 * int 25)) in
+        let g = int groups in
         let e =
           match int 3 with
-          | 0 -> Merge.E_apply (r, v)
-          | 1 -> E_commit (r, int shards, int 9, v)
-          | _ -> E_ack (r, Service.Done (int 2 = 0), int 3 = 0, v)
+          | 0 ->
+            Merge.apply m g r ~time:v;
+            Merge_model.E_apply (r, v)
+          | 1 ->
+            let shard = int shards and slot = int 9 in
+            Merge.commit m g r ~shard ~slot ~time:v;
+            E_commit (r, shard, slot, v)
+          | _ ->
+            let res =
+              match int 5 with
+              | 0 -> Service.Done false
+              | 1 -> Service.Done true
+              | 2 -> Service.Value None
+              | 3 -> Service.Value (Some (int 5 - 2))
+              | _ ->
+                Service.Value (Some (if int 2 = 0 then min_int else max_int))
+            in
+            let dedup = int 3 = 0 in
+            Merge.ack m g r res ~dedup ~time:v;
+            E_ack (r, res, dedup, v)
         in
-        let g = int groups in
-        Merge.push m g e;
         Queue.push e model.evq.(g)
       done;
       let audit = int 6 = 0 and all = barrier = 40 || int 10 = 0 in
       let got = ref [] and want = ref [] in
-      Merge.release m ~audit ~all !t_bar (fun e -> got := e :: !got);
+      Merge.release m ~audit ~all !t_bar
+        (Merge_model.handler (fun e -> got := e :: !got));
       Merge_model.release model ~audit ~all !t_bar (fun e ->
           want := e :: !want);
       if !got <> !want then
@@ -1550,8 +1760,20 @@ let mirror_matches_table_model () =
         (match Hashtbl.find_opt model k with Some v -> v + d | None -> d)
   in
   let check_cut what mirror model =
-    if M.pairs mirror <> model_cut model then
-      Alcotest.failf "%s: the cut differs from the sorted model" what
+    let want = model_cut model in
+    if M.pairs mirror <> want then
+      Alcotest.failf "%s: the pairs differ from the sorted model" what;
+    let chunks = M.chunks mirror in
+    if
+      Array.exists
+        (fun c ->
+          Array.length c = 0
+          || Array.length c > 2 * Nvt_service.Checkpoint.chunk)
+        chunks
+      || Array.concat (Array.to_list chunks)
+         <> Array.concat
+              (Array.to_list (Array.map (fun (k, v) -> [| k; v |]) want))
+    then Alcotest.failf "%s: the chunked cut differs from the sorted model" what
   in
   let mirror = M.create () and model = Hashtbl.create 16 in
   check_cut "empty" mirror model;
@@ -1608,6 +1830,76 @@ let mirror_matches_table_model () =
   done;
   if not !grew then Alcotest.fail "no sequence outgrew the initial capacity"
 
+(* Random lookups, records ([process]'s unconditional replace) and
+   merges (recovery's rebuild) over 300 clients, with seqs equal to,
+   older and newer than the recorded one, on every shard, and an
+   occasional reset, against a [Hashtbl] model: every lookup must
+   agree, and so must every shard's cut at a random slot, which the
+   model takes as the cut was taken from the hash table — a fold, then
+   a sort on the client. *)
+let dedup_matches_table_model () =
+  let module D = Service.Dedup in
+  let shards = 4 in
+  let model_cut model ~shard ~upto =
+    let a =
+      Hashtbl.fold
+        (fun client (c : Service.completion) acc ->
+          if c.shard = shard && c.slot < upto then (client, c) :: acc else acc)
+        model []
+      |> Array.of_list
+    in
+    Array.sort (fun ((a : int), _) (b, _) -> Int.compare a b) a;
+    a
+  in
+  let grew = ref false in
+  for seed = 0 to 49 do
+    let rng = Random.State.make [| seed; 0xdd0 |] in
+    let int n = Random.State.int rng n in
+    let d = D.create () and model = Hashtbl.create 16 in
+    let clients = 1 + int 300 in
+    for step = 1 to 600 do
+      let client = int clients in
+      let what = Printf.sprintf "seed %d step %d client %d" seed step client in
+      let seq =
+        match Hashtbl.find_opt model client with
+        | Some (c : Service.completion) -> max 0 (c.seq + int 3 - 1)
+        | None -> int 3
+      in
+      let c =
+        { Service.seq; shard = int shards; slot = int 40;
+          res = Service.Done (int 2 = 0) }
+      in
+      (match int 20 with
+      | 0 ->
+        D.reset d;
+        Hashtbl.reset model
+      | n when n < 10 ->
+        D.replace d client c;
+        Hashtbl.replace model client c
+      | _ -> (
+        D.merge d client c;
+        match Hashtbl.find_opt model client with
+        | Some (c0 : Service.completion) when c0.seq > c.seq -> ()
+        | _ -> Hashtbl.replace model client c));
+      let probe = int (clients + 2) - 1 in
+      List.iter
+        (fun cl ->
+          let got = D.find d cl in
+          match Hashtbl.find_opt model cl with
+          | Some want when got == want -> ()
+          | None when got == Service.no_completion -> ()
+          | _ -> Alcotest.failf "%s: lookup of client %d differs" what cl)
+        [ client; probe ];
+      let upto = int 45 in
+      for shard = 0 to shards - 1 do
+        if D.cut d ~shard ~upto <> model_cut model ~shard ~upto then
+          Alcotest.failf "%s: shard %d cut at %d differs" what shard upto
+      done;
+      if client >= 64 then grew := true
+    done
+  done;
+  if not !grew then Alcotest.fail "no client outgrew the initial table"
+
 let suite =
   [ Alcotest.test_case "crash-free, both modes" `Quick crash_free;
     Alcotest.test_case "exactly-once matrix (2 structures x 2 policies)"
@@ -1654,8 +1946,12 @@ let suite =
       ledger_window_matches_model;
     Alcotest.test_case "ledger window spans the live slots" `Quick
       ledger_window_bounded;
+    Alcotest.test_case "ledger commit order = the per-batch table's" `Quick
+      commit_order_golden;
     Alcotest.test_case "merge release = the list-and-sort model" `Quick
       merge_matches_model;
+    Alcotest.test_case "dedup table = a hash-table model" `Quick
+      dedup_matches_table_model;
     Alcotest.test_case "shard mirror = a hash-table model" `Quick
       mirror_matches_table_model;
     Alcotest.test_case "latency summary by selection = by sort" `Quick
