@@ -165,6 +165,12 @@ let pp_attack ppf = function
     Format.fprintf ppf "svc-crash(seed=%d, step=%d, recovery_step=%d)" seed
       crash_step r
 
+(* What one attack found: a durability violation (what the checker
+   saw), nothing, or a history the linearizability checker could not
+   judge, naming the key whose history overflowed its window. The last
+   is neither a kill nor a survival. *)
+type finding = Killed of string | Survived | Unchecked_key of int
+
 (* What a battery attacks. [attacks] is re-traversed for the control
    and for every suppressed site, so a generator that probes per seed
    measures each horizon under the suppression active when it is
@@ -172,29 +178,42 @@ let pp_attack ppf = function
 type 'a target = {
   probe : seed:int -> int * Stats.t;  (* crash-free: steps, attribution *)
   attacks : 'a Seq.t;  (* kill-power order *)
-  attack : 'a -> string option;  (* [Some detail]: a durability violation *)
+  attack : 'a -> finding;
   mutable_site : string -> bool;  (* which probe sites are candidates *)
 }
 
-(* The battery with early exit; returns the first kill and the runs
+(* One battery's result: the first kill, with early exit; otherwise the
+   first attack the checker could not judge, if any; and the runs
    executed (for a kill, the runs it took). *)
-let sweep (t : 'a target) : ('a * string) option * int =
-  let rec go runs attacks =
+type 'a swept = {
+  kill : ('a * string) option;
+  unchecked : ('a * int) option;
+  runs : int;
+}
+
+let sweep (t : 'a target) : 'a swept =
+  let rec go unchecked runs attacks =
     match attacks () with
-    | Seq.Nil -> (None, runs)
+    | Seq.Nil -> { kill = None; unchecked; runs }
     | Seq.Cons (a, rest) -> (
       match t.attack a with
-      | Some d -> (Some (a, d), runs + 1)
-      | None -> go (runs + 1) rest)
+      | Killed d -> { kill = Some (a, d); unchecked; runs = runs + 1 }
+      | Survived -> go unchecked (runs + 1) rest
+      | Unchecked_key key ->
+        let unchecked =
+          if unchecked = None then Some (a, key) else unchecked
+        in
+        go unchecked (runs + 1) rest)
   in
-  go 0 t.attacks
+  go None 0 t.attacks
 
 (* Judge one seeded run set up by [adversarial] or [window_run]: run
    it; on a crash, recover, check invariants, run a verification era
    observing every key (lost completed inserts and resurrected deletes
    become visible to the checker), then check durable linearizability
    of the whole history; a corrupt read or a structural failure is a
-   violation too. Without a crash the result carries the run's step
+   violation too, and a history the checker's window cannot hold is
+   [`Unchecked key]. Without a crash the result carries the run's step
    count and per-site attribution table. *)
 let judge (r : Crashlab.recorded) =
   let m = r.machine in
@@ -220,6 +239,12 @@ let judge (r : Crashlab.recorded) =
   | Machine.Corrupt_read cid ->
     `Violation (Printf.sprintf "corrupt read of cell %d after the crash" cid)
   | Failure msg -> `Violation ("structural failure: " ^ msg)
+  | Lin.Too_many_events key -> `Unchecked key
+
+let finding = function
+  | `Violation d -> Killed d
+  | `Unchecked key -> Unchecked_key key
+  | `Ok | `No_crash _ -> Survived
 
 (* The seeded multi-thread adversarial run (the test_ablation workload,
    generalized over the structure). [crash_step = None] runs to
@@ -275,7 +300,7 @@ let window_run (module S : SET) ~wseed ~s0 ~t1 =
 (* Run one structure attack under whatever suppression is currently
    active, so a recorded kill replays with its site suppressed around
    this call. *)
-let run_attack (module S : SET) (a : structure_attack) : string option =
+let run_attack (module S : SET) (a : structure_attack) : finding =
   let run =
     match a with
     | Window { wseed; s0; t1 } -> window_run (module S) ~wseed ~s0 ~t1
@@ -291,9 +316,7 @@ let run_attack (module S : SET) (a : structure_attack) : string option =
           | _ -> Machine.No_eviction)
         ~stall:(match a with Stall _ -> Some stall_profile | _ -> None)
   in
-  match judge run with
-  | `Violation d -> Some d
-  | `Ok | `No_crash _ -> None
+  finding (judge run)
 
 (* Crash steps [from], [from + stride], ... below [until]. *)
 let strided ~from ~stride ~until =
@@ -308,7 +331,8 @@ let structure_target (module S : SET) (sc : scale) : structure_attack target =
            ~seed ~crash_step:None ~eviction:Machine.No_eviction ~stall:None)
     with
     | `No_crash run -> run
-    | `Ok | `Violation _ -> assert false (* no crash was requested *)
+    | `Ok | `Violation _ | `Unchecked _ ->
+      assert false (* no crash was requested *)
   in
   let each n f = Seq.concat_map f (Seq.init n Fun.id) in
   (* 1. deterministic windows *)
@@ -355,9 +379,14 @@ type kill = {
   runs_to_kill : int;  (* battery position, for reproducibility *)
 }
 
-type verdict = Necessary of kill | Unkilled of { expected : string option }
+type verdict =
+  | Necessary of kill
+  | Unkilled of { expected : string option }
+  | Unchecked of { attack : attack; key : int }
 (* [Unkilled { expected = Some reason }]: the site is in the
-   documented allowlist below. *)
+   documented allowlist below. [Unchecked]: no attack killed the site,
+   and [attack]'s history overflowed the checker's window on [key], so
+   the battery cannot say the site survived. *)
 
 type site_report = {
   site : string;
@@ -584,7 +613,7 @@ let report_candidates (j : Json.t) : (string * string * string) list =
               bad "%s/%s %s: a verdict without an attack" s p site;
             match str "verdict" sr with
             | "unkilled" -> Some ((s, p, site), flag "expected" sr)
-            | "necessary" -> None
+            | "necessary" | "unchecked" -> None
             | v -> bad "unknown verdict %s" v)
           (Json.to_list (Json.member "sites" fr)))
       flavours
@@ -612,11 +641,24 @@ let report_candidates (j : Json.t) : (string * string * string) list =
   let control_failed =
     List.exists
       (fun fr ->
-        Json.(to_int_exn (member "violations" (member "control" fr))) > 0)
+        let control = Json.member "control" fr in
+        Json.(to_int_exn (member "violations" control)) > 0
+        ||
+        match control with
+        | Json.Obj fields -> List.mem_assoc "unchecked" fields
+        | _ -> false)
+      flavours
+  in
+  let unchecked =
+    List.exists
+      (fun fr ->
+        List.exists
+          (fun sr -> str "verdict" sr = "unchecked")
+          (Json.to_list (Json.member "sites" fr)))
       flavours
   in
   let ok = flag "ok" (Json.member "gate" j)
-  and implied = not (unexpected || control_failed) in
+  and implied = not (unexpected || control_failed || unchecked) in
   if ok <> implied then
     bad "gate.ok is %b but the verdicts imply %b" ok implied;
   List.map fst listed
@@ -661,12 +703,14 @@ let classify_site (t : 'a target) ~evidence ~policy ~structure
          run from [Suppress.set]) *)
       ignore (t.probe ~seed:0);
       let skipped_flushes, skipped_fences = Suppress.skipped () in
-      let kill, runs = sweep t in
+      let { kill; unchecked; runs } = sweep t in
       let verdict =
-        match kill with
-        | Some (a, detail) ->
+        match (kill, unchecked) with
+        | Some (a, detail), _ ->
           Necessary { attack = evidence a; detail; runs_to_kill = runs }
-        | None -> Unkilled { expected = expectation ~policy ~structure ~site }
+        | None, Some (a, key) -> Unchecked { attack = evidence a; key }
+        | None, None ->
+          Unkilled { expected = expectation ~policy ~structure ~site }
       in
       { site; flushes; fences; skipped_flushes; skipped_fences; runs; verdict })
 
@@ -683,6 +727,8 @@ type flavour_report = {
   control_runs : int;
   control_failure : (attack * string) option;
       (* the INTACT flavour losing the battery: a broken harness *)
+  control_unchecked : (attack * int) option;
+      (* an attack on the intact flavour the checker could not judge *)
   sites : site_report list;
   elided : string list;
       (* the optimizer plan this battery ran under ([] = unoptimized);
@@ -713,11 +759,12 @@ let flavour_report ~structure ~(flavour : I.flavour) ~plan ~evidence
   (* negative control: a non-durable flavour has nothing to mutate and
      must enumerate no named persistence sites; its row records the
      probe *)
-  let (control_failure, control_runs), sites =
-    if not Pol.durable then ((None, 0), [])
+  let (control_failure, control_unchecked, control_runs), sites =
+    if not Pol.durable then ((None, None, 0), [])
     else
-      let control, runs = sweep t in
-      ( (Option.map (fun (a, d) -> (evidence a, d)) control, runs),
+      let { kill; unchecked; runs } = sweep t in
+      let evident (a, x) = (evidence a, x) in
+      ( (Option.map evident kill, Option.map evident unchecked, runs),
         Stats.sites probe_stats
         |> List.filter (fun (site, { Stats.s_flushes; s_fences; _ }) ->
                t.mutable_site site && s_flushes + s_fences > 0)
@@ -731,6 +778,7 @@ let flavour_report ~structure ~(flavour : I.flavour) ~plan ~evidence
     probe_stats;
     control_runs;
     control_failure;
+    control_unchecked;
     sites;
     elided =
       (match (plan : Nvt_nvm.Optimizer.plan option) with
@@ -840,10 +888,22 @@ type gate = {
       (* expected-unkilled sites that a stronger battery killed *)
   control_failures : (string * string * string) list;
       (* structure, policy, detail *)
+  unchecked : (string * string * string) list;
+      (* structure, policy, the site (or the control) and the attack
+         whose history the checker could not judge *)
 }
 
 let gate_of (r : report) : gate =
-  let unexpected = ref [] and stale = ref [] and control = ref [] in
+  let unexpected = ref [] and stale = ref [] and control = ref []
+  and unchecked = ref [] in
+  let unjudged (fr : flavour_report) what a key =
+    unchecked :=
+      ( fr.structure,
+        fr.policy,
+        Format.asprintf "%s under %a: key %d overflowed the checker's window"
+          what pp_attack a key )
+      :: !unchecked
+  in
   (* A kill of an expected-unkilled site is NOT staleness when the
      site's mutual-cover partner is elided in this flavour's optimizer
      plan: the group predicts exactly that (each member is redundant
@@ -866,9 +926,13 @@ let gate_of (r : report) : gate =
       | Some (_, detail) ->
         control := (fr.structure, fr.policy, detail) :: !control
       | None -> ());
+      Option.iter
+        (fun (a, key) -> unjudged fr "control" a key)
+        fr.control_unchecked;
       List.iter
         (fun (sr : site_report) ->
           match sr.verdict with
+          | Unchecked { attack; key } -> unjudged fr sr.site attack key
           | Unkilled { expected = None } when List.mem fr.policy gated_policies ->
             unexpected := (fr.structure, fr.policy, sr.site) :: !unexpected
           | Necessary _
@@ -884,10 +948,11 @@ let gate_of (r : report) : gate =
   if r.flavours = [] then control := [ ("*", "*", "no flavour battery ran") ];
   { unexpected_unkilled = List.rev !unexpected;
     stale_expectations = List.rev !stale;
-    control_failures = List.rev !control }
+    control_failures = List.rev !control;
+    unchecked = List.rev !unchecked }
 
 let gate_ok (g : gate) =
-  g.unexpected_unkilled = [] && g.control_failures = []
+  g.unexpected_unkilled = [] && g.control_failures = [] && g.unchecked = []
 
 (* ------------------------------------------------------------------ *)
 (* JSON (nvtraverse-mutation/2)                                        *)
@@ -907,7 +972,7 @@ let candidate_redundant (r : report) :
           match sr.verdict with
           | Unkilled { expected } ->
             Some (fr.structure, fr.policy, sr.site, expected)
-          | Necessary _ -> None)
+          | Necessary _ | Unchecked _ -> None)
         fr.sites)
     r.flavours
 
@@ -937,6 +1002,9 @@ let attack_to_json (a : attack) : Json.t =
       | Some r -> [ ("recovery_step", Json.Int r) ]
       | None -> [])
 
+let unchecked_to_json attack key : Json.t =
+  Obj [ ("attack", attack_to_json attack); ("key", Int key) ]
+
 let site_to_json (sr : site_report) : Json.t =
   let base =
     [ ("site", Json.Str sr.site);
@@ -964,6 +1032,11 @@ let site_to_json (sr : site_report) : Json.t =
       @ match expected with
         | Some reason -> [ ("reason", Json.Str reason) ]
         | None -> [])
+  | Unchecked { attack; key } ->
+    Json.Obj
+      (base
+      @ [ ("verdict", Json.Str "unchecked");
+          ("unchecked", unchecked_to_json attack key) ])
 
 let to_json (r : report) : Json.t =
   let open Json in
@@ -992,10 +1065,16 @@ let to_json (r : report) : Json.t =
              (candidate_redundant r)) );
       ( "gate",
         Obj
-          [ ("ok", Bool (gate_ok g));
-            ("unexpected_unkilled", List (List.map triple g.unexpected_unkilled));
-            ("stale_expectations", List (List.map triple g.stale_expectations));
-            ("control_failures", List (List.map triple g.control_failures)) ] );
+          ([ ("ok", Bool (gate_ok g));
+             ( "unexpected_unkilled",
+               List (List.map triple g.unexpected_unkilled) );
+             ( "stale_expectations",
+               List (List.map triple g.stale_expectations) );
+             ("control_failures", List (List.map triple g.control_failures))
+           ]
+          @
+          if g.unchecked = [] then []
+          else [ ("unchecked", List (List.map triple g.unchecked)) ]) );
       ( "flavours",
         List
           (List.map
@@ -1013,12 +1092,17 @@ let to_json (r : report) : Json.t =
                          ("sites", Json.sites fr.probe_stats) ] );
                    ( "control",
                      Obj
-                       [ ("runs", Int fr.control_runs);
-                         ( "violations",
-                           Int
-                             (match fr.control_failure with
-                             | Some _ -> 1
-                             | None -> 0) ) ] );
+                       ([ ("runs", Int fr.control_runs);
+                          ( "violations",
+                            Int
+                              (match fr.control_failure with
+                              | Some _ -> 1
+                              | None -> 0) ) ]
+                       @
+                       match fr.control_unchecked with
+                       | Some (a, key) ->
+                         [ ("unchecked", unchecked_to_json a key) ]
+                       | None -> []) );
                    ("elided", List (List.map (fun s -> Str s) fr.elided));
                    ("sites", List (List.map site_to_json fr.sites)) ])
              r.flavours) ) ]
@@ -1044,6 +1128,11 @@ let pp_report ppf (r : report) =
         if fr.durable then
           Format.fprintf ppf "  control: %d attacks survived intact@."
             fr.control_runs);
+      Option.iter
+        (fun (a, key) ->
+          Format.fprintf ppf "  control UNCHECKED: %a left key %d unjudged@."
+            pp_attack a key)
+        fr.control_unchecked;
       if fr.sites = [] then
         Format.fprintf ppf "  no mutable persistence sites@."
       else
@@ -1056,6 +1145,10 @@ let pp_report ppf (r : report) =
                 pp_attack attack runs_to_kill sr.runs
                 (Printf.sprintf "    %s\n"
                    (String.concat " " (String.split_on_char '\n' detail)))
+            | Unchecked { attack; key } ->
+              Format.fprintf ppf
+                "  %-22s UNCHECKED  %a left key %d unjudged (%d runs)@."
+                sr.site pp_attack attack key sr.runs
             | Unkilled { expected } ->
               let label =
                 if expected <> None then " (expected)"
@@ -1075,6 +1168,7 @@ let pp_report ppf (r : report) =
   else
     Format.fprintf ppf
       "gate: FAILED — %d unexpected unkilled NVTraverse site(s), %d control \
-       failure(s)@."
+       failure(s), %d unchecked@."
       (List.length g.unexpected_unkilled)
       (List.length g.control_failures)
+      (List.length g.unchecked)

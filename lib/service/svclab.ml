@@ -58,9 +58,10 @@ let config ~structure ~policy ~plan =
 
 (* Run one attack against the combo [cfg] under whatever suppression
    is active (so a kill replays with its site suppressed around this
-   call). [Some detail] is a durability violation: either the
+   call). [Killed detail] is a durability violation: either the
    runner's oracle/watchdog reported one, or recovery died on a corrupt
-   cell or a structural failure.
+   cell or a structural failure. The runner's oracle judges every run,
+   so no attack here is left unchecked.
 
    A single crash fires as a {e repeated} era threshold: the service
    crashes every [crash_step] aggregate steps, six times. Recovery and
@@ -73,7 +74,8 @@ let config ~structure ~policy ~plan =
 let crash_repeats = 6
 
 let attack (cfg : Runner.config)
-    ({ seed; crash_step; recovery_step } : Mutlab.svc_crash) : string option =
+    ({ seed; crash_step; recovery_step } : Mutlab.svc_crash) :
+    Mutlab.finding =
   let cfg =
     { cfg with
       seed;
@@ -85,10 +87,12 @@ let attack (cfg : Runner.config)
         (match recovery_step with Some s -> [ s ] | None -> []) }
   in
   match Runner.run cfg with
-  | r -> ( match r.violations with [] -> None | v :: _ -> Some v)
+  | r -> (
+    match r.violations with [] -> Mutlab.Survived | v :: _ -> Mutlab.Killed v)
   | exception Nvt_sim.Machine.Corrupt_read cid ->
-    Some (Printf.sprintf "corrupt read of cell %d during service recovery" cid)
-  | exception Failure msg -> Some ("service failure: " ^ msg)
+    Mutlab.Killed
+      (Printf.sprintf "corrupt read of cell %d during service recovery" cid)
+  | exception Failure msg -> Mutlab.Killed ("service failure: " ^ msg)
 
 (* One crash-free run: the probe. Returns (aggregate steps, stats). *)
 let probe (cfg : Runner.config) ~seed =

@@ -8,14 +8,17 @@
    ({!Sched_heap}) keyed on (vtime, tid): this scheduler runs at every
    shared-memory step of every benchmark panel, so its cost is the floor
    on simulation speed — see the benchmark suite's [machine.steps_per_s]
-   (bench/suite). One loop, [advance_to], dispatches every step: the
-   thread that runs stays in the tree, and a single tree call after its
-   step re-keys it and names the next root. That call is made where the
-   step ends, in [yield]: when the thread is still the root, it runs on
-   into its next step without leaving its fiber, and only a change of
-   root switches fibers. A thread that does switch parks its
-   continuation in the [Suspended] block it already has, so a switch
-   allocates nothing beyond the continuation the runtime makes.
+   (bench/suite). The thread that runs stays in the tree, and a single
+   tree call after its step re-keys it and names the next root. That
+   call is made where the step ends, in [yield]: when the thread is
+   still the root, it runs on into its next step without leaving its
+   fiber. Only a change of root switches fibers, and then the yielding
+   fiber's handler dispatches the next step itself ([dispatch]): it
+   resumes the next thread's fiber in tail position, so the CPU passes
+   straight from one fiber to the next with no return to a step loop.
+   A thread that switches out parks its continuation in the
+   [Suspended] block it already has, so a switch allocates nothing
+   beyond the continuation the runtime makes.
 
    Every shared mutable word is a [cell] holding both a volatile value
    (what reads and writes touch) and a persistent value (what survives a
@@ -104,8 +107,8 @@ type pending = {
 
 (* A thread keeps its [Ready]/[Suspended]/[Waiting] state while it
    runs; the machine's [running] tid, not the state, says which thread
-   is mid-step. A [Waiting] thread is suspended in [sleep ~until]: the
-   step loop re-arms its quantum without resuming it until the
+   is mid-step. A [Waiting] thread is suspended in [sleep ~until]: its
+   dispatch re-arms its quantum without resuming it until the
    predicate holds. *)
 type thread_state =
   | Ready of (unit -> unit)
@@ -199,9 +202,11 @@ type t = {
          ([yield]); [min_int] while [crash] tears fibers down. Read only
          while a fiber runs, which is inside [advance_to] or [crash]. *)
   mutable handed : int;
-      (* the root a [yield] computed before it switched out, for the
-         step loop to dispatch without re-keying again; -1 when the
-         loop must re-key the stepped thread itself *)
+      (* the root a [yield] computed before it switched out, for its
+         handler to dispatch without re-keying again; -1 when the
+         handler must re-key the stepped thread itself *)
+  mutable stop : [ `Barrier | `Completed | `Crashed_at of int ];
+      (* why the last chain of dispatches ended, for [advance_to] *)
   mutable crash_at_time : int option;
   mutable crash_at_step : int option;
   mutable scheduler : (t -> int list -> int) option;
@@ -265,6 +270,7 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       running = -1;
       horizon = min_int;
       handed = -1;
+      stop = `Completed;
       crash_at_time = None;
       crash_at_step = None;
       scheduler = None;
@@ -403,7 +409,7 @@ let crash_due m th =
   (match m.crash_at_step with Some n -> m.steps >= n | None -> false)
   || match m.crash_at_time with Some t -> th.vtime >= t | None -> false
 
-(* The step prologue, the one definition the step loop and a run-on
+(* The step prologue, the one definition [dispatch] and a run-on
    [yield] share: count the step, report it to the hook, advance the
    clock to the thread's time, then draw the eviction coin, before the
    jitter the step's own charges draw. *)
@@ -414,13 +420,14 @@ let begin_step m th =
   maybe_evict m
 
 (* The end of the running thread [tid]'s step. It re-keys the thread —
-   the tree call the step loop would make next — and when the thread is
+   the tree call [dispatch] would make next — and when the thread is
    still the root, below the advance's horizon and not due to crash, it
    runs on: the next step's prologue runs here and the fiber carries on
-   without a switch. Otherwise the root goes to the loop in [handed] and
-   the fiber switches out, so a barrier or a crash is met in the loop as
-   before. A scheduler override or a stall adversary decides each step
-   in the loop, so under either the fiber switches at every step. *)
+   without a switch. Otherwise the root goes to the fiber's handler in
+   [handed] and the fiber switches out, so a barrier or a crash is met
+   in [dispatch] as before. A scheduler override or a stall adversary
+   decides each step in [dispatch], so under either the fiber switches
+   at every step. *)
 let end_step m tid =
   if m.horizon = min_int || Option.is_some m.scheduler
      || Option.is_some m.stall
@@ -590,9 +597,9 @@ let flush c =
    polling backoff and batch timeouts — a spin on a real cell would pay
    a read (and a scheduling step) per unit of waiting. With [~until]
    the thread keeps sleeping [n]-unit quanta until the predicate holds
-   at a wake; the step loop re-arms each quantum itself (see
-   [advance_to]), so an idle poll costs no switch into the fiber, and a
-   quiet machine settles a run of them in one visit ([settle_idle]). *)
+   at a wake; [dispatch] re-arms each quantum itself, so an idle poll
+   costs no switch into the fiber, and a quiet machine settles a run of
+   them in one visit ([settle_idle]). *)
 let sleep ?until m n =
   if m.running >= 0 && n > 0 then begin
     charge m n;
@@ -652,17 +659,12 @@ let spawn m f =
   Sched_heap.add m.heap ~vtime:th.vtime ~tid;
   tid
 
-let runnable th =
-  match th.state with
-  | Ready _ | Suspended _ | Waiting _ -> true
-  | Finished | Failed _ -> false
-
 let set_scheduler m f = m.scheduler <- Some f
 let clear_scheduler m = m.scheduler <- None
 
 (* A scheduler override's choice of the next tid (-1: nothing is
    runnable). The pick stays in the tree like the default root does;
-   the step loop's tree call re-keys it wherever it sits. *)
+   the tree call after its step re-keys it wherever it sits. *)
 let pick_override m choose =
   match Sched_heap.tids_ascending m.heap with
   | [] -> -1
@@ -678,37 +680,12 @@ let pick_override m choose =
            "Machine: scheduler override chose tid %d, which is not runnable"
            tid)
 
-(* Built once per thread, at its first step. The [Yield] case returns
-   the same preallocated [Some suspend] at every yield, and a thread
-   that yields again from [Suspended] parks the new continuation in
-   the block it already has; a [Wait] (one per idle period, not per
-   step) allocates its own. *)
-let handler th =
-  let suspend =
-    Some
-      (fun k ->
-        match th.state with
-        | Suspended s -> s.k <- k
-        | _ -> th.state <- Suspended { k })
-  in
-  { Effect.Deep.retc = (fun () -> th.state <- Finished);
-    exnc =
-      (fun e ->
-        match e with
-        | Crashed -> th.state <- Finished
-        | _ -> th.state <- Failed (e, Printexc.get_raw_backtrace ()));
-    effc =
-      (fun (type a) (eff : a Effect.t) :
-           ((a, unit) Effect.Deep.continuation -> unit) option ->
-        match eff with
-        | Yield -> suspend
-        | Wait (n, until) -> Some (fun k -> th.state <- Waiting (k, n, until))
-        | _ -> None) }
-
 let crash m =
   (* Tear down every live fiber, then resolve the fate of flushed-but-
      unfenced write-backs by coin flip, then lose all volatile state.
-     A fiber that yields while it unwinds switches straight out. *)
+     The [min_int] horizon makes a fiber that ends, or yields while it
+     unwinds, switch straight out: its handler records its state and
+     returns here without dispatching. *)
   m.horizon <- min_int;
   List.iter
     (fun th ->
@@ -784,8 +761,8 @@ let quiet m =
    nothing, re-armed at [th.vtime]: settle its following quanta in
    place, one step each, asking [until] once per quantum at the
    quantum's time, up to the advance's horizon [time]. A wake that finds
-   work leaves the thread [Suspended] at that quantum, so the loop's
-   next visit to it resumes the fiber without asking again. Exact under
+   work leaves the thread [Suspended] at that quantum, so the next
+   dispatch of it resumes the fiber without asking again. Exact under
    the contract [sleep] states: [until] reads only the thread's own
    {!now} and state the driver changes between advances, so other
    threads' steps below [time] cannot change its answers. *)
@@ -801,23 +778,36 @@ let rec settle_idle m th ~time k n until =
       settle_idle m th ~time k n until
     end
 
-let resume m k =
-  m.switches <- m.switches + 1;
-  Effect.Deep.continue k ()
-
 (* The clock the settled quanta would have set, had each been a visit
    of its own. *)
 let fold_settled m = if m.settled > m.clock then m.clock <- m.settled
 
-(* The scheduler: every run goes through this one loop. [next] is the
-   tree's root as the previous step's tree call left it (-1: nothing
-   runnable); a scheduler override ignores it and picks its own. The
-   stepped thread stays in the tree throughout — at the root on the
-   default schedule — and [Sched_heap.reschedule] re-keys it (or drops
-   it when it finished) and returns the next root. A fiber that ended
-   its step in [yield] made that call already: it either ran on into
-   its next steps, each the same checks and prologue as a dispatch, or
-   switched out and [handed] the root it computed.
+(* The scheduler. [dispatch m next] takes one scheduling decision and
+   runs it: [next] is the tree's root as the previous step's tree call
+   left it (-1: nothing runnable); a scheduler override ignores it and
+   picks its own. The stepped thread stays in the tree throughout — at
+   the root on the default schedule — and [Sched_heap.reschedule]
+   re-keys it (or drops it when it finished) and returns the next root.
+   A fiber that ended its step in [yield] made that call already: it
+   either ran on into its next steps, each the same checks and prologue
+   as a dispatch, or switched out and [handed] the root it computed.
+
+   There is no step loop. [advance_to] calls [dispatch] once, and from
+   then on each dispatch runs where the previous step ended: in the
+   handler of the fiber that yielded, waited, returned or raised
+   ([step_ended]), or as a tail self-call after a stall draw or an idle
+   re-arm. It resumes the next fiber with [continue], or starts it with
+   [match_with], in tail position, so the handler hands the CPU
+   straight to the next thread, and the stack the handlers run on
+   stays one frame deep however many steps the advance takes. A
+   resume that anything follows — a [try], a [Fun.protect], a trailing
+   expression — would grow that stack by a frame per switch (the tail
+   guard under test/ catches it). The chain ends at a barrier, at
+   completion or at a due crash: the last dispatch records why in
+   [stop] and returns, through every handler it ran in, to
+   [advance_to], which closes the era or fires the crash outside any
+   handler. An exception raised in a dispatch (an override's bad pick,
+   say) propagates to [advance_to]'s caller the same way.
 
    Per step, the rng-draw order — barrier check, crash check, stall
    draw, step count, [on_step], clock, eviction draw, then the jitter in
@@ -829,76 +819,128 @@ let fold_settled m = if m.settled > m.clock then m.clock <- m.settled
    the root.
 
    A [Waiting] thread's step evaluates its predicate where the fiber
-   would have resumed; while it is false the loop charges the next
+   would have resumed; while it is false the dispatch charges the next
    quantum itself, drawing the jitter exactly as the fiber's [sleep]
    would, so the step is indistinguishable from a poll that found
-   nothing to do. On a quiet machine the loop then settles the
-   thread's following quanta in the same visit ([settle_idle]) and
-   re-keys it once; their clock updates are folded in before the
-   advance returns. The dispatched steps keep their clocks; their step
-   numbers shift by the quanta settled ahead of them, which only a
-   hook, a trace or a step trigger could see, and none is installed. *)
+   nothing to do. On a quiet machine it then settles the thread's
+   following quanta in the same visit ([settle_idle]) and re-keys it
+   once; their clock updates are folded in before the advance returns.
+   The dispatched steps keep their clocks; their step numbers shift by
+   the quanta settled ahead of them, which only a hook, a trace or a
+   step trigger could see, and none is installed. *)
+let rec dispatch m next =
+  let tid =
+    match m.scheduler with
+    | None -> next
+    | Some choose -> pick_override m choose
+  in
+  if tid < 0 then m.stop <- `Completed
+  else begin
+    let th = m.by_tid.(tid) in
+    if th.vtime >= m.horizon then m.stop <- `Barrier
+    else if crash_due m th then m.stop <- `Crashed_at th.vtime
+    else
+      match m.stall with
+      | Some { probability; max_units } when coin m.rng probability ->
+        th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units;
+        dispatch m
+          (Sched_heap.reschedule m.heap ~tid ~vtime:th.vtime ~runnable:true)
+      | Some _ | None -> (
+        begin_step m th;
+        m.running <- tid;
+        match th.state with
+        | Suspended { k } -> resume m k
+        | Waiting (k, n, until) ->
+          if until () then resume m k
+          else begin
+            charge m n;
+            if quiet m then settle_idle m th ~time:m.horizon k n until;
+            m.running <- -1;
+            dispatch m
+              (Sched_heap.reschedule m.heap ~tid ~vtime:th.vtime
+                 ~runnable:true)
+          end
+        | Ready f ->
+          m.switches <- m.switches + 1;
+          Effect.Deep.match_with f () (handler m th)
+        | Finished | Failed _ -> assert false)
+  end
+
+and resume m k =
+  m.switches <- m.switches + 1;
+  Effect.Deep.continue k ()
+
+(* The end of a step that left [th]'s fiber, run in its handler once its
+   state is recorded: dispatch the root [yield] handed over, or re-key
+   the thread to find it. While [crash] tears fibers down, a fiber that
+   ends or yields only records its state, and its handler returns to
+   the teardown. *)
+and step_ended m th ~runnable =
+  m.running <- -1;
+  if m.horizon <> min_int then begin
+    let next = m.handed in
+    if next >= 0 then begin
+      m.handed <- -1;
+      dispatch m next
+    end
+    else
+      dispatch m
+        (Sched_heap.reschedule m.heap ~tid:th.tid ~vtime:th.vtime ~runnable)
+  end
+
+(* Built once per thread, at its first step. The [Yield] case returns
+   the same preallocated [Some suspend] at every yield, and a thread
+   that yields again from [Suspended] parks the new continuation in
+   the block it already has; a [Wait] (one per idle period, not per
+   step) allocates its own. Every case ends in [step_ended], in tail
+   position. *)
+and handler m th =
+  let suspend =
+    Some
+      (fun k ->
+        (match th.state with
+        | Suspended s -> s.k <- k
+        | _ -> th.state <- Suspended { k });
+        step_ended m th ~runnable:true)
+  in
+  { Effect.Deep.retc =
+      (fun () ->
+        th.state <- Finished;
+        step_ended m th ~runnable:false);
+    exnc =
+      (fun e ->
+        (match e with
+        | Crashed -> th.state <- Finished
+        | _ -> th.state <- Failed (e, Printexc.get_raw_backtrace ()));
+        step_ended m th ~runnable:false);
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Yield -> suspend
+        | Wait (n, until) ->
+          Some
+            (fun k ->
+              th.state <- Waiting (k, n, until);
+              step_ended m th ~runnable:true)
+        | _ -> None) }
+
 let advance_to m ~time =
   set_current m;
   m.horizon <- time;
-  let heap = m.heap in
-  let rec loop next =
-    let tid =
-      match m.scheduler with
-      | None -> next
-      | Some choose -> pick_override m choose
-    in
-    if tid < 0 then begin
-      fold_settled m;
-      finish m;
-      `Completed
-    end
-    else begin
-      let th = m.by_tid.(tid) in
-      if th.vtime >= time then begin
-        fold_settled m;
-        raise_any_failed m;
-        `Barrier
-      end
-      else if crash_due m th then begin
-        let t = th.vtime in
-        do_crash m t;
-        `Crashed_at t
-      end
-      else begin
-        (match m.stall with
-        | Some { probability; max_units } when coin m.rng probability ->
-          th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units
-        | Some _ | None -> (
-          begin_step m th;
-          m.running <- tid;
-          (match th.state with
-          | Suspended { k } -> resume m k
-          | Waiting (k, n, until) ->
-            if until () then resume m k
-            else begin
-              charge m n;
-              if quiet m then settle_idle m th ~time k n until
-            end
-          | Ready f ->
-            m.switches <- m.switches + 1;
-            Effect.Deep.match_with f () (handler th)
-          | Finished | Failed _ -> assert false);
-          m.running <- -1));
-        let handed = m.handed in
-        if handed >= 0 then begin
-          m.handed <- -1;
-          loop handed
-        end
-        else
-          loop
-            (Sched_heap.reschedule heap ~tid ~vtime:th.vtime
-               ~runnable:(runnable th))
-      end
-    end
-  in
-  loop (Option.value (Sched_heap.min_tid heap) ~default:(-1))
-
+  dispatch m (Option.value (Sched_heap.min_tid m.heap) ~default:(-1));
+  match m.stop with
+  | `Completed ->
+    fold_settled m;
+    finish m;
+    `Completed
+  | `Barrier ->
+    fold_settled m;
+    raise_any_failed m;
+    `Barrier
+  | `Crashed_at t as crashed ->
+    do_crash m t;
+    crashed
 let run m =
   match advance_to m ~time:max_int with
   | `Completed -> Completed

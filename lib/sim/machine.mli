@@ -13,8 +13,9 @@
     {!module:Memory}, the backend with the same interface as
     {!Nvt_nvm.Native}. A thread that stays the one to run next takes
     its next step without leaving its fiber; only a change of thread
-    switches fibers (see {!switches}). A step allocates nothing but the
-    continuation the runtime makes at such a switch. *)
+    switches fibers (see {!switches}), and then the yielding fiber's
+    handler resumes the next thread's fiber directly. A step allocates
+    nothing but the continuation the runtime makes at such a switch. *)
 
 exception Corrupt_read of int
 (** Reading a cell whose contents were lost in a crash. The payload is

@@ -41,11 +41,14 @@ let with_suppressed site f =
 
 let intact_survives structure () =
   match Mutlab.sweep (target_of structure) with
-  | None, runs ->
+  | { kill = None; unchecked = Some (a, key); _ } ->
+    Alcotest.failf "intact %s left key %d unchecked at %s" structure key
+      (Format.asprintf "%a" Mutlab.pp_attack (Structure a))
+  | { kill = None; unchecked = None; runs } ->
     if runs < 100 then
       Alcotest.failf "only %d battery runs on intact %s; battery too small"
         runs structure
-  | Some (a, detail), _ ->
+  | { kill = Some (a, detail); _ } ->
     Alcotest.failf
       "intact %s lost the battery at %s: %s — the harness, not a \
        suppressed site, is at fault"
@@ -60,13 +63,17 @@ let necessity structure site () =
   in
   with_suppressed site (fun () ->
       match Mutlab.sweep t with
-      | Some _, _ ->
+      | { kill = None; unchecked = Some (a, key); _ } ->
+        Alcotest.failf "suppressing %s on %s left key %d unchecked at %s" site
+          structure key
+          (Format.asprintf "%a" Mutlab.pp_attack (Structure a))
+      | { kill = Some _; _ } ->
         if expected_unkilled then
           Alcotest.failf
             "suppressing %s on %s WAS killed — its expected-unkilled \
              entry in Mutlab.expected_unkilled is stale"
             site structure
-      | None, runs ->
+      | { kill = None; runs; _ } ->
         if not expected_unkilled then
           Alcotest.failf
             "suppressing %s on %s caused no durability violation in %d \

@@ -267,6 +267,44 @@ let one_thread_run_near_setup () =
   in
   if wide <> [] then Alcotest.fail (String.concat "; " wide)
 
+(* Four threads reading one cell: equal costs and ties to the lowest
+   tid put a different thread first after every read, so every step
+   switches fibers. Returns the minor words [Machine.run] allocated and
+   the machine. *)
+let switching_words ~reads =
+  let m = Machine.create () in
+  let c = Sim_mem.alloc 0 in
+  Machine.persist_all m;
+  for _ = 1 to 4 do
+    ignore
+      (Machine.spawn m (fun () ->
+           for _ = 1 to reads do
+             ignore (Sim_mem.read c)
+           done))
+  done;
+  let w0 = Gc.minor_words () in
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "unrequested crash");
+  (Gc.minor_words () -. w0, m)
+
+(* A switching step allocates exactly the continuation the runtime
+   makes when the fiber performs its effect: 2 minor words on OCaml 5.1.
+   The difference of two run lengths cancels what a run pays once
+   (each thread's handler and first fiber), so a closure, option or
+   tuple made per switch shows as a whole word more. *)
+let switching_step_budget () =
+  let w1, m1 = switching_words ~reads:2000 in
+  let w2, m2 = switching_words ~reads:4000 in
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "every step switches" (Machine.steps m)
+        (Machine.switches m))
+    [ m1; m2 ];
+  Alcotest.(check (float 0.))
+    "minor words per switching step" 2.
+    ((w2 -. w1) /. float_of_int (Machine.steps m2 - Machine.steps m1))
+
 (* ------------------------------------------------------------------ *)
 (* Service requests                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -412,6 +450,8 @@ let suite =
       `Quick run_budget;
     Alcotest.test_case "a one-thread run allocates what setup mode does"
       `Quick one_thread_run_near_setup;
+    Alcotest.test_case "a switching step allocates only its continuation"
+      `Quick switching_step_budget;
     Alcotest.test_case "nvt setup-mode ops allocate what volatile ones do"
       `Quick nvt_near_volatile;
     Alcotest.test_case "service requests stay within their budget" `Quick

@@ -162,7 +162,8 @@ let golden_runs () =
       (match Nvt_harness.Mutlab.judge a with
       | `Ok -> ()
       | `No_crash _ -> Alcotest.fail "the attack's crash did not fire"
-      | `Violation d -> Alcotest.failf "intact nvt list violated: %s" d);
+      | `Violation d -> Alcotest.failf "intact nvt list violated: %s" d
+      | `Unchecked key -> Alcotest.failf "key %d left unchecked" key);
       Alcotest.(check string) "attack history" expect
         (digest a.history ~steps:(Machine.steps a.machine)))
     [ (Machine.No_eviction, "b545155f3b210ff13bc09243f924c84c");

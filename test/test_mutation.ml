@@ -10,6 +10,10 @@ module Mutlab = Nvt_harness.Mutlab
 module Json = Nvt_harness.Json
 module Suppress = Nvt_nvm.Suppress
 module Svclab = Nvt_service.Svclab
+module I = Nvt_harness.Instances
+module Crashlab = Nvt_harness.Crashlab
+module Machine = Nvt_sim.Machine
+module History = Nvt_sim.History
 
 let report =
   lazy
@@ -58,8 +62,8 @@ let p2_sites_killed () =
       let sr = find_site fr site in
       match sr.verdict with
       | Mutlab.Necessary _ -> ()
-      | Mutlab.Unkilled _ ->
-        Alcotest.failf "%s went unkilled on the Harris list (%d runs)" site
+      | Mutlab.Unkilled _ | Mutlab.Unchecked _ ->
+        Alcotest.failf "%s was not killed on the Harris list (%d runs)" site
           sr.runs)
     [ "nvt:crit_fence"; "nvt:crit_update"; "nvt:crit_flush";
       "nvt:ensure_reachable"; "nvt:make_persistent"; "nvt:return_fence" ];
@@ -72,6 +76,7 @@ let p2_sites_killed () =
   | Mutlab.Necessary _ ->
     Alcotest.fail
       "nvt:crit_read was killed — remove its expected-unkilled entry"
+  | Mutlab.Unchecked _ -> Alcotest.fail "nvt:crit_read was left unchecked"
 
 (* Kill evidence must replay: re-running the recorded attack with the
    same site suppressed reproduces a violation, and running it against
@@ -106,7 +111,7 @@ let kills_replay () =
           (fun (sr : Mutlab.site_report) ->
             match sr.verdict with
             | Mutlab.Necessary _ -> true
-            | Mutlab.Unkilled _ -> false)
+            | Mutlab.Unkilled _ | Mutlab.Unchecked _ -> false)
           fr.sites
       with
       | Some sr -> sr
@@ -116,20 +121,20 @@ let kills_replay () =
   List.iter
     (fun (sr : Mutlab.site_report) ->
       match sr.verdict with
-      | Mutlab.Unkilled _ -> ()
+      | Mutlab.Unkilled _ | Mutlab.Unchecked _ -> ()
       | Mutlab.Necessary { attack; _ } ->
         (match replay attack with
-        | Some _ ->
+        | Mutlab.Killed _ ->
           Alcotest.failf "recorded kill for %s fires without suppression"
             sr.site
-        | None -> ());
+        | Mutlab.Survived | Mutlab.Unchecked_key _ -> ());
         Suppress.set (Some sr.site);
         Fun.protect
           ~finally:(fun () -> Suppress.set None)
           (fun () ->
             match replay attack with
-            | Some _ -> ()
-            | None ->
+            | Mutlab.Killed _ -> ()
+            | Mutlab.Survived | Mutlab.Unchecked_key _ ->
               Alcotest.failf "recorded kill for %s does not replay" sr.site))
     ((flavour "nvt").sites @ [ svc_kill ])
 
@@ -154,7 +159,7 @@ let json_round_trip () =
           (fun (sr : Mutlab.site_report) ->
             match sr.verdict with
             | Mutlab.Unkilled _ -> Some (fr.policy, sr.site)
-            | Mutlab.Necessary _ -> None)
+            | Mutlab.Necessary _ | Mutlab.Unchecked _ -> None)
           fr.sites)
       (Lazy.force report).flavours
   in
@@ -244,6 +249,104 @@ let empty_gate_fails () =
   in
   Alcotest.(check bool) "gate ok" false (Mutlab.gate_ok g)
 
+(* A recorded volatile run whose history overflows the linearizability
+   checker's window: the Harris list without persistence, 4 threads of
+   100 ops on one key (50% updates), seed 3, crashed at step 1000 — the
+   shape of the [nvtsim run --range 1] runs that print UNCHECKED. Before
+   [judge] caught [Too_many_events], judging it raised out of the
+   battery. *)
+let overflowing_run () =
+  let module W = Nvt_workload.Workload in
+  let (module S : I.SET) =
+    I.instantiate (List.assoc "list" I.structures)
+      (Option.get (I.flavour "volatile")).I.policy
+  in
+  let m = Machine.create ~seed:3 () in
+  let r = Crashlab.start (module S) m ~prefill:[ 0 ] in
+  for tid = 0 to 3 do
+    let g = W.gen ~seed:(3 + (31 * tid)) ~mix:(W.updates ~pct:50) ~range:1 in
+    ignore
+      (Machine.spawn m (fun () ->
+           for _ = 1 to 100 do
+             r.op
+               (match W.next g with
+               | W.Insert k -> History.Insert k
+               | W.Delete k -> History.Delete k
+               | W.Lookup k -> History.Member k)
+           done))
+  done;
+  Machine.set_crash_at_step m 1000;
+  r
+
+let overflow_is_unchecked () =
+  match Mutlab.judge (overflowing_run ()) with
+  | `Unchecked key -> Alcotest.(check int) "the overflowing key" 0 key
+  | `Ok | `No_crash _ | `Violation _ ->
+    Alcotest.fail "the overflowing history got a verdict"
+
+(* A battery whose one attack is that run: the intact control and every
+   site end unchecked, neither killed nor unkilled, and the gate fails
+   naming each site and the attack. The report stays consistent with
+   itself, and a report with nothing unchecked carries no unchecked
+   field at all. *)
+let unchecked_fails_the_gate () =
+  let str = List.assoc "list" I.structures in
+  let f = Option.get (I.flavour "nvt") in
+  let base = Mutlab.structure_target (I.instantiate str f.policy) Mutlab.quick in
+  let attack = Mutlab.Crash { seed = 3; crash_step = 1000 } in
+  let t =
+    { base with
+      attacks = Seq.return attack;
+      attack = (fun _ -> Mutlab.finding (Mutlab.judge (overflowing_run ()))) }
+  in
+  let fr =
+    Mutlab.flavour_report ~structure:"list" ~flavour:f ~plan:None
+      ~evidence:(fun a -> Mutlab.Structure a)
+      t
+  in
+  (match fr.control_unchecked with
+  | Some (Mutlab.Structure a, 0) when a = attack -> ()
+  | _ -> Alcotest.fail "the control's unchecked attack is not recorded");
+  Alcotest.(check bool) "the control did not fail" true
+    (fr.control_failure = None);
+  if fr.sites = [] then Alcotest.fail "no site was classified";
+  List.iter
+    (fun (sr : Mutlab.site_report) ->
+      match sr.verdict with
+      | Mutlab.Unchecked { attack = Mutlab.Structure a; key = 0 }
+        when a = attack -> ()
+      | _ -> Alcotest.failf "%s: not unchecked by the attack" sr.site)
+    fr.sites;
+  let r = { Mutlab.scale_name = "quick"; optimized = false; flavours = [ fr ] } in
+  let g = Mutlab.gate_of r in
+  Alcotest.(check bool) "gate ok" false (Mutlab.gate_ok g);
+  let named =
+    List.map
+      (fun (_, _, detail) -> List.hd (String.split_on_char ' ' detail))
+      g.unchecked
+  in
+  Alcotest.(check (list string))
+    "the control and every site are named" ("control"
+    :: List.map (fun (sr : Mutlab.site_report) -> sr.site) fr.sites)
+    named;
+  List.iter
+    (fun (_, _, detail) ->
+      let needle = "crash(seed=3, step=1000)" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length detail
+        && (String.sub detail i n = needle || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "%s: attack not named" detail)
+    g.unchecked;
+  Alcotest.(check int) "no candidate from an unchecked site" 0
+    (List.length (Mutlab.report_candidates (Mutlab.to_json r)));
+  let quick = Json.to_string (Mutlab.to_json (Lazy.force report)) in
+  Alcotest.(check bool) "a checked report has no unchecked field" false
+    (List.exists
+       (fun s -> s = "unchecked")
+       (String.split_on_char '"' quick))
+
 let suite =
   [ Alcotest.test_case "volatile flavour is a negative control" `Quick
       volatile_control;
@@ -257,4 +360,8 @@ let suite =
       `Quick inconsistent_report_rejected;
     Alcotest.test_case "quick gate passes" `Quick gate_passes;
     Alcotest.test_case "a report with no flavours fails the gate" `Quick
-      empty_gate_fails ]
+      empty_gate_fails;
+    Alcotest.test_case "a checker overflow is neither a kill nor a survival"
+      `Quick overflow_is_unchecked;
+    Alcotest.test_case "an unchecked attack fails the gate" `Quick
+      unchecked_fails_the_gate ]

@@ -305,7 +305,7 @@ let golden_list_schedule () =
   Alcotest.(check int) "every step whose thread stays the root runs on"
     15_593 (Machine.switches m)
 
-(* The stall adversary decides each step in the step loop, so every
+(* The stall adversary decides each step in [dispatch], so every
    step of this scenario switches fibers: the fallback is pinned too. *)
 let golden_evict_stall_schedule () =
   let g, m = evict_stall_scenario by_run in
@@ -410,7 +410,7 @@ let crash_inside_a_run_on_stretch () =
     (run_on_crash_scenario (fun m -> Machine.set_crash_at_time m 6000))
 
 (* ------------------------------------------------------------------ *)
-(* Waiting in the step loop                                            *)
+(* Waiting in the scheduler                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* [Machine.sleep ~until] must be exactly the loop it replaces, with
@@ -595,7 +595,7 @@ let sleep_until_settles_exactly () =
       if wakes = 0 || idle = 0 then
         Alcotest.failf "%s: contract scenario is vacuous: %d wakes, %d idle"
           name wakes idle;
-      Alcotest.(check int) (name ^ ": the loop visits every step") g.steps
+      Alcotest.(check int) (name ^ ": every step is a visit") g.steps
         visits;
       let g', stats', wakes', idle', visits' =
         contract_scenario ~wait:wait_until drive
@@ -713,6 +713,124 @@ let override_rearms_a_waiter () =
     ([ waiter; waiter; waiter; waiter; waiter ]
     @ List.init 6 (fun _ -> other))
     (List.rev_map snd !log)
+
+(* ------------------------------------------------------------------ *)
+(* Failure paths                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* How a run ends other than by completing: a fiber that raises, a
+   scheduler override that picks a finished thread, a failure met at an
+   [advance_to] barrier, and a crash that tears down fibers mid-loop.
+   Each golden was recorded when every step ended by returning to a
+   step loop in [advance_to]; the step and switch counts at which each
+   surfaces must not move. *)
+
+exception Boom of int
+
+(* Four threads alternate reads and writes of one cell under jitter;
+   thread 2 raises [Boom 30] in its 30th iteration. *)
+let failing_machine () =
+  let m = Machine.create ~seed:5 ~jitter:2 () in
+  let c = Sim_mem.alloc 0 in
+  Machine.persist_all m;
+  for t = 0 to 3 do
+    ignore
+      (Machine.spawn m (fun () ->
+           for i = 1 to 60 do
+             if t = 2 && i = 30 then raise (Boom i);
+             if i land 1 = 0 then Sim_mem.write c i
+             else ignore (Sim_mem.read c)
+           done))
+  done;
+  m
+
+let run_raises_a_fiber_failure () =
+  let m = failing_machine () in
+  (match Machine.run m with
+  | _ -> Alcotest.fail "the failed fiber did not surface"
+  | exception Boom 30 -> ());
+  Alcotest.(check (pair int int))
+    "raised at the era's end: steps, switches" (213, 173)
+    (Machine.steps m, Machine.switches m)
+
+let advance_to_raises_at_its_barrier () =
+  let m = failing_machine () in
+  let last = ref 0 in
+  let rec go t =
+    last := t;
+    match Machine.advance_to m ~time:t with
+    | `Barrier -> go (t + 50)
+    | `Completed | `Crashed_at _ ->
+      Alcotest.fail "the failed fiber did not surface at a barrier"
+  in
+  (match go 50 with () -> () | exception Boom 30 -> ());
+  Alcotest.(check (list int))
+    "raised at barrier time, steps, switches" [ 750; 115; 97 ]
+    [ !last; Machine.steps m; Machine.switches m ]
+
+let override_picking_a_finished_thread_raises () =
+  let m = Machine.create () in
+  let c = Sim_mem.alloc 0 in
+  let a =
+    Machine.spawn m (fun () ->
+        for _ = 1 to 3 do
+          ignore (Sim_mem.read c)
+        done)
+  in
+  ignore
+    (Machine.spawn m (fun () ->
+         for _ = 1 to 10 do
+           ignore (Sim_mem.read c)
+         done));
+  Machine.set_scheduler m (fun _ _ -> a);
+  (match Machine.run m with
+  | _ -> Alcotest.fail "the override's pick of a finished thread ran"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the tid"
+      "Machine: scheduler override chose tid 0, which is not runnable" msg);
+  Alcotest.(check (pair int int)) "steps, switches" (4, 4)
+    (Machine.steps m, Machine.switches m)
+
+(* Three threads loop write, flush, fence on their own cells; the crash
+   tears all three down mid-loop, one of them yielding again from the
+   [finally] it runs while it unwinds. The next era completes. *)
+let crash_tears_down_flush_fence_loops () =
+  let m = Machine.create ~seed:11 ~jitter:2 () in
+  let cells = Array.init 3 (fun i -> Sim_mem.alloc i) in
+  Machine.persist_all m;
+  let torn = ref 0 in
+  for t = 0 to 2 do
+    ignore
+      (Machine.spawn m (fun () ->
+           Fun.protect
+             ~finally:(fun () ->
+               incr torn;
+               if t = 1 then Sim_mem.write cells.(0) (-1))
+             (fun () ->
+               for i = 1 to 1000 do
+                 Sim_mem.write cells.(t) (i * 10 + t);
+                 Sim_mem.flush cells.(t);
+                 Sim_mem.fence ()
+               done)))
+  done;
+  Machine.set_crash_at_time m 5000;
+  (match Machine.run m with
+  | Machine.Crashed_at t -> Alcotest.(check int) "crash time" 5002 t
+  | Machine.Completed -> Alcotest.fail "the loops completed");
+  Alcotest.(check (list int))
+    "steps, switches, torn down" [ 222; 200; 3 ]
+    [ Machine.steps m; Machine.switches m; !torn ];
+  let seen = ref [] in
+  ignore
+    (Machine.spawn m (fun () ->
+         seen := Array.to_list (Array.map Sim_mem.read cells)));
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "second era crashed");
+  Alcotest.(check (list int)) "persisted values" [ 250; 241; 242 ] !seen;
+  Alcotest.(check (pair int int)) "steps, switches after the second era"
+    (226, 201)
+    (Machine.steps m, Machine.switches m)
 
 (* ------------------------------------------------------------------ *)
 (* Sched_heap vs. a naive reference                                    *)
@@ -1070,6 +1188,14 @@ let suite =
       crash_tears_down_a_waiter;
     Alcotest.test_case "a scheduler override re-arms a waiting thread"
       `Quick override_rearms_a_waiter;
+    Alcotest.test_case "run raises a failed fiber's exception" `Quick
+      run_raises_a_fiber_failure;
+    Alcotest.test_case "advance_to raises a failure at its barrier" `Quick
+      advance_to_raises_at_its_barrier;
+    Alcotest.test_case "an override picking a finished thread raises" `Quick
+      override_picking_a_finished_thread_raises;
+    Alcotest.test_case "a crash tears down flush/fence loops" `Quick
+      crash_tears_down_flush_fence_loops;
     QCheck_alcotest.to_alcotest heap_model_test;
     Alcotest.test_case "heap rejects misuse" `Quick heap_rejects_misuse;
     Alcotest.test_case "finishing a non-root tid keeps the heap order"
