@@ -164,8 +164,9 @@ type report = {
 (* The element of rank [k] of [a]'s first [n], by in-place quickselect
    over [lo, n): it leaves every element below [k] no greater than
    [a.(k)] and every one above no less, so a later call for a higher
-   rank may start at [k]. *)
-let select a n lo k =
+   rank may start at [k]. Typed [int array], so its comparisons are
+   machine compares, not calls to the polymorphic compare. *)
+let select (a : int array) n lo k =
   let lo = ref lo and hi = ref (n - 1) in
   while !lo < !hi do
     let pivot = a.((!lo + !hi) / 2) in
@@ -200,7 +201,7 @@ let summarize ?len lat =
     let p99 = select lat n r95 r99 in
     let lmax = ref min_int and sum = ref 0 in
     for i = 0 to n - 1 do
-      lmax := max !lmax lat.(i);
+      lmax := Int.max !lmax lat.(i);
       sum := !sum + lat.(i)
     done;
     { p50;
@@ -212,7 +213,7 @@ let summarize ?len lat =
 
 let exponential rng mean =
   let u = 1.0 -. Random.State.float rng 1.0 (* (0, 1] *) in
-  max 1 (int_of_float (Float.round (-.float_of_int mean *. log u)))
+  Int.max 1 (int_of_float (Float.round (-.float_of_int mean *. log u)))
 
 (* The arrival schedule: a pure function of the configuration. Poisson
    arrival times, a uniformly drawn client per request with per-client

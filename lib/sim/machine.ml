@@ -16,9 +16,11 @@
    fiber's handler dispatches the next step itself ([dispatch]): it
    resumes the next thread's fiber in tail position, so the CPU passes
    straight from one fiber to the next with no return to a step loop.
-   A thread that switches out parks its continuation in the
-   [Suspended] block it already has, so a switch allocates nothing
-   beyond the continuation the runtime makes.
+   One effect handler serves every fiber of a machine: it finds the
+   stepping thread by the machine's [running] tid, and a thread that
+   switches out parks its continuation in its own record, so a switch
+   touches only the handler, the thread record and the fiber, and
+   allocates nothing beyond the continuation the runtime makes.
 
    Every shared mutable word is a [cell] holding both a volatile value
    (what reads and writes touch) and a persistent value (what survives a
@@ -107,13 +109,14 @@ type pending = {
 
 (* A thread keeps its [Ready]/[Suspended]/[Waiting] state while it
    runs; the machine's [running] tid, not the state, says which thread
-   is mid-step. A [Waiting] thread is suspended in [sleep ~until]: its
-   dispatch re-arms its quantum without resuming it until the
+   is mid-step. A [Suspended] or [Waiting] thread's continuation is in
+   its record's [k]. A [Waiting] thread is suspended in [sleep ~until]:
+   its dispatch re-arms its quantum without resuming it until the
    predicate holds. *)
 type thread_state =
   | Ready of (unit -> unit)
-  | Suspended of { mutable k : (unit, unit) Effect.Deep.continuation }
-  | Waiting of (unit, unit) Effect.Deep.continuation * int * (unit -> bool)
+  | Suspended
+  | Waiting of int * (unit -> bool)
   | Finished
   | Failed of exn * Printexc.raw_backtrace
 
@@ -121,14 +124,39 @@ type thread = {
   tid : int;
   mutable vtime : int;
   mutable state : thread_state;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (* where the fiber switched out; [never_resumed] before its first
+         switch, and the spent one once it has been resumed *)
   mutable pending : pending array;
       (* reusable FIFO of write-backs awaiting fence; the first
          [pending_count] slots are live *)
   mutable pending_count : int;
 }
 
+(* The [k] of a thread that has not switched out yet, captured once
+   when the module loads. Nothing resumes it: [dispatch] resumes [k]
+   only from [Suspended] or [Waiting], and a switch-out sets [k]
+   before either. *)
+type _ Effect.t += Never_resumed : unit Effect.t
+
+let never_resumed : (unit, unit) Effect.Deep.continuation =
+  let captured : (unit, unit) Effect.Deep.continuation option ref =
+    ref None
+  in
+  Effect.Deep.match_with Effect.perform Never_resumed
+    { Effect.Deep.retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Never_resumed -> Some (fun k -> captured := Some k)
+          | _ -> None) };
+  Option.get !captured
+
 let dummy_thread =
-  { tid = -1; vtime = 0; state = Finished; pending = [||]; pending_count = 0 }
+  { tid = -1; vtime = 0; state = Finished; k = never_resumed; pending = [||];
+    pending_count = 0 }
 
 let push_pending th c v seq =
   let n = Array.length th.pending in
@@ -225,6 +253,9 @@ type t = {
   mutable on_step : (int -> int -> unit) option;
       (* called with (step, tid) at every executed scheduling step; the
          determinism tests use it to record the exact schedule. *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (* the one handler every fiber of the machine runs under, built
+         by [create] *)
 }
 
 type _ Effect.t +=
@@ -245,43 +276,6 @@ let set_current m =
   (Domain.DLS.get current_machine).machine <- Some m;
   Nvt_nvm.Suppress.use m.suppress;
   Nvt_nvm.Optimizer.use m.optimizer
-
-let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
-    ?stall ?(jitter = 0) ?(suppress = Nvt_nvm.Suppress.ambient ())
-    ?(optimizer = Nvt_nvm.Optimizer.ambient ()) () =
-  let m =
-    { rng = Random.State.make [| seed; 0x5eed |];
-      cost;
-      eviction;
-      stall;
-      jitter;
-      threads = [];
-      by_tid = Array.make 8 dummy_thread;
-      heap = Sched_heap.create ();
-      dirty = Dirty.create ();
-      live_cells = 0;
-      next_tid = 0;
-      next_cid = 0;
-      steps = 0;
-      quanta_settled = 0;
-      switches = 0;
-      clock = 0;
-      settled = 0;
-      running = -1;
-      horizon = min_int;
-      handed = -1;
-      stop = `Completed;
-      crash_at_time = None;
-      crash_at_step = None;
-      scheduler = None;
-      stats = Stats.zero ();
-      suppress;
-      optimizer;
-      tracer = None;
-      on_step = None }
-  in
-  set_current m;
-  m
 
 let machine_of cur =
   match cur.machine with
@@ -487,7 +481,7 @@ let alloc v =
    otherwise; the service ledger and checkpoint report frees through
    {!Nvt_nvm.Memory.reclaimed}. Without this, freed cells would
    inflate the miss probability forever. *)
-let retire m n = if n > 0 then m.live_cells <- max 0 (m.live_cells - n)
+let retire m n = if n > 0 then m.live_cells <- Int.max 0 (m.live_cells - n)
 
 let live_cells m = m.live_cells
 
@@ -647,7 +641,8 @@ let spawn m f =
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
   let th =
-    { tid; vtime = m.clock; state = Ready f; pending = [||]; pending_count = 0 }
+    { tid; vtime = m.clock; state = Ready f; k = never_resumed; pending = [||];
+      pending_count = 0 }
   in
   m.threads <- th :: m.threads;
   if tid >= Array.length m.by_tid then begin
@@ -692,9 +687,9 @@ let crash m =
       (if th.tid <> m.running then
          (* the running fiber, if any, is the caller: not torn down *)
          match th.state with
-         | Suspended { k } | Waiting (k, _, _) ->
+         | Suspended | Waiting _ ->
            m.running <- th.tid;
-           (try Effect.Deep.discontinue k Crashed with Crashed -> ());
+           (try Effect.Deep.discontinue th.k Crashed with Crashed -> ());
            th.state <- Finished;
            m.running <- -1
          | Ready _ -> th.state <- Finished
@@ -766,16 +761,16 @@ let quiet m =
    the contract [sleep] states: [until] reads only the thread's own
    {!now} and state the driver changes between advances, so other
    threads' steps below [time] cannot change its answers. *)
-let rec settle_idle m th ~time k n until =
+let rec settle_idle m th ~time n until =
   let v = th.vtime in
   if v < time then
-    if until () then th.state <- Suspended { k }
+    if until () then th.state <- Suspended
     else begin
       m.steps <- m.steps + 1;
       m.quanta_settled <- m.quanta_settled + 1;
       if v > m.settled then m.settled <- v;
       th.vtime <- v + n;
-      settle_idle m th ~time k n until
+      settle_idle m th ~time n until
     end
 
 (* The clock the settled quanta would have set, had each been a visit
@@ -794,9 +789,9 @@ let fold_settled m = if m.settled > m.clock then m.clock <- m.settled
 
    There is no step loop. [advance_to] calls [dispatch] once, and from
    then on each dispatch runs where the previous step ended: in the
-   handler of the fiber that yielded, waited, returned or raised
-   ([step_ended]), or as a tail self-call after a stall draw or an idle
-   re-arm. It resumes the next fiber with [continue], or starts it with
+   machine's handler, for the fiber that yielded, waited, returned or
+   raised ([step_ended]), or as a tail self-call after a stall draw or
+   an idle re-arm. It resumes the next fiber with [continue], or starts it with
    [match_with], in tail position, so the handler hands the CPU
    straight to the next thread, and the stack the handlers run on
    stays one frame deep however many steps the advance takes. A
@@ -849,12 +844,12 @@ let rec dispatch m next =
         begin_step m th;
         m.running <- tid;
         match th.state with
-        | Suspended { k } -> resume m k
-        | Waiting (k, n, until) ->
-          if until () then resume m k
+        | Suspended -> resume m th
+        | Waiting (n, until) ->
+          if until () then resume m th
           else begin
             charge m n;
-            if quiet m then settle_idle m th ~time:m.horizon k n until;
+            if quiet m then settle_idle m th ~time:m.horizon n until;
             m.running <- -1;
             dispatch m
               (Sched_heap.reschedule m.heap ~tid ~vtime:th.vtime
@@ -862,13 +857,13 @@ let rec dispatch m next =
           end
         | Ready f ->
           m.switches <- m.switches + 1;
-          Effect.Deep.match_with f () (handler m th)
+          Effect.Deep.match_with f () m.handler
         | Finished | Failed _ -> assert false)
   end
 
-and resume m k =
+and resume m th =
   m.switches <- m.switches + 1;
-  Effect.Deep.continue k ()
+  Effect.Deep.continue th.k ()
 
 (* The end of a step that left [th]'s fiber, run in its handler once its
    state is recorded: dispatch the root [yield] handed over, or re-key
@@ -888,27 +883,33 @@ and step_ended m th ~runnable =
         (Sched_heap.reschedule m.heap ~tid:th.tid ~vtime:th.vtime ~runnable)
   end
 
-(* Built once per thread, at its first step. The [Yield] case returns
-   the same preallocated [Some suspend] at every yield, and a thread
-   that yields again from [Suspended] parks the new continuation in
-   the block it already has; a [Wait] (one per idle period, not per
-   step) allocates its own. Every case ends in [step_ended], in tail
-   position. *)
-and handler m th =
+(* Built once per machine, by [create]: every fiber of the machine runs
+   under it, and each case finds the thread that stepped as
+   [m.by_tid.(m.running)] — dispatch, a resume and [crash]'s teardown
+   all set [running] before the fiber runs. The [Yield] case returns
+   the same preallocated [Some suspend] at every yield, which parks the
+   continuation in the thread's own record; a [Wait] (one per idle
+   period, not per step) allocates its state. Every case ends in
+   [step_ended], in tail position. *)
+and handler m =
   let suspend =
     Some
       (fun k ->
+        let th = m.by_tid.(m.running) in
+        th.k <- k;
         (match th.state with
-        | Suspended s -> s.k <- k
-        | _ -> th.state <- Suspended { k });
+        | Suspended -> ()
+        | _ -> th.state <- Suspended);
         step_ended m th ~runnable:true)
   in
   { Effect.Deep.retc =
       (fun () ->
+        let th = m.by_tid.(m.running) in
         th.state <- Finished;
         step_ended m th ~runnable:false);
     exnc =
       (fun e ->
+        let th = m.by_tid.(m.running) in
         (match e with
         | Crashed -> th.state <- Finished
         | _ -> th.state <- Failed (e, Printexc.get_raw_backtrace ()));
@@ -921,9 +922,55 @@ and handler m th =
         | Wait (n, until) ->
           Some
             (fun k ->
-              th.state <- Waiting (k, n, until);
+              let th = m.by_tid.(m.running) in
+              th.k <- k;
+              th.state <- Waiting (n, until);
               step_ended m th ~runnable:true)
         | _ -> None) }
+
+(* What [create] fills the [handler] field with before it builds the
+   machine's own. *)
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { Effect.Deep.retc = ignore; exnc = raise; effc = (fun _ -> None) }
+
+let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
+    ?stall ?(jitter = 0) ?(suppress = Nvt_nvm.Suppress.ambient ())
+    ?(optimizer = Nvt_nvm.Optimizer.ambient ()) () =
+  let m =
+    { rng = Random.State.make [| seed; 0x5eed |];
+      cost;
+      eviction;
+      stall;
+      jitter;
+      threads = [];
+      by_tid = Array.make 8 dummy_thread;
+      heap = Sched_heap.create ();
+      dirty = Dirty.create ();
+      live_cells = 0;
+      next_tid = 0;
+      next_cid = 0;
+      steps = 0;
+      quanta_settled = 0;
+      switches = 0;
+      clock = 0;
+      settled = 0;
+      running = -1;
+      horizon = min_int;
+      handed = -1;
+      stop = `Completed;
+      crash_at_time = None;
+      crash_at_step = None;
+      scheduler = None;
+      stats = Stats.zero ();
+      suppress;
+      optimizer;
+      tracer = None;
+      on_step = None;
+      handler = no_handler }
+  in
+  m.handler <- handler m;
+  set_current m;
+  m
 
 let advance_to m ~time =
   set_current m;

@@ -14,8 +14,11 @@
     {!Nvt_nvm.Native}. A thread that stays the one to run next takes
     its next step without leaving its fiber; only a change of thread
     switches fibers (see {!switches}), and then the yielding fiber's
-    handler resumes the next thread's fiber directly. A step allocates
-    nothing but the continuation the runtime makes at such a switch. *)
+    handler resumes the next thread's fiber directly. Every fiber of a
+    machine runs under the machine's one effect handler, and a
+    switched-out fiber's continuation is kept in its thread's record,
+    so a step allocates nothing but the continuation the runtime makes
+    at such a switch, and a thread's first step nothing but its fiber. *)
 
 exception Corrupt_read of int
 (** Reading a cell whose contents were lost in a crash. The payload is

@@ -10,7 +10,8 @@
    list or an option per level; every structure answers a lookup with
    a constant verdict; and a thread that stays first in the schedule
    takes its next step without a fiber switch, so without a
-   continuation. These tests pin the decisions those rewrites
+   continuation, while every fiber of a machine runs under the
+   machine's one effect handler. These tests pin the decisions those rewrites
    must not change and the allocation they reached, so that a dropped
    box cannot creep back unnoticed. *)
 
@@ -267,15 +268,15 @@ let one_thread_run_near_setup () =
   in
   if wide <> [] then Alcotest.fail (String.concat "; " wide)
 
-(* Four threads reading one cell: equal costs and ties to the lowest
-   tid put a different thread first after every read, so every step
-   switches fibers. Returns the minor words [Machine.run] allocated and
-   the machine. *)
-let switching_words ~reads =
+(* [threads] threads reading one cell: equal costs and ties to the
+   lowest tid put a different thread first after every read, so every
+   step switches fibers. Returns the minor words [Machine.run] allocated
+   and the machine. *)
+let switching_words ~threads ~reads =
   let m = Machine.create () in
   let c = Sim_mem.alloc 0 in
   Machine.persist_all m;
-  for _ = 1 to 4 do
+  for _ = 1 to threads do
     ignore
       (Machine.spawn m (fun () ->
            for _ = 1 to reads do
@@ -289,21 +290,49 @@ let switching_words ~reads =
   (Gc.minor_words () -. w0, m)
 
 (* A switching step allocates exactly the continuation the runtime
-   makes when the fiber performs its effect: 2 minor words on OCaml 5.1.
-   The difference of two run lengths cancels what a run pays once
-   (each thread's handler and first fiber), so a closure, option or
-   tuple made per switch shows as a whole word more. *)
+   makes when the fiber performs its effect: 2 minor words on OCaml 5.1,
+   with 4 threads as with 64, since the machine's one handler serves
+   them all. The difference of two run lengths cancels what a run pays
+   once (each thread's first fiber), so a closure, option or tuple made
+   per switch shows as a whole word more. *)
 let switching_step_budget () =
-  let w1, m1 = switching_words ~reads:2000 in
-  let w2, m2 = switching_words ~reads:4000 in
   List.iter
-    (fun m ->
-      Alcotest.(check int) "every step switches" (Machine.steps m)
-        (Machine.switches m))
-    [ m1; m2 ];
-  Alcotest.(check (float 0.))
-    "minor words per switching step" 2.
-    ((w2 -. w1) /. float_of_int (Machine.steps m2 - Machine.steps m1))
+    (fun threads ->
+      let w1, m1 = switching_words ~threads ~reads:2000 in
+      let w2, m2 = switching_words ~threads ~reads:4000 in
+      List.iter
+        (fun m ->
+          Alcotest.(check int) "every step switches" (Machine.steps m)
+            (Machine.switches m))
+        [ m1; m2 ];
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "minor words per switching step, %d threads" threads)
+        2.
+        ((w2 -. w1) /. float_of_int (Machine.steps m2 - Machine.steps m1)))
+    [ 4; 64 ]
+
+(* With one handler per machine, a thread's first dispatch allocates
+   only what [Effect.Deep.match_with] makes to start its fiber: 5.06
+   minor words per thread on OCaml 5.1 for 64 threads that return at
+   once, 36.06 when each thread built its own handler, its three
+   closures and its [Some suspend]. The ceiling sits between the two: a
+   per-thread closure and option alone would cross it. *)
+let first_dispatch_budget () =
+  let n = 64 in
+  let m = Machine.create () in
+  for _ = 1 to n do
+    ignore (Machine.spawn m ignore)
+  done;
+  let w0 = Gc.minor_words () in
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "unrequested crash");
+  let w = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every fiber started" n (Machine.switches m);
+  if w > 10. then
+    Alcotest.failf
+      "first dispatch of %d threads: %.2f minor words per thread, ceiling 10"
+      n w
 
 (* ------------------------------------------------------------------ *)
 (* Service requests                                                    *)
@@ -384,7 +413,10 @@ let service_budgets () =
 
 (* The ledger commits a batch, one shard or spanning them all, and the
    merge barrier records and releases its events, without allocating:
-   measured on a second round, once the columns have grown. *)
+   each measured on a second round, once the first has paid the
+   first-use growth (the ledger's buffers, the native backend's
+   per-domain state, the merge columns), so the figure does not depend
+   on which tests ran before. *)
 let commit_and_merge_allocate_nothing () =
   let module Ledger = Nvt_service.Ledger in
   let logs =
@@ -402,12 +434,16 @@ let commit_and_merge_allocate_nothing () =
           res = Service.Done true })
       shards
   in
-  let spanning = batch [| 6; 2; 5; 4; 0; 2; 6; 1; 3; 7 |] in
-  let single = batch [| 3; 3; 3 |] in
+  let spanning () = batch [| 6; 2; 5; 4; 0; 2; 6; 1; 3; 7 |] in
+  let single () = batch [| 3; 3; 3 |] in
   let persist = ignore in
+  let commit b = Ledger.commit t b (Array.length b) ~persist in
+  commit (spanning ());
+  commit (single ());
+  let spanning = spanning () and single = single () in
   let w0 = Gc.minor_words () in
-  Ledger.commit t spanning (Array.length spanning) ~persist;
-  Ledger.commit t single (Array.length single) ~persist;
+  commit spanning;
+  commit single;
   let w = Gc.minor_words () -. w0 in
   if w > 0. then Alcotest.failf "%.0f minor words for two ledger commits" w;
   let m = Runner.Merge.create ~groups:2 ~shards:4 ~ack_interval:(Some 1000) in
@@ -452,6 +488,8 @@ let suite =
       `Quick one_thread_run_near_setup;
     Alcotest.test_case "a switching step allocates only its continuation"
       `Quick switching_step_budget;
+    Alcotest.test_case "a fiber's first dispatch makes no handler"
+      `Quick first_dispatch_budget;
     Alcotest.test_case "nvt setup-mode ops allocate what volatile ones do"
       `Quick nvt_near_volatile;
     Alcotest.test_case "service requests stay within their budget" `Quick
