@@ -3,92 +3,64 @@
    detectable contenders. One table of run specs, one record
    (BENCH_experiments.json, nvtraverse-experiments/1), one gate list.
 
-   A spec that repeats runs once and its result is shared: the
-   contenders' single-threaded runs are optimizer runs, and at quick
-   scale the service per-op run is the optimizer-service base run.
+   The set runs are single-threaded runs of the set-run driver
+   ([Crashlab.run]) over the nvram profile, the one thread drawing from
+   stream seed [seed * 977]. A spec that repeats runs once and its
+   result is shared: the contenders' single-threaded runs are optimizer
+   runs, and at quick scale the service per-op run is the
+   optimizer-service base run.
    Every gate is a named predicate over the rows, evaluated once; a
    gate fails when a row it needs is missing. *)
 
 module Machine = Nvt_sim.Machine
+module History = Nvt_sim.History
 module Stats = Nvt_nvm.Stats
 module Optimizer = Nvt_nvm.Optimizer
 module Workload = Nvt_workload.Workload
+module Crashlab = Nvt_harness.Crashlab
 module Mutlab = Nvt_harness.Mutlab
 module I = Nvt_harness.Instances
 module Json = Nvt_harness.Json
 module Runner = Nvt_service.Runner
 module Service = Nvt_service.Service
 
-type set_run = {
-  structure : string;
-  flavour : string;
-  plan : Optimizer.plan option;
-  seed : int;
-  ops : int;
-  range : int;
-  pct : int;
-}
+(* A set run: one driver spec over [flavour] on [structure]. *)
+type set = { structure : string; flavour : I.flavour; spec : Crashlab.spec }
 
-type run = Set of set_run | Svc of (unit -> Runner.report)
+type run = Set of set | Svc of (unit -> Runner.report)
 
-type series = {
-  stats : Stats.t;  (* the operations only: prefill excluded *)
-  history : (int * int * bool) list;  (* (op tag, key, result) *)
-  counters : Optimizer.counters;
-}
-
-(* Single-threaded, so the history is a pure function of the spec and
-   comparing it with and without a plan isolates the optimizer. *)
-let run_set (r : set_run) =
-  let (module S : Nvt_core.Set_intf.SET) =
-    List.assoc r.flavour (List.assoc r.structure (I.table ()))
-  in
-  let m =
-    Machine.create ~seed:r.seed ~cost:Nvt_nvm.Cost_model.nvram
-      ~optimizer:(Optimizer.of_plan r.plan) ()
-  in
-  let s = S.create () in
-  List.iter
-    (fun k -> if k < r.range then ignore (S.insert s ~key:k ~value:k))
-    (Workload.prefill_keys ~range:r.range);
-  Machine.persist_all m;
-  let before = Stats.copy (Machine.stats m) in
-  let hist = ref [] in
-  let g =
-    Workload.gen ~seed:(r.seed * 977) ~mix:(Workload.updates ~pct:r.pct)
-      ~range:r.range
-  in
-  ignore
-    (Machine.spawn m (fun () ->
-         for _ = 1 to r.ops do
-           let entry =
-             match Workload.next g with
-             | Workload.Insert k -> (0, k, S.insert s ~key:k ~value:k)
-             | Workload.Delete k -> (1, k, S.delete s k)
-             | Workload.Lookup k -> (2, k, S.member s k)
-           in
-           hist := entry :: !hist
-         done));
-  (match Machine.run m with
-  | Machine.Completed -> ()
-  | Machine.Crashed_at _ -> assert false);
-  { stats = Stats.diff ~after:(Machine.stats m) ~before;
-    history = List.rev !hist;
-    counters = Optimizer.counters () }
-
-(* A run that two specs share runs once. *)
-let memo f =
+(* A run that two specs share runs once: [key] names it. *)
+let memo key f =
   let tbl = Hashtbl.create 64 in
   fun x ->
-    match Hashtbl.find_opt tbl x with
+    let k = key x in
+    match Hashtbl.find_opt tbl k with
     | Some y -> y
     | None ->
       let y = f x in
-      Hashtbl.add tbl x y;
+      Hashtbl.add tbl k y;
       y
 
-let series = memo run_set
-let report = memo Runner.run
+(* Keyed by every spec field [specs] varies: a spec holds the set
+   module, which does not compare. *)
+let series =
+  memo
+    (fun { structure; flavour; spec = s } ->
+      (structure, flavour.key, s.plan, s.seed, s.ops, s.range))
+    (fun s -> Crashlab.run s.spec)
+
+let report = memo Fun.id Runner.run
+
+(* A single-threaded run's history as (op tag, key, result) triples:
+   a pure function of the spec, so comparing it with and without a plan
+   isolates the optimizer. *)
+let outcomes (r : Crashlab.run) =
+  List.map
+    (fun (e : History.event) ->
+      ( (match e.op with Insert _ -> 0 | Delete _ -> 1 | Member _ -> 2),
+        History.key_of e.op,
+        Option.get e.result ))
+    (History.events r.recorded.history)
 
 (* The config's crash-free run for its step count, then the same run
    with one crash at 90% of those steps. *)
@@ -110,12 +82,17 @@ let specs ~quick ~seed mutation =
     let ops = if quick then 1500 else 6000 in
     Set
       { structure;
-        flavour = f.key;
-        plan = (if opt then Some (plan structure f.key) else None);
-        seed;
-        ops = max 200 (int_of_float (float_of_int ops *. f.ops_scale));
-        range = (if quick then 128 else 256);
-        pct = 40 }
+        flavour = f;
+        spec =
+          { (Crashlab.spec (List.assoc f.key (List.assoc structure (I.table ()))))
+            with
+            threads = 1;
+            ops = max 200 (int_of_float (float_of_int ops *. f.ops_scale));
+            range = (if quick then 128 else 256);
+            mix = Workload.updates ~pct:40;
+            seed;
+            stream_seed = Crashlab.thread_streams;
+            plan = (if opt then Some (plan structure f.key) else None) } }
   in
   let label s key opt = s ^ "/" ^ key ^ if opt then "+opt" else "" in
   let contenders =
@@ -248,35 +225,36 @@ let flag b = if b then 1. else 0.
 (* Order-chained, so equal digests certify equal sequences. *)
 let digest h = List.fold_left (fun acc e -> Hashtbl.hash (acc, e)) 0 h
 
-let set_metrics (r : set_run) =
-  let x = series r in
-  let (module P : I.POLICY) = (Option.get (I.flavour r.flavour)).policy in
+let set_metrics s =
+  let x = series s and sp = s.spec in
+  let (module P : I.POLICY) = s.flavour.policy in
   let n m v = (m, float_of_int v, "count") in
-  let st = x.stats and c = x.counters in
-  [ ("ops", float_of_int r.ops, "op");
-    n "range" r.range;
-    ("update_pct", float_of_int r.pct, "%");
+  let st = x.stats
+  and c = Optimizer.counters_of (Machine.optimizer x.recorded.machine) in
+  [ ("ops", float_of_int sp.ops, "op");
+    n "range" sp.range;
+    ("update_pct", float_of_int (Workload.update_pct sp.mix), "%");
     ("durable", flag P.durable, "flag");
     n "flushes" st.Stats.flushes;
     n "fences" st.Stats.fences;
-    ("flushes_per_op", per st.Stats.flushes r.ops, "1/op");
-    ("fences_per_op", per st.Stats.fences r.ops, "1/op");
-    ("history_digest", float_of_int (digest x.history), "hash");
+    ("flushes_per_op", per st.Stats.flushes sp.ops, "1/op");
+    ("fences_per_op", per st.Stats.fences sp.ops, "1/op");
+    ("history_digest", float_of_int (digest (outcomes x)), "hash");
     n "coalesced_flushes" c.Optimizer.coalesced_flushes;
     n "deferred_flushes" c.Optimizer.deferred_flushes;
     n "elided_flushes" c.Optimizer.elided_flushes;
     n "elided_fences" c.Optimizer.elided_fences ]
   @
-  match r.plan with
+  match sp.plan with
   | None -> []
   | Some p ->
-    let base = series { r with plan = None } in
+    let base = series { s with spec = { sp with plan = None } } in
     let reduction f =
       let b = f base.stats in
       if b = 0 then 0. else 1. -. per (f st) b
     in
     List.map (fun s -> ("elided." ^ s, 1., "flag")) p.Optimizer.elide
-    @ [ ("identical_history", flag (x.history = base.history), "flag");
+    @ [ ("identical_history", flag (outcomes x = outcomes base), "flag");
         ("flush_reduction", reduction (fun s -> s.Stats.flushes), "ratio");
         ("fence_reduction", reduction (fun s -> s.Stats.fences), "ratio") ]
 
@@ -552,7 +530,8 @@ let pp_run (experiment, config, run) =
   | Set s ->
     let x = series s in
     Printf.printf "flush/op %7.3f  fence/op %7.3f\n%!"
-      (per x.stats.Stats.flushes s.ops) (per x.stats.Stats.fences s.ops)
+      (per x.stats.Stats.flushes s.spec.ops)
+      (per x.stats.Stats.fences s.spec.ops)
   | Svc r ->
     let r = r () in
     Printf.printf

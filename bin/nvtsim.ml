@@ -177,8 +177,8 @@ let pp_plan structure policy (p : Nvt_nvm.Optimizer.plan) =
     | [] -> ", nothing elided"
     | sites -> ", eliding " ^ String.concat ", " sites)
 
-let pp_savings () =
-  let s = Nvt_nvm.Optimizer.counters () in
+let pp_savings optimizer =
+  let s = Nvt_nvm.Optimizer.counters_of optimizer in
   Printf.printf
     "optimizer:  %d flushes coalesced, %d deferred, %d elided; %d fences \
      elided\n"
@@ -187,17 +187,23 @@ let pp_savings () =
 
 let pp_steps steps = String.concat ", " (List.map string_of_int steps)
 
-(* The run's verdict, printed last: true iff clean. *)
-let report s_name p_name crash_steps (r : H.Crashlab.report) =
-  let ops = List.length r.history in
+(* The run's verdict, printed last: true iff clean. The counters are
+   the machine's whole, the prefill and the closing invariant and size
+   walks included; [trace] is the machine's before the size walk. *)
+let report s_name p_name crash_steps (r : H.Crashlab.run) ~trace ~final_size
+    =
+  let h = r.recorded.history in
+  let ops = Nvt_sim.History.length h in
+  let stats = Machine.stats r.recorded.machine in
   Printf.printf "structure:  %s (%s)\n" s_name p_name;
-  Printf.printf "operations: %d across %d era(s)\n" ops r.eras;
-  Printf.printf "final size: %d keys\n" r.final_size;
+  Printf.printf "operations: %d across %d era(s)\n" ops
+    (Nvt_sim.History.era h + 1);
+  Printf.printf "final size: %d keys\n" final_size;
   Printf.printf "makespan:   %d simulated ns (%.3f Mops/s)\n" r.makespan
     (1e3 *. float_of_int ops /. float_of_int r.makespan);
   Printf.printf "instructions: %s\n"
-    (Format.asprintf "%a" Nvt_nvm.Stats.pp r.stats);
-  (match Nvt_nvm.Stats.sites r.stats with
+    (Format.asprintf "%a" Nvt_nvm.Stats.pp stats);
+  (match Nvt_nvm.Stats.sites stats with
   | [] -> ()
   | sites ->
     print_endline "attribution:";
@@ -217,21 +223,26 @@ let report s_name p_name crash_steps (r : H.Crashlab.report) =
       "            UNFIRED: %d of the crashes requested (steps %s) came \
        after the end of their era and never fired\n"
       unfired (pp_steps crash_steps);
-  if r.trace <> [] then begin
+  let events, dropped = trace in
+  if events <> [] then begin
     Printf.printf "trace:      last %d event(s), %d older dropped\n"
-      (List.length r.trace) r.trace_dropped;
-    List.iter
-      (fun e ->
-        Format.printf "  %a@." Nvt_sim.Machine.pp_event e)
-      r.trace
+      (List.length events) dropped;
+    List.iter (fun e -> Format.printf "  %a@." Machine.pp_event e) events
   end;
-  match r.linearizable with
-  | Ok () ->
+  match H.Crashlab.verdict r.recorded with
+  | Linearizable ->
     print_endline "verdict:    durably linearizable";
     unfired = 0
-  | Error v ->
+  | Violation v ->
     Format.printf "verdict:    VIOLATION@.%a@."
       Nvt_sim.Linearizability.pp_violation v;
+    false
+  | Unchecked key ->
+    (* the checker gave up: checked less than it was asked to *)
+    Printf.printf
+      "verdict:    UNCHECKED (key %d has more than %d overlapping events, \
+       past the linearizability checker's window)\n"
+      key Nvt_sim.Linearizability.window;
     false
 
 let run s_name p_name threads ops range seed updates eviction stall crashes
@@ -258,64 +269,56 @@ let run s_name p_name threads ops range seed updates eviction stall crashes
         usage "no policy %s for %s (available: %s)" p_name s_name
           (String.concat ", " (List.map fst variants @ [ "all" ]))
   in
-  let c =
-    { H.Crashlab.seed;
-      threads;
-      ops_per_thread = ops;
-      key_range = range;
-      mix = Nvt_workload.Workload.updates ~pct:updates;
-      cost;
-      eviction;
-      stall;
-      crash_steps = crashes;
-      trace_capacity = trace_cap }
-  in
   let opt_report = Option.map load_report optimize in
   let verdicts =
     List.map
       (fun (p_name, set) ->
-        (* the crash lab's machine is created on this domain, so it
-           captures the ambient optimizer context — install the plan
-           there for the duration of the run and report the savings *)
-        let with_plan fn =
-          match opt_report with
-          | None -> fn ()
-          | Some j ->
-            let plan =
-              H.Mutlab.plan_of_report j ~structure:s_name ~policy:p_name
-            in
-            pp_plan s_name p_name plan;
-            Nvt_nvm.Optimizer.set (Some plan);
-            Fun.protect
-              ~finally:(fun () -> Nvt_nvm.Optimizer.set None)
-              (fun () ->
-                let v = fn () in
-                pp_savings ();
-                v)
+        let plan =
+          Option.map
+            (fun j -> H.Mutlab.plan_of_report j ~structure:s_name ~policy:p_name)
+            opt_report
         in
-        with_plan @@ fun () ->
-        match H.Crashlab.run set c with
-        | r -> report s_name p_name crashes r
-        | exception Nvt_sim.Machine.Corrupt_read cid ->
-          Printf.printf
-            "structure:  %s (%s)\n\
-             verdict:    CORRUPT MEMORY (cell %d read after crash without \
-             a persistent value)\n"
-            s_name p_name cid;
-          false
-        | exception Nvt_sim.Linearizability.Too_many_events key ->
-          (* the checker gave up: checked less than it was asked to *)
-          Printf.printf
-            "structure:  %s (%s)\n\
-             verdict:    UNCHECKED (key %d has more than %d overlapping \
-             events, past the linearizability checker's window)\n"
-            s_name p_name key Nvt_sim.Linearizability.window;
-          false
-        | exception Failure msg ->
-          (* a structural invariant broke, or recovery failed *)
-          Printf.printf "structure:  %s (%s)\nverdict:    FAILED: %s\n"
-            s_name p_name msg;
-          false)
+        Option.iter (pp_plan s_name p_name) plan;
+        let spec =
+          { (H.Crashlab.spec set) with
+            threads;
+            ops = threads * ops;
+            range;
+            mix = Nvt_workload.Workload.updates ~pct:updates;
+            seed;
+            cost;
+            eviction;
+            stall;
+            plan;
+            crash_steps = crashes;
+            trace_capacity = trace_cap }
+        in
+        let clean =
+          match
+            let r = H.Crashlab.run spec in
+            let m = r.recorded.machine in
+            r.recorded.check_invariants ();
+            let trace = (Machine.trace m, Machine.trace_dropped m) in
+            (r, trace, r.recorded.size ())
+          with
+          | r, trace, final_size ->
+            report s_name p_name crashes r ~trace ~final_size
+          | exception Nvt_sim.Machine.Corrupt_read cid ->
+            Printf.printf
+              "structure:  %s (%s)\n\
+               verdict:    CORRUPT MEMORY (cell %d read after crash without \
+               a persistent value)\n"
+              s_name p_name cid;
+            false
+          | exception Failure msg ->
+            (* a structural invariant broke, or recovery failed *)
+            Printf.printf "structure:  %s (%s)\nverdict:    FAILED: %s\n"
+              s_name p_name msg;
+            false
+        in
+        (* the driver's machine, even when the run raised *)
+        if plan <> None then pp_savings (Machine.optimizer (Machine.get ()));
+        clean)
       chosen
   in
   if List.exists not verdicts then exit 1

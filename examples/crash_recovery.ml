@@ -54,7 +54,7 @@ let trial set seed =
       match Crashlab.era r with
       | Machine.Crashed_at _ -> assert false
       | Machine.Completed ->
-        if Result.is_ok (Crashlab.verdict r) then `Survived
+        if Crashlab.verdict r = Linearizable then `Survived
         else `Lost_updates)
   with
   | exception Machine.Corrupt_read _ -> `Corrupt

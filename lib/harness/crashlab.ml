@@ -1,63 +1,28 @@
-(* The crash laboratory: one recorded crash run, and the seeded
-   multi-thread workload over it behind [bin/nvtsim.exe].
+(* The crash laboratory and the one seeded set-run driver.
 
-   A recorded run is a set on a machine the caller made, pre-filled
-   and persisted, with every operation recorded in a {!History} as
-   invoke -> apply -> respond. An era runs the machine; a crash is
-   marked in the history and the set recovers. The verdict is durable
-   linearizability of the whole history against the keys the prefill
-   put in. The mutation battery, the crash tests and the
-   crash-recovery example all use this one primitive and keep only
-   their own op generators, seeds and crash placement. *)
+   A recorded run is a set on a machine, pre-filled and persisted, with
+   every operation recorded in a {!History} as invoke -> apply ->
+   respond. An era runs the machine; a crash is marked in the history
+   and the set recovers. The verdict is durable linearizability of the
+   whole history against the keys the prefill put in. The mutation
+   battery, the crash tests and the crash-recovery example use this one
+   primitive and keep only their own op generators, seeds and crash
+   placement.
+
+   [run] is the seeded set-run driver over one {!spec}: the figure
+   panels, the experiments' set runs and [nvtsim run] all run their set
+   workloads through it, so one spec names one run whichever tool asks
+   for it. Each caller keeps its own stream-seed derivation as a spec
+   field. *)
 
 module Machine = Nvt_sim.Machine
 module History = Nvt_sim.History
 module Lin = Nvt_sim.Linearizability
+module Stats = Nvt_nvm.Stats
+module Optimizer = Nvt_nvm.Optimizer
 module Workload = Nvt_workload.Workload
 
 module type SET = Nvt_core.Set_intf.SET
-
-type config = {
-  seed : int;
-  threads : int;
-  ops_per_thread : int;
-  key_range : int;
-  mix : Workload.mix;
-  cost : Nvt_nvm.Cost_model.t;
-  eviction : Machine.eviction;
-  stall : Machine.stall option;
-  crash_steps : int list;  (* one crash per era, in order *)
-  trace_capacity : int;  (* 0 = no event trace *)
-}
-
-let default_config =
-  { seed = 1;
-    threads = 4;
-    ops_per_thread = 100;
-    key_range = 64;
-    mix = Workload.default;
-    cost = Nvt_nvm.Cost_model.nvram;
-    eviction = Machine.No_eviction;
-    stall = None;
-    crash_steps = [];
-    trace_capacity = 0 }
-
-type report = {
-  history : History.event list;  (* oldest first, across every era *)
-  eras : int;
-  final_size : int;
-  makespan : int;
-  steps : int;  (* total simulator steps across all eras *)
-  crashes_requested : int;
-  crashes_fired : int;
-      (* a [crash_steps] entry beyond an era's end never fires: the era
-         completes first. Reporting requested vs fired makes that
-         visible instead of silently testing less than configured. *)
-  stats : Nvt_nvm.Stats.t;
-  linearizable : (unit, Lin.violation) result;
-  trace : Machine.event list;  (* last [trace_capacity] events *)
-  trace_dropped : int;
-}
 
 (* One recorded run. The set itself stays behind closures, so callers
    of any structure share one record type. *)
@@ -114,7 +79,18 @@ let era r =
   | Machine.Completed -> ());
   outcome
 
-let verdict r = Lin.check_set ~initial_keys:r.prefilled r.history
+type verdict =
+  | Linearizable
+  | Violation of Lin.violation
+  | Unchecked of int
+      (* the key whose history overflowed the checker's window: the run
+         checked less than it was asked to *)
+
+let verdict r =
+  match Lin.check_set ~initial_keys:r.prefilled r.history with
+  | Ok () -> Linearizable
+  | Error v -> Violation v
+  | exception Lin.Too_many_events key -> Unchecked key
 
 (* Spawn [threads] threads of [ops] uniform operations each: a key
    below [range], then insert, delete or member with equal odds. Thread
@@ -134,35 +110,98 @@ let spawn_uniform r ~threads ~ops ~range ~seed =
            done))
   done
 
-let run set (c : config) =
-  let m =
-    Machine.create ~seed:c.seed ~cost:c.cost ~eviction:c.eviction
-      ?stall:c.stall ()
-  in
-  let r =
-    start set m
-      ~prefill:
-        (List.filter (fun k -> k < c.key_range)
-           (Workload.prefill_keys ~range:c.key_range))
-  in
-  if c.trace_capacity > 0 then Machine.set_trace m ~capacity:c.trace_capacity;
-  let spawn_era () =
-    for tid = 0 to c.threads - 1 do
+type spec = {
+  set : (module SET);
+  threads : int;
+  ops : int;
+      (* per era, split across the threads: each takes [ops / threads]
+         and the first [ops mod threads] one more; a thread with none is
+         not spawned *)
+  range : int;  (* keys below it; the prefill puts in every other one *)
+  mix : Workload.mix;
+  seed : int;
+  stream_seed : seed:int -> tid:int -> era:int -> int;
+      (* thread [tid]'s op-stream seed in [era], from [seed] *)
+  cost : Nvt_nvm.Cost_model.t;
+  jitter : int;
+  eviction : Machine.eviction;
+  stall : Machine.stall option;
+  plan : Optimizer.plan option;  (* the machine's optimizer plan *)
+  crash_steps : int list;  (* one crash per era, in order *)
+  trace_capacity : int;  (* 0 = no event trace *)
+}
+
+(* The panels' and the experiments' derivation, and [nvtsim run]'s. *)
+let thread_streams ~seed ~tid ~era:_ = (seed * 977) + tid
+let era_streams ~seed ~tid ~era = seed + (31 * tid) + (977 * era)
+
+let spec set =
+  { set;
+    threads = 4;
+    ops = 400;
+    range = 64;
+    mix = Workload.default;
+    seed = 1;
+    stream_seed = era_streams;
+    cost = Nvt_nvm.Cost_model.nvram;
+    jitter = 0;
+    eviction = Machine.No_eviction;
+    stall = None;
+    plan = None;
+    crash_steps = [];
+    trace_capacity = 0 }
+
+let history_op = function
+  | Workload.Insert k -> History.Insert k
+  | Workload.Delete k -> History.Delete k
+  | Workload.Lookup k -> History.Member k
+
+(* Each thread's share of [era]'s ops, drawn from its stream up front,
+   so a run's threads execute only the set's code and its recording. *)
+let streams s ~era =
+  Array.init s.threads (fun tid ->
+      let n = (s.ops / s.threads) + if tid < s.ops mod s.threads then 1 else 0 in
       let g =
         Workload.gen
-          ~seed:(c.seed + (31 * tid) + (977 * History.era r.history))
-          ~mix:c.mix ~range:c.key_range
+          ~seed:(s.stream_seed ~seed:s.seed ~tid ~era)
+          ~mix:s.mix ~range:s.range
       in
-      ignore
-        (Machine.spawn m (fun () ->
-             for _ = 1 to c.ops_per_thread do
-               r.op
-                 (match Workload.next g with
-                 | Workload.Insert k -> History.Insert k
-                 | Workload.Delete k -> History.Delete k
-                 | Workload.Lookup k -> History.Member k)
-             done))
-    done
+      Array.init n (fun _ -> history_op (Workload.next g)))
+
+type run = {
+  recorded : recorded;
+      (* its machine (with the event trace, if the spec asked for one)
+         and history, after the last era *)
+  stats : Stats.t;
+      (* the eras' counters: the prefill excluded, taken before any
+         invariant walk *)
+  makespan : int;
+  steps : int;  (* total simulator steps across all eras *)
+  crashes_requested : int;
+  crashes_fired : int;
+      (* a [crash_steps] entry beyond an era's end never fires: the era
+         completes first. Reporting requested vs fired makes that
+         visible instead of silently testing less than configured. *)
+}
+
+(* One era per crash step, then one that runs to completion. The
+   verdict, the invariants and the final size are the caller's to ask
+   for: each is a walk a panel run does not pay for. *)
+let run s =
+  let m =
+    Machine.create ~seed:s.seed ~cost:s.cost ~jitter:s.jitter
+      ~eviction:s.eviction ?stall:s.stall
+      ~optimizer:(Optimizer.of_plan s.plan) ()
+  in
+  let r = start s.set m ~prefill:(Workload.prefill_keys ~range:s.range) in
+  if s.trace_capacity > 0 then Machine.set_trace m ~capacity:s.trace_capacity;
+  let before = Stats.copy (Machine.stats m) in
+  let spawn_era () =
+    Array.iter
+      (fun ops ->
+        if Array.length ops > 0 then
+          ignore (Machine.spawn m (fun () -> Array.iter r.op ops)))
+      (streams s ~era:(History.era r.history))
   in
   let fired = ref 0 in
   List.iter
@@ -173,23 +212,17 @@ let run set (c : config) =
       | Machine.Crashed_at _ -> incr fired
       | Machine.Completed ->
         (* The era finished before the requested step: the crash never
-           fired. Clear it and carry on, but the report will show
+           fired. Clear it and carry on, but the run will show
            [crashes_fired < crashes_requested]. *)
         Machine.clear_crash m)
-    c.crash_steps;
+    s.crash_steps;
   spawn_era ();
   (match era r with
   | Machine.Completed -> ()
   | Machine.Crashed_at _ -> assert false);
-  r.check_invariants ();
-  { history = History.events r.history;
-    eras = History.era r.history + 1;
-    final_size = r.size ();
+  { recorded = r;
+    stats = Stats.diff ~after:(Machine.stats m) ~before;
     makespan = Machine.makespan m;
     steps = Machine.steps m;
-    crashes_requested = List.length c.crash_steps;
-    crashes_fired = !fired;
-    stats = Machine.stats m;
-    linearizable = verdict r;
-    trace = Machine.trace m;
-    trace_dropped = Machine.trace_dropped m }
+    crashes_requested = List.length s.crash_steps;
+    crashes_fired = !fired }

@@ -233,13 +233,13 @@ let judge (r : Crashlab.recorded) =
       | Machine.Crashed_at _ -> assert false
       | Machine.Completed -> ());
       match Crashlab.verdict r with
-      | Ok () -> `Ok
-      | Error v -> `Violation (Format.asprintf "%a" Lin.pp_violation v))
+      | Crashlab.Linearizable -> `Ok
+      | Violation v -> `Violation (Format.asprintf "%a" Lin.pp_violation v)
+      | Unchecked key -> `Unchecked key)
   with
   | Machine.Corrupt_read cid ->
     `Violation (Printf.sprintf "corrupt read of cell %d after the crash" cid)
   | Failure msg -> `Violation ("structural failure: " ^ msg)
-  | Lin.Too_many_events key -> `Unchecked key
 
 let finding = function
   | `Violation d -> Killed d

@@ -1,9 +1,14 @@
 (* One panel per figure of the paper's evaluation (Figures 5a-f on the
    NVRAM cost profile, 6g-o on the DRAM profile). Each panel prints the
    throughput series the figure plots, plus the flush/fence mix per
-   operation that explains them. Sizes marked "(scaled)" in DESIGN.md
-   are reduced to simulation scale; EXPERIMENTS.md records the mapping
-   and compares shapes against the paper. *)
+   operation that explains them. Every sweep point of every series is
+   one run of the set-run driver ([Crashlab.run]): the structure
+   prefilled to half its key range and persisted, then the point's
+   threads splitting its op budget, thread [tid] drawing from stream
+   seed [seed * 977 + tid], with jitter 2 to break scheduling ties.
+   Sizes marked "(scaled)" in DESIGN.md are reduced to simulation
+   scale; EXPERIMENTS.md records the mapping and compares shapes
+   against the paper. *)
 
 module Cost_model = Nvt_nvm.Cost_model
 module Workload = Nvt_workload.Workload
@@ -219,14 +224,33 @@ let sweep_points = function
   | Range rs -> List.map (fun r -> (string_of_int r, `Range r)) rs
   | Updates us -> List.map (fun u -> (string_of_int u, `Updates u)) us
 
-let params_for panel point =
+(* One sweep point of one series: the total op budget is scaled by the
+   series' [ops_scale] and never falls below one op per thread. *)
+let spec_for panel (series : series) point ~seed =
   let threads, range, mix =
     match point with
     | `Threads t -> (t, panel.range, panel.mix)
     | `Range r -> (panel.threads, r, panel.mix)
     | `Updates u -> (panel.threads, panel.range, Workload.updates ~pct:u)
   in
-  { Throughput.threads; range; mix; total_ops = panel.base_ops }
+  { (Crashlab.spec series.set) with
+    threads;
+    ops =
+      max threads
+        (int_of_float (float_of_int panel.base_ops *. series.ops_scale));
+    range;
+    mix;
+    seed;
+    stream_seed = Crashlab.thread_streams;
+    cost = panel.cost;
+    jitter = 2 }
+
+(* A measured point: throughput is operations per 1e3 simulated time
+   units, Mops/s in the cost models' nanoseconds. *)
+type point = { x : int; ops : int; makespan : int; stats : Nvt_nvm.Stats.t }
+
+let mops p = 1e3 *. float_of_int p.ops /. float_of_int p.makespan
+let per_op p n = float_of_int n /. float_of_int p.ops
 
 let point_value = function `Threads n | `Range n | `Updates n -> n
 
@@ -255,22 +279,19 @@ let run_panel ?(seed = 1) (panel : panel) =
       Printf.printf "%-8s" label;
       List.iter
         (fun series ->
-          let p = params_for panel point in
-          Instances.hash_buckets := max 16 (p.range / 2);
+          let s = spec_for panel series point ~seed in
+          Instances.hash_buckets := max 16 (s.range / 2);
+          let r = Crashlab.run s in
           let p =
-            { p with
-              Throughput.total_ops =
-                max p.Throughput.threads
-                  (int_of_float
-                     (float_of_int p.Throughput.total_ops *. series.ops_scale))
-            }
+            { x = point_value point;
+              ops = s.ops;
+              makespan = max 1 r.makespan;
+              stats = r.stats }
           in
-          let r = Throughput.run series.set ~cost:panel.cost ~seed p in
           Hashtbl.replace mix_totals series.label
-            (r.flushes_per_op, r.fences_per_op);
+            (per_op p p.stats.flushes, per_op p p.stats.fences);
           Hashtbl.replace points series.label
-            ((point_value point, r)
-            :: Option.value (Hashtbl.find_opt points series.label) ~default:[]);
+            (p :: Option.value (Hashtbl.find_opt points series.label) ~default:[]);
           let acc =
             match Hashtbl.find_opt totals series.label with
             | Some acc -> acc
@@ -279,8 +300,8 @@ let run_panel ?(seed = 1) (panel : panel) =
               Hashtbl.add totals series.label acc;
               acc
           in
-          Nvt_nvm.Stats.accumulate ~into:acc r.Throughput.stats;
-          Printf.printf " %12.3f" r.mops)
+          Nvt_nvm.Stats.accumulate ~into:acc p.stats;
+          Printf.printf " %12.3f" (mops p))
         panel.series;
       print_newline ())
     (sweep_points panel.sweep);
@@ -317,15 +338,20 @@ let run_panel ?(seed = 1) (panel : panel) =
         ("points",
          Json.List
            (List.map
-              (fun (x, (r : Throughput.result)) ->
+              (fun p ->
+                let st = p.stats in
                 Json.Obj
-                  [ ("x", Json.Int x);
-                    ("mops", Json.Float r.mops);
-                    ("flushes_per_op", Json.Float r.flushes_per_op);
-                    ("fences_per_op", Json.Float r.fences_per_op);
-                    ("cas_failure_rate", Json.Float r.cas_failure_rate);
-                    ("ops", Json.Int r.ops);
-                    ("makespan", Json.Int r.makespan) ])
+                  [ ("x", Json.Int p.x);
+                    ("mops", Json.Float (mops p));
+                    ("flushes_per_op", Json.Float (per_op p st.flushes));
+                    ("fences_per_op", Json.Float (per_op p st.fences));
+                    ("cas_failure_rate",
+                     Json.Float
+                       (if st.cas = 0 then 0.0
+                        else
+                          float_of_int st.cas_failures /. float_of_int st.cas));
+                    ("ops", Json.Int p.ops);
+                    ("makespan", Json.Int p.makespan) ])
               pts));
         ("totals",
          Json.Obj

@@ -104,9 +104,10 @@ let note_empty_fence () =
   let c = ambient () in
   c.elided_fences <- c.elided_fences + 1
 
-let counters () =
-  let c = ambient () in
+let counters_of (c : t) =
   { coalesced_flushes = c.coalesced_flushes;
     deferred_flushes = c.deferred_flushes;
     elided_flushes = c.elided_flushes;
     elided_fences = c.elided_fences }
+
+let counters () = counters_of (ambient ())

@@ -81,3 +81,7 @@ val note_empty_fence : unit -> unit
 
 val counters : unit -> counters
 (** The ambient context's savings since the last {!set}. *)
+
+val counters_of : t -> counters
+(** A context's savings, e.g. a machine's
+    ({!Nvt_sim.Machine.optimizer}). *)

@@ -96,9 +96,9 @@ let set s p =
     (Option.get (I.flavour p)).I.policy
 
 let apply (type t) (module S : I.SET with type t = t) (t : t) = function
-  | W.Insert k -> ignore (S.insert t ~key:k ~value:k)
-  | W.Delete k -> ignore (S.delete t k)
-  | W.Lookup k -> ignore (S.member t k)
+  | History.Insert k -> ignore (S.insert t ~key:k ~value:k)
+  | History.Delete k -> ignore (S.delete t k)
+  | History.Member k -> ignore (S.member t k)
 
 (* Minor words per op over a fixed seeded stream of [n] ops in setup
    mode, after a warm-up stream that lets the first-use growth of the
@@ -112,7 +112,7 @@ let setup_words ~structure ~policy ~range ~update_pct ~n =
     (W.prefill_keys ~range);
   let stream seed count =
     let g = W.gen ~seed ~mix:(W.updates ~pct:update_pct) ~range in
-    Array.init count (fun _ -> W.next g)
+    Array.init count (fun _ -> Crashlab.history_op (W.next g))
   in
   Array.iter (apply (module S) t) (stream 4 200);
   let ops = stream 5 n in
@@ -125,7 +125,8 @@ let setup_words ~structure ~policy ~range ~update_pct ~n =
    jitter 2 — the flush, fence, pending write-back and eviction paths
    that setup mode skips. A step that switches fibers also pays the
    continuation the runtime makes at the switch; a step that runs on in
-   its fiber pays none. With [~setup:true] the same prefill and op
+   its fiber pays none. The op streams are the set-run driver's for the
+   same spec at seed 1. With [~setup:true] the same prefill and op
    streams are applied in setup mode instead, one stream after another:
    the run's setup-mode twin. Returns the words per op and the
    machine. *)
@@ -142,9 +143,13 @@ let run_words ?(setup = false) ~structure ~threads ~n () =
     (W.prefill_keys ~range);
   Machine.persist_all m;
   let streams =
-    Array.init threads (fun th ->
-        let g = W.gen ~seed:(977 + th) ~mix:(W.updates ~pct:50) ~range in
-        Array.init (n / threads) (fun _ -> W.next g))
+    Crashlab.streams ~era:0
+      { (Crashlab.spec (module S)) with
+        threads;
+        ops = n;
+        range;
+        mix = W.updates ~pct:50;
+        stream_seed = Crashlab.thread_streams }
   in
   let apply_all ops () = Array.iter (apply (module S) t) ops in
   if not setup then
@@ -155,7 +160,7 @@ let run_words ?(setup = false) ~structure ~threads ~n () =
      match Machine.run m with
      | Machine.Completed -> ()
      | Machine.Crashed_at _ -> Alcotest.fail "unrequested crash");
-  ((Gc.minor_words () -. w0) /. float_of_int (n / threads * threads), m)
+  ((Gc.minor_words () -. w0) /. float_of_int n, m)
 
 (* [reached] is the figure the allocation-lean path reached on OCaml
    5.1 and [before] what the same stream allocated before the typed

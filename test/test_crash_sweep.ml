@@ -17,10 +17,12 @@ let sweep name (module S : SET) ~eviction () =
   let check what (r : Crashlab.recorded) =
     r.check_invariants ();
     match Crashlab.verdict r with
-    | Ok () -> ()
-    | Error v ->
+    | Linearizable -> ()
+    | Violation v ->
       Alcotest.failf "%s: %s violates durability:@.%a" name what
         Lin.pp_violation v
+    | Unchecked key ->
+      Alcotest.failf "%s: %s left key %d unchecked" name what key
   in
   (* The crash-free run, under the same eviction, measures the run's
      length T. A crash trigger is only checked before a step, so the

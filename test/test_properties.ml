@@ -179,19 +179,24 @@ let flit_durably_linearizable =
    writers, so its flush count must sit strictly below Izraelevitz et
    al.'s flush-per-load discipline. *)
 let flit_flushes_below_izraelevitz () =
-  let module T = Nvt_harness.Throughput in
-  let run set =
-    T.run set ~cost:Nvm.Cost_model.nvram ~seed:7
-      { T.threads = 8;
-        range = 128;
-        mix = Nvt_workload.Workload.updates ~pct:0;
-        total_ops = 2000 }
+  let flushes_per_op set =
+    let r =
+      Crashlab.run
+        { (Crashlab.spec set) with
+          threads = 8;
+          ops = 2000;
+          range = 128;
+          mix = Nvt_workload.Workload.updates ~pct:0;
+          seed = 7;
+          stream_seed = Crashlab.thread_streams;
+          jitter = 2 }
+    in
+    float_of_int r.stats.flushes /. 2000.
   in
-  let flit = run (module Hl.Flit : SET) in
-  let izr = run (module Hl.Izraelevitz : SET) in
-  if flit.T.flushes_per_op >= izr.T.flushes_per_op then
-    Alcotest.failf "flit lookups flush %.2f/op, izraelevitz %.2f/op"
-      flit.T.flushes_per_op izr.T.flushes_per_op
+  let flit = flushes_per_op (module Hl.Flit : SET) in
+  let izr = flushes_per_op (module Hl.Izraelevitz : SET) in
+  if flit >= izr then
+    Alcotest.failf "flit lookups flush %.2f/op, izraelevitz %.2f/op" flit izr
 
 (* Same seed, same workload: byte-identical outcome. *)
 let determinism =

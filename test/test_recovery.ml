@@ -9,8 +9,9 @@ open Support
 let check_verdict name seed (r : Crashlab.recorded) =
   r.check_invariants ();
   match Crashlab.verdict r with
-  | Ok () -> ()
-  | Error v -> Alcotest.failf "%s seed %d: %a" name seed Lin.pp_violation v
+  | Linearizable -> ()
+  | Violation v -> Alcotest.failf "%s seed %d: %a" name seed Lin.pp_violation v
+  | Unchecked key -> Alcotest.failf "%s seed %d: key %d unchecked" name seed key
 
 (* Crash in the middle of [recover], then recover again. *)
 let crash_during_recovery name set () =

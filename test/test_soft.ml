@@ -95,22 +95,25 @@ let suppressed_insert_loses_data () =
    workload. The contenders experiment quantifies this; the test only keeps
    the direction from regressing. *)
 let soft_under_persists_nvt () =
-  let module T = Nvt_harness.Throughput in
-  let run set =
-    T.run set ~cost:Nvm.Cost_model.nvram ~seed:11
-      { T.threads = 4;
-        range = 64;
-        mix = Nvt_workload.Workload.updates ~pct:40;
-        total_ops = 1500 }
+  let per_op set =
+    let r =
+      Crashlab.run
+        { (Crashlab.spec set) with
+          ops = 1500;
+          mix = Nvt_workload.Workload.updates ~pct:40;
+          seed = 11;
+          stream_seed = Crashlab.thread_streams;
+          jitter = 2 }
+    in
+    ( float_of_int r.stats.flushes /. 1500.,
+      float_of_int r.stats.fences /. 1500. )
   in
-  let soft = run soft_hash in
-  let nvt = run (module I.Ht.Durable : SET) in
-  if soft.T.flushes_per_op >= nvt.T.flushes_per_op then
-    Alcotest.failf "soft flushes %.2f/op, nvt %.2f/op" soft.T.flushes_per_op
-      nvt.T.flushes_per_op;
-  if soft.T.fences_per_op >= nvt.T.fences_per_op then
-    Alcotest.failf "soft fences %.2f/op, nvt %.2f/op" soft.T.fences_per_op
-      nvt.T.fences_per_op
+  let soft_flushes, soft_fences = per_op soft_hash in
+  let nvt_flushes, nvt_fences = per_op (module I.Ht.Durable : SET) in
+  if soft_flushes >= nvt_flushes then
+    Alcotest.failf "soft flushes %.2f/op, nvt %.2f/op" soft_flushes nvt_flushes;
+  if soft_fences >= nvt_fences then
+    Alcotest.failf "soft fences %.2f/op, nvt %.2f/op" soft_fences nvt_fences
 
 let suite =
   matrix_cases

@@ -1,6 +1,7 @@
 (* The observability layer: per-site flush/fence/CAS attribution, the
-   bounded machine event trace, the crashlab crash-coverage counters,
-   and the JSON emitter behind [BENCH_*.json].
+   bounded machine event trace, the set-run driver's crash-coverage
+   counters, golden runs and op budget, and the JSON emitter behind
+   [BENCH_*.json].
 
    The load-bearing invariant is conservation: every counted flush,
    fence and CAS is attributed to exactly one site, so the site table
@@ -9,24 +10,26 @@
    go. *)
 
 module I = Nvt_harness.Instances
-module T = Nvt_harness.Throughput
 module Json = Nvt_harness.Json
 module Crashlab = Nvt_harness.Crashlab
 module Stats = Nvt_nvm.Stats
 module Machine = Nvt_sim.Machine
+module History = Nvt_sim.History
 module Sim_mem = Nvt_sim.Memory
 module Workload = Nvt_workload.Workload
 module Runner = Nvt_service.Runner
 
 let run_flavour (f : I.flavour) =
   let scale = if f.key = "izraelevitz" then 0.1 else f.ops_scale in
-  T.run
-    (I.instantiate_flavour f "list" (module Nvt_structures.Harris_list))
-    ~cost:Nvt_nvm.Cost_model.nvram ~seed:5
-    { T.threads = 4;
-      range = 64;
+  Crashlab.run
+    { (Crashlab.spec
+         (I.instantiate_flavour f "list" (module Nvt_structures.Harris_list)))
+      with
+      ops = int_of_float (800. *. scale);
       mix = Workload.updates ~pct:30;
-      total_ops = int_of_float (800. *. scale) }
+      seed = 5;
+      stream_seed = Crashlab.thread_streams;
+      jitter = 2 }
 
 (* Per-site counts must sum exactly to the aggregate counters of the
    same run — for every registry policy, volatile included. *)
@@ -34,7 +37,7 @@ let sites_sum_to_aggregates () =
   List.iter
     (fun (f : I.flavour) ->
       let r = run_flavour f in
-      let st = r.T.stats in
+      let st = r.Crashlab.stats in
       let fl, fe, cas =
         List.fold_left
           (fun (fl, fe, cas) (_, s) ->
@@ -63,14 +66,14 @@ let durable_policies_name_their_sites () =
       let r = run_flavour f in
       let named =
         List.filter (fun (n, _) -> n <> Stats.app_site)
-          (Stats.sites r.T.stats)
+          (Stats.sites r.Crashlab.stats)
       in
       let floor = if f.key = "soft" then 2 else 3 in
       if List.length named < floor then
         Alcotest.failf "%s attributes to only %d named site(s): %s" f.key
           (List.length named)
           (String.concat ", " (List.map fst named));
-      if r.T.stats.Stats.flushes = 0 then
+      if r.Crashlab.stats.Stats.flushes = 0 then
         Alcotest.failf "%s: durable run issued no flushes" f.key)
     I.durable_flavours
 
@@ -88,11 +91,11 @@ let nvt_sites_are_documented () =
       if name <> Stats.app_site && not (List.mem name documented) then
         Alcotest.failf "undocumented nvt site %S (documented: %s)" name
           (String.concat ", " documented))
-    (Stats.sites r.T.stats);
+    (Stats.sites r.Crashlab.stats);
   (* and the engine's boundary sites actually fire on an update run *)
   List.iter
     (fun site ->
-      if not (List.mem_assoc site (Stats.sites r.T.stats)) then
+      if not (List.mem_assoc site (Stats.sites r.Crashlab.stats)) then
         Alcotest.failf "expected site %S absent from an update-heavy run"
           site)
     [ "nvt:make_persistent"; "nvt:return_fence" ]
@@ -187,31 +190,88 @@ let nvt_list =
    silently ignored — the run reported success while testing strictly
    less than configured. It must now be visible in the report. *)
 let unreachable_crash_is_reported () =
-  let c =
-    { Crashlab.default_config with
-      threads = 2;
-      ops_per_thread = 10;
-      crash_steps = [ 10_000_000 ] }
+  let r =
+    Crashlab.run
+      { (Crashlab.spec (Lazy.force nvt_list)) with
+        threads = 2;
+        ops = 20;
+        crash_steps = [ 10_000_000 ] }
   in
-  let r = Crashlab.run (Lazy.force nvt_list) c in
   Alcotest.(check int) "requested" 1 r.Crashlab.crashes_requested;
   Alcotest.(check int) "fired" 0 r.Crashlab.crashes_fired;
   if r.Crashlab.steps <= 0 then Alcotest.fail "steps covered not recorded"
 
 let reachable_crash_fires () =
-  let c =
-    { Crashlab.default_config with
-      threads = 2;
-      ops_per_thread = 30;
-      crash_steps = [ 50 ];
-      trace_capacity = 16 }
+  let r =
+    Crashlab.run
+      { (Crashlab.spec (Lazy.force nvt_list)) with
+        threads = 2;
+        ops = 60;
+        crash_steps = [ 50 ];
+        trace_capacity = 16 }
   in
-  let r = Crashlab.run (Lazy.force nvt_list) c in
   Alcotest.(check int) "requested" 1 r.Crashlab.crashes_requested;
   Alcotest.(check int) "fired" 1 r.Crashlab.crashes_fired;
-  Alcotest.(check int) "eras" 2 r.Crashlab.eras;
-  if List.length r.Crashlab.trace > 16 then
+  Alcotest.(check int) "eras" 1 (History.era r.recorded.history);
+  if List.length (Machine.trace r.recorded.machine) > 16 then
     Alcotest.fail "crashlab trace exceeds its configured capacity"
+
+(* The driver's exact figures, recorded before the panels, the
+   experiments and [nvtsim run] moved onto it: a panel-shaped run's
+   makespan, steps and window counters, and a crashed run's shape. *)
+let set_of structure flavour =
+  List.assoc flavour (List.assoc structure (I.table ()))
+
+let driver_goldens () =
+  List.iter
+    (fun (structure, flavour, (makespan, steps, flushes, fences, cas)) ->
+      let r =
+        Crashlab.run
+          { (Crashlab.spec (set_of structure flavour)) with
+            ops = 2000;
+            range = 1024;
+            stream_seed = Crashlab.thread_streams;
+            jitter = 2 }
+      in
+      let what = structure ^ "/" ^ flavour in
+      Alcotest.(check (list int))
+        (what ^ ": makespan, steps, flushes, fences, cas")
+        [ makespan; steps; flushes; fences; cas ]
+        [ r.makespan; r.steps; r.stats.flushes; r.stats.fences; r.stats.cas ])
+    [ ("list", "nvt", (714658, 1031395, 6661, 4329, 329));
+      ("hash", "izraelevitz", (269396, 19954, 6650, 6650, 329)) ];
+  let r =
+    Crashlab.run
+      { (Crashlab.spec (set_of "hash" "nvt")) with
+        eviction = Machine.Random_eviction 0.01;
+        crash_steps = [ 300; 700 ] }
+  in
+  Alcotest.(check (list int))
+    "crashed run: eras, steps, crashes fired, history length, makespan"
+    [ 3; 3923; 2; 545; 45877 ]
+    [ History.era r.recorded.history + 1;
+      r.steps;
+      r.crashes_fired;
+      History.length r.recorded.history;
+      r.makespan ];
+  if Crashlab.verdict r.recorded <> Linearizable then
+    Alcotest.fail "crashed nvt hash run is not durably linearizable"
+
+(* A lossy policy on one key: the history overflows the checker's
+   window, and the driver's verdict says so instead of raising. *)
+let overflowing_history_is_unchecked () =
+  let r =
+    Crashlab.run
+      { (Crashlab.spec (set_of "list" "volatile")) with
+        range = 1;
+        mix = Workload.updates ~pct:50;
+        seed = 2;
+        crash_steps = [ 2000 ] }
+  in
+  match Crashlab.verdict r.recorded with
+  | Unchecked key -> Alcotest.(check int) "unchecked key" 0 key
+  | Linearizable -> Alcotest.fail "expected an unchecked history, got a verdict"
+  | Violation _ -> Alcotest.fail "expected an unchecked history, got a violation"
 
 (* ------------------------------------------------------------------ *)
 (* Regression: site-tag leak across Corrupt_read                       *)
@@ -274,6 +334,15 @@ let nvt_set key =
   match I.flavour "nvt" with
   | Some f -> I.instantiate_flavour f key (List.assoc key I.structures)
   | None -> assert false
+
+(* A crash-lab run as [nvtsim run] makes it, with the machine's whole
+   counters: the prefill and the closing invariant and size walks
+   included. *)
+let lab_run spec =
+  let r = Crashlab.run spec in
+  r.recorded.check_invariants ();
+  ignore (r.recorded.size ());
+  (r, Machine.stats r.recorded.machine)
 
 let golden_hash : row list =
   [ ("app", 2048, 1024, 636);
@@ -371,22 +440,23 @@ let check_table what expect got =
       (pp_rows expect) (pp_rows got)
 
 let golden_site_tables () =
-  let hash =
-    Crashlab.run (nvt_set "hash")
-      { Crashlab.default_config with
+  let hash, hash_stats =
+    lab_run
+      { (Crashlab.spec (nvt_set "hash")) with
         threads = 64;
-        ops_per_thread = 20;
-        key_range = 256;
+        ops = 64 * 20;
+        range = 256;
         mix = Workload.updates ~pct:50;
         eviction = Machine.Random_eviction 0.01 }
   in
-  if hash.Crashlab.linearizable <> Ok () then Alcotest.fail "hash run failed";
-  check_table "nvt hash" golden_hash (table hash.Crashlab.stats);
-  let list =
-    Crashlab.run (nvt_set "list")
-      { Crashlab.default_config with mix = Workload.updates ~pct:30 }
+  if Crashlab.verdict hash.recorded <> Linearizable then
+    Alcotest.fail "hash run failed";
+  check_table "nvt hash" golden_hash (table hash_stats);
+  let _, list_stats =
+    lab_run
+      { (Crashlab.spec (nvt_set "list")) with mix = Workload.updates ~pct:30 }
   in
-  check_table "nvt list" golden_list (table list.Crashlab.stats);
+  check_table "nvt list" golden_list (table list_stats);
   let svc =
     Runner.run
       { Runner.default_config with
@@ -402,16 +472,16 @@ let golden_site_tables () =
       match I.flavour key with
       | None -> Alcotest.failf "no flavour %s" key
       | Some f ->
-        let r =
-          Crashlab.run
-            (I.instantiate_flavour f "list" list_structure)
-            { Crashlab.default_config with
+        let _, stats =
+          lab_run
+            { (Crashlab.spec (I.instantiate_flavour f "list" list_structure))
+              with
               threads = 3;
-              ops_per_thread = 40;
+              ops = 3 * 40;
               mix = Workload.updates ~pct:40;
               crash_steps = [ 1500 ] }
         in
-        check_table (key ^ " list") expect (table r.Crashlab.stats))
+        check_table (key ^ " list") expect (table stats))
     golden_flavours
 
 (* ------------------------------------------------------------------ *)
@@ -495,23 +565,25 @@ let arithmetic_across_lengths () =
    history, site table and schedule length either way. *)
 let tracing_does_not_perturb () =
   let run trace_capacity =
-    Crashlab.run (nvt_set "hash")
-      { Crashlab.default_config with
+    lab_run
+      { (Crashlab.spec (nvt_set "hash")) with
         threads = 8;
-        ops_per_thread = 40;
+        ops = 8 * 40;
         mix = Workload.updates ~pct:50;
         eviction = Machine.Random_eviction 0.01;
         crash_steps = [ 900 ];
         trace_capacity }
   in
-  let plain = run 0 and traced = run 64 in
+  let (plain, plain_stats) = run 0 and (traced, traced_stats) = run 64 in
   Alcotest.(check int) "crash fired" 1 traced.Crashlab.crashes_fired;
-  if traced.Crashlab.trace = [] || plain.Crashlab.trace <> [] then
+  let trace (r : Crashlab.run) = Machine.trace r.recorded.machine in
+  if trace traced = [] || trace plain <> [] then
     Alcotest.fail "only the traced run records events";
-  if plain.Crashlab.history <> traced.Crashlab.history then
-    Alcotest.fail "tracing changed the history";
-  check_table "traced vs untraced" (table plain.Crashlab.stats)
-    (table traced.Crashlab.stats);
+  if
+    History.events plain.recorded.history
+    <> History.events traced.recorded.history
+  then Alcotest.fail "tracing changed the history";
+  check_table "traced vs untraced" (table plain_stats) (table traced_stats);
   Alcotest.(check int) "same steps" plain.Crashlab.steps traced.Crashlab.steps;
   Alcotest.(check int) "same makespan" plain.Crashlab.makespan
     traced.Crashlab.makespan
@@ -558,13 +630,13 @@ module Counting_set = struct
   let check_invariants _ = ()
 end
 
-(* [Throughput.run] used to compute [per_thread = max 1 (total_ops /
-   threads)]: 1000 ops over 64 threads silently ran 960, and
-   [total_ops < threads] ran *more* than requested. Exactly [total_ops]
-   operations must run, and the reported [ops] must match. *)
+(* The panels' op split used to compute [per_thread = max 1 (total_ops
+   / threads)]: 1000 ops over 64 threads silently ran 960, and
+   [total_ops < threads] ran *more* than requested. Exactly [ops]
+   operations must run, and the history must record each. *)
 let throughput_runs_exactly_total_ops () =
   List.iter
-    (fun (total_ops, threads) ->
+    (fun (ops, threads) ->
       let range = 64 in
       (* the prefill loop also calls [insert]; its call count is
          deterministic, so subtract it *)
@@ -574,18 +646,24 @@ let throughput_runs_exactly_total_ops () =
       in
       counted := 0;
       let r =
-        T.run
-          (module Counting_set)
-          ~cost:Nvt_nvm.Cost_model.nvram ~seed:11
-          { T.threads; range; mix = Workload.updates ~pct:30; total_ops }
+        Crashlab.run
+          { (Crashlab.spec (module Counting_set)) with
+            threads;
+            ops;
+            range;
+            mix = Workload.updates ~pct:30;
+            seed = 11;
+            stream_seed = Crashlab.thread_streams;
+            jitter = 2 }
       in
       Alcotest.(check int)
-        (Printf.sprintf "executed ops (%d over %d threads)" total_ops threads)
-        total_ops
+        (Printf.sprintf "executed ops (%d over %d threads)" ops threads)
+        ops
         (!counted - prefill_calls);
       Alcotest.(check int)
-        (Printf.sprintf "reported ops (%d over %d threads)" total_ops threads)
-        total_ops r.T.ops)
+        (Printf.sprintf "recorded ops (%d over %d threads)" ops threads)
+        ops
+        (History.length r.recorded.history))
     [ (1000, 64); (3, 8); (64, 64); (100, 7) ]
 
 (* ------------------------------------------------------------------ *)
@@ -742,6 +820,10 @@ let suite =
       trace_records_the_crash;
     Alcotest.test_case "unreachable crash step is reported" `Quick
       unreachable_crash_is_reported;
+    Alcotest.test_case "set-run driver reproduces its goldens" `Quick
+      driver_goldens;
+    Alcotest.test_case "overflowing history is unchecked, not raised" `Quick
+      overflowing_history_is_unchecked;
     Alcotest.test_case "reachable crash fires and is counted" `Quick
       reachable_crash_fires;
     Alcotest.test_case "corrupt read consumes the pending site tag" `Quick
