@@ -18,10 +18,10 @@
 
    Exit status: 0 only for a fully clean run; 1 for any durability
    violation, corrupt read, failed recovery/invariant, exactly-once
-   violation, a requested crash that never fired or a history with
-   more than 62 events overlapping one completed operation on a key,
-   past the linearizability checker's window (the run checked less
-   than it was asked to); 2 for any usage error, before anything
+   violation, a requested crash that never fired or a history whose
+   linearizability search on one key needs more states than the
+   checker's budget (the run checked less than it was asked to); 2 for
+   any usage error, before anything
    runs. Each flag's range is part of its converter, so an unknown
    name, a malformed number and a value out of range are all parse
    errors that name the flag and the value; the few checks that span
@@ -240,9 +240,9 @@ let report s_name p_name crash_steps (r : H.Crashlab.run) ~trace ~final_size
   | Unchecked key ->
     (* the checker gave up: checked less than it was asked to *)
     Printf.printf
-      "verdict:    UNCHECKED (key %d has more than %d overlapping events, \
-       past the linearizability checker's window)\n"
-      key Nvt_sim.Linearizability.window;
+      "verdict:    UNCHECKED (key %d needs more than %d search states, \
+       past the linearizability checker's budget)\n"
+      key Nvt_sim.Linearizability.budget;
     false
 
 let run s_name p_name threads ops range seed updates eviction stall crashes

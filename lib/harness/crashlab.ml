@@ -83,14 +83,14 @@ type verdict =
   | Linearizable
   | Violation of Lin.violation
   | Unchecked of int
-      (* the key whose history overflowed the checker's window: the run
-         checked less than it was asked to *)
+      (* the key whose search outgrew the checker's state budget: the
+         run checked less than it was asked to *)
 
 let verdict r =
   match Lin.check_set ~initial_keys:r.prefilled r.history with
   | Ok () -> Linearizable
   | Error v -> Violation v
-  | exception Lin.Too_many_events key -> Unchecked key
+  | exception Lin.Over_budget key -> Unchecked key
 
 (* Spawn [threads] threads of [ops] uniform operations each: a key
    below [range], then insert, delete or member with equal odds. Thread

@@ -167,7 +167,7 @@ let pp_attack ppf = function
 
 (* What one attack found: a durability violation (what the checker
    saw), nothing, or a history the linearizability checker could not
-   judge, naming the key whose history overflowed its window. The last
+   judge, naming the key whose search outgrew its state budget. The last
    is neither a kill nor a survival. *)
 type finding = Killed of string | Survived | Unchecked_key of int
 
@@ -212,7 +212,7 @@ let sweep (t : 'a target) : 'a swept =
    observing every key (lost completed inserts and resurrected deletes
    become visible to the checker), then check durable linearizability
    of the whole history; a corrupt read or a structural failure is a
-   violation too, and a history the checker's window cannot hold is
+   violation too, and a history the checker's state budget cannot hold is
    [`Unchecked key]. Without a crash the result carries the run's step
    count and per-site attribution table. *)
 let judge (r : Crashlab.recorded) =
@@ -385,7 +385,7 @@ type verdict =
   | Unchecked of { attack : attack; key : int }
 (* [Unkilled { expected = Some reason }]: the site is in the
    documented allowlist below. [Unchecked]: no attack killed the site,
-   and [attack]'s history overflowed the checker's window on [key], so
+   and [attack]'s history outgrew the checker's state budget on [key], so
    the battery cannot say the site survived. *)
 
 type site_report = {
@@ -900,7 +900,7 @@ let gate_of (r : report) : gate =
     unchecked :=
       ( fr.structure,
         fr.policy,
-        Format.asprintf "%s under %a: key %d overflowed the checker's window"
+        Format.asprintf "%s under %a: key %d outgrew the checker's budget"
           what pp_attack a key )
       :: !unchecked
   in

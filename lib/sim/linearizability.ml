@@ -5,10 +5,10 @@
    linearizable as a single boolean object (absent/present) — operations
    on distinct keys are independent objects. We therefore check each key
    with a DFS over linearization prefixes, memoizing on (chosen-set,
-   current state). The chosen set is the first event not chosen plus a
-   window of 62 events after it, so a key's subhistory may be as long
-   as it likes; only more than 62 events overlapping one another is
-   beyond the checker.
+   current state). The chosen set is a bitset over the key's whole
+   subhistory, so neither its length nor how many of its events overlap
+   one another bounds the check; only the number of memoised states
+   does ([budget]).
 
    Durability enters through crashed operations: an operation in flight
    at a crash may have taken effect before the crash (its effect is then
@@ -31,48 +31,44 @@ let apply op state =
   | History.Delete _ -> (state, false)
   | History.Member _ -> (state, state)
 
-exception Too_many_events of int
+exception Over_budget of int
 
-let window = 62
+let budget = 100_000
 
-(* The DFS state: [first] is the first completed event not yet taken
-   (linearized), and every event below it is taken or discarded except
-   the crashed ones listed in [opened] (descending), which may still
-   take effect; bit [b] of [mask] says whether event [first + 1 + b] is
-   taken or discarded; [state] is the object's value. Events are sorted
-   by invocation, so a prefix can only reach past [first + window]
-   across that many events overlapping a completed one. *)
+(* The DFS state is the set of events taken or discarded, one bit per
+   event of the key's subhistory, and the object's value; [first], the
+   first completed event not taken, and [opened], the crashed events
+   below it not taken (descending), which may still take effect, are
+   functions of the set kept alongside it. The memo is keyed on the set
+   and the value, so a key's subhistory may be as long and overlap as
+   widely as it likes; a search that would memoise more than [budget]
+   states raises [Over_budget key] instead. *)
 let check_key ~key ~initial (evs : History.event array) =
   let n = Array.length evs in
-  let taken (first, mask, opened) j =
-    if j < first then not (List.mem j opened)
-    else
-      j > first
-      && j - first <= window
-      && mask land (1 lsl (j - first - 1)) <> 0
+  let bit bits j =
+    Char.code (Bytes.get bits (j lsr 3)) land (1 lsl (j land 7)) <> 0
   in
-  (* Move [first] to the next completed event not taken, opening the
-     crashed ones it passes; bit 0 of [mask] is event [f]'s. *)
-  let rec settle f mask opened =
-    if f < n && (mask land 1 <> 0 || evs.(f).crashed) then
-      settle (f + 1) (mask lsr 1)
-        (if mask land 1 = 0 then f :: opened else opened)
-    else (f, mask lsr 1, opened)
+  let set bits j =
+    let b = j lsr 3 in
+    Bytes.set bits b
+      (Char.chr (Char.code (Bytes.get bits b) lor (1 lsl (j land 7))))
   in
-  (* Mark event [j], not taken, taken. *)
-  let take (first, mask, opened) j =
-    if j < first then (first, mask, List.filter (( <> ) j) opened)
-    else if j > first then (first, mask lor (1 lsl (j - first - 1)), opened)
-    else settle (first + 1) mask opened
+  (* Move [f] to the next completed event not taken, opening the
+     crashed ones it passes. *)
+  let rec settle bits f opened =
+    if f < n && (bit bits f || evs.(f).crashed) then
+      settle bits (f + 1) (if bit bits f then opened else f :: opened)
+    else (f, opened)
   in
   let visited = Hashtbl.create 97 in
-  let rec dfs ((first, _, opened) as at) state =
+  let rec dfs bits first opened state =
     (* every completed event is taken; the crashed ones left can all be
        discarded *)
     if first >= n then true
-    else if Hashtbl.mem visited (at, state) then false
+    else if Hashtbl.mem visited (bits, state) then false
     else begin
-      Hashtbl.add visited (at, state) ();
+      if Hashtbl.length visited >= budget then raise (Over_budget key);
+      Hashtbl.add visited (bits, state) ();
       (* the earliest response of a completed event not yet taken: an
          event invoked after it cannot be next. Responses are no
          earlier than invocations, so the scan stops at the first event
@@ -80,7 +76,7 @@ let check_key ~key ~initial (evs : History.event array) =
       let horizon = ref max_int and j = ref first in
       while !j < n && evs.(!j).invoke <= !horizon do
         let f = evs.(!j) in
-        if (not f.crashed) && (not (taken at !j)) && f.response < !horizon then
+        if (not f.crashed) && (not (bit bits !j)) && f.response < !horizon then
           horizon := f.response;
         incr j
       done;
@@ -91,33 +87,36 @@ let check_key ~key ~initial (evs : History.event array) =
         let expected, state' = apply e.op state in
         (match e.result with None -> true | Some r -> r = expected)
         && begin
-          if i - first > window then raise (Too_many_events key);
           (* crashed events that must precede [e] but were never taken
              are discarded alongside it; they were invoked before it *)
-          let after = ref (take at i) in
+          let after = Bytes.copy bits in
+          set after i;
           List.iter
-            (fun j ->
-              if evs.(j).response < e.invoke then after := take !after j)
+            (fun j -> if evs.(j).response < e.invoke then set after j)
             opened;
           for j = first to i - 1 do
             let f = evs.(j) in
-            if f.crashed && f.response < e.invoke && not (taken at j) then
-              after := take !after j
+            if f.crashed && f.response < e.invoke then set after j
           done;
-          dfs !after state'
+          let first', opened' =
+            settle after first (List.filter (fun j -> not (bit after j)) opened)
+          in
+          dfs after first' opened' state'
         end
       in
       List.exists try_next opened
       ||
       let ok = ref false and i = ref first in
       while (not !ok) && !i < n && evs.(!i).invoke <= !horizon do
-        if (not (taken at !i)) && try_next !i then ok := true;
+        if (not (bit bits !i)) && try_next !i then ok := true;
         incr i
       done;
       !ok
     end
   in
-  dfs (settle 0 0 []) initial
+  let bits = Bytes.make ((n + 7) / 8) '\000' in
+  let first, opened = settle bits 0 [] in
+  dfs bits first opened initial
 
 let check_set ?(initial_keys = []) (h : History.t) =
   let by_key : (int, History.event list) Hashtbl.t = Hashtbl.create 64 in

@@ -16,14 +16,13 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-exception Too_many_events of int
-(** A linearization prefix of a key's subhistory reached more than
-    {!window} events past the first event it had not taken (the DFS
-    keeps a window bitmask there); raised with the offending key. Only
-    a history with more than {!window} events overlapping one another
-    can get there. *)
+exception Over_budget of int
+(** The DFS over a key's linearization prefixes would memoise more than
+    {!budget} states; raised with the offending key. The memo's chosen
+    set spans the key's whole subhistory, so a history of any length
+    and any overlap is checked unless its search outgrows the budget. *)
 
-val window : int
+val budget : int
 
 val check_set : ?initial_keys:int list -> History.t -> (unit, violation) result
 (** [initial_keys] are present before the history begins (pre-filled and

@@ -27,11 +27,13 @@
    crash). [flush] initiates a write-back of the current volatile value;
    the write-back completes at the thread's next [fence]. Write-backs of
    the same cell serialize as cache coherence serializes them on real
-   hardware: each carries a per-cell sequence number drawn at flush
-   time, and completing one is a no-op if a newer write-back of that
-   cell has already persisted. Independently, an eviction adversary may
-   persist the current value of any dirty cell at any scheduling step,
-   modelling uncontrolled cache evictions.
+   hardware: each carries a sequence number drawn at flush time from
+   the machine's one counter, and completing one is a no-op if a newer
+   write-back of that cell has already persisted. Independently, an
+   eviction adversary may persist the current value of any dirty cell
+   at any scheduling step, modelling uncontrolled cache evictions. A
+   cell is a 7-word block (6 fields and a header), since cells are most
+   of what a large structure allocates.
 
    On a crash, each pending (flushed but not yet fenced) write-back
    completes with probability 1/2, everything else volatile is lost, and
@@ -61,23 +63,51 @@ type eviction =
       (** at each step, with this probability, one random dirty cell is
           persisted behind the program's back *)
 
+(* One shared word: 6 fields, 7 words with the header.
+
+   [meta] is the line state in one int: bit 0 says the content was lost
+   in a crash (corrupt), bit 1 that the line was flushed or evicted out
+   of the cache (invalid: the next read misses), and the bits above
+   hold the last writer's tid + 1, 0 when the line is shared. A valid
+   line the running thread wrote last reads [owned tid], a shared one 0,
+   so the read path tells a hit from a corrupt, invalid or foreign line
+   by comparing one word with those two.
+
+   [pst_seq] is the sequence of the write-back that persisted [pst].
+   Sequences are drawn from the machine's counter ([next_wb_seq]) as
+   one more than both the counter and the cell's own [pst_seq], so the
+   write-backs of one cell carry increasing sequences in issue order,
+   and only write-backs of the same cell are ever compared. Every
+   stale-write-back decision is then the one a per-cell counter makes.
+   The [pst_seq] term covers a cell persisted under one machine and
+   written back under another (a structure built on one machine, run
+   on the next): its next write-back still outranks the persisted one.
+   No write-back of such a cell can still be pending from the first
+   machine. A pending write-back sits in a thread of its machine's
+   current era, and only that thread's fence or that machine's crash
+   completes it. Two machines touch the same cells only one after the
+   other: a driver that runs several at once (the service runner, the
+   interleaved tests) gives each its own cells. *)
 type 'a cell = {
-  cid : int;
   mutable vol : 'a;
+  mutable meta : int;
   mutable pst : 'a;  (* the persisted value, if [pst_seq > 0] *)
-  mutable corrupt : bool;
-  mutable owner : int;  (* last writer's tid; -1 when shared *)
-  mutable invalid : bool;  (* flushed out of the cache; next read misses *)
+  mutable pst_seq : int;  (* 0: never persisted *)
   mutable dirty_ix : int;  (* slot in the machine's dirty set; -1 if clean *)
-  mutable wb_seq : int;  (* sequence of the last initiated write-back *)
-  mutable pst_seq : int;  (* [wb_seq] of [pst]; 0: never persisted *)
+  cid : int;
 }
 
 type any_cell = Any_cell : 'a cell -> any_cell [@@unboxed]
 
+let corrupt_bit = 1
+let invalid_bit = 2
+
+(* The [meta] of a valid line [tid] wrote last; setup mode's -1 gives
+   0, shared. *)
+let owned tid = (tid + 1) lsl 2
+
 let dummy_cell =
-  { cid = -1; vol = (); pst = (); corrupt = false; owner = -1;
-    invalid = false; dirty_ix = -1; wb_seq = 0; pst_seq = 0 }
+  { vol = (); meta = 0; pst = (); pst_seq = 0; dirty_ix = -1; cid = -1 }
 
 (* The dirty table: an intrusive swap-remove array over type-erased
    cells, giving O(1) closure-free [mark_dirty] and O(1) random victim
@@ -97,8 +127,8 @@ type pending = {
   mutable p_seq : int;
 }
 (* One flushed-but-unfenced write-back: the cell, the value captured at
-   flush time, and the cell's write-back sequence number drawn when the
-   flush was issued. Write-backs of one line serialize through cache
+   flush time, and the write-back sequence drawn when the flush was
+   issued. Write-backs of one line serialize through cache
    coherence, so completing an *older* write-back after a newer one has
    already persisted must be a no-op — without the sequence check, a
    thread that stalls between flush and fence could overwrite another
@@ -211,6 +241,7 @@ type t = {
   heap : Sched_heap.t;  (* exactly the runnable threads, keyed (vtime, tid) *)
   dirty : Dirty.t;
   mutable live_cells : int;  (* allocs minus retires: the working set *)
+  mutable wb_seq : int;  (* the sequence the latest write-back drew *)
   mutable next_tid : int;
   mutable next_cid : int;
   mutable steps : int;
@@ -373,12 +404,18 @@ let set_pst m c v seq =
   c.pst <- v;
   if c.dirty_ix >= 0 && cell_is_clean c then Dirty.remove m.dirty (Any_cell c)
 
+(* The sequence of a write-back of [c] issued now: above every
+   sequence this machine drew and above the one [c] persisted with
+   (see [cell]). *)
+let next_wb_seq m c =
+  let s = 1 + Int.max m.wb_seq c.pst_seq in
+  m.wb_seq <- s;
+  s
+
 (* Direct persistence of the current value (setup flushes, [persist_all],
    eviction): initiate and complete a write-back in one step, so it is
    by construction the newest for its cell. *)
-let persist_value m c v =
-  c.wb_seq <- c.wb_seq + 1;
-  set_pst m c v c.wb_seq
+let persist_value m c v = set_pst m c v (next_wb_seq m c)
 
 let maybe_evict m =
   match m.eviction with
@@ -395,7 +432,7 @@ let maybe_evict m =
            read must miss — exactly like the clwb-style flush paths,
            and gated on the same cost-model switch so the free/uniform
            profiles (which model no cache at all) are unaffected *)
-        if m.cost.flush_invalidates then c.invalid <- true
+        if m.cost.flush_invalidates then c.meta <- c.meta lor invalid_bit
       end
     end
 
@@ -454,10 +491,14 @@ let settle_pending m p ~persist =
   p.p_cell <- Any_cell dummy_cell;
   p.p_val <- Obj.repr 0
 
+(* Lose the volatile line: shared, valid, and corrupt unless it was
+   ever persisted. *)
 let wipe_cell c =
-  if c.pst_seq > 0 then c.vol <- c.pst else c.corrupt <- true;
-  c.owner <- -1;
-  c.invalid <- false
+  if c.pst_seq > 0 then begin
+    c.vol <- c.pst;
+    c.meta <- c.meta land corrupt_bit
+  end
+  else c.meta <- corrupt_bit
 
 let mark_dirty m c =
   if c.dirty_ix < 0 && not (cell_is_clean c) then Dirty.add m.dirty (Any_cell c)
@@ -468,8 +509,8 @@ let alloc v =
   m.next_cid <- cid + 1;
   m.live_cells <- m.live_cells + 1;
   let c =
-    { cid; vol = v; pst = v; corrupt = false; owner = current_tid m;
-      invalid = false; dirty_ix = -1; wb_seq = 0; pst_seq = 0 }
+    { vol = v; meta = owned (current_tid m); pst = v; pst_seq = 0;
+      dirty_ix = -1; cid }
   in
   mark_dirty m c;
   m.stats.allocs <- m.stats.allocs + 1;
@@ -486,7 +527,7 @@ let retire m n = if n > 0 then m.live_cells <- Int.max 0 (m.live_cells - n)
 let live_cells m = m.live_cells
 
 let check_corrupt c =
-  if c.corrupt then begin
+  if c.meta land corrupt_bit <> 0 then begin
     (* An instrumentation layer may have tagged this access just
        before it raised; consume the tag here or it would
        mis-attribute the next counted access. *)
@@ -501,17 +542,17 @@ let capacity_miss m =
   && m.live_cells > m.cost.capacity_lines
   && Random.State.int m.rng m.live_cells >= m.cost.capacity_lines
 
+(* A line that is neither shared and valid (0) nor valid and the
+   reader's own is corrupt, invalid or another thread's: only then is
+   it tested for corruption, and it misses. A miss leaves it shared. *)
 let read c =
   let m = get () in
-  check_corrupt c;
+  let meta = c.meta in
+  let foreign = meta <> 0 && meta <> owned (current_tid m) in
+  if foreign then check_corrupt c;
   m.stats.reads <- m.stats.reads + 1;
-  let me = current_tid m in
-  let miss =
-    c.invalid || (c.owner <> -1 && c.owner <> me) || capacity_miss m
-  in
-  if miss then begin
-    c.invalid <- false;
-    c.owner <- -1;
+  if foreign || capacity_miss m then begin
+    c.meta <- 0;
     charge m m.cost.read_miss
   end
   else charge m m.cost.read_hit;
@@ -521,16 +562,15 @@ let read c =
 
 let write c v =
   let m = get () in
-  (* overwriting a corrupted cell redefines its contents *)
-  c.corrupt <- false;
   m.stats.writes <- m.stats.writes + 1;
   if tracing m then
     record_event m
       (Ev_write { step = m.steps; tid = current_tid m; cid = c.cid });
   let me = current_tid m in
-  if c.owner <> me then charge m m.cost.read_miss;
-  c.owner <- me;
-  c.invalid <- false;
+  if c.meta lsr 2 <> me + 1 then charge m m.cost.read_miss;
+  (* the writer owns a valid line; overwriting a corrupted cell
+     redefines its contents *)
+  c.meta <- owned me;
   c.vol <- v;
   mark_dirty m c;
   charge m m.cost.write;
@@ -542,9 +582,8 @@ let cas c ~expected ~desired =
   check_corrupt c;
   let site = Stats.take_at cur.pending in
   let me = current_tid m in
-  if c.owner <> me then charge m m.cost.read_miss;
-  c.owner <- me;
-  c.invalid <- false;
+  if c.meta lsr 2 <> me + 1 then charge m m.cost.read_miss;
+  c.meta <- owned me;
   charge m m.cost.cas;
   let ok = c.vol == expected in
   Stats.record_cas m.stats ~site ~ok;
@@ -569,16 +608,14 @@ let flush c =
          { step = m.steps; tid = current_tid m; cid = c.cid;
            site = Stats.name site });
   let v = c.vol in
-  if m.cost.flush_invalidates then c.invalid <- true;
+  if m.cost.flush_invalidates then c.meta <- c.meta lor invalid_bit;
   if cell_is_clean c then
     (* no write-back occurs for a clean line; only the instruction (and
        the invalidation above) is paid *)
     charge m m.cost.flush_clean
   else begin
-    (if m.running >= 0 then begin
-       c.wb_seq <- c.wb_seq + 1;
-       push_pending m.by_tid.(m.running) c v c.wb_seq
-     end
+    (if m.running >= 0 then
+       push_pending m.by_tid.(m.running) c v (next_wb_seq m c)
      else
        (* setup mode: flushes take effect immediately *)
        persist_value m c v);
@@ -947,6 +984,7 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       heap = Sched_heap.create ();
       dirty = Dirty.create ();
       live_cells = 0;
+      wb_seq = 0;
       next_tid = 0;
       next_cid = 0;
       steps = 0;

@@ -41,7 +41,14 @@ type stall = {
     a not-yet-fenced link) only open under stalls. *)
 
 type 'a cell
-(** One shared mutable word with volatile and persistent state. *)
+(** One shared mutable word with volatile and persistent state: a
+    7-word block (6 fields and a header). Its line state (corrupt,
+    invalid, owner) is packed in one int, and the sequence numbers
+    that order its write-backs come from one counter per machine, not
+    from a counter of its own: drawn above both the machine's last
+    sequence and the one the cell last persisted with, they increase
+    in issue order for each cell, even for a cell persisted under one
+    machine and written back under another. *)
 
 type outcome = Completed | Crashed_at of int
 

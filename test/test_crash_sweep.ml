@@ -128,6 +128,132 @@ let stale_write_back_dropped () =
     (Sim_mem.read cell)
 
 (* ------------------------------------------------------------------ *)
+(* The line state and the write-back order                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [f] as the one thread of a new era of [m], to completion. *)
+let era m f =
+  ignore (Machine.spawn m f);
+  match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "unrequested crash"
+
+(* What a line's state charges, seen from the threads' virtual time:
+   each era below is one thread, a new tid, touching one cell. With no
+   jitter and one live line, a read costs [read_hit] or [read_miss]
+   and nothing else, and a write [write], plus [read_miss] when the
+   writer does not own the line. *)
+let line_state_charges () =
+  let cost = Nvt_nvm.Cost_model.nvram in
+  let hit = cost.read_hit and miss = cost.read_miss in
+  let check ?(eviction = Machine.No_eviction) steps =
+    let m = Machine.create ~cost ~eviction () in
+    let c = Sim_mem.alloc 0 in
+    Machine.persist_all m;
+    List.iter
+      (fun (name, want, body) ->
+        let costs = ref [] in
+        let charged op =
+          let t = Machine.now m in
+          op ();
+          costs := (Machine.now m - t) :: !costs
+        in
+        let read () = charged (fun () -> ignore (Sim_mem.read c)) in
+        let write v = charged (fun () -> Sim_mem.write c v) in
+        era m (fun () -> body ~read ~write c);
+        Alcotest.(check (list int)) name want (List.rev !costs))
+      steps
+  in
+  check
+    [ ("a shared line hits", [ hit ], fun ~read ~write:_ _ -> read ());
+      ( "writing a shared line misses, the writer's next read hits",
+        [ miss + cost.write; hit ],
+        fun ~read ~write _ ->
+          write 1;
+          read () );
+      ( "another thread's line misses once: the miss shares it",
+        [ miss; hit ],
+        fun ~read ~write:_ _ ->
+          read ();
+          read () );
+      ( "an own line written again costs the write alone",
+        [ miss + cost.write; cost.write ],
+        fun ~read:_ ~write _ ->
+          write 2;
+          write 3 );
+      ( "a flushed own line misses once",
+        [ miss + cost.write; hit; miss; hit ],
+        fun ~read ~write c ->
+          write 4;
+          read ();
+          Sim_mem.flush c;
+          Sim_mem.fence ();
+          read ();
+          read () ) ];
+  (* every step evicts the one dirty line: the write's line is gone
+     from the cache by the read that follows it *)
+  check ~eviction:(Machine.Random_eviction 1.)
+    [ ( "an evicted own line misses once",
+        [ miss; hit ],
+        fun ~read ~write:_ c ->
+          Sim_mem.write c 1;
+          read ();
+          read () ) ]
+
+(* A cell never persisted is corrupt after a crash: a read, a CAS and
+   a flush of it raise. A write redefines its contents, and once
+   persisted it survives the next crash with its persisted value. *)
+let corrupt_until_written () =
+  let m = Machine.create () in
+  let c = Sim_mem.alloc 0 in
+  let kept = Sim_mem.alloc 7 in
+  Sim_mem.flush kept;
+  ignore (Machine.force_crash m);
+  let corrupt name op =
+    match op () with
+    | () -> Alcotest.failf "%s of a corrupt cell went through" name
+    | exception Machine.Corrupt_read _ -> ()
+  in
+  corrupt "a read" (fun () -> ignore (Sim_mem.read c));
+  corrupt "a CAS" (fun () -> ignore (Sim_mem.cas c ~expected:0 ~desired:1));
+  corrupt "a flush" (fun () -> Sim_mem.flush c);
+  Alcotest.(check int) "a persisted cell is intact" 7 (Sim_mem.read kept);
+  Sim_mem.write c 5;
+  Alcotest.(check int) "a write clears the corruption" 5 (Sim_mem.read c);
+  ignore (Machine.force_crash m);
+  corrupt "a read after a second crash" (fun () -> ignore (Sim_mem.read c));
+  Sim_mem.write c 5;
+  Sim_mem.flush c;
+  Sim_mem.write c 6;
+  ignore (Machine.force_crash m);
+  Alcotest.(check int) "the persisted value survives" 5 (Sim_mem.read c)
+
+(* A cell persisted many times under one machine, then written,
+   flushed and fenced under a fresh one: the second machine's
+   write-back is the newer one, and it stays. Re-installing the value
+   read is how the test sees the persisted value: had the fence
+   dropped the write-back, the line would be dirty again and the crash
+   would roll it back to 20. *)
+let second_machine_write_back () =
+  let m1 = Machine.create () in
+  let c = Sim_mem.alloc 0 in
+  era m1 (fun () ->
+      for i = 1 to 20 do
+        Sim_mem.write c i;
+        Sim_mem.flush c;
+        Sim_mem.fence ()
+      done);
+  let m2 = Machine.create () in
+  era m2 (fun () ->
+      Sim_mem.write c 100;
+      Sim_mem.flush c;
+      Sim_mem.fence ();
+      Sim_mem.write c (Sim_mem.read c));
+  ignore (Machine.force_crash m2);
+  Alcotest.(check int) "the second machine's value survives" 100
+    (Sim_mem.read c)
+
+(* ------------------------------------------------------------------ *)
 (* Golden recorded runs                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -173,7 +299,14 @@ let golden_runs () =
 
 let suite =
   (Alcotest.test_case "a stalled fence cannot resurrect a stale write-back"
-     `Quick stale_write_back_dropped :: list_sweeps)
+     `Quick stale_write_back_dropped
+  :: Alcotest.test_case "a line's state sets what each access charges" `Quick
+       line_state_charges
+  :: Alcotest.test_case "a never-persisted cell is corrupt until written"
+       `Quick corrupt_until_written
+  :: Alcotest.test_case "a write-back under a second machine stays" `Quick
+       second_machine_write_back
+  :: list_sweeps)
   @ [ Alcotest.test_case "ellen bst" `Quick
       (sweep "ellen" (module Eb.Durable) ~eviction:Machine.No_eviction);
     Alcotest.test_case "natarajan bst" `Quick

@@ -106,7 +106,7 @@ let per_key_independence () =
       Op (1, mem 1, Some true, 40, 50, false);
       Op (0, del 2, Some true, 60, 70, false) ]
 
-(* ---- long subhistories: the window after the first open event ---- *)
+(* ---- long subhistories and wide overlaps ---- *)
 
 (* [n] operations on key 1 by two threads whose intervals overlap
    pairwise: thread 0 inserts and deletes in turn, thread 1 reads in
@@ -145,21 +145,37 @@ let long_subhistories () =
 
 (* A member that answers true while 70 absent-reads run inside its
    interval: the checker must take all of them before it can take the
-   member, a prefix reaching past its window. *)
-let overlapping_raises () =
-  let rows =
+   member, a prefix reaching 71 events past the first it has not
+   taken. Once past a 62-event window, it is checked like any other;
+   a delete that finds the key present among the reads is not. *)
+let overlapping_checked () =
+  let rows ~deleted =
     Op (0, mem 1, Some true, 0, 10_000, false)
     :: Op (2, ins 1, Some true, 9_000, 9_010, false)
     :: List.init 70 (fun i ->
            let t = 10 + (10 * i) in
-           Op (1, mem 1, Some false, t, t + 5, false))
+           if deleted && i = 35 then Op (1, del 1, Some true, t, t + 5, false)
+           else Op (1, mem 1, Some false, t, t + 5, false))
   in
-  match Lin.check_set (mk_history rows) with
-  | _ -> Alcotest.fail "72 overlapping events were checked"
-  | exception Lin.Too_many_events 1 -> ()
+  accepts "72 overlapping events" (rows ~deleted:false);
+  rejects "72 overlapping events, a delete finds the key" (rows ~deleted:true)
 
-(* The checker as it was, with the whole chosen set in one bitmask (at
-   most 62 events): the model the windowed checker must agree with. *)
+(* Seventeen absent-reads that all overlap one another and a member
+   that answers true, with no insert: every subset of the reads is a
+   prefix the search must rule out before it rejects, 2^17 states, past
+   the budget. The check gives up loudly instead of running on. *)
+let over_budget_raises () =
+  let rows =
+    Op (0, mem 1, Some true, 0, 100, false)
+    :: List.init 17 (fun i -> Op (i + 1, mem 1, Some false, i, 100 + i, false))
+  in
+  assert (1 lsl 17 > Lin.budget);
+  match Lin.check_set (mk_history rows) with
+  | _ -> Alcotest.fail "a search past the budget gave a verdict"
+  | exception Lin.Over_budget 1 -> ()
+
+(* The checker with the whole chosen set in one int bitmask (at most
+   62 events): the model the bitset checker must agree with. *)
 let model_check_key ~initial (evs : History.event array) =
   let n = Array.length evs in
   let full = (1 lsl n) - 1 in
@@ -205,7 +221,7 @@ let model_check_key ~initial (evs : History.event array) =
 (* Random one-key histories of up to 14 events over three threads, with
    crashes, results drawn at random (so most are not linearizable) and
    a random initial state: both checkers give the same verdict. *)
-let windowed_matches_model () =
+let bitset_matches_model () =
   let verdicts = Array.make 2 0 in
   for seed = 0 to 1999 do
     let rng = Random.State.make [| seed; 0x11e |] in
@@ -240,7 +256,7 @@ let windowed_matches_model () =
       |> Result.is_ok
     in
     if got <> want then
-      Alcotest.failf "seed %d: windowed checker says %b, model %b" seed got
+      Alcotest.failf "seed %d: bitset checker says %b, model %b" seed got
         want;
     verdicts.(Bool.to_int want) <- verdicts.(Bool.to_int want) + 1
   done;
@@ -254,7 +270,9 @@ let suite =
     Alcotest.test_case "crash semantics" `Quick crashes;
     Alcotest.test_case "per-key independence" `Quick per_key_independence;
     Alcotest.test_case "subhistories past 62 events" `Quick long_subhistories;
-    Alcotest.test_case "62 overlapping events still raise" `Quick
-      overlapping_raises;
-    Alcotest.test_case "windowed checker = the bitmask checker" `Quick
-      windowed_matches_model ]
+    Alcotest.test_case "72 overlapping events are checked" `Quick
+      overlapping_checked;
+    Alcotest.test_case "a search past the state budget raises" `Quick
+      over_budget_raises;
+    Alcotest.test_case "bitset checker = the bitmask checker" `Quick
+      bitset_matches_model ]
