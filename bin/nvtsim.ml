@@ -420,7 +420,7 @@ let svc_policy =
     & info [ "policy"; "p" ] ~doc:("Persistence policy: " ^ policy_doc))
 
 let shards = count [ "shards" ] 4 "Shard count."
-(* an arrival id holds the client in 16 bits *)
+(* an arrival stamp holds the client in 16 bits *)
 let clients =
   let max = Nvt_service.Oracle.max_clients in
   Arg.(

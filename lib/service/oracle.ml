@@ -8,41 +8,41 @@
    Per-request state is flat: a request is its arrival number, the
    position of its arrival in the schedule, and each field is an int
    array indexed by it, so the oracle holds no block per request: one
-   state word (acknowledgements, applies and the recorded result), the
-   commit position and the latency. Events find the arrival number
-   through a dense index, one int array per client indexed by seq, so
-   no event hashes a tuple; they arrive as ints (client, seq, and a
-   result as a tag and a value), so no event needs a request or a
-   result built for it. *)
+   state word (acknowledgements, applies and the recorded result) and,
+   on runs that may crash, the commit position. The latency replaces
+   the arrival time in the schedule's stamp. Events find the arrival
+   number through a dense index, one int array per client holding its
+   arrival numbers in seq order, so no event hashes a tuple; they
+   arrive as ints (client, seq, and a result as a tag and a value), so
+   no event needs a request or a result built for it. A pass over
+   arrival numbers counts each client's seqs as it goes; an arrival
+   number alone finds its seq by a binary search of its client's row. *)
 
 type arrivals = {
-  a_id : int array;
   a_op : Service.op array;
-  a_time : int array;
+  a_stamp : int array;
 }
 
-(* An arrival id keeps the client in its low [client_bits] bits and the
-   seq above them. *)
+(* A stamp keeps the client in its low [client_bits] bits and the
+   arrival time above them; once acknowledged, the latency. *)
 let client_bits = 16
 let client_mask = (1 lsl client_bits) - 1
 let max_clients = 1 lsl client_bits
-let seq_limit = 1 lsl (Sys.int_size - 1 - client_bits)
+let time_bits = Sys.int_size - 1 - client_bits
 
-let pack ~client ~seq =
+let stamp ~client ~time =
   let reject why =
     invalid_arg
-      (Printf.sprintf "Oracle.pack: client=%d seq=%d %s" client seq why)
+      (Printf.sprintf "Oracle.stamp: client=%d time=%d %s" client time why)
   in
   if client < 0 || client >= max_clients then
     reject (Printf.sprintf "has a client outside [0, %d)" max_clients)
-  else if seq < 0 || seq >= seq_limit then
-    reject
-      (Printf.sprintf "has a seq outside [0, 2^%d)"
-         (Sys.int_size - 1 - client_bits))
-  else (seq lsl client_bits) lor client
+  else if time < 0 || time >= 1 lsl time_bits then
+    reject (Printf.sprintf "has a time outside [0, 2^%d)" time_bits)
+  else (time lsl client_bits) lor client
 
-let client_of id = id land client_mask
-let seq_of id = id asr client_bits
+let client_of st = st land client_mask
+let time_of st = st asr client_bits
 
 (* A result as two ints: a tag (0 [Done false], 1 [Done true], 2
    [Value None], 3 [Value (Some v)]) and [v] (0 for the other tags). *)
@@ -92,16 +92,14 @@ let result_bits ~client ~seq ~tag ~value =
 
 type t = {
   arr : arrivals;
-  index : int array array;  (* [client].(seq): arrival number, -1 in gaps *)
+  index : int array array;  (* [client].(seq): arrival number *)
   requests : int;
   state : int array;  (* this and [pos]: per arrival number *)
   pos : int array;
       (* the (global shard, slot) of the service's commit claim, packed
          (see [shard_bits]); -1: none observed. It is where the
-         durable-commit audit holds the ledger against the ack. *)
-  latencies : int array;
-      (* arrival to first acknowledgement, in acknowledgement order:
-         [completed] are filled *)
+         durable-commit audit holds the ledger against the ack; empty
+         on runs that cannot crash, which never audit. *)
   spill : (int, int) Hashtbl.t;  (* arrival number -> applies, from 3 *)
   mutable violations : string list;  (* newest first, at most [cap] *)
   mutable reported : int;  (* including those beyond [cap] *)
@@ -122,38 +120,39 @@ let cap = 32
 let shard_bits = 16
 let shard_mask = (1 lsl shard_bits) - 1
 
-let create ~clients (arr : arrivals) =
-  let requests = Array.length arr.a_id in
-  if Array.length arr.a_op <> requests || Array.length arr.a_time <> requests
-  then invalid_arg "Oracle.create: arrival arrays of different lengths";
+let create ~clients ~crashes (arr : arrivals) =
+  let requests = Array.length arr.a_op in
+  if Array.length arr.a_stamp <> requests then
+    invalid_arg "Oracle.create: arrival arrays of different lengths";
   if clients > max_clients then
     invalid_arg
       (Printf.sprintf "Oracle.create: %d clients, at most %d" clients
          max_clients);
   let len = Array.make clients 0 in
   for i = 0 to requests - 1 do
-    let c = client_of arr.a_id.(i) and s = seq_of arr.a_id.(i) in
-    let reject why =
-      invalid_arg
-        (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s" c s why)
-    in
+    let st = arr.a_stamp.(i) in
+    let c = client_of st in
     if c >= clients then
-      reject (Printf.sprintf "has a client outside [0, %d)" clients)
-    else if s < 0 then reject "has a negative seq";
-    len.(c) <- max len.(c) (s + 1)
+      invalid_arg
+        (Printf.sprintf
+           "Oracle.create: arrival client=%d time=%d has a client outside \
+            [0, %d)"
+           c (time_of st) clients);
+    len.(c) <- len.(c) + 1
   done;
-  let index = Array.map (fun n -> Array.make n (-1)) len in
-  (* a repeated (client, seq) keeps its last arrival *)
+  let index = Array.map (fun n -> Array.make n 0) len in
+  (* [len] again counts each client's seqs so far *)
+  Array.fill len 0 clients 0;
   for i = 0 to requests - 1 do
-    let id = arr.a_id.(i) in
-    index.(client_of id).(seq_of id) <- i
+    let c = client_of arr.a_stamp.(i) in
+    index.(c).(len.(c)) <- i;
+    len.(c) <- len.(c) + 1
   done;
   { arr;
     index;
     requests;
     state = Array.make requests 0;
-    pos = Array.make requests (-1);
-    latencies = Array.make requests 0;
+    pos = (if crashes then Array.make requests (-1) else [||]);
     spill = Hashtbl.create 16;
     violations = [];
     reported = 0;
@@ -185,12 +184,38 @@ let lookup t client seq =
     let a = t.index.(client) in
     if seq < 0 || seq >= Array.length a then -1 else a.(seq)
 
+(* The seq of arrival [i]: its position in its client's row. *)
+let seq_at t i =
+  let row = t.index.(client_of t.arr.a_stamp.(i)) in
+  let lo = ref 0 and hi = ref (Array.length row - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if row.(mid) < i then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let request t i =
+  { Service.client = client_of t.arr.a_stamp.(i);
+    seq = seq_at t i;
+    op = t.arr.a_op.(i) }
+
 let find t client seq =
   let i = lookup t client seq in
   if i < 0 then violation t "unknown request client=%d seq=%d" client seq;
   i
 
 let acked_at t i = t.state.(i) land acked_bit <> 0
+
+(* [f i client seq] for each acknowledged arrival [i], in ascending
+   arrival number, counting each client's seqs on the way. *)
+let iter_acked t f =
+  let next = Array.make (Array.length t.index) 0 in
+  for i = 0 to t.requests - 1 do
+    let cl = client_of t.arr.a_stamp.(i) in
+    let sq = next.(cl) in
+    next.(cl) <- sq + 1;
+    if acked_at t i then f i cl sq
+  done
 
 let applied t i =
   let n = applies_of t.state.(i) in
@@ -232,7 +257,8 @@ let note_commit t ~client ~seq ~shard ~slot =
       (Printf.sprintf "Oracle.commit: client=%d seq=%d at shard %d slot %d"
          client seq shard slot);
   let i = find t client seq in
-  if i >= 0 then t.pos.(i) <- (slot lsl shard_bits) lor shard
+  if i >= 0 && i < Array.length t.pos then
+    t.pos.(i) <- (slot lsl shard_bits) lor shard
 
 let pp_result_opt = function
   | Some r -> Format.asprintf "%a" Service.pp_result r
@@ -266,12 +292,17 @@ let note_ack t ~client ~seq ~tag ~value ~dedup ~time =
       false
     end
     else begin
+      let bits = result_bits ~client ~seq ~tag ~value in
+      (* the latency takes the arrival time's place in the stamp *)
+      let lat = time - time_of t.arr.a_stamp.(i) in
+      if (lat lsl client_bits) asr client_bits <> lat then
+        invalid_arg
+          (Printf.sprintf
+             "Oracle.ack: client=%d seq=%d latency %d outside [-2^%d, 2^%d)"
+             client seq lat time_bits time_bits);
       (* keep the applies, record the result *)
-      t.state.(i) <-
-        result_bits ~client ~seq ~tag ~value
-        lor (s land (3 * one_apply))
-        lor acked_bit;
-      t.latencies.(t.completed) <- time - t.arr.a_time.(i);
+      t.state.(i) <- bits lor (s land (3 * one_apply)) lor acked_bit;
+      t.arr.a_stamp.(i) <- (lat lsl client_bits) lor client;
       t.completed <- t.completed + 1;
       if seq > t.last_acked.(client) then t.last_acked.(client) <- seq;
       true
@@ -301,26 +332,26 @@ let ack t (r : Service.request) res ~dedup ~time =
    reconciliation repairs the state divergence that used to betray its
    loss, so the oracle must hold the ack against the ledger directly. *)
 let check_recovered t (durable : Service.durable array) ~status =
+  if Array.length t.pos <> t.requests then
+    invalid_arg "Oracle.check_recovered: the oracle keeps no commit positions";
   let extent =
     Array.map
       (fun (d : Service.durable) -> d.dv_base + List.length d.dv_log)
       durable
   in
-  for i = 0 to t.requests - 1 do
-    if acked_at t i then
-      let id = t.arr.a_id.(i) and p = t.pos.(i) in
+  iter_acked t (fun i cl sq ->
+      let p = t.pos.(i) in
       let gs = p land shard_mask and slot = p lsr shard_bits in
       if p < 0 then
         violation t
           "recovery: client=%d seq=%d acknowledged without an observed \
            commit"
-          (client_of id) (seq_of id)
+          cl sq
       else if slot >= extent.(gs) then
         violation t
           "recovery: client=%d seq=%d acknowledged at shard %d slot %d but \
            the recovered commit extent is %d — acknowledged work lost"
-          (client_of id) (seq_of id) gs slot extent.(gs)
-  done;
+          cl sq gs slot extent.(gs));
   (* Detect mode's own obligation: every acknowledged request must
      answer [Completed] to the status query of the slice that owns its
      key — a descriptor lost (or a stale one mistaken for valid)
@@ -328,17 +359,13 @@ let check_recovered t (durable : Service.durable array) ~status =
      to double-apply. *)
   Option.iter
     (fun status ->
-      for i = 0 to t.requests - 1 do
-        if acked_at t i then
-          let id = t.arr.a_id.(i) in
-          let cl = client_of id and sq = seq_of id in
+      iter_acked t (fun i cl sq ->
           match status ~client:cl ~seq:sq t.arr.a_op.(i) with
           | Nvt_nvm.Detectable.Completed -> ()
           | st ->
             violation t
               "detect: client=%d seq=%d acknowledged but status says %s" cl sq
-              (Nvt_nvm.Detectable.status_name st)
-      done)
+              (Nvt_nvm.Detectable.status_name st)))
     status
 
 (* ---- final state ---- *)
@@ -448,24 +475,18 @@ let check_final t ~invariant ~crash_free ~prefill ~durable ~contents =
     while !k < n && committed.(!k) = i do
       incr k
     done;
-    if !k - !j > 1 then begin
-      let id = t.arr.a_id.(i) in
-      violation t "client=%d seq=%d committed %d times" (client_of id)
-        (seq_of id) (!k - !j)
-    end;
+    if !k - !j > 1 then
+      violation t "client=%d seq=%d committed %d times"
+        (client_of t.arr.a_stamp.(i))
+        (seq_at t i) (!k - !j);
     j := !k
   done;
-  for i = 0 to t.requests - 1 do
-    if acked_at t i then begin
-      let id = t.arr.a_id.(i) in
-      let cl = client_of id and sq = seq_of id in
+  iter_acked t (fun i cl sq ->
       if sq > max_committed.(cl) then
         violation t "client=%d seq=%d acknowledged but not committed" cl sq;
       if crash_free && applied t i <> 1 then
         violation t "crash-free: client=%d seq=%d applied %d times" cl sq
-          (applied t i)
-    end
-  done;
+          (applied t i));
   let actual = List.sort Types.compare_pair contents in
   let expected =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
@@ -518,4 +539,12 @@ let acked t = t.completed
 let applies t = t.applies
 let dedup_acks t = t.dedup_acks
 let audit_acks t = t.audit_acks
-let latencies t = t.latencies
+let latencies t =
+  let st = t.arr.a_stamp and k = ref 0 in
+  for i = 0 to t.requests - 1 do
+    if acked_at t i then begin
+      st.(!k) <- time_of st.(i);
+      incr k
+    end
+  done;
+  st

@@ -12,41 +12,48 @@
     request re-sent is answered from the ledger, unchanged. *)
 
 type arrivals = {
-  a_id : int array;  (** client and seq, packed by {!pack} *)
   a_op : Service.op array;
-  a_time : int array;  (** scheduled arrival time *)
+  a_stamp : int array;  (** client and arrival time, packed by {!stamp} *)
 }
-(** A run's arrival schedule, one column per field: arrival [i] is
-    client [client_of a_id.(i)]'s request [seq_of a_id.(i)], scheduled
-    at [a_time.(i)]. The index [i] is the request's {e arrival
-    number}. *)
+(** A run's arrival schedule, one column per field: arrival [i] is an
+    [a_op.(i)] sent by client [client_of a_stamp.(i)] at time
+    [time_of a_stamp.(i)]. The index [i] is the request's {e arrival
+    number}, and its seq is its rank among its client's arrivals: a
+    client's first arrival is its seq 0, its next seq 1, and so on. *)
 
 val max_clients : int
-(** [2^16]: a client's number must fit the low bits of an arrival id. *)
+(** [2^16]: a client's number must fit the low bits of a stamp. *)
 
-val pack : client:int -> seq:int -> int
-(** The arrival id of client [client]'s request [seq]. Raises
+val stamp : client:int -> time:int -> int
+(** The stamp of client [client]'s arrival at time [time]. Raises
     [Invalid_argument] naming both unless [client] lies in
-    [\[0, max_clients)] and [seq] in [\[0, 2^46)] (on 64-bit hosts). *)
+    [\[0, max_clients)] and [time] in [\[0, 2^46)] (on 64-bit hosts). *)
 
 val client_of : int -> int
-val seq_of : int -> int
+
+val time_of : int -> int
+(** The arrival time, until the oracle records the request's first
+    acknowledgement: from then on, its latency. A runner reads an
+    arrival's time only before it issues the request. *)
 
 type t
 
-val create : clients:int -> arrivals -> t
+val create : clients:int -> crashes:bool -> arrivals -> t
 (** The oracle for a run whose [clients] sessions issue exactly these
-    requests. It keeps the schedule (shared, not copied) and its own
-    per-request state in flat int arrays indexed by arrival number, four
-    words per request besides the schedule: the index below, one word
-    packing the acknowledgement, the apply count and the recorded
-    result, the commit position and the latency. Raises
-    [Invalid_argument] if the columns differ in length, if [clients]
-    exceeds {!max_clients}, or naming an arrival whose client lies
-    outside [\[0, clients)] or whose seq is negative. Events find their
-    arrival number per client by seq, so the index holds one word for
-    every seq up to each client's highest; a repeated [(client, seq)]
-    resolves to its last arrival. *)
+    requests; [crashes] says whether the run may crash, so that
+    {!check_recovered} applies. It keeps the schedule (shared, not
+    copied: each first acknowledgement overwrites its arrival time with
+    the latency) and its own per-request state in flat int arrays
+    indexed by arrival number: each client's row of arrival numbers in
+    seq order, and one word packing the acknowledgement, the apply
+    count and the recorded result. With the schedule's two columns,
+    four words per request; with [crashes], a fifth holds the commit
+    position. Raises [Invalid_argument] if the columns differ in length,
+    if [clients] exceeds {!max_clients}, or naming an arrival whose
+    client lies outside [\[0, clients)]. *)
+
+val request : t -> int -> Service.request
+(** Arrival [i] as the request its client issues. *)
 
 val violations : t -> string list
 (** In the order recorded: the first 32, then, if there were more, one
@@ -80,8 +87,9 @@ val note_ack :
 (** [true] iff this is the request's first acknowledgement outside the
     audit phase: its client may issue its next request. Raises
     [Invalid_argument] for a first acknowledgement answering
-    [Value (Some v)] with [v] outside [\[-2^57, 2^57)] (on 64-bit
-    hosts), which its state word cannot record. *)
+    [Value (Some v)] with [v] outside [\[-2^57, 2^57)], which its state
+    word cannot record, or one whose latency lies outside
+    [\[-2^46, 2^46)], which its stamp cannot (on 64-bit hosts). *)
 
 val result_tag : Service.result -> int
 (** 0 [Done false], 1 [Done true], 2 [Value None], 3 [Value (Some _)]. *)
@@ -109,7 +117,9 @@ val check_recovered :
   unit
 (** At a recovered quiescent point, given each global shard's durable
     state and, in detect mode, the status query. Two passes over the
-    acknowledged requests: the commit extent, then the status. *)
+    acknowledged requests: the commit extent, then the status. Raises
+    [Invalid_argument] for an oracle created without [crashes], which
+    keeps no commit positions. *)
 
 val check_final :
   t ->
@@ -153,6 +163,8 @@ val dedup_acks : t -> int
 val audit_acks : t -> int
 
 val latencies : t -> int array
-(** Arrival-to-acknowledgement latencies, in acknowledgement order: the
-    first {!acked} entries of the oracle's own array, not a copy, so a
-    summary may reorder them in place. *)
+(** Arrival-to-acknowledgement latencies, in arrival order: the first
+    {!acked} entries of the schedule's stamp column, compacted in place,
+    not a copy, so a summary may reorder them in place. The stamps are
+    gone from then on: call it once, after every other call that reads
+    the schedule. *)

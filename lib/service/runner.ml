@@ -216,10 +216,10 @@ let exponential rng mean =
   Int.max 1 (int_of_float (Float.round (-.float_of_int mean *. log u)))
 
 (* The arrival schedule: a pure function of the configuration. Poisson
-   arrival times, a uniformly drawn client per request with per-client
-   sequence numbers, and the workload's op stream, optionally remixed
-   into multi-puts and read-modify-writes; written column by column,
-   arrival number [i] at index [i]. *)
+   arrival times, a uniformly drawn client per request (its seq is its
+   rank among that client's arrivals), and the workload's op stream,
+   optionally remixed into multi-puts and read-modify-writes; written
+   column by column, arrival number [i] at index [i]. *)
 let schedule (c : config) : Oracle.arrivals =
   let dist =
     if c.skew <= 0.0 then Workload.Uniform else Workload.Zipf c.skew
@@ -257,19 +257,12 @@ let schedule (c : config) : Oracle.arrivals =
       ops.(code) <- Some op;
       op
   in
-  let seq_ctr = Array.make c.clients 0 in
   let column x = Array.make c.requests x in
-  let a =
-    { Oracle.a_id = column 0;
-      a_op = column (Service.Get 0);
-      a_time = column 0 }
-  in
+  let a = { Oracle.a_op = column (Service.Get 0); a_stamp = column 0 } in
   let clock = ref 0 in
   for i = 0 to c.requests - 1 do
     clock := !clock + exponential arr_rng c.mean_gap;
     let client = Random.State.int cli_rng c.clients in
-    let seq = seq_ctr.(client) in
-    seq_ctr.(client) <- seq + 1;
     let op =
       match Workload.next wl with
       | Workload.Insert k -> intern 0 k (fun () -> Service.Put (k, k + 1))
@@ -305,9 +298,8 @@ let schedule (c : config) : Oracle.arrivals =
         else op
       end
     in
-    a.a_id.(i) <- Oracle.pack ~client ~seq;
     a.a_op.(i) <- op;
-    a.a_time.(i) <- !clock
+    a.a_stamp.(i) <- Oracle.stamp ~client ~time:!clock
   done;
   a
 
@@ -675,7 +667,9 @@ let run_with ~on_machine (c : config) : report =
       Machine.persist_all machines.(g))
     services;
   let arrivals = schedule c in
-  let oracle = Oracle.create ~clients:c.clients arrivals in
+  let oracle =
+    Oracle.create ~clients:c.clients ~crashes:(c.crash_steps <> []) arrivals
+  in
 
   (* ---- client sessions: one outstanding request, a backlog behind it ---- *)
   let group_of_key k = Service.global_shard ~shards:c.shards k mod domains in
@@ -690,21 +684,18 @@ let run_with ~on_machine (c : config) : report =
     Array.init c.clients (fun _ -> Queue.create ())
   in
   let issue i =
-    let id = arrivals.a_id.(i) in
-    let r =
-      { Service.client = Oracle.client_of id;
-        seq = Oracle.seq_of id;
-        op = arrivals.a_op.(i) }
-    in
+    let r = Oracle.request oracle i in
     issued.(r.client) <- r;
     submit_route r
   in
   let cursor = ref 0 in
   let release_arrivals t_bar =
-    while !cursor < c.requests && arrivals.a_time.(!cursor) <= t_bar do
+    while
+      !cursor < c.requests && Oracle.time_of arrivals.a_stamp.(!cursor) <= t_bar
+    do
       let i = !cursor in
       incr cursor;
-      let client = Oracle.client_of arrivals.a_id.(i) in
+      let client = Oracle.client_of arrivals.a_stamp.(i) in
       if issued.(client) != idle then Queue.push i backlog.(client)
       else issue i
     done

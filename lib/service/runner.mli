@@ -2,10 +2,13 @@
     arrivals over sequential client sessions, crash/recover eras with
     client re-send, the exactly-once {!Oracle}, and latency percentiles
     in simulated time. One barrier driver advances eras, recovery passes
-    and the audit alike. The per-request state is flat: the schedule is
-    {!Oracle.arrivals}' four columns, each distinct op built once and
-    shared; a client's backlog holds arrival numbers; and each shard's
-    apply history is two ints, a count and a rolling digest
+    and the audit alike. The per-request state is flat, four words per
+    request (five on a run with [crash_steps]): the schedule's two
+    columns ({!Oracle.arrivals}: the op, each distinct one built once
+    and shared, and a stamp packing client and arrival time) and the
+    oracle's two (three). A client's backlog holds arrival numbers, and
+    the oracle builds each request as it is issued; each shard's apply
+    history is two ints, a count and a rolling digest
     ({!type:history}).
 
     The service's shards are striped over [domains] groups, each a

@@ -122,8 +122,13 @@ module Mirror = struct
         t.keys <- grow t.keys;
         t.values <- grow t.values
       end;
-      Array.blit t.keys i t.keys (i + 1) (t.live - i);
-      Array.blit t.values i t.values (i + 1) (t.live - i);
+      (* typed int loops, not [Array.blit]: a blit into a major-heap
+         array takes the write barrier for every element, ints too *)
+      let keys = t.keys and values = t.values in
+      for j = t.live downto i + 1 do
+        keys.(j) <- keys.(j - 1);
+        values.(j) <- values.(j - 1)
+      done;
       t.keys.(i) <- k;
       t.values.(i) <- v;
       t.live <- t.live + 1
@@ -132,8 +137,11 @@ module Mirror = struct
   let remove t k =
     let i = search t k in
     if i >= 0 then begin
-      Array.blit t.keys (i + 1) t.keys i (t.live - i - 1);
-      Array.blit t.values (i + 1) t.values i (t.live - i - 1);
+      let keys = t.keys and values = t.values in
+      for j = i to t.live - 2 do
+        keys.(j) <- keys.(j + 1);
+        values.(j) <- values.(j + 1)
+      done;
       t.live <- t.live - 1
     end
 

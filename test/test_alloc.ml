@@ -373,8 +373,12 @@ module Service = Nvt_service.Service
    20 000 units over uniform keys (svc-crash without its crashes), and
    group commit with checkpoints every 50 000 (svc-group), both with 5%
    multi-puts and 5% read-modify-writes over 512 keys. Words per
-   request count everything the run allocates, setup and the oracle
-   included. [reached] is the figure on OCaml 5.1 once the ledger
+   request count everything the run allocates on the minor heap, setup
+   included. Arrays beyond [Max_young_wosize] words go straight to the
+   major heap, which [Gc.minor_words] never sees: the schedule's
+   columns and the oracle's per-request arrays are not in the figure
+   (the oracle footprint tests in test_service.ml bound those).
+   [reached] is the figure on OCaml 5.1 once the ledger
    commit kept its touched shards in a reused buffer, the dedup table
    became an array, the merge barrier int columns with no closure per
    barrier, batches reused arrays and checkpoint chunks flat int

@@ -744,14 +744,25 @@ type scenario = {
 
 let req client seq op = { Service.client; seq; op }
 
-(* The arrival schedule of [reqs], request [i] arriving at time [i]. *)
+(* The arrival schedule of [reqs], request [i] arriving at time [i].
+   The schedule holds no seq: a request's seq is its rank among its
+   client's arrivals, so each [reqs] seq must be that rank. *)
 let arrivals (reqs : Service.request array) =
-  { Oracle.a_id =
-      Array.map
-        (fun (r : Service.request) -> Oracle.pack ~client:r.client ~seq:r.seq)
-        reqs;
-    a_op = Array.map (fun (r : Service.request) -> r.op) reqs;
-    a_time = Array.init (Array.length reqs) Fun.id }
+  let next = Hashtbl.create 16 in
+  Array.iter
+    (fun (r : Service.request) ->
+      let sq = Option.value (Hashtbl.find_opt next r.client) ~default:0 in
+      if r.seq <> sq then
+        invalid_arg
+          (Printf.sprintf "arrivals: client=%d seq=%d is its arrival %d"
+             r.client r.seq sq);
+      Hashtbl.replace next r.client (sq + 1))
+    reqs;
+  { Oracle.a_op = Array.map (fun (r : Service.request) -> r.op) reqs;
+    a_stamp =
+      Array.mapi
+        (fun i (r : Service.request) -> Oracle.stamp ~client:r.client ~time:i)
+        reqs }
 let r0 = req 0 0 (Service.Put (1, 10))
 let r1 = req 1 0 (Service.Get 1)
 let r2 = req 0 1 (Service.Del 2)
@@ -779,7 +790,8 @@ let clean =
 
 let play sc =
   let o =
-    Oracle.create ~clients:2 (arrivals (Array.of_list (List.map fst results)))
+    Oracle.create ~clients:2 ~crashes:true
+      (arrivals (Array.of_list (List.map fst results)))
   in
   let step time = function
     | Apply r -> Oracle.apply o r
@@ -900,7 +912,7 @@ let oracle_checks () =
 (* The violation list keeps the first 32 messages and counts the rest
    in one closing entry instead of dropping them silently. *)
 let oracle_violation_cap () =
-  let o = Oracle.create ~clients:1 (arrivals [||]) in
+  let o = Oracle.create ~clients:1 ~crashes:false (arrivals [||]) in
   for seq = 0 to 39 do
     Oracle.apply o (req 0 seq (Service.Get 1))
   done;
@@ -927,7 +939,7 @@ let wide_oracle ~bug =
       (if i mod 3 = 0 then Service.Get i else Service.Put (i, i))
   in
   let o =
-    Oracle.create ~clients:16 (arrivals (Array.init 2000 rq))
+    Oracle.create ~clients:16 ~crashes:true (arrivals (Array.init 2000 rq))
   in
   for i = 0 to 1999 do
     let r = rq i in
@@ -1005,7 +1017,7 @@ let final_oracle ~bug =
   in
   let res i = if i mod 3 = 0 then Service.Value None else Service.Done true in
   let o =
-    Oracle.create ~clients:16 (arrivals (Array.init 2000 rq))
+    Oracle.create ~clients:16 ~crashes:false (arrivals (Array.init 2000 rq))
   in
   let dropped (r : Service.request) =
     bug && (r.client = 3 || r.client = 12) && r.seq >= 122
@@ -1061,89 +1073,106 @@ let oracle_final_order () =
     "golden order" final_golden (final_oracle ~bug:true)
 
 (* [create] rejects an arrival it could not index: the run would
-   otherwise die at that request's first acknowledgement. An id holds a
-   client in [0, 2^16) and a non-negative seq: [pack] rejects anything
-   else, and [create] more clients than an id can name. A negative seq
-   can still reach [create] through an id made by hand. *)
+   otherwise die at that request's first acknowledgement. A stamp holds
+   a client in [0, 2^16) and an arrival time in [0, 2^46): [stamp]
+   rejects anything else, and [create] a client beyond the run's count
+   or more clients than a stamp can name. A seq is an arrival's rank
+   among its client's arrivals, so no schedule holds a negative,
+   missing or repeated one. *)
 let oracle_rejects_bad_arrivals () =
   let arrival client seq = req client seq (Service.Get 1) in
-  let raw_arrivals ids =
-    { Oracle.a_id = ids;
-      a_op = Array.map (fun _ -> Service.Get 1) ids;
-      a_time = Array.map (fun _ -> 0) ids }
+  let raw_arrivals stamps =
+    { Oracle.a_op = Array.map (fun _ -> Service.Get 1) stamps;
+      a_stamp = stamps }
   in
   List.iter
-    (fun (c, sq, id, why) ->
+    (fun (c, time) ->
       Alcotest.check_raises
-        (Printf.sprintf "client=%d seq=%d" c sq)
+        (Printf.sprintf "client=%d time=%d" c time)
         (Invalid_argument
-           (Printf.sprintf "Oracle.create: arrival client=%d seq=%d %s" c sq
-              why))
+           (Printf.sprintf
+              "Oracle.create: arrival client=%d time=%d has a client outside \
+               [0, 2)"
+              c time))
         (fun () ->
           ignore
-            (Oracle.create ~clients:2
-               (raw_arrivals [| Oracle.pack ~client:0 ~seq:0; id |]))))
-    [ (5, 0, Oracle.pack ~client:5 ~seq:0, "has a client outside [0, 2)");
-      (2, 3, Oracle.pack ~client:2 ~seq:3, "has a client outside [0, 2)");
-      (1, -4, (-4 lsl 16) lor 1, "has a negative seq") ];
+            (Oracle.create ~clients:2 ~crashes:false
+               (raw_arrivals
+                  [| Oracle.stamp ~client:0 ~time:0;
+                     Oracle.stamp ~client:c ~time |]))))
+    [ (5, 0); (2, 3); (65535, (1 lsl 46) - 1) ];
   List.iter
-    (fun (c, sq, why) ->
+    (fun (c, time, why) ->
       Alcotest.check_raises
-        (Printf.sprintf "pack client=%d seq=%d" c sq)
+        (Printf.sprintf "stamp client=%d time=%d" c time)
         (Invalid_argument
-           (Printf.sprintf "Oracle.pack: client=%d seq=%d %s" c sq why))
-        (fun () -> ignore (Oracle.pack ~client:c ~seq:sq)))
+           (Printf.sprintf "Oracle.stamp: client=%d time=%d %s" c time why))
+        (fun () -> ignore (Oracle.stamp ~client:c ~time)))
     [ (-1, 0, "has a client outside [0, 65536)");
       (65536, 0, "has a client outside [0, 65536)");
-      (0, -1, "has a seq outside [0, 2^46)");
-      (0, 1 lsl 46, "has a seq outside [0, 2^46)") ];
-  (* the extremes an id holds come back out *)
+      (1 lsl 20, 7, "has a client outside [0, 65536)");
+      (0, -1, "has a time outside [0, 2^46)");
+      (0, 1 lsl 46, "has a time outside [0, 2^46)");
+      (65535, max_int, "has a time outside [0, 2^46)") ];
+  (* the extremes a stamp holds come back out *)
   List.iter
-    (fun (c, sq) ->
-      let id = Oracle.pack ~client:c ~seq:sq in
+    (fun (c, time) ->
+      let st = Oracle.stamp ~client:c ~time in
       Alcotest.(check (pair int int))
-        "unpacked" (c, sq)
-        (Oracle.client_of id, Oracle.seq_of id))
+        "unpacked" (c, time)
+        (Oracle.client_of st, Oracle.time_of st))
     [ (0, 0); (65535, 0); (0, (1 lsl 46) - 1); (65535, (1 lsl 46) - 1) ];
   Alcotest.check_raises "a client at 2^16"
     (Invalid_argument "Oracle.create: 65537 clients, at most 65536")
-    (fun () -> ignore (Oracle.create ~clients:65537 (raw_arrivals [||])));
-  ignore (Oracle.create ~clients:65536 (raw_arrivals [||]));
+    (fun () ->
+      ignore (Oracle.create ~clients:65537 ~crashes:false (raw_arrivals [||])));
+  ignore (Oracle.create ~clients:65536 ~crashes:false (raw_arrivals [||]));
   Alcotest.check_raises "columns of different lengths"
     (Invalid_argument "Oracle.create: arrival arrays of different lengths")
     (fun () ->
       let a = arrivals [| arrival 0 0; arrival 0 1 |] in
-      ignore (Oracle.create ~clients:2 { a with a_time = [| 0 |] }));
+      ignore
+        (Oracle.create ~clients:2 ~crashes:false { a with a_stamp = [| 0 |] }));
   (* in range but never scheduled: still an unknown request *)
-  let o = Oracle.create ~clients:2 (arrivals [| arrival 0 0; arrival 1 3 |]) in
+  let o =
+    Oracle.create ~clients:2 ~crashes:false
+      (arrivals [| arrival 0 0; arrival 1 0 |])
+  in
   Oracle.apply o (req 1 1 (Service.Get 1));
   Oracle.apply o (req 1 4 (Service.Get 1));
   Oracle.apply o (req 2 0 (Service.Get 1));
-  Oracle.apply o (req 1 3 (Service.Get 1));
+  Oracle.apply o (req 0 (-1) (Service.Get 1));
+  Oracle.apply o (req 1 0 (Service.Get 1));
   Alcotest.(check (list string))
     "unknown requests"
     [ "unknown request client=1 seq=1"; "unknown request client=1 seq=4";
-      "unknown request client=2 seq=0" ]
+      "unknown request client=2 seq=0"; "unknown request client=0 seq=-1" ]
     (Oracle.violations o)
 
-(* The oracle's per-request footprint: 4 000 hand-made arrivals, each
-   applied, committed and acknowledged, leave the oracle holding its
-   schedule and its per-request state in flat arrays. [Obj.reachable_words]
-   is deterministic, so the bound is exact: the schedule's three columns
-   and the op each arrival carries (2-3 words, built here one per
-   request), plus four words of oracle state: 9.7 in all, where six
-   words of oracle state and a fourth schedule column took 12.8, and a
-   record per arrival and one per request, with a boxed result and
-   commit position, 27.4. *)
-let footprint_words = 10.7
+(* The oracle's per-request footprint: 4 000 hand-made arrivals from 16
+   clients, each applied, committed and acknowledged, leave the oracle
+   holding its schedule and its per-request state in flat arrays.
+   [Obj.reachable_words] is deterministic, so each bound is the exact
+   figure (30 763 and 26 763 words): the schedule's two columns and the
+   op each arrival carries (2-3 words, built here one per request),
+   plus each client's row of arrival numbers, the state word and, on a
+   run that may crash, the commit position. Three schedule columns and
+   four words of oracle state took 9.7; a record per arrival and one
+   per request, with a boxed result and commit position, 27.4. *)
+let footprint_words = 7.6908
+let footprint_words_crash_free = 6.6908
 
-let oracle_footprint () =
+let oracle_footprint ~crashes () =
   let n = 4000 in
   let rq i =
     req (i mod 16) (i / 16)
       (if i mod 3 = 0 then Service.Get i else Service.Put (i, i))
   in
-  let o = Oracle.create ~clients:16 (arrivals (Array.init n rq)) in
+  let o = Oracle.create ~clients:16 ~crashes (arrivals (Array.init n rq)) in
+  for i = 0 to n - 1 do
+    if Oracle.request o i <> rq i then
+      Alcotest.failf "arrival %d comes back as another request" i
+  done;
   for i = 0 to n - 1 do
     let r = rq i in
     Oracle.apply o r;
@@ -1151,11 +1180,12 @@ let oracle_footprint () =
     let res =
       if i mod 3 = 0 then Service.Value (Some i) else Service.Done (i land 1 = 0)
     in
-    ignore (Oracle.ack o r res ~dedup:false ~time:(i + 5))
+    ignore (Oracle.ack o r res ~dedup:false ~time:(i + 5 + (i mod 7)))
   done;
   Alcotest.(check int) "all acknowledged" n (Oracle.acked o);
   Alcotest.(check (list string)) "clean" [] (Oracle.violations o);
-  (* the packed commit position rejects what it cannot hold *)
+  (* the packed commit position rejects what it cannot hold, kept or
+     not *)
   List.iter
     (fun (shard, slot) ->
       Alcotest.check_raises
@@ -1165,12 +1195,24 @@ let oracle_footprint () =
               shard slot))
         (fun () -> Oracle.commit o (rq 0) ~shard ~slot))
     [ (65536, 0); (-1, 0); (0, -1) ];
+  if not crashes then
+    Alcotest.check_raises "no recovered points without commit positions"
+      (Invalid_argument
+         "Oracle.check_recovered: the oracle keeps no commit positions")
+      (fun () -> Oracle.check_recovered o [||] ~status:None);
+  let bound = if crashes then footprint_words else footprint_words_crash_free in
   let words = Obj.reachable_words (Obj.repr o) in
-  if float_of_int words > footprint_words *. float_of_int n then
-    Alcotest.failf "%d words for %d requests: %.2f per request, bound %.1f"
+  if float_of_int words > bound *. float_of_int n then
+    Alcotest.failf "%d words for %d requests: %.4f per request, bound %.4f"
       words n
       (float_of_int words /. float_of_int n)
-      footprint_words
+      bound;
+  (* the latencies, compacted over the stamps in arrival order *)
+  let lat = Oracle.latencies o in
+  for i = 0 to n - 1 do
+    if lat.(i) <> 5 + (i mod 7) then
+      Alcotest.failf "latency %d is %d, expected %d" i lat.(i) (5 + (i mod 7))
+  done
 
 (* The state word, at its edges: eight clients send one get each of an
    absent key; client [i]'s is applied [i] times (from 3 on, the count
@@ -1188,7 +1230,9 @@ let oracle_state_word () =
   in
   let rq i = req i 0 (Service.Get (100 + i)) in
   let n = Array.length results in
-  let o = Oracle.create ~clients:n (arrivals (Array.init n rq)) in
+  let o =
+    Oracle.create ~clients:n ~crashes:false (arrivals (Array.init n rq))
+  in
   let log = ref [] in
   for i = 0 to n - 1 do
     for _ = 1 to i do
@@ -1234,7 +1278,7 @@ let oracle_state_word () =
   Alcotest.(check int) "applies" (n * (n - 1) / 2) (Oracle.applies o);
   List.iter
     (fun v ->
-      let o = Oracle.create ~clients:1 (arrivals [| rq 0 |]) in
+      let o = Oracle.create ~clients:1 ~crashes:false (arrivals [| rq 0 |]) in
       Alcotest.check_raises (Printf.sprintf "value %d" v)
         (Invalid_argument
            (Printf.sprintf
@@ -1244,7 +1288,20 @@ let oracle_state_word () =
         (fun () ->
           ignore
             (Oracle.ack o (rq 0) (Service.Value (Some v)) ~dedup:false ~time:0)))
-    [ top + 1; bottom - 1; max_int; min_int ]
+    [ top + 1; bottom - 1; max_int; min_int ];
+  (* the latency takes the arrival time's place in the stamp, so it
+     must fit there too *)
+  List.iter
+    (fun time ->
+      let o = Oracle.create ~clients:1 ~crashes:false (arrivals [| rq 0 |]) in
+      Alcotest.check_raises (Printf.sprintf "ack at %d" time)
+        (Invalid_argument
+           (Printf.sprintf
+              "Oracle.ack: client=0 seq=0 latency %d outside [-2^46, 2^46)"
+              time))
+        (fun () ->
+          ignore (Oracle.ack o (rq 0) (Service.Done true) ~dedup:false ~time)))
+    [ 1 lsl 46; -(1 lsl 46) - 1; max_int ]
 
 (* ---- the ledger's slot window, against a model ---- *)
 
@@ -1939,7 +1996,10 @@ let suite =
     Alcotest.test_case "oracle: create rejects an unindexable arrival" `Quick
       oracle_rejects_bad_arrivals;
     Alcotest.test_case "oracle: per-request footprint in flat arrays" `Quick
-      oracle_footprint;
+      (oracle_footprint ~crashes:true);
+    Alcotest.test_case "oracle: crash-free footprint keeps no commit positions"
+      `Quick
+      (oracle_footprint ~crashes:false);
     Alcotest.test_case "oracle: the state word keeps counts and results"
       `Quick oracle_state_word;
     Alcotest.test_case "ledger window = an absolute-slot model" `Quick
